@@ -1,9 +1,10 @@
 """Differentiable primitives.
 
 Every function here returns a :class:`~repro.autodiff.tensor.Tensor`
-whose vector-Jacobian product is written in terms of other primitives,
-which is what makes second-order differentiation (needed for force
-training) work without any special casing.
+with one vector-Jacobian product per parent, each written in terms of
+other primitives, which is what makes second-order differentiation
+(needed for force training) work without any special casing — and what
+lets the backward pass skip a parent nobody wants the gradient of.
 
 Numerical-stability notes are attached to the activations: ``softplus``
 and ``sigmoid`` use the standard exp-overflow-safe forms since the HPO
@@ -13,7 +14,8 @@ pre-activations far from zero.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+import weakref
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,48 +80,47 @@ def unbroadcast(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
-    def vjp(g: Tensor):
-        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
-
-    return make_op(a.data + b.data, (a, b), vjp, "add")
+    vjps = (
+        lambda g: unbroadcast(g, a.shape),
+        lambda g: unbroadcast(g, b.shape),
+    )
+    return make_op(a.data + b.data, (a, b), vjps, "add")
 
 
 def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
-    def vjp(g: Tensor):
-        return unbroadcast(g, a.shape), unbroadcast(neg(g), b.shape)
-
-    return make_op(a.data - b.data, (a, b), vjp, "sub")
+    vjps = (
+        lambda g: unbroadcast(g, a.shape),
+        lambda g: unbroadcast(neg(g), b.shape),
+    )
+    return make_op(a.data - b.data, (a, b), vjps, "sub")
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
-    def vjp(g: Tensor):
-        return unbroadcast(mul(g, b), a.shape), unbroadcast(mul(g, a), b.shape)
-
-    return make_op(a.data * b.data, (a, b), vjp, "mul")
+    vjps = (
+        lambda g: unbroadcast(mul(g, b), a.shape),
+        lambda g: unbroadcast(mul(g, a), b.shape),
+    )
+    return make_op(a.data * b.data, (a, b), vjps, "mul")
 
 
 def div(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
-    def vjp(g: Tensor):
-        ga = div(g, b)
-        gb = neg(div(mul(g, a), mul(b, b)))
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
-
-    return make_op(a.data / b.data, (a, b), vjp, "div")
+    vjps = (
+        lambda g: unbroadcast(div(g, b), a.shape),
+        lambda g: unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape),
+    )
+    return make_op(a.data / b.data, (a, b), vjps, "div")
 
 
 def neg(a: ArrayLike) -> Tensor:
     a = as_tensor(a)
 
-    def vjp(g: Tensor):
-        return (neg(g),)
-
-    return make_op(-a.data, (a,), vjp, "neg")
+    return make_op(-a.data, (a,), (neg,), "neg")
 
 
 def power(a: ArrayLike, exponent: float) -> Tensor:
@@ -128,9 +129,9 @@ def power(a: ArrayLike, exponent: float) -> Tensor:
     p = float(exponent)
 
     def vjp(g: Tensor):
-        return (mul(g, mul(power(a, p - 1.0), p)),)
+        return mul(g, mul(power(a, p - 1.0), p))
 
-    return make_op(a.data**p, (a,), vjp, "power")
+    return make_op(a.data**p, (a,), (vjp,), "power")
 
 
 def square(a: ArrayLike) -> Tensor:
@@ -140,33 +141,33 @@ def square(a: ArrayLike) -> Tensor:
 
 def exp(a: ArrayLike) -> Tensor:
     a = as_tensor(a)
-    out_data = np.exp(a.data)
 
     def vjp(g: Tensor):
-        return (mul(g, out),)
+        return mul(g, out())
 
-    out = make_op(out_data, (a,), vjp, "exp")
-    return out
+    result = make_op(np.exp(a.data), (a,), (vjp,), "exp")
+    out = weakref.ref(result)  # a node holding itself is left to the GC
+    return result
 
 
 def log(a: ArrayLike) -> Tensor:
     a = as_tensor(a)
 
     def vjp(g: Tensor):
-        return (div(g, a),)
+        return div(g, a)
 
-    return make_op(np.log(a.data), (a,), vjp, "log")
+    return make_op(np.log(a.data), (a,), (vjp,), "log")
 
 
 def sqrt(a: ArrayLike) -> Tensor:
     a = as_tensor(a)
-    out_data = np.sqrt(a.data)
 
     def vjp(g: Tensor):
-        return (div(g, mul(out, 2.0)),)
+        return div(g, mul(out(), 2.0))
 
-    out = make_op(out_data, (a,), vjp, "sqrt")
-    return out
+    result = make_op(np.sqrt(a.data), (a,), (vjp,), "sqrt")
+    out = weakref.ref(result)
+    return result
 
 
 def abs(a: ArrayLike) -> Tensor:  # noqa: A001 - mirrors numpy naming
@@ -174,25 +175,14 @@ def abs(a: ArrayLike) -> Tensor:  # noqa: A001 - mirrors numpy naming
     sign = np.sign(a.data)
 
     def vjp(g: Tensor):
-        return (mul(g, Tensor(sign)),)
+        return mul(g, Tensor(sign))
 
-    return make_op(np.abs(a.data), (a,), vjp, "abs")
+    return make_op(np.abs(a.data), (a,), (vjp,), "abs")
 
 
 # ----------------------------------------------------------------------
 # activations (the five searched over in the paper, §2.2.1)
 # ----------------------------------------------------------------------
-def tanh(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def vjp(g: Tensor):
-        return (mul(g, sub(1.0, mul(out, out))),)
-
-    out = make_op(out_data, (a,), vjp, "tanh")
-    return out
-
-
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     # exp-overflow-safe logistic
     out = np.empty_like(x)
@@ -203,14 +193,96 @@ def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _SmoothActivation(NamedTuple):
+    """How a smooth activation's derivative depends on the tensor its
+    forward pass saved (its output ``y``, or its input ``x``).
+
+    ``derivs[0]`` is ``f'`` as an array function of the saved array and
+    ``derivs[k + 1]`` the derivative of ``derivs[k]`` with respect to
+    it.  ``tail`` is the derivative of the last of them as a composite
+    of primitives, differentiable to any order — force training stops
+    one short of it.
+    """
+
+    name: str
+    derivs: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    tail: Callable[[Tensor], ArrayLike]
+
+
+def _sigmoid_third(x: Tensor) -> Tensor:
+    s = sigmoid(x)
+    return mul(mul(s, sub(1.0, s)), sub(1.0, mul(s, 2.0)))
+
+
+def _logistic_slope(y: np.ndarray) -> np.ndarray:
+    return y * (1.0 - y)
+
+
+_TANH = _SmoothActivation(
+    "tanh", (lambda y: 1.0 - y * y, lambda y: y * -2.0), lambda y: -2.0
+)
+_SIGMOID = _SmoothActivation(
+    "sigmoid", (_logistic_slope, lambda y: 1.0 - y * 2.0), lambda y: -2.0
+)
+_SOFTPLUS = _SmoothActivation(
+    "softplus",
+    (_sigmoid_data, lambda x: _logistic_slope(_sigmoid_data(x))),
+    _sigmoid_third,
+)
+
+
+class _Slopes:
+    """One activation call's derivative arrays, each computed from the
+    saved tensor on first use and kept while the graph lives: a
+    training step multiplies by ``f'`` three times per layer.
+
+    The saved tensor is held weakly.  It is the node whose vjp holds
+    this object, or a parent of it, so it is alive whenever
+    :meth:`times` runs — and a strong reference would close a cycle
+    that keeps every step's graph, arrays included, until the cyclic
+    collector gets to it.
+    """
+
+    __slots__ = ("rule", "saved", "arrays")
+
+    def __init__(self, rule: _SmoothActivation, saved: Tensor) -> None:
+        self.rule = rule
+        self.saved = weakref.ref(saved)
+        self.arrays: dict[int, np.ndarray] = {}
+
+    def times(self, g: Tensor, order: int = 0) -> Tensor:
+        """``g * derivs[order](saved)`` as one tape node.
+
+        It is linear in ``g``, so that vjp is the same node over the
+        incoming gradient; the vjp of ``saved`` is the node one order
+        up.
+        """
+        rule, saved = self.rule, self.saved()
+        if order == len(rule.derivs):
+            return mul(g, rule.tail(saved))
+        slope = self.arrays.get(order)
+        if slope is None:
+            slope = self.arrays[order] = rule.derivs[order](saved.data)
+        vjps = (
+            lambda gg: self.times(gg, order),
+            lambda gg: self.times(mul(gg, g), order + 1),
+        )
+        return make_op(g.data * slope, (g, saved), vjps, rule.name + "_grad")
+
+
+def tanh(a: ArrayLike) -> Tensor:
+    a = as_tensor(a)
+    out = make_op(np.tanh(a.data), (a,), (lambda g: slopes.times(g),), "tanh")
+    slopes = _Slopes(_TANH, out)
+    return out
+
+
 def sigmoid(a: ArrayLike) -> Tensor:
     a = as_tensor(a)
-    out_data = _sigmoid_data(a.data)
-
-    def vjp(g: Tensor):
-        return (mul(g, mul(out, sub(1.0, out))),)
-
-    out = make_op(out_data, (a,), vjp, "sigmoid")
+    out = make_op(
+        _sigmoid_data(a.data), (a,), (lambda g: slopes.times(g),), "sigmoid"
+    )
+    slopes = _Slopes(_SIGMOID, out)
     return out
 
 
@@ -219,11 +291,8 @@ def softplus(a: ArrayLike) -> Tensor:
     a = as_tensor(a)
     x = a.data
     out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def vjp(g: Tensor):
-        return (mul(g, sigmoid(a)),)
-
-    return make_op(out_data, (a,), vjp, "softplus")
+    slopes = _Slopes(_SOFTPLUS, a)
+    return make_op(out_data, (a,), (slopes.times,), "softplus")
 
 
 def relu(a: ArrayLike) -> Tensor:
@@ -231,9 +300,9 @@ def relu(a: ArrayLike) -> Tensor:
     mask = (a.data > 0.0).astype(np.float64)
 
     def vjp(g: Tensor):
-        return (mul(g, Tensor(mask)),)
+        return mul(g, Tensor(mask))
 
-    return make_op(a.data * mask, (a,), vjp, "relu")
+    return make_op(a.data * mask, (a,), (vjp,), "relu")
 
 
 def relu6(a: ArrayLike) -> Tensor:
@@ -242,9 +311,18 @@ def relu6(a: ArrayLike) -> Tensor:
     mask = ((a.data > 0.0) & (a.data < 6.0)).astype(np.float64)
 
     def vjp(g: Tensor):
-        return (mul(g, Tensor(mask)),)
+        return mul(g, Tensor(mask))
 
-    return make_op(np.clip(a.data, 0.0, 6.0), (a,), vjp, "relu6")
+    return make_op(np.clip(a.data, 0.0, 6.0), (a,), (vjp,), "relu6")
+
+
+def _select_vjps(take_a: np.ndarray, a: Tensor, b: Tensor):
+    """Vjps of an elementwise choice between ``a`` (where the 0/1 array
+    ``take_a`` is 1) and ``b``."""
+    return (
+        lambda g: unbroadcast(mul(g, Tensor(take_a)), a.shape),
+        lambda g: unbroadcast(mul(g, Tensor(1.0 - take_a)), b.shape),
+    )
 
 
 def maximum(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -252,12 +330,9 @@ def maximum(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     take_a = (a.data >= b.data).astype(np.float64)
 
-    def vjp(g: Tensor):
-        ga = mul(g, Tensor(take_a))
-        gb = mul(g, Tensor(1.0 - take_a))
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
-
-    return make_op(np.maximum(a.data, b.data), (a, b), vjp, "maximum")
+    return make_op(
+        np.maximum(a.data, b.data), (a, b), _select_vjps(take_a, a, b), "maximum"
+    )
 
 
 def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -265,12 +340,9 @@ def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     take_a = (a.data <= b.data).astype(np.float64)
 
-    def vjp(g: Tensor):
-        ga = mul(g, Tensor(take_a))
-        gb = mul(g, Tensor(1.0 - take_a))
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
-
-    return make_op(np.minimum(a.data, b.data), (a, b), vjp, "minimum")
+    return make_op(
+        np.minimum(a.data, b.data), (a, b), _select_vjps(take_a, a, b), "minimum"
+    )
 
 
 def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -279,12 +351,9 @@ def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     c = np.asarray(cond, dtype=bool)
     cf = c.astype(np.float64)
 
-    def vjp(g: Tensor):
-        ga = mul(g, Tensor(cf))
-        gb = mul(g, Tensor(1.0 - cf))
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
-
-    return make_op(np.where(c, a.data, b.data), (a, b), vjp, "where")
+    return make_op(
+        np.where(c, a.data, b.data), (a, b), _select_vjps(cf, a, b), "where"
+    )
 
 
 def clip(a: ArrayLike, lo: float, hi: float) -> Tensor:
@@ -292,9 +361,9 @@ def clip(a: ArrayLike, lo: float, hi: float) -> Tensor:
     mask = ((a.data > lo) & (a.data < hi)).astype(np.float64)
 
     def vjp(g: Tensor):
-        return (mul(g, Tensor(mask)),)
+        return mul(g, Tensor(mask))
 
-    return make_op(np.clip(a.data, lo, hi), (a,), vjp, "clip")
+    return make_op(np.clip(a.data, lo, hi), (a,), (vjp,), "clip")
 
 
 # ----------------------------------------------------------------------
@@ -310,33 +379,32 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     a_vec = a.ndim == 1
     b_vec = b.ndim == 1
 
-    def vjp(g: Tensor):
-        ga: Optional[Tensor]
-        gb: Optional[Tensor]
-        a2 = reshape(a, (1, -1)) if a_vec else a
-        b2 = reshape(b, (-1, 1)) if b_vec else b
+    def lift(g: Tensor) -> Tensor:
+        """``g`` with the axes 1-D operands dropped put back."""
         if a_vec and b_vec:
-            g2 = reshape(g, (1, 1))
-        elif a_vec:
-            # (n,) @ (..., n, m) -> (..., m); lift g to (..., 1, m)
-            g2 = reshape(g, g.shape[:-1] + (1, g.shape[-1]))
-        elif b_vec:
-            g2 = reshape(g, g.shape + (1,))
-        else:
-            g2 = g
-        ga = matmul(g2, swapaxes(b2, -1, -2))
-        gb = matmul(swapaxes(a2, -1, -2), g2)
+            return reshape(g, (1, 1))
         if a_vec:
-            ga = reshape(unbroadcast(ga, (1, a.shape[0])), a.shape)
-        else:
-            ga = unbroadcast(ga, a.shape)
+            # (n,) @ (..., n, m) -> (..., m); lift g to (..., 1, m)
+            return reshape(g, g.shape[:-1] + (1, g.shape[-1]))
         if b_vec:
-            gb = reshape(unbroadcast(gb, (b.shape[0], 1)), b.shape)
-        else:
-            gb = unbroadcast(gb, b.shape)
-        return ga, gb
+            return reshape(g, g.shape + (1,))
+        return g
 
-    return make_op(a.data @ b.data, (a, b), vjp, "matmul")
+    def vjp_a(g: Tensor):
+        b2 = reshape(b, (-1, 1)) if b_vec else b
+        ga = matmul(lift(g), swapaxes(b2, -1, -2))
+        if a_vec:
+            return reshape(unbroadcast(ga, (1, a.shape[0])), a.shape)
+        return unbroadcast(ga, a.shape)
+
+    def vjp_b(g: Tensor):
+        a2 = reshape(a, (1, -1)) if a_vec else a
+        gb = matmul(swapaxes(a2, -1, -2), lift(g))
+        if b_vec:
+            return reshape(unbroadcast(gb, (b.shape[0], 1)), b.shape)
+        return unbroadcast(gb, b.shape)
+
+    return make_op(a.data @ b.data, (a, b), (vjp_a, vjp_b), "matmul")
 
 
 def dot(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -369,9 +437,9 @@ def sum(  # noqa: A001 - mirrors numpy naming
                 1 if i in axes else s for i, s in enumerate(in_shape)
             )
             g = reshape(g, shape_kept)
-        return (broadcast_to(g, in_shape),)
+        return broadcast_to(g, in_shape)
 
-    return make_op(out_data, (a,), vjp, "sum")
+    return make_op(out_data, (a,), (vjp,), "sum")
 
 
 def mean(
@@ -396,10 +464,10 @@ def broadcast_to(a: ArrayLike, shape: tuple[int, ...]) -> Tensor:
     in_shape = a.shape
 
     def vjp(g: Tensor):
-        return (unbroadcast(g, in_shape),)
+        return unbroadcast(g, in_shape)
 
     return make_op(
-        np.broadcast_to(a.data, shape).copy(), (a,), vjp, "broadcast_to"
+        np.broadcast_to(a.data, shape).copy(), (a,), (vjp,), "broadcast_to"
     )
 
 
@@ -408,9 +476,9 @@ def reshape(a: ArrayLike, shape: tuple[int, ...]) -> Tensor:
     in_shape = a.shape
 
     def vjp(g: Tensor):
-        return (reshape(g, in_shape),)
+        return reshape(g, in_shape)
 
-    return make_op(a.data.reshape(shape), (a,), vjp, "reshape")
+    return make_op(a.data.reshape(shape), (a,), (vjp,), "reshape")
 
 
 def transpose(a: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -421,18 +489,18 @@ def transpose(a: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def vjp(g: Tensor):
-        return (transpose(g, inverse),)
+        return transpose(g, inverse)
 
-    return make_op(a.data.transpose(axes), (a,), vjp, "transpose")
+    return make_op(a.data.transpose(axes), (a,), (vjp,), "transpose")
 
 
 def swapaxes(a: ArrayLike, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
 
     def vjp(g: Tensor):
-        return (swapaxes(g, ax1, ax2),)
+        return swapaxes(g, ax1, ax2)
 
-    return make_op(a.data.swapaxes(ax1, ax2), (a,), vjp, "swapaxes")
+    return make_op(a.data.swapaxes(ax1, ax2), (a,), (vjp,), "swapaxes")
 
 
 def getitem(a: ArrayLike, idx) -> Tensor:
@@ -441,9 +509,9 @@ def getitem(a: ArrayLike, idx) -> Tensor:
     in_shape = a.shape
 
     def vjp(g: Tensor):
-        return (_scatter(g, idx, in_shape),)
+        return _scatter(g, idx, in_shape)
 
-    return make_op(a.data[idx], (a,), vjp, "getitem")
+    return make_op(a.data[idx], (a,), (vjp,), "getitem")
 
 
 def _scatter(g: Tensor, idx, shape: tuple[int, ...]) -> Tensor:
@@ -452,15 +520,56 @@ def _scatter(g: Tensor, idx, shape: tuple[int, ...]) -> Tensor:
     return _scatter_add(zero, idx, g)
 
 
+def _is_basic_index(idx) -> bool:
+    """Whether ``idx`` selects by ints, slices, ``...`` and ``None`` only."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice))
+        for p in parts
+    )
+
+
 def _scatter_add(base: Tensor, idx, values: Tensor) -> Tensor:
     base, values = as_tensor(base), as_tensor(values)
 
-    def vjp(g: Tensor):
-        return g, getitem(g, idx)
-
     out_data = base.data.copy()
-    np.add.at(out_data, idx, values.data)
-    return make_op(out_data, (base, values), vjp, "scatter_add")
+    if _is_basic_index(idx):
+        # basic indexing never visits an element twice
+        out_data[idx] += values.data
+    else:
+        np.add.at(out_data, idx, values.data)
+    vjps = (lambda g: g, lambda g: getitem(g, idx))
+    return make_op(out_data, (base, values), vjps, "scatter_add")
+
+
+def _add_at_axis(
+    out: np.ndarray, indices: np.ndarray, values: np.ndarray, axis: int
+) -> None:
+    """``out[indices] += values`` along ``axis``, in place, a repeated
+    index accumulating in index order (``np.add.at``).
+
+    Rows scattered into an all-zero matrix are summed per column by
+    ``np.bincount`` instead: it adds in the same sequential order
+    starting from the same zeros, so the bits are the same.
+    """
+    if axis != 0:
+        out = np.moveaxis(out, axis, 0)
+        values = np.moveaxis(values, axis, 0)
+    if (
+        out.ndim == 2
+        and indices.ndim == 1
+        and values.shape == (len(indices), out.shape[1])
+        and len(indices)
+        and indices.min() >= 0
+        and indices.max() < len(out)
+        and not out.any()
+    ):
+        for col in range(out.shape[1]):
+            out[:, col] = np.bincount(
+                indices, weights=values[:, col], minlength=len(out)
+            )
+    else:
+        np.add.at(out, indices, values)
 
 
 def take(a: ArrayLike, indices: np.ndarray, axis: int = 0) -> Tensor:
@@ -470,9 +579,9 @@ def take(a: ArrayLike, indices: np.ndarray, axis: int = 0) -> Tensor:
     in_shape = a.shape
 
     def vjp(g: Tensor):
-        return (_take_adjoint(g, indices, in_shape, axis),)
+        return _take_adjoint(g, indices, in_shape, axis)
 
-    return make_op(np.take(a.data, indices, axis=axis), (a,), vjp, "take")
+    return make_op(np.take(a.data, indices, axis=axis), (a,), (vjp,), "take")
 
 
 def _take_adjoint(
@@ -482,16 +591,11 @@ def _take_adjoint(
     g = as_tensor(g)
 
     def vjp(gg: Tensor):
-        return (take(gg, indices, axis=axis),)
+        return take(gg, indices, axis=axis)
 
     out_data = np.zeros(shape)
-    if axis == 0:
-        np.add.at(out_data, indices, g.data)
-    else:
-        moved = np.moveaxis(out_data, axis, 0)
-        np.add.at(moved, indices, np.moveaxis(g.data, axis, 0))
-        out_data = np.moveaxis(moved, 0, axis)
-    return make_op(out_data, (g,), vjp, "take_adjoint")
+    _add_at_axis(out_data, indices, g.data, axis)
+    return make_op(out_data, (g,), (vjp,), "take_adjoint")
 
 
 def index_add(
@@ -507,17 +611,10 @@ def index_add(
     base, values = as_tensor(base), as_tensor(values)
     indices = np.asarray(indices)
 
-    def vjp(g: Tensor):
-        return g, take(g, indices, axis=axis)
-
     out_data = base.data.copy()
-    if axis == 0:
-        np.add.at(out_data, indices, values.data)
-    else:
-        moved = np.moveaxis(out_data, axis, 0)
-        np.add.at(moved, indices, np.moveaxis(values.data, axis, 0))
-        out_data = np.moveaxis(moved, 0, axis)
-    return make_op(out_data, (base, values), vjp, "index_add")
+    _add_at_axis(out_data, indices, values.data, axis)
+    vjps = (lambda g: g, lambda g: take(g, indices, axis=axis))
+    return make_op(out_data, (base, values), vjps, "index_add")
 
 
 def concatenate(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
@@ -525,30 +622,36 @@ def concatenate(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
-    def vjp(g: Tensor):
-        outs = []
-        for i in range(len(ts)):
+    def part(i: int):
+        def vjp(g: Tensor):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            outs.append(getitem(g, tuple(sl)))
-        return tuple(outs)
+            return getitem(g, tuple(sl))
+
+        return vjp
 
     return make_op(
-        np.concatenate([t.data for t in ts], axis=axis), tuple(ts), vjp, "concat"
+        np.concatenate([t.data for t in ts], axis=axis),
+        tuple(ts),
+        tuple(part(i) for i in range(len(ts))),
+        "concat",
     )
 
 
 def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
 
-    def vjp(g: Tensor):
-        outs = []
-        for i in range(len(ts)):
+    def part(i: int):
+        def vjp(g: Tensor):
             sl = [slice(None)] * g.ndim
             sl[axis] = i
-            outs.append(getitem(g, tuple(sl)))
-        return tuple(outs)
+            return getitem(g, tuple(sl))
+
+        return vjp
 
     return make_op(
-        np.stack([t.data for t in ts], axis=axis), tuple(ts), vjp, "stack"
+        np.stack([t.data for t in ts], axis=axis),
+        tuple(ts),
+        tuple(part(i) for i in range(len(ts))),
+        "stack",
     )

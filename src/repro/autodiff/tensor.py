@@ -3,17 +3,25 @@
 Design
 ------
 A :class:`Tensor` wraps a ``float64`` NumPy array plus, when it was
-produced by a differentiable primitive, a tuple of parent tensors and a
-*vector-Jacobian product* closure ``vjp(g) -> tuple[Tensor | None]``.
-Crucially, every ``vjp`` is written in terms of Tensor operations, so
-running the backward pass while gradient recording is enabled yields
-gradient tensors that are themselves nodes of a differentiable graph.
-That property gives us double-backward — required for training on
-forces, which are first-order gradients of the predicted energy.
+produced by a differentiable primitive, a tuple of parent tensors and
+one *vector-Jacobian product* closure per parent,
+``vjps[i](g) -> Tensor | None``.  Crucially, every vjp is written in
+terms of Tensor operations, so running the backward pass while gradient
+recording is enabled yields gradient tensors that are themselves nodes
+of a differentiable graph.  That property gives us double-backward —
+required for training on forces, which are first-order gradients of the
+predicted energy.
 
-The backward pass is iterative (explicit topological order, no
-recursion) so deep graphs — e.g. a 2000-step unrolled descriptor — do
-not hit Python's recursion limit.
+The backward pass is demand-driven: it visits only the nodes that lie
+on a path from the output to a requested target and calls only the vjps
+of parents on such a path, so a gradient nobody asked for (a weight's,
+while the forces are taken; a constant's, ever) is never computed.
+What it does compute is accumulated in the order a propagate-everything
+pass would use, so the results are the same bit for bit.
+
+The pass is iterative (explicit topological order, no recursion) so
+deep graphs — e.g. a 2000-step unrolled descriptor — do not hit
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
+#: one parent's share of a node's backward pass
+Vjp = Callable[["Tensor"], Optional["Tensor"]]
 
 _state = threading.local()
 
@@ -62,7 +72,15 @@ class Tensor:
         into :attr:`grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name")
+    __slots__ = (
+        "data",
+        "grad",
+        "requires_grad",
+        "_parents",
+        "_vjps",
+        "name",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -70,7 +88,7 @@ class Tensor:
         requires_grad: bool = False,
         *,
         _parents: tuple["Tensor", ...] = (),
-        _vjp: Optional[Callable[["Tensor"], Sequence[Optional["Tensor"]]]] = None,
+        _vjps: tuple[Vjp, ...] = (),
         name: Optional[str] = None,
     ) -> None:
         if isinstance(data, Tensor):
@@ -79,7 +97,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
-        self._vjp = _vjp
+        self._vjps = _vjps
         self.name = name
 
     # ------------------------------------------------------------------
@@ -216,8 +234,8 @@ class Tensor:
     # differentiation
     # ------------------------------------------------------------------
     def backward(self, gradient: Optional[ArrayLike] = None) -> None:
-        """Accumulate ``d(self)/d(leaf)`` into every reachable leaf's
-        :attr:`grad`.
+        """Accumulate ``d(self)/d(leaf)`` into the :attr:`grad` of every
+        reachable leaf that requires grad — the only gradients computed.
 
         ``gradient`` seeds the backward pass; it defaults to ones (and
         for a scalar output that is the conventional ``1.0``).
@@ -226,14 +244,18 @@ class Tensor:
             seed = Tensor(np.ones_like(self.data))
         else:
             seed = as_tensor(gradient)
-        grads = _backprop(self, seed, create_graph=False)
-        for node, g in grads.items():
-            if node.requires_grad and node.is_leaf:
-                contrib = _unbroadcast_data(g.data, node.data.shape)
-                if node.grad is None:
-                    node.grad = contrib.copy()
-                else:
-                    node.grad = node.grad + contrib
+        order = _toposort(self)
+        leaves = [n for n in order if n.requires_grad and n.is_leaf]
+        grads = _backprop(order, seed, leaves, create_graph=False)
+        for leaf in leaves:
+            g = grads.get(id(leaf))
+            if g is None:
+                continue
+            contrib = _unbroadcast_data(g.data, leaf.data.shape)
+            if leaf.grad is None:
+                leaf.grad = contrib.copy()
+            else:
+                leaf.grad = leaf.grad + contrib
 
 
 def as_tensor(value: ArrayLike) -> Tensor:
@@ -281,44 +303,52 @@ def _unbroadcast_data(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _backprop(
-    output: Tensor, seed: Tensor, create_graph: bool
-) -> dict[Tensor, Tensor]:
-    """Propagate ``seed`` backward from ``output``.
+    order: Sequence[Tensor],
+    seed: Tensor,
+    targets: Iterable[Tensor],
+    create_graph: bool,
+) -> dict[int, Tensor]:
+    """Propagate ``seed`` backward from ``order[0]`` towards ``targets``.
 
-    Returns a mapping from every visited tensor to its (Tensor-valued)
-    gradient.  When ``create_graph`` is false the vjp evaluations run
-    under :func:`no_grad`, producing constant gradient tensors.
+    ``order`` is the output's :func:`_toposort`.  Only nodes on a path
+    from the output to a target are visited, and of their vjps only
+    those of parents on such a path are called.  Returns the
+    (Tensor-valued) gradient of every visited node, keyed by ``id``.
+    When ``create_graph`` is false the vjp evaluations run under
+    :func:`no_grad`, producing constant gradient tensors.
     """
+    from repro.autodiff import functional as F
+
+    output = order[0]
     if seed.data.shape != output.data.shape:
         raise ValueError(
             f"seed gradient shape {seed.data.shape} does not match output "
             f"shape {output.data.shape}"
         )
-    order = _toposort(output)
+    # parents come after their children in ``order``: walking it
+    # backwards marks a node once all of its parents are decided
+    demand = {id(t) for t in targets}
+    for node in reversed(order):
+        if any(id(p) in demand for p in node._parents):
+            demand.add(id(node))
     grads: dict[int, Tensor] = {id(output): seed}
-    # keep tensors alive so id() keys stay unique
-    result: dict[Tensor, Tensor] = {}
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
         for node in order:
             g = grads.get(id(node))
             if g is None:
                 continue
-            result[node] = g
-            if node._vjp is None:
-                continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            for parent, vjp in zip(node._parents, node._vjps):
+                if id(parent) not in demand:
+                    continue
+                pg = vjp(g)
                 if pg is None:
                     continue
                 existing = grads.get(id(parent))
-                if existing is None:
-                    grads[id(parent)] = pg
-                else:
-                    from repro.autodiff import functional as F
-
-                    grads[id(parent)] = F.add(existing, pg)
-    return result
+                grads[id(parent)] = (
+                    pg if existing is None else F.add(existing, pg)
+                )
+    return grads
 
 
 def grad(
@@ -328,7 +358,8 @@ def grad(
     create_graph: bool = False,
     allow_unused: bool = False,
 ) -> list[Tensor]:
-    """Compute ``d(output)/d(input)`` for each input.
+    """Compute ``d(output)/d(input)`` for each input — and for nothing
+    that does not lie between the output and an input.
 
     Unlike :meth:`Tensor.backward`, this does not mutate ``.grad``; it
     returns gradient tensors directly.  With ``create_graph=True`` the
@@ -340,14 +371,15 @@ def grad(
         seed = Tensor(np.ones_like(output.data))
     else:
         seed = as_tensor(grad_output)
-    table = _backprop(output, seed, create_graph=create_graph)
+    order = _toposort(output)
+    table = _backprop(order, seed, inputs, create_graph=create_graph)
     from repro.autodiff import functional as F
 
     out: list[Tensor] = []
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
         for inp in inputs:
-            g = table.get(inp)
+            g = table.get(id(inp))
             if g is None:
                 if not allow_unused:
                     raise ValueError(
@@ -365,17 +397,19 @@ def grad(
 def make_op(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
-    vjp: Callable[[Tensor], Sequence[Optional[Tensor]]],
+    vjps: tuple[Vjp, ...],
     name: Optional[str] = None,
 ) -> Tensor:
     """Construct the output tensor of a primitive operation.
 
-    Records the tape edge only when gradient recording is enabled and at
-    least one parent requires (or carries) gradients.
+    ``vjps[i]`` maps the output's gradient to ``parents[i]``'s share of
+    it (``None`` for no contribution).  Records the tape edge only when
+    gradient recording is enabled and at least one parent requires (or
+    carries) gradients.
     """
     track = is_grad_enabled() and any(
         p.requires_grad or p._parents for p in parents
     )
     if track:
-        return Tensor(data, _parents=parents, _vjp=vjp, name=name)
+        return Tensor(data, _parents=parents, _vjps=vjps, name=name)
     return Tensor(data, name=name)

@@ -4,19 +4,93 @@ Neighbor lists depend on the descriptor's ``rcut`` — itself a searched
 hyperparameter — so batch preparation happens per training run.  All
 frames in a batch are padded to a common neighbor width and stacked so
 the whole forward/backward pass is vectorized across the batch.
+
+Nothing the descriptor derives from the displacements depends on a
+trainable parameter, and a dataset's displacements never change, so
+that part — the environment matrix ``R~`` and its derivative with
+respect to the displacements — is computed here in closed form, once
+per batch and pair of radii (:meth:`DescriptorBatch.geometry`), and
+never enters the autodiff tape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.md.cell import PeriodicCell
+from repro.exceptions import ConfigurationError
 from repro.md.dataset import Frame
 from repro.md.neighbors import NeighborList
 
+
+@dataclass(frozen=True)
+class BatchGeometry:
+    """``R~`` and ``dR~/dd`` of one batch at one ``(rcut, rcut_smth)``.
+
+    With ``d`` a displacement, ``r = |d|``, ``s(r)`` the switching
+    function and ``w = s / r``, a row of the environment matrix is
+    ``R~ = [s, w d]`` and its derivative is held as three coefficient
+    arrays: ``ds/dd = ds_coeff * d`` and
+    ``d(w d_a)/dd_b = weight * delta_ab + dw_coeff * d_a * d_b``.
+    Padded slots are zero in every array.
+
+    ``env`` repeats the operations of the taped reference
+    (:meth:`repro.deepmd.descriptor.SmoothDescriptor.environment_matrix`)
+    in the same order, so it equals the reference bit for bit; the
+    coefficients agree with the reference's taped derivative to a few
+    ulp (DESIGN.md §10).
+    """
+
+    displacements: np.ndarray  # (..., max_nbr, 3)
+    env: np.ndarray  # (..., max_nbr, 4)
+    ds_coeff: np.ndarray  # (..., max_nbr)
+    weight: np.ndarray  # (..., max_nbr)
+    dw_coeff: np.ndarray  # (..., max_nbr)
+
+    @classmethod
+    def build(
+        cls,
+        displacements: np.ndarray,
+        mask: np.ndarray,
+        rcut: float,
+        rcut_smth: float,
+    ) -> "BatchGeometry":
+        if rcut <= rcut_smth:
+            raise ConfigurationError(
+                f"rcut ({rcut}) must exceed rcut_smth ({rcut_smth})"
+            )
+        d = displacements
+        r = np.sqrt(np.maximum(np.sum(d * d, axis=-1), 1e-24))
+        inv_r = 1.0 / np.maximum(r, 1e-12)
+        span = float(rcut - rcut_smth)
+        x = (r - rcut_smth) / span
+        # poly = x^3 (-6x^2 + 15x - 10) + 1, poly' = -30 x^2 (x - 1)^2
+        poly = x * (x * x) * (x * (x * -6.0 + 15.0) + -10.0) + 1.0
+        dpoly = -30.0 * (x * x) * ((x - 1.0) * (x - 1.0))
+        inner = (r < rcut_smth) & (r > 1e-12)
+        mid = (r >= rcut_smth) & (r < rcut)
+        s = np.where(inner, inv_r, np.where(mid, inv_r * poly, r * 0.0))
+        ds_dr = np.where(
+            inner,
+            -inv_r * inv_r,
+            np.where(mid, (dpoly / span - poly * inv_r) * inv_r, 0.0),
+        )
+        s = s * mask
+        ds_dr = ds_dr * mask
+        weight = s * inv_r
+        dw_dr = (ds_dr - weight) * inv_r
+        env = np.concatenate(
+            [s[..., None], d * weight[..., None]], axis=-1
+        )
+        return cls(
+            displacements=d,
+            env=env,
+            ds_coeff=ds_dr * inv_r,
+            weight=weight,
+            dw_coeff=dw_dr * inv_r,
+        )
 
 @dataclass
 class DescriptorBatch:
@@ -42,6 +116,20 @@ class DescriptorBatch:
     species: np.ndarray
     energies: np.ndarray
     forces: np.ndarray
+    _geometries: dict[tuple[float, float], BatchGeometry] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def geometry(self, rcut: float, rcut_smth: float) -> BatchGeometry:
+        """The batch's :class:`BatchGeometry` at these radii, built on
+        first use and kept: every training step reuses it."""
+        key = (float(rcut), float(rcut_smth))
+        found = self._geometries.get(key)
+        if found is None:
+            found = self._geometries[key] = BatchGeometry.build(
+                self.displacements, self.mask, *key
+            )
+        return found
 
     @property
     def n_frames(self) -> int:
@@ -56,9 +144,11 @@ class DescriptorBatch:
         return self.displacements.shape[2]
 
 
-def _frame_neighbor_width(frame: Frame, rcut: float) -> int:
-    nl = NeighborList.build(frame.positions, frame.cell, rcut)
-    return int(nl.neighbor_counts().max())
+def _pad_neighbors(table: np.ndarray, width: int) -> np.ndarray:
+    """``table`` with its neighbor axis (axis 1) zero-padded to ``width``."""
+    pad = [(0, 0)] * table.ndim
+    pad[1] = (0, width - table.shape[1])
+    return np.pad(table, pad)
 
 
 def prepare_batches(
@@ -79,21 +169,23 @@ def prepare_batches(
     lists = [
         NeighborList.build(f.positions, f.cell, rcut) for f in frames
     ]
-    width = max(max(int(nl.neighbor_counts().max()), 1) for nl in lists)
-    rebuilt = [
-        NeighborList.build(f.positions, f.cell, rcut, max_neighbors=width)
-        for f in frames
-    ]
+    # a table built to its own width is the common-width table minus
+    # trailing all-zero slots
+    width = max(nl.max_neighbors for nl in lists)
     batches: list[DescriptorBatch] = []
     for start in range(0, len(frames), batch_size):
         chunk = slice(start, start + batch_size)
         fs = frames[chunk]
-        nls = rebuilt[chunk]
+        nls = lists[chunk]
         batches.append(
             DescriptorBatch(
-                displacements=np.stack([nl.displacements for nl in nls]),
-                neighbor_indices=np.stack([nl.indices for nl in nls]),
-                mask=np.stack([nl.mask for nl in nls]),
+                displacements=np.stack(
+                    [_pad_neighbors(nl.displacements, width) for nl in nls]
+                ),
+                neighbor_indices=np.stack(
+                    [_pad_neighbors(nl.indices, width) for nl in nls]
+                ),
+                mask=np.stack([_pad_neighbors(nl.mask, width) for nl in nls]),
                 species=fs[0].species.copy(),
                 energies=np.array([f.energy for f in fs]),
                 forces=np.stack([f.forces for f in fs]),

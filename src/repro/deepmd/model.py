@@ -4,7 +4,10 @@ Architecture (Zhang et al. 2018, as deployed by DeePMD-kit):
 
 1. For each atom, the smooth descriptor builds the environment matrix
    ``R~`` from neighbors within ``rcut`` (see
-   :mod:`repro.deepmd.descriptor`).
+   :mod:`repro.deepmd.descriptor`).  It depends on no trainable
+   parameter, so the model reads it — and its derivative with respect
+   to the displacements — from the batch's cached
+   :class:`~repro.deepmd.data.BatchGeometry` instead of taping it.
 2. An **embedding network** maps each neighbor's switching value
    ``s(r)`` (here concatenated with the neighbor's species one-hot — a
    single shared network instead of DeePMD's per-species-pair network
@@ -17,9 +20,10 @@ Architecture (Zhang et al. 2018, as deployed by DeePMD-kit):
    one-hot) to a per-atom energy; the total energy is their sum plus a
    constant per-atom bias fitted from the training data.
 5. **Forces are the exact negative gradient** of the total energy with
-   respect to atomic positions, obtained by differentiating through
-   the descriptor with the autodiff tape (``create_graph=True`` keeps
-   them differentiable for the force-matching loss).
+   respect to atomic positions: the autodiff tape differentiates the
+   energy with respect to ``R~`` (``create_graph=True`` keeps the
+   result differentiable for the force-matching loss) and one linear
+   tape node, :func:`displacement_gradient`, applies ``dR~/dd``.
 
 The paper fixes the network shapes (embedding {25, 50, 100}, fitting
 {240, 240, 240}) and searches the *activation functions*; this class
@@ -34,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from repro.autodiff import functional as F
-from repro.autodiff.tensor import Tensor, grad, no_grad
-from repro.deepmd.data import DescriptorBatch
-from repro.deepmd.descriptor import DescriptorConfig, SmoothDescriptor
+from repro.autodiff.tensor import Tensor, grad, make_op
+from repro.deepmd.data import BatchGeometry, DescriptorBatch
+from repro.deepmd.descriptor import DescriptorConfig
 from repro.exceptions import ConfigurationError
 from repro.nn.activations import ACTIVATION_NAMES, get_activation
 from repro.nn.network import MLP
@@ -81,6 +85,46 @@ class ModelConfig:
             raise ConfigurationError("n_species must be >= 1")
 
 
+def displacement_gradient(g_env: Tensor, geometry: BatchGeometry) -> Tensor:
+    """``dE/dd`` ``(..., 3)`` from ``dE/dR~`` ``(..., 4)``: the chain
+    rule through the environment matrix as one tape node.
+
+    The map is linear in ``g_env`` with constant coefficients, so its
+    vjp is its transpose (:func:`_environment_gradient`), whose vjp is
+    this map again: no derivative of the switching function beyond the
+    first is ever formed, at any order of differentiation.
+    """
+    geo, d = geometry, geometry.displacements
+    g0, gv = g_env.data[..., 0], g_env.data[..., 1:]
+    radial = geo.ds_coeff * g0 + geo.dw_coeff * np.sum(gv * d, axis=-1)
+    data = radial[..., None] * d + geo.weight[..., None] * gv
+    return make_op(
+        data,
+        (g_env,),
+        (lambda h: _environment_gradient(h, geo),),
+        "displacement_gradient",
+    )
+
+
+def _environment_gradient(g_disp: Tensor, geometry: BatchGeometry) -> Tensor:
+    """The transpose of :func:`displacement_gradient`: ``(..., 3)`` to
+    ``(..., 4)``."""
+    geo, d = geometry, geometry.displacements
+    along = np.sum(g_disp.data * d, axis=-1)
+    data = np.empty(g_disp.shape[:-1] + (4,))
+    data[..., 0] = geo.ds_coeff * along
+    data[..., 1:] = (
+        geo.weight[..., None] * g_disp.data
+        + (geo.dw_coeff * along)[..., None] * d
+    )
+    return make_op(
+        data,
+        (g_disp,),
+        (lambda h: displacement_gradient(h, geo),),
+        "environment_gradient",
+    )
+
+
 class DeepPotModel:
     """Trainable deep potential: energy and gradient-consistent forces."""
 
@@ -92,7 +136,6 @@ class DeepPotModel:
     ) -> None:
         gen = ensure_rng(rng)
         self.config = config
-        self.descriptor = SmoothDescriptor(config.descriptor)
         desc_act = get_activation(config.desc_activation)
         fit_act = get_activation(config.fitting_activation)
         m1 = config.embedding_widths[-1]
@@ -132,17 +175,17 @@ class DeepPotModel:
         neighbor = neighbor * batch.mask[..., None]
         return neighbor, central
 
-    def atomic_energies(
-        self, displacements: Tensor, batch: DescriptorBatch
-    ) -> Tensor:
-        """Per-atom energies ``(B, N)`` from displacement tensors."""
+    def _geometry(self, batch: DescriptorBatch) -> BatchGeometry:
+        radii = self.config.descriptor
+        return batch.geometry(radii.rcut, radii.rcut_smth)
+
+    def atomic_energies(self, env: Tensor, batch: DescriptorBatch) -> Tensor:
+        """Per-atom energies ``(B, N)`` from the environment matrix
+        ``(B, N, nn, 4)``, whose first column feeds the embedding."""
         B, N, nn = batch.mask.shape
-        env, s = self.descriptor.environment_matrix(
-            displacements, batch.mask
-        )
         neighbor_onehot, central_onehot = self._species_onehots(batch)
         emb_in = F.concatenate(
-            [F.reshape(s, (B, N, nn, 1)), Tensor(neighbor_onehot)], axis=-1
+            [env[..., :1], Tensor(neighbor_onehot)], axis=-1
         )
         emb_flat = F.reshape(emb_in, (B * N * nn, 1 + self.config.n_species))
         G = self.embedding(emb_flat)
@@ -171,31 +214,35 @@ class DeepPotModel:
 
     def energy(self, batch: DescriptorBatch) -> Tensor:
         """Total energies ``(B,)`` (no force graph)."""
-        disp = Tensor(batch.displacements)
-        return F.sum(self.atomic_energies(disp, batch), axis=1)
+        env = Tensor(self._geometry(batch).env)
+        return F.sum(self.atomic_energies(env, batch), axis=1)
 
     def energy_and_forces(
         self, batch: DescriptorBatch, create_graph: bool = False
     ) -> tuple[Tensor, Tensor]:
         """Total energies ``(B,)`` and forces ``(B, N, 3)``.
 
-        Forces are computed as ``F_i = -dE/dr_i`` by differentiating
-        the scalar total energy with respect to the displacement
-        tensors: with ``d_ik = r_{j(k)} - r_i`` the chain rule gives
+        Forces are computed as ``F_i = -dE/dr_i`` from the gradient of
+        the scalar total energy with respect to the displacements:
+        with ``d_ik = r_{j(k)} - r_i`` the chain rule gives
 
         ``F_i = sum_k g[i, k] - sum_{(a, k): j(a,k) = i} g[a, k]``
 
-        where ``g = dE/dd``.  Both terms are expressed with taped
-        operations so, under ``create_graph=True``, the force error can
+        where ``g = dE/dd = (dR~/dd)^T dE/dR~``.  Every step is a taped
+        operation so, under ``create_graph=True``, the force error can
         be backpropagated into the network parameters.
         """
         B, N, nn = batch.mask.shape
-        disp = Tensor(batch.displacements, requires_grad=True)
-        e_atom = self.atomic_energies(disp, batch)
+        geometry = self._geometry(batch)
+        env = Tensor(geometry.env, requires_grad=True)
+        e_atom = self.atomic_energies(env, batch)
         e_total = F.sum(e_atom, axis=1)  # (B,)
         # a single scalar seed suffices: frames are independent
         e_sum = F.sum(e_total)
-        (g,) = grad(e_sum, [disp], create_graph=create_graph)
+        (g_env,) = grad(e_sum, [env], create_graph=create_graph)
+        # only the parameters are leaves of what is built from here on
+        env.requires_grad = False
+        g = displacement_gradient(g_env, geometry)
         # term 1: sum over neighbor slots (gradient w.r.t. central atom)
         central_term = F.sum(g, axis=2)  # (B, N, 3)
         # term 2: scatter-add onto neighbor atoms

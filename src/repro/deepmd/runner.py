@@ -20,6 +20,7 @@ Two execution modes are provided:
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -113,10 +114,21 @@ def execute_training(
             "train",
             "input.json",
         ]
+        # the child runs in ``workdir``, where a relative PYTHONPATH
+        # entry of this process no longer resolves: hand it the
+        # absolute directory the running ``repro`` package lives in
+        package_root = str(Path(__file__).resolve().parents[2])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=package_root
+            + (os.pathsep + inherited if inherited else ""),
+        )
         try:
             proc = subprocess.run(
                 cmd,
                 cwd=workdir,
+                env=env,
                 capture_output=True,
                 text=True,
                 timeout=time_limit,

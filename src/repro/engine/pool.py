@@ -385,9 +385,11 @@ class ProcessPoolBackend:
         #: work survives the worker that held it
         self._tasks: dict[int, list[Any]] = {}
         #: segment registry: identity of (problem, decoder, class) →
-        #: (key, pickled payload).  Strong references on purpose — a
-        #: worker holding a segment must never outlive its contents.
-        self._segments: dict[tuple[int, int, type], tuple[str, bytes]] = {}
+        #: (key, problem, decoder).  The entry holds the objects on
+        #: purpose: while it does, their ``id`` cannot be recycled for a
+        #: different problem, which would then be evaluated on the dead
+        #: one's segment.
+        self._segments: dict[tuple[int, int, type], tuple[str, Any, Any]] = {}
         #: key → pickled payload, for dispatch-time (re-)shipping
         self._segment_payloads: dict[str, bytes] = {}
         self._futures: dict[int, ProcessFuture] = {}
@@ -531,7 +533,7 @@ class ProcessPoolBackend:
                     )
                 except Exception:
                     tag = "anon"
-            entry = (f"seg{len(self._segments)}-{tag}", payload)
+            entry = (f"seg{len(self._segments)}-{tag}", problem, decoder)
             self._segments[ident] = entry
             self._segment_payloads[entry[0]] = payload
         return entry[0]

@@ -246,16 +246,22 @@ class FairShareScheduler:
                     f"{tenant.as_doc()}"
                 )
 
+    def admit_tenant(self, tenant: Tenant) -> None:
+        """:meth:`validate_tenant`, and open the tenant's account if it
+        has none, under one hold of the lock — so of two concurrent
+        submissions with conflicting knobs exactly one is admitted,
+        however late their campaigns :meth:`register`."""
+        with self._cond:
+            self.validate_tenant(tenant)
+            self._accounts.setdefault(tenant.name, _TenantAccount(tenant))
+
     def register(self, campaign_id: str, tenant: Tenant) -> CampaignQueue:
         """Open a submission lane for one campaign under ``tenant``."""
-        self.validate_tenant(tenant)
         with self._cond:
             if self._stopped:
                 raise ServiceError("scheduler is stopped")
-            account = self._accounts.get(tenant.name)
-            if account is None:
-                account = _TenantAccount(tenant)
-                self._accounts[tenant.name] = account
+            self.admit_tenant(tenant)
+            account = self._accounts[tenant.name]
             queue = CampaignQueue(self, campaign_id, account.tenant)
             account.queues.append(queue)
             return queue

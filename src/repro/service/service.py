@@ -137,10 +137,10 @@ class CampaignService:
             from repro.service.tenancy import tenant_from_spec
 
             # reject conflicting tenant quotas at submit time (HTTP
-            # 400), not as a failed campaign minutes later
-            self.scheduler.validate_tenant(
-                tenant_from_spec(spec.get("tenant"))
-            )
+            # 400), not as a failed campaign minutes later — and admit
+            # the tenant now: its campaign registers only once its
+            # runner thread gets going
+            self.scheduler.admit_tenant(tenant_from_spec(spec.get("tenant")))
         campaign = self.registry.create(spec)
         self._start_runner(campaign, resume=False)
         return campaign

@@ -134,7 +134,10 @@ class CampaignJournal:
     """Append-only writer; one strict-JSON object per line.
 
     ``mode="w"`` starts a fresh journal, ``mode="a"`` continues an
-    existing one (the resume engine's mode).  Each append flushes and
+    existing one (the resume engine's mode) from the end of the prefix
+    :func:`read_journal` accepts: a torn tail left by a crash is cut
+    off first, or the first new record would fuse with the fragment and
+    take every later record down with it.  Each append flushes and
     fsyncs before returning, so a record that was reported committed
     survives a SIGKILL.
     """
@@ -151,6 +154,8 @@ class CampaignJournal:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.problem_spec = dict(problem_spec or {})
+        if mode == "a" and self.path.exists():
+            _cut_torn_tail(self.path)
         self._file = open(self.path, mode, encoding="utf-8")
         self._run: Optional[int] = None
         #: chaos seam: torn-write simulation (None normally)
@@ -330,6 +335,35 @@ class JournalState:
         return self.runs[run]
 
 
+def _record(line: str) -> Optional[dict[str, Any]]:
+    """The journal record on ``line``, or ``None`` when it is torn."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return doc if isinstance(doc, dict) and "type" in doc else None
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate ``path`` to the records :func:`read_journal` accepts,
+    newline-terminated, so the next append starts a record of its own."""
+    data = path.read_bytes()
+    end = 0
+    while end < len(data):
+        newline = data.find(b"\n", end)
+        stop = len(data) if newline < 0 else newline
+        text = data[end:stop].decode("utf-8", errors="replace")
+        if text.strip() and _record(text) is None:
+            break
+        end = stop + 1
+    with open(path, "r+b") as fh:
+        fh.truncate(min(end, len(data)))
+        if end > len(data):
+            # a whole last record that lost only its newline
+            fh.seek(0, os.SEEK_END)
+            fh.write(b"\n")
+
+
 def read_journal(path: str | Path) -> JournalState:
     """Parse a journal, stopping cleanly at the first torn record.
 
@@ -346,11 +380,8 @@ def read_journal(path: str | Path) -> JournalState:
     for i, line in enumerate(lines):
         if not line.strip():
             continue
-        try:
-            doc = json.loads(line)
-            if not isinstance(doc, dict) or "type" not in doc:
-                raise ValueError("not a journal record")
-        except (json.JSONDecodeError, ValueError):
+        doc = _record(line)
+        if doc is None:
             state.n_torn = len(lines) - i
             break
         state.n_records += 1

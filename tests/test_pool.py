@@ -9,8 +9,10 @@ Worker startup is real interpreter startup (~1 s each), so the suite
 keeps pools small (1–2 workers) and reuses one campaign per scenario.
 """
 
+import gc
 import pickle
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -161,6 +163,33 @@ class TestEngineIntegration:
             )
             with pytest.raises(TrainingTimeoutError):
                 future.result(timeout=15.0)
+
+
+class TestSegmentIdentity:
+    """The shared-segment registry is keyed by ``id``: it must keep the
+    objects, or a collected problem's address is reused by the next one,
+    which then runs on the dead problem's segment."""
+
+    def test_registry_keeps_submitted_problem_alive(self):
+        with ProcessPoolBackend(workers=1) as pool:
+            individuals = _surrogate_individuals(2, seed=3)
+            problem = weakref.ref(individuals[0].problem)
+            pool.submit_batch(individuals).result(timeout=60.0)
+            del individuals
+            gc.collect()
+            assert problem() is not None
+
+    def test_fresh_problems_over_one_pool_match_inline(self):
+        def fitnesses(seed, client):
+            engine = EvaluationEngine(client=client, metrics=MetricsRegistry())
+            done = engine.evaluate_batch(_surrogate_individuals(2, seed=seed))
+            return [ind.fitness.tobytes() for ind in done]
+
+        # nothing of one problem survives into the next iteration, so
+        # its address is free for the next problem to take
+        with ProcessPoolBackend(workers=2) as pool:
+            pooled = [fitnesses(seed, pool) for seed in range(60)]
+        assert pooled == [fitnesses(seed, None) for seed in range(60)]
 
 
 class TestCampaignEquivalence:

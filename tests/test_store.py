@@ -454,6 +454,60 @@ class TestResume:
             )
         assert _fronts(resumed) == _fronts(base)
 
+    def test_resume_after_torn_tail_leaves_a_whole_journal(self, tmp_path):
+        d, _, base = _journaled_campaign(
+            tmp_path, n_runs=2, pop_size=20, generations=4
+        )
+        whole = read_journal(journal_path(d)).n_records
+        raw = journal_path(d).read_bytes()
+        cut = int(len(raw) * 0.45)
+        d2 = tmp_path / "torn"
+        d2.mkdir()
+        journal_path(d2).write_bytes(raw[:cut])
+        before = read_journal(journal_path(d2))
+        assert before.n_torn == 1 and not before.campaign_complete
+        evaluated = []
+
+        def factory(seed):
+            problem = SurrogateDeepMDProblem(seed=seed)
+            inner = problem.evaluate_with_metadata
+
+            def counted(*args, **kwargs):
+                evaluated.append(seed)
+                return inner(*args, **kwargs)
+
+            problem.evaluate_with_metadata = counted
+            return problem
+
+        with pytest.warns(UserWarning, match="torn tail"):
+            resumed = resume_campaign(d2, problem_factory=factory)
+        assert evaluated and _fronts(resumed) == _fronts(base)
+        # every record the resume appended is readable: nothing fused
+        # with the torn fragment
+        after = read_journal(journal_path(d2))
+        assert after.n_torn == 0 and after.campaign_complete
+        assert all(after.runs[run].complete for run in range(2))
+        # what the finished campaign journaled, plus run 0's resume marker
+        assert after.n_records == whole + 1
+        intact = raw[: raw.rindex(b"\n", 0, cut) + 1]
+        assert journal_path(d2).read_bytes().startswith(intact)
+        del evaluated[:]
+        again = resume_campaign(d2, problem_factory=factory)
+        assert not evaluated and _fronts(again) == _fronts(base)
+
+    def test_append_keeps_a_last_record_that_lost_its_newline(
+        self, tmp_path
+    ):
+        d, _, _ = _journaled_campaign(tmp_path)
+        path = journal_path(d)
+        whole = read_journal(path).n_records
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        journal = CampaignJournal(path, mode="a")
+        journal.resume_run(0, 0)
+        journal.close()
+        state = read_journal(path)
+        assert state.n_torn == 0 and state.n_records == whole + 1
+
     def test_resume_replays_interrupted_generation_from_cache(
         self, tmp_path
     ):
