@@ -39,6 +39,7 @@ from repro.engine.backends import (
     ExecutionBackend,
     InlineBackend,
     ResolvedFuture,
+    SlotFuture,
     as_backend,
     evaluate_individual,
     evaluate_individuals_batch,
@@ -65,6 +66,7 @@ __all__ = [
     "ProcessFuture",
     "ProcessPoolBackend",
     "ResolvedFuture",
+    "SlotFuture",
     "as_backend",
     "call_problem",
     "call_problem_batch",

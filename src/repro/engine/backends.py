@@ -1,15 +1,16 @@
 """Execution backends: where an evaluation actually runs.
 
-The engine speaks one tiny protocol — ``submit(individual) -> future``
-with ``done()``/``result()`` semantics — so the same driver code runs
+The engine speaks one tiny protocol — ``submit_batch(individuals) ->
+future`` with ``done()``/``result()`` semantics, the future resolving
+to one outcome slot per individual — so the same driver code runs
 candidates in-process, on the reproduction's thread cluster, or on a
 real Dask deployment (the paper's §2.2.5 setup) without change.
 
-Backends may additionally answer ``submit_batch(individuals)`` with one
-future resolving to a list of per-slot outcomes; the default shape
-(:class:`AggregateFuture` over per-individual ``submit``) keeps every
-backend batch-capable, while vectorized/pooled backends override it to
-move whole populations at once.
+Scalar ``submit(individual)`` is the same call for a chunk of one,
+seen through :class:`SlotFuture`.  Only :class:`ClientBackend` builds
+the other way round — one client task per individual, gathered by
+:class:`AggregateFuture` — because a Dask-shaped client schedules
+tasks, not chunks.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ def evaluate_individuals_batch(individuals: Sequence[Any]) -> list[Any]:
 
     Returns one slot per individual, in order: a ``(fitness,
     metadata)`` pair or the exception that slot raised (including
-    decode errors) — per-slot isolation mirrors the scalar path, where
-    one individual's failure never poisons its neighbours.  Individuals
-    are grouped by problem identity so a homogeneous population (the
-    common case: one problem per run) becomes a single
-    :func:`call_problem_batch` call.
+    decode errors) — one individual's failure never poisons its
+    neighbours.  Individuals are grouped by problem identity so a
+    homogeneous population (the common case: one problem per run)
+    becomes a single :func:`call_problem_batch` call.
     """
     slots: list[Any] = [None] * len(individuals)
     groups: dict[int, tuple[Any, list[int], list[Any], list[Any]]] = {}
@@ -106,6 +106,28 @@ class AggregateFuture:
                 cancel()
 
 
+class SlotFuture:
+    """Scalar view of a chunk of one: ``result()`` is the chunk's only
+    slot, raised when that slot is an exception."""
+
+    def __init__(self, future: Any) -> None:
+        self._future = future
+
+    def done(self) -> bool:
+        return self._future.done()
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        (slot,) = self._future.result(timeout)
+        if isinstance(slot, BaseException):
+            raise slot
+        return slot
+
+    def cancel(self) -> None:
+        cancel = getattr(self._future, "cancel", None)
+        if cancel is not None:
+            cancel()
+
+
 class FutureLike(Protocol):
     """The slice of future semantics the engine consumes."""
 
@@ -116,17 +138,18 @@ class FutureLike(Protocol):
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Anything that can run one individual's evaluation."""
+    """Anything that can run individuals' evaluations."""
 
     #: marker so :func:`as_backend` passes backend instances through
     is_execution_backend: bool
 
-    def submit(self, individual: Any) -> FutureLike: ...
+    def submit(self, individual: Any) -> FutureLike:
+        """Submit one individual; the future resolves to its slot."""
+        ...
 
     def submit_batch(self, individuals: Sequence[Any]) -> FutureLike:
         """Submit a chunk; the future resolves to one slot per
-        individual (result or exception).  Default shape: an
-        :class:`AggregateFuture` over per-individual ``submit``."""
+        individual (result or exception)."""
         ...
 
     def on_cache_hit(self, individual: Any) -> None:
@@ -137,38 +160,28 @@ class ExecutionBackend(Protocol):
 class ResolvedFuture:
     """A future for work that finished at submit time."""
 
-    def __init__(
-        self,
-        result: Any = None,
-        exception: Optional[BaseException] = None,
-    ) -> None:
+    def __init__(self, result: Any = None) -> None:
         self._result = result
-        self._exception = exception
 
     def done(self) -> bool:
         return True
 
     def result(self, timeout: Optional[float] = None) -> Any:
-        if self._exception is not None:
-            raise self._exception
         return self._result
 
 
 class InlineBackend:
     """Evaluate synchronously in the calling process.
 
-    ``submit`` runs the evaluation eagerly and returns an
+    Submission runs the evaluation eagerly and returns an
     already-resolved future, so batch and streaming engine modes behave
     identically with or without a cluster.
     """
 
     is_execution_backend = True
 
-    def submit(self, individual: Any) -> ResolvedFuture:
-        try:
-            return ResolvedFuture(result=evaluate_individual(individual))
-        except Exception as exc:  # noqa: BLE001 - engine owns the policy
-            return ResolvedFuture(exception=exc)
+    def submit(self, individual: Any) -> SlotFuture:
+        return SlotFuture(self.submit_batch([individual]))
 
     def submit_batch(self, individuals: Sequence[Any]) -> ResolvedFuture:
         return ResolvedFuture(

@@ -9,24 +9,29 @@ steady-state driver, and each baseline carried their own copy of that
 logic (and only the generational driver had all of it).  The engine is
 the single copy.
 
-Three consumption styles, one bookkeeping path:
+One path, one knob: every candidate enters through
+:meth:`EvaluationEngine.submit_batch`, which partitions its population
+into already-resolved candidates (dedup duplicates, cache hits,
+injected failures) and fresh ones, and ships the fresh ones to the
+backend in chunks.  The chunk size is the only thing the public entry
+points choose:
 
-* **batch (scalar dispatch)** — :meth:`EvaluationEngine.evaluate`
-  submits a pool of offspring one task at a time and blocks until all
-  of them are resolved (the generational barrier of §2.2.3 and the
-  baselines' sweeps);
-* **batch (chunked dispatch)** — :meth:`EvaluationEngine.evaluate_batch`
-  partitions a population into cache-hits / dedup-duplicates / fresh
-  candidates and ships the fresh ones to the backend as chunked batch
-  tasks (one vectorized problem call per chunk), journaling and
-  accounting per evaluation exactly as the scalar path does;
-* **streaming** — :meth:`EvaluationEngine.submit` plus
-  :meth:`EvaluationEngine.wait_any` resolve candidates as they finish
-  (the §2.2.5 steady-state scheme: breed on completion, no barrier).
+* :meth:`EvaluationEngine.evaluate` — chunk size 1: one backend task
+  per candidate, the paper's one-Dask-task-per-training dispatch
+  (§2.2.5), blocking until the whole population has resolved (the
+  generational barrier of §2.2.3 and the baselines' sweeps);
+* :meth:`EvaluationEngine.evaluate_batch` — the same barrier at the
+  backend's chunk hint (or an explicit ``chunk_size``): one vectorized
+  problem call per chunk;
+* :meth:`EvaluationEngine.submit` plus :meth:`EvaluationEngine.wait_any`
+  — streaming: each candidate is a chunk of one and resolves as it
+  finishes (the §2.2.5 steady-state scheme: breed on completion, no
+  barrier).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Optional
@@ -85,48 +90,49 @@ class EngineStats:
         return asdict(self)
 
 
-class _InFlight:
-    """One submitted representative plus its duplicate followers."""
+class _Member:
+    """One dispatched representative plus its duplicate followers."""
 
     __slots__ = (
-        "future",
+        "seq",
         "individual",
         "followers",
         "genome_key",
-        "since",
         "forced_timeout",
         "resolved",
     )
 
     def __init__(
-        self, future: Any, individual: Any, genome_key: bytes, since: float
+        self,
+        seq: int,
+        individual: Any,
+        genome_key: Optional[bytes],
+        forced_timeout: bool,
     ) -> None:
-        self.future = future
+        #: submission sequence number (see :meth:`wait_any`)
+        self.seq = seq
         self.individual = individual
-        self.followers: list[Any] = []
+        #: ``(seq, individual)`` of every later genome-identical submit
+        self.followers: list[tuple[int, Any]] = []
         self.genome_key = genome_key
-        self.since = since
         #: chaos: treat this dispatch as overrunning its wall-clock
         #: budget even if the backend finishes
-        self.forced_timeout = False
-        #: set once this entry finished (only chunk members resolve
-        #: individually ahead of their container)
+        self.forced_timeout = forced_timeout
+        #: a member can resolve ahead of its chunk (forced timeout)
         self.resolved = False
 
 
-class _InFlightChunk:
+class _InFlight:
     """One dispatched chunk: a shared future over ordered members.
 
-    The future resolves to one slot per member (result or exception);
-    members keep their own :class:`_InFlight` entries so dedup
-    followers, forced timeouts, and per-evaluation accounting behave
-    exactly as in the scalar path.
+    The future resolves to one slot per member (result or exception).
+    A scalar submit is a chunk of one member.
     """
 
     __slots__ = ("future", "members", "since")
 
     def __init__(
-        self, future: Any, members: list[_InFlight], since: float
+        self, future: Any, members: list[_Member], since: float
     ) -> None:
         self.future = future
         self.members = members
@@ -211,9 +217,15 @@ class EvaluationEngine:
             "engine_evals_per_sec", labels=gauge_labels
         )
         self.stats = EngineStats()
-        self._inflight: list[Any] = []
-        self._ready: list[Any] = []
+        self._inflight: list[_InFlight] = []
+        #: unresolved members by genome key: where a genome-identical
+        #: submission attaches as a follower
+        self._pending: dict[bytes, _Member] = {}
+        self._unresolved = 0
+        #: ``(submission seq, individual)``, resolved but not handed back
+        self._ready: list[tuple[int, Any]] = []
         self._results: dict[bytes, Any] = {}
+        self._seq = itertools.count()
         self._started_at: Optional[float] = None
         self._batches = 0
         self._last_batch_size = 0
@@ -221,92 +233,22 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit(self, individual: Any) -> None:
-        """Enqueue one candidate; it resolves via :meth:`wait_any` /
-        :meth:`evaluate` (duplicates and cache hits resolve at once)."""
-        now = time.monotonic()
-        if self._started_at is None:
-            self._started_at = now
-        self.stats.submitted += 1
-        self._c_submitted.inc()
-        genome_key = self._genome_key(individual)
-        if self.dedup and genome_key is not None:
-            done = self._results.get(genome_key)
-            if done is not None:
-                self._resolve_duplicate(individual, done)
-                return
-            for pending in self._pending_entries():
-                if pending.genome_key == genome_key:
-                    pending.followers.append(individual)
-                    return
-        if self._cache_probe(individual):
-            self._finish(individual, genome_key, cache_fast_path=True)
-            return
-        fault = (
-            None
-            if self._injector is None
-            else self._injector.evaluation_fault()
-        )
-        if fault is not None and fault.exception is not None:
-            # injected transient evaluator crash: the candidate never
-            # reaches the backend and fails under the MAXINT policy
-            self._apply_failure(individual, fault.exception)
-            self._finish(individual, genome_key)
-            return
-        pending = _InFlight(
-            self.backend.submit(individual),
-            individual,
-            genome_key,
-            now,
-        )
-        if fault is not None and fault.timeout:
-            pending.forced_timeout = True
-        self._inflight.append(pending)
-        self._sample_gauges()
-
-    def evaluate(self, individuals: Iterable[Any]) -> list[Any]:
-        """Batch mode: resolve every candidate, preserving order.
-
-        Individuals are evaluated in place and the input list returned,
-        so this drops into pipeline sinks directly.
-        """
-        batch = list(individuals)
-        if self.dedup_scope == "batch":
-            self._results.clear()
-        before = self.stats.copy()
-        with self.tracer.span("engine.evaluate", n=len(batch)) as span:
-            for individual in batch:
-                self.submit(individual)
-            self.drain()
-            used = self.stats.delta(before)
-            span.tag(
-                fresh=used.fresh,
-                cache_hits=used.cache_hits,
-                dedup_hits=used.dedup_hits,
-                failures=used.failures,
-            )
-        self._ready.clear()
-        return batch
-
-    # ------------------------------------------------------------------
-    # chunked batch path
-    # ------------------------------------------------------------------
     def submit_batch(
         self,
         individuals: Iterable[Any],
         chunk_size: Optional[int] = None,
         new_batch: bool = False,
     ) -> list[Any]:
-        """Enqueue a population as chunked batch tasks.
+        """Enqueue a population; the one entry into the engine.
 
         The population is partitioned **in submission order** into
         already-resolved candidates (dedup duplicates, cache hits,
-        injected failures — each finishes immediately, exactly where
-        the scalar loop would finish it) and fresh candidates, which
-        are dispatched to the backend in chunks of ``chunk_size``
-        (default: the backend's ``batch_chunk_hint``, else one chunk).
-        Per-candidate accounting, chaos injection, and journaling are
-        byte-for-byte the scalar path's.
+        injected failures — each finishes immediately) and fresh
+        candidates, which are dispatched to the backend in chunks of
+        ``chunk_size`` (default: the backend's ``batch_chunk_hint``,
+        else one chunk).  Accounting, chaos injection, and journaling
+        are per candidate, so the chunk size changes how work crosses
+        the backend and nothing else.
         """
         batch = list(individuals)
         if new_batch and self.dedup_scope == "batch":
@@ -314,30 +256,25 @@ class EvaluationEngine:
         now = time.monotonic()
         if self._started_at is None:
             self._started_at = now
-        fresh: list[_InFlight] = []
-        fresh_by_key: dict[bytes, _InFlight] = {}
-        pending_by_key: dict[bytes, _InFlight] = {}
-        if self.dedup:
-            for pending in self._pending_entries():
-                if pending.genome_key is not None:
-                    pending_by_key.setdefault(pending.genome_key, pending)
+        fresh: list[_Member] = []
         for individual in batch:
+            seq = next(self._seq)
             self.stats.submitted += 1
             self._c_submitted.inc()
             genome_key = self._genome_key(individual)
             if self.dedup and genome_key is not None:
                 done = self._results.get(genome_key)
                 if done is not None:
-                    self._resolve_duplicate(individual, done)
+                    self._resolve_duplicate(seq, individual, done)
                     continue
-                rep = pending_by_key.get(genome_key) or fresh_by_key.get(
-                    genome_key
-                )
+                rep = self._pending.get(genome_key)
                 if rep is not None:
-                    rep.followers.append(individual)
+                    rep.followers.append((seq, individual))
                     continue
             if self._cache_probe(individual):
-                self._finish(individual, genome_key, cache_fast_path=True)
+                self._finish(
+                    seq, individual, genome_key, cache_fast_path=True
+                )
                 continue
             fault = (
                 None
@@ -345,47 +282,55 @@ class EvaluationEngine:
                 else self._injector.evaluation_fault()
             )
             if fault is not None and fault.exception is not None:
+                # injected transient evaluator crash: the candidate never
+                # reaches the backend and fails under the MAXINT policy
                 self._apply_failure(individual, fault.exception)
-                self._finish(individual, genome_key)
+                self._finish(seq, individual, genome_key)
                 continue
-            member = _InFlight(None, individual, genome_key, now)
-            if fault is not None and fault.timeout:
-                member.forced_timeout = True
+            member = _Member(
+                seq,
+                individual,
+                genome_key,
+                forced_timeout=fault is not None and fault.timeout,
+            )
             fresh.append(member)
-            if genome_key is not None:
-                fresh_by_key.setdefault(genome_key, member)
+            if self.dedup and genome_key is not None:
+                self._pending[genome_key] = member
         if fresh:
+            self._unresolved += len(fresh)
             size = self._resolve_chunk_size(len(fresh), chunk_size)
             for start in range(0, len(fresh), size):
                 members = fresh[start : start + size]
                 future = self._dispatch_chunk(
                     [m.individual for m in members]
                 )
-                self._inflight.append(_InFlightChunk(future, members, now))
+                self._inflight.append(_InFlight(future, members, now))
                 self._batches += 1
                 self._last_batch_size = len(members)
                 self._h_batch_size.observe(len(members))
         self._sample_gauges()
         return batch
 
+    def submit(self, individual: Any) -> None:
+        """Streaming: enqueue one candidate as a chunk of one; it
+        resolves via :meth:`wait_any` (duplicates and cache hits
+        resolve at once)."""
+        self.submit_batch([individual], chunk_size=1)
+
     def evaluate_batch(
         self,
         individuals: Iterable[Any],
         chunk_size: Optional[int] = None,
     ) -> list[Any]:
-        """Batch mode over the chunked data plane: resolve every
-        candidate, preserving order.
+        """Barrier mode: resolve every candidate, preserving order.
 
-        Semantically identical to :meth:`evaluate` (same stats, same
-        journal records, same failure policy); the fresh candidates
-        cross the backend as whole chunks instead of one task each.
+        Individuals are evaluated in place and the input list returned,
+        so this drops into pipeline sinks directly.
         """
         batch = list(individuals)
-        if self.dedup_scope == "batch":
-            self._results.clear()
         before = self.stats.copy()
         with self.tracer.span("engine.evaluate", n=len(batch)) as span:
-            self.submit_batch(batch, chunk_size=chunk_size)
+            self.submit_batch(batch, chunk_size=chunk_size, new_batch=True)
             self.drain()
             used = self.stats.delta(before)
             span.tag(
@@ -396,6 +341,11 @@ class EvaluationEngine:
             )
         self._ready.clear()
         return batch
+
+    def evaluate(self, individuals: Iterable[Any]) -> list[Any]:
+        """:meth:`evaluate_batch` at chunk size 1: one backend task per
+        candidate (same stats, journal records, and failure policy)."""
+        return self.evaluate_batch(individuals, chunk_size=1)
 
     def finish_batch(self) -> None:
         """Pipeline helper: block until everything in flight resolves.
@@ -421,6 +371,7 @@ class EvaluationEngine:
         submit_batch = getattr(self.backend, "submit_batch", None)
         if submit_batch is not None:
             return submit_batch(individuals)
+        # submit-only backends (the service's per-campaign queue)
         return AggregateFuture(
             [self.backend.submit(ind) for ind in individuals]
         )
@@ -438,16 +389,22 @@ class EvaluationEngine:
         timeout: Optional[float] = None,
     ) -> list[Any]:
         """Block until at least one candidate resolves; return all that
-        have (empty only when nothing is pending or ``timeout`` hits)."""
+        have (empty only when nothing is pending or ``timeout`` hits).
+
+        Candidates come back in submission order, whichever way each
+        one resolved — so a candidate served from the cache at submit
+        time never overtakes an earlier one that executed, and a
+        streaming driver consumes a warm re-run in the cold run's order.
+        """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
         while True:
             self._pump()
             if self._ready:
-                drained = self._ready
+                drained = sorted(self._ready, key=lambda entry: entry[0])
                 self._ready = []
-                return drained
+                return [individual for _, individual in drained]
             if not self._inflight:
                 return []
             if deadline is not None and time.monotonic() >= deadline:
@@ -466,25 +423,8 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     def _sample_gauges(self) -> None:
         """Refresh the in-flight / ready gauges (every transition)."""
-        self._g_inflight.set(
-            sum(
-                len([m for m in p.members if not m.resolved])
-                if isinstance(p, _InFlightChunk)
-                else 1
-                for p in self._inflight
-            )
-        )
+        self._g_inflight.set(self._unresolved)
         self._g_ready.set(len(self._ready))
-
-    def _pending_entries(self) -> Iterable[_InFlight]:
-        """Every unresolved in-flight entry, chunk members included."""
-        for pending in self._inflight:
-            if isinstance(pending, _InFlightChunk):
-                for member in pending.members:
-                    if not member.resolved:
-                        yield member
-            else:
-                yield pending
 
     @staticmethod
     def _genome_key(individual: Any) -> Optional[bytes]:
@@ -517,8 +457,8 @@ class EvaluationEngine:
 
     def _apply_failure(self, individual: Any, exc: BaseException) -> None:
         """The §2.2.4 exception→MAXINT policy (the engine-side copy for
-        plain individuals, worker deaths, and timeouts; robust
-        individuals apply the same policy to their own exceptions)."""
+        every dispatched candidate, worker deaths, and timeouts; robust
+        individuals apply the same policy when evaluated directly)."""
         n_objectives = getattr(individual, "n_objectives", None) or (
             getattr(
                 getattr(individual, "problem", None), "n_objectives", None
@@ -533,7 +473,9 @@ class EvaluationEngine:
             "failure_cause", f"{type(exc).__name__}: {exc}"
         )
 
-    def _resolve_duplicate(self, individual: Any, done: Any) -> None:
+    def _resolve_duplicate(
+        self, seq: int, individual: Any, done: Any
+    ) -> None:
         individual.fitness = (
             None
             if done.fitness is None
@@ -541,10 +483,11 @@ class EvaluationEngine:
         )
         individual.metadata = dict(done.metadata)
         individual.metadata["dedup_of"] = getattr(done, "uuid", None)
-        self._finish(individual, None, duplicate=True)
+        self._finish(seq, individual, None, duplicate=True)
 
     def _finish(
         self,
+        seq: int,
         individual: Any,
         genome_key: Optional[bytes],
         cache_fast_path: bool = False,
@@ -584,7 +527,7 @@ class EvaluationEngine:
             append = getattr(self.journal, "append_evaluation", None)
             if append is not None:
                 append(individual)
-        self._ready.append(individual)
+        self._ready.append((seq, individual))
         from repro.obs.live import get_status
 
         status = get_status()
@@ -596,101 +539,32 @@ class EvaluationEngine:
                 evals_per_sec=float(self._g_evals_per_sec.value),
             )
 
-    def _time_out(self, pending: _InFlight, now: float) -> None:
-        individual = pending.individual
-        cancel = getattr(pending.future, "cancel", None)
-        if cancel is not None:
-            cancel()
+    def _settle(self, member: _Member) -> None:
+        """A member's individual carries its final state: account for
+        it, then resolve its followers as duplicates."""
+        member.resolved = True
+        self._unresolved -= 1
+        if self._pending.get(member.genome_key) is member:
+            del self._pending[member.genome_key]
+        self._finish(member.seq, member.individual, member.genome_key)
+        for seq, follower in member.followers:
+            self._resolve_duplicate(seq, follower, member.individual)
+
+    def _time_out(self, member: _Member, elapsed: float) -> None:
         limit = self.timeout if self.timeout is not None else 0.0
         self._apply_failure(
-            individual,
-            TrainingTimeoutError(now - pending.since, limit),
+            member.individual, TrainingTimeoutError(elapsed, limit)
         )
         self.stats.timeouts += 1
-        self._finish(individual, pending.genome_key)
-        for follower in pending.followers:
-            self._resolve_duplicate(follower, individual)
+        self._settle(member)
 
-    def _pump(self) -> None:
-        """Move finished (or timed-out) in-flight work to the ready list."""
-        now = time.monotonic()
-        still: list[Any] = []
-        for pending in self._inflight:
-            if isinstance(pending, _InFlightChunk):
-                if not self._pump_chunk(pending, now):
-                    still.append(pending)
-                continue
-            # a forced (injected) timeout outranks completion: the
-            # engine must enforce its budget even when the backend
-            # races it to the finish line
-            if pending.forced_timeout or (
-                self.timeout is not None
-                and not pending.future.done()
-                and now - pending.since > self.timeout
-            ):
-                self._time_out(pending, now)
-            elif pending.future.done():
-                individual = pending.individual
-                try:
-                    result = pending.future.result()
-                    if result is not None and result is not individual:
-                        # the result crossed a process/copy boundary
-                        individual.fitness = result.fitness
-                        individual.metadata = result.metadata
-                except Exception as exc:  # noqa: BLE001 - worker died
-                    self._apply_failure(individual, exc)
-                self._finish(individual, pending.genome_key)
-                for follower in pending.followers:
-                    self._resolve_duplicate(follower, individual)
-            else:
-                still.append(pending)
-        self._inflight = still
-        self._sample_gauges()
-
-    def _pump_chunk(self, chunk: _InFlightChunk, now: float) -> bool:
-        """Advance one chunk; return ``True`` once fully resolved."""
-        # forced (injected) timeouts outrank completion, member by
-        # member — exactly the scalar semantics
-        for member in chunk.members:
-            if not member.resolved and member.forced_timeout:
-                member.resolved = True
-                self._time_out(member, now)
-        remaining = [m for m in chunk.members if not m.resolved]
-        if not remaining:
-            self._cancel_chunk(chunk)
-            return True
-        if chunk.future.done():
-            try:
-                slots = chunk.future.result()
-            except Exception as exc:  # noqa: BLE001 - chunk dispatch died
-                # crash→MAXINT applies to the failed chunk's
-                # individuals only; other chunks are untouched
-                for member in remaining:
-                    member.resolved = True
-                    self._apply_failure(member.individual, exc)
-                    self._finish(member.individual, member.genome_key)
-                    for follower in member.followers:
-                        self._resolve_duplicate(follower, member.individual)
-                return True
-            for member, slot in zip(chunk.members, slots):
-                if not member.resolved:
-                    self._resolve_chunk_member(member, slot)
-            return True
-        if self.timeout is not None and now - chunk.since > self.timeout:
-            self._cancel_chunk(chunk)
-            for member in remaining:
-                member.resolved = True
-                self._time_out(member, now)
-            return True
-        return False
-
-    def _resolve_chunk_member(self, member: _InFlight, slot: Any) -> None:
-        """Land one chunk slot on its individual, scalar-identically.
+    def _land(self, member: _Member, slot: Any) -> None:
+        """Land one chunk slot on its individual.
 
         A ``(fitness, metadata)`` pair is merged the way
-        ``Individual.evaluate`` merges in-process results; an object
-        that crossed a process boundary is copied over like the scalar
-        pump does; an exception goes through the MAXINT policy.
+        ``Individual.evaluate`` merges in-process results; an evaluated
+        copy that crossed a process boundary (client backends) is
+        copied over; an exception goes through the MAXINT policy.
         """
         individual = member.individual
         if isinstance(slot, BaseException):
@@ -702,13 +576,53 @@ class EvaluationEngine:
         elif slot is not None and slot is not individual:
             individual.fitness = slot.fitness
             individual.metadata = slot.metadata
-        member.resolved = True
-        self._finish(individual, member.genome_key)
-        for follower in member.followers:
-            self._resolve_duplicate(follower, individual)
+        self._settle(member)
 
-    @staticmethod
-    def _cancel_chunk(chunk: _InFlightChunk) -> None:
-        cancel = getattr(chunk.future, "cancel", None)
-        if cancel is not None:
-            cancel()
+    def _pump(self) -> None:
+        """Move finished (or timed-out) in-flight work to the ready list."""
+        now = time.monotonic()
+        self._inflight = [
+            chunk for chunk in self._inflight if not self._advance(chunk, now)
+        ]
+        self._sample_gauges()
+
+    def _advance(self, chunk: _InFlight, now: float) -> bool:
+        """Advance one chunk; return ``True`` once fully resolved.
+
+        Members resolve in chunk order — the submission order — so
+        what gets journaled first does not depend on the chunk size.
+        """
+        elapsed = now - chunk.since
+        slots = None
+        if (
+            any(not (m.resolved or m.forced_timeout) for m in chunk.members)
+            and chunk.future.done()
+        ):
+            try:
+                slots = chunk.future.result()
+            except Exception as exc:  # noqa: BLE001 - chunk dispatch died
+                # crash→MAXINT applies to the failed chunk's
+                # individuals only; other chunks are untouched
+                slots = [exc] * len(chunk.members)
+        overdue = (
+            slots is None
+            and self.timeout is not None
+            and elapsed > self.timeout
+        )
+        for index, member in enumerate(chunk.members):
+            if member.resolved:
+                continue
+            # a forced (injected) timeout outranks completion: the
+            # engine must enforce its budget even when the backend
+            # races it to the finish line
+            if member.forced_timeout or overdue:
+                self._time_out(member, elapsed)
+            elif slots is not None:
+                self._land(member, slots[index])
+        if not all(m.resolved for m in chunk.members):
+            return False
+        if slots is None:
+            cancel = getattr(chunk.future, "cancel", None)
+            if cancel is not None:
+                cancel()
+        return True

@@ -35,7 +35,7 @@ import math
 import time
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.engine.backends import InlineBackend, as_backend
+from repro.engine.backends import InlineBackend, SlotFuture, as_backend
 from repro.exceptions import WorkerRevoked
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import get_tracer
@@ -131,11 +131,11 @@ class FleetFuture:
 
 
 class _FleetTask:
-    """One unit of fleet work: a scalar task or a whole chunk."""
+    """One unit of fleet work: a chunk (a scalar submit is a chunk of
+    one)."""
 
     __slots__ = (
         "task_id",
-        "kind",
         "individuals",
         "member",
         "future",
@@ -146,11 +146,8 @@ class _FleetTask:
         "attempts",
     )
 
-    def __init__(
-        self, task_id: int, kind: str, individuals: list[Any]
-    ) -> None:
+    def __init__(self, task_id: int, individuals: list[Any]) -> None:
         self.task_id = task_id
-        self.kind = kind  # "task" | "batch"
         self.individuals = individuals
         self.member: Optional[_Member] = None
         self.future: Any = None
@@ -305,24 +302,13 @@ class ElasticBackend:
     # ------------------------------------------------------------------
     # ExecutionBackend protocol
     # ------------------------------------------------------------------
-    def submit(self, individual: Any) -> FleetFuture:
-        return self._submit_task("task", [individual])
+    def submit(self, individual: Any) -> SlotFuture:
+        return SlotFuture(self.submit_batch([individual]))
 
     def submit_batch(self, individuals: Iterable[Any]) -> FleetFuture:
-        return self._submit_task("batch", list(individuals))
-
-    def batch_chunk_hint(self, n: int) -> int:
-        return max(1, math.ceil(n / max(1, self.capacity())))
-
-    def on_cache_hit(self, individual: Any) -> None:
-        member = self._route()
-        if member is not None:
-            member.backend.on_cache_hit(individual)
-
-    def _submit_task(self, kind: str, individuals: list[Any]) -> FleetFuture:
         if self._closed:
             raise RuntimeError("ElasticBackend is closed")
-        task = _FleetTask(self._next_task_id, kind, individuals)
+        task = _FleetTask(self._next_task_id, list(individuals))
         self._next_task_id += 1
         future = FleetFuture(self, task)
         task.fleet_future = future
@@ -336,14 +322,17 @@ class ElasticBackend:
         self._tasks.append(task)
         return future
 
-    def _member_submit(self, member: _Member, task: _FleetTask) -> Any:
-        if task.kind == "batch":
-            return member.backend.submit_batch(task.individuals)
-        return member.backend.submit(task.individuals[0])
+    def batch_chunk_hint(self, n: int) -> int:
+        return max(1, math.ceil(n / max(1, self.capacity())))
+
+    def on_cache_hit(self, individual: Any) -> None:
+        member = self._route()
+        if member is not None:
+            member.backend.on_cache_hit(individual)
 
     def _dispatch(self, task: _FleetTask, member: _Member) -> None:
         task.member = member
-        task.future = self._member_submit(member, task)
+        task.future = member.backend.submit_batch(task.individuals)
         task.submitted_at = time.monotonic()
         member.inflight += 1
         member.dispatched += 1
@@ -455,7 +444,7 @@ class ElasticBackend:
             )
         # the submit runs last: an inline reserve resolves *during*
         # submit, and the bookkeeping above must already be in place
-        task.spec_future = self._member_submit(member, task)
+        task.spec_future = member.backend.submit_batch(task.individuals)
 
     def speculation_threshold(self) -> Optional[float]:
         """Seconds after which an in-flight task counts as a straggler,

@@ -12,10 +12,12 @@ Design constraints, in order:
 
 * **Spawn-safe.**  Workers are started with the ``spawn`` method by
   default (the only method available everywhere and the only one safe
-  under threads), so every task — the individual, its decoder, and its
-  problem — crosses the process boundary by pickling.  Problems carry
-  locks and caches; the ones shipped with this package implement
-  ``__getstate__`` so they pickle cleanly.
+  under threads), so everything a task needs crosses the process
+  boundary by pickling — in one wire format: the shared ``(problem,
+  decoder, class)`` segment once per worker, then ``(segment, genome,
+  uuid)`` items per chunk (a scalar submit is a chunk of one).
+  Problems carry locks and caches; the ones shipped with this package
+  implement ``__getstate__`` so they pickle cleanly.
 * **Worker crash is an evaluation failure, not a campaign failure.**
   A worker that dies mid-task (OOM, segfault, injected chaos) fails
   only the task it held: the task's future raises
@@ -52,8 +54,7 @@ import time
 import zlib
 from typing import Any, Iterable, Optional
 
-import numpy as np
-
+from repro.engine.backends import SlotFuture
 from repro.exceptions import (
     EvaluationError,
     TrainingTimeoutError,
@@ -68,28 +69,28 @@ from repro.obs.trace import get_tracer
 _JOIN_TIMEOUT = 5.0
 
 
-class RemoteEvaluation:
-    """What comes back over the pipe: the evaluated state, not the
-    individual.  The engine copies ``fitness``/``metadata`` onto its
-    local individual (its ``result is not individual`` branch)."""
-
-    __slots__ = ("fitness", "metadata")
-
-    def __init__(self, fitness: Any, metadata: dict[str, Any]) -> None:
-        self.fitness = fitness
-        self.metadata = metadata
+def _shippable(exc: BaseException) -> BaseException:
+    """``exc`` when the parent can rebuild it from its pickle, else an
+    :class:`EvaluationError` carrying its repr — tested by round trip,
+    so nothing a worker sends can raise out of the parent's
+    ``conn.recv()``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001 - any failure means "ship the repr"
+        return EvaluationError(f"{type(exc).__name__}: {exc}")
 
 
 def _pool_worker_main(
     conn: Any, worker_name: str = "pool-?"
 ) -> None:  # pragma: no cover - subprocess
-    """One worker: recv task → evaluate → send result, until "stop".
+    """One worker: recv chunk → evaluate → send slots, until "stop".
 
     Runs with no injector installed — chaos decisions are made (and
     counted) once, in the parent, at dispatch time; a forked worker
     must not fire the plan a second time.
 
-    When the parent's tracer is enabled, each evaluation is recorded
+    When the parent's tracer is enabled, each chunk is recorded
     worker-side as a plain ``worker.task`` span dict (tagged with the
     worker and task key, like thread-worker spans) and shipped back
     with the result over the same duplex pipe; the parent merges it
@@ -102,8 +103,8 @@ def _pool_worker_main(
 
     set_injector(None)
     #: shared segments: problem/decoder/class shipped once per worker,
-    #: keyed by the parent's segment key — batch task payloads then
-    #: carry only (genome, uuid) pairs
+    #: keyed by the parent's segment key — chunk payloads then carry
+    #: only (segment key, genome, uuid) items
     segments: dict[str, tuple[Any, Any, Any]] = {}
     while True:
         try:
@@ -115,7 +116,7 @@ def _pool_worker_main(
         if msg[0] == "segment":
             segments[msg[1]] = pickle.loads(msg[2])
             continue
-        kind, task_id, payload, delay, die, trace, attempt = msg
+        _, task_id, payload, delay, die, trace, attempt = msg
         if delay:
             time.sleep(delay)
         if die:
@@ -125,87 +126,31 @@ def _pool_worker_main(
         ts = time.time()
         mono = time.monotonic()
         error: str | None = None
-        n_items = 1
-        if kind == "batch":
-            try:
-                segment_key, items = pickle.loads(payload)
-                if segment_key is not None:
-                    problem, decoder, cls = segments[segment_key]
-                    individuals = []
-                    for genome, uuid in items:
-                        ind = cls(genome, decoder=decoder, problem=problem)
-                        ind.uuid = uuid
-                        individuals.append(ind)
-                else:
-                    individuals = items
-                n_items = len(individuals)
-                slots = evaluate_individuals_batch(individuals)
-                safe_slots: list[Any] = []
-                for slot in slots:
-                    if isinstance(slot, BaseException):
-                        try:
-                            pickle.dumps(slot)
-                            safe_slots.append(slot)
-                        except Exception:  # unpicklable: ship the repr
-                            safe_slots.append(
-                                EvaluationError(
-                                    f"{type(slot).__name__}: {slot}"
-                                )
-                            )
-                    else:
-                        fitness, meta = slot
-                        safe_slots.append(
-                            (
-                                None
-                                if fitness is None
-                                else np.asarray(fitness, dtype=np.float64),
-                                dict(meta),
-                            )
-                        )
-                reply = ("batchdone", task_id, safe_slots)
-            except BaseException as exc:  # noqa: BLE001 - chunk-fatal
-                error = type(exc).__name__
-                try:
-                    pickle.dumps(exc)
-                    reply = ("raised", task_id, exc)
-                except Exception:
-                    reply = (
-                        "raised",
-                        task_id,
-                        EvaluationError(f"{type(exc).__name__}: {exc}"),
-                    )
-        else:
-            try:
-                individual = pickle.loads(payload)
-                individual.evaluate()
-                reply = (
-                    "done",
-                    task_id,
-                    None
-                    if individual.fitness is None
-                    else np.asarray(individual.fitness, dtype=np.float64),
-                    dict(individual.metadata),
-                )
-            except BaseException as exc:  # noqa: BLE001 - policy is parent-side
-                error = type(exc).__name__
-                try:
-                    pickle.dumps(exc)
-                    reply = ("raised", task_id, exc)
-                except Exception:  # unpicklable exception: ship the repr
-                    reply = (
-                        "raised",
-                        task_id,
-                        EvaluationError(f"{type(exc).__name__}: {exc}"),
-                    )
+        n_items = 0
+        try:
+            individuals = []
+            for segment_key, genome, uuid in pickle.loads(payload):
+                problem, decoder, cls = segments[segment_key]
+                ind = cls(genome, decoder=decoder, problem=problem)
+                ind.uuid = uuid
+                individuals.append(ind)
+            n_items = len(individuals)
+            slots = [
+                _shippable(slot) if isinstance(slot, BaseException) else slot
+                for slot in evaluate_individuals_batch(individuals)
+            ]
+            reply = ("batchdone", task_id, slots)
+        except BaseException as exc:  # noqa: BLE001 - chunk-fatal
+            error = type(exc).__name__
+            reply = ("raised", task_id, _shippable(exc))
         records: list[dict[str, Any]] = []
         if trace:
             tags: dict[str, Any] = {
                 "worker": worker_name,
                 "task": f"pool-task-{task_id}",
                 "pid": os.getpid(),
+                "n": n_items,
             }
-            if kind == "batch":
-                tags["n"] = n_items
             if attempt:
                 # re-execution after a revocation: the invariant
                 # checker keys requeued-elsewhere off this tag
@@ -234,7 +179,8 @@ def _pool_worker_main(
 
 
 class ProcessFuture:
-    """Future for one pooled evaluation (the engine's ``FutureLike``)."""
+    """Future for one pooled chunk (the engine's ``FutureLike``): one
+    outcome slot per submitted individual."""
 
     __slots__ = ("_backend", "task_id", "_result", "_exception", "_resolved")
 
@@ -380,9 +326,9 @@ class ProcessPoolBackend:
         #: revoked task can be requeued verbatim (same payload, same
         #: uuids) with only its attempt counter bumped
         self._queue: list[int] = []
-        #: task_id → [kind, payload, segment_key, attempt]; kept until
-        #: the task's future resolves (or is cancelled), so in-flight
-        #: work survives the worker that held it
+        #: task_id → [payload, segment keys, attempt]; kept until the
+        #: task's future resolves (or is cancelled), so in-flight work
+        #: survives the worker that held it
         self._tasks: dict[int, list[Any]] = {}
         #: segment registry: identity of (problem, decoder, class) →
         #: (key, problem, decoder).  The entry holds the objects on
@@ -446,40 +392,8 @@ class ProcessPoolBackend:
     # ------------------------------------------------------------------
     # ExecutionBackend protocol
     # ------------------------------------------------------------------
-    def submit(self, individual: Any) -> ProcessFuture:
-        if self._closed:
-            raise RuntimeError("ProcessPoolBackend is closed")
-        try:
-            payload = pickle.dumps(
-                individual, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception as exc:
-            raise TypeError(
-                "individual (genome + decoder + problem) must pickle to "
-                f"cross the process boundary: {exc}"
-            ) from exc
-        task_id = self._next_task_id
-        self._next_task_id += 1
-        if getattr(self.tracer, "enabled", False):
-            # the submit instant the report joins worker spans against
-            # (queue wait = span start - this event)
-            self.tracer.event(
-                "task.submit", task=f"pool-task-{task_id}"
-            )
-        future = ProcessFuture(self, task_id)
-        self._futures[task_id] = future
-        self._tasks[task_id] = ["task", payload, None, 0]
-        if not self._workers:
-            # every worker was revoked away: fail fast so a fleet can
-            # reroute (standalone → MAXINT via the engine's policy)
-            self._fail_task(
-                task_id, WorkerRevoked("pool", "no surviving worker")
-            )
-            return future
-        self._queue.append(task_id)
-        self._dispatch_idle()
-        self._sample_gauges()
-        return future
+    def submit(self, individual: Any) -> SlotFuture:
+        return SlotFuture(self.submit_batch([individual]))
 
     def batch_chunk_hint(self, n: int) -> int:
         """Spread a batch of ``n`` evaluations across the whole pool:
@@ -487,24 +401,12 @@ class ProcessPoolBackend:
         worker crash can only take down one chunk's worth."""
         return max(1, math.ceil(n / max(1, self.n_workers)))
 
-    def _segment_for(self, individuals: list[Any]) -> Optional[str]:
-        """Register (once) and return the shared-segment key when every
-        individual shares one ``(problem, decoder, class)`` triple, or
-        ``None`` when the batch is heterogeneous / unpicklable and must
-        ship whole individuals instead."""
-        first = individuals[0]
-        problem = first.problem
-        if problem is None:
-            return None
-        decoder = first.decoder
-        cls = type(first)
-        for ind in individuals[1:]:
-            if (
-                ind.problem is not problem
-                or ind.decoder is not decoder
-                or type(ind) is not cls
-            ):
-                return None
+    def _segment_key(self, individual: Any) -> str:
+        """Register (once) the individual's shared ``(problem, decoder,
+        class)`` triple and return its segment key."""
+        problem = individual.problem
+        decoder = individual.decoder
+        cls = type(individual)
         ident = (id(problem), id(decoder), cls)
         entry = self._segments.get(ident)
         if entry is None:
@@ -513,8 +415,11 @@ class ProcessPoolBackend:
                     (problem, decoder, cls),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
-            except Exception:
-                return None
+            except Exception as exc:
+                raise TypeError(
+                    "problem and decoder must pickle to cross the "
+                    f"process boundary: {exc}"
+                ) from exc
             # a human-readable tag from the problem's cache fingerprint
             # (when it has one) makes segment traffic debuggable
             tag = "anon"
@@ -541,48 +446,42 @@ class ProcessPoolBackend:
     def submit_batch(self, individuals: Iterable[Any]) -> ProcessFuture:
         """Submit one chunk of individuals as a single pool task.
 
-        When the whole chunk shares a ``(problem, decoder, class)``
-        triple, that triple is shipped **once per worker** as a shared
-        segment (re-shipped automatically to respawned successors) and
-        the task payload carries only ``(genome, uuid)`` pairs; a
-        heterogeneous chunk falls back to shipping the individuals
-        whole.  The future resolves to a list of per-slot outcomes —
-        ``(fitness, metadata)`` tuples or exception instances — in
-        submission order; a worker crash mid-chunk raises
-        :class:`WorkerFailure` from ``result()``, failing only this
-        chunk.
+        Each individual's ``(problem, decoder, class)`` triple is
+        shipped **once per worker** as a shared segment (re-shipped
+        automatically to respawned successors) and the task payload
+        carries only ``(segment key, genome, uuid)`` items.  The future
+        resolves to a list of per-slot outcomes — ``(fitness,
+        metadata)`` tuples or exception instances — in submission
+        order; a worker crash mid-chunk raises :class:`WorkerFailure`
+        from ``result()``, failing only this chunk.
         """
         if self._closed:
             raise RuntimeError("ProcessPoolBackend is closed")
-        members = list(individuals)
-        segment_key = self._segment_for(members) if members else None
-        try:
-            if segment_key is not None:
-                items = [(ind.genome, ind.uuid) for ind in members]
-                payload = pickle.dumps(
-                    (segment_key, items), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            else:
-                payload = pickle.dumps(
-                    (None, members), protocol=pickle.HIGHEST_PROTOCOL
-                )
-        except Exception as exc:
-            raise TypeError(
-                "batch (genomes + decoder + problem) must pickle to "
-                f"cross the process boundary: {exc}"
-            ) from exc
+        items = [
+            (self._segment_key(ind), ind.genome, ind.uuid)
+            for ind in individuals
+        ]
+        payload = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
         task_id = self._next_task_id
         self._next_task_id += 1
         if getattr(self.tracer, "enabled", False):
+            # the submit instant the report joins worker spans against
+            # (queue wait = span start - this event)
             self.tracer.event(
                 "task.submit",
                 task=f"pool-task-{task_id}",
-                n=len(members),
+                n=len(items),
             )
         future = ProcessFuture(self, task_id)
         self._futures[task_id] = future
-        self._tasks[task_id] = ["batch", payload, segment_key, 0]
+        self._tasks[task_id] = [
+            payload,
+            list(dict.fromkeys(key for key, _, _ in items)),
+            0,
+        ]
         if not self._workers:
+            # every worker was revoked away: fail fast so a fleet can
+            # reroute (standalone → MAXINT via the engine's policy)
             self._fail_task(
                 task_id, WorkerRevoked("pool", "no surviving worker")
             )
@@ -695,13 +594,13 @@ class ProcessPoolBackend:
                 # requeue to the front: the preempted task is the
                 # oldest work outstanding and must not starve
                 spec = self._tasks[task_id]
-                spec[3] += 1
+                spec[2] += 1
                 self._c_requeued.inc()
                 self.tracer.event(
                     "task.requeued",
                     task=f"pool-task-{task_id}",
                     from_worker=handle.name,
-                    attempt=spec[3],
+                    attempt=spec[2],
                 )
                 self._queue.insert(0, task_id)
             else:
@@ -824,7 +723,7 @@ class ProcessPoolBackend:
             if handle.busy_task is not None:
                 continue
             task_id = self._queue.pop(0)
-            kind, payload, segment_key, attempt = self._tasks[task_id]
+            payload, segment_keys, attempt = self._tasks[task_id]
             delay = 0.0
             die = False
             revoke = False
@@ -865,23 +764,18 @@ class ProcessPoolBackend:
                 handle.pending_revoke = True
                 die = True
             try:
-                if (
-                    segment_key is not None
-                    and segment_key not in handle.segments
-                ):
+                for key in segment_keys:
+                    if key in handle.segments:
+                        continue
                     # ship the shared (problem, decoder, class) triple
                     # once per worker process; the pipe is FIFO, so the
                     # segment always lands before the task that needs it
                     handle.conn.send(
-                        (
-                            "segment",
-                            segment_key,
-                            self._segment_payloads[segment_key],
-                        )
+                        ("segment", key, self._segment_payloads[key])
                     )
-                    handle.segments.add(segment_key)
+                    handle.segments.add(key)
                 handle.conn.send(
-                    (kind, task_id, payload, delay, die, trace, attempt)
+                    ("batch", task_id, payload, delay, die, trace, attempt)
                 )
             except (BrokenPipeError, OSError):
                 # worker already gone: fail this task, replace, retry
@@ -933,9 +827,7 @@ class ProcessPoolBackend:
                         "task.done" if kind != "raised" else "task.err",
                         task=f"pool-task-{task_id}",
                     )
-                if kind == "done":
-                    future._resolve(RemoteEvaluation(msg[2], msg[3]))
-                elif kind == "batchdone":
+                if kind == "batchdone":
                     # per-slot outcomes: (fitness, metadata) tuples or
                     # exception instances, in submission order
                     future._resolve(result=msg[2])

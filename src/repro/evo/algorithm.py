@@ -183,12 +183,12 @@ def generational_nsga2(
     preserved); pass ``engine`` to supply a configured one, otherwise
     it is built from ``client``/``dedup``.
 
-    ``batch`` routes each generation through the engine's batch data
-    plane (:meth:`~repro.engine.EvaluationEngine.evaluate_batch`) —
-    one submission per generation, chunked by ``batch_chunk`` (or the
-    backend's hint) — instead of the scalar submit-per-individual
-    loop.  Fronts, journal records, and engine statistics are
-    bit-identical either way; batch is purely a throughput choice.
+    ``batch`` picks the chunk size each generation crosses the backend
+    at (:meth:`~repro.engine.EvaluationEngine.evaluate_batch`):
+    ``batch_chunk`` or the backend's hint, instead of the default 1 —
+    one backend task per individual.  Fronts, journal records, and
+    engine statistics are bit-identical either way; batch is purely a
+    throughput choice.
     ``pipeline`` (implies ``batch``) additionally overlaps each
     generation's commit bookkeeping — the journal write, telemetry,
     and ``callback`` — with the *next* generation's evaluations:
@@ -218,9 +218,9 @@ def generational_nsga2(
         )
     )
     def _evaluate(offspring: list[Individual]) -> list[Individual]:
-        if batch:
-            return eng.evaluate_batch(offspring, chunk_size=batch_chunk)
-        return eng.evaluate(offspring)
+        return eng.evaluate_batch(
+            offspring, chunk_size=batch_chunk if batch else 1
+        )
 
     def _commit(record: GenerationRecord, rng_state: Any) -> None:
         """Journal + telemetry + callback for one finished generation

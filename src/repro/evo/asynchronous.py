@@ -88,10 +88,15 @@ def steady_state_nsga2(
     many completions (default: every ``pop_size`` completions, matching
     the generational schedule in expectation).
 
-    ``client=None`` evaluates inline (deterministic completion order,
-    which is what makes cache-driven resume replay exactly); pass a
-    futures client for real asynchrony, or a pre-configured ``engine``
-    to control dedup/journal/timeout directly.  ``journal`` (duck-typed
+    ``client=None`` evaluates inline: everything submitted has resolved
+    by the next ``wait_any``, which hands candidates back in submission
+    order whether they executed or were served from the cache.  A
+    re-run over a warm cache therefore consumes them in the cold run's
+    order and breeds the same genomes; only what the cache does not
+    hold (failed evaluations, unless it keeps failures) executes again.
+    Pass a futures client for real asynchrony — completion order is
+    then the cluster's — or a pre-configured ``engine`` to control
+    dedup/journal/timeout directly.  ``journal`` (duck-typed
     :class:`repro.store.journal.CampaignJournal`) receives every
     completed evaluation; ``callback(individual, completions)`` fires
     on each completion.

@@ -21,8 +21,7 @@ equivalence is enforced by a property-based test and their speed
 difference is measured by ``benchmarks/bench_sorting_ablation.py``.
 
 The hot kernels come in two implementations, selected by the ``impl``
-argument (default: the module-level :data:`DEFAULT_IMPL`, overridable
-with the ``REPRO_NSGA2_KERNELS`` environment variable):
+argument (default: :data:`DEFAULT_IMPL`):
 
 ``"vectorized"``
     Batched NumPy: the two-objective sweep peels whole fronts with
@@ -46,16 +45,14 @@ the paper replaced LEAP's NaN failure fitness.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.evo.individual import Individual
 
-#: kernel implementation used when ``impl`` is not passed explicitly;
-#: the environment override makes CI A/B runs trivial
-DEFAULT_IMPL: str = os.environ.get("REPRO_NSGA2_KERNELS", "vectorized")
+#: kernel implementation used when ``impl`` is not passed explicitly
+DEFAULT_IMPL: str = "vectorized"
 
 
 def _resolve_impl(impl: Optional[str]) -> str:

@@ -41,6 +41,12 @@ class TrainingTimeoutError(EvaluationError):
         self.elapsed = elapsed
         self.limit = limit
 
+    def __reduce__(self):
+        # rebuild from the constructor's own arguments (the default
+        # replays ``args``, the formatted message), keeping attributes
+        # attached later such as ``metadata``
+        return type(self), (self.elapsed, self.limit), self.__dict__
+
 
 class TrainingDivergedError(EvaluationError):
     """Training produced non-finite losses (a fatal hyperparameter combo)."""
@@ -64,6 +70,11 @@ class WorkerFailure(ReproError):
     def __init__(self, worker: str, message: str = "") -> None:
         super().__init__(f"worker {worker} failed" + (f": {message}" if message else ""))
         self.worker = worker
+        self.message = message
+
+    def __reduce__(self):
+        # as TrainingTimeoutError: the pool ships these across a pipe
+        return type(self), (self.worker, self.message), self.__dict__
 
 
 class WorkerRevoked(WorkerFailure):

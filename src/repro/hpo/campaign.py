@@ -63,8 +63,8 @@ class CampaignConfig:
     objectives: Any = None
     hv_stop_eps: Optional[float] = None
     hv_stop_patience: int = 2
-    #: batch data plane / pipelined generations (generational mode
-    #: only; both bit-identical to the scalar path)
+    #: chunked dispatch / pipelined generations (generational mode
+    #: only; results bit-identical to the default chunk size 1)
     batch_evals: bool = False
     pipeline: bool = False
     batch_chunk: Optional[int] = None

@@ -1313,9 +1313,9 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-evals",
         action="store_true",
         help=(
-            "route each generation through the engine's batch data "
-            "plane (one chunked submission per generation; results "
-            "bit-identical to the scalar path)"
+            "dispatch each generation in chunks of the backend's hint "
+            "(or --batch-chunk) instead of one task per individual; "
+            "results bit-identical"
         ),
     )
     p.add_argument(

@@ -38,11 +38,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.engine.invoke import (
-    call_problem,
-    call_problem_batch,
-    failure_fitness,
-)
+from repro.engine.invoke import call_problem_batch, failure_fitness
 from repro.evo.problem import BatchOutcome, WithMetadataProblem
 from repro.exceptions import EvaluationError
 from repro.injection import FaultInjector, get_injector
@@ -428,51 +424,20 @@ class CachedProblem(WithMetadataProblem):
     def evaluate_with_metadata(
         self, phenome: Any, uuid: Optional[str] = None
     ) -> tuple[np.ndarray, dict[str, Any]]:
-        key = self.cache_key(phenome)
-        entry = self.cache.lookup(key)
-        if entry is not None:
-            if entry.failed:
-                raise CachedFailure(
-                    entry.error or "memoized evaluation failure",
-                    metadata={**entry.metadata, "cache_hit": True},
-                )
-            return entry.fitness_array(), {
-                **entry.metadata,
-                "cache_hit": True,
-            }
-        try:
-            fitness, metadata = call_problem(self.problem, phenome, uuid=uuid)
-        except Exception as exc:
-            meta = dict(getattr(exc, "metadata", None) or {})
-            meta.setdefault("failed", True)
-            meta.setdefault(
-                "failure_cause", f"{type(exc).__name__}: {exc}"
-            )
-            exc.metadata = meta  # type: ignore[attr-defined]
-            self.cache.insert(
-                key,
-                failure_fitness(self.n_objectives),
-                metadata=meta,
-                failed=True,
-                error=meta["failure_cause"],
-            )
-            raise
-        self.cache.insert(
-            key,
-            fitness,
-            metadata=metadata,
-            failed=bool(metadata.get("failed", False)),
-            error=metadata.get("failure_cause"),
-        )
-        return fitness, metadata
+        """Scalar view: a batch of one, its slot raised when it is an
+        exception."""
+        (outcome,) = self.evaluate_batch_with_metadata([phenome], [uuid])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def evaluate_batch_with_metadata(
         self, phenomes: Any, uuids: Optional[Any] = None
     ) -> list[BatchOutcome]:
         """Probe the cache for the whole batch, execute only the
         misses through the inner problem's batch path, and insert
-        fresh results (and failures, under ``cache_failures``) exactly
-        as the scalar path would — per slot, in batch order."""
+        fresh results (and failures, under ``cache_failures``) per
+        slot, in batch order."""
         phenome_list = list(phenomes)
         uuid_list = (
             list(uuids)

@@ -141,9 +141,13 @@ def resume_campaign(
     original seed, and every evaluation that finished before the kill
     — journaled per completion and persisted in the cache — is served
     without retraining.  With the default inline execution the replay
-    is deterministic; with a client, completion order (and hence the
-    bred genomes past the interruption point) may differ, but finished
-    work is still never re-trained.
+    breeds the original run's genomes: the engine hands resolved
+    candidates back in submission order whether they executed or came
+    from the cache, so the only evaluations that execute are the ones
+    the cache does not hold — those the kill cut off, and failed ones
+    unless the cache keeps failures.  With a client, completion order
+    (and hence the bred genomes past the interruption point) may
+    differ, but finished work is still never re-trained.
     """
     directory = Path(directory)
     jpath = journal_path(directory)

@@ -1,15 +1,17 @@
 """Batch-first evaluation data plane: bit-identity and isolation.
 
-The contract under test (DESIGN.md "Evaluation data plane"): routing a
-population through ``EvaluationEngine.evaluate_batch`` — or a whole
-NSGA-II run through ``batch``/``pipeline`` mode — must be
-*bit-identical* to the scalar submit-per-individual path: same fronts,
-same journal records, same engine statistics.  Failure isolation is
-per-slot in-process and per-chunk across the pool (a worker crash
-MAXINTs only the chunk it held).
+The contract under test (DESIGN.md "Evaluation data plane"): the chunk
+size a population crosses the backend at — 1 (``evaluate``, streaming
+``submit``), any k, or the whole population, barrier or ``pipeline`` —
+changes nothing observable: same fronts, same journal records, same
+engine statistics.  Failure isolation is per-slot in-process and
+per-chunk across the pool (a worker crash MAXINTs only the chunk it
+held).
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -136,18 +138,83 @@ def _run_nsga2(seed, **mode):
     return records, journal, engine
 
 
+class EvaluationLog:
+    """Duck-typed journal capturing per-evaluation appends, in order."""
+
+    def __init__(self):
+        self.entries = []
+
+    def append_evaluation(self, individual):
+        meta = individual.metadata
+        self.entries.append(
+            (
+                float(individual.genome[0]),
+                individual.fitness.tobytes(),
+                meta.get("failed", False),
+                meta.get("error"),
+                meta.get("cache_hit", False),
+                "dedup_of" in meta,
+            )
+        )
+
+
+def _run_engine(xs, primed, faults, directory, mode):
+    """One population through one fresh engine; ``mode`` is a chunk
+    size, ``"evaluate"`` (the chunk-size-1 entry) or ``"stream"``
+    (``submit`` per candidate, collected with ``wait_any``)."""
+    problem = CachedProblem(FlakyProblem(), EvaluationCache(directory))
+    for x in sorted(primed):
+        try:
+            call_problem(problem, {"x": float(x)})
+        except ValueError:
+            pass  # failures are not cached: they execute every time
+    decoder = DictDecoder()
+    individuals = [
+        RobustIndividual(np.array([float(x)]), decoder=decoder, problem=problem)
+        for x in xs
+    ]
+    log = EvaluationLog()
+    plan = FaultPlan([Fault(kind=kind, at=at) for kind, at in faults])
+    with use_injector(plan.injector()):
+        engine = EvaluationEngine(
+            dedup=True, dedup_scope="batch", journal=log
+        )
+        if mode == "evaluate":
+            done = engine.evaluate(individuals)
+        elif mode == "stream":
+            for individual in individuals:
+                engine.submit(individual)
+            done = []
+            while engine.has_pending():
+                done.extend(engine.wait_any())
+            # inline, everything has resolved by the first wait: the
+            # hand-back order is the submission order
+            assert [id(i) for i in done] == [id(i) for i in individuals]
+        else:
+            done = engine.evaluate_batch(individuals, chunk_size=mode)
+    return (
+        [(i.fitness.tobytes(), sorted(i.metadata)) for i in done],
+        log.entries,
+        _stats_tuple(engine.stats),
+    )
+
+
 class TestBatchBitIdentity:
-    """Scalar vs batch vs pipeline: everything observable matches."""
+    """Chunk size 1, k, n, pipelined or streamed: everything
+    observable matches."""
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=8, deadline=None)
     def test_modes_bit_identical(self, seed):
-        scalar = _run_nsga2(seed)
-        batch = _run_nsga2(seed, batch=True)
-        pipeline = _run_nsga2(seed, pipeline=True)
-        for name, other in (("batch", batch), ("pipeline", pipeline)):
-            recs_a, journal_a, eng_a = scalar
-            recs_b, journal_b, eng_b = other
+        recs_a, journal_a, eng_a = _run_nsga2(seed)
+        for name, mode in (
+            ("chunk 1", dict(batch=True, batch_chunk=1)),
+            ("chunk 3", dict(batch=True, batch_chunk=3)),
+            ("chunk n", dict(batch=True, batch_chunk=8)),
+            ("backend hint", dict(batch=True)),
+            ("pipeline", dict(pipeline=True)),
+        ):
+            recs_b, journal_b, eng_b = _run_nsga2(seed, **mode)
             assert len(recs_a) == len(recs_b), name
             for ra, rb in zip(recs_a, recs_b):
                 assert ra.generation == rb.generation
@@ -172,25 +239,33 @@ class TestBatchBitIdentity:
     @given(
         xs=st.lists(
             st.integers(min_value=-5, max_value=5), min_size=1, max_size=12
-        )
+        ),
+        primed=st.sets(st.integers(min_value=-5, max_value=5), max_size=4),
+        faults=st.lists(
+            st.tuples(
+                st.sampled_from(["eval_exception", "eval_timeout"]),
+                st.integers(min_value=0, max_value=11),
+            ),
+            max_size=3,
+        ),
+        k=st.integers(min_value=2, max_value=5),
     )
     @settings(max_examples=25, deadline=None)
-    def test_engine_batch_matches_scalar_with_failures_and_dups(self, xs):
-        """Duplicates, failures, and order survive the batch plane."""
-        eng_a = EvaluationEngine(dedup=True, dedup_scope="batch")
-        eng_b = EvaluationEngine(dedup=True, dedup_scope="batch")
-        a = eng_a.evaluate(_flaky_individuals(xs))
-        b = eng_b.evaluate_batch(_flaky_individuals(xs))
-        assert np.array_equal(
-            np.array([i.fitness for i in a]),
-            np.array([i.fitness for i in b]),
-        )
-        for ia, ib in zip(a, b):
-            assert ia.metadata.get("failed", False) == ib.metadata.get(
-                "failed", False
-            )
-            assert ia.metadata.get("error") == ib.metadata.get("error")
-        assert _stats_tuple(eng_a.stats) == _stats_tuple(eng_b.stats)
+    def test_engine_chunk_sizes_and_streaming_bit_identical(
+        self, xs, primed, faults, k
+    ):
+        """Duplicates, failures, cache hits, injected faults and their
+        order survive every dispatch granularity: results, per-
+        evaluation journal records and ``EngineStats`` are equal at
+        chunk size 1, k and n, and when streamed."""
+        outcomes = {}
+        for mode in ("evaluate", 1, k, len(xs), "stream"):
+            with tempfile.TemporaryDirectory() as directory:
+                outcomes[mode] = _run_engine(
+                    xs, primed, faults, directory, mode
+                )
+        for mode, outcome in outcomes.items():
+            assert outcome == outcomes["evaluate"], mode
 
 
 class TestBatchWrappers:

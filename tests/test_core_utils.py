@@ -1,6 +1,8 @@
 """Tests for the shared plumbing: RNG handling, the LEAP-style context,
 exceptions, and the high-level MD simulation driver."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.exceptions import (
     ReproError,
     TrainingTimeoutError,
     WorkerFailure,
+    WorkerRevoked,
 )
 from repro.md.simulation import MDSimulation
 from repro.md.system import molten_salt_potential, molten_salt_system
@@ -140,6 +143,25 @@ class TestExceptions:
         exc = WorkerFailure("node-007", "died")
         assert exc.worker == "node-007"
         assert "node-007" in str(exc)
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            TrainingTimeoutError(7300.0, 7200.0),
+            WorkerFailure("w0", "boom"),
+            WorkerRevoked("w0", "boom"),
+            WorkerFailure("w0"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_survives_a_pickle_round_trip(self, exc):
+        """The pool ships these across a pipe: type, message, fields
+        and attached metadata all come back."""
+        exc.metadata = {"runtime_minutes": 121.7}
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert back.__dict__ == exc.__dict__
 
 
 class TestMDSimulation:

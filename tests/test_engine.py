@@ -291,6 +291,44 @@ class TestCacheHitInEveryDriver:
             tuple(i.fitness) for i in first.evaluated
         ) == sorted(tuple(i.fitness) for i in replay.evaluated)
 
+    def test_steady_state_campaign_replays_over_uncached_failures(
+        self, tmp_path
+    ):
+        """A warm re-run consumes candidates in the cold run's order
+        even when some of them execute (failures are not cached by
+        default) while their neighbours are served at submit time: it
+        misses exactly the failures and reproduces the front."""
+        from repro.hpo.campaign import Campaign, CampaignConfig
+
+        config = CampaignConfig(
+            n_runs=2, pop_size=40, generations=3, mode="steady-state"
+        )
+
+        def front(result):
+            return sorted(
+                (ind.genome.tobytes(), ind.fitness.tobytes())
+                for ind in result.aggregate_pareto_front()
+            )
+
+        plain = Campaign(
+            lambda seed: SurrogateDeepMDProblem(seed=seed), config
+        ).run()
+        failed = sum(plain.failures_by_generation())
+        assert failed > 0
+        cache = EvaluationCache(tmp_path / "cache")
+
+        def factory(seed):
+            return CachedProblem(SurrogateDeepMDProblem(seed=seed), cache)
+
+        cold = Campaign(factory, config).run()
+        assert front(cold) == front(plain)
+        before = cache.stats()
+        warm = Campaign(factory, config).run()
+        after = cache.stats()
+        assert after["misses"] - before["misses"] == failed
+        assert after["inserts"] == before["inserts"]
+        assert front(warm) == front(plain)
+
     def test_generational(self, tmp_path):
         cache, make = self._factory(tmp_path)
         settings = NSGA2Settings(pop_size=5, generations=2)

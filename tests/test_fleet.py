@@ -127,11 +127,6 @@ class FakeMember:
         self.n_workers = n_workers
         self.submitted = []
 
-    def submit(self, individual):
-        future = FakeFuture()
-        self.submitted.append((individual, future))
-        return future
-
     def submit_batch(self, individuals):
         future = FakeFuture()
         self.submitted.append((list(individuals), future))
@@ -271,7 +266,7 @@ class TestFleetRouting:
         a.submitted[0][1].resolve(exc=WorkerRevoked("w", "revoked"))
         assert not future.done()  # pump requeued instead of failing
         assert len(b.submitted) == 1
-        b.submitted[0][1].resolve(result=((1.0,), {}))
+        b.submitted[0][1].resolve(result=[((1.0,), {})])
         assert future.result(timeout=1) == ((1.0,), {})
         snap = fleet.fleet_snapshot()
         assert snap["requeued"] == 1
@@ -353,7 +348,7 @@ class TestSpeculation:
             min_speculate_s=0.0,
         )
         warm = fleet.submit("warm")
-        members[0].submitted[0][1].resolve(result=((0.0,), {}))
+        members[0].submitted[0][1].resolve(result=[((0.0,), {})])
         assert warm.result(timeout=1) == ((0.0,), {})
         return fleet, members
 
@@ -365,7 +360,7 @@ class TestSpeculation:
         assert (
             fleet._c_spec.value == 1
         ), "speculation must be counted when dispatched"
-        b.submitted[0][1].resolve(result=((2.0,), {}))
+        b.submitted[0][1].resolve(result=[((2.0,), {})])
         assert future.result(timeout=1) == ((2.0,), {})
         assert fleet._c_spec_wins.value == 1
         # the loser (the straggling primary) was cancelled
@@ -378,10 +373,10 @@ class TestSpeculation:
         future = fleet.submit("slow")
         fleet._pump()
         # primary wins; the speculative copy later completes anyway
-        a.submitted[1][1].resolve(result=((1.0,), {}))
+        a.submitted[1][1].resolve(result=[((1.0,), {})])
         assert future.result(timeout=1) == ((1.0,), {})
         assert fleet._c_spec_wins.value == 0
-        b.submitted[0][1].resolve(result=((1.0,), {}))
+        b.submitted[0][1].resolve(result=[((1.0,), {})])
         fleet._pump()
         assert fleet._c_duplicates.value == 1
         assert sum(m.inflight for m in fleet.members) == 0
@@ -393,7 +388,7 @@ class TestSpeculation:
         b.submitted[0][1].resolve(exc=RuntimeError("spec died"))
         fleet._pump()
         assert not future.done()
-        a.submitted[1][1].resolve(result=((1.0,), {}))
+        a.submitted[1][1].resolve(result=[((1.0,), {})])
         assert future.result(timeout=1) == ((1.0,), {})
 
     def test_engine_fresh_count_unchanged_by_speculation(self):

@@ -71,8 +71,8 @@ def _individuals(genomes, problem):
 class ScriptedFuture:
     """Resolves after ``delay`` polls; outcome decided by the script."""
 
-    def __init__(self, individual, outcome, delay):
-        self.individual = individual
+    def __init__(self, individuals, outcome, delay):
+        self.individuals = individuals
         self.outcome = outcome  # "ok" | "revoke"
         self.delay = int(delay)
         self._polls = 0
@@ -86,9 +86,9 @@ class ScriptedFuture:
     def result(self, timeout=None):
         if self.outcome == "revoke":
             raise WorkerRevoked("scripted", "spot preemption")
-        from repro.engine.backends import evaluate_individual
+        from repro.engine.backends import evaluate_individuals_batch
 
-        return evaluate_individual(self.individual)
+        return evaluate_individuals_batch(self.individuals)
 
     def cancel(self):
         self.cancelled = True
@@ -109,14 +109,11 @@ class ScriptedMember:
         outcome, delay = self.script[len(self.futures) % len(self.script)]
         return outcome, delay
 
-    def submit(self, individual):
+    def submit_batch(self, individuals):
         outcome, delay = self._next()
-        future = ScriptedFuture(individual, outcome, delay)
+        future = ScriptedFuture(list(individuals), outcome, delay)
         self.futures.append(future)
         return future
-
-    def submit_batch(self, individuals):
-        raise NotImplementedError("property suite uses the scalar path")
 
     def on_cache_hit(self, individual):
         pass

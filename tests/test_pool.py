@@ -23,7 +23,7 @@ from repro.engine import (
     ProcessPoolBackend,
     as_backend,
 )
-from repro.evo.individual import MAXINT, Individual
+from repro.evo.individual import MAXINT, Individual, RobustIndividual
 from repro.exceptions import TrainingTimeoutError, WorkerFailure
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
@@ -48,6 +48,43 @@ class SleepyProblem:
     def evaluate(self, phenome):
         time.sleep(self.duration)
         return np.array([1.0, 2.0])
+
+
+class Unrebuildable(Exception):
+    """Pickles, but cannot be rebuilt: ``loads`` replays ``args`` (one
+    formatted message) into a two-argument constructor."""
+
+    def __init__(self, what: str, why: str) -> None:
+        super().__init__(f"{what} because {why}")
+
+
+class RaisesAtOne:
+    """Fails the phenome whose first gene is 1 with ``exc_cls(*args)``."""
+
+    n_objectives = 2
+
+    def __init__(self, exc_cls: type, *args) -> None:
+        self.exc_cls = exc_cls
+        self.args = args
+
+    def evaluate(self, phenome):
+        if phenome[0] == 1.0:
+            raise self.exc_cls(*self.args)
+        return np.array([phenome[0], 2.0])
+
+
+class PickleCountingProblem:
+    """Counts, in the pickling process, how often it is pickled."""
+
+    n_objectives = 2
+    pickles = 0
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
+
+    def evaluate(self, phenome):
+        return np.array([phenome[0], 2.0])
 
 
 def _surrogate_individuals(n, seed=0):
@@ -155,6 +192,61 @@ class TestEngineIntegration:
         (ind,) = done
         assert np.all(ind.fitness == MAXINT)
         assert "TrainingTimeoutError" in ind.metadata["error"]
+
+    @pytest.mark.parametrize("chunk_size", [1, 3])
+    @pytest.mark.parametrize(
+        "raises, cause",
+        [
+            (
+                (TrainingTimeoutError, 7300.0, 7200.0),
+                "TrainingTimeoutError: training exceeded time limit: "
+                "7300.0s > 7200.0s",
+            ),
+            (
+                (Unrebuildable, "training", "chaos"),
+                "EvaluationError: Unrebuildable: training because chaos",
+            ),
+        ],
+        ids=["timeout", "unrebuildable"],
+    )
+    def test_worker_side_exception_survives_the_pipe(
+        self, raises, cause, chunk_size
+    ):
+        """An exception raised inside a worker scores MAXINT at every
+        dispatch granularity: it is rebuilt in the parent from its own
+        constructor arguments, or shipped as its repr when it cannot
+        be — never raised out of the parent's ``recv``."""
+        problem = RaisesAtOne(*raises)
+        individuals = [
+            RobustIndividual(np.array([float(i), 0.0]), problem=problem)
+            for i in range(3)
+        ]
+        with ProcessPoolBackend(workers=2) as pool:
+            engine = EvaluationEngine(client=pool, metrics=MetricsRegistry())
+            if chunk_size == 1:
+                done = engine.evaluate(individuals)
+            else:
+                done = engine.evaluate_batch(individuals, chunk_size=3)
+        assert [ind.is_viable for ind in done] == [True, False, True]
+        assert np.all(done[1].fitness == MAXINT)
+        assert done[1].metadata["failure_cause"] == cause
+        assert engine.stats.failures == 1
+
+    def test_scalar_submits_pickle_a_shared_problem_once(self):
+        """Scalar ``submit`` is a chunk of one over the shared segment:
+        the problem crosses ``pickle.dumps`` once, not once per task."""
+        problem = PickleCountingProblem()
+        PickleCountingProblem.pickles = 0
+        with ProcessPoolBackend(workers=2) as pool:
+            futures = [
+                pool.submit(
+                    Individual(np.array([float(i), 0.0]), problem=problem)
+                )
+                for i in range(20)
+            ]
+            slots = [future.result(timeout=60.0) for future in futures]
+        assert PickleCountingProblem.pickles == 1
+        assert [fitness[0] for fitness, _ in slots] == list(range(20))
 
     def test_deadline_error_surfaces_without_engine(self):
         with ProcessPoolBackend(workers=1, deadline=0.3) as pool:

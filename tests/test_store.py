@@ -470,13 +470,13 @@ class TestResume:
 
         def factory(seed):
             problem = SurrogateDeepMDProblem(seed=seed)
-            inner = problem.evaluate_with_metadata
+            inner = problem.evaluate_batch_with_metadata
 
             def counted(*args, **kwargs):
                 evaluated.append(seed)
                 return inner(*args, **kwargs)
 
-            problem.evaluate_with_metadata = counted
+            problem.evaluate_batch_with_metadata = counted
             return problem
 
         with pytest.warns(UserWarning, match="torn tail"):
