@@ -1,7 +1,7 @@
 """The benchmark runner and CI regression gate.
 
 Runs the machine-readable perf benches and writes one JSON report per
-bench (``BENCH_engine.json``, ``BENCH_nsga2.json``).  With ``--check``
+bench (``BENCH_engine.json``, ``BENCH_nsga2.json``, ...).  With ``--check``
 it compares each report's ``metrics`` block against the committed
 ``benchmarks/baselines.json`` and exits non-zero when any metric
 regresses beyond its tolerance — the CI ``bench-gate`` job runs
@@ -39,6 +39,7 @@ BENCHES = {
     "nsga2": "BENCH_nsga2.json",
     "obs": "BENCH_obs.json",
     "mo": "BENCH_mo.json",
+    "store": "BENCH_store.json",
 }
 
 
@@ -49,6 +50,8 @@ def _run_bench(name: str, quick: bool) -> dict:
         from benchmarks.bench_obs_overhead import run
     elif name == "mo":
         from benchmarks.bench_mo_metrics import run
+    elif name == "store":
+        from benchmarks.bench_store import run
     else:
         from benchmarks.bench_nsga2_kernels import run
     return run(quick=quick)

@@ -15,6 +15,7 @@ from repro.distributed.faults import FaultPolicy
 from repro.distributed.future import Future
 from repro.distributed.scheduler import Scheduler
 from repro.distributed.worker import Nanny, Worker
+from repro.engine.invoke import cache_serves
 from repro.injection import FaultInjector
 
 
@@ -51,15 +52,7 @@ class Client:
         self, fn: Callable[[Any], Any], item: Any
     ) -> Optional[Future]:
         """A pre-resolved future for a cache-hit item (None = submit)."""
-        problem = getattr(item, "problem", None)
-        cache = getattr(problem, "cache", None)
-        key_fn = getattr(problem, "cache_key", None)
-        if cache is None or key_fn is None:
-            return None
-        try:
-            if not cache.contains(key_fn(item.decode())):
-                return None
-        except Exception:  # noqa: BLE001 - undecodable: submit normally
+        if not cache_serves(item):
             return None
         future = Future(f"cached-{getattr(item, 'uuid', id(item))}")
         try:

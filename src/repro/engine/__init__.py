@@ -48,6 +48,7 @@ from repro.engine.backends import (
 from repro.engine.core import EngineStats, EvaluationEngine
 from repro.engine.fleet import ElasticBackend, FleetFuture
 from repro.engine.invoke import (
+    cache_serves,
     call_problem,
     call_problem_batch,
     failure_fitness,
@@ -68,6 +69,7 @@ __all__ = [
     "ResolvedFuture",
     "SlotFuture",
     "as_backend",
+    "cache_serves",
     "call_problem",
     "call_problem_batch",
     "evaluate_individual",

@@ -43,7 +43,7 @@ from repro.engine.backends import (
     as_backend,
     evaluate_individual,
 )
-from repro.engine.invoke import failure_fitness
+from repro.engine.invoke import cache_serves, failure_fitness
 from repro.exceptions import TrainingTimeoutError
 from repro.injection import FaultInjector, get_injector
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -437,15 +437,7 @@ class EvaluationEngine:
     def _cache_probe(self, individual: Any) -> bool:
         """Serve ``individual`` from its problem's evaluation cache when
         possible; a hit never crosses the backend or occupies a worker."""
-        problem = getattr(individual, "problem", None)
-        cache = getattr(problem, "cache", None)
-        key_fn = getattr(problem, "cache_key", None)
-        if cache is None or key_fn is None:
-            return False
-        try:
-            if not cache.contains(key_fn(individual.decode())):
-                return False
-        except Exception:  # noqa: BLE001 - undecodable: execute normally
+        if not cache_serves(individual):
             return False
         try:
             # re-enters the problem, which serves the memoized entry

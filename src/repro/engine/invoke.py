@@ -30,6 +30,30 @@ def failure_fitness(n_objectives: int) -> np.ndarray:
     return np.full(int(n_objectives), MAXINT, dtype=np.float64)
 
 
+def cache_serves(individual: Any) -> bool:
+    """Would ``individual``'s problem answer it from its evaluation
+    cache?  The probe every dispatcher (the engine, the thread
+    cluster's client) makes before spending a worker on a candidate.
+
+    Duck-typed on a ``cache`` attribute plus a ``cache_key`` method
+    (:class:`repro.store.cache.CachedProblem`, or anything that wraps
+    one and delegates).  ``cache.contains`` validates the entry, so a
+    torn file is a miss here and its candidate is dispatched like any
+    other; after a hit, re-entering the problem is an index lookup.
+    An undecodable or unhashable candidate is a miss too: it fails
+    where every other evaluation failure is handled.
+    """
+    problem = getattr(individual, "problem", None)
+    cache = getattr(problem, "cache", None)
+    key_fn = getattr(problem, "cache_key", None)
+    if cache is None or key_fn is None:
+        return False
+    try:
+        return bool(cache.contains(key_fn(individual.decode())))
+    except Exception:  # noqa: BLE001 - execute normally
+        return False
+
+
 def call_problem(
     problem: Any, phenome: Any, uuid: Optional[str] = None
 ) -> tuple[np.ndarray, dict[str, Any]]:

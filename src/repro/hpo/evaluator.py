@@ -25,7 +25,6 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.deepmd.runner import run_training
-from repro.engine.invoke import failure_fitness
 from repro.evo.problem import WithMetadataProblem
 from repro.md.dataset import FrameDataset
 
@@ -65,11 +64,10 @@ class DeepMDProblem(WithMetadataProblem):
         directory by default.
     settings:
         The fixed (non-searched) training envelope.
-    cache:
-        Optional :class:`repro.store.cache.EvaluationCache`; when set,
-        evaluations are looked up before :func:`run_training` and
-        inserted after, keyed by (phenome, dataset content hash,
-        settings) — see :meth:`cache_fingerprint`.
+
+    Memoization is not this class's job: wrap it in
+    :class:`repro.store.cache.CachedProblem`, which keys entries by
+    (phenome, :meth:`cache_fingerprint`).
     """
 
     n_objectives = 2
@@ -79,11 +77,9 @@ class DeepMDProblem(WithMetadataProblem):
         dataset: FrameDataset,
         base_dir: Optional[str | Path] = None,
         settings: Optional[EvaluatorSettings] = None,
-        cache: Any = None,
     ) -> None:
         self.dataset = dataset
         self.settings = settings or EvaluatorSettings()
-        self.cache = cache
         self._dataset_id: Optional[str] = None
         if base_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-hpo-")
@@ -110,11 +106,6 @@ class DeepMDProblem(WithMetadataProblem):
             "dataset": self._dataset_id,
             "settings": asdict(self.settings),
         }
-
-    def cache_key(self, phenome: dict[str, Any]) -> str:
-        from repro.store.cache import evaluation_key
-
-        return evaluation_key(phenome, self.cache_fingerprint())
 
     def _template_variables(
         self, phenome: dict[str, Any]
@@ -148,21 +139,6 @@ class DeepMDProblem(WithMetadataProblem):
         metadata attached to any escaping exception — so MAXINT-fitness
         runs are distinguishable from legitimately bad ones downstream.
         """
-        if self.cache is not None:
-            key = self.cache_key(phenome)
-            entry = self.cache.lookup(key)
-            if entry is not None:
-                if entry.failed:
-                    from repro.store.cache import CachedFailure
-
-                    raise CachedFailure(
-                        entry.error or "memoized evaluation failure",
-                        metadata={**entry.metadata, "cache_hit": True},
-                    )
-                return entry.fitness_array(), {
-                    **entry.metadata,
-                    "cache_hit": True,
-                }
         try:
             run = run_training(
                 base_dir=self.base_dir,
@@ -180,14 +156,6 @@ class DeepMDProblem(WithMetadataProblem):
                 "failure_cause", f"{type(exc).__name__}: {exc}"
             )
             exc.metadata = meta  # type: ignore[attr-defined]
-            if self.cache is not None:
-                self.cache.insert(
-                    key,
-                    failure_fitness(self.n_objectives),
-                    metadata=meta,
-                    failed=True,
-                    error=meta["failure_cause"],
-                )
             raise
         fitness = np.array([run.rmse_e_val, run.rmse_f_val])
         metadata = {
@@ -196,6 +164,4 @@ class DeepMDProblem(WithMetadataProblem):
             "phenome": dict(phenome),
             "failed": False,
         }
-        if self.cache is not None:
-            self.cache.insert(key, fitness, metadata=metadata)
         return fitness, metadata

@@ -24,6 +24,7 @@ from repro.store.cache import (
     CachedFailure,
     CachedProblem,
     CacheEntry,
+    CanonicalFingerprint,
     EvaluationCache,
     canonical_json,
     dataset_fingerprint,
@@ -50,6 +51,7 @@ __all__ = [
     "CacheEntry",
     "CachedFailure",
     "CachedProblem",
+    "CanonicalFingerprint",
     "EvaluationCache",
     "canonical_json",
     "dataset_fingerprint",

@@ -33,6 +33,7 @@ import threading
 import uuid as uuid_module
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Any, Optional
 
@@ -62,39 +63,92 @@ class CachedFailure(EvaluationError):
         self.metadata = dict(metadata or {})
 
 
-def _canonical(value: Any) -> Any:
-    """Coerce to a JSON-stable form: numpy scalars to Python scalars,
-    tuples to lists, mapping keys to strings."""
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_canonical(v) for v in value.tolist()]
+#: what a walk hands back untouched (exact types; subclasses, numpy
+#: scalars among them, take the ``isinstance`` route)
+_PLAIN = (str, int, bool, type(None))
+
+_NUMPY_SCALARS = (np.floating, np.integer, np.bool_)
+
+
+def _canonical(value: Any, strip: bool = False) -> Any:
+    """Coerce to a JSON-stable form in one walk: numpy scalars to
+    Python scalars, tuples to lists, mapping keys to strings, in
+    string order.  With ``strip``, NaN/inf become None as well —
+    strict JSON has no spelling for them."""
+    kind = type(value)
+    if kind is float:
+        return None if strip and not isfinite(value) else value
+    if kind in _PLAIN:
+        return value
+    if isinstance(value, _NUMPY_SCALARS):
+        value = value.item()
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+        # sorting the raw keys refuses mixed key types, as it always
+        # has; what a file holds is the order of the stringified keys
+        items = sorted(value.items())
+        out = {str(k): _canonical(v, strip) for k, v in items}
+        if any(type(k) is not str for k, _ in items):
+            out = dict(sorted(out.items()))
+        return out
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [_canonical(v, strip) for v in value]
+    if strip and isinstance(value, float) and not isfinite(value):
+        return None
     return value
+
+
+_encode_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
+#: entry files: ``json.dumps`` defaults, NaN refused
+_encode_entry = json.JSONEncoder(allow_nan=False).encode
 
 
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, repr-exact
     floats (Python's ``json`` emits the shortest round-tripping
     representation, so float keys are bit-stable)."""
-    return json.dumps(
-        _canonical(value), sort_keys=True, separators=(",", ":"),
-        allow_nan=False,
-    )
+    return _encode_canonical(_canonical(value))
+
+
+class CanonicalFingerprint:
+    """A fingerprint canonicalised once, for a problem that hashes
+    thousands of phenomes against it.
+
+    Every key payload is ``{"fingerprint":<F>,"phenome":<P>}``; this
+    holds the SHA-256 state after the constant ``{"fingerprint":<F>,
+    "phenome":`` so :func:`evaluation_key` hashes only what varies.
+    Pickles as the fingerprint it was built from.
+    """
+
+    __slots__ = ("fingerprint", "_hasher")
+
+    def __init__(self, fingerprint: Any) -> None:
+        self.fingerprint = fingerprint
+        prefix = '{"fingerprint":' + canonical_json(fingerprint) + ',"phenome":'
+        self._hasher = hashlib.sha256(prefix.encode("utf-8"))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (CanonicalFingerprint, (self.fingerprint,))
 
 
 def evaluation_key(phenome: Any, fingerprint: Any) -> str:
-    """The content address of one evaluation.
+    """The content address of one evaluation: the SHA-256 of
+    ``canonical_json({"phenome": phenome, "fingerprint": fingerprint})``.
 
     ``fingerprint`` identifies everything outside the phenome that the
     result depends on (dataset identity + fixed evaluator settings);
-    problems provide it via ``cache_fingerprint()``.
+    problems provide it via ``cache_fingerprint()``.  Callers with many
+    phenomes per fingerprint pass a :class:`CanonicalFingerprint`.
     """
-    payload = canonical_json({"phenome": phenome, "fingerprint": fingerprint})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if not isinstance(fingerprint, CanonicalFingerprint):
+        fingerprint = CanonicalFingerprint(fingerprint)
+    hasher = fingerprint._hasher.copy()
+    hasher.update((canonical_json(phenome) + "}").encode("utf-8"))
+    return hasher.hexdigest()
 
 
 def dataset_fingerprint(dataset: Any) -> str:
@@ -117,7 +171,9 @@ def dataset_fingerprint(dataset: Any) -> str:
 
 @dataclass
 class CacheEntry:
-    """One memoized evaluation."""
+    """One memoized evaluation, in the form its file holds: ``fitness``
+    a list of floats, ``metadata`` canonical strict JSON (what
+    :meth:`EvaluationCache.insert` stores and ``lookup`` reads back)."""
 
     key: str
     fitness: list[float] = field(default_factory=list)
@@ -132,8 +188,8 @@ class CacheEntry:
         return {
             "version": ENTRY_VERSION,
             "key": self.key,
-            "fitness": [float(f) for f in self.fitness],
-            "metadata": _canonical(self.metadata),
+            "fitness": self.fitness,
+            "metadata": self.metadata,
             "failed": bool(self.failed),
             "error": self.error,
         }
@@ -151,6 +207,10 @@ class CacheEntry:
             failed=bool(doc.get("failed", False)),
             error=doc.get("error"),
         )
+
+
+#: what :meth:`EvaluationCache._load` returns for a file it cannot serve
+_CORRUPT = object()
 
 
 class EvaluationCache:
@@ -176,6 +236,11 @@ class EvaluationCache:
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: the hot path builds paths as strings: ``<root><shard>/<key>.json``
+        self._root = f"{self.directory}{os.sep}"
+        #: shard directories this instance has made (or found) already;
+        #: unlocked, since making one twice is harmless
+        self._shards: set[str] = set()
         self.cache_failures = bool(cache_failures)
         self.max_index_entries = int(max_index_entries)
         if self.max_index_entries < 1:
@@ -229,8 +294,8 @@ class EvaluationCache:
         )
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._root}{key[:2]}{os.sep}{key}.json"
 
     def _index_put(self, key: str, entry: CacheEntry) -> None:
         with self._lock:
@@ -239,13 +304,39 @@ class EvaluationCache:
             while len(self._index) > self.max_index_entries:
                 self._index.popitem(last=False)
 
+    def _load(self, key: str) -> Any:
+        """The one read of an entry file: the validated entry, None
+        when there is no file, ``_CORRUPT`` for a torn, garbage,
+        foreign-version or misaddressed one.  Never raises, counts
+        nothing."""
+        try:
+            with open(self._path(key), "rb", buffering=0) as fh:
+                data = fh.read()
+        except OSError:
+            return None
+        try:
+            entry = CacheEntry.from_doc(json.loads(data.decode("utf-8")))
+            if entry.key != key:
+                raise ValueError("entry key does not match its address")
+        except (ValueError, TypeError, KeyError):
+            return _CORRUPT
+        return entry
+
     # ------------------------------------------------------------------
     def contains(self, key: str) -> bool:
-        """Cheap existence probe (no deserialization, no stats)."""
+        """Would :meth:`lookup` serve ``key``?  The dispatcher's probe:
+        it reads and validates the entry (a torn file is a miss here
+        too, so its candidate is dispatched like any other), counts
+        nothing, and leaves the entry in the index — the counted
+        ``lookup`` that follows a hit costs no second read."""
         with self._lock:
             if key in self._index:
                 return True
-        return self._path(key).exists()
+        entry = self._load(key)
+        if entry is None or entry is _CORRUPT:
+            return False
+        self._index_put(key, entry)
+        return True
 
     def lookup(self, key: str) -> Optional[CacheEntry]:
         """Return the stored entry, or None on miss *or* corruption.
@@ -263,21 +354,15 @@ class EvaluationCache:
             if self._obs:
                 self.tracer.event("store.cache.hit", key=key, index=True)
             return entry
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
+        entry = self._load(key)
+        if entry is None:
             with self._lock:
                 self.misses += 1
             self._c_misses.inc()
             if self._obs:
                 self.tracer.event("store.cache.miss", key=key)
             return None
-        try:
-            entry = CacheEntry.from_doc(json.loads(text))
-            if entry.key != key:
-                raise ValueError("entry key does not match its address")
-        except (ValueError, TypeError, KeyError):
+        if entry is _CORRUPT:
             with self._lock:
                 self.corrupt += 1
                 self.misses += 1
@@ -315,25 +400,27 @@ class EvaluationCache:
             if self._obs:
                 self.tracer.event("store.cache.skip_failure", key=key)
             return False
-        fitness_list = [
-            float(f) for f in np.atleast_1d(np.asarray(fitness, float))
-        ]
+        # the one walk of the record: what the file says is what the
+        # index holds (NaN/inf in metadata become None)
         entry = CacheEntry(
             key=key,
-            fitness=fitness_list,
-            metadata=_strip_nonjson(metadata or {}),
+            fitness=np.asarray(fitness, dtype=np.float64).ravel().tolist(),
+            metadata=_canonical(metadata or {}, strip=True),
             failed=failed,
             error=error,
         )
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{uuid_module.uuid4().hex}.tmp"
+        data = _encode_entry(entry.to_doc()).encode("ascii")
+        shard = self._root + key[:2]
+        if shard not in self._shards:
+            os.makedirs(shard, exist_ok=True)
+            self._shards.add(shard)
+        path = f"{shard}{os.sep}{key}.json"
         try:
-            tmp.write_text(json.dumps(entry.to_doc(), allow_nan=False))
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # pragma: no cover - only on write failure
-                tmp.unlink(missing_ok=True)
+            self._replace(shard, path, data)
+        except FileNotFoundError:
+            # the shard was removed under a running campaign
+            os.makedirs(shard, exist_ok=True)
+            self._replace(shard, path, data)
         self._index_put(key, entry)
         if self._injector is not None and self._injector.corrupt_cache_entry(
             path
@@ -349,6 +436,23 @@ class EvaluationCache:
             self.tracer.event("store.cache.insert", key=key, failed=failed)
         return True
 
+    @staticmethod
+    def _replace(shard: str, path: str, data: bytes) -> None:
+        """Write ``data`` beside ``path`` and rename it into place, so
+        readers only ever see whole entries; a failed write takes its
+        temp file with it."""
+        tmp = f"{shard}{os.sep}.{uuid_module.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of entries on disk (walks the shard directories)."""
@@ -363,22 +467,6 @@ class EvaluationCache:
                 "inserts": self.inserts,
                 "skipped_failures": self.skipped_failures,
             }
-
-
-def _strip_nonjson(value: Any) -> Any:
-    """Canonicalize metadata for strict JSON: NaN/inf become None."""
-    value = _canonical(value)
-
-    def walk(v: Any) -> Any:
-        if isinstance(v, float) and not np.isfinite(v):
-            return None
-        if isinstance(v, dict):
-            return {k: walk(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [walk(x) for x in v]
-        return v
-
-    return walk(value)
 
 
 class CachedProblem(WithMetadataProblem):
@@ -405,12 +493,15 @@ class CachedProblem(WithMetadataProblem):
             self._fingerprint = {
                 "problem": f"{cls.__module__}.{cls.__qualname__}"
             }
+        #: the fingerprint never changes: canonicalise it here, not
+        #: once per key
+        self._key_prefix = CanonicalFingerprint(self._fingerprint)
 
     def cache_fingerprint(self) -> Any:
         return self._fingerprint
 
     def cache_key(self, phenome: Any) -> str:
-        return evaluation_key(phenome, self._fingerprint)
+        return evaluation_key(phenome, self._key_prefix)
 
     def __getattr__(self, name: str) -> Any:
         # delegate everything else (seed, evaluations, dataset, ...)

@@ -41,6 +41,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Any, Optional
 
@@ -49,6 +50,7 @@ import numpy as np
 from repro.evo.algorithm import GenerationRecord
 from repro.evo.individual import Individual, RobustIndividual
 from repro.injection import FaultInjector, get_injector
+from repro.obs.metrics import get_registry
 
 #: journal format version; readers skip records from future versions
 JOURNAL_SCHEMA_VERSION = 1
@@ -61,31 +63,52 @@ def journal_path(directory: str | Path) -> Path:
     return Path(directory) / JOURNAL_NAME
 
 
+#: per-record latencies run from tens of microseconds (a run marker on
+#: a warm page cache) to tens of milliseconds (a paper-size generation
+#: on a busy disk)
+COMMIT_BUCKETS = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
+    0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
+)  # fmt: skip
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
 def _json_safe(value: Any) -> Any:
     """Strict-JSON coercion: numpy scalars/arrays to Python, NaN/inf
     to null, exotic objects to their ``str``."""
+    # in order of how often a record holds them; numpy's abstract
+    # scalar classes are slow to test against, so they come last
+    if type(value) is float:
+        return value if isfinite(value) else None
     if value is None or isinstance(value, (str, int, bool)):
         return value
-    if isinstance(value, float):
-        return value if np.isfinite(value) else None
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return _json_safe(value.item())
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
+    if isinstance(value, float):
+        return value if isfinite(value) else None
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return _json_safe(value.item())
+    if isinstance(value, np.ndarray):
+        return [_json_safe(v) for v in value.tolist()]
     return str(value)
+
+
+def _floats(vector: Any) -> list[float]:
+    """A genome, fitness or deviation vector as Python floats.  These
+    are the bulk of a record and the journal builds them itself, so
+    they skip :func:`_json_safe`; :meth:`CampaignJournal._append` falls
+    back to it should one hold a NaN."""
+    return np.asarray(vector, dtype=np.float64).tolist()
 
 
 def _group_doc(group: list[Individual]) -> dict[str, Any]:
     return {
-        "genomes": [[float(g) for g in ind.genome] for ind in group],
+        "genomes": [_floats(ind.genome) for ind in group],
         "fitness": [
-            None
-            if ind.fitness is None
-            else [float(f) for f in ind.fitness]
+            None if ind.fitness is None else _floats(ind.fitness)
             for ind in group
         ],
         "uuids": [ind.uuid for ind in group],
@@ -162,13 +185,38 @@ class CampaignJournal:
         self._injector = (
             fault_injector if fault_injector is not None else get_injector()
         )
+        #: one observation per record: the whole commit, and the part
+        #: of it spent waiting for the disk
+        registry = get_registry()
+        self._h_commit = registry.histogram(
+            "store_journal_commit_seconds", buckets=COMMIT_BUCKETS
+        )
+        self._h_fsync = registry.histogram(
+            "store_journal_fsync_seconds", buckets=COMMIT_BUCKETS
+        )
 
     # ------------------------------------------------------------------
     def _append(self, doc: dict[str, Any]) -> None:
-        line = json.dumps(_json_safe(doc), allow_nan=False)
+        """Commit one record: encode, write, flush, fsync.
+
+        The record methods hand over docs whose open-ended parts
+        (metadata, config, driver state) already went through
+        :func:`_json_safe`, so the line is one pass of the C encoder;
+        a NaN in a float vector, or an object only ``str`` can spell,
+        sends the whole doc through the walk instead.
+        """
+        start = time.perf_counter()
+        try:
+            line = _encode(doc)
+        except (ValueError, TypeError):
+            line = _encode(_json_safe(doc))
         self._file.write(line + "\n")
         self._file.flush()
+        written = time.perf_counter()
         os.fsync(self._file.fileno())
+        done = time.perf_counter()
+        self._h_fsync.observe(done - written)
+        self._h_commit.observe(done - start)
         if self._injector is not None:
             chop = self._injector.journal_truncation()
             if chop:
@@ -191,8 +239,8 @@ class CampaignJournal:
                 "type": "campaign_begin",
                 "schema_version": JOURNAL_SCHEMA_VERSION,
                 "ts": time.time(),
-                "config": config_doc,
-                "problem_spec": self.problem_spec,
+                "config": _json_safe(config_doc),
+                "problem_spec": _json_safe(self.problem_spec),
             }
         )
 
@@ -236,14 +284,14 @@ class CampaignJournal:
             "type": "generation",
             "run": self._run,
             "generation": int(record.generation),
-            "std": [float(s) for s in record.std],
+            "std": _floats(record.std),
             "n_failures": int(record.n_failures),
             "population": _group_doc(record.population),
             "evaluated": _group_doc(record.evaluated),
-            "rng_state": rng_state,
+            "rng_state": _json_safe(rng_state),
         }
         if driver_state is not None:
-            doc["driver_state"] = driver_state
+            doc["driver_state"] = _json_safe(driver_state)
         self._append(doc)
 
     def append_evaluation(self, individual: Individual) -> None:
@@ -261,11 +309,11 @@ class CampaignJournal:
             {
                 "type": "evaluation",
                 "run": self._run,
-                "genome": [float(g) for g in individual.genome],
+                "genome": _floats(individual.genome),
                 "fitness": (
                     None
                     if individual.fitness is None
-                    else [float(f) for f in individual.fitness]
+                    else _floats(individual.fitness)
                 ),
                 "uuid": individual.uuid,
                 "metadata": _json_safe(individual.metadata),
