@@ -21,12 +21,18 @@ Listing 1 pipeline::
 
 after which the standard-deviation vector is multiplied by the
 annealing factor (0.85).
+
+That pipeline is one :class:`Driver` (``ask`` breeds, ``tell`` selects
+and anneals); the loop around it — a barrier per generation, the
+write-ahead commit, resume from a journaled prefix — is
+:func:`run_driver`, which the particle swarm and the surrogate search
+of :mod:`repro.evo.pso` / :mod:`repro.evo.surrogate` run under too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Optional, Sequence, Type
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from repro.evo.nsga2 import (
     rank_ordinal_sort_op,
 )
 from repro.evo.problem import Problem
+from repro.exceptions import StoreError
 from repro.obs.live import ConvergenceTelemetry
 from repro.obs.trace import NullTracer, Tracer, get_tracer
 from repro.rng import RngLike, ensure_rng
@@ -108,20 +115,116 @@ def _count_failures(individuals: Sequence[Individual]) -> int:
 
 
 @dataclass
-class ResumeState:
-    """Mid-run EA state reconstructed from a campaign journal.
+class RestoredRun:
+    """The committed prefix of a journaled run, which a driver's
+    :meth:`Driver.restore` reads what it needs from.
 
-    ``parents`` is the post-selection population of ``generation``,
-    ``std`` the annealed deviations journaled with it, and ``rng`` a
-    generator restored to the exact post-generation bit-generator
-    state — together they make the continued run bit-identical to an
-    uninterrupted one.
+    ``records`` are generations ``0..k`` rebuilt with decoder and
+    problem attached, ``driver_state`` the doc journaled beside record
+    ``k`` (None for drivers that journal none) and ``rng`` a generator
+    restored to the exact bit-generator state after record ``k`` (None
+    when the journal kept no state) — together they make the continued
+    run bit-identical to an uninterrupted one.
     """
 
-    parents: list[Individual]
-    generation: int
-    std: np.ndarray
-    rng: np.random.Generator
+    records: list[GenerationRecord]
+    driver_state: Optional[dict[str, Any]]
+    rng: Optional[np.random.Generator]
+
+
+@dataclass(eq=False)
+class Driver:
+    """An optimizer with a barrier per record, as :func:`run_driver`
+    drives it, over a box of real-valued genomes.
+
+    A subclass proposes and digests candidates; the loop owns the
+    engine, spans, journal, telemetry, callback and stopper.  Every
+    stochastic draw of ``ask``/``tell`` goes through ``self.rng`` in a
+    fixed order, so a run is a pure function of (seed, problem) — the
+    property kill/resume bit-identity rests on.
+    """
+
+    problem: Problem
+    init_ranges: np.ndarray
+    pop_size: int
+    hard_bounds: Optional[np.ndarray] = None
+    decoder: Optional[Decoder] = None
+    individual_cls: Type[Individual] = RobustIndividual
+    rng: RngLike = None
+
+    #: the span each record's ask → evaluate → tell runs under
+    span_name: ClassVar[str] = "ea.generation"
+
+    def __post_init__(self) -> None:
+        self.rng = ensure_rng(self.rng)
+        self.ranges = np.asarray(self.init_ranges, dtype=np.float64)
+        #: where candidates are clipped to
+        self.bounds = (
+            self.ranges
+            if self.hard_bounds is None
+            else np.asarray(self.hard_bounds, dtype=np.float64)
+        )
+        #: index of the record the next :meth:`ask` proposes
+        self.generation = 0
+        #: what ``ask`` adds to the span's evaluated/failures tags
+        self.span_tags: dict[str, Any] = {}
+
+    def ask(self) -> list[Individual]:
+        """The unevaluated candidates of record ``self.generation``."""
+        raise NotImplementedError
+
+    def tell(self, evaluated: list[Individual]) -> GenerationRecord:
+        """Digest the evaluated candidates; the finished record."""
+        raise NotImplementedError
+
+    def driver_state(self) -> Optional[dict[str, Any]]:
+        """What the journal keeps beside the last record: the
+        continuation state its population and ``std`` do not carry, as
+        a JSON-able snapshot (later moves must not reach into it)."""
+        return None
+
+    def restore(self, run: RestoredRun) -> None:
+        """The exact inverse of running ``run.records`` and journaling
+        ``run.driver_state``: the next :meth:`ask` proposes what the
+        uninterrupted run would have.  Subclasses add their own state."""
+        self.generation = run.records[-1].generation + 1
+        if run.rng is None:
+            raise StoreError(
+                f"generation {self.generation - 1} journaled no RNG "
+                "state; cannot continue deterministically"
+            )
+        self.rng = run.rng
+
+    def uniform_genomes(self, n: int) -> np.ndarray:
+        """``n`` genomes drawn uniformly within the init ranges."""
+        return self.rng.uniform(
+            self.ranges[:, 0], self.ranges[:, 1], size=(n, len(self.ranges))
+        )
+
+    def individuals(self, genomes: Any) -> list[Individual]:
+        return [
+            _make_individual(
+                genome, self.decoder, self.problem, self.individual_cls
+            )
+            for genome in genomes
+        ]
+
+    def record(
+        self,
+        population: list[Individual],
+        evaluated: list[Individual],
+        std: np.ndarray,
+    ) -> GenerationRecord:
+        """Close record ``self.generation`` and move to the next."""
+        record = GenerationRecord(
+            generation=self.generation,
+            population=list(population),
+            evaluated=list(evaluated),
+            std=std,
+            n_failures=_count_failures(evaluated),
+        )
+        self.generation += 1
+        return record
 
 
 def _capture_rng_state(rng: np.random.Generator) -> Any:
@@ -130,6 +233,207 @@ def _capture_rng_state(rng: np.random.Generator) -> Any:
         return rng.bit_generator.state
     except AttributeError:  # pragma: no cover - non-numpy generator
         return None
+
+
+def run_driver(
+    driver: Driver,
+    generations: int,
+    client: Any = None,
+    dedup: bool = False,
+    engine: Optional[EvaluationEngine] = None,
+    tracer: Optional[NullTracer | Tracer] = None,
+    journal: Any = None,
+    callback: Optional[Callable[[GenerationRecord], None]] = None,
+    stopper: Any = None,
+    chunk_size: Optional[int] = None,
+    pipeline: bool = False,
+    resume_from: Optional[RestoredRun] = None,
+) -> list[GenerationRecord]:
+    """The one generation loop: records ``0..generations`` of ``driver``.
+
+    Each record runs inside a ``driver.span_name`` span on ``tracer``
+    (default: the process-wide tracer), which parents the in-process
+    evaluation spans and frames the distributed ones: ``ask``, one
+    :meth:`~repro.engine.EvaluationEngine.evaluate_batch` at
+    ``chunk_size`` (None: the backend's hint), ``tell``.
+
+    All evaluations flow through one
+    :class:`repro.engine.EvaluationEngine` (batch-scoped dedup, so the
+    within-generation semantics — and bit-identical resume — are
+    preserved); pass ``engine`` to supply a configured one, otherwise
+    it is built from ``client``/``dedup``, where ``dedup`` collapses
+    genome-identical candidates to one evaluation per record.
+
+    ``journal`` (a :class:`repro.store.journal.CampaignJournal`,
+    duck-typed) receives each record plus the post-record RNG state —
+    and the driver's ``driver_state`` when it has one — before the
+    record commits; ``resume_from`` continues a journaled run
+    mid-stream — the returned list then holds only the *new* records
+    (the caller already has the restored prefix).
+
+    ``pipeline`` overlaps each record's commit bookkeeping — the
+    journal write, telemetry, and ``callback`` — with the *next*
+    record's evaluations: candidates are submitted non-blocking, the
+    previous record commits while workers evaluate, then the batch is
+    drained.  Records, fronts, and journaled states are unchanged
+    (they are captured eagerly, before the next record's draws); only
+    the wall-clock instant the callback fires moves.
+
+    ``stopper`` (a :class:`repro.mo.stopping.HypervolumeStopper`,
+    duck-typed: ``observe(record) -> bool``) is consulted after every
+    record; True halts the run early.  Stopping only truncates the
+    deterministic record sequence, so a stopped run's records are
+    bit-identical to the same-length prefix of the unstopped run.
+    """
+    trc = tracer if tracer is not None else get_tracer()
+    #: campaign-fixed reference point → comparable hypervolume gauges
+    telemetry = ConvergenceTelemetry()
+    eng = (
+        engine
+        if engine is not None
+        else EvaluationEngine(
+            client=client, dedup=dedup, dedup_scope="batch", tracer=trc
+        )
+    )
+    if resume_from is not None:
+        driver.restore(resume_from)
+    records: list[GenerationRecord] = []
+
+    def commit(
+        record: GenerationRecord, rng_state: Any, driver_state: Any
+    ) -> None:
+        """Journal + telemetry + callback for one finished record
+        (write-ahead: the journal sees it before the in-memory list)."""
+        if journal is not None:
+            # duck-typed journals need not know the keyword
+            extra = (
+                {} if driver_state is None else {"driver_state": driver_state}
+            )
+            journal.append_generation(record, rng_state=rng_state, **extra)
+        records.append(record)
+        telemetry.observe_generation(
+            record.generation,
+            record.population,
+            evaluated=len(record.evaluated),
+            failures=record.n_failures,
+        )
+        if callback is not None:
+            callback(record)
+
+    #: pipeline mode: the latest finished record, not yet committed —
+    #: its commit overlaps the next record's batch
+    pending: Optional[tuple[GenerationRecord, Any, Any]] = None
+    while driver.generation <= generations:
+        with trc.span(
+            driver.span_name, generation=driver.generation
+        ) as span:
+            candidates = driver.ask()
+            if pending is not None:
+                # non-blocking submission: workers start on this
+                # record while the previous one's commit (journal
+                # write, telemetry, callback) runs, then drain
+                eng.submit_batch(
+                    candidates, chunk_size=chunk_size, new_batch=True
+                )
+                commit(*pending)
+                pending = None
+                eng.finish_batch()
+            else:
+                candidates = eng.evaluate_batch(
+                    candidates, chunk_size=chunk_size
+                )
+            record = driver.tell(candidates)
+            span.tag(
+                evaluated=len(record.evaluated),
+                failures=record.n_failures,
+                **driver.span_tags,
+            )
+        # both states are captured here, before the next record draws
+        # or moves, even when the commit itself is deferred (pipeline)
+        finished = (
+            record,
+            _capture_rng_state(driver.rng),
+            driver.driver_state() if journal is not None else None,
+        )
+        if pipeline:
+            pending = finished
+        else:
+            commit(*finished)
+        if stopper is not None and stopper.observe(record):
+            break
+    if pending is not None:
+        commit(*pending)
+    return records
+
+
+@dataclass(eq=False, kw_only=True)
+class NSGA2Driver(Driver):
+    """The Listing 1 pipeline plus the ×``anneal_factor`` decay as an
+    ask/tell driver: record 0 is the random initial population, every
+    later one an offspring pool merged into the parents."""
+
+    initial_std: np.ndarray
+    anneal_factor: float = 0.85
+    sort_algorithm: str = "rank_ordinal"
+    context: Optional[Context] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.context is None:
+            self.context = Context()
+        self.parents: list[Individual] = []
+        self._anneal(self.initial_std)
+
+    def _anneal(self, std: np.ndarray) -> None:
+        self.schedule = AnnealingSchedule(
+            std, factor=self.anneal_factor, context=self.context
+        )
+
+    def ask(self) -> list[Individual]:
+        if self.generation == 0:
+            return random_initial_population(
+                self.pop_size,
+                self.init_ranges,
+                self.problem,
+                decoder=self.decoder,
+                individual_cls=self.individual_cls,
+                rng=self.rng,
+            )
+        return ops.pipe(
+            self.parents,
+            lambda pop: ops.random_selection(pop, rng=self.rng),
+            ops.clone,
+            ops.mutate_gaussian(
+                std=self.context["std"],
+                expected_num_mutations="isotropic",
+                hard_bounds=self.hard_bounds,
+                rng=self.rng,
+            ),
+            ops.pool(len(self.parents)),
+        )
+
+    def tell(self, evaluated: list[Individual]) -> GenerationRecord:
+        if self.generation == 0:
+            self.parents = list(evaluated)
+        else:
+            combined = rank_ordinal_sort_op(
+                parents=self.parents, algorithm=self.sort_algorithm
+            )(evaluated)
+            crowded = crowding_distance_calc(combined)
+            self.parents = ops.truncation_selection(
+                size=self.pop_size, key=lambda x: (-x.rank, x.distance)
+            )(crowded)
+            self.schedule.step()
+        return self.record(
+            self.parents, evaluated, self.schedule.current.copy()
+        )
+
+    def restore(self, run: RestoredRun) -> None:
+        """The last population are the parents, its ``std`` the
+        annealed deviations."""
+        super().restore(run)
+        self.parents = list(run.records[-1].population)
+        self._anneal(run.records[-1].std)
 
 
 def generational_nsga2(
@@ -150,7 +454,7 @@ def generational_nsga2(
     tracer: Optional[NullTracer | Tracer] = None,
     dedup: bool = False,
     journal: Any = None,
-    resume_from: Optional[ResumeState] = None,
+    resume_from: Optional[RestoredRun] = None,
     engine: Optional[EvaluationEngine] = None,
     batch: bool = False,
     pipeline: bool = False,
@@ -165,173 +469,43 @@ def generational_nsga2(
     ("Generation 0 was the initial random population", 7 generations of
     trainings total for 6 EA steps).
 
-    Each generation runs inside an ``ea.generation`` span on ``tracer``
-    (default: the process-wide tracer), which parents the in-process
-    evaluation spans and frames the distributed ones.
-
-    ``dedup`` collapses genome-identical offspring to one evaluation
-    per generation; ``journal`` (a
-    :class:`repro.store.journal.CampaignJournal`, duck-typed) receives
-    each generation record plus the post-generation RNG state before
-    the generation commits; ``resume_from`` continues a journaled run
-    mid-stream — the returned list then holds only the *new*
-    generations (the caller already has the restored prefix).
-
-    All evaluations flow through one
-    :class:`repro.engine.EvaluationEngine` (batch-scoped dedup, so the
-    within-generation semantics — and bit-identical resume — are
-    preserved); pass ``engine`` to supply a configured one, otherwise
-    it is built from ``client``/``dedup``.
+    The run is an :class:`NSGA2Driver` under :func:`run_driver`, which
+    documents ``client``/``dedup``/``engine``, ``tracer`` (each
+    generation is an ``ea.generation`` span), ``journal``,
+    ``resume_from``, ``callback`` and ``stopper``.
 
     ``batch`` picks the chunk size each generation crosses the backend
     at (:meth:`~repro.engine.EvaluationEngine.evaluate_batch`):
     ``batch_chunk`` or the backend's hint, instead of the default 1 —
     one backend task per individual.  Fronts, journal records, and
     engine statistics are bit-identical either way; batch is purely a
-    throughput choice.
-    ``pipeline`` (implies ``batch``) additionally overlaps each
-    generation's commit bookkeeping — the journal write, telemetry,
-    and ``callback`` — with the *next* generation's evaluations:
-    offspring are submitted non-blocking, the previous record commits
-    while workers evaluate, then the batch is drained.  Records,
-    fronts, and journaled RNG states are unchanged (states are
-    captured eagerly, before the next generation's draws); only the
-    wall-clock instant the callback fires moves.
-
-    ``stopper`` (a :class:`repro.mo.stopping.HypervolumeStopper`,
-    duck-typed: ``observe(record) -> bool``) is consulted after every
-    generation; True halts the run early.  Stopping only truncates the
-    deterministic generation sequence, so a stopped run's records are
-    bit-identical to the same-length prefix of the unstopped run.
+    throughput choice.  ``pipeline`` (implies ``batch``) additionally
+    overlaps each generation's commit with the next one's evaluations.
     """
-    if pipeline:
-        batch = True
-    trc = tracer if tracer is not None else get_tracer()
-    ctx = context if context is not None else Context()
-    #: campaign-fixed reference point → comparable hypervolume gauges
-    telemetry = ConvergenceTelemetry()
-    eng = (
-        engine
-        if engine is not None
-        else EvaluationEngine(
-            client=client, dedup=dedup, dedup_scope="batch", tracer=trc
-        )
+    driver = NSGA2Driver(
+        problem,
+        init_ranges,
+        pop_size,
+        hard_bounds,
+        decoder,
+        individual_cls,
+        rng,
+        initial_std=initial_std,
+        anneal_factor=anneal_factor,
+        sort_algorithm=sort_algorithm,
+        context=context,
     )
-    def _evaluate(offspring: list[Individual]) -> list[Individual]:
-        return eng.evaluate_batch(
-            offspring, chunk_size=batch_chunk if batch else 1
-        )
-
-    def _commit(record: GenerationRecord, rng_state: Any) -> None:
-        """Journal + telemetry + callback for one finished generation
-        (write-ahead: the journal sees it before the in-memory list)."""
-        if journal is not None:
-            journal.append_generation(record, rng_state=rng_state)
-        records.append(record)
-        telemetry.observe_generation(
-            record.generation,
-            record.population,
-            evaluated=len(record.evaluated),
-            failures=record.n_failures,
-        )
-        if callback is not None:
-            callback(record)
-
-    #: pipeline mode: the latest finished generation, not yet
-    #: committed — its commit overlaps the next generation's batch
-    pending: Optional[tuple[GenerationRecord, Any]] = None
-    if resume_from is not None:
-        gen_rng = resume_from.rng
-        schedule = AnnealingSchedule(
-            resume_from.std, factor=anneal_factor, context=ctx
-        )
-        parents = list(resume_from.parents)
-        records: list[GenerationRecord] = []
-        start_generation = resume_from.generation + 1
-    else:
-        gen_rng = ensure_rng(rng)
-        schedule = AnnealingSchedule(
-            initial_std, factor=anneal_factor, context=ctx
-        )
-        records = []
-        with trc.span("ea.generation", generation=0) as span:
-            parents = random_initial_population(
-                pop_size,
-                init_ranges,
-                problem,
-                decoder=decoder,
-                individual_cls=individual_cls,
-                rng=gen_rng,
-            )
-            parents = _evaluate(parents)
-            record0 = GenerationRecord(
-                generation=0,
-                population=list(parents),
-                evaluated=list(parents),
-                std=schedule.current.copy(),
-                n_failures=_count_failures(parents),
-            )
-            span.tag(evaluated=len(parents), failures=record0.n_failures)
-        if pipeline:
-            pending = (record0, _capture_rng_state(gen_rng))
-        else:
-            _commit(record0, _capture_rng_state(gen_rng))
-        if stopper is not None and stopper.observe(record0):
-            if pending is not None:
-                _commit(*pending)
-            return records
-        start_generation = 1
-    for generation in range(start_generation, generations + 1):
-        with trc.span("ea.generation", generation=generation) as span:
-            offspring = ops.pipe(
-                parents,
-                lambda pop: ops.random_selection(pop, rng=gen_rng),
-                ops.clone,
-                ops.mutate_gaussian(
-                    std=ctx["std"],
-                    expected_num_mutations="isotropic",
-                    hard_bounds=hard_bounds,
-                    rng=gen_rng,
-                ),
-                ops.pool(len(parents)),
-            )
-            if pipeline:
-                # non-blocking submission: workers start on this
-                # generation while the previous one's commit (journal
-                # write, telemetry, callback) runs, then drain
-                eng.submit_batch(
-                    offspring, chunk_size=batch_chunk, new_batch=True
-                )
-                if pending is not None:
-                    _commit(*pending)
-                    pending = None
-                eng.finish_batch()
-            else:
-                offspring = _evaluate(offspring)
-            combined = rank_ordinal_sort_op(
-                parents=parents, algorithm=sort_algorithm
-            )(offspring)
-            crowded = crowding_distance_calc(combined)
-            parents = ops.truncation_selection(
-                size=pop_size, key=lambda x: (-x.rank, x.distance)
-            )(crowded)
-            schedule.step()
-            record = GenerationRecord(
-                generation=generation,
-                population=list(parents),
-                evaluated=list(offspring),
-                std=schedule.current.copy(),
-                n_failures=_count_failures(offspring),
-            )
-            span.tag(evaluated=len(offspring), failures=record.n_failures)
-        # the RNG state is captured here, before the next generation
-        # draws, even when the commit itself is deferred (pipeline)
-        if pipeline:
-            pending = (record, _capture_rng_state(gen_rng))
-        else:
-            _commit(record, _capture_rng_state(gen_rng))
-        if stopper is not None and stopper.observe(record):
-            break
-    if pending is not None:
-        _commit(*pending)
-    return records
+    return run_driver(
+        driver,
+        generations,
+        client=client,
+        dedup=dedup,
+        engine=engine,
+        tracer=tracer,
+        journal=journal,
+        callback=callback,
+        stopper=stopper,
+        chunk_size=batch_chunk if batch or pipeline else 1,
+        pipeline=pipeline,
+        resume_from=resume_from,
+    )

@@ -37,39 +37,18 @@ import numpy as np
 
 from repro.engine import EvaluationEngine
 from repro.evo.algorithm import (
+    Driver,
     GenerationRecord,
-    _capture_rng_state,
-    _count_failures,
-    _make_individual,
+    RestoredRun,
+    run_driver,
 )
 from repro.evo.decoder import Decoder
 from repro.evo.individual import Individual, RobustIndividual
 from repro.evo.nsga2 import nsga2_select
 from repro.evo.problem import Problem
+from repro.exceptions import StoreError
 from repro.mo.dominance import dominates, non_dominated_mask
-from repro.obs.live import ConvergenceTelemetry
-from repro.obs.trace import get_tracer
-from repro.rng import RngLike, ensure_rng
-
-
-@dataclass
-class PSOResumeState:
-    """Mid-run swarm state reconstructed from a campaign journal.
-
-    ``positions``/``velocities``/``pbest`` are the swarm after the last
-    committed iteration; ``population`` the committed selection pool
-    the next record's elitist view chains from; ``archive`` the leader
-    archive rebuilt by :func:`rebuild_archive`; ``rng`` the run RNG
-    restored to its post-iteration state.
-    """
-
-    positions: np.ndarray
-    velocities: np.ndarray
-    pbest: list[Individual]
-    population: list[Individual]
-    archive: list[Individual]
-    generation: int
-    rng: np.random.Generator
+from repro.rng import RngLike
 
 
 def _viable(individuals: list[Individual]) -> list[Individual]:
@@ -93,27 +72,135 @@ def _update_archive(
     return nsga2_select(pool, min(capacity, len(pool)))
 
 
-def rebuild_archive(
-    records: list[GenerationRecord], capacity: int
-) -> list[Individual]:
-    """Replay the archive evolution over restored generation records —
-    the same fold the live run performs, so the resumed archive matches
-    the uninterrupted one member-for-member (order included)."""
-    archive: list[Individual] = []
-    for record in records:
-        archive = _update_archive(archive, record.evaluated, capacity)
-    return archive
+@dataclass(eq=False, kw_only=True)
+class PSODriver(Driver):
+    """The swarm as an ask/tell driver: ``ask`` moves the particles
+    (record 0: scatters them), ``tell`` updates personal bests, the
+    leader archive and the elitist pool the record reports."""
 
+    inertia: float = 0.6
+    cognitive: float = 1.6
+    social: float = 1.6
+    velocity_clamp: float = 0.2
+    archive_capacity: Optional[int] = None
 
-def _swarm_driver_state(
-    velocities: np.ndarray, pbest: list[Individual]
-) -> dict[str, Any]:
-    from repro.store.journal import _group_doc
+    span_name = "pso.iteration"
 
-    return {
-        "velocities": [[float(v) for v in row] for row in velocities],
-        "pbest": _group_doc(pbest),
-    }
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.vmax = self.velocity_clamp * (
+            self.bounds[:, 1] - self.bounds[:, 0]
+        )
+        self.capacity = int(self.archive_capacity or 2 * self.pop_size)
+        #: scattered by the first ``ask``
+        self.positions = np.empty((0, self.ranges.shape[0]))
+        self.velocities = np.zeros((self.pop_size, self.ranges.shape[0]))
+        self.pbest: list[Individual] = []
+        self.archive: list[Individual] = []
+        self.population: list[Individual] = []
+
+    def ask(self) -> list[Individual]:
+        if self.generation == 0:
+            self.positions = self.uniform_genomes(self.pop_size)
+        else:
+            self._move()
+        return self.individuals(self.positions)
+
+    def _move(self) -> None:
+        """One canonical velocity/position update of every particle,
+        in place."""
+        n_genes = self.ranges.shape[0]
+        gen_rng, archive, pbest = self.rng, self.archive, self.pbest
+        positions, velocities = self.positions, self.velocities
+        for i in range(self.pop_size):
+            if archive:
+                if len(archive) == 1:
+                    leader = archive[0]
+                else:
+                    a, b = gen_rng.integers(len(archive), size=2)
+                    la, lb = archive[int(a)], archive[int(b)]
+                    da = la.distance if la.distance is not None else 0.0
+                    db = lb.distance if lb.distance is not None else 0.0
+                    leader = la if da >= db else lb
+            else:
+                leader = pbest[i]
+            r1 = gen_rng.uniform(size=n_genes)
+            r2 = gen_rng.uniform(size=n_genes)
+            velocities[i] = (
+                self.inertia * velocities[i]
+                + self.cognitive * r1 * (pbest[i].genome - positions[i])
+                + self.social * r2 * (leader.genome - positions[i])
+            )
+            velocities[i] = np.clip(velocities[i], -self.vmax, self.vmax)
+            positions[i] = np.clip(
+                positions[i] + velocities[i],
+                self.bounds[:, 0],
+                self.bounds[:, 1],
+            )
+
+    def tell(self, swarm: list[Individual]) -> GenerationRecord:
+        if self.generation == 0:
+            self.pbest = list(swarm)
+        else:
+            for i, candidate in enumerate(swarm):
+                if not candidate.is_viable:
+                    continue
+                incumbent = self.pbest[i]
+                if not incumbent.is_viable or dominates(
+                    candidate.fitness, incumbent.fitness
+                ):
+                    self.pbest[i] = candidate
+                elif not dominates(
+                    incumbent.fitness, candidate.fitness
+                ) and self.rng.random() < 0.5:
+                    self.pbest[i] = candidate
+        self.archive = _update_archive(self.archive, swarm, self.capacity)
+        self.population = nsga2_select(
+            list(self.population) + list(swarm), self.pop_size
+        )
+        return self.record(
+            self.population, swarm, np.abs(self.velocities).mean(axis=0)
+        )
+
+    def driver_state(self) -> dict[str, Any]:
+        """Velocities and personal bests: with the last record's swarm
+        positions and the archive re-folded over the records, all a
+        killed run needs to move on."""
+        from repro.store.journal import _group_doc
+
+        return {
+            "velocities": [[float(v) for v in row] for row in self.velocities],
+            "pbest": _group_doc(self.pbest),
+        }
+
+    def restore(self, run: RestoredRun) -> None:
+        """Positions are the last record's swarm, velocities and
+        personal bests the journaled ``driver_state``, and the archive
+        the same fold the live run performs, replayed over the records
+        — so it matches the uninterrupted one member-for-member (order
+        included)."""
+        from repro.store.journal import _group_individuals
+
+        super().restore(run)
+        last, state = run.records[-1], run.driver_state or {}
+        if "velocities" not in state or "pbest" not in state:
+            raise StoreError(
+                f"generation {last.generation} journaled no swarm "
+                "driver_state; cannot resume a PSO run deterministically"
+            )
+        self.positions = np.asarray(
+            [ind.genome for ind in last.evaluated], dtype=np.float64
+        )
+        self.velocities = np.asarray(state["velocities"], dtype=np.float64)
+        self.pbest = _group_individuals(
+            state["pbest"], decoder=self.decoder, problem=self.problem
+        )
+        self.population = list(last.population)
+        self.archive = []
+        for record in run.records:
+            self.archive = _update_archive(
+                self.archive, record.evaluated, self.capacity
+            )
 
 
 def multi_objective_pso(
@@ -136,10 +223,11 @@ def multi_objective_pso(
     tracer: Any = None,
     dedup: bool = False,
     journal: Any = None,
-    resume_from: Optional[PSOResumeState] = None,
+    resume_from: Optional[RestoredRun] = None,
     engine: Optional[EvaluationEngine] = None,
     batch_chunk: Optional[int] = None,
     stopper: Any = None,
+    pipeline: bool = False,
 ) -> list[GenerationRecord]:
     """Run one MOPSO deployment; returns one record per iteration.
 
@@ -154,145 +242,38 @@ def multi_objective_pso(
     the swarm's mobility, the closest analogue of the EA's annealed
     deviations.
 
-    ``journal`` receives each record with the post-iteration RNG state
-    *and* a ``driver_state`` doc (velocities, personal bests) so
-    :func:`repro.store.resume.resume_campaign` can rebuild the swarm;
-    ``stopper`` (a :class:`repro.mo.stopping.HypervolumeStopper`) is
-    checked after every committed record.
+    The run is a :class:`PSODriver` under
+    :func:`repro.evo.algorithm.run_driver` (``pso.iteration`` spans),
+    which documents the remaining parameters: ``journal`` receives each
+    record with the post-iteration RNG state *and* the swarm's
+    ``driver_state`` doc (velocities, personal bests), which
+    ``resume_from`` hands back to :meth:`PSODriver.restore`.
     """
-    trc = tracer if tracer is not None else get_tracer()
-    telemetry = ConvergenceTelemetry()
-    eng = (
-        engine
-        if engine is not None
-        else EvaluationEngine(
-            client=client, dedup=dedup, dedup_scope="batch", tracer=trc
-        )
+    driver = PSODriver(
+        problem,
+        init_ranges,
+        pop_size,
+        hard_bounds,
+        decoder,
+        individual_cls,
+        rng,
+        inertia=inertia,
+        cognitive=cognitive,
+        social=social,
+        velocity_clamp=velocity_clamp,
+        archive_capacity=archive_capacity,
     )
-    ranges = np.asarray(init_ranges, dtype=np.float64)
-    bounds = (
-        ranges if hard_bounds is None else np.asarray(hard_bounds, dtype=np.float64)
+    return run_driver(
+        driver,
+        iterations,
+        client=client,
+        dedup=dedup,
+        engine=engine,
+        tracer=tracer,
+        journal=journal,
+        callback=callback,
+        stopper=stopper,
+        chunk_size=batch_chunk,
+        pipeline=pipeline,
+        resume_from=resume_from,
     )
-    n_genes = ranges.shape[0]
-    vmax = velocity_clamp * (bounds[:, 1] - bounds[:, 0])
-    capacity = (
-        int(archive_capacity) if archive_capacity else 2 * int(pop_size)
-    )
-
-    def make_swarm(positions: np.ndarray) -> list[Individual]:
-        return [
-            _make_individual(genome, decoder, problem, individual_cls)
-            for genome in positions
-        ]
-
-    def commit(record: GenerationRecord, rng_state: Any, velocities, pbest) -> None:
-        if journal is not None:
-            journal.append_generation(
-                record,
-                rng_state=rng_state,
-                driver_state=_swarm_driver_state(velocities, pbest),
-            )
-        records.append(record)
-        telemetry.observe_generation(
-            record.generation,
-            record.population,
-            evaluated=len(record.evaluated),
-            failures=record.n_failures,
-        )
-        if callback is not None:
-            callback(record)
-
-    records: list[GenerationRecord] = []
-    if resume_from is not None:
-        gen_rng = resume_from.rng
-        positions = np.asarray(resume_from.positions, dtype=np.float64).copy()
-        velocities = np.asarray(
-            resume_from.velocities, dtype=np.float64
-        ).copy()
-        pbest = list(resume_from.pbest)
-        population = list(resume_from.population)
-        archive = list(resume_from.archive)
-        start_iteration = resume_from.generation + 1
-    else:
-        gen_rng = ensure_rng(rng)
-        with trc.span("pso.iteration", generation=0) as span:
-            positions = gen_rng.uniform(
-                ranges[:, 0], ranges[:, 1], size=(pop_size, n_genes)
-            )
-            velocities = np.zeros((pop_size, n_genes))
-            swarm = eng.evaluate_batch(
-                make_swarm(positions), chunk_size=batch_chunk
-            )
-            pbest = list(swarm)
-            archive = _update_archive([], swarm, capacity)
-            population = nsga2_select(list(swarm), pop_size)
-            record0 = GenerationRecord(
-                generation=0,
-                population=list(population),
-                evaluated=list(swarm),
-                std=np.abs(velocities).mean(axis=0),
-                n_failures=_count_failures(swarm),
-            )
-            span.tag(evaluated=len(swarm), failures=record0.n_failures)
-        commit(record0, _capture_rng_state(gen_rng), velocities, pbest)
-        if stopper is not None and stopper.observe(record0):
-            return records
-        start_iteration = 1
-    for iteration in range(start_iteration, iterations + 1):
-        with trc.span("pso.iteration", generation=iteration) as span:
-            for i in range(pop_size):
-                if archive:
-                    if len(archive) == 1:
-                        leader = archive[0]
-                    else:
-                        a, b = gen_rng.integers(len(archive), size=2)
-                        la, lb = archive[int(a)], archive[int(b)]
-                        da = la.distance if la.distance is not None else 0.0
-                        db = lb.distance if lb.distance is not None else 0.0
-                        leader = la if da >= db else lb
-                else:
-                    leader = pbest[i]
-                r1 = gen_rng.uniform(size=n_genes)
-                r2 = gen_rng.uniform(size=n_genes)
-                velocities[i] = (
-                    inertia * velocities[i]
-                    + cognitive * r1 * (pbest[i].genome - positions[i])
-                    + social * r2 * (leader.genome - positions[i])
-                )
-                velocities[i] = np.clip(velocities[i], -vmax, vmax)
-                positions[i] = np.clip(
-                    positions[i] + velocities[i],
-                    bounds[:, 0],
-                    bounds[:, 1],
-                )
-            swarm = eng.evaluate_batch(
-                make_swarm(positions), chunk_size=batch_chunk
-            )
-            for i, candidate in enumerate(swarm):
-                if not candidate.is_viable:
-                    continue
-                incumbent = pbest[i]
-                if not incumbent.is_viable or dominates(
-                    candidate.fitness, incumbent.fitness
-                ):
-                    pbest[i] = candidate
-                elif not dominates(
-                    incumbent.fitness, candidate.fitness
-                ) and gen_rng.random() < 0.5:
-                    pbest[i] = candidate
-            archive = _update_archive(archive, swarm, capacity)
-            population = nsga2_select(
-                list(population) + list(swarm), pop_size
-            )
-            record = GenerationRecord(
-                generation=iteration,
-                population=list(population),
-                evaluated=list(swarm),
-                std=np.abs(velocities).mean(axis=0),
-                n_failures=_count_failures(swarm),
-            )
-            span.tag(evaluated=len(swarm), failures=record.n_failures)
-        commit(record, _capture_rng_state(gen_rng), velocities, pbest)
-        if stopper is not None and stopper.observe(record):
-            break
-    return records

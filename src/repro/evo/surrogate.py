@@ -16,8 +16,8 @@ scheme over the same genome/engine contract as the other drivers:
    hypervolume the *predicted* point adds to the predicted front, so a
    batch spreads along the front instead of piling on one corner);
 4. evaluate the proposal batch through the engine's batch data plane
-   (``submit_batch``/``finish_batch`` — dedup, cache probe, MAXINT
-   failure policy, journaling all apply unchanged).
+   (``evaluate_batch`` — dedup, cache probe, MAXINT failure policy,
+   journaling all apply unchanged).
 
 Every stochastic draw flows through the single run RNG in a fixed
 order and the surrogate refit is a pure function of the evaluation
@@ -35,10 +35,10 @@ import numpy as np
 
 from repro.engine import EvaluationEngine
 from repro.evo.algorithm import (
+    Driver,
     GenerationRecord,
-    _capture_rng_state,
-    _count_failures,
-    _make_individual,
+    RestoredRun,
+    run_driver,
 )
 from repro.evo.decoder import Decoder
 from repro.evo.individual import Individual, RobustIndividual
@@ -46,21 +46,7 @@ from repro.evo.nsga2 import nsga2_select
 from repro.evo.problem import Problem
 from repro.mo.dominance import non_dominated_mask
 from repro.mo.metrics import default_reference, hypervolume
-from repro.obs.live import ConvergenceTelemetry
-from repro.obs.trace import get_tracer
-from repro.rng import RngLike, ensure_rng
-
-
-@dataclass
-class SurrogateResumeState:
-    """Mid-run state reconstructed from a campaign journal: the full
-    evaluation history (the surrogate refits from it), the committed
-    selection pool, and the restored run RNG."""
-
-    history: list[Individual]
-    population: list[Individual]
-    generation: int
-    rng: np.random.Generator
+from repro.rng import RngLike
 
 
 class RBFSurrogate:
@@ -141,6 +127,112 @@ def _greedy_ehvi_picks(
     return picks
 
 
+@dataclass(eq=False, kw_only=True)
+class SurrogateDriver(Driver):
+    """The acquisition as an ask/tell driver: ``ask`` refits the
+    surrogate on the evaluation history and proposes a batch (record
+    0: a random one), ``tell`` appends the batch to the history and
+    folds it into the elitist pool the record reports."""
+
+    initial_std: np.ndarray
+    pool_multiplier: int = 4
+    explore_fraction: float = 0.5
+    perturb_scale: float = 2.0
+    ridge: float = 1e-6
+    reference: Optional[Any] = None
+
+    span_name = "surrogate.iteration"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        width = self.bounds[:, 1] - self.bounds[:, 0]
+        self.width = np.where(width > 0, width, 1.0)
+        self.std = np.asarray(self.initial_std, dtype=np.float64) * float(
+            self.perturb_scale
+        )
+        self.n_objectives = int(getattr(self.problem, "n_objectives", 2))
+        self.ref = (
+            np.ravel(np.asarray(self.reference, dtype=np.float64))
+            if self.reference is not None
+            else np.asarray(default_reference(self.n_objectives))
+        )
+        self.history: list[Individual] = []
+        self.population: list[Individual] = []
+
+    def _normalize(self, genomes: np.ndarray) -> np.ndarray:
+        return (genomes - self.bounds[:, 0]) / self.width
+
+    def ask(self) -> list[Individual]:
+        if self.generation == 0:
+            return self.individuals(self.uniform_genomes(self.pop_size))
+        gen_rng, bounds = self.rng, self.bounds
+        pop_size, n_genes = self.pop_size, len(self.ranges)
+        viable = [ind for ind in self.history if ind.is_viable]
+        self.span_tags = {"surrogate_points": len(viable)}
+        n_pool = max(int(self.pool_multiplier) * pop_size, pop_size)
+        n_explore = int(round(n_pool * float(self.explore_fraction)))
+        explore = self.uniform_genomes(n_explore)
+        n_exploit = n_pool - n_explore
+        if viable and n_exploit > 0:
+            F = np.asarray([ind.fitness for ind in viable])
+            front_members = [
+                ind
+                for ind, keep in zip(viable, non_dominated_mask(F))
+                if keep
+            ]
+            anchors = gen_rng.integers(len(front_members), size=n_exploit)
+            noise = gen_rng.normal(
+                0.0, 1.0, size=(n_exploit, n_genes)
+            ) * self.std
+            exploit = np.clip(
+                np.asarray(
+                    [front_members[int(a)].genome for a in anchors]
+                )
+                + noise,
+                bounds[:, 0],
+                bounds[:, 1],
+            )
+            pool = np.vstack([explore, exploit])
+        else:
+            extra = self.uniform_genomes(max(n_exploit, 0))
+            pool = np.vstack([explore, extra])
+        # fit the surrogate on everything viable so far; until
+        # there is enough signal, fall back to the raw pool order
+        # (still deterministic)
+        if len(viable) >= max(2 * n_genes, 4):
+            X = self._normalize(np.asarray([ind.genome for ind in viable]))
+            Y = np.asarray([ind.fitness for ind in viable])
+            model = RBFSurrogate(ridge=self.ridge).fit(X, Y)
+            predicted = model.predict(self._normalize(pool))
+            base_front = (
+                Y[non_dominated_mask(Y)]
+                if len(Y)
+                else np.empty((0, self.n_objectives))
+            )
+            picks = _greedy_ehvi_picks(
+                predicted, base_front, self.ref, pop_size
+            )
+        else:
+            picks = list(range(pop_size))
+        return self.individuals(pool[picks])
+
+    def tell(self, batch: list[Individual]) -> GenerationRecord:
+        self.history.extend(batch)
+        self.population = nsga2_select(
+            list(self.population) + list(batch), self.pop_size
+        )
+        return self.record(self.population, batch, self.std.copy())
+
+    def restore(self, run: RestoredRun) -> None:
+        """The history is every record's ``evaluated`` in order — the
+        surrogate refits from it, so no extra state is journaled."""
+        super().restore(run)
+        self.history = [
+            ind for record in run.records for ind in record.evaluated
+        ]
+        self.population = list(run.records[-1].population)
+
+
 def surrogate_assisted_search(
     problem: Problem,
     init_ranges: np.ndarray,
@@ -161,10 +253,11 @@ def surrogate_assisted_search(
     tracer: Any = None,
     dedup: bool = False,
     journal: Any = None,
-    resume_from: Optional[SurrogateResumeState] = None,
+    resume_from: Optional[RestoredRun] = None,
     engine: Optional[EvaluationEngine] = None,
     batch_chunk: Optional[int] = None,
     stopper: Any = None,
+    pipeline: bool = False,
 ) -> list[GenerationRecord]:
     """Run one surrogate-assisted deployment; one record per iteration.
 
@@ -173,172 +266,36 @@ def surrogate_assisted_search(
     ``iterations + 1`` records total.  ``reference`` fixes the
     acquisition's hypervolume corner (default: the campaign-fixed
     :func:`repro.mo.metrics.default_reference` for the problem's
-    dimensionality).  ``journal``/``resume_from``/``stopper`` behave as
-    in :func:`repro.evo.algorithm.generational_nsga2`.
+    dimensionality).  The run is a :class:`SurrogateDriver` under
+    :func:`repro.evo.algorithm.run_driver` (``surrogate.iteration``
+    spans), which documents the remaining parameters.
     """
-    trc = tracer if tracer is not None else get_tracer()
-    telemetry = ConvergenceTelemetry()
-    eng = (
-        engine
-        if engine is not None
-        else EvaluationEngine(
-            client=client, dedup=dedup, dedup_scope="batch", tracer=trc
-        )
+    driver = SurrogateDriver(
+        problem,
+        init_ranges,
+        pop_size,
+        hard_bounds,
+        decoder,
+        individual_cls,
+        rng,
+        initial_std=initial_std,
+        pool_multiplier=pool_multiplier,
+        explore_fraction=explore_fraction,
+        perturb_scale=perturb_scale,
+        ridge=ridge,
+        reference=reference,
     )
-    ranges = np.asarray(init_ranges, dtype=np.float64)
-    bounds = (
-        ranges
-        if hard_bounds is None
-        else np.asarray(hard_bounds, dtype=np.float64)
+    return run_driver(
+        driver,
+        iterations,
+        client=client,
+        dedup=dedup,
+        engine=engine,
+        tracer=tracer,
+        journal=journal,
+        callback=callback,
+        stopper=stopper,
+        chunk_size=batch_chunk,
+        pipeline=pipeline,
+        resume_from=resume_from,
     )
-    n_genes = ranges.shape[0]
-    width = bounds[:, 1] - bounds[:, 0]
-    width = np.where(width > 0, width, 1.0)
-    std = np.asarray(initial_std, dtype=np.float64) * float(perturb_scale)
-    n_objectives = int(getattr(problem, "n_objectives", 2))
-    ref = (
-        np.ravel(np.asarray(reference, dtype=np.float64))
-        if reference is not None
-        else np.asarray(default_reference(n_objectives))
-    )
-
-    def normalize(genomes: np.ndarray) -> np.ndarray:
-        return (genomes - bounds[:, 0]) / width
-
-    def make(genomes: np.ndarray) -> list[Individual]:
-        return [
-            _make_individual(g, decoder, problem, individual_cls)
-            for g in genomes
-        ]
-
-    def evaluate_batch(batch: list[Individual]) -> list[Individual]:
-        # the acquisition's unit of work is a proposal batch — route it
-        # through the engine's batch plane in one submission
-        eng.submit_batch(batch, chunk_size=batch_chunk, new_batch=True)
-        eng.finish_batch()
-        return batch
-
-    def commit(record: GenerationRecord, rng_state: Any) -> None:
-        if journal is not None:
-            journal.append_generation(record, rng_state=rng_state)
-        records.append(record)
-        telemetry.observe_generation(
-            record.generation,
-            record.population,
-            evaluated=len(record.evaluated),
-            failures=record.n_failures,
-        )
-        if callback is not None:
-            callback(record)
-
-    records: list[GenerationRecord] = []
-    if resume_from is not None:
-        gen_rng = resume_from.rng
-        history = list(resume_from.history)
-        population = list(resume_from.population)
-        start_iteration = resume_from.generation + 1
-    else:
-        gen_rng = ensure_rng(rng)
-        with trc.span("surrogate.iteration", generation=0) as span:
-            genomes = gen_rng.uniform(
-                ranges[:, 0], ranges[:, 1], size=(pop_size, n_genes)
-            )
-            batch = evaluate_batch(make(genomes))
-            history = list(batch)
-            population = nsga2_select(list(batch), pop_size)
-            record0 = GenerationRecord(
-                generation=0,
-                population=list(population),
-                evaluated=list(batch),
-                std=std.copy(),
-                n_failures=_count_failures(batch),
-            )
-            span.tag(evaluated=len(batch), failures=record0.n_failures)
-        commit(record0, _capture_rng_state(gen_rng))
-        if stopper is not None and stopper.observe(record0):
-            return records
-        start_iteration = 1
-    for iteration in range(start_iteration, iterations + 1):
-        with trc.span(
-            "surrogate.iteration", generation=iteration
-        ) as span:
-            viable = [ind for ind in history if ind.is_viable]
-            n_pool = max(int(pool_multiplier) * pop_size, pop_size)
-            n_explore = int(round(n_pool * float(explore_fraction)))
-            explore = gen_rng.uniform(
-                ranges[:, 0], ranges[:, 1], size=(n_explore, n_genes)
-            )
-            n_exploit = n_pool - n_explore
-            if viable and n_exploit > 0:
-                F = np.asarray([ind.fitness for ind in viable])
-                front_members = [
-                    ind
-                    for ind, keep in zip(viable, non_dominated_mask(F))
-                    if keep
-                ]
-                anchors = gen_rng.integers(
-                    len(front_members), size=n_exploit
-                )
-                noise = gen_rng.normal(
-                    0.0, 1.0, size=(n_exploit, n_genes)
-                ) * std
-                exploit = np.clip(
-                    np.asarray(
-                        [
-                            front_members[int(a)].genome
-                            for a in anchors
-                        ]
-                    )
-                    + noise,
-                    bounds[:, 0],
-                    bounds[:, 1],
-                )
-                pool = np.vstack([explore, exploit])
-            else:
-                extra = gen_rng.uniform(
-                    ranges[:, 0],
-                    ranges[:, 1],
-                    size=(max(n_exploit, 0), n_genes),
-                )
-                pool = np.vstack([explore, extra])
-            # fit the surrogate on everything viable so far; until
-            # there is enough signal, fall back to the raw pool order
-            # (still deterministic)
-            if len(viable) >= max(2 * n_genes, 4):
-                X = normalize(
-                    np.asarray([ind.genome for ind in viable])
-                )
-                Y = np.asarray([ind.fitness for ind in viable])
-                model = RBFSurrogate(ridge=ridge).fit(X, Y)
-                predicted = model.predict(normalize(pool))
-                base_front = (
-                    Y[non_dominated_mask(Y)]
-                    if len(Y)
-                    else np.empty((0, n_objectives))
-                )
-                picks = _greedy_ehvi_picks(
-                    predicted, base_front, ref, pop_size
-                )
-            else:
-                picks = list(range(pop_size))
-            batch = evaluate_batch(make(pool[picks]))
-            history.extend(batch)
-            population = nsga2_select(
-                list(population) + list(batch), pop_size
-            )
-            record = GenerationRecord(
-                generation=iteration,
-                population=list(population),
-                evaluated=list(batch),
-                std=std.copy(),
-                n_failures=_count_failures(batch),
-            )
-            span.tag(
-                evaluated=len(batch),
-                failures=record.n_failures,
-                surrogate_points=len(viable),
-            )
-        commit(record, _capture_rng_state(gen_rng))
-        if stopper is not None and stopper.observe(record):
-            break
-    return records

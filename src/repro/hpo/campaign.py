@@ -14,16 +14,11 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.evo.algorithm import GenerationRecord
+from repro.evo.algorithm import GenerationRecord, RestoredRun
 from repro.evo.individual import Individual
 from repro.evo.problem import Problem
-from repro.hpo.driver import (
-    NSGA2Settings,
-    run_deepmd_nsga2,
-    run_deepmd_pso,
-    run_deepmd_steady_state,
-    run_deepmd_surrogate,
-)
+from repro.hpo.driver import NSGA2Settings, deployment
+from repro.hpo.representation import DeepMDRepresentation
 from repro.mo.pareto import pareto_front
 from repro.obs.live import get_status
 from repro.obs.trace import NullTracer, Tracer, get_tracer
@@ -63,8 +58,11 @@ class CampaignConfig:
     objectives: Any = None
     hv_stop_eps: Optional[float] = None
     hv_stop_patience: int = 2
-    #: chunked dispatch / pipelined generations (generational mode
-    #: only; results bit-identical to the default chunk size 1)
+    #: chunked dispatch, and commits overlapped with the next record's
+    #: evaluations: ``pipeline`` applies to the modes with a barrier to
+    #: pipeline (generational, pso, surrogate), ``batch_evals`` to
+    #: generational (pso and surrogate always cross the backend in
+    #: chunks); results bit-identical to the default chunk size 1
     batch_evals: bool = False
     pipeline: bool = False
     batch_chunk: Optional[int] = None
@@ -168,8 +166,9 @@ class Campaign:
     ``journal`` (a :class:`repro.store.journal.CampaignJournal`,
     duck-typed to avoid a hard dependency) receives the write-ahead
     stream of campaign/run/generation records as the campaign runs, so
-    a killed campaign can be continued with
-    :func:`repro.store.resume.resume_campaign`.
+    a killed campaign can be continued by handing what an earlier
+    session journaled back to :meth:`run` — which is all
+    :func:`repro.store.resume.resume_campaign` does.
     """
 
     def __init__(
@@ -185,91 +184,144 @@ class Campaign:
         self.client = client
         self.tracer = tracer if tracer is not None else get_tracer()
         self.journal = journal
+        #: how the last :meth:`run` obtained each of its runs
+        self.run_counts: dict[str, int] = {}
 
     def run(
         self,
         callback: Optional[Callable[[int, GenerationRecord], None]] = None,
+        journaled: Any = None,
     ) -> CampaignResult:
-        result = CampaignResult(config=self.config)
-        seeds = seeds_for_runs(self.config.base_seed, self.config.n_runs)
+        """Run the campaign; with ``journaled`` (the
+        :class:`repro.store.journal.JournalState` of an earlier
+        session, whose journal ``self.journal`` appends to), continue
+        that campaign instead of starting one:
+
+        * fully journaled runs are restored verbatim;
+        * an interrupted run restarts at the exact next generation —
+          the driver is restored from the committed records, the last
+          one's ``driver_state`` and its RNG bit-generator state, so
+          the continuation is bit-identical (genomes and fitnesses) to
+          the run that was never killed;
+        * runs with nothing committed are executed fresh, with the
+          seed the journal recorded for them.
+
+        Steady-state runs have no generation to restart at; they replay
+        through the cache (:func:`repro.store.resume.resume_campaign`).
+        """
+        config = self.config
+        result = CampaignResult(config=config)
+        counts = self.run_counts = dict.fromkeys(
+            ("runs_restored", "runs_resumed", "runs_fresh"), 0
+        )
         self.tracer.event(
             "campaign.start",
-            n_runs=self.config.n_runs,
-            pop_size=self.config.pop_size,
-            generations=self.config.generations,
-            seed=self.config.base_seed,
+            n_runs=config.n_runs,
+            pop_size=config.pop_size,
+            generations=config.generations,
+            seed=config.base_seed,
         )
         status = get_status()
         if status.enabled:
             status.update(
-                mode=self.config.mode,
-                n_runs=self.config.n_runs,
-                pop_size=self.config.pop_size,
-                generations=self.config.generations,
-                base_seed=self.config.base_seed,
+                mode=config.mode,
+                n_runs=config.n_runs,
+                pop_size=config.pop_size,
+                generations=config.generations,
+                base_seed=config.base_seed,
             )
-        if self.journal is not None:
-            self.journal.begin_campaign(self.config)
+        if self.journal is not None and journaled is None:
+            self.journal.begin_campaign(config)
+        earlier = journaled.runs if journaled is not None else {}
+        seeds = seeds_for_runs(config.base_seed, config.n_runs)
         for run_index, seed in enumerate(seeds):
+            prior = earlier.get(run_index)
+            docs = prior.contiguous_generations() if prior else []
+            if prior is not None and prior.seed is not None:
+                seed = prior.seed
+            if docs and (
+                prior.complete or len(docs) == config.generations + 1
+            ):
+                # fully journaled — including runs the hypervolume
+                # stopper ended before the generation budget: restore
+                # without a problem attached (these individuals are
+                # analysis data, not parents)
+                result.runs.append(_restored_run(docs).records)
+                counts["runs_restored"] += 1
+                continue
             problem = self.problem_factory(seed)
-            cb = (
-                (lambda rec, ri=run_index: callback(ri, rec))
-                if callback is not None
-                else None
-            )
-            if self.journal is not None:
+            resume: dict[str, Any] = {}
+            tags: dict[str, Any] = {}
+            #: where ``run_resume`` says this session picks the run up
+            resumed_at: Optional[int] = None
+            if config.mode == "steady-state":
+                # no barrier, no record to restart at — cache-driven
+                # replay: same seed, finished evaluations come back as
+                # cache hits, unfinished ones train fresh
+                if journaled is not None:
+                    n_prior = len(prior.evaluations) if prior else 0
+                    tags["replayed_evaluations"] = n_prior
+                    resumed_at = n_prior or None
+            elif docs:
+                # interrupted mid-run: restore the prefix, continue
+                # after it
+                resume["resume_from"] = _restored_run(docs, problem)
+                tags["resumed_from"] = resumed_at = docs[-1]["generation"]
+            counts[
+                "runs_fresh" if resumed_at is None else "runs_resumed"
+            ] += 1
+            if self.journal is not None and resumed_at is None:
                 self.journal.begin_run(run_index, int(seed))
+            elif self.journal is not None:
+                self.journal.resume_run(run_index, resumed_at)
             if status.enabled:
                 status.begin_run(run_index, seed=int(seed))
             with self.tracer.span(
                 "campaign.run",
                 run=run_index,
                 seed=int(seed),
-                mode=self.config.mode,
+                mode=config.mode,
+                **tags,
             ):
-                if self.config.mode == "steady-state":
-                    records = run_deepmd_steady_state(
-                        problem=problem,
-                        settings=self.config.nsga2_settings(),
-                        client=self.client,
-                        rng=seed,
-                        callback=cb,
-                        tracer=self.tracer,
-                        journal=self.journal,
-                    )
-                elif self.config.mode == "pso":
-                    records = run_deepmd_pso(
-                        problem=problem,
-                        settings=self.config.nsga2_settings(),
-                        client=self.client,
-                        rng=seed,
-                        callback=cb,
-                        tracer=self.tracer,
-                        journal=self.journal,
-                    )
-                elif self.config.mode == "surrogate":
-                    records = run_deepmd_surrogate(
-                        problem=problem,
-                        settings=self.config.nsga2_settings(),
-                        client=self.client,
-                        rng=seed,
-                        callback=cb,
-                        tracer=self.tracer,
-                        journal=self.journal,
-                    )
-                else:
-                    records = run_deepmd_nsga2(
-                        problem=problem,
-                        settings=self.config.nsga2_settings(),
-                        client=self.client,
-                        rng=seed,
-                        callback=cb,
-                        tracer=self.tracer,
-                        journal=self.journal,
-                    )
+                records = deployment(config.mode)(
+                    problem=problem,
+                    settings=config.nsga2_settings(),
+                    client=self.client,
+                    rng=seed,
+                    callback=(
+                        (lambda rec, ri=run_index: callback(ri, rec))
+                        if callback is not None
+                        else None
+                    ),
+                    tracer=self.tracer,
+                    journal=self.journal,
+                    **resume,
+                )
+            if resume:
+                records = resume["resume_from"].records + records
             result.runs.append(records)
             if self.journal is not None:
                 self.journal.end_run(run_index)
         if self.journal is not None:
             self.journal.end_campaign()
         return result
+
+
+def _restored_run(
+    docs: list[dict[str, Any]], problem: Optional[Problem] = None
+) -> RestoredRun:
+    """Journaled generation docs as the value a driver's ``restore``
+    reads; with ``problem``, the records can seed further evolution."""
+    # deferred: ``repro.store`` imports this module
+    from repro.store.journal import record_from_doc, restore_rng
+
+    decoder = None if problem is None else DeepMDRepresentation.decoder()
+    rng_state = docs[-1].get("rng_state")
+    return RestoredRun(
+        records=[
+            record_from_doc(doc, decoder=decoder, problem=problem)
+            for doc in docs
+        ],
+        driver_state=docs[-1].get("driver_state"),
+        rng=restore_rng(rng_state) if rng_state else None,
+    )

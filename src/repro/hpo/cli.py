@@ -1323,8 +1323,10 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "overlap generation-commit bookkeeping (journal, "
-            "telemetry) with the next generation's evaluations "
-            "(implies --batch-evals; fronts bit-identical)"
+            "telemetry) with the next generation's evaluations, in "
+            "the modes with a barrier to pipeline: generational "
+            "(implies --batch-evals), pso and surrogate; fronts "
+            "bit-identical"
         ),
     )
     p.add_argument(

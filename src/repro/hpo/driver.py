@@ -4,7 +4,9 @@ Thin configuration layer over :func:`repro.evo.algorithm.generational_nsga2`
 that wires in the paper's choices: the seven-gene representation with
 Table 1 ranges and deviations, robust (MAXINT-on-failure) individuals,
 the Listing 1 pipeline, the ×0.85 per-generation mutation annealing,
-and the rank-ordinal non-dominated sort.
+and the rank-ordinal non-dominated sort — and the same layer over the
+rest of the optimizer zoo, one ``run_deepmd_*`` per campaign mode,
+which :func:`deployment` picks among.
 """
 
 from __future__ import annotations
@@ -12,22 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from repro.context import Context
-from repro.evo.algorithm import GenerationRecord, generational_nsga2
+from repro.evo.algorithm import (
+    GenerationRecord,
+    RestoredRun,
+    generational_nsga2,
+)
 from repro.evo.asynchronous import (
-    SteadyStateRecord,
     steady_state_as_generations,
     steady_state_nsga2,
 )
 from repro.evo.individual import RobustIndividual
 from repro.evo.problem import Problem
-from repro.evo.pso import PSOResumeState, multi_objective_pso
-from repro.evo.surrogate import (
-    SurrogateResumeState,
-    surrogate_assisted_search,
-)
+from repro.evo.pso import multi_objective_pso
+from repro.evo.surrogate import surrogate_assisted_search
 from repro.hpo.representation import DeepMDRepresentation
 from repro.mo.stopping import HypervolumeStopper
 from repro.rng import RngLike
@@ -73,6 +73,40 @@ class NSGA2Settings:
         )
 
 
+def _barrier_kwargs(
+    problem: Problem,
+    settings: NSGA2Settings,
+    client: Any,
+    rng: RngLike,
+    callback: Optional[Callable[[GenerationRecord], None]],
+    tracer: Any,
+    journal: Any,
+    resume_from: Optional[RestoredRun],
+) -> dict[str, Any]:
+    """What every barrier driver is handed: the Table 1 space, robust
+    individuals, and the run's engine/journal/stopper hooks."""
+    rep = DeepMDRepresentation
+    return dict(
+        problem=problem,
+        init_ranges=rep.init_ranges,
+        initial_std=rep.mutation_std,
+        pop_size=settings.pop_size,
+        hard_bounds=rep.bounds,
+        decoder=rep.decoder(),
+        individual_cls=RobustIndividual,
+        client=client,
+        rng=rng,
+        callback=callback,
+        tracer=tracer,
+        dedup=settings.dedup_within_generation,
+        journal=journal,
+        resume_from=resume_from,
+        pipeline=settings.pipeline,
+        batch_chunk=settings.batch_chunk,
+        stopper=settings.stopper(),
+    )
+
+
 def run_deepmd_nsga2(
     problem: Problem,
     settings: Optional[NSGA2Settings] = None,
@@ -81,7 +115,7 @@ def run_deepmd_nsga2(
     callback: Optional[Callable[[GenerationRecord], None]] = None,
     tracer: Any = None,
     journal: Any = None,
-    resume_from: Any = None,
+    resume_from: Optional[RestoredRun] = None,
 ) -> list[GenerationRecord]:
     """One EA deployment over the DeePMD hyperparameter space.
 
@@ -89,33 +123,19 @@ def run_deepmd_nsga2(
     surrogate :class:`SurrogateDeepMDProblem`; both consume the decoded
     seven-gene phenome dict.  ``journal``/``resume_from`` are the
     durable-state hooks of :mod:`repro.store` (see
-    :func:`repro.evo.algorithm.generational_nsga2`).
+    :func:`repro.evo.algorithm.run_driver`).
     """
     settings = settings or NSGA2Settings()
-    rep = DeepMDRepresentation
     return generational_nsga2(
-        problem=problem,
-        init_ranges=rep.init_ranges,
-        initial_std=rep.mutation_std,
-        pop_size=settings.pop_size,
         generations=settings.generations,
-        hard_bounds=rep.bounds,
-        decoder=rep.decoder(),
-        individual_cls=RobustIndividual,
-        client=client,
         anneal_factor=settings.anneal_factor,
         sort_algorithm=settings.sort_algorithm,
-        rng=rng,
         context=Context(),
-        callback=callback,
-        tracer=tracer,
-        dedup=settings.dedup_within_generation,
-        journal=journal,
-        resume_from=resume_from,
         batch=settings.batch_evals,
-        pipeline=settings.pipeline,
-        batch_chunk=settings.batch_chunk,
-        stopper=settings.stopper(),
+        **_barrier_kwargs(
+            problem, settings, client, rng, callback, tracer, journal,
+            resume_from,
+        ),
     )
 
 
@@ -127,7 +147,6 @@ def run_deepmd_steady_state(
     callback: Optional[Callable[[GenerationRecord], None]] = None,
     tracer: Any = None,
     journal: Any = None,
-    raw_record: Optional[list[SteadyStateRecord]] = None,
 ) -> list[GenerationRecord]:
     """One asynchronous steady-state deployment (§2.2.5) over the same
     space, budget, and knobs as :func:`run_deepmd_nsga2`.
@@ -138,9 +157,6 @@ def run_deepmd_steady_state(
     stack consumes either mode unchanged.  ``journal`` receives every
     completed evaluation as it finishes (via the evaluation engine)
     plus the pseudo-generation records at the end of the run.
-    ``raw_record``, if given, is a list the underlying
-    :class:`SteadyStateRecord` is appended to — the honest accounting
-    (fresh vs cache vs dedup) for callers that report it.
     """
     settings = settings or NSGA2Settings()
     rep = DeepMDRepresentation
@@ -160,8 +176,6 @@ def run_deepmd_steady_state(
         tracer=tracer,
         stopper=settings.stopper(),
     )
-    if raw_record is not None:
-        raw_record.append(record)
     records = steady_state_as_generations(
         record,
         pop_size=settings.pop_size,
@@ -184,7 +198,7 @@ def run_deepmd_pso(
     callback: Optional[Callable[[GenerationRecord], None]] = None,
     tracer: Any = None,
     journal: Any = None,
-    resume_from: Optional[PSOResumeState] = None,
+    resume_from: Optional[RestoredRun] = None,
 ) -> list[GenerationRecord]:
     """One multi-objective PSO deployment (Natarajan & Caro) over the
     same space, budget, and engine contract as
@@ -193,25 +207,12 @@ def run_deepmd_pso(
     the same journal/cache/resume/chaos semantics.
     """
     settings = settings or NSGA2Settings()
-    rep = DeepMDRepresentation
     return multi_objective_pso(
-        problem=problem,
-        init_ranges=rep.init_ranges,
-        initial_std=rep.mutation_std,
-        pop_size=settings.pop_size,
         iterations=settings.generations,
-        hard_bounds=rep.bounds,
-        decoder=rep.decoder(),
-        individual_cls=RobustIndividual,
-        client=client,
-        rng=rng,
-        callback=callback,
-        tracer=tracer,
-        dedup=settings.dedup_within_generation,
-        journal=journal,
-        resume_from=resume_from,
-        batch_chunk=settings.batch_chunk,
-        stopper=settings.stopper(),
+        **_barrier_kwargs(
+            problem, settings, client, rng, callback, tracer, journal,
+            resume_from,
+        ),
     )
 
 
@@ -223,30 +224,33 @@ def run_deepmd_surrogate(
     callback: Optional[Callable[[GenerationRecord], None]] = None,
     tracer: Any = None,
     journal: Any = None,
-    resume_from: Optional[SurrogateResumeState] = None,
+    resume_from: Optional[RestoredRun] = None,
 ) -> list[GenerationRecord]:
     """One surrogate-assisted acquisition deployment (RBF surrogate +
     greedy predicted-hypervolume-improvement batches) over the same
     space, budget, and engine contract as :func:`run_deepmd_nsga2`.
     """
     settings = settings or NSGA2Settings()
-    rep = DeepMDRepresentation
     return surrogate_assisted_search(
-        problem=problem,
-        init_ranges=rep.init_ranges,
-        initial_std=rep.mutation_std,
-        pop_size=settings.pop_size,
         iterations=settings.generations,
-        hard_bounds=rep.bounds,
-        decoder=rep.decoder(),
-        individual_cls=RobustIndividual,
-        client=client,
-        rng=rng,
-        callback=callback,
-        tracer=tracer,
-        dedup=settings.dedup_within_generation,
-        journal=journal,
-        resume_from=resume_from,
-        batch_chunk=settings.batch_chunk,
-        stopper=settings.stopper(),
+        **_barrier_kwargs(
+            problem, settings, client, rng, callback, tracer, journal,
+            resume_from,
+        ),
     )
+
+
+def deployment(mode: str) -> Callable[..., list[GenerationRecord]]:
+    """The ``run_deepmd_*`` a campaign in ``mode`` runs once per run.
+
+    The table is built per call: each entry is then whatever the module
+    attribute holds at that moment, so a caller that wraps
+    ``run_deepmd_*`` from outside (the performance ledger's tracer) is
+    the one that runs.
+    """
+    return {
+        "generational": run_deepmd_nsga2,
+        "steady-state": run_deepmd_steady_state,
+        "pso": run_deepmd_pso,
+        "surrogate": run_deepmd_surrogate,
+    }[mode]

@@ -357,11 +357,10 @@ class CampaignService:
                             callback=callback,
                         )
                     else:
-                        journal = CampaignJournal(
+                        with CampaignJournal(
                             journal_path(campaign.directory),
                             problem_spec=campaign.problem_spec,
-                        )
-                        try:
+                        ) as journal:
                             result = Campaign(
                                 self._cached_factory(
                                     campaign.problem_spec
@@ -370,8 +369,6 @@ class CampaignService:
                                 client=queue,
                                 journal=journal,
                             ).run(callback)
-                        finally:
-                            journal.close()
                     self._finish(campaign, result)
                     status.mark_done()
             except CampaignCancelled:

@@ -458,22 +458,6 @@ def read_journal(path: str | Path) -> JournalState:
     return state
 
 
-def individual_from_doc(
-    doc: dict[str, Any],
-    decoder: Any = None,
-    problem: Any = None,
-) -> RobustIndividual:
-    """Rebuild one journaled ``evaluation`` record as an individual."""
-    ind = RobustIndividual(doc["genome"], decoder=decoder, problem=problem)
-    if doc.get("fitness") is not None:
-        ind.fitness = np.asarray(doc["fitness"], dtype=np.float64)
-    ind.uuid = doc.get("uuid") or ind.uuid
-    ind.metadata = dict(doc.get("metadata") or {})
-    if problem is not None:
-        ind.n_objectives = problem.n_objectives
-    return ind
-
-
 def record_from_doc(
     doc: dict[str, Any],
     decoder: Any = None,

@@ -2,16 +2,12 @@
 
 Reconstructs :class:`~repro.hpo.campaign.CampaignResult` state from a
 write-ahead journal (plus the evaluation cache for anything that was
-in flight when the process died) and *continues evolution*:
-
-* fully journaled runs are restored verbatim;
-* the interrupted run restarts at the exact next generation — its
-  parents, annealed mutation deviations, and EA RNG bit-generator
-  state come from the last committed generation record, so the
-  continuation is bit-identical (genomes and fitnesses) to the run
-  that was never killed;
-* runs that never started are executed fresh with their original
-  derived seeds.
+in flight when the process died) and *continues evolution*: this
+module reads the journal back into a campaign — its config, its
+evaluator, its journal reopened for appending — and
+:meth:`repro.hpo.campaign.Campaign.run` does the rest, run by run
+(restored verbatim, continued at the exact next generation, or
+executed fresh).
 
 Evaluations of the interrupted generation that finished before the
 kill were already persisted by the evaluation cache, so replaying that
@@ -25,32 +21,16 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-import numpy as np
-
-from repro.evo.algorithm import GenerationRecord, ResumeState
 from repro.evo.problem import Problem
-from repro.evo.pso import PSOResumeState, rebuild_archive
-from repro.evo.surrogate import SurrogateResumeState
 from repro.exceptions import StoreError
-from repro.hpo.campaign import CampaignConfig, CampaignResult
-from repro.hpo.driver import (
-    run_deepmd_nsga2,
-    run_deepmd_pso,
-    run_deepmd_steady_state,
-    run_deepmd_surrogate,
-)
-from repro.hpo.representation import DeepMDRepresentation
+from repro.hpo.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.obs.trace import get_tracer
-from repro.rng import seeds_for_runs
 from repro.store.cache import CachedProblem, EvaluationCache
 from repro.store.journal import (
     CampaignJournal,
     JournalState,
-    _group_individuals,
     journal_path,
     read_journal,
-    record_from_doc,
-    restore_rng,
 )
 
 
@@ -108,17 +88,6 @@ def problem_factory_from_spec(
     )
 
 
-def _restored_run(
-    run_docs: list[dict[str, Any]],
-    decoder: Any = None,
-    problem: Any = None,
-) -> list[GenerationRecord]:
-    return [
-        record_from_doc(doc, decoder=decoder, problem=problem)
-        for doc in run_docs
-    ]
-
-
 def resume_campaign(
     directory: str | Path,
     problem_factory: Optional[Callable[[int], Problem]] = None,
@@ -136,8 +105,8 @@ def resume_campaign(
     The journal keeps being written, so a resumed campaign can itself
     be killed and resumed again.
 
-    Steady-state campaigns (``config.mode == "steady-state"``) resume
-    by *cache-driven replay*: the interrupted run re-executes with its
+    Steady-state campaigns (``mode="steady-state"``) resume by
+    *cache-driven replay*: the interrupted run re-executes with its
     original seed, and every evaluation that finished before the kill
     — journaled per completion and persisted in the cache — is served
     without retraining.  With the default inline execution the replay
@@ -167,192 +136,27 @@ def resume_campaign(
             stacklevel=2,
         )
     config = campaign_config_from_doc(state.config_doc)
-    if problem_factory is None:
-        problem_factory = problem_factory_from_spec(state.problem_spec)
-    trc = tracer if tracer is not None else get_tracer()
-    derived_seeds = seeds_for_runs(config.base_seed, config.n_runs)
-    result = CampaignResult(config=config)
-    journal = CampaignJournal(
-        jpath, problem_spec=state.problem_spec, mode="a"
+    base_factory = (
+        problem_factory
+        if problem_factory is not None
+        else problem_factory_from_spec(state.problem_spec)
     )
-    with trc.span("store.resume", directory=str(directory)) as span:
-        n_restored = n_resumed = n_fresh = 0
-        for run_index in range(config.n_runs):
-            run_state = state.runs.get(run_index)
-            seed = (
-                run_state.seed
-                if run_state is not None and run_state.seed is not None
-                else derived_seeds[run_index]
-            )
-            docs = (
-                run_state.contiguous_generations()
-                if run_state is not None
-                else []
-            )
-            complete = (
-                run_state is not None and run_state.complete
-            ) or len(docs) == config.generations + 1
-            if complete and docs:
-                # fully journaled — including runs the hypervolume
-                # stopper ended before the generation budget: restore
-                # without a problem attached (these individuals are
-                # analysis data, not parents)
-                result.runs.append(_restored_run(docs))
-                n_restored += 1
-                continue
-            problem = problem_factory(seed)
-            if cache is not None and getattr(problem, "cache", None) is None:
-                problem = CachedProblem(problem, cache)
-            cb = (
-                (lambda rec, ri=run_index: callback(ri, rec))
-                if callback is not None
-                else None
-            )
-            if config.mode == "steady-state":
-                # cache-driven replay: same seed, finished evaluations
-                # come back as cache hits, unfinished ones train fresh
-                n_prior = (
-                    len(run_state.evaluations)
-                    if run_state is not None
-                    else 0
-                )
-                if n_prior:
-                    journal.resume_run(run_index, n_prior)
-                    n_resumed += 1
-                else:
-                    journal.begin_run(run_index, int(seed))
-                    n_fresh += 1
-                with trc.span(
-                    "campaign.run",
-                    run=run_index,
-                    seed=int(seed),
-                    mode="steady-state",
-                    replayed_evaluations=n_prior,
-                ):
-                    records = run_deepmd_steady_state(
-                        problem=problem,
-                        settings=config.nsga2_settings(),
-                        client=client,
-                        rng=seed,
-                        callback=cb,
-                        tracer=trc,
-                        journal=journal,
-                    )
-                result.runs.append(records)
-                journal.end_run(run_index)
-                continue
-            decoder = DeepMDRepresentation.decoder()
-            runner = {
-                "generational": run_deepmd_nsga2,
-                "pso": run_deepmd_pso,
-                "surrogate": run_deepmd_surrogate,
-            }[config.mode]
-            if not docs:
-                # never started (or nothing committed): run fresh
-                journal.begin_run(run_index, int(seed))
-                with trc.span(
-                    "campaign.run", run=run_index, seed=int(seed)
-                ):
-                    records = runner(
-                        problem=problem,
-                        settings=config.nsga2_settings(),
-                        client=client,
-                        rng=seed,
-                        callback=cb,
-                        tracer=trc,
-                        journal=journal,
-                    )
-                result.runs.append(records)
-                journal.end_run(run_index)
-                n_fresh += 1
-                continue
-            # interrupted mid-run: restore the prefix, continue after it
-            restored = _restored_run(docs, decoder=decoder, problem=problem)
-            last_doc = docs[-1]
-            if not last_doc.get("rng_state"):
-                raise StoreError(
-                    f"run {run_index} generation "
-                    f"{last_doc['generation']} journaled no RNG state; "
-                    "cannot continue deterministically"
-                )
-            restored_rng = restore_rng(last_doc["rng_state"])
-            resume_state: Any
-            if config.mode == "pso":
-                driver_state = last_doc.get("driver_state") or {}
-                if (
-                    "velocities" not in driver_state
-                    or "pbest" not in driver_state
-                ):
-                    raise StoreError(
-                        f"run {run_index} generation "
-                        f"{last_doc['generation']} journaled no swarm "
-                        "driver_state; cannot resume a PSO run "
-                        "deterministically"
-                    )
-                resume_state = PSOResumeState(
-                    positions=np.asarray(
-                        [ind.genome for ind in restored[-1].evaluated],
-                        dtype=np.float64,
-                    ),
-                    velocities=np.asarray(
-                        driver_state["velocities"], dtype=np.float64
-                    ),
-                    pbest=_group_individuals(
-                        driver_state["pbest"],
-                        decoder=decoder,
-                        problem=problem,
-                    ),
-                    population=list(restored[-1].population),
-                    archive=rebuild_archive(
-                        restored, 2 * config.pop_size
-                    ),
-                    generation=restored[-1].generation,
-                    rng=restored_rng,
-                )
-            elif config.mode == "surrogate":
-                resume_state = SurrogateResumeState(
-                    history=[
-                        ind
-                        for rec in restored
-                        for ind in rec.evaluated
-                    ],
-                    population=list(restored[-1].population),
-                    generation=restored[-1].generation,
-                    rng=restored_rng,
-                )
-            else:
-                resume_state = ResumeState(
-                    parents=list(restored[-1].population),
-                    generation=restored[-1].generation,
-                    std=restored[-1].std,
-                    rng=restored_rng,
-                )
-            journal.resume_run(run_index, resume_state.generation)
-            with trc.span(
-                "campaign.run",
-                run=run_index,
-                seed=int(seed),
-                resumed_from=resume_state.generation,
-            ):
-                new_records = runner(
-                    problem=problem,
-                    settings=config.nsga2_settings(),
-                    client=client,
-                    rng=seed,
-                    callback=cb,
-                    tracer=trc,
-                    journal=journal,
-                    resume_from=resume_state,
-                )
-            result.runs.append(restored + new_records)
-            journal.end_run(run_index)
-            n_resumed += 1
-        journal.end_campaign()
-        span.tag(
-            runs_restored=n_restored,
-            runs_resumed=n_resumed,
-            runs_fresh=n_fresh,
-            torn_records=state.n_torn,
+
+    def factory(seed: int) -> Problem:
+        problem = base_factory(seed)
+        if cache is not None and getattr(problem, "cache", None) is None:
+            problem = CachedProblem(problem, cache)
+        return problem
+
+    trc = tracer if tracer is not None else get_tracer()
+    with trc.span(
+        "store.resume", directory=str(directory)
+    ) as span, CampaignJournal(
+        jpath, problem_spec=state.problem_spec, mode="a"
+    ) as journal:
+        campaign = Campaign(
+            factory, config, client=client, tracer=trc, journal=journal
         )
-    journal.close()
+        result = campaign.run(callback, state)
+        span.tag(**campaign.run_counts, torn_records=state.n_torn)
     return result

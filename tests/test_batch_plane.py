@@ -24,6 +24,8 @@ from repro.engine.pool import ProcessPoolBackend
 from repro.evo.algorithm import generational_nsga2
 from repro.evo.individual import MAXINT, RobustIndividual
 from repro.evo.problem import WithMetadataProblem
+from repro.evo.pso import multi_objective_pso
+from repro.evo.surrogate import surrogate_assisted_search
 from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.hpo.representation import DeepMDRepresentation
 from repro.injection import use_injector
@@ -105,6 +107,17 @@ class RecordingJournal:
         )
 
 
+class SwarmJournal(RecordingJournal):
+    """...that also takes the ``driver_state`` a swarm journals."""
+
+    def append_generation(self, record, rng_state=None, driver_state=None):
+        super().append_generation(record, rng_state)
+        pbest = driver_state["pbest"]
+        self.entries[-1] += (
+            driver_state["velocities"], pbest["genomes"], pbest["fitness"]
+        )
+
+
 def _stats_tuple(stats):
     return (
         stats.submitted,
@@ -117,22 +130,26 @@ def _stats_tuple(stats):
     )
 
 
-def _run_nsga2(seed, **mode):
+def _run_driver(seed, driver, journal, **mode):
     rep = DeepMDRepresentation
     problem = SurrogateDeepMDProblem(seed=7)
     engine = EvaluationEngine(dedup=True, dedup_scope="batch")
-    journal = RecordingJournal()
-    records = generational_nsga2(
+    #: candidates the engine had seen when each record's callback fired
+    journal.submitted_at_callback = []
+    records = driver(
         problem,
         rep.init_ranges,
         rep.mutation_std,
-        pop_size=8,
-        generations=2,
+        8,
+        2,
         hard_bounds=rep.bounds,
         decoder=rep.decoder(),
         rng=np.random.default_rng(seed),
         engine=engine,
         journal=journal,
+        callback=lambda rec: journal.submitted_at_callback.append(
+            engine.stats.submitted
+        ),
         **mode,
     )
     return records, journal, engine
@@ -206,35 +223,64 @@ class TestBatchBitIdentity:
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=8, deadline=None)
     def test_modes_bit_identical(self, seed):
-        recs_a, journal_a, eng_a = _run_nsga2(seed)
-        for name, mode in (
+        chunked = (
             ("chunk 1", dict(batch=True, batch_chunk=1)),
             ("chunk 3", dict(batch=True, batch_chunk=3)),
             ("chunk n", dict(batch=True, batch_chunk=8)),
             ("backend hint", dict(batch=True)),
+        )
+        # the overlap is the loop's, not NSGA-II's: every barrier
+        # driver pipelines to the same records and journal
+        swarm_modes = (
+            ("chunk 3", dict(batch_chunk=3)),
             ("pipeline", dict(pipeline=True)),
+        )
+        for driver, journal_cls, modes in (
+            (
+                generational_nsga2,
+                RecordingJournal,
+                (*chunked, ("pipeline", dict(pipeline=True))),
+            ),
+            (multi_objective_pso, SwarmJournal, swarm_modes),
+            (surrogate_assisted_search, RecordingJournal, swarm_modes),
         ):
-            recs_b, journal_b, eng_b = _run_nsga2(seed, **mode)
-            assert len(recs_a) == len(recs_b), name
-            for ra, rb in zip(recs_a, recs_b):
-                assert ra.generation == rb.generation
-                assert np.array_equal(
-                    ra.fitness_matrix(), rb.fitness_matrix()
+            recs_a, journal_a, eng_a = _run_driver(
+                seed, driver, journal_cls()
+            )
+            assert journal_a.submitted_at_callback == [8, 16, 24]
+            for name, mode in modes:
+                name = f"{driver.__name__} {name}"
+                recs_b, journal_b, eng_b = _run_driver(
+                    seed, driver, journal_cls(), **mode
+                )
+                assert len(recs_a) == len(recs_b), name
+                for ra, rb in zip(recs_a, recs_b):
+                    assert ra.generation == rb.generation
+                    assert np.array_equal(
+                        ra.fitness_matrix(), rb.fitness_matrix()
+                    ), name
+                    assert np.array_equal(
+                        ra.evaluated_fitness_matrix(),
+                        rb.evaluated_fitness_matrix(),
+                    ), name
+                    assert np.array_equal(ra.std, rb.std)
+                    assert ra.n_failures == rb.n_failures
+                # journal: same records, same order, same RNG states
+                # (and, for the swarm, the same ``driver_state``)
+                assert len(journal_a.entries) == len(journal_b.entries)
+                for ea, eb in zip(journal_a.entries, journal_b.entries):
+                    assert ea[0] == eb[0]
+                    assert np.array_equal(ea[1], eb[1])
+                    assert np.array_equal(ea[2], eb[2])
+                    assert ea[5:] == eb[5:], f"{name}: state diverged"
+                assert _stats_tuple(eng_a.stats) == _stats_tuple(
+                    eng_b.stats
+                )
+                # only the instant the callback fires moves: a
+                # pipelined commit runs once the next batch is submitted
+                assert journal_b.submitted_at_callback == (
+                    [16, 24, 24] if "pipeline" in mode else [8, 16, 24]
                 ), name
-                assert np.array_equal(
-                    ra.evaluated_fitness_matrix(),
-                    rb.evaluated_fitness_matrix(),
-                ), name
-                assert np.array_equal(ra.std, rb.std)
-                assert ra.n_failures == rb.n_failures
-            # journal: same records, same order, same RNG states
-            assert len(journal_a.entries) == len(journal_b.entries)
-            for ea, eb in zip(journal_a.entries, journal_b.entries):
-                assert ea[0] == eb[0]
-                assert np.array_equal(ea[1], eb[1])
-                assert np.array_equal(ea[2], eb[2])
-                assert ea[5] == eb[5], f"{name}: rng state diverged"
-            assert _stats_tuple(eng_a.stats) == _stats_tuple(eng_b.stats)
 
     @given(
         xs=st.lists(

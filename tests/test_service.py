@@ -723,6 +723,7 @@ class TestCampaignServerHTTP:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request, timeout=10)
             assert err.value.code == 400
+            err.value.close()  # the error owns the response's socket
             status, body = 0, ""
             with urllib.request.urlopen(
                 f"{server.url}/healthz", timeout=10

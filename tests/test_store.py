@@ -372,10 +372,10 @@ class TestJournal:
         assert state.runs[0].seed == 5
 
     def test_append_generation_requires_run(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
         rec = type("R", (), {"generation": 0})()
-        with pytest.raises(RuntimeError):
-            journal.append_generation(rec)
+        with CampaignJournal(tmp_path / "j.jsonl") as journal:
+            with pytest.raises(RuntimeError):
+                journal.append_generation(rec)
 
     def test_rng_state_roundtrip(self):
         rng = np.random.default_rng(123)
