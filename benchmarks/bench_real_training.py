@@ -5,11 +5,30 @@ trainings on MD data: the directions that drive the paper's findings
 (training improves forces; bad learning rates fail; the full §2.2.4
 workflow produces a two-element fitness from lcurve.out) must hold on
 the real code path, and the per-training wall time is measured.
+
+Run standalone (``python benchmarks/bench_real_training.py``) or via
+``benchmarks/runner.py``, which writes ``BENCH_training.json``: at the
+paper-sized regime of the ledger's ``train_160atom`` workload (160
+atoms, rcut 8.5, 16 frames), the median training step, the
+``prepare_batches`` call that builds one training's neighbour tables,
+and one validation round.  CI gates the same-machine ratio of the
+neighbour tables to one step (``neighbor_tables_vs_step``).
 """
+
+from __future__ import annotations
+
+import statistics
+import time
+from typing import Any, Callable, Optional
 
 import numpy as np
 import pytest
 
+from repro.autodiff.tensor import Tensor
+from repro.deepmd.data import prepare_batches
+from repro.deepmd.descriptor import DescriptorConfig
+from repro.deepmd.model import DeepPotModel, ModelConfig
+from repro.deepmd.training import Trainer, TrainingConfig
 from repro.exceptions import EvaluationError, TrainingDivergedError
 from repro.hpo import DeepMDProblem, EvaluatorSettings
 from repro.md.dataset import generate_dataset
@@ -79,11 +98,6 @@ def test_training_improves_over_untrained(dataset, benchmark):
     once(benchmark, lambda: None)
     """More optimization steps beat fewer — the landscape's premise
     that the EA is steering a *real* training signal."""
-    from repro.deepmd.data import prepare_batches
-    from repro.deepmd.descriptor import DescriptorConfig
-    from repro.deepmd.model import DeepPotModel, ModelConfig
-    from repro.deepmd.training import Trainer, TrainingConfig
-
     config = ModelConfig(
         descriptor=DescriptorConfig(rcut=4.5, rcut_smth=2.0),
         embedding_widths=(4, 8),
@@ -141,9 +155,6 @@ def test_training_cost_grows_with_rcut(dataset, benchmark):
     import time as _time
 
     from benchmarks.conftest import once
-    from repro.deepmd.descriptor import DescriptorConfig
-    from repro.deepmd.model import DeepPotModel, ModelConfig
-    from repro.deepmd.training import Trainer, TrainingConfig
 
     once(benchmark, lambda: None)
     times = {}
@@ -180,10 +191,6 @@ def test_worker_scaling_changes_training(dataset, benchmark):
     once(benchmark, lambda: None)
     """linear scaling at 6 workers really multiplies the start rate —
     verified through the schedule objects the trainer builds."""
-    from repro.deepmd.descriptor import DescriptorConfig
-    from repro.deepmd.model import DeepPotModel, ModelConfig
-    from repro.deepmd.training import Trainer, TrainingConfig
-
     config = ModelConfig(
         descriptor=DescriptorConfig(rcut=4.5, rcut_smth=2.0),
         embedding_widths=(4,),
@@ -210,3 +217,141 @@ def test_worker_scaling_changes_training(dataset, benchmark):
     assert np.isclose(lrs["linear"], 6e-3)
     assert np.isclose(lrs["sqrt"], np.sqrt(6) * 1e-3)
     assert np.isclose(lrs["none"], 1e-3)
+
+
+# ----------------------------------------------------------------------
+# machine-readable bench: one paper-sized training, part by part
+# ----------------------------------------------------------------------
+SEED = 11
+#: 32 AlCl3 + 16 KCl = 160 atoms in a 17.84 A box, 16 frames
+PAPER_SYSTEM = {"n_frames": 16, "n_alcl3": 32, "n_kcl": 16}
+PAPER_PHENOME = {
+    "start_lr": 3e-3,
+    "stop_lr": 1e-4,
+    "rcut": 8.5,
+    "rcut_smth": 2.0,
+    "desc_activ_func": "tanh",
+    "fitting_activ_func": "tanh",
+}
+
+
+def paper_trainer(dataset: Any, steps: int) -> Trainer:
+    """The trainer one evaluation of ``PAPER_PHENOME`` builds, with the
+    evaluator's default network shapes."""
+    settings = EvaluatorSettings()
+    model = DeepPotModel(
+        ModelConfig(
+            descriptor=DescriptorConfig(
+                rcut=PAPER_PHENOME["rcut"],
+                rcut_smth=PAPER_PHENOME["rcut_smth"],
+            ),
+            embedding_widths=settings.embedding_widths,
+            axis_neurons=settings.axis_neurons,
+            fitting_widths=settings.fitting_widths,
+            desc_activation=PAPER_PHENOME["desc_activ_func"],
+            fitting_activation=PAPER_PHENOME["fitting_activ_func"],
+        ),
+        rng=settings.seed,
+    )
+    return Trainer(
+        model,
+        dataset,
+        TrainingConfig(
+            numb_steps=steps,
+            batch_size=settings.batch_size,
+            disp_freq=steps,
+            start_lr=PAPER_PHENOME["start_lr"],
+            stop_lr=PAPER_PHENOME["stop_lr"],
+        ),
+        rng=settings.seed,
+    )
+
+
+def step_seconds(trainer: Trainer, step: int) -> float:
+    """Wall time of one step of ``Trainer.train``'s loop body."""
+    start = time.perf_counter()
+    batch = trainer.train_batches[
+        int(trainer.rng.integers(len(trainer.train_batches)))
+    ]
+    e_pred, f_pred = trainer.model.energy_and_forces(batch, create_graph=True)
+    loss = trainer.loss_fn(
+        step, e_pred, Tensor(batch.energies), f_pred, Tensor(batch.forces)
+    )
+    trainer.optimizer.zero_grad()
+    loss.backward()
+    trainer.optimizer.lr = trainer.schedule(step)
+    trainer.optimizer.step()
+    return time.perf_counter() - start
+
+
+def _best_ms(fn: Callable[[], Any], rounds: int) -> float:
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times) * 1e3
+
+
+def run(quick: bool = False) -> dict:
+    """Execute the bench; returns the machine-readable report dict."""
+    steps = 24 if quick else 80
+    rounds = 3 if quick else 7
+    start = time.perf_counter()
+    dataset = generate_dataset(
+        equilibration_steps=80, sample_interval=4, rng=SEED, **PAPER_SYSTEM
+    )
+    generate_s = time.perf_counter() - start
+    frames = dataset.train + dataset.validation
+    trainer = paper_trainer(dataset, steps)
+    for step in range(2):  # warm-up: caches and the allocator
+        step_seconds(trainer, step)
+    walls = [step_seconds(trainer, step) for step in range(steps)]
+    results = {
+        "dataset_generate_ms": generate_s * 1e3,
+        "step_ms_median": statistics.median(walls) * 1e3,
+        "prepare_batches_ms": _best_ms(
+            lambda: prepare_batches(frames, PAPER_PHENOME["rcut"]), rounds
+        ),
+        "validation_ms": _best_ms(trainer.evaluate_validation, rounds),
+        "neighbor_width": float(trainer.train_batches[0].max_neighbors),
+    }
+    return {
+        "bench": "training",
+        "quick": quick,
+        "frames": len(frames),
+        "n_atoms": dataset.n_atoms,
+        "steps": steps,
+        "rounds": rounds,
+        "results": results,
+        # same-machine ratio: one training's neighbour tables, in
+        # training steps (lower is better)
+        "metrics": {
+            "neighbor_tables_vs_step": (
+                results["prepare_batches_ms"] / results["step_ms_median"]
+            ),
+        },
+    }
+
+
+def main(argv: Optional[list] = None) -> int:
+    import argparse
+    import json
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--out", default="BENCH_training.json")
+    args = parser.parse_args(argv)
+    report = run(quick=args.quick)
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+    for name, value in report["results"].items():
+        print(f"{name:28s} {value:9.1f}")
+    for name, value in report["metrics"].items():
+        print(f"{name:28s} {value:9.3f}")
+    print(f"report written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

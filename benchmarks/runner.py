@@ -40,6 +40,7 @@ BENCHES = {
     "obs": "BENCH_obs.json",
     "mo": "BENCH_mo.json",
     "store": "BENCH_store.json",
+    "training": "BENCH_training.json",
 }
 
 
@@ -52,6 +53,8 @@ def _run_bench(name: str, quick: bool) -> dict:
         from benchmarks.bench_mo_metrics import run
     elif name == "store":
         from benchmarks.bench_store import run
+    elif name == "training":
+        from benchmarks.bench_real_training import run
     else:
         from benchmarks.bench_nsga2_kernels import run
     return run(quick=quick)

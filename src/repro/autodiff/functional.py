@@ -43,6 +43,8 @@ __all__ = [
     "where",
     "clip",
     "matmul",
+    "matmul_tn",
+    "matmul_nt",
     "sum",
     "mean",
     "reshape",
@@ -392,19 +394,52 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
 
     def vjp_a(g: Tensor):
         b2 = reshape(b, (-1, 1)) if b_vec else b
-        ga = matmul(lift(g), swapaxes(b2, -1, -2))
+        ga = matmul_nt(lift(g), b2)
         if a_vec:
             return reshape(unbroadcast(ga, (1, a.shape[0])), a.shape)
         return unbroadcast(ga, a.shape)
 
     def vjp_b(g: Tensor):
         a2 = reshape(a, (1, -1)) if a_vec else a
-        gb = matmul(swapaxes(a2, -1, -2), lift(g))
+        gb = matmul_tn(a2, lift(g))
         if b_vec:
             return reshape(unbroadcast(gb, (b.shape[0], 1)), b.shape)
         return unbroadcast(gb, b.shape)
 
     return make_op(a.data @ b.data, (a, b), (vjp_a, vjp_b), "matmul")
+
+
+def matmul_tn(a: ArrayLike, b: ArrayLike) -> Tensor:
+    """``a^T @ b`` over the last two axes as one node: the sum over the
+    row axis both operands share, ``(..., k, n), (..., k, p) -> (..., n, p)``.
+
+    The transpose is a view, never a copy or a tape node.  With
+    :func:`matmul_nt` this is a pair of mutual adjoints: each one's
+    vjps are a :func:`matmul` and the other one.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+
+    vjps = (
+        lambda g: unbroadcast(matmul_nt(b, g), a.shape),
+        lambda g: unbroadcast(matmul(a, g), b.shape),
+    )
+    return make_op(
+        a.data.swapaxes(-1, -2) @ b.data, (a, b), vjps, "matmul_tn"
+    )
+
+
+def matmul_nt(a: ArrayLike, b: ArrayLike) -> Tensor:
+    """``a @ b^T`` over the last two axes as one node: the sum over the
+    column axis both operands share, ``(..., n, k), (..., p, k) -> (..., n, p)``."""
+    a, b = as_tensor(a), as_tensor(b)
+
+    vjps = (
+        lambda g: unbroadcast(matmul(g, b), a.shape),
+        lambda g: unbroadcast(matmul_tn(g, a), b.shape),
+    )
+    return make_op(
+        a.data @ b.data.swapaxes(-1, -2), (a, b), vjps, "matmul_nt"
+    )
 
 
 def dot(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -421,7 +456,6 @@ def sum(  # noqa: A001 - mirrors numpy naming
     keepdims: bool = False,
 ) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
     in_shape = a.shape
 
     if axis is None:
@@ -430,6 +464,7 @@ def sum(  # noqa: A001 - mirrors numpy naming
         axes = (axis % a.ndim,)
     else:
         axes = tuple(ax % a.ndim for ax in axis)
+    out_data = _sum_data(a.data, axes, keepdims)
 
     def vjp(g: Tensor):
         if not keepdims:
@@ -440,6 +475,36 @@ def sum(  # noqa: A001 - mirrors numpy naming
         return broadcast_to(g, in_shape)
 
     return make_op(out_data, (a,), (vjp,), "sum")
+
+
+def _sum_data(x: np.ndarray, axes: tuple[int, ...], keepdims: bool) -> np.ndarray:
+    """``x.sum(axes)``, as a product with a ones vector when the axes
+    are one run of adjacent axes of a contiguous array, strided in
+    memory (axes after them left over).
+
+    NumPy adds along such a run one strided element at a time — the
+    bias gradient of a layer over 27 k rows, the sum over each atom's
+    neighbour slots — while BLAS does the same sum in one pass, several
+    times faster; it rounds differently from NumPy's pairwise summation
+    (DESIGN.md §10).  A run at the end of the array is contiguous
+    memory, which NumPy already sums pairwise at full speed.
+    """
+    first = min(axes, default=0)
+    stop = first + len(axes)
+    shape = x.shape
+    post = int(np.prod(shape[stop:]))
+    if (
+        post == 1
+        or not axes
+        or sorted(axes) != list(range(first, stop))
+        or not x.flags.c_contiguous
+    ):
+        return x.sum(axis=axes, keepdims=keepdims)
+    run = int(np.prod(shape[first:stop]))
+    pre = int(np.prod(shape[:first]))
+    out = np.matmul(np.ones(run), x.reshape(pre, run, post))
+    kept = (1,) * len(axes) if keepdims else ()
+    return out.reshape(shape[:first] + kept + shape[stop:])
 
 
 def mean(

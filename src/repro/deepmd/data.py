@@ -119,6 +119,9 @@ class DescriptorBatch:
     _geometries: dict[tuple[float, float], BatchGeometry] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _onehots: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def geometry(self, rcut: float, rcut_smth: float) -> BatchGeometry:
         """The batch's :class:`BatchGeometry` at these radii, built on
@@ -129,6 +132,21 @@ class DescriptorBatch:
             found = self._geometries[key] = BatchGeometry.build(
                 self.displacements, self.mask, *key
             )
+        return found
+
+    def species_onehots(self, n_species: int) -> tuple[np.ndarray, np.ndarray]:
+        """Constant one-hot species encodings ``(neighbor, central)``,
+        ``(B, N, nn, S)`` (zero in padded slots) and ``(B, N, S)``,
+        built on first use and kept like :meth:`geometry`."""
+        found = self._onehots.get(n_species)
+        if found is None:
+            eye = np.eye(n_species)
+            neighbor = eye[self.species[self.neighbor_indices]]
+            neighbor = neighbor * self.mask[..., None]
+            central = np.broadcast_to(
+                eye[self.species], self.mask.shape[:2] + (n_species,)
+            ).copy()
+            found = self._onehots[n_species] = (neighbor, central)
         return found
 
     @property

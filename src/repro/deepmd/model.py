@@ -96,7 +96,8 @@ def displacement_gradient(g_env: Tensor, geometry: BatchGeometry) -> Tensor:
     """
     geo, d = geometry, geometry.displacements
     g0, gv = g_env.data[..., 0], g_env.data[..., 1:]
-    radial = geo.ds_coeff * g0 + geo.dw_coeff * np.sum(gv * d, axis=-1)
+    along = np.einsum("...c,...c->...", gv, d)
+    radial = geo.ds_coeff * g0 + geo.dw_coeff * along
     data = radial[..., None] * d + geo.weight[..., None] * gv
     return make_op(
         data,
@@ -110,7 +111,7 @@ def _environment_gradient(g_disp: Tensor, geometry: BatchGeometry) -> Tensor:
     """The transpose of :func:`displacement_gradient`: ``(..., 3)`` to
     ``(..., 4)``."""
     geo, d = geometry, geometry.displacements
-    along = np.sum(g_disp.data * d, axis=-1)
+    along = np.einsum("...c,...c->...", g_disp.data, d)
     data = np.empty(g_disp.shape[:-1] + (4,))
     data[..., 0] = geo.ds_coeff * along
     data[..., 1:] = (
@@ -162,49 +163,38 @@ class DeepPotModel:
         return self.embedding.n_parameters() + self.fitting.n_parameters()
 
     # ------------------------------------------------------------------
-    def _species_onehots(
-        self, batch: DescriptorBatch
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Constant one-hot encodings for neighbors and central atoms."""
-        S = self.config.n_species
-        species = batch.species
-        central = np.eye(S)[species]  # (N, S)
-        neighbor_species = species[batch.neighbor_indices]  # (B, N, nn)
-        neighbor = np.eye(S)[neighbor_species]  # (B, N, nn, S)
-        # zero out padded slots so the embedding sees pure zeros there
-        neighbor = neighbor * batch.mask[..., None]
-        return neighbor, central
-
     def _geometry(self, batch: DescriptorBatch) -> BatchGeometry:
         radii = self.config.descriptor
         return batch.geometry(radii.rcut, radii.rcut_smth)
 
     def atomic_energies(self, env: Tensor, batch: DescriptorBatch) -> Tensor:
         """Per-atom energies ``(B, N)`` from the environment matrix
-        ``(B, N, nn, 4)``, whose first column feeds the embedding."""
+        ``(B, N, nn, 4)``, whose first column feeds the embedding.
+
+        ``env`` must be zero in padded neighbor slots (both the cached
+        geometry and the taped reference are): ``G`` is not masked, so
+        its padded rows reach ``G^T R~`` only multiplied by those zeros.
+        """
         B, N, nn = batch.mask.shape
-        neighbor_onehot, central_onehot = self._species_onehots(batch)
+        neighbor_onehot, central_onehot = batch.species_onehots(
+            self.config.n_species
+        )
         emb_in = F.concatenate(
             [env[..., :1], Tensor(neighbor_onehot)], axis=-1
         )
         emb_flat = F.reshape(emb_in, (B * N * nn, 1 + self.config.n_species))
         G = self.embedding(emb_flat)
         G = F.reshape(G, (B, N, nn, self.m1))
-        G = F.mul(G, Tensor(batch.mask[..., None]))
-        GT = F.swapaxes(G, -1, -2)  # (B, N, m1, nn)
         GR = F.div(
-            F.matmul(GT, env), self.config.descriptor_norm
+            F.matmul_tn(G, env), self.config.descriptor_norm
         )  # (B, N, m1, 4)
         GR_sub = GR[:, :, : self.m2, :]  # (B, N, m2, 4)
-        D = F.matmul(GR, F.swapaxes(GR_sub, -1, -2))  # (B, N, m1, m2)
+        D = F.matmul_nt(GR, GR_sub)  # (B, N, m1, m2)
         D_flat = F.mul(
             F.reshape(D, (B, N, self.m1 * self.m2)),
             self.config.descriptor_scale,
         )
-        central = np.broadcast_to(
-            central_onehot, (B, N, self.config.n_species)
-        ).copy()
-        fit_in = F.concatenate([D_flat, Tensor(central)], axis=-1)
+        fit_in = F.concatenate([D_flat, Tensor(central_onehot)], axis=-1)
         fit_flat = F.reshape(
             fit_in, (B * N, self.m1 * self.m2 + self.config.n_species)
         )

@@ -17,7 +17,9 @@ to :class:`repro.evo.individual.RobustIndividual`, which assigns
 
 from __future__ import annotations
 
+import shutil
 import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -60,8 +62,9 @@ class DeepMDProblem(WithMetadataProblem):
         Training/validation frames (shared across all evaluations, as
         the paper shares its FPMD dataset).
     base_dir:
-        Where UUID-named run directories are created; a temporary
-        directory by default.
+        Where UUID-named run directories are created; by default a
+        temporary directory, removed when this instance is collected
+        (or at interpreter exit) and never by an unpickled copy.
     settings:
         The fixed (non-searched) training envelope.
 
@@ -82,8 +85,10 @@ class DeepMDProblem(WithMetadataProblem):
         self.settings = settings or EvaluatorSettings()
         self._dataset_id: Optional[str] = None
         if base_dir is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="repro-hpo-")
-            self.base_dir = Path(self._tmp.name)
+            # the directory lives as long as this instance; a pickled
+            # copy (a pool worker's) holds only the path, never removes it
+            self.base_dir = Path(tempfile.mkdtemp(prefix="repro-hpo-"))
+            weakref.finalize(self, shutil.rmtree, self.base_dir, True)
         else:
             self.base_dir = Path(base_dir)
             self.base_dir.mkdir(parents=True, exist_ok=True)

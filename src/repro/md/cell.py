@@ -69,7 +69,9 @@ class PeriodicCell:
         cutoffs of up to 12 Å do for a scaled-down box) interactions
         with periodic images beyond the first shell matter; this
         returns all integer-combination shift vectors whose cells could
-        contain a neighbor within ``cutoff``.
+        contain a neighbor within ``cutoff`` — of an atom wrapped into
+        the cell.  (:func:`repro.md.neighbors.neighbor_pairs` sizes its
+        own range from the positions, so it does not need them wrapped.)
         """
         n = np.ceil(cutoff / self.lengths).astype(int)
         ranges = [np.arange(-k, k + 1) for k in n]

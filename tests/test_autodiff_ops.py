@@ -240,6 +240,52 @@ class TestLinalgAndShape:
             [_vec(4)],
         )
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [((4, 3), (4, 2)), ((2, 5, 4, 3), (2, 5, 4, 2)), ((2, 4, 3), (4, 2))],
+    )
+    def test_matmul_tn(self, shapes):
+        a, b = (RNG.normal(size=s) for s in shapes)
+        out = F.matmul_tn(ad.Tensor(a), ad.Tensor(b))
+        assert np.array_equal(out.data, np.swapaxes(a, -1, -2) @ b)
+        check_gradients(lambda x, y: F.tanh(F.matmul_tn(x, y)).sum(), [a, b])
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((3, 4), (2, 4)), ((2, 5, 3, 4), (2, 5, 2, 4)), ((2, 3, 4), (2, 4))],
+    )
+    def test_matmul_nt(self, shapes):
+        a, b = (RNG.normal(size=s) for s in shapes)
+        out = F.matmul_nt(ad.Tensor(a), ad.Tensor(b))
+        assert np.array_equal(out.data, a @ np.swapaxes(b, -1, -2))
+        check_gradients(lambda x, y: F.tanh(F.matmul_nt(x, y)).sum(), [a, b])
+
+    @pytest.mark.parametrize(
+        "shape,axis,keepdims",
+        [
+            ((7, 5), 0, False),  # a bias gradient
+            ((2, 3, 6, 3), 2, False),  # the central force term
+            ((2, 3, 6, 3), (1, 2), True),
+            ((4, 3, 2), (0, 1), False),
+            ((4, 3, 2), -1, True),  # trailing: NumPy's pairwise sum
+            ((4, 3, 2), (0, 2), False),  # not one run: NumPy
+            ((4, 3, 2), None, False),
+        ],
+    )
+    def test_sum_as_ones_product(self, shape, axis, keepdims):
+        """A strided run of axes is summed as a product with a ones
+        vector: same shape as NumPy's sum, values to rounding."""
+        x = RNG.normal(size=shape)
+        for data in (x, np.swapaxes(x, 0, 1)):  # contiguous, strided
+            got = F.sum(ad.Tensor(data), axis=axis, keepdims=keepdims).data
+            expected = np.sum(data, axis=axis, keepdims=keepdims)
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
+        check_gradients(
+            lambda a: (F.sum(a, axis=axis, keepdims=keepdims) ** 2.0).sum(),
+            [x],
+        )
+
 
 class TestIndexing:
     def test_getitem_slice(self):
@@ -343,6 +389,22 @@ class TestDoubleBackwardOps:
         (gA,) = ad.grad(z, [A])
         assert gA.data.shape == A0.shape
         assert np.isfinite(gA.data).all()
+
+    def test_transposed_products_double(self):
+        """The mutual adjoints differentiate through each other."""
+        a0, b0 = _mat(4, 3), _mat(4, 2)
+        weights = _mat(3, 2)
+
+        def z_of(a):
+            b = ad.Tensor(b0, requires_grad=True)
+            (gb,) = ad.grad(
+                F.sum(F.mul(F.tanh(F.matmul_tn(a, b)), weights)),
+                [b],
+                create_graph=True,
+            )
+            return F.sum(F.mul(gb, gb))
+
+        check_gradients(z_of, [a0])
 
     def test_index_add_double(self):
         idx = np.array([0, 1, 1])

@@ -124,6 +124,27 @@ class TestRealEvaluator:
         assert meta["workdir"].endswith("fixed-uuid-1")
         assert (real_problem.base_dir / "fixed-uuid-1").exists()
 
+    def test_default_directory_lives_with_its_instance(self, small_dataset):
+        """The default run directory goes with the problem that made it
+        — without a ResourceWarning — and never with a pickled copy,
+        such as a pool worker's."""
+        import gc
+        import pickle
+        import warnings
+
+        problem = DeepMDProblem(small_dataset)
+        directory = problem.base_dir
+        copy = pickle.loads(pickle.dumps(problem))
+        assert copy.base_dir == directory
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            del copy
+            gc.collect()
+            assert directory.is_dir()
+            del problem
+            gc.collect()
+        assert not directory.exists()
+
     @pytest.mark.slow
     def test_nsga2_over_real_trainer(self, small_dataset):
         """The full paper pipeline, miniaturized: a two-generation
