@@ -82,8 +82,8 @@ def test_steady_state_wall_clock(benchmark):
                 rng=0,
             )
 
-    record = once(benchmark, run)
-    assert record.evaluations == BUDGET
+    records = once(benchmark, run)
+    assert sum(len(r.evaluated) for r in records) == BUDGET
 
 
 def test_async_matches_quality_at_equal_budget(benchmark):
@@ -96,7 +96,7 @@ def test_async_matches_quality_at_equal_budget(benchmark):
             rng=0,
         )
     with LocalCluster(n_workers=6) as cluster:
-        ss_record = steady_state_nsga2(
+        ss_records = steady_state_nsga2(
             problem=SurrogateDeepMDProblem(seed=0),
             init_ranges=DeepMDRepresentation.init_ranges,
             initial_std=DeepMDRepresentation.mutation_std,
@@ -108,7 +108,7 @@ def test_async_matches_quality_at_equal_budget(benchmark):
             rng=0,
         )
     gen_hv = _hv(gen_records[-1].population)
-    ss_hv = _hv(ss_record.population)
+    ss_hv = _hv(ss_records[-1].population)
     rows = [
         {"scheme": "generational (paper)", "evaluations": BUDGET,
          "hypervolume": gen_hv},

@@ -2,12 +2,12 @@
 
 One paper-scale campaign is ~3500 trainings of up to 2 GPU-hours each,
 so everything that avoids or survives a training — deduplication, the
-evaluation cache, the MAXINT failure policy, timeouts, journaling —
-must behave identically no matter which optimizer asked for the
-evaluation.  Before this layer existed, the generational driver, the
-steady-state driver, and each baseline carried their own copy of that
-logic (and only the generational driver had all of it).  The engine is
-the single copy.
+evaluation cache, the MAXINT failure policy, timeouts — must behave
+identically no matter which optimizer asked for the evaluation.
+Before this layer existed, the generational driver, the steady-state
+driver, and each baseline carried their own copy of that logic (and
+only the generational driver had all of it).  The engine is the single
+copy.
 
 One path, one knob: every candidate enters through
 :meth:`EvaluationEngine.submit_batch`, which partitions its population
@@ -23,10 +23,10 @@ points choose:
 * :meth:`EvaluationEngine.evaluate_batch` — the same barrier at the
   backend's chunk hint (or an explicit ``chunk_size``): one vectorized
   problem call per chunk;
-* :meth:`EvaluationEngine.submit` plus :meth:`EvaluationEngine.wait_any`
-  — streaming: each candidate is a chunk of one and resolves as it
-  finishes (the §2.2.5 steady-state scheme: breed on completion, no
-  barrier).
+* :meth:`EvaluationEngine.submit_batch` plus
+  :meth:`EvaluationEngine.wait_any` — streaming, the driver loop's
+  (:func:`repro.evo.algorithm.run_driver`, which also journals):
+  candidates are handed back as they resolve.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class _InFlight:
 
 
 class EvaluationEngine:
-    """Submit → dedup → cache → execute → failure-policy → journal.
+    """Submit → dedup → cache → execute → failure-policy.
 
     Parameters
     ----------
@@ -160,10 +160,6 @@ class EvaluationEngine:
         Soft per-evaluation wall-clock limit in seconds; an overrunning
         candidate is failed with :class:`TrainingTimeoutError` (the
         engine-side analogue of the paper's 2-hour training cap).
-    journal:
-        Duck-typed :class:`repro.store.journal.CampaignJournal`; every
-        completed candidate is appended via ``append_evaluation`` when
-        the journal provides it.
     """
 
     def __init__(
@@ -172,7 +168,6 @@ class EvaluationEngine:
         dedup: bool = True,
         dedup_scope: str = "batch",
         timeout: Optional[float] = None,
-        journal: Any = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -188,7 +183,6 @@ class EvaluationEngine:
         self.dedup = bool(dedup)
         self.dedup_scope = dedup_scope
         self.timeout = timeout
-        self.journal = journal
         self.tracer = tracer if tracer is not None else get_tracer()
         registry = metrics if metrics is not None else get_registry()
         self._c_submitted = registry.counter("engine_submitted_total")
@@ -246,8 +240,8 @@ class EvaluationEngine:
         injected failures — each finishes immediately) and fresh
         candidates, which are dispatched to the backend in chunks of
         ``chunk_size`` (default: the backend's ``batch_chunk_hint``,
-        else one chunk).  Accounting, chaos injection, and journaling
-        are per candidate, so the chunk size changes how work crosses
+        else one chunk).  Accounting and chaos injection are per
+        candidate, so the chunk size changes how work crosses
         the backend and nothing else.
         """
         batch = list(individuals)
@@ -344,7 +338,7 @@ class EvaluationEngine:
 
     def evaluate(self, individuals: Iterable[Any]) -> list[Any]:
         """:meth:`evaluate_batch` at chunk size 1: one backend task per
-        candidate (same stats, journal records, and failure policy)."""
+        candidate (same stats and failure policy)."""
         return self.evaluate_batch(individuals, chunk_size=1)
 
     def finish_batch(self) -> None:
@@ -379,6 +373,12 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # streaming
     # ------------------------------------------------------------------
+    def remember(self, individuals: Iterable[Any]) -> None:
+        """Dedup later submissions against evaluations an earlier
+        session resolved (record replay)."""
+        for individual in individuals if self.dedup else ():
+            self._results.setdefault(self._genome_key(individual), individual)
+
     def has_pending(self) -> bool:
         """Any candidate not yet handed back to the caller?"""
         return bool(self._inflight or self._ready)
@@ -515,10 +515,6 @@ class EvaluationEngine:
                 )
         if not duplicate and genome_key is not None and self.dedup:
             self._results[genome_key] = individual
-        if self.journal is not None:
-            append = getattr(self.journal, "append_evaluation", None)
-            if append is not None:
-                append(individual)
         self._ready.append((seq, individual))
         from repro.obs.live import get_status
 
@@ -582,7 +578,7 @@ class EvaluationEngine:
         """Advance one chunk; return ``True`` once fully resolved.
 
         Members resolve in chunk order — the submission order — so
-        what gets journaled first does not depend on the chunk size.
+        what is accounted first does not depend on the chunk size.
         """
         elapsed = now - chunk.since
         slots = None

@@ -53,7 +53,7 @@ from repro.evo.nsga2 import (
 )
 from repro.evo.annealing import AnnealingSchedule, OneFifthSuccessRule
 from repro.evo.algorithm import GenerationRecord, generational_nsga2
-from repro.evo.asynchronous import SteadyStateRecord, steady_state_nsga2
+from repro.evo.asynchronous import SteadyStateDriver, steady_state_nsga2
 from repro.evo.crossover import (
     blend_crossover,
     sbx_crossover,
@@ -90,7 +90,7 @@ __all__ = [
     "OneFifthSuccessRule",
     "GenerationRecord",
     "generational_nsga2",
-    "SteadyStateRecord",
+    "SteadyStateDriver",
     "steady_state_nsga2",
     "uniform_crossover",
     "blend_crossover",

@@ -23,16 +23,18 @@ after which the standard-deviation vector is multiplied by the
 annealing factor (0.85).
 
 That pipeline is one :class:`Driver` (``ask`` breeds, ``tell`` selects
-and anneals); the loop around it — a barrier per generation, the
-write-ahead commit, resume from a journaled prefix — is
-:func:`run_driver`, which the particle swarm and the surrogate search
-of :mod:`repro.evo.pso` / :mod:`repro.evo.surrogate` run under too.
+and anneals); the loop around it — ask, submit, tell what comes back,
+the write-ahead commit, resume from a journaled prefix — is
+:func:`run_driver`, which the particle swarm, the surrogate search and
+the barrier-free steady-state scheme of :mod:`repro.evo.pso` /
+:mod:`repro.evo.surrogate` / :mod:`repro.evo.asynchronous` run under
+too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Optional, Sequence, Type
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Optional, Type
 
 import numpy as np
 
@@ -110,10 +112,6 @@ def random_initial_population(
     return population
 
 
-def _count_failures(individuals: Sequence[Individual]) -> int:
-    return sum(1 for ind in individuals if not ind.is_viable)
-
-
 @dataclass
 class RestoredRun:
     """The committed prefix of a journaled run, which a driver's
@@ -124,18 +122,21 @@ class RestoredRun:
     ``k`` (None for drivers that journal none) and ``rng`` a generator
     restored to the exact bit-generator state after record ``k`` (None
     when the journal kept no state) — together they make the continued
-    run bit-identical to an uninterrupted one.
+    run bit-identical to an uninterrupted one.  ``evaluations``, the
+    run's journaled evaluations in order, are what a driver without a
+    barrier replays.
     """
 
     records: list[GenerationRecord]
     driver_state: Optional[dict[str, Any]]
     rng: Optional[np.random.Generator]
+    evaluations: list[Individual] = field(default_factory=list)
 
 
 @dataclass(eq=False)
 class Driver:
-    """An optimizer with a barrier per record, as :func:`run_driver`
-    drives it, over a box of real-valued genomes.
+    """An ask/tell optimizer, as :func:`run_driver` drives it, over a
+    box of real-valued genomes.
 
     A subclass proposes and digests candidates; the loop owns the
     engine, spans, journal, telemetry, callback and stopper.  Every
@@ -152,8 +153,12 @@ class Driver:
     individual_cls: Type[Individual] = RobustIndividual
     rng: RngLike = None
 
-    #: the span each record's ask → evaluate → tell runs under
+    #: the span each record's asks, evaluations and tells run under
     span_name: ClassVar[str] = "ea.generation"
+    #: True: ``ask`` hands out a whole record, ``tell`` takes it back at
+    #: once.  False: ``ask`` fills the free slots, ``tell`` takes one
+    #: completion at a time (each one journaled) until a record closes
+    barrier: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         self.rng = ensure_rng(self.rng)
@@ -168,13 +173,15 @@ class Driver:
         self.generation = 0
         #: what ``ask`` adds to the span's evaluated/failures tags
         self.span_tags: dict[str, Any] = {}
+        #: set once the stopper fires: what is in flight is still told
+        self.halted = False
 
     def ask(self) -> list[Individual]:
-        """The unevaluated candidates of record ``self.generation``."""
+        """The unevaluated candidates to submit now."""
         raise NotImplementedError
 
-    def tell(self, evaluated: list[Individual]) -> GenerationRecord:
-        """Digest the evaluated candidates; the finished record."""
+    def tell(self, evaluated: list[Individual]) -> Optional[GenerationRecord]:
+        """Digest evaluated candidates; the record they close, if any."""
         raise NotImplementedError
 
     def driver_state(self) -> Optional[dict[str, Any]]:
@@ -183,10 +190,11 @@ class Driver:
         a JSON-able snapshot (later moves must not reach into it)."""
         return None
 
-    def restore(self, run: RestoredRun) -> None:
-        """The exact inverse of running ``run.records`` and journaling
-        ``run.driver_state``: the next :meth:`ask` proposes what the
-        uninterrupted run would have.  Subclasses add their own state."""
+    def restore(self, run: RestoredRun) -> Optional[list[GenerationRecord]]:
+        """The exact inverse of running ``run`` and journaling it: the
+        next :meth:`ask` proposes what the uninterrupted run would have.
+        Subclasses add their own state, and return any records the
+        restore closed that the journal lacks, for the loop to commit."""
         self.generation = run.records[-1].generation + 1
         if run.rng is None:
             raise StoreError(
@@ -221,18 +229,10 @@ class Driver:
             population=list(population),
             evaluated=list(evaluated),
             std=std,
-            n_failures=_count_failures(evaluated),
+            n_failures=sum(not ind.is_viable for ind in evaluated),
         )
         self.generation += 1
         return record
-
-
-def _capture_rng_state(rng: np.random.Generator) -> Any:
-    """JSON-able bit-generator state (None for exotic generators)."""
-    try:
-        return rng.bit_generator.state
-    except AttributeError:  # pragma: no cover - non-numpy generator
-        return None
 
 
 def run_driver(
@@ -249,42 +249,38 @@ def run_driver(
     pipeline: bool = False,
     resume_from: Optional[RestoredRun] = None,
 ) -> list[GenerationRecord]:
-    """The one generation loop: records ``0..generations`` of ``driver``.
+    """The one completion loop: records ``0..generations`` of ``driver``.
 
-    Each record runs inside a ``driver.span_name`` span on ``tracer``
-    (default: the process-wide tracer), which parents the in-process
-    evaluation spans and frames the distributed ones: ``ask``, one
-    :meth:`~repro.engine.EvaluationEngine.evaluate_batch` at
-    ``chunk_size`` (None: the backend's hint), ``tell``.
+    Ask, submit to one :class:`repro.engine.EvaluationEngine` at
+    ``chunk_size`` (None: the backend's hint), and tell the driver what
+    comes back — per :attr:`Driver.barrier`, its whole ask at once or
+    one completion at a time — until it closes a record, all inside a
+    ``driver.span_name`` span on ``tracer`` (default: the process-wide
+    tracer), tagged with the engine's fresh / cache-hit / dedup-hit
+    counts over it.  The engine is ``engine``, else built from
+    ``client``/``dedup``, which collapses genome-identical candidates —
+    per record with a barrier (so bit-identical resume holds), per run
+    without.
 
-    All evaluations flow through one
-    :class:`repro.engine.EvaluationEngine` (batch-scoped dedup, so the
-    within-generation semantics — and bit-identical resume — are
-    preserved); pass ``engine`` to supply a configured one, otherwise
-    it is built from ``client``/``dedup``, where ``dedup`` collapses
-    genome-identical candidates to one evaluation per record.
+    ``stopper`` (duck-typed ``observe(record) -> bool``) sees each
+    record right after the tell that closed it, before the next ask;
+    once it fires nothing more is asked and what is in flight is still
+    told, so a stopped run's records are a prefix of the unstopped
+    run's.  Every record then goes through one commit: ``journal`` (a
+    :class:`repro.store.journal.CampaignJournal`, duck-typed) with the
+    post-record RNG state and the driver's ``driver_state``, then the
+    returned list, the convergence telemetry and ``callback``.  Without
+    a barrier the journal also gets each evaluation as it is told.
+    ``resume_from`` continues a journaled run; the returned list then
+    holds only the *new* records.
 
-    ``journal`` (a :class:`repro.store.journal.CampaignJournal`,
-    duck-typed) receives each record plus the post-record RNG state —
-    and the driver's ``driver_state`` when it has one — before the
-    record commits; ``resume_from`` continues a journaled run
-    mid-stream — the returned list then holds only the *new* records
-    (the caller already has the restored prefix).
-
-    ``pipeline`` overlaps each record's commit bookkeeping — the
-    journal write, telemetry, and ``callback`` — with the *next*
-    record's evaluations: candidates are submitted non-blocking, the
-    previous record commits while workers evaluate, then the batch is
-    drained.  Records, fronts, and journaled states are unchanged
-    (they are captured eagerly, before the next record's draws); only
-    the wall-clock instant the callback fires moves.
-
-    ``stopper`` (a :class:`repro.mo.stopping.HypervolumeStopper`,
-    duck-typed: ``observe(record) -> bool``) is consulted after every
-    record; True halts the run early.  Stopping only truncates the
-    deterministic record sequence, so a stopped run's records are
-    bit-identical to the same-length prefix of the unstopped run.
+    ``pipeline`` submits the next record before the previous one
+    commits, overlapping the commit with evaluation.  Records, journaled
+    states and where a stop lands are unchanged (all settled before the
+    next ask); only the instant the callback fires moves.
     """
+    from repro.store.journal import rng_state_of  # imports this module
+
     trc = tracer if tracer is not None else get_tracer()
     #: campaign-fixed reference point → comparable hypervolume gauges
     telemetry = ConvergenceTelemetry()
@@ -292,18 +288,31 @@ def run_driver(
         engine
         if engine is not None
         else EvaluationEngine(
-            client=client, dedup=dedup, dedup_scope="batch", tracer=trc
+            client=client,
+            dedup=dedup,
+            dedup_scope="batch" if driver.barrier else "run",
+            tracer=trc,
         )
     )
-    if resume_from is not None:
-        driver.restore(resume_from)
     records: list[GenerationRecord] = []
+
+    def finish(record: GenerationRecord) -> tuple[Any, ...]:
+        """The stopper's verdict and the states to journal, taken right
+        after the tell that closed ``record`` — before the next ask
+        draws or moves, even if the commit waits (pipeline)."""
+        if stopper is not None and not driver.halted:
+            driver.halted = bool(stopper.observe(record))
+        return (
+            record,
+            rng_state_of(driver.rng),
+            driver.driver_state() if journal is not None else None,
+        )
 
     def commit(
         record: GenerationRecord, rng_state: Any, driver_state: Any
     ) -> None:
-        """Journal + telemetry + callback for one finished record
-        (write-ahead: the journal sees it before the in-memory list)."""
+        """Journal → list → telemetry → callback (write-ahead: the
+        journal sees each record before the in-memory list)."""
         if journal is not None:
             # duck-typed journals need not know the keyword
             extra = (
@@ -320,47 +329,59 @@ def run_driver(
         if callback is not None:
             callback(record)
 
-    #: pipeline mode: the latest finished record, not yet committed —
-    #: its commit overlaps the next record's batch
-    pending: Optional[tuple[GenerationRecord, Any, Any]] = None
-    while driver.generation <= generations:
+    if resume_from is not None:
+        for record in driver.restore(resume_from) or ():
+            commit(*finish(record))
+        eng.remember(resume_from.evaluations)
+
+    def may_ask() -> bool:
+        return not driver.halted and driver.generation <= generations
+
+    asked: list[Individual] = []  # submitted, not yet told
+    back: list[Individual] = []  # handed back, not yet told
+    pending = None  # pipeline: the finished record still to commit
+    while asked or may_ask():
         with trc.span(
             driver.span_name, generation=driver.generation
         ) as span:
-            candidates = driver.ask()
-            if pending is not None:
-                # non-blocking submission: workers start on this
-                # record while the previous one's commit (journal
-                # write, telemetry, callback) runs, then drain
-                eng.submit_batch(
-                    candidates, chunk_size=chunk_size, new_batch=True
-                )
-                commit(*pending)
-                pending = None
-                eng.finish_batch()
-            else:
-                candidates = eng.evaluate_batch(
-                    candidates, chunk_size=chunk_size
-                )
-            record = driver.tell(candidates)
+            before = eng.stats.copy()
+            record = None
+            while record is None:
+                if may_ask():
+                    candidates = driver.ask()
+                    eng.submit_batch(
+                        candidates,
+                        chunk_size=chunk_size,
+                        new_batch=driver.barrier,
+                    )
+                    asked += candidates
+                if pending is not None:
+                    commit(*pending)
+                    pending = None
+                need = len(asked) if driver.barrier else 1
+                while len(back) < need:
+                    back += eng.wait_any()
+                if driver.barrier:
+                    told, asked, back = asked, [], []
+                else:
+                    told = [back.pop(0)]
+                    asked.remove(told[0])
+                    if journal is not None:
+                        journal.append_evaluation(told[0])
+                record = driver.tell(told)
+            used = eng.stats.delta(before)
             span.tag(
                 evaluated=len(record.evaluated),
                 failures=record.n_failures,
+                fresh=used.fresh,
+                cache_hits=used.cache_hits,
+                dedup_hits=used.dedup_hits,
                 **driver.span_tags,
             )
-        # both states are captured here, before the next record draws
-        # or moves, even when the commit itself is deferred (pipeline)
-        finished = (
-            record,
-            _capture_rng_state(driver.rng),
-            driver.driver_state() if journal is not None else None,
-        )
         if pipeline:
-            pending = finished
+            pending = finish(record)
         else:
-            commit(*finished)
-        if stopper is not None and stopper.observe(record):
-            break
+            commit(*finish(record))
     if pending is not None:
         commit(*pending)
     return records

@@ -128,6 +128,20 @@ class WithMetadataProblem(Problem):
         return meta
 
 
+class BatchProblem(WithMetadataProblem):
+    """A problem whose only body is its batch entry point, which a
+    subclass must override: the scalar :meth:`evaluate_with_metadata`
+    is a batch of one, its slot raised when it is an exception."""
+
+    def evaluate_with_metadata(
+        self, phenome: Any, uuid: Optional[str] = None
+    ) -> tuple[np.ndarray, dict[str, Any]]:
+        (outcome,) = self.evaluate_batch_with_metadata([phenome], [uuid])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
 class FunctionProblem(Problem):
     """Wrap a plain callable returning a scalar or a fitness vector."""
 

@@ -33,12 +33,12 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.engine import EvaluationEngine, call_problem, call_problem_batch
+from repro.engine import EvaluationEngine, call_problem_batch
 from repro.evo import ops
 from repro.evo.annealing import AnnealingSchedule
 from repro.evo.decoder import MixedVectorDecoder
 from repro.evo.individual import Individual, RobustIndividual
-from repro.evo.problem import FunctionProblem, Problem, WithMetadataProblem
+from repro.evo.problem import BatchProblem, FunctionProblem, Problem
 from repro.hpo.representation import DeepMDRepresentation
 from repro.rng import RngLike, ensure_rng
 
@@ -218,7 +218,7 @@ def weighted_sum_ea(
     return _search_result(evaluated, eng, before)
 
 
-class _WeightedSumProblem(WithMetadataProblem):
+class _WeightedSumProblem(BatchProblem):
     """Scalarized view of a two-objective problem.
 
     The underlying objective vector is preserved in the individual's
@@ -243,10 +243,6 @@ class _WeightedSumProblem(WithMetadataProblem):
         meta = dict(meta)
         meta["objectives"] = np.asarray(fitness, dtype=np.float64)
         return scalar, meta
-
-    def evaluate_with_metadata(self, phenome, uuid=None):
-        fitness, meta = call_problem(self.problem, phenome, uuid=uuid)
-        return self._scalarize(fitness, meta)
 
     def evaluate_batch_with_metadata(self, phenomes, uuids=None):
         """Scalarize each slot of the inner problem's batch outcome;

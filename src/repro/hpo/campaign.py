@@ -10,7 +10,7 @@ derived from a single campaign seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class CampaignConfig:
     ``mode`` selects the deployment scheme per run: ``"generational"``
     (the paper's barrier-synchronized NSGA-II), ``"steady-state"``
     (the §2.2.5 breed-on-completion variant, same training budget,
-    rendered as pseudo-generations for the §3 analysis stack),
+    a record per ``pop_size`` completions for the §3 analysis stack),
     ``"pso"`` (the Natarajan & Caro multi-objective particle swarm),
     or ``"surrogate"`` (RBF-surrogate-assisted acquisition).
 
@@ -206,8 +206,8 @@ class Campaign:
         * runs with nothing committed are executed fresh, with the
           seed the journal recorded for them.
 
-        Steady-state runs have no generation to restart at; they replay
-        through the cache (:func:`repro.store.resume.resume_campaign`).
+        A steady-state run restarts from its seed instead and replays
+        its journaled evaluations: nothing journaled is evaluated again.
         """
         config = self.config
         result = CampaignResult(config=config)
@@ -254,19 +254,17 @@ class Campaign:
             tags: dict[str, Any] = {}
             #: where ``run_resume`` says this session picks the run up
             resumed_at: Optional[int] = None
-            if config.mode == "steady-state":
-                # no barrier, no record to restart at — cache-driven
-                # replay: same seed, finished evaluations come back as
-                # cache hits, unfinished ones train fresh
-                if journaled is not None:
-                    n_prior = len(prior.evaluations) if prior else 0
-                    tags["replayed_evaluations"] = n_prior
-                    resumed_at = n_prior or None
-            elif docs:
-                # interrupted mid-run: restore the prefix, continue
-                # after it
-                resume["resume_from"] = _restored_run(docs, problem)
-                tags["resumed_from"] = resumed_at = docs[-1]["generation"]
+            evaluations = prior.evaluations if prior else []
+            if docs or evaluations:
+                # interrupted mid-run: restore, continue after it
+                resume["resume_from"] = _restored_run(
+                    docs, problem, evaluations
+                )
+                resumed_at = len(docs) - 1
+                tags = dict(
+                    resumed_from=resumed_at,
+                    replayed_evaluations=len(evaluations),
+                )
             counts[
                 "runs_fresh" if resumed_at is None else "runs_resumed"
             ] += 1
@@ -308,20 +306,31 @@ class Campaign:
 
 
 def _restored_run(
-    docs: list[dict[str, Any]], problem: Optional[Problem] = None
+    docs: list[dict[str, Any]],
+    problem: Optional[Problem] = None,
+    evaluations: Sequence[dict[str, Any]] = (),
 ) -> RestoredRun:
-    """Journaled generation docs as the value a driver's ``restore``
-    reads; with ``problem``, the records can seed further evolution."""
+    """Journaled generation and evaluation docs as the value a driver's
+    ``restore`` reads; with ``problem``, they can seed further
+    evolution."""
     # deferred: ``repro.store`` imports this module
-    from repro.store.journal import record_from_doc, restore_rng
+    from repro.store.journal import (
+        evaluations_from_docs,
+        record_from_doc,
+        restore_rng,
+    )
 
     decoder = None if problem is None else DeepMDRepresentation.decoder()
-    rng_state = docs[-1].get("rng_state")
+    last = docs[-1] if docs else {}
+    rng_state = last.get("rng_state")
     return RestoredRun(
         records=[
             record_from_doc(doc, decoder=decoder, problem=problem)
             for doc in docs
         ],
-        driver_state=docs[-1].get("driver_state"),
+        driver_state=last.get("driver_state"),
         rng=restore_rng(rng_state) if rng_state else None,
+        evaluations=evaluations_from_docs(
+            evaluations, decoder=decoder, problem=problem
+        ),
     )

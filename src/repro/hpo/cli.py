@@ -10,6 +10,8 @@ import argparse
 import sys
 from typing import Any
 
+from repro.evo.problem import BatchProblem
+
 
 class _KillAfterJournaledEvaluations:
     """Test/CI harness for out-of-process backends: hard-kill the
@@ -18,16 +20,19 @@ class _KillAfterJournaledEvaluations:
     Under ``--backend pool``/``fleet`` the problem's ``evaluate`` runs
     inside a worker, so the problem-wrapping
     :class:`_KillAfterEvaluations` would kill a worker instead of the
-    campaign.  Every completed evaluation is journaled by the engine in
-    the campaign process, so wrapping the journal gives the same
-    semantics (the Nth result is durably persisted, then SIGKILL)
-    wherever the evaluation executed.
+    campaign.  Every completed evaluation is journaled in the campaign
+    process, so wrapping the journal gives the same semantics (the Nth
+    result is durably persisted, then SIGKILL) wherever the evaluation
+    executed.  An evaluation counts once, whether it became durable in
+    its own ``evaluation`` record (drivers without a barrier) or in a
+    generation record — which, for those drivers, repeats evaluations
+    already counted.
     """
 
     def __init__(self, journal: Any, limit: int) -> None:
         self.journal = journal
         self.limit = int(limit)
-        self._done = 0
+        self._seen: set[str] = set()
 
     def __getattr__(self, name: str) -> Any:
         try:
@@ -36,13 +41,13 @@ class _KillAfterJournaledEvaluations:
             raise AttributeError(name) from None
         return getattr(inner, name)
 
-    def _count(self, n: int) -> None:
-        self._done += n
-        if self._done >= self.limit:
+    def _count(self, individuals: Any) -> None:
+        self._seen.update(ind.uuid for ind in individuals)
+        if len(self._seen) >= self.limit:
             import os
 
             sys.stderr.write(
-                f"kill-after-evals: {self._done} evaluations "
+                f"kill-after-evals: {len(self._seen)} evaluations "
                 "journaled, exiting 137\n"
             )
             sys.stderr.flush()
@@ -50,17 +55,14 @@ class _KillAfterJournaledEvaluations:
 
     def append_evaluation(self, individual: Any) -> None:
         self.journal.append_evaluation(individual)
-        self._count(1)
+        self._count([individual])
 
     def append_generation(self, record: Any, **kwargs: Any) -> None:
-        # campaign journals are per-generation write-ahead records;
-        # count the evaluations each commit carries so the kill lands
-        # right after the Nth evaluation became durable
         self.journal.append_generation(record, **kwargs)
-        self._count(len(getattr(record, "evaluated", None) or ()))
+        self._count(record.evaluated)
 
 
-class _KillAfterEvaluations:
+class _KillAfterEvaluations(BatchProblem):
     """Test/CI harness: hard-kill the process after N evaluations.
 
     Wraps a problem (outside its :class:`~repro.store.cache.CachedProblem`
@@ -84,33 +86,10 @@ class _KillAfterEvaluations:
             raise AttributeError(name) from None
         return getattr(inner, name)
 
-    def _count(self) -> None:
-        self._done += 1
-        if self._done >= self.limit:
-            import os
-
-            sys.stderr.write(
-                f"kill-after-evals: {self._done} evaluations done, "
-                "exiting 137\n"
-            )
-            sys.stderr.flush()
-            os._exit(137)
-
-    def evaluate_with_metadata(self, phenome, uuid=None):
-        from repro.engine import call_problem
-
-        try:
-            return call_problem(self.problem, phenome, uuid=uuid)
-        finally:
-            self._count()
-
     def evaluate_batch_with_metadata(self, phenomes, uuids=None):
-        """Batch path with the same kill point as the scalar path.
-
-        Sub-batches never exceed the remaining budget, so exactly
+        """Sub-batches never exceed the remaining budget, so exactly
         ``limit`` evaluations finish (and persist) before the process
-        exits — a batch cannot overshoot the kill count.
-        """
+        exits — a batch cannot overshoot the kill count."""
         from repro.engine import call_problem_batch
 
         phenome_list = list(phenomes)
@@ -120,28 +99,25 @@ class _KillAfterEvaluations:
             else [None] * len(phenome_list)
         )
         outcomes: list[Any] = []
-        i = 0
-        while i < len(phenome_list):
+        while len(outcomes) < len(phenome_list):
+            i = len(outcomes)
             remaining = max(1, self.limit - self._done)
-            chunk = call_problem_batch(
+            outcomes += call_problem_batch(
                 self.problem,
                 phenome_list[i : i + remaining],
                 uuids=uuid_list[i : i + remaining],
             )
-            outcomes.extend(chunk)
-            for _ in chunk:
-                self._count()  # may os._exit(137) mid-batch
-            i += len(chunk)
+            self._done += len(outcomes) - i
+            if self._done >= self.limit:
+                import os
+
+                sys.stderr.write(
+                    f"kill-after-evals: {self._done} evaluations done, "
+                    "exiting 137\n"
+                )
+                sys.stderr.flush()
+                os._exit(137)
         return outcomes
-
-    def evaluate(self, phenome):
-        from repro.engine import call_problem
-
-        try:
-            fitness, _ = call_problem(self.problem, phenome)
-            return fitness
-        finally:
-            self._count()
 
 
 def _open_cache(args: argparse.Namespace, directory: Any = None):

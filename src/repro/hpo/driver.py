@@ -20,10 +20,7 @@ from repro.evo.algorithm import (
     RestoredRun,
     generational_nsga2,
 )
-from repro.evo.asynchronous import (
-    steady_state_as_generations,
-    steady_state_nsga2,
-)
+from repro.evo.asynchronous import steady_state_nsga2
 from repro.evo.individual import RobustIndividual
 from repro.evo.problem import Problem
 from repro.evo.pso import multi_objective_pso
@@ -73,7 +70,7 @@ class NSGA2Settings:
         )
 
 
-def _barrier_kwargs(
+def _run_kwargs(
     problem: Problem,
     settings: NSGA2Settings,
     client: Any,
@@ -83,8 +80,9 @@ def _barrier_kwargs(
     journal: Any,
     resume_from: Optional[RestoredRun],
 ) -> dict[str, Any]:
-    """What every barrier driver is handed: the Table 1 space, robust
-    individuals, and the run's engine/journal/stopper hooks."""
+    """What every driver is handed: the Table 1 space, robust
+    individuals, and the run's engine/journal/stopper hooks.  The
+    barrier drivers' callers add ``dedup``/``pipeline``/``batch_chunk``."""
     rep = DeepMDRepresentation
     return dict(
         problem=problem,
@@ -98,11 +96,8 @@ def _barrier_kwargs(
         rng=rng,
         callback=callback,
         tracer=tracer,
-        dedup=settings.dedup_within_generation,
         journal=journal,
         resume_from=resume_from,
-        pipeline=settings.pipeline,
-        batch_chunk=settings.batch_chunk,
         stopper=settings.stopper(),
     )
 
@@ -132,7 +127,10 @@ def run_deepmd_nsga2(
         sort_algorithm=settings.sort_algorithm,
         context=Context(),
         batch=settings.batch_evals,
-        **_barrier_kwargs(
+        dedup=settings.dedup_within_generation,
+        pipeline=settings.pipeline,
+        batch_chunk=settings.batch_chunk,
+        **_run_kwargs(
             problem, settings, client, rng, callback, tracer, journal,
             resume_from,
         ),
@@ -147,47 +145,27 @@ def run_deepmd_steady_state(
     callback: Optional[Callable[[GenerationRecord], None]] = None,
     tracer: Any = None,
     journal: Any = None,
+    resume_from: Optional[RestoredRun] = None,
 ) -> list[GenerationRecord]:
     """One asynchronous steady-state deployment (§2.2.5) over the same
-    space, budget, and knobs as :func:`run_deepmd_nsga2`.
+    space, budget, and engine contract as :func:`run_deepmd_nsga2`.
 
     The budget is ``pop_size * (generations + 1)`` — the generational
-    campaign's training count — and the result is rendered as
-    pseudo-generations (one per annealing window) so the §3 analysis
-    stack consumes either mode unchanged.  ``journal`` receives every
-    completed evaluation as it finishes (via the evaluation engine)
-    plus the pseudo-generation records at the end of the run.
+    campaign's training count — and each ``pop_size`` completions close
+    a record, so the §3 analysis stack consumes either mode unchanged.
+    Candidates cross the backend one per task, deduplicated per run, so
+    ``batch_chunk``, ``pipeline`` and the per-generation dedup switch
+    do not apply.
     """
     settings = settings or NSGA2Settings()
-    rep = DeepMDRepresentation
-    record = steady_state_nsga2(
-        problem=problem,
-        init_ranges=rep.init_ranges,
-        initial_std=rep.mutation_std,
-        pop_size=settings.pop_size,
+    return steady_state_nsga2(
         max_evaluations=settings.pop_size * (settings.generations + 1),
-        client=client,
-        hard_bounds=rep.bounds,
-        decoder=rep.decoder(),
-        individual_cls=RobustIndividual,
         anneal_factor=settings.anneal_factor,
-        rng=rng,
-        journal=journal,
-        tracer=tracer,
-        stopper=settings.stopper(),
+        **_run_kwargs(
+            problem, settings, client, rng, callback, tracer, journal,
+            resume_from,
+        ),
     )
-    records = steady_state_as_generations(
-        record,
-        pop_size=settings.pop_size,
-        initial_std=rep.mutation_std,
-        anneal_factor=settings.anneal_factor,
-    )
-    for rec in records:
-        if journal is not None:
-            journal.append_generation(rec)
-        if callback is not None:
-            callback(rec)
-    return records
 
 
 def run_deepmd_pso(
@@ -209,7 +187,10 @@ def run_deepmd_pso(
     settings = settings or NSGA2Settings()
     return multi_objective_pso(
         iterations=settings.generations,
-        **_barrier_kwargs(
+        dedup=settings.dedup_within_generation,
+        pipeline=settings.pipeline,
+        batch_chunk=settings.batch_chunk,
+        **_run_kwargs(
             problem, settings, client, rng, callback, tracer, journal,
             resume_from,
         ),
@@ -233,7 +214,10 @@ def run_deepmd_surrogate(
     settings = settings or NSGA2Settings()
     return surrogate_assisted_search(
         iterations=settings.generations,
-        **_barrier_kwargs(
+        dedup=settings.dedup_within_generation,
+        pipeline=settings.pipeline,
+        batch_chunk=settings.batch_chunk,
+        **_run_kwargs(
             problem, settings, client, rng, callback, tracer, journal,
             resume_from,
         ),

@@ -32,7 +32,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.evo.problem import Problem, WithMetadataProblem
+from repro.evo.problem import BatchProblem, Problem
 from repro.hpc.runtime_model import TrainingRuntimeModel
 from repro.mo.metrics import default_reference
 
@@ -99,7 +99,7 @@ def reference_point(objectives: Sequence[str]) -> tuple[float, ...]:
     return default_reference(len(names))
 
 
-class RuntimeCostProblem(WithMetadataProblem):
+class RuntimeCostProblem(BatchProblem):
     """Append expected training minutes as a third minimization
     objective.
 
@@ -143,12 +143,6 @@ class RuntimeCostProblem(WithMetadataProblem):
         meta = dict(meta)
         meta["cost_minutes"] = cost
         return extended, meta
-
-    def evaluate_with_metadata(self, phenome, uuid=None):
-        from repro.engine.invoke import call_problem
-
-        fitness, meta = call_problem(self.problem, phenome, uuid=uuid)
-        return self._extend(fitness, meta, phenome)
 
     def evaluate_batch_with_metadata(self, phenomes, uuids=None):
         """Extend each slot of the inner batch outcome; failed slots

@@ -8,7 +8,6 @@ figure data as CSV for external plotting.
 """
 
 from repro.io.campaign_store import load_campaign, save_campaign
-from repro.io.runlog import RunLogger, read_runlog, summarize_runlog
 from repro.io.csv_export import (
     export_frontier_csv,
     export_level_plot_csv,
@@ -18,9 +17,6 @@ from repro.io.csv_export import (
 __all__ = [
     "save_campaign",
     "load_campaign",
-    "RunLogger",
-    "read_runlog",
-    "summarize_runlog",
     "export_frontier_csv",
     "export_level_plot_csv",
     "export_parallel_coordinates_csv",

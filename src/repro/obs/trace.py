@@ -178,8 +178,9 @@ class Tracer:
         span / emitted event (line-buffered, like the run journal).
         ``None`` keeps records in memory only.
     campaign_id:
-        Correlates the trace with a :class:`~repro.io.runlog.RunLogger`
-        journal; autogenerated when omitted.
+        Names the campaign the trace belongs to — the one whose
+        write-ahead :class:`~repro.store.journal.CampaignJournal`
+        holds its records; autogenerated when omitted.
     keep_in_memory:
         Retain records on the tracer (the default); long campaigns
         streaming to disk can turn this off to bound memory.

@@ -19,9 +19,9 @@ appends one self-contained record per event as the campaign runs:
     before the generation is committed to the in-memory record list.
 ``evaluation``
     one completed candidate evaluation (genome, fitness, UUID,
-    metadata) — the steady-state driver's unit of progress, appended
-    by the evaluation engine on every completion since the barrier-free
-    scheme has no generation boundary to commit at.
+    metadata) — a barrier-free driver's unit of progress, appended by
+    the driver loop as each completion is told, since its next
+    generation record can be a whole window away.
 ``campaign_end``
     normal completion marker.
 
@@ -29,9 +29,9 @@ Every line is strict JSON (floats round-trip bit-exactly through
 Python's shortest-repr encoder; NaN/inf in metadata become null), so a
 journal truncated at an arbitrary byte offset parses cleanly up to the
 torn record and the resume engine continues from the last whole
-generation.  A SIGKILL therefore loses at most the in-flight
-evaluations of one generation — and those are recoverable from the
-evaluation cache.
+generation (or, without a barrier, replays the journaled evaluations).
+A SIGKILL therefore loses at most the in-flight evaluations of one
+generation — and those are recoverable from the evaluation cache.
 """
 
 from __future__ import annotations
@@ -295,12 +295,9 @@ class CampaignJournal:
         self._append(doc)
 
     def append_evaluation(self, individual: Individual) -> None:
-        """The write-ahead commit of one completed evaluation.
-
-        This is the :class:`repro.engine.EvaluationEngine` journal
-        hook: steady-state runs have no generation barrier, so each
-        completion is durable on its own.
-        """
+        """The write-ahead commit of one completed evaluation: a driver
+        without a barrier makes each completion durable as the loop
+        tells it (:func:`repro.evo.algorithm.run_driver`)."""
         if self._run is None:
             raise RuntimeError(
                 "append_evaluation before begin_run/resume_run"
@@ -349,7 +346,8 @@ class RunJournalState:
     seed: Optional[int] = None
     #: generation docs keyed by generation index (last write wins)
     generations: dict[int, dict[str, Any]] = field(default_factory=dict)
-    #: per-evaluation docs in completion order (steady-state runs)
+    #: per-evaluation docs in the order the driver consumed them
+    #: (drivers without a barrier)
     evaluations: list[dict[str, Any]] = field(default_factory=list)
     complete: bool = False
 
@@ -480,3 +478,16 @@ def record_from_doc(
         std=np.asarray(doc["std"], dtype=np.float64),
         n_failures=int(doc["n_failures"]),
     )
+
+
+def evaluations_from_docs(
+    docs: Any, decoder: Any = None, problem: Any = None
+) -> list[RobustIndividual]:
+    """The individuals of journaled ``evaluation`` docs, in order."""
+    group = {
+        "genomes": [doc["genome"] for doc in docs],
+        "fitness": [doc["fitness"] for doc in docs],
+        "uuids": [doc["uuid"] for doc in docs],
+        "metadata": [doc["metadata"] for doc in docs],
+    }
+    return _group_individuals(group, decoder=decoder, problem=problem)

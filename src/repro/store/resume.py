@@ -11,7 +11,8 @@ executed fresh).
 
 Evaluations of the interrupted generation that finished before the
 kill were already persisted by the evaluation cache, so replaying that
-generation re-submits only uncached individuals.
+generation re-submits only uncached individuals; a steady-state run
+replays its journaled evaluations instead.
 """
 
 from __future__ import annotations
@@ -106,17 +107,12 @@ def resume_campaign(
     be killed and resumed again.
 
     Steady-state campaigns (``mode="steady-state"``) resume by
-    *cache-driven replay*: the interrupted run re-executes with its
-    original seed, and every evaluation that finished before the kill
-    — journaled per completion and persisted in the cache — is served
-    without retraining.  With the default inline execution the replay
-    breeds the original run's genomes: the engine hands resolved
-    candidates back in submission order whether they executed or came
-    from the cache, so the only evaluations that execute are the ones
-    the cache does not hold — those the kill cut off, and failed ones
-    unless the cache keeps failures.  With a client, completion order
-    (and hence the bred genomes past the interruption point) may
-    differ, but finished work is still never re-trained.
+    *record replay*: the interrupted run restarts from its seed and is
+    told its journaled evaluations in journaled order, so nothing that
+    was journaled is evaluated again — with or without a cache — and
+    the candidates it had asked for but never journaled are submitted
+    first.  The continuation is bit-identical to the uninterrupted run
+    wherever that run's completion order is reproducible (inline).
     """
     directory = Path(directory)
     jpath = journal_path(directory)

@@ -155,24 +155,17 @@ def _run_driver(seed, driver, journal, **mode):
     return records, journal, engine
 
 
-class EvaluationLog:
-    """Duck-typed journal capturing per-evaluation appends, in order."""
-
-    def __init__(self):
-        self.entries = []
-
-    def append_evaluation(self, individual):
-        meta = individual.metadata
-        self.entries.append(
-            (
-                float(individual.genome[0]),
-                individual.fitness.tobytes(),
-                meta.get("failed", False),
-                meta.get("error"),
-                meta.get("cache_hit", False),
-                "dedup_of" in meta,
-            )
-        )
+def _evaluation_entry(individual):
+    """What an evaluation record keeps of one handed-back individual."""
+    meta = individual.metadata
+    return (
+        float(individual.genome[0]),
+        individual.fitness.tobytes(),
+        meta.get("failed", False),
+        meta.get("error"),
+        meta.get("cache_hit", False),
+        "dedup_of" in meta,
+    )
 
 
 def _run_engine(xs, primed, faults, directory, mode):
@@ -190,12 +183,9 @@ def _run_engine(xs, primed, faults, directory, mode):
         RobustIndividual(np.array([float(x)]), decoder=decoder, problem=problem)
         for x in xs
     ]
-    log = EvaluationLog()
     plan = FaultPlan([Fault(kind=kind, at=at) for kind, at in faults])
     with use_injector(plan.injector()):
-        engine = EvaluationEngine(
-            dedup=True, dedup_scope="batch", journal=log
-        )
+        engine = EvaluationEngine(dedup=True, dedup_scope="batch")
         if mode == "evaluate":
             done = engine.evaluate(individuals)
         elif mode == "stream":
@@ -211,7 +201,7 @@ def _run_engine(xs, primed, faults, directory, mode):
             done = engine.evaluate_batch(individuals, chunk_size=mode)
     return (
         [(i.fitness.tobytes(), sorted(i.metadata)) for i in done],
-        log.entries,
+        [_evaluation_entry(i) for i in done],
         _stats_tuple(engine.stats),
     )
 
@@ -301,8 +291,9 @@ class TestBatchBitIdentity:
         self, xs, primed, faults, k
     ):
         """Duplicates, failures, cache hits, injected faults and their
-        order survive every dispatch granularity: results, per-
-        evaluation journal records and ``EngineStats`` are equal at
+        order survive every dispatch granularity: results, what an
+        evaluation record keeps of each, in hand-back order, and
+        ``EngineStats`` are equal at
         chunk size 1, k and n, and when streamed."""
         outcomes = {}
         for mode in ("evaluate", 1, k, len(xs), "stream"):

@@ -757,7 +757,7 @@ class TestSteadyStateEquivalence:
 
 
 def _baseline_search(directory, plan=None):
-    """random_search over a cluster, journaled per completion."""
+    """random_search over a cluster, each evaluation journaled."""
     injector = None if plan is None else plan.injector()
     tracer = Tracer()
     cache = EvaluationCache(directory / "cache", fault_injector=injector)
@@ -781,11 +781,12 @@ def _baseline_search(directory, plan=None):
                 journal.begin_run(0, 7)
                 engine = EvaluationEngine(
                     client=cluster.client(),
-                    journal=journal,
                     tracer=tracer,
                     fault_injector=injector,
                 )
                 result = random_search(problem, budget=18, rng=7, engine=engine)
+                for individual in result.evaluated:
+                    journal.append_evaluation(individual)
                 journal.end_run(0)
                 journal.end_campaign()
     finally:

@@ -163,6 +163,12 @@ def test_a_new_driver_gets_journal_pipeline_stopper_and_restore(tmp_path):
     spans = tracer.spans("random.iteration")
     assert [s["tags"]["generation"] for s in spans] == [0, 1, 2, 3]
     assert all(s["tags"]["evaluated"] == POP for s in spans)
+    # each record's span carries what the engine did for it
+    assert all(
+        s["tags"]["fresh"] + s["tags"]["cache_hits"] + s["tags"]["dedup_hits"]
+        == POP
+        for s in spans
+    )
     # pipelined: same journal, each commit one record late
     seen = []
     piped, piped_docs = _journaled_run(
@@ -277,10 +283,10 @@ def test_resume_restores_continues_and_starts_runs(tmp_path, mode):
     ) == (1, 1, 1)
     runs = {s["tags"]["run"]: s["tags"] for s in tracer.spans("campaign.run")}
     assert sorted(runs) == [1, 2]
-    marker = (
-        "replayed_evaluations" if mode == "steady-state" else "resumed_from"
-    )
-    assert runs[1][marker] == (POP if mode == "steady-state" else 0)
+    # steady-state: cut after window 0's evaluations, before its record
+    replayed = POP if mode == "steady-state" else 0
+    assert runs[1]["replayed_evaluations"] == replayed
+    assert runs[1]["resumed_from"] == (-1 if replayed else 0)
     assert _views(resumed) == _views(base)
     kinds = [doc["type"] for doc in _journal_docs(tmp_path / "cut")]
     assert kinds.count("campaign_begin") == 1

@@ -8,8 +8,8 @@ The load-bearing guarantees under test:
 * the engine is the only place the exception→MAXINT failure policy
   lives (an AST guard bans direct ``Problem.evaluate`` calls and
   inline failure-fitness construction everywhere else in ``src/``);
-* a killed steady-state campaign resumes without retraining finished
-  evaluations, and its journal records every completed evaluation.
+* a killed steady-state campaign resumes by replaying its journaled
+  evaluations, and its journal records every evaluation once.
 """
 
 import ast
@@ -28,10 +28,7 @@ from repro.engine import (
     call_problem,
     failure_fitness,
 )
-from repro.evo.asynchronous import (
-    steady_state_as_generations,
-    steady_state_nsga2,
-)
+from repro.evo.asynchronous import steady_state_nsga2
 from repro.evo.individual import MAXINT, Individual, RobustIndividual
 from repro.evo.problem import Problem
 from repro.exceptions import EvaluationError
@@ -44,7 +41,7 @@ from repro.hpo.driver import NSGA2Settings, run_deepmd_nsga2
 from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.hpo.representation import DeepMDRepresentation
 from repro.store import CachedProblem, EvaluationCache
-from repro.store.journal import read_journal
+from repro.store.journal import CampaignJournal, read_journal
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -279,17 +276,23 @@ class TestCacheHitInEveryDriver:
             hard_bounds=rep.bounds,
             decoder=rep.decoder(),
         )
-        first = steady_state_nsga2(problem=make(), rng=11, **kwargs)
-        assert first.evaluations == 15
-        assert first.cache_hits == 0
-        replay = steady_state_nsga2(problem=make(), rng=11, **kwargs)
+        cold = EvaluationEngine(dedup=True, dedup_scope="run")
+        first = steady_state_nsga2(
+            problem=make(), rng=11, engine=cold, **kwargs
+        )
+        assert cold.stats.fresh == 15
+        assert cold.stats.cache_hits == 0
+        warm = EvaluationEngine(dedup=True, dedup_scope="run")
+        replay = steady_state_nsga2(
+            problem=make(), rng=11, engine=warm, **kwargs
+        )
         # deterministic inline replay: every candidate is served from
         # the cache, zero retraining
-        assert replay.evaluations == 0
-        assert replay.cache_hits == replay.completions == 15
+        assert warm.stats.fresh == 0
+        assert warm.stats.cache_hits == warm.stats.completed == 15
         assert sorted(
-            tuple(i.fitness) for i in first.evaluated
-        ) == sorted(tuple(i.fitness) for i in replay.evaluated)
+            tuple(i.fitness) for r in first for i in r.evaluated
+        ) == sorted(tuple(i.fitness) for r in replay for i in r.evaluated)
 
     def test_steady_state_campaign_replays_over_uncached_failures(
         self, tmp_path
@@ -323,11 +326,19 @@ class TestCacheHitInEveryDriver:
         cold = Campaign(factory, config).run()
         assert front(cold) == front(plain)
         before = cache.stats()
-        warm = Campaign(factory, config).run()
+        with CampaignJournal(tmp_path / "warm.jsonl") as journal:
+            warm = Campaign(factory, config, journal=journal).run()
         after = cache.stats()
         assert after["misses"] - before["misses"] == failed
         assert after["inserts"] == before["inserts"]
         assert front(warm) == front(plain)
+        # the journal holds the evaluations in the order the driver
+        # consumed them — cache hits and retrained failures alike
+        state = read_journal(tmp_path / "warm.jsonl")
+        for index, run in enumerate(warm.runs):
+            assert [doc["uuid"] for doc in state.runs[index].evaluations] == [
+                ind.uuid for rec in run for ind in rec.evaluated
+            ]
 
     def test_generational(self, tmp_path):
         cache, make = self._factory(tmp_path)
@@ -376,12 +387,14 @@ class TestCacheHitInEveryDriver:
 
 
 # ----------------------------------------------------------------------
-# steady-state accounting and pseudo-generations
+# steady-state accounting and windows
 # ----------------------------------------------------------------------
 class TestSteadyStateAccounting:
-    def test_record_counts_and_chunks(self):
+    def test_record_counts_and_windows(self):
         rep = DeepMDRepresentation
-        record = steady_state_nsga2(
+        engine = EvaluationEngine(dedup=True, dedup_scope="run")
+        seen = []
+        records = steady_state_nsga2(
             problem=SurrogateDeepMDProblem(seed=0),
             init_ranges=rep.init_ranges,
             initial_std=rep.mutation_std,
@@ -390,21 +403,18 @@ class TestSteadyStateAccounting:
             hard_bounds=rep.bounds,
             decoder=rep.decoder(),
             rng=0,
+            engine=engine,
+            callback=lambda rec: seen.append(engine.stats.completed),
         )
-        assert record.completions == 12
-        assert record.evaluations == 12  # no cache, no repeats
-        assert len(record.evaluated) == 12
-        assert len(record.population) == 4
-        gens = steady_state_as_generations(
-            record, pop_size=4, initial_std=rep.mutation_std
-        )
-        assert [g.generation for g in gens] == [0, 1, 2]
-        assert all(len(g.evaluated) == 4 for g in gens)
-        assert [tuple(i.genome) for i in gens[-1].population] == [
-            tuple(i.genome) for i in record.population
-        ]
+        assert engine.stats.completed == 12
+        assert engine.stats.fresh == 12  # no cache, no repeats
+        assert [r.generation for r in records] == [0, 1, 2]
+        assert all(len(r.evaluated) == 4 for r in records)
+        assert all(len(r.population) == 4 for r in records)
+        # a window commits once its completions are in, not at the end
+        assert seen[0] < seen[1] < seen[2] == 12
         # std anneals by the factor per window
-        assert np.allclose(gens[1].std, gens[0].std * 0.85)
+        assert np.allclose(records[1].std, records[0].std * 0.85)
 
     def test_budget_must_cover_initial_population(self):
         rep = DeepMDRepresentation
@@ -554,7 +564,7 @@ class TestFailurePolicyGuard:
 
 
 # ----------------------------------------------------------------------
-# killed steady-state campaign: cache-driven resume
+# killed steady-state campaign: record-replay resume
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestSteadyStateKillResume:
@@ -569,7 +579,7 @@ class TestSteadyStateKillResume:
             timeout=300,
         )
 
-    def test_killed_steady_state_resumes_from_cache(self, tmp_path):
+    def test_killed_steady_state_resumes_by_replay(self, tmp_path):
         common = [
             "run",
             "--mode", "steady-state",
@@ -585,41 +595,94 @@ class TestSteadyStateKillResume:
             cwd=tmp_path,
         )
         assert killed.returncode == 137, killed.stderr
-        # most finished evaluations persisted before the kill (the
-        # kill-triggering one and uncached failures may be missing)
         n_cached = len(
             list((tmp_path / "killed" / "cache").glob("??/*.json"))
         )
-        assert n_cached >= 5
+        cut = read_journal(tmp_path / "killed" / "journal.jsonl")
+        # successes journaled before the kill: the resume replays them
+        # from the journal without looking them up
+        n_journaled = sum(
+            1
+            for rs in cut.runs.values()
+            for doc in rs.evaluations
+            if not doc["metadata"].get("failed")
+        )
+        assert n_journaled >= 3
         resumed = self._run_cli(["resume", "killed"], cwd=tmp_path)
         assert resumed.returncode == 0, resumed.stderr
-        # every finished evaluation came back as a cache hit, not a
-        # retraining
-        assert f"'hits': {n_cached}" in resumed.stdout
+        # only what finished but was never journaled comes back as a
+        # cache hit; nothing is retrained
+        assert f"'hits': {n_cached - n_journaled}," in resumed.stdout
 
         from repro.io import load_campaign
 
         a = load_campaign(tmp_path / "base")
         b = load_campaign(tmp_path / "killed")
         # inline steady-state replay is deterministic, so the resumed
-        # campaign matches the never-killed one; the journal/cache
-        # guarantee itself is order-independent (set equality)
+        # campaign matches the never-killed one
         front = lambda r: sorted(  # noqa: E731
-            tuple(i.fitness) for i in r.aggregate_pareto_front()
+            (tuple(i.genome), tuple(i.fitness))
+            for i in r.aggregate_pareto_front()
         )
         assert front(a) == front(b)
 
-        # the journal holds every completed evaluation of the campaign
+        # the journal holds every evaluation of the campaign, once
         state = read_journal(tmp_path / "killed" / "journal.jsonl")
-        journaled = {
-            tuple(doc["genome"])
-            for rs in state.runs.values()
-            for doc in rs.evaluations
-        }
-        evaluated = {
-            tuple(i.genome)
-            for run in b.runs
-            for rec in run
-            for i in rec.evaluated
-        }
-        assert evaluated == journaled
+        for index, run in enumerate(b.runs):
+            journaled = [doc["uuid"] for doc in state.runs[index].evaluations]
+            assert len(journaled) == len(set(journaled))
+            assert sorted(journaled) == sorted(
+                i.uuid for rec in run for i in rec.evaluated
+            )
+
+    def test_pool_kill_counts_each_evaluation_once(self, tmp_path):
+        """The journal-side kill counts an evaluation once, although a
+        steady-state window's record repeats the evaluations already
+        journaled one by one."""
+        killed = self._run_cli(
+            [
+                "run",
+                "--mode", "steady-state",
+                "--runs", "1",
+                "--pop-size", "6",
+                "--generations", "2",
+                "--seed", "7",
+                "--backend", "pool",
+                "--pool-workers", "2",
+                "--save", "killed",
+                "--kill-after-evals", "10",
+            ],
+            cwd=tmp_path,
+        )
+        assert killed.returncode == 137, killed.stderr
+        state = read_journal(tmp_path / "killed" / "journal.jsonl")
+        assert len(state.runs[0].evaluations) == 10
+        assert sorted(state.runs[0].generations) == [0]
+
+
+class TestKillAfterEvaluations:
+    """``--kill-after-evals N`` finishes exactly N evaluations, whichever
+    entry point the engine uses."""
+
+    @pytest.mark.parametrize("path", ["scalar", "batch"])
+    def test_exactly_n_evaluations_finish(self, monkeypatch, path):
+        from repro.hpo.cli import _KillAfterEvaluations
+
+        class Killed(Exception):
+            pass
+
+        def exit_(code):
+            raise Killed(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        inner = CountingProblem()
+        wrapped = _KillAfterEvaluations(inner, 5)
+        phenomes = [[float(i)] for i in range(8)]
+        with pytest.raises(Killed):
+            if path == "scalar":
+                for phenome in phenomes:
+                    wrapped.evaluate_with_metadata(phenome)
+            else:
+                wrapped.evaluate_batch_with_metadata(phenomes[:3])
+                wrapped.evaluate_batch_with_metadata(phenomes[3:])
+        assert inner.calls == 5

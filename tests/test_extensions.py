@@ -184,28 +184,32 @@ class TestSteadyStateNSGA2:
         with LocalCluster(n_workers=4) as cluster:
             return steady_state_nsga2(client=cluster.client(), **kwargs)
 
+    @staticmethod
+    def _evaluated(records):
+        return [ind for rec in records for ind in rec.evaluated]
+
     def test_budget_respected(self):
-        record = self._run()
-        assert record.evaluations == 64
-        assert len(record.evaluated) == 64
+        records = self._run()
+        assert len(self._evaluated(records)) == 64
+        assert [len(rec.evaluated) for rec in records] == [16] * 4
 
     def test_population_size_maintained(self):
-        record = self._run()
-        assert len(record.population) == 16
+        records = self._run()
+        assert all(len(rec.population) == 16 for rec in records)
 
     def test_all_evaluated(self):
-        record = self._run()
-        assert all(ind.is_evaluated for ind in record.evaluated)
+        records = self._run()
+        assert all(ind.is_evaluated for ind in self._evaluated(records))
 
     def test_improves_over_initial(self):
-        record = self._run(max_evaluations=200)
+        records = self._run(max_evaluations=200)
         initial = [
             i.fitness[1]
-            for i in record.evaluated[:16]
+            for i in self._evaluated(records)[:16]
             if i.is_viable
         ]
         final = [
-            i.fitness[1] for i in record.population if i.is_viable
+            i.fitness[1] for i in records[-1].population if i.is_viable
         ]
         assert np.median(final) < np.median(initial)
 
@@ -218,7 +222,7 @@ class TestSteadyStateNSGA2:
         with LocalCluster(
             n_workers=4, fault_policy=policy, max_retries=4
         ) as cluster:
-            record = steady_state_nsga2(
+            records = steady_state_nsga2(
                 problem=SurrogateDeepMDProblem(seed=0),
                 init_ranges=DeepMDRepresentation.init_ranges,
                 initial_std=DeepMDRepresentation.mutation_std,
@@ -229,7 +233,7 @@ class TestSteadyStateNSGA2:
                 decoder=DeepMDRepresentation.decoder(),
                 rng=0,
             )
-        assert record.evaluations == 48
+        assert len(self._evaluated(records)) == 48
 
 
 class TestNASRepresentation:

@@ -4,9 +4,9 @@ Three properties the elastic fleet must hold under *any* schedule of
 revocations, delays, and speculation:
 
 (a) **journal uniqueness** — however often a task is requeued or
-    speculatively duplicated, each uuid reaches the journal exactly
-    once (the engine resolves one future per candidate; duplicates die
-    inside the fleet);
+    speculatively duplicated, the engine hands each uuid back — and so
+    the driver loop journals it — exactly once (the engine resolves one
+    future per candidate; duplicates die inside the fleet);
 (b) **quota safety under rescale** — per-tenant ``max_in_flight`` is
     never exceeded, and a tick never dispatches past the *live* fleet
     capacity, no matter how members grow or shrink between ticks;
@@ -19,7 +19,6 @@ Everything runs on in-process scripted members (no interpreter
 startup), so hundreds of drawn schedules stay fast.
 """
 
-import threading
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -136,16 +135,6 @@ def _fleet(flaky_script, speculate):
     return fleet, flaky, reliable
 
 
-class RecordingJournal:
-    def __init__(self):
-        self.uuids = []
-        self._lock = threading.Lock()
-
-    def append_evaluation(self, individual):
-        with self._lock:
-            self.uuids.append(individual.uuid)
-
-
 outcome_st = st.tuples(
     st.sampled_from(["ok", "ok", "ok", "revoke"]),
     st.integers(min_value=0, max_value=4),
@@ -178,18 +167,18 @@ genomes_st = st.lists(
 )
 def test_no_uuid_journaled_twice(genomes, script, speculate):
     fleet, _, _ = _fleet(script, speculate)
-    journal = RecordingJournal()
     engine = EvaluationEngine(
-        client=fleet,
-        journal=journal,
-        dedup=False,
-        metrics=MetricsRegistry(),
+        client=fleet, dedup=False, metrics=MetricsRegistry()
     )
     individuals = _individuals(genomes, SumProblem())
-    done = engine.evaluate(individuals)
-    assert len(done) == len(individuals)
-    assert len(journal.uuids) == len(set(journal.uuids))
-    assert set(journal.uuids) == {ind.uuid for ind in individuals}
+    engine.submit_batch(individuals, chunk_size=1)
+    # what the driver loop journals: each candidate the engine hands back
+    uuids = []
+    while engine.has_pending():
+        uuids += [ind.uuid for ind in engine.wait_any()]
+    assert len(uuids) == len(set(uuids))
+    assert set(uuids) == {ind.uuid for ind in individuals}
+    assert engine.stats.completed == len(individuals)
 
 
 # ----------------------------------------------------------------------

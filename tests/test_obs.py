@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import LocalCluster, Scheduler
-from repro.evo.algorithm import GenerationRecord
 from repro.exceptions import WorkerFailure
 from repro.hpo.cli import main as hpo_main
-from repro.io import RunLogger, read_runlog, summarize_runlog
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -470,58 +468,6 @@ class TestTracedClusterConcurrency:
         assert executed.value == n_tasks
         # the busy gauge returned to idle
         assert cluster.scheduler.metrics.gauge("workers_busy").value == 0
-
-
-# ----------------------------------------------------------------------
-# run journal strictness
-# ----------------------------------------------------------------------
-def _record_without_viables(n_failures: int = 2) -> GenerationRecord:
-    return GenerationRecord(
-        generation=0,
-        population=[],
-        evaluated=[],
-        std=np.array([0.1, 0.2]),
-        n_failures=n_failures,
-    )
-
-
-class TestRunLoggerStrictJson:
-    def test_no_viable_generation_writes_null_not_nan(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        RunLogger(path)(0, _record_without_viables())
-        (line,) = path.read_text().splitlines()
-        event = _strict_loads(line)  # raises on a bare NaN token
-        assert event["best_force"] is None
-        assert event["best_energy"] is None
-        assert event["median_force"] is None
-        assert "NaN" not in line
-
-    def test_journal_shares_campaign_id_with_tracer(self, tmp_path):
-        tracer = Tracer(campaign_id="cafe02")
-        registry = MetricsRegistry()
-        logger = RunLogger(
-            tmp_path / "j.jsonl", tracer=tracer, metrics=registry
-        )
-        logger(1, _record_without_viables(n_failures=3))
-        (event,) = read_runlog(tmp_path / "j.jsonl")
-        assert event["campaign"] == "cafe02"
-        (trace_event,) = tracer.events("generation.logged")
-        assert trace_event["tags"]["run"] == 1
-        assert registry.counter("runlog_events_total").value == 1
-        assert registry.counter("runlog_failures_total").value == 3
-
-    def test_summarize_tolerates_missing_keys_and_nulls(self):
-        events = [
-            {"run": 0, "evaluated": 5, "best_force": None},
-            {"generation": 1},  # journal from an older version
-            {"run": 0, "evaluated": None, "failures": 2},
-        ]
-        digest = summarize_runlog(events)
-        assert digest["runs"] == 1
-        assert digest["generations"] == 3
-        assert digest["evaluations"] == 5
-        assert digest["failures"] == 2
-        assert np.isnan(digest["best_force"])
 
 
 # ----------------------------------------------------------------------

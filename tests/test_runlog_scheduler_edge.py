@@ -1,68 +1,12 @@
-"""Tests for the campaign run journal and the scheduler's worker-grace
-edge cases (stranded-task handling)."""
+"""Tests for the scheduler's worker-grace edge cases (stranded-task
+handling)."""
 
-import json
 import time
 
-import numpy as np
 import pytest
 
 from repro.distributed import Client, Scheduler, Worker
 from repro.exceptions import WorkerFailure
-from repro.hpo.campaign import Campaign, CampaignConfig
-from repro.hpo.landscape import SurrogateDeepMDProblem
-from repro.io import RunLogger, read_runlog, summarize_runlog
-
-
-class TestRunLogger:
-    @pytest.fixture()
-    def journal(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        logger = RunLogger(path)
-        Campaign(
-            lambda seed: SurrogateDeepMDProblem(seed=seed),
-            CampaignConfig(
-                n_runs=2, pop_size=10, generations=2, base_seed=3
-            ),
-        ).run(callback=logger)
-        return path, logger
-
-    def test_one_event_per_generation(self, journal):
-        path, logger = journal
-        events = read_runlog(path)
-        assert len(events) == 2 * 3  # 2 runs x (1 + 2) generations
-        assert logger.events_written == 6
-
-    def test_events_carry_progress_fields(self, journal):
-        path, _ = journal
-        events = read_runlog(path)
-        for e in events:
-            assert {"run", "generation", "evaluated", "failures"} <= set(e)
-            assert e["evaluated"] == 10
-
-    def test_std_annealed_in_journal(self, journal):
-        path, _ = journal
-        events = read_runlog(path)
-        run0 = [e for e in events if e["run"] == 0]
-        stds = [e["mutation_std_first_gene"] for e in run0]
-        assert stds[1] == pytest.approx(stds[0] * 0.85)
-
-    def test_summary(self, journal):
-        path, _ = journal
-        digest = summarize_runlog(read_runlog(path))
-        assert digest["runs"] == 2
-        assert digest["evaluations"] == 60
-        assert np.isfinite(digest["best_force"])
-
-    def test_truncated_tail_tolerated(self, journal):
-        path, _ = journal
-        raw = path.read_text()
-        path.write_text(raw + '{"run": 1, "generation"')  # torn write
-        events = read_runlog(path)
-        assert len(events) == 6  # the torn line is dropped
-
-    def test_empty_summary(self):
-        assert summarize_runlog([])["evaluations"] == 0
 
 
 class TestSchedulerGraceEdgeCases:

@@ -47,7 +47,7 @@ from repro.service import (
     worker_capacity,
 )
 from repro.service.service import _front_doc
-from repro.store.journal import journal_path
+from repro.store.journal import journal_path, read_journal
 
 
 # ----------------------------------------------------------------------
@@ -536,6 +536,45 @@ class TestCampaignService:
             assert svc.wait(timeout=60)
             assert campaign.state == CANCELLED
             assert svc.front(campaign.id)["state"] == CANCELLED
+        finally:
+            svc.shutdown(timeout=30)
+
+    def test_cancel_steady_state_campaign_at_its_first_window(
+        self, tmp_path
+    ):
+        """A steady-state run commits a record every ``pop_size``
+        completions, so a cancel requested during its first evaluation
+        lands at its first window, not at the end of the run."""
+        pop = 20
+
+        def factory_for(spec):
+            def factory(seed):
+                problem = SurrogateDeepMDProblem(seed=seed)
+                evaluate = problem.evaluate_batch_with_metadata
+
+                def cancel_then_evaluate(phenomes, uuids=None):
+                    for campaign in svc.list():
+                        campaign.cancel_event.set()
+                    return evaluate(phenomes, uuids)
+
+                problem.evaluate_batch_with_metadata = cancel_then_evaluate
+                return problem
+
+            return factory
+
+        svc = CampaignService(
+            tmp_path, problem_factory_builder=factory_for
+        )
+        try:
+            spec = _spec("steady", pop=pop, gens=6, runs=2)
+            spec["config"]["mode"] = "steady-state"
+            campaign = svc.submit(spec)
+            assert svc.wait(timeout=60)
+            assert campaign.state == CANCELLED
+            state = read_journal(journal_path(campaign.directory))
+            assert sorted(state.runs) == [0]
+            assert 0 < len(state.runs[0].evaluations) <= 2 * pop
+            assert sorted(state.runs[0].generations) == [0]
         finally:
             svc.shutdown(timeout=30)
 
