@@ -39,11 +39,24 @@ reported findings:
   failures in 3500 trainings and none in the final generations).
 * **Noise.**  Multiplicative log-normal training stochasticity, seeded
   per evaluation.  Draws come from a counter-based generator (splitmix64
-  over a per-phenome hash with one fixed counter slot per draw), so a
-  whole population's noise is a handful of NumPy array sweeps and the
+  over a per-phenome hash with one fixed counter slot per draw), so the
   value at a phenome never depends on batch composition or evaluation
   order — batch, scalar, and pipelined paths are bit-identical by
   construction.
+
+A batch is one sweep per key set, and a sweep is ~106 NumPy ufunc
+passes whatever the number of phenomes, genes or counter slots:
+
+* 9 passes mix every gene's word at once; the fold of those words over
+  the genes is exact integer arithmetic on all phenomes at once, with
+  no NumPy call per gene;
+* 11 passes draw all eleven counter slots as one ``(11, m)`` array;
+* 7 passes turn its four Box–Muller pairs into normals as one
+  contiguous ``(4, m)`` block;
+* 79 passes are the failure checks and the response surface.
+
+One pass per slot and two per gene made ~370, 25 of them splitmix
+passes.
 
 The surface is cross-checked against real scaled-down trainings by
 ``benchmarks/bench_real_training.py`` where the scaled-down system can
@@ -61,9 +74,11 @@ bigger descriptor cutoff to capture.
 from __future__ import annotations
 
 import math
+import struct
 import threading
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -79,8 +94,8 @@ from repro.rng import RngLike, ensure_rng
 # ----------------------------------------------------------------------
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_MUL2 = np.uint64(0x94D049BB133111EB)
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MIX_MUL1, _MIX_MUL2 = np.uint64(_MUL1), np.uint64(_MUL2)
 
 #: fixed counter slots — every draw a phenome's evaluation can consume
 #: has its own slot, so no draw's value depends on which branches ran
@@ -92,7 +107,32 @@ _SLOT_FORCE_A, _SLOT_FORCE_B = 6, 7
 _SLOT_FAIL_RUNTIME = 8
 _SLOT_RUNTIME_A, _SLOT_RUNTIME_B = 9, 10
 
+#: every slot's counter increment, in the row order of the one draw:
+#: the three plain uniforms, then the first and the second halves of
+#: the Box–Muller pairs (balance, energy, force, runtime) as two
+#: contiguous blocks
+_DRAW_INCREMENTS = np.array(
+    [
+        [(_GOLDEN * (slot + 1)) & _MASK64]
+        for slot in (
+            _SLOT_BACKGROUND,
+            _SLOT_RISKY,
+            _SLOT_FAIL_RUNTIME,
+            _SLOT_BALANCE_A,
+            _SLOT_ENERGY_A,
+            _SLOT_FORCE_A,
+            _SLOT_RUNTIME_A,
+            _SLOT_BALANCE_B,
+            _SLOT_ENERGY_B,
+            _SLOT_FORCE_B,
+            _SLOT_RUNTIME_B,
+        )
+    ],
+    dtype=np.uint64,
+)
+
 _CRC_CACHE: dict[str, int] = {}
+_DOUBLE, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -102,19 +142,23 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _slot_uniform(h: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform [0, 1) draws for counter ``slot`` at each hash."""
-    inc = np.uint64((_GOLDEN * (slot + 1)) & _MASK64)
-    return (_mix64(h + inc) >> np.uint64(11)) * np.float64(2.0**-53)
+def _draws(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every counter slot at each hash in one ``(11, m)`` pass.
 
-
-def _slot_normal(h: np.ndarray, slot_a: int, slot_b: int) -> np.ndarray:
-    """Standard-normal draws via Box–Muller from two uniform slots."""
-    u_a = _slot_uniform(h, slot_a)
-    u_b = _slot_uniform(h, slot_b)
-    return np.sqrt(-2.0 * np.log1p(-u_a)) * np.cos(
-        (2.0 * math.pi) * u_b
+    Returns the ``(3, m)`` uniforms [0, 1) (background, risky, failed
+    runtime) and the ``(4, m)`` standard normals (balance, energy,
+    force, runtime), each normal a Box–Muller transform of its two
+    slots.  Both halves of the pairs are contiguous blocks, so the
+    transcendentals run over contiguous memory, as they did when each
+    slot was drawn as its own array.
+    """
+    u = (_mix64(_DRAW_INCREMENTS + h) >> np.uint64(11)) * np.float64(
+        2.0**-53
     )
+    normals = np.sqrt(-2.0 * np.log1p(-u[3:7])) * np.cos(
+        (2.0 * math.pi) * u[7:]
+    )
+    return u[:3], normals
 
 
 def _crc_word(value: Any) -> int:
@@ -126,20 +170,64 @@ def _crc_word(value: Any) -> int:
     return word
 
 
-def _column_words(values: list[Any]) -> np.ndarray:
-    """Hash words for one gene column (float bits or crc32)."""
-    if all(isinstance(v, float) for v in values):
-        return np.asarray(values, dtype=np.float64).view(np.uint64)
-    return np.fromiter(
-        (
-            np.float64(v).view(np.uint64)
-            if isinstance(v, float)
-            else _crc_word(v)
-            for v in values
-        ),
-        dtype=np.uint64,
-        count=len(values),
+def _gene_words(columns: dict[str, list[Any]]) -> np.ndarray:
+    """``mix64(word ^ crc32(name))`` for every gene of a group, ``(g, m)``.
+
+    ``columns`` maps each gene name to its values down the group.  A
+    value's word is its float bits, or the crc32 of any other value;
+    every all-float column converts in one call, and any other column
+    value by value (crc32 words, or float bits where the two mix).
+    """
+    cols = list(columns.values())
+    floats = [all(map(isinstance, col, repeat(float))) for col in cols]
+    float_bits = iter(
+        np.array([c for c, f in zip(cols, floats) if f], dtype=np.float64)
+        .view(np.uint64)
+        .tolist()
     )
+    words = np.array(
+        [
+            next(float_bits)
+            if f
+            else [
+                _UINT64.unpack(_DOUBLE.pack(v))[0]
+                if isinstance(v, float)
+                else _crc_word(v)
+                for v in c
+            ]
+            for c, f in zip(cols, floats)
+        ],
+        dtype=np.uint64,
+    )
+    names = np.array([_crc_word(name) for name in columns], np.uint64)
+    return _mix64(words ^ names[:, None])
+
+
+def _fold_lanes(seed: int, words: np.ndarray) -> np.ndarray:
+    """``h = mix64(h ^ w)`` from ``h = seed`` over the rows of ``words``.
+
+    The fold is sequential down the ``(g, m)`` words, so it runs on all
+    ``m`` columns at once in exact Python-integer arithmetic: column
+    ``j`` is the 128-bit lane ``j`` of one integer, its value in the low
+    64 bits and zeros above.  A shift masked to the low halves, an XOR,
+    and a product with a 64-bit constant (< 2**128, so it never reaches
+    the next lane) then act lane by lane as uint64 operations do.  No
+    NumPy call per gene, and no Python operation per phenome.
+    """
+    m = words.shape[1]
+    lanes = np.zeros((len(words), m, 2), dtype="<u8")
+    lanes[:, :, 0] = words
+    data = lanes.tobytes()
+    width = 16 * m
+    ones = int.from_bytes((b"\x01" + b"\x00" * 15) * m, "little")
+    low = _MASK64 * ones
+    z = (seed & _MASK64) * ones
+    for k in range(0, len(data), width):
+        z ^= int.from_bytes(data[k : k + width], "little")
+        z = ((z ^ ((z >> 30) & low)) * _MUL1) & low
+        z = ((z ^ ((z >> 27) & low)) * _MUL2) & low
+        z ^= (z >> 31) & low
+    return np.frombuffer(z.to_bytes(width, "little"), dtype="<u8")[::2]
 
 
 @dataclass(frozen=True)
@@ -519,6 +607,11 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         key_names: tuple[str, ...],
         outcomes: list[Any],
     ) -> None:
+        """Fill the outcome slots of ``phenomes[idx]``, one key set.
+
+        A fixed number of NumPy passes whatever the group's size, gene
+        count or slot count (see the module docstring, *Noise*).
+        """
         c = self.calibration
         m = len(idx)
         cols = {
@@ -527,15 +620,14 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # per-phenome hash: the problem seed folded with every
             # gene's (name, value) — the counter-based analogue of the
-            # old per-evaluation SeedSequence
-            h = np.full(
-                m, np.uint64(self.seed & _MASK64), dtype=np.uint64
-            )
-            for name in key_names:
-                words = _column_words(cols[name])
-                h = _mix64(
-                    h ^ _mix64(words ^ np.uint64(_crc_word(name)))
-                )
+            # old per-evaluation SeedSequence — then every counter slot
+            # of every phenome in one draw
+            (u_background, u_risky, u_fail_runtime), (
+                z_balance,
+                z_energy,
+                z_force,
+                z_runtime,
+            ) = _draws(_fold_lanes(self.seed, _gene_words(cols)))
             try:
                 rcut = np.asarray(cols["rcut"], dtype=np.float64)
                 rcut_smth = np.asarray(
@@ -560,40 +652,27 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
                 "none": 1.0,
             }
             schemes = cols["scale_by_worker"]
-            factors = np.empty(m, dtype=np.float64)
-            bad_scheme: list[int] = []
-            for j, scheme in enumerate(schemes):
-                factor = (
-                    factor_map.get(scheme) if workers_ok else None
-                )
-                if factor is None:
-                    factors[j] = np.nan
-                    bad_scheme.append(j)
-                else:
-                    factors[j] = factor
-            eff = start_lr * factors
-            # failure partition, in the scalar path's precedence order
-            code = np.zeros(m, dtype=np.int8)
-            code[
-                _slot_uniform(h, _SLOT_BACKGROUND)
-                < c.background_failure_rate
-            ] = 1
-            for j in bad_scheme:
-                if code[j] == 0:
-                    code[j] = 2
-            ok = code == 0
-            u_risky = _slot_uniform(h, _SLOT_RISKY)
-            code[
-                ok
-                & (eff > c.lr_risky_threshold)
-                & (u_risky < c.lr_risky_failure_rate)
-            ] = 3
-            ok = code == 0
-            code[ok & (rcut_smth >= rcut)] = 4
-            ok = code == 0
-            code[ok & ((eff <= 0.0) | (stop_lr <= 0.0))] = 5
-            ok = code == 0
-            code[ok & (eff > c.lr_divergence_threshold)] = 6
+            factors = [
+                factor_map.get(scheme) if workers_ok else None
+                for scheme in schemes
+            ]
+            eff = start_lr * np.array(
+                [math.nan if f is None else f for f in factors]
+            )
+            # failure partition: code k fails the k-th check, the first
+            # to fail in the scalar path's precedence order (0: trained)
+            checks = np.array(
+                [
+                    u_background < c.background_failure_rate,
+                    [f is None for f in factors],
+                    (eff > c.lr_risky_threshold)
+                    & (u_risky < c.lr_risky_failure_rate),
+                    rcut_smth >= rcut,
+                    (eff <= 0.0) | (stop_lr <= 0.0),
+                    eff > c.lr_divergence_threshold,
+                ]
+            )
+            code = np.where(checks.any(axis=0), checks.argmax(axis=0) + 1, 0)
             # the response surface (nan-safe: failed slots are masked
             # out of the outcomes below)
             log_eff = np.log10(eff)
@@ -627,17 +706,15 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
                 "relu": c.desc_relu_penalty[1],
                 "relu6": c.desc_relu6_penalty[1],
             }
-            fit_act = cols["fitting_activ_func"]
-            desc_act = cols["desc_activ_func"]
-            f_pen = np.fromiter(
-                (fit_f.get(a, 0.0) for a in fit_act), np.float64, m
-            ) + np.fromiter(
-                (desc_f.get(a, 0.0) for a in desc_act), np.float64, m
+            acts = list(
+                zip(cols["fitting_activ_func"], cols["desc_activ_func"])
             )
-            e_pen = np.fromiter(
-                (fit_e.get(a, 0.0) for a in fit_act), np.float64, m
-            ) + np.fromiter(
-                (desc_e.get(a, 0.0) for a in desc_act), np.float64, m
+            # (a Python float sum rounds as a float64 array sum does)
+            f_pen, e_pen = np.array(
+                [
+                    [fit_f.get(a, 0.0) + desc_f.get(d, 0.0) for a, d in acts],
+                    [fit_e.get(a, 0.0) + desc_e.get(d, 0.0) for a, d in acts],
+                ]
             )
             f_end = np.minimum(stop_lr / eff, 1.0)
             theta = np.clip(
@@ -663,35 +740,21 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
                 + e_pen
                 + c.tradeoff_energy_span * theta
             )
-            z = _slot_normal(h, _SLOT_BALANCE_A, _SLOT_BALANCE_B)
             energy = energy * np.exp(
-                c.energy_noise
-                * _slot_normal(h, _SLOT_ENERGY_A, _SLOT_ENERGY_B)
-                + c.balance_noise_energy * z
+                c.energy_noise * z_energy + c.balance_noise_energy * z_balance
             )
             force = force * np.exp(
-                c.force_noise
-                * _slot_normal(h, _SLOT_FORCE_A, _SLOT_FORCE_B)
-                - c.balance_noise_force * z
+                c.force_noise * z_force - c.balance_noise_force * z_balance
             )
             if self.simulate_runtime:
                 rt = self._runtime_model
                 lo, hi = rt.fail_minutes
-                fail_runtime = (
-                    lo
-                    + _slot_uniform(h, _SLOT_FAIL_RUNTIME) * (hi - lo)
-                ).tolist()
+                fail_runtime = (lo + u_fail_runtime * (hi - lo)).tolist()
                 base = rt.fixed_minutes + rt.env_minutes * (
                     rcut / rt.rcut_ref
                 ) ** 3
                 ok_runtime = (
-                    base
-                    * np.exp(
-                        rt.jitter_sigma
-                        * _slot_normal(
-                            h, _SLOT_RUNTIME_A, _SLOT_RUNTIME_B
-                        )
-                    )
+                    base * np.exp(rt.jitter_sigma * z_runtime)
                 ).tolist()
             else:
                 fail_runtime = ok_runtime = [0.0] * m

@@ -521,6 +521,8 @@ class TestObservabilityServer:
         assert body == "ok\n"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(f"{plane.url}/nope")
+        # the error is the 404 response: close it, and with it the socket
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_status_without_tracer_has_no_stragglers(self):
