@@ -138,8 +138,10 @@ def _surrogate_individuals(problem: Any, n: int) -> list[Any]:
 
 def _measure_surrogate(n_tasks: int, mode: str) -> dict:
     """Inline engine over the vectorized surrogate: ``scalar`` submits
-    one task per individual, ``batch`` routes the whole population
-    through the batch data plane (one NumPy evaluation per chunk)."""
+    one task per individual, ``batch`` the whole population as one
+    chunk.  Inline, both reach the problem as one NumPy evaluation (the
+    backend runs its queued chunks as one wave), so what separates them
+    is the engine's per-chunk bookkeeping."""
     from repro.engine import EvaluationEngine
     from repro.hpo.landscape import SurrogateDeepMDProblem
     from repro.obs.metrics import MetricsRegistry
@@ -201,14 +203,17 @@ def run(quick: bool = False) -> dict:
         / results["fleet_clean"]["wall_s"]
     )
 
-    # batch data plane: vectorized surrogate, scalar loop vs one
-    # chunked batch submission (compute-bound, not sleep-bound)
+    # batch data plane: vectorized surrogate, chunks of one vs one
+    # chunk (compute-bound, not sleep-bound).  The ratio is a ceiling:
+    # chunks of one cost only their bookkeeping while the inline
+    # backend runs them as one problem call, and ~8x if each chunk
+    # entered the problem on its own again
     n_surrogate = 2048  # large enough to amortize per-batch overhead
     results["batch_scalar"] = _measure_surrogate(n_surrogate, "scalar")
     results["batch_vectorized"] = _measure_surrogate(n_surrogate, "batch")
-    results["batch_vectorized"]["speedup_vs_inline"] = (
-        results["batch_vectorized"]["evals_per_sec"]
-        / results["batch_scalar"]["evals_per_sec"]
+    results["batch_scalar"]["chunk1_vs_batch"] = (
+        results["batch_scalar"]["wall_s"]
+        / results["batch_vectorized"]["wall_s"]
     )
     results["batch_vectorized"]["n_tasks"] = n_surrogate
     results["batch_scalar"]["n_tasks"] = n_surrogate
@@ -228,8 +233,8 @@ def run(quick: bool = False) -> dict:
             "pool1_speedup_vs_inline": results["pool_1"][
                 "speedup_vs_inline"
             ],
-            "batch_speedup_vs_inline": results["batch_vectorized"][
-                "speedup_vs_inline"
+            "inline_chunk1_vs_batch": results["batch_scalar"][
+                "chunk1_vs_batch"
             ],
             "fleet_requeue_overhead": results["fleet_revoked"][
                 "requeue_overhead_ratio"

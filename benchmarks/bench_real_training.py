@@ -13,9 +13,21 @@ atoms, rcut 8.5, 16 frames), the median training step, the
 ``prepare_batches`` call that builds one training's neighbour tables,
 and one validation round.  CI gates the same-machine ratio of the
 neighbour tables to one step (``neighbor_tables_vs_step``).
+
+BLAS runs on one thread, as in the ledger (``harness.pin_threads``), so
+the step — the ratio's denominator, GEMM-bound — does not depend on
+the host's core count.  OpenBLAS reads the setting once, when NumPy
+loads: it is set here, before any import, and by ``runner.py`` before
+the first bench loads NumPy.
 """
 
 from __future__ import annotations
+
+import os
+
+os.environ.update(
+    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"
+)
 
 import statistics
 import time

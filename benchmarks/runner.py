@@ -31,6 +31,8 @@ import json
 import sys
 from pathlib import Path
 
+from benchmarks.ledger.harness import pin_threads
+
 BASELINES_PATH = Path(__file__).parent / "baselines.json"
 
 #: bench name -> (module runner, report filename)
@@ -129,6 +131,10 @@ def main(argv: list | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     names = [args.only] if args.only else sorted(BENCHES)
 
+    # one BLAS thread for every bench, as the ledger runs: set before
+    # the first bench loads NumPy, or the training bench's own pin
+    # comes too late (its GEMM-bound step is a gated denominator)
+    pin_threads()
     measured: dict[str, float] = {}
     for name in names:
         report = _run_bench(name, quick=args.quick)

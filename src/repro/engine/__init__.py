@@ -17,7 +17,8 @@ evaluation:
   :class:`repro.store.cache.CachedProblem`) so a hit never crosses the
   execution backend or occupies a worker;
 * dispatch through a small :class:`ExecutionBackend` protocol —
-  :class:`InlineBackend` for in-process evaluation,
+  :class:`InlineBackend` for in-process evaluation (one problem call
+  per wave of queued chunks),
   :class:`ClientBackend` for any ``submit``/futures client (our
   :class:`repro.distributed.Client` or a real Dask client), or
   :class:`ProcessPoolBackend` for real process-level parallelism on
@@ -38,7 +39,6 @@ from repro.engine.backends import (
     ClientBackend,
     ExecutionBackend,
     InlineBackend,
-    ResolvedFuture,
     SlotFuture,
     as_backend,
     evaluate_individual,
@@ -66,7 +66,6 @@ __all__ = [
     "InlineBackend",
     "ProcessFuture",
     "ProcessPoolBackend",
-    "ResolvedFuture",
     "SlotFuture",
     "as_backend",
     "cache_serves",

@@ -10,7 +10,8 @@ Scalar ``submit(individual)`` is the same call for a chunk of one,
 seen through :class:`SlotFuture`.  Only :class:`ClientBackend` builds
 the other way round — one client task per individual, gathered by
 :class:`AggregateFuture` — because a Dask-shaped client schedules
-tasks, not chunks.
+tasks, not chunks.  :class:`InlineBackend` goes the other way again:
+it queues chunks and runs each wave of them as one batch.
 """
 
 from __future__ import annotations
@@ -157,36 +158,85 @@ class ExecutionBackend(Protocol):
         instead of submitting it (for backend-side accounting)."""
 
 
-class ResolvedFuture:
-    """A future for work that finished at submit time."""
+class QueuedFuture:
+    """One chunk an :class:`InlineBackend` holds until its wave runs.
 
-    def __init__(self, result: Any = None) -> None:
-        self._result = result
+    ``done()``, ``result()`` and ``cancel()`` all run the wave first if
+    it has not run.  Inline work cannot be stopped, so ``cancel()``
+    evaluates too, with the side effects (cache inserts, problem
+    counters) the chunk would have had anyway.
+    """
+
+    __slots__ = ("_backend", "individuals", "_slots")
+
+    def __init__(
+        self, backend: "InlineBackend", individuals: list[Any]
+    ) -> None:
+        self._backend = backend
+        self.individuals = individuals
+        self._slots: Optional[list[Any]] = None
 
     def done(self) -> bool:
+        if self._slots is None:
+            self._backend._run_wave()
         return True
 
-    def result(self, timeout: Optional[float] = None) -> Any:
-        return self._result
+    def result(self, timeout: Optional[float] = None) -> list[Any]:
+        self.done()
+        return self._slots  # type: ignore[return-value]
+
+    def cancel(self) -> None:
+        self.done()
 
 
 class InlineBackend:
-    """Evaluate synchronously in the calling process.
+    """Evaluate in the calling process, one problem call per wave.
 
-    Submission runs the evaluation eagerly and returns an
-    already-resolved future, so batch and streaming engine modes behave
-    identically with or without a cluster.
+    ``submit_batch`` only queues its chunk.  The first ``done()``,
+    ``result()`` or ``cancel()`` on any queued future runs every queued
+    chunk — the *wave* — in submission order through one
+    :func:`evaluate_individuals_batch` call and hands each future its
+    slots.  A generation submitted at chunk size 1 therefore enters its
+    problem once, not once per individual: in-process there are no
+    workers to spread chunks over, so the chunk size changes nothing.
+
+    An exception escaping the batch call propagates to whoever polled,
+    and every future of the wave resolves to that exception in each of
+    its slots.  Like every backend, one instance has one polling thread
+    (the engine's, the fleet's pump or the service's dispatcher), so the
+    queue takes no lock.
     """
 
     is_execution_backend = True
 
+    def __init__(self) -> None:
+        #: chunks submitted since the last wave ran, in submission order
+        self._queue: list[QueuedFuture] = []
+
     def submit(self, individual: Any) -> SlotFuture:
         return SlotFuture(self.submit_batch([individual]))
 
-    def submit_batch(self, individuals: Sequence[Any]) -> ResolvedFuture:
-        return ResolvedFuture(
-            result=evaluate_individuals_batch(individuals)
-        )
+    def submit_batch(self, individuals: Sequence[Any]) -> QueuedFuture:
+        future = QueuedFuture(self, list(individuals))
+        self._queue.append(future)
+        return future
+
+    def _run_wave(self) -> None:
+        # detach first: a chunk submitted from inside the problem call
+        # joins the next wave
+        wave, self._queue = self._queue, []
+        individuals = [ind for future in wave for ind in future.individuals]
+        try:
+            slots = evaluate_individuals_batch(individuals)
+        except BaseException as exc:
+            for future in wave:
+                future._slots = [exc] * len(future.individuals)
+            raise
+        start = 0
+        for future in wave:
+            stop = start + len(future.individuals)
+            future._slots = slots[start:stop]
+            start = stop
 
     def on_cache_hit(self, individual: Any) -> None:
         pass

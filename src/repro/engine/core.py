@@ -14,7 +14,11 @@ One path, one knob: every candidate enters through
 into already-resolved candidates (dedup duplicates, cache hits,
 injected failures) and fresh ones, and ships the fresh ones to the
 backend in chunks.  The chunk size is the only thing the public entry
-points choose:
+points choose, and it is dispatch granularity only: how work crosses
+to pool or fleet workers.  In-process there is nothing to spread, so
+the inline backend runs every chunk submitted before it is next polled
+— a *wave*, at barrier mode a whole generation — as one problem call,
+whatever the chunk size:
 
 * :meth:`EvaluationEngine.evaluate` — chunk size 1: one backend task
   per candidate, the paper's one-Dask-task-per-training dispatch
@@ -22,7 +26,7 @@ points choose:
   generational barrier of §2.2.3 and the baselines' sweeps);
 * :meth:`EvaluationEngine.evaluate_batch` — the same barrier at the
   backend's chunk hint (or an explicit ``chunk_size``): one vectorized
-  problem call per chunk;
+  problem call per chunk on a worker;
 * :meth:`EvaluationEngine.submit_batch` plus
   :meth:`EvaluationEngine.wait_any` — streaming, the driver loop's
   (:func:`repro.evo.algorithm.run_driver`, which also journals):

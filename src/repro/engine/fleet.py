@@ -442,8 +442,6 @@ class ElasticBackend:
                 member=member.name,
                 threshold=round(threshold, 6),
             )
-        # the submit runs last: an inline reserve resolves *during*
-        # submit, and the bookkeeping above must already be in place
         task.spec_future = member.backend.submit_batch(task.individuals)
 
     def speculation_threshold(self) -> Optional[float]:

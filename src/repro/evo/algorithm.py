@@ -500,8 +500,11 @@ def generational_nsga2(
     ``batch_chunk`` or the backend's hint, instead of the default 1 —
     one backend task per individual.  Fronts, journal records, and
     engine statistics are bit-identical either way; batch is purely a
-    throughput choice.  ``pipeline`` (implies ``batch``) additionally
-    overlaps each generation's commit with the next one's evaluations.
+    throughput choice for pool and fleet backends.  In-process it
+    changes nothing: the inline backend runs a generation's chunks, of
+    any size, as one problem call.  ``pipeline`` (implies ``batch``)
+    additionally overlaps each generation's commit with the next one's
+    evaluations.
     """
     driver = NSGA2Driver(
         problem,

@@ -1291,7 +1291,9 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "dispatch each generation in chunks of the backend's hint "
             "(or --batch-chunk) instead of one task per individual; "
-            "results bit-identical"
+            "results bit-identical.  Changes nothing in-process: "
+            "--backend inline already evaluates each generation in one "
+            "problem call"
         ),
     )
     p.add_argument(
@@ -1313,7 +1315,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "fresh evaluations per backend chunk in batch mode "
             "(default: the backend's hint, e.g. ceil(n/workers) for "
-            "--backend pool)"
+            "--backend pool; no effect with --backend inline)"
         ),
     )
     p.add_argument(

@@ -3,10 +3,11 @@
 The execution backends are single-owner by design: the process pool's
 parent-side bookkeeping is single-threaded (all state transitions
 happen inside ``_drain`` on the driver thread), and the inline backend
-evaluates during ``submit``.  Running N concurrent campaigns therefore
-cannot mean N threads poking one backend — it means one *dispatcher*
-owning the backend exclusively, with every campaign submitting into
-its own :class:`CampaignQueue` and the :class:`FairShareScheduler`
+queues chunks that the first poll of any of them evaluates.  Running N
+concurrent campaigns therefore cannot mean N threads poking one
+backend — it means one *dispatcher* owning the backend exclusively,
+with every campaign submitting into its own :class:`CampaignQueue`
+and the :class:`FairShareScheduler`
 deciding, slot by slot, whose task runs next.
 
 The policy is stride scheduling over tenants, with two hard fences:
@@ -331,13 +332,14 @@ class FairShareScheduler:
             inflight = list(self._inflight)
         finished: list[tuple[_InFlightTask, Any, Optional[BaseException]]] = []
         for task in inflight:
-            # done() drives the pool backend's own bookkeeping; safe
-            # here because this is the backend's only calling thread
-            if not task.backend_future.done():
-                continue
             result: Any = None
             exception: Optional[BaseException] = None
+            # done() drives the backend's own bookkeeping (the pool's
+            # drain, the inline wave — which may raise); safe here
+            # because this is the backend's only calling thread
             try:
+                if not task.backend_future.done():
+                    continue
                 result = task.backend_future.result(timeout=0)
             except BaseException as exc:  # noqa: BLE001 - engine's policy
                 exception = exc
@@ -404,9 +406,9 @@ class FairShareScheduler:
                 queue.in_flight += 1
                 self._sample_queue(queue)
                 self._sample_tenant(account)
-            # the backend call runs unlocked: the inline backend
-            # evaluates *during* submit, and campaign threads must be
-            # able to keep enqueueing meanwhile
+            # the backend call runs unlocked, like the polls in
+            # _drain (where the inline backend evaluates): campaign
+            # threads must be able to keep enqueueing meanwhile
             try:
                 backend_future = self.backend.submit(individual)
             except BaseException as exc:  # noqa: BLE001 - engine's policy

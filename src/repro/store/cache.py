@@ -528,7 +528,13 @@ class CachedProblem(WithMetadataProblem):
         """Probe the cache for the whole batch, execute only the
         misses through the inner problem's batch path, and insert
         fresh results (and failures, under ``cache_failures``) per
-        slot, in batch order."""
+        slot, in batch order.
+
+        The batch behaves as consecutive one-slot calls would: a slot
+        whose key an earlier slot of the batch missed is looked up only
+        after that slot's insert — a hit when the result was cached, a
+        second execution when it was not (an uncached failure).
+        """
         phenome_list = list(phenomes)
         uuid_list = (
             list(uuids)
@@ -538,6 +544,9 @@ class CachedProblem(WithMetadataProblem):
         outcomes: list[BatchOutcome] = [None] * len(phenome_list)
         keys: list[Optional[str]] = [None] * len(phenome_list)
         miss: list[int] = []
+        #: slots whose key an earlier slot missed, settled after it
+        repeats: list[int] = []
+        missed: set[str] = set()
         for i, phenome in enumerate(phenome_list):
             try:
                 key = self.cache_key(phenome)
@@ -545,51 +554,74 @@ class CachedProblem(WithMetadataProblem):
                 outcomes[i] = exc
                 continue
             keys[i] = key
-            entry = self.cache.lookup(key)
-            if entry is None:
+            if key in missed:
+                repeats.append(i)
+                continue
+            outcomes[i] = self._lookup(key)
+            if outcomes[i] is None:
                 miss.append(i)
-            elif entry.failed:
-                outcomes[i] = CachedFailure(
-                    entry.error or "memoized evaluation failure",
-                    metadata={**entry.metadata, "cache_hit": True},
-                )
-            else:
-                outcomes[i] = (
-                    entry.fitness_array(),
-                    {**entry.metadata, "cache_hit": True},
-                )
-        if miss:
-            fresh = call_problem_batch(
-                self.problem,
-                [phenome_list[i] for i in miss],
-                uuids=[uuid_list[i] for i in miss],
+                missed.add(key)
+        if not miss:
+            return outcomes
+        fresh = dict(
+            zip(
+                miss,
+                call_problem_batch(
+                    self.problem,
+                    [phenome_list[i] for i in miss],
+                    uuids=[uuid_list[i] for i in miss],
+                ),
             )
-            for i, slot in zip(miss, fresh):
-                key = keys[i]
-                if isinstance(slot, BaseException):
-                    meta = dict(getattr(slot, "metadata", None) or {})
-                    meta.setdefault("failed", True)
-                    meta.setdefault(
-                        "failure_cause",
-                        f"{type(slot).__name__}: {slot}",
-                    )
-                    slot.metadata = meta  # type: ignore[attr-defined]
-                    self.cache.insert(
-                        key,
-                        failure_fitness(self.n_objectives),
-                        metadata=meta,
-                        failed=True,
-                        error=meta["failure_cause"],
-                    )
-                    outcomes[i] = slot
-                else:
-                    fitness, metadata = slot
-                    self.cache.insert(
-                        key,
-                        fitness,
-                        metadata=metadata,
-                        failed=bool(metadata.get("failed", False)),
-                        error=metadata.get("failure_cause"),
-                    )
-                    outcomes[i] = (fitness, metadata)
+        )
+        for i in sorted(miss + repeats):
+            key = keys[i]
+            if i in fresh:
+                outcomes[i] = self._insert(key, fresh[i])
+                continue
+            outcomes[i] = self._lookup(key)
+            if outcomes[i] is None:
+                (slot,) = call_problem_batch(
+                    self.problem, [phenome_list[i]], uuids=[uuid_list[i]]
+                )
+                outcomes[i] = self._insert(key, slot)
         return outcomes
+
+    def _lookup(self, key: str) -> BatchOutcome:
+        """The hit ``key`` replays, or None on a miss."""
+        entry = self.cache.lookup(key)
+        if entry is None:
+            return None
+        metadata = {**entry.metadata, "cache_hit": True}
+        if entry.failed:
+            return CachedFailure(
+                entry.error or "memoized evaluation failure",
+                metadata=metadata,
+            )
+        return (entry.fitness_array(), metadata)
+
+    def _insert(self, key: str, slot: BatchOutcome) -> BatchOutcome:
+        """Store one executed slot under ``key``; returns the slot."""
+        if isinstance(slot, BaseException):
+            meta = dict(getattr(slot, "metadata", None) or {})
+            meta.setdefault("failed", True)
+            meta.setdefault(
+                "failure_cause", f"{type(slot).__name__}: {slot}"
+            )
+            slot.metadata = meta  # type: ignore[attr-defined]
+            self.cache.insert(
+                key,
+                failure_fitness(self.n_objectives),
+                metadata=meta,
+                failed=True,
+                error=meta["failure_cause"],
+            )
+            return slot
+        fitness, metadata = slot
+        self.cache.insert(
+            key,
+            fitness,
+            metadata=metadata,
+            failed=bool(metadata.get("failed", False)),
+            error=metadata.get("failure_cause"),
+        )
+        return (fitness, metadata)

@@ -1,17 +1,52 @@
-"""Shared fixtures.
+"""Shared fixtures, and a shuffled test order.
 
 The expensive fixtures (MD dataset, trained batches) are session-scoped
 so the integration-heavy test files reuse one instance.
+
+``--shuffle SEED`` runs the collected tests in an order shuffled under
+``SEED`` (``--shuffle random`` draws one), and prints the seed, so a
+test that passes only after some other test ran shows up, and its
+order can be replayed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import random
 
 import numpy as np
 import pytest
 
 from repro.md.dataset import FrameDataset, generate_dataset
+
+
+def _shuffle_seed(value: str) -> int:
+    if value == "random":
+        return random.SystemRandom().randrange(2**32)
+    return int(value)  # argparse reports a ValueError as a usage error
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle",
+        metavar="SEED",
+        type=_shuffle_seed,
+        default=None,
+        help=(
+            "run the collected tests in an order shuffled under SEED "
+            "(an integer, or 'random' to draw one); the seed is printed"
+        ),
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle")
+    if seed is None:
+        return
+    random.Random(seed).shuffle(items)
+    reporter = config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_line(f"test order shuffled: --shuffle {seed}")
 
 
 @pytest.fixture(autouse=True)

@@ -30,6 +30,7 @@ from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.hpo.representation import DeepMDRepresentation
 from repro.injection import use_injector
 from repro.store import CachedProblem, EvaluationCache
+from repro.store.cache import CachedFailure
 
 
 class CountingSurrogate(SurrogateDeepMDProblem):
@@ -57,11 +58,29 @@ class FlakyProblem(WithMetadataProblem):
         return np.array([x, x * x]), {"phenome": dict(phenome), "failed": False}
 
 
+class CountingFlaky(FlakyProblem):
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate_with_metadata(self, phenome, uuid=None):
+        self.calls += 1
+        return super().evaluate_with_metadata(phenome, uuid)
+
+
 class DictDecoder:
     """Genome ``[x]`` → phenome ``{"x": x}`` (module-level: picklable)."""
 
     def decode(self, genome):
         return {"x": float(genome[0])}
+
+
+class CollapsingDecoder:
+    """Genome ``[x]`` → phenome ``{"x": x // 2}``: distinct genomes
+    (which dedup keeps apart) share one phenome, hence one cache key —
+    as two fractions of one categorical gene do."""
+
+    def decode(self, genome):
+        return {"x": float(genome[0] // 2)}
 
 
 class SurrogateGenomeDecoder:
@@ -168,17 +187,21 @@ def _evaluation_entry(individual):
     )
 
 
-def _run_engine(xs, primed, faults, directory, mode):
+def _run_engine(
+    xs, primed, faults, directory, mode, decoder, cache_failures
+):
     """One population through one fresh engine; ``mode`` is a chunk
     size, ``"evaluate"`` (the chunk-size-1 entry) or ``"stream"``
     (``submit`` per candidate, collected with ``wait_any``)."""
-    problem = CachedProblem(FlakyProblem(), EvaluationCache(directory))
+    problem = CachedProblem(
+        FlakyProblem(),
+        EvaluationCache(directory, cache_failures=cache_failures),
+    )
     for x in sorted(primed):
         try:
-            call_problem(problem, {"x": float(x)})
-        except ValueError:
-            pass  # failures are not cached: they execute every time
-    decoder = DictDecoder()
+            call_problem(problem, decoder.decode([float(x)]))
+        except (ValueError, CachedFailure):
+            pass  # a failure primes only under cache_failures
     individuals = [
         RobustIndividual(np.array([float(x)]), decoder=decoder, problem=problem)
         for x in xs
@@ -203,6 +226,7 @@ def _run_engine(xs, primed, faults, directory, mode):
         [(i.fitness.tobytes(), sorted(i.metadata)) for i in done],
         [_evaluation_entry(i) for i in done],
         _stats_tuple(engine.stats),
+        problem.cache.stats(),
     )
 
 
@@ -285,21 +309,26 @@ class TestBatchBitIdentity:
             max_size=3,
         ),
         k=st.integers(min_value=2, max_value=5),
+        collapse=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("cache_failures", [False, True])
     def test_engine_chunk_sizes_and_streaming_bit_identical(
-        self, xs, primed, faults, k
+        self, xs, primed, faults, k, collapse, cache_failures
     ):
         """Duplicates, failures, cache hits, injected faults and their
         order survive every dispatch granularity: results, what an
-        evaluation record keeps of each, in hand-back order, and
-        ``EngineStats`` are equal at
-        chunk size 1, k and n, and when streamed."""
+        evaluation record keeps of each, in hand-back order,
+        ``EngineStats`` and the cache's stats are equal at chunk size
+        1, k and n, and when streamed — also when distinct genomes
+        decode to one phenome, with and without cached failures."""
+        decoder = CollapsingDecoder() if collapse else DictDecoder()
         outcomes = {}
         for mode in ("evaluate", 1, k, len(xs), "stream"):
             with tempfile.TemporaryDirectory() as directory:
                 outcomes[mode] = _run_engine(
-                    xs, primed, faults, directory, mode
+                    xs, primed, faults, directory, mode, decoder,
+                    cache_failures,
                 )
         for mode, outcome in outcomes.items():
             assert outcome == outcomes["evaluate"], mode
@@ -343,8 +372,6 @@ class TestBatchWrappers:
             assert np.array_equal(a[0], b[0])
 
     def test_cached_problem_batch_replays_memoized_failures(self, tmp_path):
-        from repro.store.cache import CachedFailure
-
         problem = FlakyProblem()
         cached = CachedProblem(
             problem, EvaluationCache(tmp_path / "c", cache_failures=True)
@@ -356,6 +383,74 @@ class TestBatchWrappers:
         assert replay[0].metadata["cache_hit"] is True
         _, meta = replay[1]
         assert meta["cache_hit"] is True
+
+    @pytest.mark.parametrize("cache_failures", [False, True])
+    def test_cached_problem_batch_repeats_a_key_like_consecutive_calls(
+        self, tmp_path, cache_failures
+    ):
+        """A key repeated inside one batch is looked up after the
+        earlier slot's insert: a hit when that result was cached, a
+        second execution when it was not (an uncached failure) —
+        the same slots, cache files and counts as one call per slot."""
+        phenomes = [{"x": x} for x in (1.0, -1.0, 1.0, 2.0, -1.0, -1.0, 2.0)]
+        runs = {}
+        for name in ("batch", "consecutive"):
+            inner = CountingFlaky()
+            cached = CachedProblem(
+                inner,
+                EvaluationCache(
+                    tmp_path / name, cache_failures=cache_failures
+                ),
+            )
+            if name == "batch":
+                slots = cached.evaluate_batch_with_metadata(phenomes)
+            else:
+                slots = [
+                    cached.evaluate_batch_with_metadata([p])[0]
+                    for p in phenomes
+                ]
+            files = {
+                p.relative_to(tmp_path / name): p.read_bytes()
+                for p in sorted((tmp_path / name).glob("??/*.json"))
+            }
+            runs[name] = (
+                [
+                    (type(s).__name__, str(s), s.metadata)
+                    if isinstance(s, BaseException)
+                    else (s[0].tobytes(), s[1])
+                    for s in slots
+                ],
+                files,
+                cached.cache.stats(),
+                inner.calls,
+            )
+        assert runs["batch"] == runs["consecutive"]
+        slots, _, stats, calls = runs["batch"]
+        assert slots[2][1]["cache_hit"] is True
+        assert stats["hits"] == (4 if cache_failures else 2)
+        assert calls == (3 if cache_failures else 5)
+
+    @pytest.mark.parametrize("chunk_size", [1, None])
+    def test_two_fractions_of_one_category_train_once(
+        self, tmp_path, chunk_size
+    ):
+        """``desc_activ_func`` 4.1 and 4.7 both decode to ``tanh``:
+        two genomes (dedup keeps them apart), one phenome, one
+        training and one cache hit at any chunk size."""
+        rep = DeepMDRepresentation
+        base = np.array([1e-3, 1e-6, 8.5, 3.0, 2.5, 4.1, 4.5])
+        inner = SurrogateDeepMDProblem(seed=0)
+        problem = CachedProblem(inner, EvaluationCache(tmp_path))
+        individuals = [
+            RobustIndividual(genome, decoder=rep.decoder(), problem=problem)
+            for genome in (base, np.where(np.arange(7) == 5, 4.7, base))
+        ]
+        engine = EvaluationEngine()
+        engine.evaluate_batch(individuals, chunk_size=chunk_size)
+        assert (engine.stats.fresh, engine.stats.cache_hits) == (1, 1)
+        assert problem.cache.stats()["inserts"] == 1
+        assert inner.evaluations == 1
+        assert np.array_equal(individuals[0].fitness, individuals[1].fitness)
 
     def test_surrogate_batch_slots_match_scalar_calls(self):
         problem = SurrogateDeepMDProblem(seed=13)

@@ -535,6 +535,7 @@ class BoomProblem(Problem):
 
 class RecordingBackend(InlineBackend):
     def __init__(self):
+        super().__init__()
         self.submitted = []
         self.cache_hits = 0
 
