@@ -42,11 +42,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from repro.engine.backends import (
-    AggregateFuture,
-    as_backend,
-    evaluate_individual,
-)
+from repro.engine.backends import as_backend, evaluate_individual
 from repro.engine.invoke import cache_serves, failure_fitness
 from repro.exceptions import TrainingTimeoutError
 from repro.injection import FaultInjector, get_injector
@@ -299,7 +295,7 @@ class EvaluationEngine:
             size = self._resolve_chunk_size(len(fresh), chunk_size)
             for start in range(0, len(fresh), size):
                 members = fresh[start : start + size]
-                future = self._dispatch_chunk(
+                future = self.backend.submit_batch(
                     [m.individual for m in members]
                 )
                 self._inflight.append(_InFlight(future, members, now))
@@ -364,15 +360,6 @@ class EvaluationEngine:
         if hint is not None:
             return max(1, int(hint(n_fresh)))
         return n_fresh
-
-    def _dispatch_chunk(self, individuals: list[Any]) -> Any:
-        submit_batch = getattr(self.backend, "submit_batch", None)
-        if submit_batch is not None:
-            return submit_batch(individuals)
-        # submit-only backends (the service's per-campaign queue)
-        return AggregateFuture(
-            [self.backend.submit(ind) for ind in individuals]
-        )
 
     # ------------------------------------------------------------------
     # streaming

@@ -127,9 +127,9 @@ def _open_cache(args: argparse.Namespace, directory: Any = None):
     (``--save`` / the resume dir) hosts the cache at ``<dir>/cache``;
     ``--no-cache`` disables caching entirely.
     """
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    cache_dir = getattr(args, "cache_dir", None)
+    cache_dir = args.cache_dir
     if cache_dir is None and directory is not None:
         from pathlib import Path
 
@@ -140,21 +140,21 @@ def _open_cache(args: argparse.Namespace, directory: Any = None):
 
     return EvaluationCache(
         cache_dir,
-        cache_failures=getattr(args, "cache_failures", False),
+        cache_failures=args.cache_failures,
     )
 
 
-def _chaos_injector(args: argparse.Namespace):
+def _chaos_injector(args: argparse.Namespace, directory: Any = None):
     """The chaos injector for this invocation, or None.
 
     ``--chaos-seed N`` draws a seed-deterministic plan of store-layer
     faults (cache-entry corruption, journal torn writes) — the kinds a
     single-process CLI campaign can both inject and recover from
     without changing its result.  The plan is saved next to the
-    journal so a failing run can be replayed exactly.
+    journal in ``directory`` so a failing run can be replayed exactly.
     """
-    seed = getattr(args, "chaos_seed", None)
-    revoke = getattr(args, "chaos_revoke", None)
+    seed = args.chaos_seed
+    revoke = args.chaos_revoke
     if seed is None and not revoke:
         return None
     from repro.chaos import STORE_KINDS, Fault, FaultPlan
@@ -171,19 +171,18 @@ def _chaos_injector(args: argparse.Namespace):
         )
     if revoke:
         # preemption storm: revoke a worker at these task-pickup
-        # ordinals (fleet backends requeue; a bare pool fails → MAXINT)
+        # ordinals (--chaos-revoke's help says what each backend does)
         faults += [
             Fault("revoke_worker", at=int(at))
             for at in str(revoke).split(",")
             if at.strip()
         ]
     plan = FaultPlan(faults, seed=seed)
-    save = getattr(args, "save", None) or getattr(args, "directory", None)
-    if save:
+    if directory:
         from pathlib import Path
 
         tag = seed if seed is not None else "revoke"
-        plan.save(Path(save) / f"chaos_plan_{tag}.json")
+        plan.save(Path(directory) / f"chaos_plan_{tag}.json")
     return plan.injector()
 
 
@@ -217,37 +216,7 @@ def _print_chaos_report(injector, directory) -> None:
     print(report.summary())
 
 
-def _resolve_backend_args(args: argparse.Namespace) -> tuple[str, str]:
-    """Split the overloaded ``--backend`` flag into (problem, execution).
-
-    Historically ``--backend`` selected the *problem* (``surrogate`` |
-    ``real``).  It now selects the *execution* backend (``inline`` |
-    ``client`` | ``pool``) while ``--problem`` selects the problem; the
-    old values are still accepted and routed to ``--problem`` so
-    existing invocations keep working.
-    """
-    problem = getattr(args, "problem", None)
-    backend = getattr(args, "backend", None)
-    if backend in ("surrogate", "real"):
-        if problem is not None and problem != backend:
-            print(
-                f"error: --backend {backend} (legacy problem selector) "
-                f"conflicts with --problem {problem}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        print(
-            f"note: '--backend {backend}' now means '--problem "
-            f"{backend}'; --backend selects the execution backend "
-            "(inline | client | pool)",
-            file=sys.stderr,
-        )
-        problem = backend
-        backend = "inline"
-    return problem or "surrogate", backend or "inline"
-
-
-def _execution_backend(stack, args: argparse.Namespace, backend: str):
+def _execution_backend(stack, args: argparse.Namespace):
     """Build the execution backend for ``Campaign(client=...)``, or None.
 
     ``inline`` evaluates in-process; ``pool`` spawns a real
@@ -258,6 +227,7 @@ def _execution_backend(stack, args: argparse.Namespace, backend: str):
     Constructed inside the chaos scope so dispatch-time fault hooks
     bind to the active plan.
     """
+    backend = args.backend
     workers = getattr(args, "pool_workers", None) or 4
     if backend == "inline":
         return None
@@ -431,64 +401,22 @@ def _print_report(result, plot: bool, export_csv: str | None) -> None:
         print(f"figure data exported to {out}")
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.hpo.campaign import Campaign, CampaignConfig
-    from repro.hpo.landscape import SurrogateDeepMDProblem
-    from repro.obs import NULL_TRACER, Tracer, use_tracer
+def _run_session(args: argparse.Namespace, directory: Any, run, saved: str):
+    """One ``campaign`` / ``resume`` session around ``run(client, cache,
+    tracer)``, which returns the campaign result.
 
-    from repro.hpo.objectives import BASE_OBJECTIVES, with_objectives
-
-    config = CampaignConfig(
-        n_runs=args.runs,
-        pop_size=args.pop_size,
-        generations=args.generations,
-        base_seed=args.seed,
-        mode=args.mode,
-        objectives=getattr(args, "objectives", None),
-        hv_stop_eps=getattr(args, "hv_stop_eps", None),
-        hv_stop_patience=getattr(args, "hv_stop_patience", 2),
-        batch_evals=getattr(args, "batch_evals", False),
-        pipeline=getattr(args, "pipeline", False),
-        batch_chunk=getattr(args, "batch_chunk", None),
-    )
-    objectives = config.objectives
-    tracer = Tracer(args.trace) if args.trace else NULL_TRACER
-    problem_kind, exec_backend = _resolve_backend_args(args)
-    if problem_kind == "surrogate":
-        base_factory = lambda seed: with_objectives(  # noqa: E731
-            SurrogateDeepMDProblem(seed=seed), objectives
-        )
-        problem_spec = {"backend": "surrogate"}
-    else:
-        from repro.hpo.evaluator import DeepMDProblem, EvaluatorSettings
-        from repro.md.dataset import generate_dataset
-
-        dataset = generate_dataset(
-            n_frames=args.frames, rng=args.seed
-        )
-        settings = EvaluatorSettings(numb_steps=args.steps)
-        shared = with_objectives(
-            DeepMDProblem(dataset, settings=settings), objectives
-        )
-        base_factory = lambda seed: shared  # noqa: E731
-        problem_spec = {
-            "backend": "real",
-            "frames": args.frames,
-            "seed": args.seed,
-            "steps": args.steps,
-        }
-    if tuple(objectives) != BASE_OBJECTIVES:
-        # journaled so resume rebuilds the same extended evaluator
-        problem_spec["objectives"] = list(objectives)
+    Shared by both subcommands, which differ only in ``run`` and in the
+    ``saved`` message: chaos injector, tracer scope, live plane,
+    execution backend and cache, then the trace / cache / chaos / §3
+    report, and the snapshot saved to ``directory`` (if any).
+    """
     import contextlib
 
     from repro.injection import use_injector
+    from repro.obs import NULL_TRACER, Tracer, use_tracer
 
-    if args.save:
-        from pathlib import Path
-
-        Path(args.save).mkdir(parents=True, exist_ok=True)
-    injector = _chaos_injector(args)
+    injector = _chaos_injector(args, directory)
+    tracer = Tracer(args.trace) if args.trace else NULL_TRACER
     with use_injector(injector), contextlib.ExitStack() as stack:
         # the tracer scope must wrap backend construction: the pool
         # binds get_tracer() when built, so entering it later would
@@ -497,45 +425,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         serve = _start_observability(stack, args, tracer)
         # cache + journal + execution backend are built inside the
         # chaos scope so their injection hooks bind to the active plan
-        client = _execution_backend(stack, args, exec_backend)
-        cache = _open_cache(args, directory=args.save)
-        factory = base_factory
-        if cache is not None:
-            from repro.store import CachedProblem
-
-            factory = lambda seed: CachedProblem(base_factory(seed), cache)  # noqa: E731
-        if args.kill_after_evals and exec_backend == "inline":
-            inner_factory = factory
-            factory = lambda seed: _KillAfterEvaluations(  # noqa: E731
-                inner_factory(seed), args.kill_after_evals
-            )
-        journal = None
-        if args.save:
-            from repro.store import CampaignJournal, journal_path
-
-            journal = CampaignJournal(
-                journal_path(args.save), problem_spec=problem_spec
-            )
-            if args.kill_after_evals and exec_backend != "inline":
-                # out-of-process backends: evaluate() runs in workers,
-                # so kill on the Nth *journaled* evaluation instead —
-                # that hook runs in the campaign process
-                journal = _KillAfterJournaledEvaluations(
-                    journal, args.kill_after_evals
-                )
-        try:
-            campaign = Campaign(
-                factory,
-                config,
-                tracer=tracer,
-                journal=journal,
-                client=client,
-            )
-            result = campaign.run()
-            _finish_observability(serve, args)
-        finally:
-            if journal is not None:
-                journal.close()
+        client = _execution_backend(stack, args)
+        cache = _open_cache(args, directory=directory)
+        result = run(client, cache, tracer)
+        _finish_observability(serve, args)
     if args.trace:
         tracer.close()
         print(
@@ -545,58 +438,103 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     if cache is not None:
         print(f"evaluation cache: {cache.stats()}")
-    _print_chaos_report(injector, args.save)
+    _print_chaos_report(injector, directory)
     _print_report(result, args.plot, args.export_csv)
-    if args.save:
+    if directory:
         from repro.io import save_campaign
 
-        save_campaign(result, args.save)
-        print(f"\ncampaign saved to {args.save}")
+        save_campaign(result, directory)
+        print(f"\n{saved} {directory}")
     return 0
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.hpo.campaign import Campaign, CampaignConfig
+    from repro.hpo.objectives import problem_spec_for
+    from repro.store import cached_problem_factory, problem_factory_from_spec
+
+    config = CampaignConfig(
+        n_runs=args.runs,
+        pop_size=args.pop_size,
+        generations=args.generations,
+        base_seed=args.seed,
+        mode=args.mode,
+        objectives=args.objectives,
+        hv_stop_eps=args.hv_stop_eps,
+        hv_stop_patience=args.hv_stop_patience,
+        batch_evals=args.batch_evals,
+        pipeline=args.pipeline,
+        batch_chunk=args.batch_chunk,
+    )
+    problem_spec: dict[str, Any] = {"backend": args.problem}
+    if args.problem == "real":
+        problem_spec.update(
+            frames=args.frames, seed=args.seed, steps=args.steps
+        )
+    # journaled, so resume rebuilds the same (extended) evaluator
+    problem_spec = problem_spec_for(problem_spec, config.objectives)
+    base_factory = problem_factory_from_spec(problem_spec)
+    if args.save:
+        from pathlib import Path
+
+        Path(args.save).mkdir(parents=True, exist_ok=True)
+    kill = args.kill_after_evals
+    inline = args.backend == "inline"
+
+    # A fresh campaign stays Campaign.run rather than a resume over a
+    # begin record: without --save there is no journal to resume from,
+    # and under pool/client/fleet --kill-after-evals wraps the journal
+    # the campaign writes.
+    def run(client, cache, tracer):
+        factory = cached_problem_factory(base_factory, cache)
+        if kill and inline:
+            inner_factory = factory
+            factory = lambda seed: _KillAfterEvaluations(  # noqa: E731
+                inner_factory(seed), kill
+            )
+        journal = None
+        if args.save:
+            from repro.store import CampaignJournal, journal_path
+
+            journal = CampaignJournal(
+                journal_path(args.save), problem_spec=problem_spec
+            )
+            if kill and not inline:
+                # out-of-process backends: evaluate() runs in workers,
+                # so kill on the Nth *journaled* evaluation instead —
+                # that hook runs in the campaign process
+                journal = _KillAfterJournaledEvaluations(journal, kill)
+        try:
+            return Campaign(
+                factory, config, tracer=tracer, journal=journal, client=client
+            ).run()
+        finally:
+            if journal is not None:
+                journal.close()
+
+    return _run_session(args, args.save, run, "campaign saved to")
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.exceptions import StoreError
-    from repro.obs import NULL_TRACER, Tracer, use_tracer
     from repro.store import resume_campaign
 
-    from repro.injection import use_injector
-
-    import contextlib
-
     directory = Path(args.directory)
-    injector = _chaos_injector(args)
-    tracer = Tracer(args.trace) if args.trace else NULL_TRACER
-    _, exec_backend = _resolve_backend_args(args)
+
+    def run(client, cache, tracer):
+        return resume_campaign(
+            directory, cache=cache, tracer=tracer, client=client
+        )
+
     try:
-        with use_injector(injector), contextlib.ExitStack() as stack:
-            # same ordering as `campaign`: tracer + status scopes wrap
-            # backend construction
-            stack.enter_context(use_tracer(tracer))
-            serve = _start_observability(stack, args, tracer)
-            client = _execution_backend(stack, args, exec_backend)
-            cache = _open_cache(args, directory=directory)
-            result = resume_campaign(
-                directory, cache=cache, tracer=tracer, client=client
-            )
-            _finish_observability(serve, args)
+        return _run_session(
+            args, directory, run, "campaign snapshot refreshed in"
+        )
     except StoreError as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 1
-    if args.trace:
-        tracer.close()
-        print(f"trace written to {args.trace}")
-    if cache is not None:
-        print(f"evaluation cache: {cache.stats()}")
-    _print_chaos_report(injector, directory)
-    _print_report(result, args.plot, args.export_csv)
-    from repro.io import save_campaign
-
-    save_campaign(result, directory)
-    print(f"\ncampaign snapshot refreshed in {directory}")
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -845,9 +783,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import CampaignServer, CampaignService
 
-    _, exec_backend = _resolve_backend_args(args)
     with contextlib.ExitStack() as stack:
-        backend = _execution_backend(stack, args, exec_backend)
+        backend = _execution_backend(stack, args)
         service = CampaignService(
             args.root,
             backend=backend,
@@ -1076,18 +1013,11 @@ def _cmd_nas(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_flags(
-    parser: argparse.ArgumentParser, legacy_problem_values: bool = False
-) -> None:
-    choices = ["inline", "client", "pool", "fleet"]
-    if legacy_problem_values:
-        # pre-existing scripts pass the problem here; _resolve_backend_args
-        # routes these to --problem with a note
-        choices += ["surrogate", "real"]
+def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=choices,
-        default=None,
+        choices=["inline", "client", "pool", "fleet"],
+        default="inline",
         help=(
             "execution backend: inline (in-process, default), pool "
             "(multiprocessing worker pool), client (simulated thread "
@@ -1170,6 +1100,44 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``campaign`` and ``resume`` share around the run."""
+    parser.add_argument(
+        "--plot", action="store_true", help="render the Fig. 2 scatter"
+    )
+    parser.add_argument(
+        "--export-csv", default=None, help="export figure data as CSV"
+    )
+    parser.add_argument(
+        "--trace",
+        default=None,
+        help="capture a span/event trace to this JSONL file",
+    )
+    parser.add_argument(
+        "--chaos-seed",
+        type=int,
+        default=None,
+        metavar="SEED",
+        help=(
+            "testing: inject a seed-deterministic plan of store-layer "
+            "faults (cache corruption, journal torn writes) and print "
+            "an invariant report afterwards"
+        ),
+    )
+    parser.add_argument(
+        "--chaos-revoke",
+        default=None,
+        metavar="AT[,AT...]",
+        help=(
+            "testing: revoke (spot-preempt) a worker at these "
+            "task-pickup ordinals; --backend pool requeues its "
+            "in-flight work onto a surviving worker and scores it "
+            "MAXINT only once the pool's last worker is revoked, "
+            "--backend fleet then reroutes it to another member"
+        ),
+    )
+
+
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
@@ -1211,13 +1179,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--problem",
         choices=["surrogate", "real"],
-        default=None,
+        default="surrogate",
         help=(
             "fitness landscape: the paper-scale surrogate (default) "
             "or real scaled-down trainings"
         ),
     )
-    _add_backend_flags(p, legacy_problem_values=True)
+    _add_backend_flags(p)
     p.add_argument(
         "--mode",
         choices=["generational", "steady-state", "pso", "surrogate"],
@@ -1271,9 +1239,6 @@ def main(argv: list[str] | None = None) -> int:
         "--steps", type=int, default=100, help="real backend: training steps"
     )
     p.add_argument(
-        "--plot", action="store_true", help="render the Fig. 2 scatter"
-    )
-    p.add_argument(
         "--save",
         default=None,
         help=(
@@ -1281,9 +1246,6 @@ def main(argv: list[str] | None = None) -> int:
             "journals there, making the campaign resumable with "
             "'repro-hpo resume')"
         ),
-    )
-    p.add_argument(
-        "--export-csv", default=None, help="export figure data as CSV"
     )
     p.add_argument(
         "--batch-evals",
@@ -1318,11 +1280,7 @@ def main(argv: list[str] | None = None) -> int:
             "--backend pool; no effect with --backend inline)"
         ),
     )
-    p.add_argument(
-        "--trace",
-        default=None,
-        help="capture a span/event trace to this JSONL file",
-    )
+    _add_session_flags(p)
     _add_serve_flags(p)
     _add_cache_flags(p)
     p.add_argument(
@@ -1338,27 +1296,6 @@ def main(argv: list[str] | None = None) -> int:
             "runs in workers there"
         ),
     )
-    p.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help=(
-            "testing: inject a seed-deterministic plan of store-layer "
-            "faults (cache corruption, journal torn writes) and print "
-            "an invariant report afterwards"
-        ),
-    )
-    p.add_argument(
-        "--chaos-revoke",
-        default=None,
-        metavar="AT[,AT...]",
-        help=(
-            "testing: revoke (spot-preempt) a worker at these "
-            "task-pickup ordinals; --backend fleet requeues the "
-            "in-flight work, --backend pool scores it MAXINT"
-        ),
-    )
     p.set_defaults(func=_cmd_campaign)
 
     p_resume = sub.add_parser(
@@ -1371,39 +1308,10 @@ def main(argv: list[str] | None = None) -> int:
     p_resume.add_argument(
         "directory", help="campaign directory written by --save"
     )
-    p_resume.add_argument(
-        "--plot", action="store_true", help="render the Fig. 2 scatter"
-    )
-    p_resume.add_argument(
-        "--export-csv", default=None, help="export figure data as CSV"
-    )
-    p_resume.add_argument(
-        "--trace",
-        default=None,
-        help="capture a span/event trace to this JSONL file",
-    )
     _add_backend_flags(p_resume)
+    _add_session_flags(p_resume)
     _add_serve_flags(p_resume)
     _add_cache_flags(p_resume)
-    p_resume.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help=(
-            "testing: inject store-layer faults during the resume "
-            "itself and print an invariant report afterwards"
-        ),
-    )
-    p_resume.add_argument(
-        "--chaos-revoke",
-        default=None,
-        metavar="AT[,AT...]",
-        help=(
-            "testing: revoke a worker at these task-pickup ordinals "
-            "during the resume"
-        ),
-    )
     p_resume.set_defaults(func=_cmd_resume)
 
     p_trace = sub.add_parser(

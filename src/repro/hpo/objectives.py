@@ -167,6 +167,19 @@ class RuntimeCostProblem(BatchProblem):
         return doc
 
 
+def problem_spec_for(
+    spec: dict[str, Any], objectives: Optional[str | Sequence[str]]
+) -> dict[str, Any]:
+    """``spec`` with a non-base objective selection threaded in, so the
+    evaluator built from it (and any later resume) is the matching
+    extended problem.  An explicit ``objectives`` key in ``spec`` wins."""
+    spec = dict(spec)
+    names = parse_objectives(objectives)
+    if names != BASE_OBJECTIVES:
+        spec.setdefault("objectives", list(names))
+    return spec
+
+
 def with_objectives(
     problem: Problem, objectives: Optional[str | Sequence[str]]
 ) -> Problem:

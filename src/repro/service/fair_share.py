@@ -37,7 +37,7 @@ import threading
 from collections import deque
 from typing import Any, Optional
 
-from repro.engine.backends import as_backend
+from repro.engine.backends import AggregateFuture, as_backend
 from repro.exceptions import ServiceError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -96,7 +96,8 @@ class CampaignQueue:
 
     Implements the engine's ``ExecutionBackend`` protocol, so a
     campaign built with ``client=queue`` runs unchanged — ``submit``
-    enqueues and returns a :class:`ServiceFuture`; the scheduler
+    enqueues and returns a :class:`ServiceFuture` (``submit_batch``
+    one per individual); the scheduler
     executes it on the real backend when this campaign's turn comes.
     """
 
@@ -120,6 +121,11 @@ class CampaignQueue:
     # -- ExecutionBackend protocol -------------------------------------
     def submit(self, individual: Any) -> ServiceFuture:
         return self.scheduler._enqueue(self, individual)
+
+    def submit_batch(self, individuals: Any) -> AggregateFuture:
+        """One lane entry per individual, so tenant quotas count
+        evaluations, not chunks."""
+        return AggregateFuture([self.submit(ind) for ind in individuals])
 
     def on_cache_hit(self, individual: Any) -> None:
         self.scheduler._note_cache_hit(self)

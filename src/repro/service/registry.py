@@ -31,6 +31,7 @@ from typing import Any, Optional
 
 from repro.exceptions import ServiceError
 from repro.hpo.campaign import CampaignConfig
+from repro.hpo.objectives import problem_spec_for
 from repro.service.tenancy import Tenant, tenant_from_spec
 
 # lifecycle states
@@ -177,17 +178,7 @@ class CampaignRegistry:
         problem_spec = spec.get("problem") or {"backend": "surrogate"}
         if not isinstance(problem_spec, dict):
             raise ServiceError("problem spec must be an object")
-        problem_spec = dict(problem_spec)
-        # the config's objective selection is authoritative: thread it
-        # into the problem spec so the evaluator factory (and any later
-        # resume) builds the matching extended problem
-        from repro.hpo.objectives import BASE_OBJECTIVES
-
-        if (
-            tuple(config.objectives) != BASE_OBJECTIVES
-            and "objectives" not in problem_spec
-        ):
-            problem_spec["objectives"] = list(config.objectives)
+        problem_spec = problem_spec_for(problem_spec, config.objectives)
         campaign_id = str(spec.get("id") or uuid.uuid4().hex[:12])
         with self._lock:
             if campaign_id in self._campaigns:

@@ -41,9 +41,8 @@ from repro.exceptions import (
     ServiceError,
     ServiceShutdown,
 )
-from repro.hpo.campaign import Campaign
 from repro.obs.live import CampaignStatus, use_thread_status
-from repro.store.cache import CachedProblem, EvaluationCache
+from repro.store.cache import EvaluationCache
 from repro.store.journal import CampaignJournal, journal_path
 from repro.store.resume import problem_factory_from_spec, resume_campaign
 
@@ -142,7 +141,7 @@ class CampaignService:
             # runner thread gets going
             self.scheduler.admit_tenant(tenant_from_spec(spec.get("tenant")))
         campaign = self.registry.create(spec)
-        self._start_runner(campaign, resume=False)
+        self._start_runner(campaign)
         return campaign
 
     def cancel(self, campaign_id: str) -> ManagedCampaign:
@@ -187,14 +186,14 @@ class CampaignService:
 
         ``interrupted``/``running`` campaigns continue from their
         journals (bit-identical to never having stopped); ``queued``
-        ones that never journaled anything start fresh.
+        ones that never journaled anything start fresh — the same path
+        either way (see :meth:`_run_campaign`).
         """
         recovered = []
         for campaign in self.registry.load_persisted():
             if campaign.state not in RESUMABLE_STATES:
                 continue
-            has_journal = journal_path(campaign.directory).exists()
-            self._start_runner(campaign, resume=has_journal)
+            self._start_runner(campaign)
             recovered.append(campaign)
         return recovered
 
@@ -270,12 +269,10 @@ class CampaignService:
     # ------------------------------------------------------------------
     # the campaign runner
     # ------------------------------------------------------------------
-    def _start_runner(
-        self, campaign: ManagedCampaign, resume: bool
-    ) -> None:
+    def _start_runner(self, campaign: ManagedCampaign) -> None:
         thread = threading.Thread(
             target=self._run_campaign,
-            args=(campaign, resume),
+            args=(campaign,),
             name=f"repro-campaign-{campaign.id}",
             daemon=True,
         )
@@ -295,22 +292,14 @@ class CampaignService:
                 return False
         return True
 
-    def _cached_factory(
-        self, problem_spec: dict[str, Any]
-    ) -> Callable[[int], Any]:
-        base = self._build_problem_factory(problem_spec)
+    def _run_campaign(self, campaign: ManagedCampaign) -> None:
+        """Run ``campaign`` to completion, cancellation or shutdown.
 
-        def factory(seed: int) -> Any:
-            problem = base(seed)
-            if getattr(problem, "cache", None) is None:
-                problem = CachedProblem(problem, self.cache)
-            return problem
-
-        return factory
-
-    def _run_campaign(
-        self, campaign: ManagedCampaign, resume: bool
-    ) -> None:
+        One path for every campaign: a fresh one is a journal holding
+        only its ``campaign_begin`` record, so a submitted campaign runs
+        exactly as a recovered one does — through
+        :func:`~repro.store.resume.resume_campaign`.
+        """
         if not self._acquire_slot(campaign):
             return
         try:
@@ -346,29 +335,21 @@ class CampaignService:
                     campaign.id, campaign.tenant
                 )
                 with use_thread_status(status):
-                    if resume:
-                        result = resume_campaign(
-                            campaign.directory,
-                            problem_factory=self._build_problem_factory(
-                                campaign.problem_spec
-                            ),
-                            client=queue,
-                            cache=self.cache,
-                            callback=callback,
-                        )
-                    else:
+                    jpath = journal_path(campaign.directory)
+                    if not jpath.exists():
                         with CampaignJournal(
-                            journal_path(campaign.directory),
-                            problem_spec=campaign.problem_spec,
+                            jpath, problem_spec=campaign.problem_spec
                         ) as journal:
-                            result = Campaign(
-                                self._cached_factory(
-                                    campaign.problem_spec
-                                ),
-                                config=campaign.config,
-                                client=queue,
-                                journal=journal,
-                            ).run(callback)
+                            journal.begin_campaign(campaign.config)
+                    result = resume_campaign(
+                        campaign.directory,
+                        problem_factory=self._build_problem_factory(
+                            campaign.problem_spec
+                        ),
+                        client=queue,
+                        cache=self.cache,
+                        callback=callback,
+                    )
                     self._finish(campaign, result)
                     status.mark_done()
             except CampaignCancelled:

@@ -42,6 +42,7 @@ from repro.store.journal import (
     restore_rng,
 )
 from repro.store.resume import (
+    cached_problem_factory,
     campaign_config_from_doc,
     problem_factory_from_spec,
     resume_campaign,
@@ -65,6 +66,7 @@ __all__ = [
     "read_journal",
     "record_from_doc",
     "restore_rng",
+    "cached_problem_factory",
     "campaign_config_from_doc",
     "problem_factory_from_spec",
     "resume_campaign",

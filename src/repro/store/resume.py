@@ -52,10 +52,11 @@ def campaign_config_from_doc(doc: dict[str, Any]) -> CampaignConfig:
 def problem_factory_from_spec(
     spec: dict[str, Any],
 ) -> Callable[[int], Problem]:
-    """Rebuild the evaluator from the spec journaled at campaign start.
+    """Build the evaluator from the spec journaled at campaign start.
 
-    Mirrors the ``repro-hpo campaign`` backend wiring: the surrogate is
-    rebuilt per run seed; the real backend regenerates its (seeded,
+    The one place a spec becomes a problem — ``repro-hpo campaign``,
+    ``resume`` and the service all build through it: the surrogate is
+    rebuilt per run seed; the real backend generates its (seeded,
     hence identical) dataset and shares one problem across runs.  A
     journaled ``objectives`` selection is re-applied via
     :func:`repro.hpo.objectives.with_objectives`, so resumed runs score
@@ -87,6 +88,24 @@ def problem_factory_from_spec(
         f"cannot rebuild a problem from spec {spec!r}; pass "
         "problem_factory= explicitly"
     )
+
+
+def cached_problem_factory(
+    factory: Callable[[int], Problem], cache: Optional[EvaluationCache]
+) -> Callable[[int], Problem]:
+    """``factory`` with every problem it builds served through
+    ``cache`` (a :class:`~repro.store.cache.CachedProblem` layer,
+    never a second one); ``factory`` itself without a cache."""
+    if cache is None:
+        return factory
+
+    def cached(seed: int) -> Problem:
+        problem = factory(seed)
+        if getattr(problem, "cache", None) is None:
+            problem = CachedProblem(problem, cache)
+        return problem
+
+    return cached
 
 
 def resume_campaign(
@@ -132,18 +151,12 @@ def resume_campaign(
             stacklevel=2,
         )
     config = campaign_config_from_doc(state.config_doc)
-    base_factory = (
+    factory = cached_problem_factory(
         problem_factory
         if problem_factory is not None
-        else problem_factory_from_spec(state.problem_spec)
+        else problem_factory_from_spec(state.problem_spec),
+        cache,
     )
-
-    def factory(seed: int) -> Problem:
-        problem = base_factory(seed)
-        if cache is not None and getattr(problem, "cache", None) is None:
-            problem = CachedProblem(problem, cache)
-        return problem
-
     trc = tracer if tracer is not None else get_tracer()
     with trc.span(
         "store.resume", directory=str(directory)

@@ -1,6 +1,5 @@
 """Command-line interface tests (in-process, via ``main(argv)``)."""
 
-import numpy as np
 import pytest
 
 from repro.deepmd.cli import main as dp_main
@@ -142,3 +141,34 @@ class TestHpoCli:
         assert "Table 2" in out
         assert "Table 3" in out
         assert "total trainings: 120" in out
+
+    def test_pool_requeues_revoked_work_instead_of_failing_it(
+        self, tmp_path, capsys
+    ):
+        """A bare pool requeues a revoked worker's task onto a
+        surviving worker: the fault fires, nothing scores MAXINT, and
+        the front is the inline front."""
+        from repro.io import load_campaign
+        from repro.service.service import _front_doc
+
+        common = [
+            "run", "--runs", "1", "--pop-size", "8",
+            "--generations", "1", "--seed", "11", "--no-cache",
+        ]
+        assert hpo_main(common + ["--save", str(tmp_path / "inline")]) == 0
+        capsys.readouterr()
+        rc = hpo_main(
+            common
+            + [
+                "--save", str(tmp_path / "pool"),
+                "--backend", "pool",
+                "--pool-workers", "2",
+                "--chaos-revoke", "1",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "chaos: 1 fault(s) fired: ['revoke_worker@1']" in out
+        assert "failures by generation: [0, 0]" in out
+        front = lambda d: _front_doc(load_campaign(tmp_path / d))["front"]  # noqa: E731
+        assert front("pool") == front("inline")

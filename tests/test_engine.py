@@ -169,7 +169,7 @@ class TestEngineCore:
         class StuckBackend:
             is_execution_backend = True
 
-            def submit(self, individual):
+            def submit_batch(self, individuals):
                 return NeverDone()
 
             def on_cache_hit(self, individual):

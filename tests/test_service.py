@@ -629,6 +629,69 @@ class TestCampaignService:
         finally:
             revived.shutdown(timeout=30)
 
+    def test_three_entry_points_write_one_journal(self, tmp_path):
+        """``repro-hpo run --save``, a submitted service campaign and a
+        service campaign recovered from ``queued`` write the same
+        journal (minus wall-clock and identity keys) and front."""
+        from repro.hpo.cli import main as hpo_main
+        from repro.io import load_campaign
+
+        def records(directory):
+            def strip(doc):
+                if isinstance(doc, dict):
+                    return {
+                        k: strip(v)
+                        for k, v in doc.items()
+                        if k not in ("ts", "uuid", "uuids", "dedup_of")
+                    }
+                if isinstance(doc, list):
+                    return [strip(v) for v in doc]
+                return doc
+
+            lines = journal_path(directory).read_text().splitlines()
+            return [strip(json.loads(line)) for line in lines]
+
+        shape = dict(seed=7, pop=10, gens=3, runs=2)
+        solo = tmp_path / "solo"
+        assert hpo_main(
+            [
+                "run", "--runs", "2", "--pop-size", "10",
+                "--generations", "3", "--seed", "7", "--save", str(solo),
+            ]
+        ) == 0
+        expected = records(solo)
+        types = [r["type"] for r in expected]
+        assert types[0] == "campaign_begin"
+        assert types.count("campaign_begin") == 1
+        solo_front = _front_doc(load_campaign(solo))["front"]
+
+        svc = CampaignService(tmp_path / "submitted")
+        try:
+            submitted = svc.submit(_spec("submitted", **shape))
+            assert svc.wait(timeout=120)
+            assert submitted.state == DONE
+            assert records(submitted.directory) == expected
+            assert svc.front(submitted.id)["front"] == solo_front
+        finally:
+            svc.shutdown(timeout=30)
+
+        root = tmp_path / "recovered"
+        svc = CampaignService(root, max_active=1)
+        svc._slots.acquire()  # hold the only slot: the campaign waits
+        queued = svc.submit(_spec("queued", **shape))
+        svc.shutdown(timeout=30)
+        assert queued.state == QUEUED
+        assert not journal_path(queued.directory).exists()
+        revived = CampaignService(root)
+        try:
+            assert [c.id for c in revived.recover()] == [queued.id]
+            assert revived.wait(timeout=120)
+            assert revived.get(queued.id).state == DONE
+            assert records(queued.directory) == expected
+            assert revived.front(queued.id)["front"] == solo_front
+        finally:
+            revived.shutdown(timeout=30)
+
     def test_conflicting_tenant_rejected_at_submit(self, tmp_path):
         svc = CampaignService(tmp_path)
         try:
