@@ -15,7 +15,7 @@ from repro.distributed.faults import FaultPolicy
 from repro.distributed.future import Future
 from repro.distributed.scheduler import Scheduler
 from repro.distributed.worker import Nanny, Worker
-from repro.engine.invoke import cache_serves
+from repro.engine.invoke import land, serve_from_cache
 from repro.injection import FaultInjector
 
 
@@ -26,12 +26,13 @@ class Client:
     scheduler's tracer) so a campaign trace shows how long the EA loop
     blocked on each generation's evaluations.
 
-    When an item is an individual whose problem carries an evaluation
-    cache (:class:`repro.store.cache.EvaluationCache` via a ``cache``
-    attribute plus a ``cache_key`` method), ``map`` resolves cached
-    evaluations inline instead of submitting them — a cache hit never
-    crosses the scheduler queue, occupies a worker, or waits behind a
-    2-hour training.
+    When an item is an individual whose problem serves from an
+    evaluation cache (a ``serve`` method, as on
+    :class:`repro.store.cache.CachedProblem`), ``map`` lands a cache hit
+    on the item inline — as :func:`repro.engine.evaluate_individual`
+    would return it, a memoized failure as MAXINT — instead of
+    submitting it: a hit never crosses the scheduler queue, occupies a
+    worker, or waits behind a 2-hour training.
     """
 
     def __init__(self, scheduler: Scheduler) -> None:
@@ -48,18 +49,15 @@ class Client:
     ) -> Future:
         return self.scheduler.submit(fn, *args, **kwargs)
 
-    def _cached_future(
-        self, fn: Callable[[Any], Any], item: Any
-    ) -> Optional[Future]:
-        """A pre-resolved future for a cache-hit item (None = submit)."""
-        if not cache_serves(item):
+    def _cached_future(self, item: Any) -> Optional[Future]:
+        """A future resolved to ``item`` with its cache hit landed on it,
+        by the engine's rule (None = submit)."""
+        outcome = serve_from_cache(item)
+        if outcome is None:
             return None
+        land(item, outcome)
         future = Future(f"cached-{getattr(item, 'uuid', id(item))}")
-        try:
-            # hits the cache inside the problem; no training runs
-            future.set_result(fn(item))
-        except Exception as exc:  # noqa: BLE001
-            future.set_exception(exc)
+        future.set_result(item)
         self.scheduler.task_cached(future.key)
         return future
 
@@ -70,7 +68,7 @@ class Client:
             futures = []
             n_cached = 0
             for item in items:
-                future = self._cached_future(fn, item)
+                future = self._cached_future(item)
                 if future is not None:
                     n_cached += 1
                 else:

@@ -13,7 +13,7 @@ the seam explicit.
 evaluation:
 
 * genome deduplication (batch- or run-scoped);
-* cache probing (any problem exposing ``cache``/``cache_key``, e.g. a
+* cache serving (any problem exposing ``serve``, e.g. a
   :class:`repro.store.cache.CachedProblem`) so a hit never crosses the
   execution backend or occupies a worker;
 * dispatch through a small :class:`ExecutionBackend` protocol —
@@ -48,10 +48,11 @@ from repro.engine.backends import (
 from repro.engine.core import EngineStats, EvaluationEngine
 from repro.engine.fleet import ElasticBackend, FleetFuture
 from repro.engine.invoke import (
-    cache_serves,
+    apply_failure,
     call_problem,
     call_problem_batch,
     failure_fitness,
+    serve_from_cache,
 )
 from repro.engine.pool import ProcessFuture, ProcessPoolBackend
 
@@ -67,12 +68,13 @@ __all__ = [
     "ProcessFuture",
     "ProcessPoolBackend",
     "SlotFuture",
+    "apply_failure",
     "as_backend",
-    "cache_serves",
     "call_problem",
     "call_problem_batch",
     "evaluate_individual",
     "evaluate_individuals_batch",
     "evaluate_stream",
     "failure_fitness",
+    "serve_from_cache",
 ]

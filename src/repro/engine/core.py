@@ -42,10 +42,11 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from repro.engine.backends import as_backend, evaluate_individual
-from repro.engine.invoke import cache_serves, failure_fitness
+from repro.engine.backends import as_backend
+from repro.engine.invoke import apply_failure, land, serve_from_cache
 from repro.exceptions import TrainingTimeoutError
 from repro.injection import FaultInjector, get_injector
+from repro.obs.live import current_campaign_id, get_status
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import get_tracer
 
@@ -194,8 +195,6 @@ class EvaluationEngine:
         #: sampled on every submit/pump transition for the live plane;
         #: labeled per campaign so concurrent campaigns sharing one
         #: process (the service) don't clobber each other's levels
-        from repro.obs.live import current_campaign_id
-
         cid = current_campaign_id()
         gauge_labels = {"campaign_id": str(cid)} if cid is not None else None
         self._g_inflight = registry.gauge(
@@ -278,7 +277,7 @@ class EvaluationEngine:
             if fault is not None and fault.exception is not None:
                 # injected transient evaluator crash: the candidate never
                 # reaches the backend and fails under the MAXINT policy
-                self._apply_failure(individual, fault.exception)
+                apply_failure(individual, fault.exception)
                 self._finish(seq, individual, genome_key)
                 continue
             member = _Member(
@@ -427,34 +426,15 @@ class EvaluationEngine:
 
     def _cache_probe(self, individual: Any) -> bool:
         """Serve ``individual`` from its problem's evaluation cache when
-        possible; a hit never crosses the backend or occupies a worker."""
-        if not cache_serves(individual):
+        possible: the probe's outcome lands as a backend slot would, so
+        a hit never crosses the backend, occupies a worker or re-enters
+        the problem."""
+        outcome = serve_from_cache(individual)
+        if outcome is None:
             return False
-        try:
-            # re-enters the problem, which serves the memoized entry
-            evaluate_individual(individual)
-        except Exception as exc:  # noqa: BLE001 - memoized failure replay
-            self._apply_failure(individual, exc)
+        land(individual, outcome)
         self.backend.on_cache_hit(individual)
         return True
-
-    def _apply_failure(self, individual: Any, exc: BaseException) -> None:
-        """The §2.2.4 exception→MAXINT policy (the engine-side copy for
-        every dispatched candidate, worker deaths, and timeouts; robust
-        individuals apply the same policy when evaluated directly)."""
-        n_objectives = getattr(individual, "n_objectives", None) or (
-            getattr(
-                getattr(individual, "problem", None), "n_objectives", None
-            )
-            or 1
-        )
-        individual.fitness = failure_fitness(n_objectives)
-        individual.metadata["error"] = f"{type(exc).__name__}: {exc}"
-        individual.metadata.update(getattr(exc, "metadata", None) or {})
-        individual.metadata.setdefault("failed", True)
-        individual.metadata.setdefault(
-            "failure_cause", f"{type(exc).__name__}: {exc}"
-        )
 
     def _resolve_duplicate(
         self, seq: int, individual: Any, done: Any
@@ -490,9 +470,8 @@ class EvaluationEngine:
             self.stats.fresh += 1
             self._c_fresh.inc()
         fitness = getattr(individual, "fitness", None)
-        if bool(metadata.get("failed")) or (
-            fitness is not None
-            and not bool(np.all(np.asarray(fitness) < np.inf))
+        if metadata.get("failed") or (
+            fitness is not None and not (np.asarray(fitness) < np.inf).all()
         ):
             # unreachable fallback branch for exotic fitnesses; real
             # failures carry the explicit flag
@@ -507,8 +486,6 @@ class EvaluationEngine:
         if not duplicate and genome_key is not None and self.dedup:
             self._results[genome_key] = individual
         self._ready.append((seq, individual))
-        from repro.obs.live import get_status
-
         status = get_status()
         if status.enabled:
             status.publish_engine(
@@ -531,27 +508,21 @@ class EvaluationEngine:
 
     def _time_out(self, member: _Member, elapsed: float) -> None:
         limit = self.timeout if self.timeout is not None else 0.0
-        self._apply_failure(
-            member.individual, TrainingTimeoutError(elapsed, limit)
-        )
+        apply_failure(member.individual, TrainingTimeoutError(elapsed, limit))
         self.stats.timeouts += 1
         self._settle(member)
 
     def _land(self, member: _Member, slot: Any) -> None:
         """Land one chunk slot on its individual.
 
-        A ``(fitness, metadata)`` pair is merged the way
-        ``Individual.evaluate`` merges in-process results; an evaluated
-        copy that crossed a process boundary (client backends) is
-        copied over; an exception goes through the MAXINT policy.
+        A ``(fitness, metadata)`` pair or an exception lands by
+        :func:`~repro.engine.invoke.land`, the rule a served cache hit
+        follows too; an evaluated copy that crossed a process boundary
+        (client backends) is copied over.
         """
         individual = member.individual
-        if isinstance(slot, BaseException):
-            self._apply_failure(individual, slot)
-        elif isinstance(slot, tuple):
-            fitness, metadata = slot
-            individual.fitness = fitness
-            individual.metadata.update(metadata)
+        if isinstance(slot, (BaseException, tuple)):
+            land(individual, slot)
         elif slot is not None and slot is not individual:
             individual.fitness = slot.fitness
             individual.metadata = slot.metadata

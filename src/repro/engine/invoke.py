@@ -30,28 +30,58 @@ def failure_fitness(n_objectives: int) -> np.ndarray:
     return np.full(int(n_objectives), MAXINT, dtype=np.float64)
 
 
-def cache_serves(individual: Any) -> bool:
-    """Would ``individual``'s problem answer it from its evaluation
-    cache?  The probe every dispatcher (the engine, the thread
-    cluster's client) makes before spending a worker on a candidate.
+def apply_failure(individual: Any, exc: BaseException) -> None:
+    """The §2.2.4 exception→MAXINT policy, landed on ``individual``:
+    the engine's copy for every dispatched candidate, served failure,
+    worker death and timeout (robust individuals apply the same policy
+    when evaluated directly).  The width is the individual's objective
+    count, else its problem's."""
+    n_objectives = getattr(individual, "n_objectives", None) or (
+        getattr(getattr(individual, "problem", None), "n_objectives", None)
+        or 1
+    )
+    individual.fitness = failure_fitness(n_objectives)
+    individual.metadata["error"] = f"{type(exc).__name__}: {exc}"
+    individual.metadata.update(getattr(exc, "metadata", None) or {})
+    individual.metadata.setdefault("failed", True)
+    individual.metadata.setdefault(
+        "failure_cause", f"{type(exc).__name__}: {exc}"
+    )
 
-    Duck-typed on a ``cache`` attribute plus a ``cache_key`` method
-    (:class:`repro.store.cache.CachedProblem`, or anything that wraps
-    one and delegates).  ``cache.contains`` validates the entry, so a
-    torn file is a miss here and its candidate is dispatched like any
-    other; after a hit, re-entering the problem is an index lookup.
-    An undecodable or unhashable candidate is a miss too: it fails
-    where every other evaluation failure is handled.
+
+def land(individual: Any, outcome: BatchOutcome) -> None:
+    """Land one outcome slot on ``individual`` in place: a ``(fitness,
+    metadata)`` pair is merged the way ``Individual.evaluate`` merges an
+    in-process result, an exception goes through :func:`apply_failure`."""
+    if isinstance(outcome, BaseException):
+        apply_failure(individual, outcome)
+    else:
+        fitness, metadata = outcome
+        individual.fitness = fitness
+        individual.metadata.update(metadata)
+
+
+def serve_from_cache(individual: Any) -> Optional[BatchOutcome]:
+    """The outcome ``individual``'s problem serves from its evaluation
+    cache, or None.  The probe every dispatcher (the engine, the thread
+    cluster's client) makes before spending a worker on a candidate;
+    on a hit it is the answer itself, which the caller lands with
+    :func:`land` — nothing re-enters the problem.
+
+    Duck-typed on a ``serve`` method
+    (:meth:`repro.store.cache.CachedProblem.serve`, or anything that
+    wraps one and delegates).  It validates the entry, so a torn file
+    is a miss here and its candidate is dispatched like any other.  An
+    undecodable or unhashable candidate is a miss too: it fails where
+    every other evaluation failure is handled.
     """
-    problem = getattr(individual, "problem", None)
-    cache = getattr(problem, "cache", None)
-    key_fn = getattr(problem, "cache_key", None)
-    if cache is None or key_fn is None:
-        return False
+    serve = getattr(getattr(individual, "problem", None), "serve", None)
+    if serve is None:
+        return None
     try:
-        return bool(cache.contains(key_fn(individual.decode())))
+        return serve(individual.decode())
     except Exception:  # noqa: BLE001 - execute normally
-        return False
+        return None
 
 
 def call_problem(

@@ -86,7 +86,7 @@ class Individual:
     def is_viable(self) -> bool:
         """False when evaluation failed (any fitness at MAXINT)."""
         return self.fitness is not None and bool(
-            np.all(self.fitness < MAXINT)
+            (self.fitness < MAXINT).all()
         )
 
     def clone(self) -> "Individual":
@@ -121,6 +121,12 @@ class RobustIndividual(Individual):
 
     #: number of objectives to fill with MAXINT on failure
     n_objectives: int = 2
+
+    def clone(self) -> "RobustIndividual":
+        """A fresh unevaluated copy that fails as wide as its parent."""
+        child = super().clone()
+        child.n_objectives = self.n_objectives
+        return child
 
     def evaluate(self) -> "RobustIndividual":
         try:

@@ -86,6 +86,27 @@ class _KillAfterEvaluations(BatchProblem):
             raise AttributeError(name) from None
         return getattr(inner, name)
 
+    def _count(self, n: int) -> None:
+        self._done += n
+        if self._done >= self.limit:
+            import os
+
+            sys.stderr.write(
+                f"kill-after-evals: {self._done} evaluations done, "
+                "exiting 137\n"
+            )
+            sys.stderr.flush()
+            os._exit(137)
+
+    def serve(self, phenome: Any) -> Any:
+        """The inner cache's probe, a hit counted as a finished
+        evaluation: a warm rerun is killed where a cold one is."""
+        serve = getattr(self.problem, "serve", None)
+        outcome = None if serve is None else serve(phenome)
+        if outcome is not None:
+            self._count(1)
+        return outcome
+
     def evaluate_batch_with_metadata(self, phenomes, uuids=None):
         """Sub-batches never exceed the remaining budget, so exactly
         ``limit`` evaluations finish (and persist) before the process
@@ -107,16 +128,7 @@ class _KillAfterEvaluations(BatchProblem):
                 phenome_list[i : i + remaining],
                 uuids=uuid_list[i : i + remaining],
             )
-            self._done += len(outcomes) - i
-            if self._done >= self.limit:
-                import os
-
-                sys.stderr.write(
-                    f"kill-after-evals: {self._done} evaluations done, "
-                    "exiting 137\n"
-                )
-                sys.stderr.flush()
-                os._exit(137)
+            self._count(len(outcomes) - i)
         return outcomes
 
 

@@ -2,12 +2,44 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.evo.individual import Individual
+from repro.evo.individual import MAXINT, Individual
 from repro.mo.dominance import dominates, non_dominated_mask
+
+
+def viable_fitness_rows(individuals: Iterable[Any]) -> np.ndarray:
+    """The fitness rows of the evaluated, viable, finite members of
+    ``individuals``, in order, as one ``(k, n_objectives)`` array (no
+    rows: shape ``(0,)``) — what the live telemetry and the
+    hypervolume stopper measure.
+
+    One stack and two masks when every member is an :class:`Individual`
+    with a fitness vector of one shared, nonzero width; otherwise
+    (ragged widths, duck-typed members) the same filter row by row,
+    where a member without ``is_viable`` is taken as viable.
+    """
+    evaluated = [
+        ind for ind in individuals if getattr(ind, "fitness", None) is not None
+    ]
+    if all(isinstance(ind, Individual) for ind in evaluated):
+        try:
+            F = np.array([ind.fitness for ind in evaluated], dtype=np.float64)
+        except ValueError:  # ragged
+            F = None
+        if F is not None and F.ndim == 2 and F.shape[1]:
+            keep = (F < MAXINT).all(axis=1) & np.isfinite(F).all(axis=1)
+            return F[keep]
+    rows = []
+    for ind in evaluated:
+        if not getattr(ind, "is_viable", True):
+            continue
+        arr = np.asarray(ind.fitness, dtype=np.float64).ravel()
+        if arr.size and np.all(np.isfinite(arr)):
+            rows.append(arr)
+    return np.asarray(rows)
 
 
 def pareto_front(

@@ -23,18 +23,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.mo.metrics import default_reference, hypervolume
-
-
-def _viable_rows(individuals: Any) -> list[np.ndarray]:
-    rows = []
-    for ind in individuals:
-        fitness = getattr(ind, "fitness", None)
-        if fitness is None or not getattr(ind, "is_viable", True):
-            continue
-        arr = np.asarray(fitness, dtype=np.float64).ravel()
-        if arr.size and np.all(np.isfinite(arr)):
-            rows.append(arr)
-    return rows
+from repro.mo.pareto import viable_fitness_rows
 
 
 class HypervolumeStopper:
@@ -94,9 +83,8 @@ class HypervolumeStopper:
     def observe_front(self, generation: int, individuals: Any) -> bool:
         if self.stopped:
             return True
-        rows = _viable_rows(individuals)
-        if rows:
-            F = np.asarray(rows)
+        F = viable_fitness_rows(individuals)
+        if len(F):
             reference = self.reference
             if reference is None or len(reference) != F.shape[1]:
                 reference = default_reference(F.shape[1])

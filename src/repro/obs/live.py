@@ -395,20 +395,13 @@ class ConvergenceTelemetry:
             hypervolume,
             spread as spread_nd,
         )
+        from repro.mo.pareto import viable_fitness_rows
 
-        rows = []
-        for ind in individuals:
-            fitness = getattr(ind, "fitness", None)
-            if fitness is None or not getattr(ind, "is_viable", True):
-                continue
-            arr = np.asarray(fitness, dtype=np.float64).ravel()
-            if arr.size and np.all(np.isfinite(arr)):
-                rows.append(arr)
+        F = viable_fitness_rows(individuals)
         hv = 0.0
         spread: Optional[float] = None
         front = np.empty((0, 2))
-        if rows:
-            F = np.asarray(rows)
+        if len(F):
             front = F[non_dominated_mask(F)]
             reference = self.reference
             if len(reference) != F.shape[1]:

@@ -158,8 +158,14 @@ class Gauge:
         return next(copy.copy(self._ups)) - next(copy.copy(self._downs))
 
     def set(self, value: float) -> None:
+        # fresh tick counters rebase without reading the old ones (a
+        # hot path: the engine sets its rate gauge per candidate); a
+        # unit inc/dec racing the swap lands on the counter it read,
+        # i.e. before the set, which overrides it
         with self._lock:
-            self._base = float(value) - self._ticks()
+            self._ups = itertools.count()
+            self._downs = itertools.count()
+            self._base = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         if amount == 1.0:

@@ -107,10 +107,25 @@ _encode_canonical = json.JSONEncoder(
 _encode_entry = json.JSONEncoder(allow_nan=False).encode
 
 
+#: the value types a flat mapping may hold and skip the walk: the ones
+#: the walk hands back untouched, plus ``float`` (a NaN raises either way)
+_FLAT = frozenset((*_PLAIN, float))
+
+_STR = frozenset((str,))
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, repr-exact
     floats (Python's ``json`` emits the shortest round-tripping
-    representation, so float keys are bit-stable)."""
+    representation, so float keys are bit-stable).  A flat str-keyed
+    dict — a decoded phenome — is already canonical: the encoder's
+    ``sort_keys`` orders it as the walk would."""
+    if (
+        type(value) is dict
+        and set(map(type, value)) <= _STR
+        and set(map(type, value.values())) <= _FLAT
+    ):
+        return _encode_canonical(value)
     return _encode_canonical(_canonical(value))
 
 
@@ -585,6 +600,18 @@ class CachedProblem(WithMetadataProblem):
                 )
                 outcomes[i] = self._insert(key, slot)
         return outcomes
+
+    def serve(self, phenome: Any) -> BatchOutcome:
+        """The hit ``phenome`` replays, or None: a dispatcher's probe
+        that, on a hit, is the answer.  One key; one validated read
+        (``contains``), so a torn, garbage, foreign-version or
+        misaddressed entry is a miss and counts nothing; then the
+        counted ``lookup``, an index hit.  The outcome is the slot
+        :meth:`evaluate_batch_with_metadata` would return."""
+        key = self.cache_key(phenome)
+        if not self.cache.contains(key):
+            return None
+        return self._lookup(key)
 
     def _lookup(self, key: str) -> BatchOutcome:
         """The hit ``key`` replays, or None on a miss."""

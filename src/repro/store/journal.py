@@ -104,6 +104,36 @@ def _floats(vector: Any) -> list[float]:
     return np.asarray(vector, dtype=np.float64).tolist()
 
 
+#: leaves the key check need not look into
+_LEAVES = frozenset((str, float, int, bool, type(None)))
+
+
+def _str_keyed(value: Any) -> bool:
+    """Is every mapping inside ``value`` keyed by exact ``str``?"""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if type(key) is not str:
+                return False
+            if type(item) not in _LEAVES and not _str_keyed(item):
+                return False
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            if type(item) not in _LEAVES and not _str_keyed(item):
+                return False
+    return True
+
+
+def _as_is(value: Any) -> Any:
+    """An open-ended part of a record (metadata, driver or RNG state)
+    for the C encoder to take as it is.  The encoder spells a value as
+    :func:`_json_safe` would, or refuses it and :meth:`CampaignJournal.
+    _append` walks the record; it spells a non-``str`` key otherwise
+    (``true`` / ``null`` for ``True`` / ``None``, and an int key beside
+    the equal str key the walk merges it into), so such a part is
+    walked here."""
+    return value if _str_keyed(value) else _json_safe(value)
+
+
 def _group_doc(group: list[Individual]) -> dict[str, Any]:
     return {
         "genomes": [_floats(ind.genome) for ind in group],
@@ -112,7 +142,8 @@ def _group_doc(group: list[Individual]) -> dict[str, Any]:
             for ind in group
         ],
         "uuids": [ind.uuid for ind in group],
-        "metadata": [_json_safe(ind.metadata) for ind in group],
+        # final once evaluated: a record may hold the dicts themselves
+        "metadata": [_as_is(ind.metadata) for ind in group],
     }
 
 
@@ -200,10 +231,11 @@ class CampaignJournal:
         """Commit one record: encode, write, flush, fsync.
 
         The record methods hand over docs whose open-ended parts
-        (metadata, config, driver state) already went through
-        :func:`_json_safe`, so the line is one pass of the C encoder;
-        a NaN in a float vector, or an object only ``str`` can spell,
-        sends the whole doc through the walk instead.
+        (metadata, driver and RNG state) are as the campaign left them
+        (:func:`_as_is`), so the line is one pass of the C encoder; a
+        NaN or infinity, a numpy scalar other than ``float64``, or an
+        object only ``str`` can spell sends the whole doc through the
+        walk instead.
         """
         start = time.perf_counter()
         try:
@@ -288,10 +320,10 @@ class CampaignJournal:
             "n_failures": int(record.n_failures),
             "population": _group_doc(record.population),
             "evaluated": _group_doc(record.evaluated),
-            "rng_state": _json_safe(rng_state),
+            "rng_state": _as_is(rng_state),
         }
         if driver_state is not None:
-            doc["driver_state"] = _json_safe(driver_state)
+            doc["driver_state"] = _as_is(driver_state)
         self._append(doc)
 
     def append_evaluation(self, individual: Individual) -> None:
@@ -313,7 +345,7 @@ class CampaignJournal:
                     else _floats(individual.fitness)
                 ),
                 "uuid": individual.uuid,
-                "metadata": _json_safe(individual.metadata),
+                "metadata": _as_is(individual.metadata),
             }
         )
 

@@ -686,3 +686,30 @@ class TestKillAfterEvaluations:
                 wrapped.evaluate_batch_with_metadata(phenomes[:3])
                 wrapped.evaluate_batch_with_metadata(phenomes[3:])
         assert inner.calls == 5
+
+    def test_served_hits_count(self, monkeypatch, tmp_path):
+        """The engine's probe reaches the cache through the wrapper: a
+        served hit is a finished evaluation, a miss is not."""
+        from repro.hpo.cli import _KillAfterEvaluations
+        from repro.store import CachedProblem, EvaluationCache
+
+        class Killed(BaseException):
+            """Like ``os._exit``, nothing on the way may swallow it."""
+
+        def exit_(code):
+            raise Killed(code)
+
+        cached = CachedProblem(CountingProblem(), EvaluationCache(tmp_path))
+        EvaluationEngine().evaluate(
+            [_ind([float(i)], cached) for i in range(4)]
+        )
+        monkeypatch.setattr(os, "_exit", exit_)
+        wrapped = _KillAfterEvaluations(cached, 3)
+        engine = EvaluationEngine()
+        with pytest.raises(Killed):
+            engine.evaluate([_ind([float(i)], wrapped) for i in range(9)])
+        # two hits served, the third killed the process
+        assert engine.stats.cache_hits == 2
+        assert cached.cache.stats()["hits"] == 3
+        assert wrapped.serve(np.array([99.0])) is None
+        assert wrapped._done == 3

@@ -24,6 +24,7 @@ from repro.evo.nsga2 import (
     fast_nondominated_sort,
     rank_ordinal_sort,
 )
+from repro.exceptions import MAXINT
 from repro.mo.metrics import (
     DEFAULT_OBJECTIVE_REFERENCES,
     default_reference,
@@ -267,3 +268,94 @@ class TestHypervolumeStopper:
         rec = _FrontRecord(0, [[0.01, 0.1, 100.0]])
         stopper.observe(rec)
         assert stopper.history[-1][1] > 0.0
+
+
+# ----------------------------------------------------------------------
+# the viable front the telemetry and the stopper measure
+# ----------------------------------------------------------------------
+def _rows_one_by_one(individuals):
+    """The per-individual filter both callers carried before."""
+    rows = []
+    for ind in individuals:
+        fitness = getattr(ind, "fitness", None)
+        if fitness is None or not getattr(ind, "is_viable", True):
+            continue
+        arr = np.asarray(fitness, dtype=np.float64).ravel()
+        if arr.size and np.all(np.isfinite(arr)):
+            rows.append(arr)
+    return rows
+
+
+_entries = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e300, MAXINT]),
+)
+
+
+class TestViableFitnessRows:
+    def _population(self, fitnesses, duck=()):
+        from types import SimpleNamespace
+
+        from repro.evo.individual import RobustIndividual
+
+        out = []
+        for i, fitness in enumerate(fitnesses):
+            if i in duck:
+                out.append(SimpleNamespace(fitness=fitness))
+                continue
+            ind = RobustIndividual(np.zeros(2))
+            ind.fitness = None if fitness is None else np.asarray(fitness)
+            out.append(ind)
+        return out
+
+    def _check(self, individuals):
+        from repro.mo.pareto import viable_fitness_rows
+
+        got = viable_fitness_rows(individuals)
+        want = _rows_one_by_one(individuals)
+        assert len(got) == len(want)
+        for row, expected in zip(got, want):
+            assert row.tobytes() == expected.tobytes()
+        if want:
+            assert got.tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_same_rows_in_the_same_order(self, width, data):
+        fitnesses = data.draw(
+            st.lists(
+                st.one_of(
+                    st.none(), st.lists(_entries, min_size=width, max_size=width)
+                ),
+                max_size=12,
+            )
+        )
+        self._check(self._population(fitnesses))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fitnesses=st.lists(
+            st.one_of(st.none(), st.lists(_entries, max_size=4)), max_size=8
+        ),
+        duck=st.sets(st.integers(0, 7), max_size=3),
+    )
+    def test_ragged_empty_and_duck_typed_take_the_row_path(
+        self, fitnesses, duck
+    ):
+        individuals = self._population(fitnesses, duck)
+        widths = {len(f) for f in fitnesses if f is not None}
+        try:
+            self._check(individuals)
+        except ValueError:
+            # ragged viable rows do not stack, as they never did
+            assert len(widths) > 1
+
+    def test_no_rows(self):
+        from repro.mo.pareto import viable_fitness_rows
+
+        assert len(viable_fitness_rows([])) == 0
+        all_failed = self._population([[MAXINT, MAXINT]] * 3)
+        assert len(viable_fitness_rows(all_failed)) == 0

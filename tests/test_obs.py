@@ -9,6 +9,7 @@ deterministic; the integration tests run a real traced
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -196,6 +197,37 @@ class TestMetrics:
         assert g.value == 10.0
         g.inc(2.5)
         assert g.value == 12.5
+
+    def test_gauge_counts_every_tick_after_a_set(self):
+        """``set`` swaps in fresh tick counters; unit moves from many
+        threads after it must all land on them."""
+        g = MetricsRegistry().gauge("g")
+        g.inc()
+        g.set(3.0)
+        per = 3000
+        # four raise, four lower, one more raises
+        steps = [g.inc, g.dec] * 4 + [g.inc]
+        barrier = threading.Barrier(len(steps))
+
+        def move(step):
+            barrier.wait()
+            for _ in range(per):
+                step()
+
+        threads = [threading.Thread(target=move, args=(s,)) for s in steps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert g.value == 3.0 + per
+        g.set(-1.5)
+        assert g.value == -1.5
 
     def test_histogram_buckets_and_quantile(self):
         h = MetricsRegistry().histogram("h", buckets=[0.1, 1.0, 10.0])

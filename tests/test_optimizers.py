@@ -462,6 +462,47 @@ class TestThreeObjectiveCampaign:
         assert ind.fitness.shape == (3,)
         assert np.all(ind.fitness == MAXINT)
 
+    @pytest.mark.parametrize(
+        "mode", ["generational", "steady-state", "pso", "surrogate"]
+    )
+    def test_failed_offspring_fail_three_wide(self, tmp_path, mode):
+        """Offspring are clones: a failed one used to get the class
+        default's two MAXINTs in a three-wide population, and sorting
+        the generation raised."""
+        cfg = CampaignConfig(
+            n_runs=1,
+            pop_size=50,
+            generations=4,
+            base_seed=3,
+            mode=mode,
+            objectives="loss,time",
+        )
+        journal = CampaignJournal(
+            journal_path(tmp_path), problem_spec={"backend": "surrogate"}
+        )
+        try:
+            result = Campaign(
+                lambda seed: with_objectives(
+                    SurrogateDeepMDProblem(seed=seed), cfg.objectives
+                ),
+                cfg,
+                journal=journal,
+            ).run()
+        finally:
+            journal.close()
+        evaluated = [ind for rec in result.runs[0] for ind in rec.evaluated]
+        assert sum(not ind.is_viable for ind in evaluated) > 0
+        assert {ind.fitness.shape for ind in evaluated} == {(3,)}
+        rows = []
+        for line in journal_path(tmp_path).read_text().splitlines():
+            doc = json.loads(line)
+            if doc["type"] == "generation":
+                for group in ("population", "evaluated"):
+                    rows += doc[group]["fitness"]
+            elif doc["type"] == "evaluation":
+                rows.append(doc["fitness"])
+        assert rows and {len(row) for row in rows} == {3}
+
     def test_mode_validation_covers_the_zoo(self):
         for mode in ("generational", "steady-state", "pso", "surrogate"):
             assert CampaignConfig(mode=mode).mode == mode

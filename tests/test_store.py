@@ -406,6 +406,20 @@ def _populations(result):
     ]
 
 
+#: what two runs of one campaign may differ in: stamps, UUIDs, and
+#: whether an evaluation was served (a served failure's ``error``
+#: names the replay)
+_VOLATILE = ("ts", "uuid", "uuids", "dedup_of", "cache_hit", "error")
+
+
+def _scrub(value):
+    if isinstance(value, dict):
+        return {k: _scrub(v) for k, v in value.items() if k not in _VOLATILE}
+    if isinstance(value, list):
+        return [_scrub(v) for v in value]
+    return value
+
+
 class TestResume:
     def test_complete_journal_restores_verbatim(self, tmp_path):
         d, _, base = _journaled_campaign(tmp_path)
@@ -660,6 +674,44 @@ class TestCliKillResume:
         # hits, not re-trainings (2 evals were done past the last
         # journaled generation: 20 total minus 18 journaled)
         assert "'hits': 2" in resumed.stdout
+
+    def test_a_warm_kill_lands_where_a_cold_one_does(self, tmp_path):
+        """A served cache hit is a finished evaluation to
+        ``--kill-after-evals``, as it was when it re-entered the
+        problem: over a complete cache the kill fires at the same
+        evaluation, after the same journaled prefix."""
+        common = [
+            "campaign",
+            "--runs", "2",
+            "--pop-size", "6",
+            "--generations", "3",
+            "--seed", "7",
+        ]
+        full = self._run_cli(
+            common + ["--save", "full", "--cache-dir", "warm"], cwd=tmp_path
+        )
+        assert full.returncode == 0, full.stderr
+        journals = {}
+        for name, cache in (("cold", "fresh"), ("warm", "warm")):
+            killed = self._run_cli(
+                common
+                + ["--save", name, "--cache-dir", cache]
+                + ["--kill-after-evals", "20"],
+                cwd=tmp_path,
+            )
+            assert killed.returncode == 137, killed.stderr
+            assert "20 evaluations done" in killed.stderr
+            journals[name] = [
+                _scrub(doc)
+                for doc in (
+                    json.loads(line)
+                    for line in (tmp_path / name / "journal.jsonl")
+                    .read_text()
+                    .splitlines()
+                )
+            ]
+        assert journals["warm"] == journals["cold"]
+        assert sum(doc["type"] == "generation" for doc in journals["warm"]) == 3
 
 
 # ----------------------------------------------------------------------

@@ -27,11 +27,12 @@ from hypothesis import strategies as st
 from repro.engine import (
     EvaluationEngine,
     InlineBackend,
-    cache_serves,
+    apply_failure,
     evaluate_individual,
+    serve_from_cache,
 )
 from repro.evo.algorithm import GenerationRecord
-from repro.evo.individual import RobustIndividual
+from repro.evo.individual import Individual, RobustIndividual
 from repro.evo.problem import Problem
 from repro.exceptions import EvaluationError
 from repro.hpo.campaign import Campaign, CampaignConfig
@@ -98,12 +99,15 @@ scalars = st.one_of(
 
 def _nest(children):
     # one key type per mapping: mixed str/int keys do not sort, at the
-    # parent or now
+    # parent or now.  True / False / None keys are the one spelling the
+    # C encoder and the walk disagree on ("true" against "True")
     return st.one_of(
         st.lists(children, max_size=3),
         st.lists(children, max_size=3).map(tuple),
         st.dictionaries(st.text(max_size=5), children, max_size=4),
         st.dictionaries(st.integers(-50, 50), children, max_size=4),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.none(), children, max_size=1),
     )
 
 
@@ -356,6 +360,92 @@ class TestJournalBytes:
             )
         assert lines[1] == ref.journal_line(ref.evaluation_doc(0, individual))
 
+    def test_keys_the_encoder_spells_otherwise_are_walked(self, tmp_path):
+        metadata = {
+            "flags": {True: "on", False: "off"},
+            "none": {None: 1.5},
+            "clash": {1: "int", "1": "str"},
+            "deep": [{"ok": {True: [1]}}],
+        }
+        individual = _individual([1.0], [0.5], metadata)
+
+        def write(journal):
+            journal.begin_run(0, 1)
+            journal.append_evaluation(individual)
+
+        lines = self._lines(tmp_path, write)
+        assert lines[1] == ref.journal_line(ref.evaluation_doc(0, individual))
+        doc = json.loads(lines[1])["metadata"]
+        assert doc["flags"] == {"True": "on", "False": "off"}
+        assert doc["none"] == {"None": 1.5}
+        assert doc["clash"] == {"1": "str"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        members=st.lists(
+            st.tuples(
+                st.lists(st.floats(), min_size=1, max_size=3),
+                st.one_of(
+                    st.none(), st.lists(st.floats(), min_size=1, max_size=3)
+                ),
+                st.dictionaries(
+                    st.text(max_size=5),
+                    st.recursive(
+                        st.one_of(scalars, st.floats(), st.builds(Opaque)),
+                        _nest,
+                        max_leaves=8,
+                    ),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        velocities=st.lists(
+            st.lists(st.floats(), min_size=1, max_size=3), max_size=3
+        ),
+    )
+    def test_any_generation_line_matches_the_reference(
+        self, members, velocities
+    ):
+        """Groups and a PSO-style ``driver_state`` (velocities plus a
+        personal-best group built by the journal's own group encoder)."""
+        import tempfile
+
+        from repro.store.journal import _group_doc
+
+        group = [_individual(*member) for member in members]
+        record = GenerationRecord(
+            generation=1,
+            population=group[:2],
+            evaluated=group,
+            std=np.array([0.1, 0.2]),
+            n_failures=0,
+        )
+        rng_state = np.random.default_rng(5).bit_generator.state
+        pbest = group[::-1]
+
+        def write(journal):
+            journal.begin_run(2, 9)
+            journal.append_generation(
+                record,
+                rng_state=rng_state,
+                driver_state={
+                    "velocities": velocities,
+                    "pbest": _group_doc(pbest),
+                },
+            )
+
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = self._lines(Path(tmp), write)
+        expected = ref.generation_doc(
+            2,
+            record,
+            rng_state,
+            {"velocities": velocities, "pbest": ref.group_doc(pbest)},
+        )
+        assert lines[1] == ref.journal_line(expected)
+
     def test_campaign_begin_line(self, tmp_path):
         spec = {"backend": "real", "frames": np.int64(8), "tag": Opaque()}
         path = tmp_path / "journal.jsonl"
@@ -533,6 +623,17 @@ class BoomProblem(Problem):
         raise EvaluationError("deterministic boom")
 
 
+class Wrapper:
+    """A problem wrapper that delegates everything it lacks."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.n_objectives = problem.n_objectives
+
+    def __getattr__(self, name):
+        return getattr(self.__dict__["problem"], name)
+
+
 class RecordingBackend(InlineBackend):
     def __init__(self):
         super().__init__()
@@ -642,7 +743,7 @@ class TestProbe:
         backend = RecordingBackend()
         engine = EvaluationEngine(client=backend)
         candidate = RobustIndividual(genome, problem=warm_problem)
-        assert not cache_serves(candidate)
+        assert serve_from_cache(candidate) is None
         engine.evaluate([candidate])
         assert backend.submitted == [candidate]
         assert backend.cache_hits == 0
@@ -730,25 +831,202 @@ class TestProbe:
         assert not replay.is_viable
 
     def test_wrappers_that_delegate_are_probed_too(self, tmp_path):
-        class Wrapper:
-            def __init__(self, problem):
-                self.problem = problem
-                self.n_objectives = problem.n_objectives
-
-            def __getattr__(self, name):
-                return getattr(self.__dict__["problem"], name)
-
         problem = CachedProblem(CountingProblem(), EvaluationCache(tmp_path))
         wrapped = Wrapper(problem)
         candidate = RobustIndividual([1.0, 2.0], problem=wrapped)
-        assert not cache_serves(candidate)
+        assert serve_from_cache(candidate) is None
         evaluate_individual(candidate)
-        assert cache_serves(RobustIndividual([1.0, 2.0], problem=wrapped))
-        # no cache, no decoder output to hash, nothing to probe
-        assert not cache_serves(
-            RobustIndividual([1.0], problem=CountingProblem())
+        fitness, metadata = serve_from_cache(
+            RobustIndividual([1.0, 2.0], problem=wrapped)
         )
-        assert not cache_serves(object())
+        assert fitness.tobytes() == candidate.fitness.tobytes()
+        assert metadata == {**candidate.metadata, "cache_hit": True}
+        # no cache, no decoder output to hash, nothing to probe
+        assert (
+            serve_from_cache(RobustIndividual([1.0], problem=CountingProblem()))
+            is None
+        )
+        assert serve_from_cache(object()) is None
+        # a problem with no cache behind it serves nothing either
+        orphan = CachedProblem(CountingProblem(), cache=None)
+        assert serve_from_cache(RobustIndividual([1.0], problem=orphan)) is None
+
+
+# ----------------------------------------------------------------------
+# a served hit: one decode, one key, no re-entry, the same landing
+# ----------------------------------------------------------------------
+class ReentryEngine(EvaluationEngine):
+    """The engine as it served a hit before its probe answered: probe
+    the cache, then re-enter the problem for the memoized entry."""
+
+    def _cache_probe(self, individual):
+        problem = getattr(individual, "problem", None)
+        try:
+            key = problem.cache_key(individual.decode())
+            if not problem.cache.contains(key):
+                return False
+        except Exception:  # noqa: BLE001
+            return False
+        try:
+            evaluate_individual(individual)
+        except Exception as exc:  # noqa: BLE001
+            apply_failure(individual, exc)
+        self.backend.on_cache_hit(individual)
+        return True
+
+
+class CountingDecoder:
+    def __init__(self):
+        self.calls = 0
+
+    def decode(self, genome):
+        self.calls += 1
+        return {"x": float(genome[0]), "y": float(genome[1])}
+
+
+class ValueProblem(Problem):
+    n_objectives = 2
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate_with_metadata(self, phenome, uuid=None):
+        self.calls += 1
+        x = float(phenome["x"]) + float(phenome["y"])
+        if x > 10.0:
+            raise EvaluationError(f"deterministic failure at {x}")
+        return np.array([x, 2.0 * x]), {"calls": self.calls, "x": x}
+
+
+GENOMES = [[1.0, 2.0], [3.0, 4.0], [8.0, 9.0], [0.5, 0.25]]
+
+
+class TestServedHit:
+    def _warm(self, tmp_path, torn=False):
+        """A cache with every genome of ``GENOMES`` in it (the one
+        failure memoized), and ``torn`` the second one damaged."""
+        cache = EvaluationCache(tmp_path / "cold", cache_failures=True)
+        problem = CachedProblem(ValueProblem(), cache)
+        decoder = CountingDecoder()
+        EvaluationEngine().evaluate(
+            [
+                RobustIndividual(g, decoder=decoder, problem=problem)
+                for g in GENOMES
+            ]
+        )
+        if torn:
+            key = problem.cache_key(decoder.decode(GENOMES[1]))
+            path = _entry_path(cache, key)
+            path.write_text(path.read_text()[:20])
+        return tmp_path / "cold"
+
+    def _run(self, engine_cls, directory, individual_cls, wrap):
+        cache = EvaluationCache(directory, cache_failures=True)
+        problem = CachedProblem(ValueProblem(), cache)
+        decoder = CountingDecoder()
+        target = Wrapper(problem) if wrap else problem
+        individuals = [
+            individual_cls(g, decoder=decoder, problem=target)
+            for g in GENOMES
+        ]
+        backend = RecordingBackend()
+        engine = engine_cls(client=backend)
+        engine.evaluate(individuals)
+        stats = engine.stats.as_dict()
+        stats.pop("wall_time")
+        return {
+            "fitness": [ind.fitness.tobytes() for ind in individuals],
+            "width": [ind.fitness.shape for ind in individuals],
+            "metadata": [ind.metadata for ind in individuals],
+            "engine": stats,
+            "cache": cache.stats(),
+            "backend": (len(backend.submitted), backend.cache_hits),
+            "executed": problem.problem.calls,
+            "decodes": decoder.calls,
+        }
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["plain", "wrapper"])
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+    @pytest.mark.parametrize(
+        "individual_cls", [Individual, RobustIndividual]
+    )
+    def test_served_equals_reentered(
+        self, tmp_path, individual_cls, torn, wrap
+    ):
+        cold = self._warm(tmp_path, torn=torn)
+        copies = {}
+        for name in ("served", "reentered"):
+            shutil.copytree(cold, tmp_path / name)
+            copies[name] = tmp_path / name
+        served = self._run(
+            EvaluationEngine, copies["served"], individual_cls, wrap
+        )
+        reentered = self._run(
+            ReentryEngine, copies["reentered"], individual_cls, wrap
+        )
+        decodes = served.pop("decodes"), reentered.pop("decodes")
+        assert served == reentered
+        # one decode per served hit (the re-entry path made two); a torn
+        # entry is decoded at the probe and again by the backend
+        hits = 3 if torn else 4
+        assert decodes == (4 + (len(GENOMES) - hits), 4 + len(GENOMES))
+        assert served["engine"]["cache_hits"] == hits
+        assert served["engine"]["failures"] == 1
+        assert served["cache"]["hits"] == hits
+        assert served["backend"] == (len(GENOMES) - hits, hits)
+        # the memoized failure comes back as wide as the problem
+        assert served["width"] == [(2,)] * len(GENOMES)
+        assert served["metadata"][2]["failed"] is True
+        assert served["metadata"][2]["error"].startswith("CachedFailure")
+
+    def test_a_hit_hashes_and_decodes_once_and_never_enters_the_problem(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.cache as cache_module
+
+        cold = self._warm(tmp_path)
+        hashed = []
+        real_key = cache_module.evaluation_key
+
+        def counting_key(phenome, fingerprint):
+            hashed.append(phenome)
+            return real_key(phenome, fingerprint)
+
+        def no_reentry(self, phenomes, uuids=None):
+            raise AssertionError("a served hit re-entered the problem")
+
+        monkeypatch.setattr(cache_module, "evaluation_key", counting_key)
+        monkeypatch.setattr(
+            CachedProblem, "evaluate_batch_with_metadata", no_reentry
+        )
+        result = self._run(EvaluationEngine, cold, RobustIndividual, False)
+        assert len(hashed) == result["decodes"] == len(GENOMES)
+        assert result["engine"]["cache_hits"] == len(GENOMES)
+        assert result["executed"] == 0
+
+    def test_three_objective_memoized_failure_is_three_wide(self, tmp_path):
+        class ThreeWide(ValueProblem):
+            n_objectives = 3
+
+            def evaluate_with_metadata(self, phenome, uuid=None):
+                self.calls += 1
+                raise EvaluationError("always")
+
+        cache = EvaluationCache(tmp_path, cache_failures=True)
+        problem = CachedProblem(ThreeWide(), cache)
+        decoder = CountingDecoder()
+        parent = RobustIndividual([1.0, 2.0], decoder=decoder, problem=problem)
+        parent.n_objectives = 3
+        EvaluationEngine().evaluate([parent])
+        assert parent.fitness.shape == (3,)
+        # an offspring clone, served from the cache by the probe
+        child = parent.clone()
+        engine = EvaluationEngine()
+        engine.evaluate([child])
+        assert engine.stats.cache_hits == 1 and engine.stats.failures == 1
+        assert child.fitness.shape == (3,)
+        assert child.metadata["cache_hit"] is True
+        assert problem.problem.calls == 1
 
 
 # ----------------------------------------------------------------------
