@@ -7,7 +7,8 @@
    fitness evaluation actually trains a DeepPot-SE network on that
    data (UUID run directory, input.json from the template, lcurve.out
    parsed for the final rmse_e_val / rmse_f_val).
-3. Evaluate in parallel over a local worker pool (the Dask analogue).
+3. Evaluate in parallel over a local worker-process pool (the Dask
+   analogue).
 4. Print the frontier.
 
 Takes a couple of minutes; shrink POP_SIZE / GENERATIONS for a faster
@@ -25,7 +26,7 @@ import time
 import numpy as np
 
 from repro.analysis import format_table, frontier_table
-from repro.distributed import LocalCluster
+from repro.engine import ProcessPoolBackend
 from repro.obs import Tracer, set_tracer
 from repro.hpo import (
     DeepMDProblem,
@@ -76,13 +77,13 @@ def main() -> None:
         "generations of real trainings, 4 parallel workers"
     )
     t0 = time.time()
-    with LocalCluster(n_workers=4) as cluster:
+    with ProcessPoolBackend(workers=4) as pool:
         records = run_deepmd_nsga2(
             problem,
             settings=NSGA2Settings(
                 pop_size=POP_SIZE, generations=GENERATIONS
             ),
-            client=cluster.client(),
+            client=pool,
             rng=1,
         )
     elapsed = time.time() - t0

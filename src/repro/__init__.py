@@ -25,9 +25,10 @@ scratch on top of NumPy:
 ``repro.mo``
     Multiobjective utilities: dominance, Pareto fronts, quality
     indicators, and the ZDT validation suite.
-``repro.distributed``
-    Dask-like scheduler / worker / client executor with fault
-    injection, nannies, and task reassignment.
+``repro.engine``
+    The evaluation engine and its execution backends: in-process, a
+    worker-process pool that respawns dead workers and re-runs their
+    tasks, and an elastic fleet of pools.
 ``repro.hpc``
     Discrete-event model of a Summit-like cluster (nodes, batch jobs,
     walltime, faults) and a training-runtime model.
@@ -41,7 +42,7 @@ scratch on top of NumPy:
 ``repro.obs``
     Zero-dependency tracing (spans, events, JSONL trace files) and
     metrics (counters, gauges, histograms, Prometheus export) wired
-    through the scheduler, workers, trainer, EA loop, and campaign.
+    through the engine, process pool, trainer, EA loop, and campaign.
 """
 
 from repro._version import __version__

@@ -5,8 +5,7 @@ Three pieces (see EXPERIMENTS.md "Chaos testing"):
 * :class:`FaultPlan` / :class:`Fault` — scripted, seed-deterministic
   schedules of injectable faults;
 * :class:`Injector` — executes a plan through the process-wide
-  :mod:`repro.injection` hooks (and doubles as a worker
-  ``FaultPolicy``);
+  :mod:`repro.injection` hooks;
 * :class:`InvariantChecker` — replays a campaign's journal, trace,
   and cache and asserts the system-wide fault-tolerance invariants.
 """

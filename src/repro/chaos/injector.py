@@ -1,13 +1,11 @@
 """The unified Injector: one object, every fault site.
 
-Generalizes the worker-only :class:`~repro.distributed.faults.
-FaultPolicy` — an :class:`Injector` *is* a ``FaultPolicy`` (so it can
-be handed to ``LocalCluster(fault_policy=...)`` unchanged) and a
-:class:`~repro.injection.FaultInjector` (so the scheduler, engine,
-cache, and journal consult the same scripted plan through their
-hooks).  Each site keeps a thread-safe event counter; a fault fires
-when the site's ordinal enters its ``[at, at + count)`` window, and
-every firing is appended to :attr:`Injector.log` so tests and the
+An :class:`Injector` is a :class:`~repro.injection.FaultInjector`, so
+the process pool, engine, cache, and journal consult the same scripted
+plan through their hooks.  Each site keeps a thread-safe event
+counter; a fault fires when the site's ordinal enters its
+``[at, at + count)`` window, and every firing is appended to
+:attr:`Injector.log` so tests and the
 :class:`~repro.chaos.invariants.InvariantChecker` know exactly what
 chaos actually happened.
 """
@@ -20,7 +18,6 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.chaos.plan import Fault, FaultPlan
-from repro.distributed.faults import FaultPolicy
 from repro.exceptions import InjectedFaultError
 from repro.injection import EvalFault, FaultInjector
 
@@ -40,7 +37,7 @@ class InjectedFault:
         return self.fault.kind
 
 
-class Injector(FaultPolicy, FaultInjector):
+class Injector(FaultInjector):
     """Execute a :class:`~repro.chaos.plan.FaultPlan` across all sites."""
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -113,7 +110,7 @@ class Injector(FaultPolicy, FaultInjector):
             return hits
 
     # ------------------------------------------------------------------
-    # FaultPolicy / FaultInjector hooks
+    # FaultInjector hooks
     # ------------------------------------------------------------------
     def should_fail(self, worker_name: str, task_index: int) -> bool:
         return bool(
@@ -142,7 +139,7 @@ class Injector(FaultPolicy, FaultInjector):
         return sum(f.seconds for f in hits)
 
     def submit_delay(self, key: str) -> float:
-        hits = self._step("scheduler.submit", key=key)
+        hits = self._step("pool.submit", key=key)
         return sum(f.seconds for f in hits)
 
     def evaluation_fault(self) -> Optional[EvalFault]:

@@ -14,7 +14,8 @@ whole reliability stack exists to provide:
 * no genome is trained twice where dedup/cache promise it won't be;
 * every submitted task reaches exactly one terminal trace state
   (done / err / abandoned / stranded), and tasks requeued off a dead
-  worker complete on a *different* worker;
+  worker process complete in a *different* process (a respawned
+  successor keeps its worker name, so the trace's pids decide);
 * a resumed campaign's journal is generation-for-generation
   bit-identical to an uninterrupted baseline
   (:func:`verify_resume_equivalence`).
@@ -139,7 +140,6 @@ class InvariantChecker:
         dedup: bool = True,
         injected: Iterable[Any] = (),
         expect_torn: bool = False,
-        allow_same_worker_retry: bool = False,
     ) -> None:
         self.journal = journal
         self.trace = trace
@@ -151,7 +151,6 @@ class InvariantChecker:
         self.expect_torn = bool(expect_torn) or (
             "journal_truncate" in self.injected_kinds
         )
-        self.allow_same_worker_retry = bool(allow_same_worker_retry)
 
     # ------------------------------------------------------------------
     def check(self) -> InvariantReport:
@@ -365,7 +364,7 @@ class InvariantChecker:
         events = [r for r in records if r.get("type") == "event"]
         submitted: list[str] = []
         terminal: dict[str, list[str]] = {}
-        requeues: dict[str, list[str]] = {}
+        requeues: dict[str, list[Any]] = {}
         n_stranded = 0
         for event in events:
             name = event.get("name")
@@ -376,9 +375,7 @@ class InvariantChecker:
             elif name in ("task.done", "task.err", "task.abandoned"):
                 terminal.setdefault(task, []).append(name)
             elif name == "task.requeued":
-                requeues.setdefault(task, []).append(
-                    tags.get("from_worker") or tags.get("worker")
-                )
+                requeues.setdefault(task, []).append(tags.get("from_pid"))
             elif name == "task.stranded":
                 n_stranded += int(tags.get("count", 0))
         if not submitted:
@@ -410,8 +407,9 @@ class InvariantChecker:
     def _check_requeues(
         self, report, records, terminal, requeues
     ) -> None:
-        """Requeued tasks must finish, and finish elsewhere."""
-        attempts: dict[str, list[tuple[int, str]]] = {}
+        """Requeued tasks must finish, and finish in a process other
+        than the ones they were requeued off."""
+        attempts: dict[str, list[tuple[int, Any]]] = {}
         for record in records:
             if (
                 record.get("type") == "span"
@@ -423,10 +421,10 @@ class InvariantChecker:
                     attempts.setdefault(task, []).append(
                         (
                             int(tags.get("attempt", 0)),
-                            tags.get("worker"),
+                            tags.get("pid"),
                         )
                     )
-        for task, dead_workers in requeues.items():
+        for task, dead_pids in requeues.items():
             report.count("requeued_completes")
             outcomes = terminal.get(task, [])
             if not outcomes:
@@ -436,15 +434,12 @@ class InvariantChecker:
                 )
                 continue
             if outcomes == ["task.done"] and attempts.get(task):
-                final_worker = max(attempts[task])[1]
+                final_pid = max(attempts[task])[1]
                 report.count("requeued_elsewhere")
-                if (
-                    final_worker in dead_workers
-                    and not self.allow_same_worker_retry
-                ):
+                if final_pid in dead_pids:
                     report.fail(
                         "requeued_elsewhere",
-                        f"{task} completed on {final_worker}, a worker "
+                        f"{task} completed in process {final_pid}, one "
                         "it was requeued off",
                     )
 

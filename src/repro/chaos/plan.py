@@ -7,18 +7,18 @@ A plan is an ordered list of :class:`Fault` literals, each naming a
     plan = FaultPlan([
         Fault("worker_death", at=3),
         Fault("slow_worker", at=0, count=2, seconds=0.5,
-              worker="node-001"),
+              worker="pool-1"),
         Fault("journal_truncate", at=4, offset=17),
     ])
     with use_injector(plan.injector()):
         ...run the campaign...
 
 Sites count their own events: worker-site faults count task pickups,
-``scheduler.submit`` counts submissions, ``engine.dispatch`` counts
-backend dispatches (cache and dedup hits don't dispatch), and the
-store sites count inserts/appends.  Worker-site faults with an
-explicit ``worker=`` match that worker's *own* task index instead —
-exactly the ``ScriptedFaults`` ``(worker, task_index)`` semantics.
+``pool.submit`` counts process-pool submissions, ``engine.dispatch``
+counts backend dispatches (cache and dedup hits don't dispatch), and
+the store sites count inserts/appends.  Worker-site faults with an
+explicit ``worker=`` match that worker's *own* task index instead (a
+pool worker's ordinal survives its respawns).
 
 :meth:`FaultPlan.random` draws a plan from a seed, so property tests
 can sweep randomized schedules while staying bit-reproducible.
@@ -38,7 +38,7 @@ SITES: dict[str, str] = {
     "worker_death": "worker.death",
     "revoke_worker": "worker.revoke",
     "slow_worker": "worker.delay",
-    "submit_delay": "scheduler.submit",
+    "submit_delay": "pool.submit",
     "eval_exception": "engine.dispatch",
     "eval_timeout": "engine.dispatch",
     "cache_corrupt": "cache.insert",
@@ -50,7 +50,9 @@ ALL_KINDS: tuple[str, ...] = tuple(SITES)
 #: kinds that never change *what* a campaign computes — only how long
 #: it takes or what the durable store must recover from.  Campaigns
 #: whose breeding happens on the main thread (generational, baselines)
-#: produce bit-identical results under any plan drawn from these.
+#: produce bit-identical results under any plan drawn from these (a
+#: process pool re-runs a dead worker's task; no task may lose more than
+#: the pool's ``DEATH_RETRIES`` runs).
 #: ``revoke_worker`` is recoverable too (the fleet requeues revoked
 #: tasks with unchanged results), but it is deliberately NOT listed
 #: here: existing seeded plans draw ``rng.integers(len(kinds))`` over
@@ -65,7 +67,7 @@ RECOVERABLE_KINDS: tuple[str, ...] = (
     "journal_truncate",
 )
 
-#: kinds whose effect is ordering-free even inline (no cluster): they
+#: kinds whose effect is ordering-free even inline (no pool): they
 #: only stress the durable store's corruption/torn-write tolerance.
 STORE_KINDS: tuple[str, ...] = ("cache_corrupt", "journal_truncate")
 
@@ -209,9 +211,9 @@ class FaultPlan:
         mapping to give sites with few events (journal appends) a
         tighter bound than busy ones (task pickups).  ``max_per_kind``
         caps how many faults of one kind survive the draw (e.g. cap
-        ``worker_death`` below the cluster size so the campaign can
-        still finish); capped draws are dropped, so plans may hold
-        fewer than ``n_faults`` faults.
+        ``worker_death`` at the pool's ``DEATH_RETRIES`` so no task
+        exhausts its re-runs); capped draws are dropped, so plans may
+        hold fewer than ``n_faults`` faults.
         """
         kinds = tuple(kinds)
         if not kinds:

@@ -19,10 +19,9 @@ evaluation:
 * dispatch through a small :class:`ExecutionBackend` protocol —
   :class:`InlineBackend` for in-process evaluation (one problem call
   per wave of queued chunks),
-  :class:`ClientBackend` for any ``submit``/futures client (our
-  :class:`repro.distributed.Client` or a real Dask client), or
   :class:`ProcessPoolBackend` for real process-level parallelism on
-  one machine;
+  one machine, or :class:`ElasticBackend` for an elastic fleet of
+  pools;
 * per-evaluation soft timeouts;
 * the §2.2.4 exception→``MAXINT`` failure policy, in exactly one place;
 * tracer spans, metrics counters, and per-evaluation journal hooks;
@@ -36,7 +35,6 @@ static-analysis guard test enforces this).
 
 from repro.engine.backends import (
     AggregateFuture,
-    ClientBackend,
     ExecutionBackend,
     InlineBackend,
     SlotFuture,
@@ -58,7 +56,6 @@ from repro.engine.pool import ProcessFuture, ProcessPoolBackend
 
 __all__ = [
     "AggregateFuture",
-    "ClientBackend",
     "ElasticBackend",
     "EngineStats",
     "EvaluationEngine",

@@ -3,15 +3,14 @@
 The engine speaks one tiny protocol — ``submit_batch(individuals) ->
 future`` with ``done()``/``result()`` semantics, the future resolving
 to one outcome slot per individual — so the same driver code runs
-candidates in-process, on the reproduction's thread cluster, or on a
-real Dask deployment (the paper's §2.2.5 setup) without change.
+candidates in-process (:class:`InlineBackend`), on worker processes
+(:class:`~repro.engine.pool.ProcessPoolBackend`) or on an elastic
+fleet of them (:class:`~repro.engine.fleet.ElasticBackend`) without
+change.
 
 Scalar ``submit(individual)`` is the same call for a chunk of one,
-seen through :class:`SlotFuture`.  Only :class:`ClientBackend` builds
-the other way round — one client task per individual, gathered by
-:class:`AggregateFuture` — because a Dask-shaped client schedules
-tasks, not chunks.  :class:`InlineBackend` goes the other way again:
-it queues chunks and runs each wave of them as one batch.
+seen through :class:`SlotFuture`.  :class:`InlineBackend` queues chunks
+and runs each wave of them as one batch.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ from repro.engine.invoke import call_problem_batch
 def evaluate_individual(individual: Any) -> Any:
     """Evaluate one individual in place and return it.
 
-    Module-level (hence picklable) so distributed backends can ship it
-    to workers.  Robust individuals convert their own exceptions to
-    ``MAXINT`` fitness; plain individuals let them propagate to the
-    engine's failure policy.
+    Robust individuals convert their own exceptions to ``MAXINT``
+    fitness; plain individuals let them propagate to the engine's
+    failure policy.
     """
     return individual.evaluate()
 
@@ -242,44 +240,10 @@ class InlineBackend:
         pass
 
 
-class ClientBackend:
-    """Fan evaluations out through a ``submit``-style client.
-
-    Works with :class:`repro.distributed.Client` and anything
-    Dask-shaped.  Cache hits resolved by the engine are reported to the
-    client's scheduler (when it exposes ``task_cached``) so cluster
-    accounting still shows the skipped tasks.
-    """
-
-    is_execution_backend = True
-
-    def __init__(self, client: Any) -> None:
-        self.client = client
-
-    def submit(self, individual: Any) -> FutureLike:
-        return self.client.submit(evaluate_individual, individual)
-
-    def submit_batch(self, individuals: Sequence[Any]) -> AggregateFuture:
-        return AggregateFuture(
-            [self.submit(ind) for ind in individuals]
-        )
-
-    def on_cache_hit(self, individual: Any) -> None:
-        scheduler = getattr(self.client, "scheduler", None)
-        task_cached = getattr(scheduler, "task_cached", None)
-        if task_cached is not None:
-            task_cached(f"cached-{getattr(individual, 'uuid', '?')}")
-
-
 def as_backend(client: Any = None) -> Any:
-    """Coerce ``None`` / a client / a backend into a backend."""
+    """Coerce ``None`` / a backend into a backend."""
     if client is None:
         return InlineBackend()
     if getattr(client, "is_execution_backend", False):
         return client
-    if callable(getattr(client, "submit", None)):
-        return ClientBackend(client)
-    raise TypeError(
-        f"{type(client).__name__} is neither an ExecutionBackend nor a "
-        "submit()-style client"
-    )
+    raise TypeError(f"{type(client).__name__} is not an ExecutionBackend")

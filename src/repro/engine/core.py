@@ -146,7 +146,7 @@ class EvaluationEngine:
     Parameters
     ----------
     client:
-        ``None`` (inline evaluation), a ``submit``-style client, or an
+        ``None`` (inline evaluation) or an
         :class:`~repro.engine.backends.ExecutionBackend`.
     dedup:
         Collapse genome-identical candidates onto one execution; the
@@ -517,8 +517,8 @@ class EvaluationEngine:
 
         A ``(fitness, metadata)`` pair or an exception lands by
         :func:`~repro.engine.invoke.land`, the rule a served cache hit
-        follows too; an evaluated copy that crossed a process boundary
-        (client backends) is copied over.
+        follows too; a backend that hands back an evaluated copy of the
+        individual has the copy's fitness and metadata taken over.
         """
         individual = member.individual
         if isinstance(slot, (BaseException, tuple)):

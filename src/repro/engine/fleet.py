@@ -3,9 +3,9 @@
 The paper's campaigns are economical only on a large, *unreliable*
 worker fleet (§2.2.5: 100 Summit nodes, spot-style churn).  This
 module multiplexes heterogeneous member backends — a scalable
-:class:`~repro.engine.pool.ProcessPoolBackend`, a cluster client, an
-inline reserve — behind the engine's single ``ExecutionBackend``
-protocol, adding the three behaviours a churning fleet needs:
+:class:`~repro.engine.pool.ProcessPoolBackend`, an inline reserve —
+behind the engine's single ``ExecutionBackend`` protocol, adding the
+three behaviours a churning fleet needs:
 
 * **Preemption survival.**  A pool-side revocation requeues in-flight
   work to a surviving pool worker; when a member loses its *last*
@@ -61,11 +61,8 @@ class _Member:
 
     def capacity(self) -> int:
         """Concurrent tasks this member can actually execute."""
-        for probe in (self.backend, getattr(self.backend, "client", None)):
-            n = getattr(probe, "n_workers", None)
-            if n is not None:
-                return int(n)
-        return 1
+        n = getattr(self.backend, "n_workers", None)
+        return 1 if n is None else int(n)
 
     def queue_depth(self) -> int:
         depth = getattr(self.backend, "queue_depth", None)
@@ -168,9 +165,9 @@ class ElasticBackend:
     Parameters
     ----------
     members:
-        Backends (or ``submit``-style clients) to federate; coerced
-        through :func:`~repro.engine.backends.as_backend`.  Inline
-        backends become *reserve* members — rescue and speculation
+        Backends to federate; coerced through
+        :func:`~repro.engine.backends.as_backend`.  Inline backends
+        become *reserve* members — rescue and speculation
         capacity — unless they are the only member.
     min_workers / max_workers:
         Autoscale bounds for elastic members (those exposing

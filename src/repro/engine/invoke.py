@@ -63,10 +63,9 @@ def land(individual: Any, outcome: BatchOutcome) -> None:
 
 def serve_from_cache(individual: Any) -> Optional[BatchOutcome]:
     """The outcome ``individual``'s problem serves from its evaluation
-    cache, or None.  The probe every dispatcher (the engine, the thread
-    cluster's client) makes before spending a worker on a candidate;
-    on a hit it is the answer itself, which the caller lands with
-    :func:`land` — nothing re-enters the problem.
+    cache, or None.  The probe the engine makes before spending a
+    worker on a candidate; on a hit it is the answer itself, which the
+    caller lands with :func:`land` — nothing re-enters the problem.
 
     Duck-typed on a ``serve`` method
     (:meth:`repro.store.cache.CachedProblem.serve`, or anything that

@@ -18,12 +18,16 @@ Design constraints, in order:
   uuid)`` items per chunk (a scalar submit is a chunk of one).
   Problems carry locks and caches; the ones shipped with this package
   implement ``__getstate__`` so they pickle cleanly.
-* **Worker crash is an evaluation failure, not a campaign failure.**
-  A worker that dies mid-task (OOM, segfault, injected chaos) fails
-  only the task it held: the task's future raises
-  :class:`~repro.exceptions.WorkerFailure`, the engine's §2.2.4 policy
-  turns that into a ``MAXINT`` fitness, and the pool replaces the dead
-  worker so capacity is restored.
+* **A dead worker's task is re-run elsewhere, a few times.**  The
+  paper let Dask reassign the task of a worker that died (§2.2.5).  A
+  worker that dies mid-task (OOM, segfault, injected chaos) is replaced
+  by a fresh process, and the task it held goes back to the front of
+  the queue, like a revoked worker's.  A task that has lost
+  :data:`DEATH_RETRIES` runs already fails instead, with a
+  :class:`~repro.exceptions.WorkerFailure` naming its attempts, which
+  the engine's §2.2.4 policy turns into a ``MAXINT`` fitness.  An
+  exception raised *inside* a worker is the evaluation's own outcome
+  and is not retried: bad hyperparameters fail on any node.
 * **Per-task deadline.**  The engine's soft timeout cannot stop a
   worker that is stuck inside an evaluation; ``deadline`` is the hard
   backend-side limit — an overrunning worker is killed, its task fails
@@ -31,11 +35,12 @@ Design constraints, in order:
   replacement worker is spawned (the paper's 2-hour cap, enforced with
   SIGKILL).
 * **Chaos passthrough.**  The pool consults the process-wide
-  :mod:`repro.injection` injector at dispatch time with the same
-  ``(worker_name, task_index)`` semantics as the thread cluster:
-  ``worker_delay`` makes the worker sleep before evaluating (slow
-  worker) and ``should_fail`` makes it die mid-evaluation (node
-  failure) — both deterministic for scripted plans.
+  :mod:`repro.injection` injector once per submission
+  (``submit_delay``) and at dispatch time with ``(worker_name,
+  task_index)`` semantics: ``worker_delay`` makes the worker sleep
+  before evaluating (slow worker) and ``should_fail`` makes it die
+  mid-evaluation (node failure) — both deterministic for scripted
+  plans.
 * **No shared locks with workers.**  Each worker owns a private duplex
   pipe; a SIGKILL'd worker can never strand a lock another worker (or
   the parent) needs.
@@ -67,6 +72,10 @@ from repro.obs.trace import get_tracer
 
 #: how long close() waits for a worker to exit gracefully
 _JOIN_TIMEOUT = 5.0
+
+#: runs a task may lose to dead or revoked workers and still be re-run
+#: (Dask's ``allowed-failures``); a death past it is the task's failure
+DEATH_RETRIES = 2
 
 
 def _shippable(exc: BaseException) -> BaseException:
@@ -152,7 +161,7 @@ def _pool_worker_main(
                 "n": n_items,
             }
             if attempt:
-                # re-execution after a revocation: the invariant
+                # re-execution after a lost run: the invariant
                 # checker keys requeued-elsewhere off this tag
                 tags["attempt"] = attempt
             if error is not None:
@@ -260,7 +269,7 @@ class _WorkerHandle:
         #: respawned successor starts empty and gets them re-shipped)
         self.segments: set[str] = set()
         #: the next death is a spot-style preemption: requeue the task
-        #: and retire the worker instead of failing and respawning
+        #: and retire the worker instead of respawning it
         self.pending_revoke = False
 
 
@@ -283,7 +292,7 @@ class ProcessPoolBackend:
     fault_injector:
         Chaos seam; defaults to the process-wide injector of
         :mod:`repro.injection`, so ``use_injector(plan.injector())``
-        scopes drive pool faults exactly like cluster faults.
+        scopes drive pool faults.
     """
 
     is_execution_backend = True
@@ -452,8 +461,9 @@ class ProcessPoolBackend:
         carries only ``(segment key, genome, uuid)`` items.  The future
         resolves to a list of per-slot outcomes — ``(fitness,
         metadata)`` tuples or exception instances — in submission
-        order; a worker crash mid-chunk raises :class:`WorkerFailure`
-        from ``result()``, failing only this chunk.
+        order; a chunk whose worker dies is re-run, and only past
+        :data:`DEATH_RETRIES` lost runs does ``result()`` raise
+        :class:`WorkerFailure`, failing only this chunk.
         """
         if self._closed:
             raise RuntimeError("ProcessPoolBackend is closed")
@@ -464,6 +474,16 @@ class ProcessPoolBackend:
         payload = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
         task_id = self._next_task_id
         self._next_task_id += 1
+        if self._injector is not None:
+            # chaos: a stalled submission (slow scheduler / network)
+            delay = self._injector.submit_delay(f"pool-task-{task_id}")
+            if delay > 0.0:
+                self.tracer.event(
+                    "task.submit_delayed",
+                    task=f"pool-task-{task_id}",
+                    seconds=delay,
+                )
+                time.sleep(delay)
         if getattr(self.tracer, "enabled", False):
             # the submit instant the report joins worker spans against
             # (queue wait = span start - this event)
@@ -566,6 +586,29 @@ class ProcessPoolBackend:
         )
         self._publish_worker(handle, "idle")
 
+    def _requeue(
+        self, task_id: int, handle: _WorkerHandle, ran: bool
+    ) -> None:
+        """Put a task its worker lost back at the front of the queue —
+        it is the oldest work outstanding and must not starve — with the
+        same payload and uuids.  ``ran`` says the worker took the task
+        before it went (a death or revocation mid-task), which counts
+        one attempt; a worker found dead before dispatch never ran it.
+        The event names the lost process, so the invariant checker can
+        tell a re-run elsewhere from one in the process that died."""
+        spec = self._tasks[task_id]
+        if ran:
+            spec[2] += 1
+        self._c_requeued.inc()
+        self.tracer.event(
+            "task.requeued",
+            task=f"pool-task-{task_id}",
+            from_worker=handle.name,
+            from_pid=handle.process.pid,
+            attempt=spec[2],
+        )
+        self._queue.insert(0, task_id)
+
     def _bury_revoked(self, handle: _WorkerHandle) -> None:
         """Spot preemption landed: requeue the in-flight task (same
         payload, same uuids, attempt+1) and retire the worker — no
@@ -591,18 +634,7 @@ class ProcessPoolBackend:
         self._g_workers.set(self.n_workers)
         if task_id is not None and task_id in self._futures:
             if self._workers:
-                # requeue to the front: the preempted task is the
-                # oldest work outstanding and must not starve
-                spec = self._tasks[task_id]
-                spec[2] += 1
-                self._c_requeued.inc()
-                self.tracer.event(
-                    "task.requeued",
-                    task=f"pool-task-{task_id}",
-                    from_worker=handle.name,
-                    attempt=spec[2],
-                )
-                self._queue.insert(0, task_id)
+                self._requeue(task_id, handle, ran=True)
             else:
                 self._fail_task(
                     task_id,
@@ -778,12 +810,10 @@ class ProcessPoolBackend:
                     ("batch", task_id, payload, delay, die, trace, attempt)
                 )
             except (BrokenPipeError, OSError):
-                # worker already gone: fail this task, replace, retry
-                # dispatching the rest on the successor
-                self._fail_task(
-                    task_id,
-                    WorkerFailure(handle.name, "died before dispatch"),
-                )
+                # the worker died idle: the task never ran, so it goes
+                # back unspent and the successor takes it on the next
+                # drain
+                self._requeue(task_id, handle, ran=False)
                 self._replace(handle)
                 continue
             handle.busy_task = task_id
@@ -833,33 +863,40 @@ class ProcessPoolBackend:
                     future._resolve(result=msg[2])
                 else:  # "raised": re-raise the worker-side exception
                     future._resolve(exception=msg[2])
-            # 2. death: a busy worker that is gone takes its task down
-            #    (→ WorkerFailure → MAXINT in the engine) — unless this
-            #    was a revocation, which requeues instead
+            # 2. death: a busy worker that is gone is replaced and its
+            #    task re-run, until the task has lost DEATH_RETRIES runs
+            #    (→ WorkerFailure → MAXINT in the engine); a revoked
+            #    worker is retired instead
             if not handle.process.is_alive():
                 if handle.pending_revoke and not self._closed:
                     self._bury_revoked(handle)
                     continue
-                if handle.busy_task is not None:
+                task_id = handle.busy_task
+                if task_id is not None:
                     exitcode = handle.process.exitcode
                     self.tracer.event(
                         "pool.worker_death",
                         worker=handle.name,
-                        task=handle.busy_task,
+                        task=task_id,
                         exitcode=exitcode,
                     )
-                    self._publish_worker(
-                        handle, "dead", task=handle.busy_task
-                    )
-                    self._fail_task(
-                        handle.busy_task,
-                        WorkerFailure(
-                            handle.name,
-                            "died mid-evaluation "
-                            f"(exitcode {exitcode})",
-                        ),
-                    )
+                    self._publish_worker(handle, "dead", task=task_id)
                     handle.busy_task = None
+                    # a cancelled task has nobody waiting for a re-run
+                    if task_id in self._futures:
+                        lost = self._tasks[task_id][2]
+                        if lost < DEATH_RETRIES:
+                            self._requeue(task_id, handle, ran=True)
+                        else:
+                            self._fail_task(
+                                task_id,
+                                WorkerFailure(
+                                    handle.name,
+                                    "died mid-evaluation (exitcode "
+                                    f"{exitcode}); the task lost all "
+                                    f"{lost + 1} attempts",
+                                ),
+                            )
                 if not self._closed:
                     self._replace(handle)
             # 3. deadline: kill an overrunning worker, fail its task

@@ -11,7 +11,7 @@ Algorithms in Python (LEAP) that the paper builds on (§2.1.4, §2.2.3):
 * generator-based pipeline operators composed with :func:`pipe`
   (Listing 1): ``random_selection``, ``clone``, ``mutate_gaussian``
   with per-gene standard deviations and hard bounds, ``eval_pool`` for
-  distributed evaluation, and ``truncation_selection``;
+  batched (optionally parallel) evaluation, and ``truncation_selection``;
 * NSGA-II support: the classic fast non-dominated sort (Deb 2002) and
   the faster rank-ordinal sort (Burlacu 2022) the paper adopted, plus
   crowding-distance calculation, as both plain functions and pipeline

@@ -182,8 +182,8 @@ def steady_state_nsga2(
     :func:`repro.evo.algorithm.run_driver`, one backend task per
     candidate.  Inline (``client=None``) the engine hands candidates
     back in submission order, cache hits or not, so a warm re-run
-    breeds the cold run's genomes; with a futures client the completion
-    order — and so the bred genomes — is the cluster's.
+    breeds the cold run's genomes; on a process pool the completion
+    order — and so the bred genomes — is the pool's.
     """
     driver = SteadyStateDriver(
         problem, init_ranges, pop_size, hard_bounds, decoder,

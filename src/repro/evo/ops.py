@@ -13,7 +13,7 @@ the paper's reproduction pipeline uses, with the same semantics:
   (``expected_num_mutations='isotropic'``) with per-gene standard
   deviations and hard bounds;
 * :func:`eval_pool` — accumulate ``size`` offspring, then evaluate
-  them (optionally fanning out through a distributed client);
+  them (optionally fanning out through an execution backend);
 * :func:`truncation_selection` — keep the best ``size`` by a sort key
   (the NSGA-II ``(-rank, distance)`` key in the paper).
 """
@@ -25,11 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.engine import (
-    EvaluationEngine,
-    evaluate_individual,
-    evaluate_stream,
-)
+from repro.engine import EvaluationEngine, evaluate_stream
 from repro.evo.individual import Individual
 from repro.rng import RngLike, ensure_rng
 
@@ -140,10 +136,6 @@ def pool(size: int) -> Callable[[Iterable[Individual]], list[Individual]]:
     return op
 
 
-#: module-level alias kept for distributed backends and older callers
-_evaluate_individual = evaluate_individual
-
-
 def eval_pool(
     client: Any = None,
     size: int = 1,
@@ -153,13 +145,13 @@ def eval_pool(
     """Accumulate ``size`` offspring, then evaluate them all.
 
     The actual lifecycle — dedup of genome-identical offspring, cache
-    probing, fan-out through a client, worker-death → MAXINT policy —
+    probing, fan-out through a backend, worker-death → MAXINT policy —
     lives in :class:`repro.engine.EvaluationEngine`; this sink just
     feeds it one batch.  Pass ``engine`` to share one engine (and its
     statistics) across generations; otherwise a transient engine is
     built from ``client``/``dedup``, which evaluates in-process when
-    ``client`` is None and fans out through the client's futures
-    otherwise (the Dask pattern of §2.2.5).
+    ``client`` is None and fans out through that backend (e.g. a
+    :class:`~repro.engine.ProcessPoolBackend`) otherwise.
     """
     take = pool(size)
 

@@ -19,8 +19,8 @@ These baselines make both comparisons measurable:
     deployment.
 
 All three run their evaluations through
-:class:`repro.engine.EvaluationEngine`, so a ``client`` fans a sweep
-out across workers and a cached problem serves repeated phenomes
+:class:`repro.engine.EvaluationEngine`, so a backend ``client`` fans a
+sweep out across workers and a cached problem serves repeated phenomes
 without retraining — the baselines compete against NSGA-II on equal
 infrastructure, not just equal budgets.
 """

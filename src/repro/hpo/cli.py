@@ -233,9 +233,10 @@ def _execution_backend(stack, args: argparse.Namespace):
 
     ``inline`` evaluates in-process; ``pool`` spawns a real
     ``multiprocessing`` worker pool (``--pool-workers``, with an
-    optional per-evaluation ``--pool-deadline``); ``client`` runs the
-    simulated thread cluster.  Pool and cluster lifetimes are tied to
-    ``stack`` so workers are torn down even when the campaign raises.
+    optional per-evaluation ``--pool-deadline``); ``fleet`` puts that
+    pool and an inline reserve behind an elastic fleet.  Their
+    lifetimes are tied to ``stack`` so workers are torn down even when
+    the campaign raises.
     Constructed inside the chaos scope so dispatch-time fault hooks
     bind to the active plan.
     """
@@ -243,46 +244,30 @@ def _execution_backend(stack, args: argparse.Namespace):
     workers = getattr(args, "pool_workers", None) or 4
     if backend == "inline":
         return None
+    from repro.engine import ElasticBackend, InlineBackend, ProcessPoolBackend
+
+    deadline = getattr(args, "pool_deadline", None)
     if backend == "pool":
-        from repro.engine import ProcessPoolBackend
-
         return stack.enter_context(
-            ProcessPoolBackend(
-                workers=workers,
-                deadline=getattr(args, "pool_deadline", None),
-            )
+            ProcessPoolBackend(workers=workers, deadline=deadline)
         )
-    if backend == "fleet":
-        from repro.engine import (
-            ElasticBackend,
-            InlineBackend,
-            ProcessPoolBackend,
+    min_workers = getattr(args, "min_workers", None) or workers
+    max_workers = getattr(args, "max_workers", None) or max(
+        min_workers, workers
+    )
+    pool = ProcessPoolBackend(workers=min_workers, deadline=deadline)
+    # fleet: the inline reserve rescues work when every pool worker
+    # has been revoked and hosts speculative re-executions
+    return stack.enter_context(
+        ElasticBackend(
+            [pool, InlineBackend()],
+            min_workers=min_workers,
+            max_workers=max_workers,
+            slots_cap=getattr(args, "slots", None),
+            speculate=bool(getattr(args, "speculate", False)),
+            owns_members=True,
         )
-
-        min_workers = getattr(args, "min_workers", None) or workers
-        max_workers = getattr(args, "max_workers", None) or max(
-            min_workers, workers
-        )
-        pool = ProcessPoolBackend(
-            workers=min_workers,
-            deadline=getattr(args, "pool_deadline", None),
-        )
-        # the inline reserve rescues work when every pool worker has
-        # been revoked and hosts speculative re-executions
-        return stack.enter_context(
-            ElasticBackend(
-                [pool, InlineBackend()],
-                min_workers=min_workers,
-                max_workers=max_workers,
-                slots_cap=getattr(args, "slots", None),
-                speculate=bool(getattr(args, "speculate", False)),
-                owns_members=True,
-            )
-        )
-    from repro.distributed import LocalCluster
-
-    cluster = stack.enter_context(LocalCluster(n_workers=workers))
-    return cluster.client()
+    )
 
 
 def _start_observability(stack, args: argparse.Namespace, tracer):
@@ -1028,14 +1013,13 @@ def _cmd_nas(args: argparse.Namespace) -> int:
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=["inline", "client", "pool", "fleet"],
+        choices=["inline", "pool", "fleet"],
         default="inline",
         help=(
             "execution backend: inline (in-process, default), pool "
-            "(multiprocessing worker pool), client (simulated thread "
-            "cluster), or fleet (elastic pool + inline reserve with "
-            "preemption survival; see --min-workers/--max-workers/"
-            "--speculate)"
+            "(multiprocessing worker pool), or fleet (elastic pool + "
+            "inline reserve with preemption survival; see "
+            "--min-workers/--max-workers/--speculate)"
         ),
     )
     parser.add_argument(
@@ -1044,7 +1028,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "worker count for --backend pool/client (default: 4)"
+            "worker count for --backend pool/fleet (default: 4)"
         ),
     )
     parser.add_argument(

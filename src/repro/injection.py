@@ -1,7 +1,7 @@
 """The fault-injection seam every layer consults.
 
 The chaos harness (:mod:`repro.chaos`) needs to trigger failures deep
-inside the scheduler, the workers, the evaluation engine, and the
+inside the process pool, its workers, the evaluation engine, and the
 durable store — but those layers must not import the harness (the
 harness imports *them* for its invariant checks).  This module is the
 dependency-free meeting point: a no-op :class:`FaultInjector` base
@@ -11,9 +11,8 @@ class plus a process-wide registry mirroring
 Instrumented call sites resolve :func:`get_injector` at construction
 time and consult it on their hot paths; with no injector installed
 every hook is ``None``-cheap.  :class:`repro.chaos.Injector` subclasses
-:class:`FaultInjector` (and the distributed layer's ``FaultPolicy``) to
-drive all hooks from one scripted, seed-deterministic
-:class:`repro.chaos.FaultPlan`.
+:class:`FaultInjector` to drive all hooks from one scripted,
+seed-deterministic :class:`repro.chaos.FaultPlan`.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ class FaultInjector:
     """
 
     def should_fail(self, worker_name: str, task_index: int) -> bool:
-        """Worker death before executing its next task (the
-        ``FaultPolicy`` protocol — an injector is also a policy)."""
+        """Worker death before executing its next task."""
         return False
 
     def worker_delay(self, worker_name: str, task_index: int) -> float:
@@ -62,7 +60,7 @@ class FaultInjector:
         return False
 
     def submit_delay(self, key: str) -> float:
-        """Seconds the scheduler stalls one task submission."""
+        """Seconds the process pool stalls one task submission."""
         return 0.0
 
     def evaluation_fault(self) -> Optional[EvalFault]:

@@ -21,9 +21,9 @@ instead:
   and ``/status`` over HTTP (``repro-hpo run --serve-metrics PORT``,
   watched live with ``repro-hpo monitor``).
 
-The scheduler, workers, client, cluster simulation, trainer, EA loop,
-and campaign driver are all instrumented; enable capture by installing
-a tracer::
+The engine, process pool and its workers, cluster simulation,
+trainer, EA loop, and campaign driver are all instrumented; enable
+capture by installing a tracer::
 
     from repro.obs import Tracer, set_tracer
     set_tracer(Tracer("runs/campaign-trace.jsonl"))

@@ -1,11 +1,11 @@
 """Counters, gauges, fixed-bucket histograms, and their registry.
 
-The scheduler's ad-hoc ``tasks_*`` integers answered "how many" but
-not "how long" or "how spread out" — and every new subsystem grew its
-own counters.  :class:`MetricsRegistry` centralizes them: named
-counters (monotonic totals), gauges (instantaneous levels like busy
-workers), and fixed-bucket histograms (queue-wait and run-time
-distributions), all thread-safe, snapshot-able as a plain dict, and
+Ad-hoc ``tasks_*`` integers answered "how many" but not "how long" or
+"how spread out" — and every new subsystem grew its own counters.
+:class:`MetricsRegistry` centralizes them: named counters (monotonic
+totals), gauges (instantaneous levels like busy workers), and
+fixed-bucket histograms (queue-wait and run-time distributions), all
+thread-safe, snapshot-able as a plain dict, and
 exportable in the Prometheus text exposition format so a real
 deployment can be scraped.
 
@@ -102,7 +102,7 @@ class Counter:
 
     The unit increment is a bare ``next()`` on an ``itertools.count``
     — a single C call, atomic under the GIL, no lock — because the
-    scheduler bumps a counter on every task transition.  Bulk and
+    engine and the pool bump counters on every task transition.  Bulk and
     fractional increments go through a lock.
     """
 
@@ -398,6 +398,6 @@ _global_registry = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (components that want
-    isolation — e.g. each :class:`~repro.distributed.Scheduler` —
-    create their own)."""
+    isolation — e.g. a test's :class:`~repro.engine.ProcessPoolBackend`
+    — pass their own)."""
     return _global_registry

@@ -4,7 +4,7 @@ Turns the flat span/event stream of :mod:`repro.obs.trace` into the
 three operational views §2.2.5 needed on Summit:
 
 * a **wall-clock breakdown** — time per span name, so a campaign can
-  see at a glance whether generations, trainings, or the scheduler
+  see at a glance whether generations, trainings, or dispatch
   dominated;
 * a **worker-utilization table** — busy seconds per worker against the
   trace's wall span, exposing the evaluation-time imbalance that

@@ -10,11 +10,12 @@ written trace from a killed job parses the same way the run journal
 does.
 
 Instrumentation sites call :func:`get_tracer` (or accept a tracer
-argument) and are hot-path code — the scheduler touches the tracer on
-every task transition — so the default is a :class:`NullTracer` whose
-``span``/``event`` are attribute lookups plus a constant return.  The
-microbenchmark in ``benchmarks/bench_obs_overhead.py`` keeps that
-overhead honest (< 5% of a scheduler submit/gather round-trip).
+argument) and are hot-path code — the engine and the pool touch the
+tracer on every task transition — so the default is a
+:class:`NullTracer` whose ``span``/``event`` are attribute lookups plus
+a constant return.  The microbenchmark in
+``benchmarks/bench_obs_overhead.py`` keeps that overhead honest (the
+gated ``pool_obs_overhead_ratio`` of a traced pool campaign).
 
 Parenting is thread-local: a span opened inside another span *on the
 same thread* records it as its parent, which makes the EA's

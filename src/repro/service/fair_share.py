@@ -45,13 +45,9 @@ from repro.service.tenancy import Tenant
 
 
 def worker_capacity(backend: Any, default: int = 4) -> int:
-    """Best-effort fleet size of ``backend`` (pool ``n_workers``, a
-    client's live worker count, or ``default``)."""
-    for probe in (backend, getattr(backend, "client", None)):
-        n = getattr(probe, "n_workers", None)
-        if n:
-            return int(n)
-    return int(default)
+    """Best-effort fleet size of ``backend`` (its ``n_workers``, or
+    ``default``)."""
+    return int(getattr(backend, "n_workers", None) or default)
 
 
 class ServiceFuture:

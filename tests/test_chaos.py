@@ -1,9 +1,9 @@
 """The deterministic chaos harness: fault-plan DSL, unified injector,
 invariant checker, and the property-based equivalence suite.
 
-The load-bearing property (the ISSUE's acceptance bar): for seeded
-fault plans drawn per driver — generational on a cluster, steady-state
-inline, baselines on a cluster — the surviving Pareto front of a
+The load-bearing property: for seeded fault plans drawn per driver —
+generational on a process pool, steady-state inline, baselines on a
+process pool — the surviving Pareto front of a
 faulted campaign equals the fault-free campaign's front exactly
 (modulo MAXINT individuals), and the InvariantChecker reports zero
 violations on every journal the suite produces.
@@ -31,8 +31,7 @@ from repro.chaos import (
     InvariantChecker,
     verify_resume_equivalence,
 )
-from repro.distributed import LocalCluster
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, ProcessPoolBackend
 from repro.evo.individual import MAXINT, Individual
 from repro.evo.problem import Problem
 from repro.hpo.baselines import random_search
@@ -41,6 +40,7 @@ from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.injection import get_injector, use_injector
 from repro.mo.pareto import pareto_front
 from repro.obs import Tracer
+from repro.obs.metrics import MetricsRegistry
 from repro.store.cache import CachedProblem, EvaluationCache
 from repro.store.journal import (
     CampaignJournal,
@@ -62,6 +62,16 @@ BASE_PLAN_SEEDS = (301, 302, 303, 304, 305)
 class IdentityDecoder:
     def decode(self, genome):
         return genome
+
+
+class Sum2:
+    """Picklable, stateless: the pool ships it to worker processes."""
+
+    n_objectives = 2
+
+    def evaluate(self, phenome):
+        x = float(np.sum(np.asarray(phenome, dtype=np.float64)))
+        return np.array([x, x * 2.0])
 
 
 class CountingProblem(Problem):
@@ -121,7 +131,15 @@ def _front_points(individuals):
     ]
 
 
-def _campaign(directory, plan=None, mode="generational", cluster=True):
+def _pool(tracer):
+    """The pool the faulted campaigns run on (built inside the
+    injector scope, so its dispatch-time hooks bind to the plan)."""
+    return ProcessPoolBackend(
+        workers=2, metrics=MetricsRegistry(), tracer=tracer
+    )
+
+
+def _campaign(directory, plan=None, mode="generational", pool=True):
     """One full campaign, optionally under a fault plan, leaving a
     journal, a cache, and an in-memory trace behind."""
     injector = None if plan is None else plan.injector()
@@ -139,17 +157,12 @@ def _campaign(directory, plan=None, mode="generational", cluster=True):
 
     try:
         with use_injector(injector):
-            if cluster:
-                with LocalCluster(
-                    n_workers=3,
-                    fault_policy=injector,
-                    max_retries=6,
-                    tracer=tracer,
-                ) as cl:
+            if pool:
+                with _pool(tracer) as backend:
                     result = Campaign(
                         factory,
                         config,
-                        client=cl.client(),
+                        client=backend,
                         tracer=tracer,
                         journal=journal,
                     ).run()
@@ -407,27 +420,31 @@ class TestEngineInjection:
         assert engine.stats.timeouts == 1
 
     def test_slow_worker_trips_engine_timeout(self):
-        problem = CountingProblem()
-        plan = FaultPlan([Fault("slow_worker", at=0, seconds=0.6)])
+        plan = FaultPlan([Fault("slow_worker", at=2, seconds=0.6)])
         injector = plan.injector()
-        # two workers: the second task must run on the idle worker, or
-        # it would queue behind the sleeping one past the budget too
-        with LocalCluster(n_workers=2, fault_policy=injector) as cluster:
-            engine = EvaluationEngine(
-                client=cluster.client(),
-                timeout=0.08,
-                fault_injector=injector,
-            )
-            slow = _ind([1.0, 2.0], problem)
-            engine.evaluate([slow])
-            # snapshot now: the sleeping worker still holds the shared
-            # individual and will overwrite it when it finally finishes
-            timed_out_fitness = np.array(slow.fitness, copy=True)
-            cause = slow.metadata.get("failure_cause", "")
-            fine = _ind([3.0, 4.0], problem)
-            engine.evaluate([fine])
-        assert np.all(timed_out_fitness == MAXINT)
-        assert "TrainingTimeoutError" in cause
+        with use_injector(injector):
+            with ProcessPoolBackend(
+                workers=2, metrics=MetricsRegistry()
+            ) as pool:
+                # dispatches 0 and 1 wait for both workers to start and
+                # ship them the problem, so the budget below times only
+                # the evaluations
+                problem = Sum2()
+                EvaluationEngine(client=pool, metrics=MetricsRegistry()).evaluate(
+                    [_ind([0.0, 0.0], problem), _ind([0.0, 1.0], problem)]
+                )
+                engine = EvaluationEngine(
+                    client=pool,
+                    timeout=0.08,
+                    fault_injector=injector,
+                    metrics=MetricsRegistry(),
+                )
+                (slow,) = engine.evaluate([_ind([1.0, 2.0], problem)])
+                # the other worker is idle: this one is not queued
+                # behind the sleeping one past the budget
+                (fine,) = engine.evaluate([_ind([3.0, 4.0], problem)])
+        assert np.all(np.asarray(slow.fitness) == MAXINT)
+        assert "TrainingTimeoutError" in slow.metadata["failure_cause"]
         assert engine.stats.timeouts == 1
         assert not fine.metadata.get("failed")
         assert len(injector.fired("slow_worker")) == 1
@@ -621,7 +638,11 @@ class TestInvariantCheckerNegative:
         assert InvariantChecker(trace=stranded).check().ok
 
     def test_requeued_task_must_complete_elsewhere(self):
-        def trace(final_worker):
+        """Elsewhere means another process: a respawned successor keeps
+        its worker name, so only the pids tell a re-run in a fresh
+        process from one in the process the task was requeued off."""
+
+        def trace(final_worker, final_pid):
             return [
                 {
                     "type": "event",
@@ -631,7 +652,12 @@ class TestInvariantCheckerNegative:
                 {
                     "type": "event",
                     "name": "task.requeued",
-                    "tags": {"task": "t0", "from_worker": "w0"},
+                    "tags": {
+                        "task": "t0",
+                        "from_worker": "w0",
+                        "from_pid": 101,
+                        "attempt": 1,
+                    },
                 },
                 {
                     "type": "event",
@@ -641,7 +667,7 @@ class TestInvariantCheckerNegative:
                 {
                     "type": "span",
                     "name": "worker.task",
-                    "tags": {"task": "t0", "worker": "w0", "attempt": 0},
+                    "tags": {"task": "t0", "worker": "w0", "pid": 101},
                 },
                 {
                     "type": "span",
@@ -649,21 +675,24 @@ class TestInvariantCheckerNegative:
                     "tags": {
                         "task": "t0",
                         "worker": final_worker,
+                        "pid": final_pid,
                         "attempt": 1,
                     },
                 },
             ]
 
-        good = InvariantChecker(trace=trace("w1")).check()
-        assert good.ok, good.summary()
-        bad = InvariantChecker(trace=trace("w0")).check()
-        assert any(
-            v.invariant == "requeued_elsewhere" for v in bad.violations
-        )
-        waived = InvariantChecker(
-            trace=trace("w0"), allow_same_worker_retry=True
-        ).check()
-        assert waived.ok, waived.summary()
+        for good in (trace("w1", 102), trace("w0", 103)):
+            report = InvariantChecker(trace=good).check()
+            assert report.ok, report.summary()
+            assert report.checked["requeued_elsewhere"] == 1
+        # a re-run in the dead process is a violation, whatever the
+        # name the trace gives its worker
+        for bad in (trace("w0", 101), trace("w1", 101)):
+            report = InvariantChecker(trace=bad).check()
+            assert any(
+                v.invariant == "requeued_elsewhere"
+                for v in report.violations
+            )
 
     def test_requeued_task_must_reach_terminal_state(self):
         trace = [
@@ -704,7 +733,7 @@ def generational_reference(tmp_path_factory):
 def steady_reference(tmp_path_factory):
     directory = tmp_path_factory.mktemp("ss-ref")
     result, tracer, _ = _campaign(
-        directory, mode="steady-state", cluster=False
+        directory, mode="steady-state", pool=False
     )
     return {
         "dir": directory,
@@ -746,7 +775,7 @@ class TestSteadyStateEquivalence:
     ):
         plan = _ss_plan(plan_seed)
         result, _, injector = _campaign(
-            tmp_path, plan=plan, mode="steady-state", cluster=False
+            tmp_path, plan=plan, mode="steady-state", pool=False
         )
         assert _evals(result) == steady_reference["evals"]
         assert (
@@ -757,7 +786,7 @@ class TestSteadyStateEquivalence:
 
 
 def _baseline_search(directory, plan=None):
-    """random_search over a cluster, each evaluation journaled."""
+    """random_search over a process pool, each evaluation journaled."""
     injector = None if plan is None else plan.injector()
     tracer = Tracer()
     cache = EvaluationCache(directory / "cache", fault_injector=injector)
@@ -769,18 +798,13 @@ def _baseline_search(directory, plan=None):
     problem = CachedProblem(SurrogateDeepMDProblem(seed=7), cache)
     try:
         with use_injector(injector):
-            with LocalCluster(
-                n_workers=3,
-                fault_policy=injector,
-                max_retries=6,
-                tracer=tracer,
-            ) as cluster:
+            with _pool(tracer) as backend:
                 journal.begin_campaign(
                     CampaignConfig(n_runs=1, pop_size=6, generations=2)
                 )
                 journal.begin_run(0, 7)
                 engine = EvaluationEngine(
-                    client=cluster.client(),
+                    client=backend,
                     tracer=tracer,
                     fault_injector=injector,
                 )

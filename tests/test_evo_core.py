@@ -295,13 +295,11 @@ class TestPipelineOps:
         assert all(o.is_evaluated for o in out)
 
     def test_eval_pool_with_client(self):
-        from repro.distributed import LocalCluster
+        from repro.engine import ProcessPoolBackend
 
         pop = self._population(8)
-        with LocalCluster(n_workers=3) as cluster:
-            out = eval_pool(client=cluster.client(), size=8)(
-                clone(iter(pop))
-            )
+        with ProcessPoolBackend(workers=2) as pool:
+            out = eval_pool(client=pool, size=8)(clone(iter(pop)))
         assert len(out) == 8
         assert all(o.is_evaluated for o in out)
 

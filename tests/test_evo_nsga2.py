@@ -274,16 +274,16 @@ class TestAnnealing:
         assert np.isclose(rule.current[0], 0.85)
 
 
+def _sphere_two_objectives(x):
+    # module level, so the problem pickles into pool workers
+    return np.array([float(np.sum(x**2)), float(np.sum((x - 1.0) ** 2))])
+
+
 class _SphereTwoObjectives(FunctionProblem):
     """min (||x||^2, ||x - 1||^2): a simple convex biobjective."""
 
     def __init__(self):
-        super().__init__(
-            lambda x: np.array(
-                [float(np.sum(x**2)), float(np.sum((x - 1.0) ** 2))]
-            ),
-            n_objectives=2,
-        )
+        super().__init__(_sphere_two_objectives, n_objectives=2)
 
 
 class TestGenerationalNSGA2:
@@ -371,13 +371,11 @@ class TestGenerationalNSGA2:
             # spreads, none beyond noise)
             assert curr_best <= prev_best + 0.3
 
-    def test_distributed_client_evaluation(self):
-        from repro.distributed import LocalCluster
+    def test_process_pool_evaluation(self):
+        from repro.engine import ProcessPoolBackend
 
-        with LocalCluster(n_workers=3) as cluster:
-            records = self._run(
-                generations=2, client=cluster.client()
-            )
+        with ProcessPoolBackend(workers=2) as pool:
+            records = self._run(generations=2, client=pool)
         assert all(ind.is_evaluated for ind in records[-1].population)
 
 

@@ -11,7 +11,8 @@ from repro.deepmd.calculator import (
 from repro.deepmd.descriptor import DescriptorConfig
 from repro.deepmd.model import DeepPotModel, ModelConfig
 from repro.deepmd.training import Trainer, TrainingConfig
-from repro.distributed import LocalCluster, RandomFaults
+from repro.chaos import Fault, FaultPlan
+from repro.engine import ProcessPoolBackend
 from repro.evo.asynchronous import steady_state_nsga2
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
@@ -22,6 +23,7 @@ from repro.hpo.nas import (
     run_nas_nsga2,
 )
 from repro.hpo.representation import DeepMDRepresentation
+from repro.injection import use_injector
 from repro.io import (
     export_frontier_csv,
     export_level_plot_csv,
@@ -168,7 +170,17 @@ class TestDeepPotCalculator:
             )
 
 
+@pytest.fixture(scope="class")
+def pool():
+    with ProcessPoolBackend(workers=2) as backend:
+        yield backend
+
+
 class TestSteadyStateNSGA2:
+    @pytest.fixture(autouse=True)
+    def _pool(self, pool):
+        self.pool = pool
+
     def _run(self, **over):
         kwargs = dict(
             problem=SurrogateDeepMDProblem(seed=0),
@@ -181,8 +193,7 @@ class TestSteadyStateNSGA2:
             rng=0,
         )
         kwargs.update(over)
-        with LocalCluster(n_workers=4) as cluster:
-            return steady_state_nsga2(client=cluster.client(), **kwargs)
+        return steady_state_nsga2(client=self.pool, **kwargs)
 
     @staticmethod
     def _evaluated(records):
@@ -218,22 +229,28 @@ class TestSteadyStateNSGA2:
             self._run(max_evaluations=4)
 
     def test_survives_worker_faults(self):
-        policy = RandomFaults(rate=0.05, max_failures=2, rng=3)
-        with LocalCluster(
-            n_workers=4, fault_policy=policy, max_retries=4
-        ) as cluster:
+        plan = FaultPlan(
+            [Fault("worker_death", at=3), Fault("worker_death", at=30)]
+        )
+        injector = plan.injector()
+        with use_injector(injector), ProcessPoolBackend(workers=2) as pool:
             records = steady_state_nsga2(
                 problem=SurrogateDeepMDProblem(seed=0),
                 init_ranges=DeepMDRepresentation.init_ranges,
                 initial_std=DeepMDRepresentation.mutation_std,
                 pop_size=12,
                 max_evaluations=48,
-                client=cluster.client(),
+                client=pool,
                 hard_bounds=DeepMDRepresentation.bounds,
                 decoder=DeepMDRepresentation.decoder(),
                 rng=0,
             )
+        assert len(injector.fired("worker_death")) == 2
         assert len(self._evaluated(records)) == 48
+        assert not any(
+            "WorkerFailure" in ind.metadata.get("error", "")
+            for ind in self._evaluated(records)
+        )
 
 
 class TestNASRepresentation:

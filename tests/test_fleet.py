@@ -515,8 +515,8 @@ class TestFleetCampaignEquivalence:
             lambda seed: SurrogateDeepMDProblem(seed=seed), CFG
         ).run()
         # revoke-only plan: every revocation is recoverable by the
-        # fleet, so results must be bit-identical (worker_death is
-        # not — a bare crash becomes MAXINT by design)
+        # fleet, so results must be bit-identical (a worker_death is
+        # recoverable too, but within the pool: it is re-run there)
         plan = FaultPlan.random(
             42,
             kinds=("revoke_worker",),

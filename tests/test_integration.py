@@ -2,15 +2,17 @@
 
 These exercise the complete §2.2 workflow at miniature scale: MD data →
 real DeepPot-SE trainings driven by the NSGA-II pipeline with robust
-individuals and distributed evaluation — the paper's system, shrunk.
+individuals and process-pool evaluation — the paper's system, shrunk.
 """
 
 import numpy as np
 import pytest
 
-from repro.distributed import LocalCluster, RandomFaults
+from repro.chaos import Fault, FaultPlan
+from repro.engine import ProcessPoolBackend
 from repro.evo.individual import MAXINT
 from repro.evo.nsga2 import rank_ordinal_sort
+from repro.injection import use_injector
 from repro.hpo import (
     DeepMDProblem,
     DeepMDRepresentation,
@@ -175,55 +177,68 @@ class TestRealEvaluator:
             assert 0.0 < ind.fitness[1] < 10.0
 
 
-class TestSurrogateWithDistributedCluster:
-    def test_campaign_over_cluster(self):
-        problem = SurrogateDeepMDProblem(seed=0)
-        with LocalCluster(n_workers=4) as cluster:
-            records = run_deepmd_nsga2(
-                problem,
-                settings=NSGA2Settings(pop_size=24, generations=3),
-                client=cluster.client(),
-                rng=0,
-            )
+def _evaluated(records):
+    return [
+        (tuple(ind.genome), ind.fitness.tobytes())
+        for rec in records
+        for ind in rec.evaluated
+    ]
+
+
+class TestSurrogateOnProcessPool:
+    def _run(self, pop_size, generations, client=None):
+        return run_deepmd_nsga2(
+            SurrogateDeepMDProblem(seed=0),
+            settings=NSGA2Settings(pop_size=pop_size, generations=generations),
+            client=client,
+            rng=0,
+        )
+
+    def test_campaign_over_pool(self):
+        with ProcessPoolBackend(workers=2) as pool:
+            records = self._run(24, 3, client=pool)
         assert len(records) == 4
         assert all(ind.is_evaluated for ind in records[-1].population)
+        assert _evaluated(records) == _evaluated(self._run(24, 3))
 
     def test_campaign_survives_worker_faults(self):
         """Node failures mid-campaign must not lose evaluations —
-        tasks are reassigned, mirroring the paper's Dask setup."""
-        problem = SurrogateDeepMDProblem(seed=0)
-        policy = RandomFaults(rate=0.05, max_failures=2, rng=7)
-        with LocalCluster(
-            n_workers=4, fault_policy=policy, max_retries=4
-        ) as cluster:
-            records = run_deepmd_nsga2(
-                problem,
-                settings=NSGA2Settings(pop_size=20, generations=3),
-                client=cluster.client(),
-                rng=0,
-            )
+        a dead worker's task is re-run, mirroring the paper's Dask
+        setup, so the campaign equals the fault-free one."""
+        plan = FaultPlan(
+            [Fault("worker_death", at=5), Fault("worker_death", at=37)]
+        )
+        injector = plan.injector()
+        with use_injector(injector), ProcessPoolBackend(workers=2) as pool:
+            records = self._run(20, 3, client=pool)
+        assert len(injector.fired("worker_death")) == 2
         for rec in records:
             assert len(rec.evaluated) == 20
             assert all(ind.is_evaluated for ind in rec.evaluated)
+        assert _evaluated(records) == _evaluated(self._run(20, 3))
 
-    def test_exhausted_workers_become_maxint_not_crash(self):
-        """When every node dies, surviving semantics: the affected
-        individuals get MAXINT fitness and the EA keeps going."""
-        problem = SurrogateDeepMDProblem(seed=0)
-        policy = RandomFaults(rate=0.9, rng=1)  # kills workers fast
-        with LocalCluster(
-            n_workers=2, fault_policy=policy, max_retries=1
-        ) as cluster:
-            records = run_deepmd_nsga2(
-                problem,
-                settings=NSGA2Settings(pop_size=8, generations=1),
-                client=cluster.client(),
-                rng=0,
-            )
+    def test_exhausted_retries_become_maxint_not_crash(self):
+        """A task whose worker dies on every attempt gets MAXINT
+        fitness and the EA keeps going."""
+        # pool-0's own first three runs: the lowest-index idle worker
+        # takes a requeued task, and a successor keeps pool-0's ordinals
+        plan = FaultPlan(
+            [Fault("worker_death", at=0, count=3, worker="pool-0")]
+        )
+        with use_injector(plan.injector()), ProcessPoolBackend(
+            workers=2
+        ) as pool:
+            records = self._run(8, 1, client=pool)
         evaluated = records[-1].evaluated
         assert all(ind.fitness is not None for ind in evaluated)
-        # the dead-cluster evaluations are MAXINT failures
-        assert any(np.all(ind.fitness == MAXINT) for ind in evaluated)
+        lost = [
+            ind
+            for rec in records
+            for ind in rec.evaluated
+            if "WorkerFailure" in ind.metadata.get("error", "")
+        ]
+        assert len(lost) == 1
+        assert np.all(lost[0].fitness == MAXINT)
 
 
 class TestSortingRobustnessEndToEnd:

@@ -1,11 +1,8 @@
 """Tests for the observability stack: tracer, metrics registry,
-scheduler task timelines, journal strictness, and the trace report.
+journal strictness, and the trace report.
 
-The scheduler-lifecycle tests drive the queue by hand (submit →
-``next_task`` → ``task_done``/``worker_died``) so the
-:class:`~repro.distributed.scheduler.TaskRecord` under test is
-deterministic; the integration tests run a real traced
-:class:`~repro.distributed.LocalCluster`.
+The integration tests run a real traced
+:class:`~repro.engine.ProcessPoolBackend`.
 """
 
 import json
@@ -15,8 +12,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.distributed import LocalCluster, Scheduler
-from repro.exceptions import WorkerFailure
+from repro.engine import ProcessPoolBackend
+from repro.evo.individual import Individual
 from repro.hpo.cli import main as hpo_main
 from repro.obs import (
     NULL_TRACER,
@@ -43,11 +40,6 @@ def _strict_loads(line: str) -> dict:
         raise ValueError(f"non-strict JSON token: {token}")
 
     return json.loads(line, parse_constant=_reject)
-
-
-class _DummyWorker:
-    def __init__(self, name: str = "w0") -> None:
-        self.name = name
 
 
 # ----------------------------------------------------------------------
@@ -363,126 +355,39 @@ class TestPrometheusHardening:
 
 
 # ----------------------------------------------------------------------
-# scheduler task lifecycle
+# a traced pool
 # ----------------------------------------------------------------------
-class TestSchedulerLifecycle:
-    def _traced_scheduler(self, **kwargs) -> Scheduler:
-        sched = Scheduler(tracer=Tracer(), **kwargs)
-        sched.register_worker(_DummyWorker())
-        return sched
+class Doubler:
+    """Picklable one-objective problem: twice the single gene."""
 
-    def test_timeline_orders_submit_queued_running_done(self):
-        sched = self._traced_scheduler()
-        fut = sched.submit(lambda: 42)
-        record = sched.next_task()
-        sched.task_done(record, 42)
-        assert fut.result(timeout=1) == 42
-        times = dict(record.timeline)
-        assert set(times) == {"submit", "queued", "running", "done"}
-        assert (
-            times["submit"]
-            <= times["queued"]
-            <= times["running"]
-            <= times["done"]
-        )
+    n_objectives = 1
 
-    def test_retry_increments_reassignments_exactly_once_per_requeue(
-        self,
-    ):
-        sched = self._traced_scheduler(max_retries=2)
-        fut = sched.submit(lambda: None)
-        for expected in (1, 2):
-            record = sched.next_task()
-            sched.worker_died(record, f"w{expected}")
-            assert sched.stats()["reassignments"] == expected
-            assert sched.stats()["failed"] == 0
-        # third death exhausts max_retries: failed, not reassigned
-        record = sched.next_task()
-        sched.worker_died(record, "w3")
-        stats = sched.stats()
-        assert stats["reassignments"] == 2
-        assert stats["failed"] == 1
-        with pytest.raises(WorkerFailure, match="abandoned"):
-            fut.result(timeout=1)
-        # every requeue re-marked the task queued; final state abandoned
-        events = [name for name, _ in record.timeline]
-        assert events.count("queued") == 3  # submit + 2 retries
-        assert events[-1] == "abandoned"
-
-    def test_worker_died_with_no_workers_fails_immediately(self):
-        sched = Scheduler(tracer=Tracer(), max_retries=5)
-        fut = sched.submit(lambda: None)
-        record = sched.next_task()
-        # the only worker died and nothing is registered: no retry
-        sched.worker_died(record, "w0")
-        assert sched.stats()["reassignments"] == 0
-        assert sched.stats()["failed"] == 1
-        with pytest.raises(WorkerFailure):
-            fut.result(timeout=1)
-
-    def test_task_erred_marks_err_not_retry(self):
-        sched = self._traced_scheduler()
-        fut = sched.submit(lambda: None)
-        record = sched.next_task()
-        sched.task_erred(record, ValueError("bad hyperparameters"))
-        assert sched.stats()["failed"] == 1
-        assert sched.stats()["reassignments"] == 0
-        assert record.last("err") is not None
-        with pytest.raises(ValueError):
-            fut.result(timeout=1)
-
-    def test_stats_keeps_legacy_keys(self):
-        sched = Scheduler()
-        assert set(sched.stats()) == {
-            "submitted",
-            "completed",
-            "failed",
-            "reassignments",
-            "requeued",
-            "cached",
-            "workers",
-        }
-        assert sched.tasks_submitted == 0
-        assert sched.tasks_completed == 0
-        assert sched.tasks_failed == 0
-        assert sched.reassignments == 0
-        assert sched.tasks_requeued == 0
-
-    def test_queue_wait_histogram_observed_per_task(self):
-        sched = self._traced_scheduler()
-        for _ in range(3):
-            sched.submit(lambda: None)
-            record = sched.next_task()
-            sched.task_done(record, None)
-        hist = sched.metrics.histogram("scheduler_task_queue_wait_seconds")
-        assert hist.count == 3
-        assert sched.metrics.histogram("scheduler_task_run_seconds").count == 3
-
-    def test_null_tracer_skips_timeline_but_counts(self):
-        sched = Scheduler()  # default: process-wide null tracer
-        sched.register_worker(_DummyWorker())
-        fut = sched.submit(lambda: 1)
-        record = sched.next_task()
-        sched.task_done(record, 1)
-        assert fut.result(timeout=1) == 1
-        assert record.timeline == []  # marks gated off
-        assert sched.stats()["submitted"] == 1
-        assert sched.stats()["completed"] == 1
+    def evaluate(self, phenome):
+        return np.array([2.0 * float(phenome[0])])
 
 
-class TestTracedClusterConcurrency:
+def _traced_pool_run(tracer, n_tasks, registry=None):
+    """``n_tasks`` scalar submissions through a traced 2-worker pool."""
+    with ProcessPoolBackend(
+        workers=2, tracer=tracer, metrics=registry or MetricsRegistry()
+    ) as pool:
+        problem = Doubler()
+        futures = [
+            pool.submit(Individual(np.array([float(i)]), problem=problem))
+            for i in range(n_tasks)
+        ]
+        return [future.result(timeout=60.0) for future in futures]
+
+
+class TestTracedPoolConcurrency:
     def test_counts_consistent_under_concurrency(self):
         tracer = Tracer()
+        registry = MetricsRegistry()
         n_tasks = 100
-        with LocalCluster(n_workers=4, tracer=tracer) as cluster:
-            client = cluster.client()
-            futures = client.map(lambda x: x * 2, range(n_tasks))
-            results = client.gather(futures, timeout=30)
-        assert sorted(results) == [2 * i for i in range(n_tasks)]
-        stats = cluster.scheduler.stats()
-        assert stats["submitted"] == n_tasks
-        assert stats["completed"] == n_tasks
-        assert stats["failed"] == 0
+        slots = _traced_pool_run(tracer, n_tasks, registry)
+        assert [float(fitness[0]) for fitness, _ in slots] == [
+            2.0 * i for i in range(n_tasks)
+        ]
         task_spans = tracer.spans("worker.task")
         assert len(task_spans) == n_tasks
         # submit events precede each task's execution span
@@ -491,66 +396,60 @@ class TestTracedClusterConcurrency:
             for e in tracer.events("task.submit")
         }
         assert len(submit_at) == n_tasks
+        assert len(tracer.events("task.done")) == n_tasks
         for span in task_spans:
             assert span["mono"] >= submit_at[span["tags"]["task"]]
-        # executed-task counter agrees with the scheduler
-        executed = cluster.scheduler.metrics.counter(
-            "worker_tasks_executed_total"
-        )
-        assert executed.value == n_tasks
+        # the dispatch counter agrees with the trace
+        dispatched = registry.counter("pool_tasks_dispatched_total")
+        assert dispatched.value == n_tasks
         # the busy gauge returned to idle
-        assert cluster.scheduler.metrics.gauge("workers_busy").value == 0
+        assert registry.gauge("pool_busy_workers").value == 0
 
 
 # ----------------------------------------------------------------------
 # trace report + CLI
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def cluster_trace(tmp_path_factory):
-    """A real trace captured from a traced LocalCluster run."""
+def pool_trace(tmp_path_factory):
+    """A real trace captured from a traced process-pool run."""
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     tracer = Tracer(path, campaign_id="cafe03")
-    with LocalCluster(n_workers=2, tracer=tracer) as cluster:
-        client = cluster.client()
-        client.gather(client.map(lambda x: x + 1, range(20)), timeout=30)
+    _traced_pool_run(tracer, 20)
     tracer.close()
     return path
 
 
 class TestTraceReport:
-    def test_breakdown_and_utilization(self, cluster_trace):
-        records = read_trace(cluster_trace)
+    def test_breakdown_and_utilization(self, pool_trace):
+        records = read_trace(pool_trace)
         breakdown = wallclock_breakdown(records)
         assert any(r["span"] == "worker.task" for r in breakdown)
         task_row = next(r for r in breakdown if r["span"] == "worker.task")
         assert task_row["count"] == 20
         utilization = worker_utilization(records)
         # tiny tasks: one worker may drain the queue before the other
-        # starts, but every executed task is attributed to a real node
+        # starts, but every executed task is attributed to a real worker
         assert utilization
-        assert {r["worker"] for r in utilization} <= {
-            "node-000",
-            "node-001",
-        }
+        assert {r["worker"] for r in utilization} <= {"pool-0", "pool-1"}
         assert sum(r["tasks"] for r in utilization) == 20
 
-    def test_straggler_summary_joins_submit_to_span(self, cluster_trace):
-        summary = straggler_summary(read_trace(cluster_trace), top=3)
+    def test_straggler_summary_joins_submit_to_span(self, pool_trace):
+        summary = straggler_summary(read_trace(pool_trace), top=3)
         assert summary["n_tasks"] == 20
         assert len(summary["queue_waits"]) == 20
         assert len(summary["slowest"]) == 3
         assert summary["retries"] == 0
 
-    def test_render_contains_all_sections(self, cluster_trace):
-        text = render_trace_report(read_trace(cluster_trace))
+    def test_render_contains_all_sections(self, pool_trace):
+        text = render_trace_report(read_trace(pool_trace))
         assert "campaign cafe03" in text
         assert "wall-clock breakdown by span" in text
         assert "worker utilization" in text
         assert "slowest tasks" in text
         assert "task run-time distribution" in text
 
-    def test_cli_trace_subcommand(self, cluster_trace, capsys):
-        assert hpo_main(["trace", str(cluster_trace), "--top", "2"]) == 0
+    def test_cli_trace_subcommand(self, pool_trace, capsys):
+        assert hpo_main(["trace", str(pool_trace), "--top", "2"]) == 0
         out = capsys.readouterr().out
         assert "worker utilization" in out
 

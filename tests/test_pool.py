@@ -10,7 +10,9 @@ keeps pools small (1–2 workers) and reuses one campaign per scenario.
 """
 
 import gc
+import os
 import pickle
+import signal
 import time
 import weakref
 
@@ -23,6 +25,7 @@ from repro.engine import (
     ProcessPoolBackend,
     as_backend,
 )
+from repro.engine.pool import DEATH_RETRIES
 from repro.evo.individual import MAXINT, Individual, RobustIndividual
 from repro.exceptions import TrainingTimeoutError, WorkerFailure
 from repro.hpo.campaign import Campaign, CampaignConfig
@@ -30,6 +33,7 @@ from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.injection import use_injector
 from repro.obs import CampaignStatus, Tracer, use_status, use_tracer
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import straggler_summary
 from repro.store.cache import CachedProblem, EvaluationCache
 from repro.store.journal import CampaignJournal, journal_path
 from repro.store.resume import resume_campaign
@@ -110,6 +114,15 @@ def _evals(result):
         for rec in run
         for ind in rec.evaluated
     )
+
+
+def _fitness_bytes(result):
+    return [
+        ind.fitness.tobytes()
+        for run in result.runs
+        for rec in run
+        for ind in rec.evaluated
+    ]
 
 
 def _front(result):
@@ -249,12 +262,21 @@ class TestEngineIntegration:
         assert [fitness[0] for fitness, _ in slots] == list(range(20))
 
     def test_deadline_error_surfaces_without_engine(self):
-        with ProcessPoolBackend(workers=1, deadline=0.3) as pool:
+        """A deadline kill is the paper's timeout → MAXINT: the task
+        fails on its one run and is not re-run like a death."""
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        with use_tracer(tracer), ProcessPoolBackend(
+            workers=1, deadline=0.3, metrics=registry
+        ) as pool:
             future = pool.submit(
                 Individual(np.zeros(2), problem=SleepyProblem(30.0))
             )
             with pytest.raises(TrainingTimeoutError):
                 future.result(timeout=15.0)
+        assert registry.counter("pool_tasks_dispatched_total").value == 1
+        assert registry.counter("pool_deadline_kills_total").value == 1
+        assert tracer.events("task.requeued") == []
 
 
 class TestSegmentIdentity:
@@ -349,14 +371,18 @@ class TestPoolObservability:
 
 
 class TestPoolChaos:
-    def test_worker_death_yields_maxint_and_clean_invariants(
-        self, tmp_path
-    ):
-        """A worker SIGKILLed mid-evaluation fails only its task
-        (→ MAXINT), the campaign completes with clean store invariants,
-        and a journal resume reproduces it bit-identically."""
+    def test_worker_death_is_rerun_bit_identical_to_inline(self, tmp_path):
+        """A worker SIGKILLed mid-evaluation costs its task one run: the
+        task is re-run in the respawned process, every fitness equals
+        the inline campaign's bit for bit, the invariants (with
+        requeued-elsewhere) are clean, and a journal resume reproduces
+        the run."""
+        inline = Campaign(
+            lambda seed: SurrogateDeepMDProblem(seed=seed), CFG
+        ).run()
         plan = FaultPlan([Fault(kind="worker_death", at=2)])
         injector = plan.injector()
+        tracer = Tracer()
         cache = EvaluationCache(tmp_path / "cache")
         journal = CampaignJournal(
             journal_path(tmp_path), problem_spec={"backend": "surrogate"}
@@ -368,44 +394,40 @@ class TestPoolChaos:
         try:
             # one worker: dispatch order == submission order, so the
             # fault window (3rd dispatched task) is deterministic
-            with use_injector(injector), ProcessPoolBackend(
-                workers=1, metrics=MetricsRegistry()
-            ) as pool:
-                result = Campaign(
-                    factory, CFG, client=pool, journal=journal
-                ).run()
+            with use_injector(injector), use_tracer(tracer):
+                with ProcessPoolBackend(
+                    workers=1, metrics=MetricsRegistry()
+                ) as pool:
+                    result = Campaign(
+                        factory, CFG, client=pool, journal=journal
+                    ).run()
         finally:
             journal.close()
 
         assert [(f.kind, f.index) for f in injector.log] == [
             ("worker_death", 2)
         ]
-        failed = [
-            ind
-            for run in result.runs
-            for rec in run
-            for ind in rec.evaluated
-            if not ind.is_viable
-        ]
-        assert len(failed) == 1
-        assert np.all(failed[0].fitness == MAXINT)
-        assert "pool-0" in failed[0].metadata["error"]
+        (requeued,) = tracer.events("task.requeued")
+        assert requeued["tags"]["attempt"] == 1
+        assert _fitness_bytes(result) == _fitness_bytes(inline)
 
         report = InvariantChecker(
             journal=journal_path(tmp_path),
+            trace=tracer.records,
             cache_dir=tmp_path / "cache",
             injected=injector.log,
         ).check()
         assert report.ok, report.summary()
+        assert report.checked["requeued_elsewhere"] == 1
 
         resumed = resume_campaign(tmp_path, cache=cache)
         assert _evals(resumed) == _evals(result)
         assert _front(resumed) == _front(result)
 
     def test_worker_death_respawn_is_traced_and_published(self):
-        """A killed worker leaves a full audit trail: death + respawn
-        events in the trace, the respawn counters bumped, and the
-        /status worker entry carrying the respawn count."""
+        """A killed worker leaves a full audit trail: death, requeue
+        and respawn events in the trace, the respawn counters bumped,
+        and the /status worker entry carrying the respawn count."""
         plan = FaultPlan([Fault(kind="worker_death", at=1)])
         tracer = Tracer()
         status = CampaignStatus()
@@ -418,15 +440,93 @@ class TestPoolChaos:
                     client=pool, metrics=MetricsRegistry()
                 )
                 done = engine.evaluate(_surrogate_individuals(3))
-        assert sum(1 for ind in done if not ind.is_viable) == 1
+        assert engine.stats.failures == 0
+        assert [ind.fitness.tobytes() for ind in done] == [
+            ind.fitness.tobytes()
+            for ind in EvaluationEngine(metrics=MetricsRegistry()).evaluate(
+                _surrogate_individuals(3)
+            )
+        ]
         (death,) = tracer.events("pool.worker_death")
         assert death["tags"]["worker"] == "pool-0"
+        (requeued,) = tracer.events("task.requeued")
+        assert requeued["tags"]["from_worker"] == "pool-0"
         (respawn,) = tracer.events("pool.worker_respawn")
         assert respawn["tags"]["respawns"] == 1
         assert registry.counter("pool_worker_deaths_total").value == 1
         assert registry.counter("pool_worker_respawns_total").value == 1
+        assert registry.counter("pool_tasks_requeued_total").value == 1
+        assert straggler_summary(tracer.records)["requeued"] == 1
         worker = status.snapshot()["workers"]["pool-0"]
         assert worker["respawns"] == 1
+
+    def test_death_on_every_attempt_is_maxint_after_three(self):
+        """A chunk whose worker dies on every run is re-run
+        ``DEATH_RETRIES`` times, then fails with a WorkerFailure naming
+        its attempts — MAXINT under the engine's policy."""
+        assert DEATH_RETRIES == 2
+        plan = FaultPlan([Fault(kind="worker_death", at=0, count=3)])
+        injector = plan.injector()
+        tracer = Tracer()
+        with use_injector(injector), use_tracer(tracer):
+            with ProcessPoolBackend(
+                workers=1, metrics=MetricsRegistry()
+            ) as pool:
+                engine = EvaluationEngine(
+                    client=pool, metrics=MetricsRegistry()
+                )
+                (ind,) = engine.evaluate(_surrogate_individuals(1))
+                # the pool is whole again: the next chunk runs
+                (after,) = engine.evaluate(_surrogate_individuals(1, seed=1))
+        assert len(injector.fired("worker_death")) == 3
+        assert len(tracer.events("pool.worker_death")) == 3
+        assert [
+            e["tags"]["attempt"] for e in tracer.events("task.requeued")
+        ] == [1, 2]
+        assert np.all(ind.fitness == MAXINT)
+        assert "WorkerFailure" in ind.metadata["error"]
+        assert "all 3 attempts" in ind.metadata["error"]
+        assert engine.stats.failures == 1
+        assert after.is_viable
+
+    def test_worker_dead_while_idle_runs_the_next_chunk(self):
+        """A worker that dies between chunks is replaced before the
+        next chunk runs: the chunk is requeued unrun and lands its real
+        fitness (it used to come back MAXINT, "died before dispatch")."""
+        first, second = _surrogate_individuals(2)
+        reference = EvaluationEngine(metrics=MetricsRegistry()).evaluate(
+            _surrogate_individuals(2)
+        )
+        tracer = Tracer()
+        with use_tracer(tracer), ProcessPoolBackend(
+            workers=1, metrics=MetricsRegistry()
+        ) as pool:
+            engine = EvaluationEngine(client=pool, metrics=MetricsRegistry())
+            engine.evaluate([first])
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            time.sleep(0.5)
+            engine.evaluate([second])
+        assert second.fitness.tobytes() == reference[1].fitness.tobytes()
+        assert engine.stats.failures == 0
+        assert len(tracer.events("pool.worker_respawn")) == 1
+        (requeued,) = tracer.events("task.requeued")
+        assert requeued["tags"]["attempt"] == 0  # never ran: unspent
+
+    def test_submit_delay_fires_and_changes_nothing(self):
+        """submit_delay stalls the pool's submissions; the campaign's
+        evaluations and front equal the inline reference."""
+        factory = lambda seed: SurrogateDeepMDProblem(seed=seed)  # noqa: E731
+        inline = Campaign(factory, CFG).run()
+        plan = FaultPlan([Fault("submit_delay", at=1, count=2, seconds=0.02)])
+        injector = plan.injector()
+        with use_injector(injector):
+            with ProcessPoolBackend(
+                workers=2, metrics=MetricsRegistry()
+            ) as pool:
+                pooled = Campaign(factory, CFG, client=pool).run()
+        assert len(injector.fired("submit_delay")) == 2
+        assert _evals(pooled) == _evals(inline)
+        assert _front(pooled) == _front(inline)
 
     def test_injected_delay_only_slows(self):
         """slow_worker faults change wall-clock, never results."""

@@ -203,11 +203,7 @@ class TestTenancy:
         class Pool:
             n_workers = 3
 
-        class Wrapped:
-            client = Pool()
-
         assert worker_capacity(Pool()) == 3
-        assert worker_capacity(Wrapped()) == 3
         assert worker_capacity(object(), default=6) == 6
 
 

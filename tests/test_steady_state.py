@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.distributed import LocalCluster
+from repro.engine import ProcessPoolBackend
 from repro.exceptions import StoreError
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
@@ -137,22 +137,17 @@ def test_resume_replays_the_journal(tmp_path, runs, pop, cached):
     assert CountingSurrogate.evaluations == runs * pop * 3 - journaled
 
 
-def test_cluster_resume_tells_the_journal_first(tmp_path):
-    """Under a 4-worker cluster the completion order is the cluster's;
-    a resumed run is told its journaled evaluations first, in journaled
-    order, then what it asked for but never journaled."""
+def test_pool_resume_tells_the_journal_first(tmp_path):
+    """On a process pool the completion order is the pool's; a resumed
+    run is told its journaled evaluations first, in journaled order,
+    then what it asked for but never journaled."""
     config = _config(1, 40)
-    with LocalCluster(n_workers=4) as cluster:
-        _campaign(
-            tmp_path / "full", config, surrogate, client=cluster.client()
-        )
-    _cut(tmp_path / "full", tmp_path / "cut")
-    (before,) = _journaled_uuids(tmp_path / "cut").values()
-    with LocalCluster(n_workers=4) as cluster:
+    with ProcessPoolBackend(workers=2) as pool:
+        _campaign(tmp_path / "full", config, surrogate, client=pool)
+        _cut(tmp_path / "full", tmp_path / "cut")
+        (before,) = _journaled_uuids(tmp_path / "cut").values()
         resumed = resume_campaign(
-            tmp_path / "cut",
-            problem_factory=surrogate,
-            client=cluster.client(),
+            tmp_path / "cut", problem_factory=surrogate, client=pool
         )
     told = [ind.uuid for rec in resumed.runs[0] for ind in rec.evaluated]
     assert told[: len(before)] == before

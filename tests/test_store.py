@@ -589,44 +589,42 @@ class TestResume:
 
 
 # ----------------------------------------------------------------------
-# distributed fast path
+# pool fast path
 # ----------------------------------------------------------------------
-class TestClientCachedFastPath:
-    def test_cached_individuals_skip_the_scheduler(self, tmp_path):
-        from repro.distributed import LocalCluster
+class TestPoolCachedFastPath:
+    def _pooled(self, problem, genomes):
+        """``eval_pool`` over a one-worker pool; the pool's counters."""
+        from repro.engine import ProcessPoolBackend
+        from repro.obs.metrics import MetricsRegistry
 
+        registry = MetricsRegistry()
+        with ProcessPoolBackend(workers=1, metrics=registry) as pool:
+            inds = [RobustIndividual(g, problem=problem) for g in genomes]
+            out = eval_pool(client=pool, size=len(inds))(iter(inds))
+        return out, {
+            "cached": registry.counter("pool_cache_hits_total").value,
+            "dispatched": registry.counter(
+                "pool_tasks_dispatched_total"
+            ).value,
+        }
+
+    def test_cached_individuals_skip_the_pool(self, tmp_path):
         cache = EvaluationCache(tmp_path)
         problem = CachedProblem(CountingProblem(), cache)
         genomes = [np.full(3, float(i)) for i in range(4)]
         # warm the cache with half the genomes
         for g in genomes[:2]:
             RobustIndividual(g, problem=problem).evaluate()
-        with LocalCluster(n_workers=2) as cluster:
-            client = cluster.client()
-            inds = [
-                RobustIndividual(g, problem=problem) for g in genomes
-            ]
-            out = eval_pool(client=client, size=4)(iter(inds))
-            stats = cluster.scheduler.stats()
-        assert stats["cached"] == 2
-        assert stats["submitted"] == 2
+        out, stats = self._pooled(problem, genomes)
+        assert stats == {"cached": 2, "dispatched": 2}
         for ind in out:
             assert ind.fitness is not None and ind.is_viable
 
     def test_uncached_problems_submit_normally(self):
-        from repro.distributed import LocalCluster
-
-        problem = CountingProblem()
-        with LocalCluster(n_workers=2) as cluster:
-            client = cluster.client()
-            inds = [
-                RobustIndividual(np.full(3, float(i)), problem=problem)
-                for i in range(3)
-            ]
-            eval_pool(client=client, size=3)(iter(inds))
-            stats = cluster.scheduler.stats()
-        assert stats["cached"] == 0
-        assert stats["submitted"] == 3
+        _, stats = self._pooled(
+            CountingProblem(), [np.full(3, float(i)) for i in range(3)]
+        )
+        assert stats == {"cached": 0, "dispatched": 3}
 
 
 # ----------------------------------------------------------------------

@@ -763,47 +763,6 @@ class TestProbe:
         assert engine.stats.cache_hits == 1
         assert json.loads(path.read_text())["key"] == key
 
-    def test_torn_entry_is_submitted_by_the_client(self, tmp_path):
-        from repro.distributed import LocalCluster
-
-        cache = EvaluationCache(tmp_path)
-        inner = CountingProblem()
-        problem = CachedProblem(inner, cache)
-        genomes = [np.full(3, float(i)) for i in range(3)]
-        for genome in genomes:
-            evaluate_individual(RobustIndividual(genome, problem=problem))
-        path = _entry_path(cache, problem.cache_key(genomes[1]))
-        path.write_text(path.read_text()[:20])
-
-        warm_cache = EvaluationCache(tmp_path)
-        warm_problem = CachedProblem(inner, warm_cache)
-        with LocalCluster(n_workers=2) as cluster:
-            client = cluster.client()
-            out = client.gather(
-                client.map(
-                    evaluate_individual,
-                    [
-                        RobustIndividual(g, problem=warm_problem)
-                        for g in genomes
-                    ],
-                ),
-                timeout=30,
-            )
-            stats = cluster.scheduler.stats()
-        assert stats["cached"] == 2 and stats["submitted"] == 1
-        assert [bool(i.metadata.get("cache_hit")) for i in out] == [
-            True,
-            False,
-            True,
-        ]
-        assert warm_cache.stats() == {
-            "hits": 2,
-            "misses": 1,
-            "corrupt": 1,
-            "inserts": 1,
-            "skipped_failures": 0,
-        }
-
     def test_memoized_failure_replays_without_the_backend(self, tmp_path):
         cache = EvaluationCache(tmp_path, cache_failures=True)
         inner = BoomProblem()
