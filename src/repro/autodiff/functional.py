@@ -186,13 +186,10 @@ def abs(a: ArrayLike) -> Tensor:  # noqa: A001 - mirrors numpy naming
 # activations (the five searched over in the paper, §2.2.1)
 # ----------------------------------------------------------------------
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    # exp-overflow-safe logistic
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp-overflow-safe logistic without gathers: with e = exp(-|x|),
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, both from one divide
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 class _SmoothActivation(NamedTuple):
@@ -201,13 +198,16 @@ class _SmoothActivation(NamedTuple):
 
     ``derivs[0]`` is ``f'`` as an array function of the saved array and
     ``derivs[k + 1]`` the derivative of ``derivs[k]`` with respect to
-    it.  ``tail`` is the derivative of the last of them as a composite
-    of primitives, differentiable to any order — force training stops
-    one short of it.
+    it; each also gets the array of the order below (``None`` for
+    ``f'``), so softplus's ``f''`` reuses its ``f'``.  ``tail`` is the
+    derivative of the last of them as a composite of primitives,
+    differentiable to any order — force training stops one short of it.
     """
 
     name: str
-    derivs: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    derivs: tuple[
+        Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray], ...
+    ]
     tail: Callable[[Tensor], ArrayLike]
 
 
@@ -221,14 +221,18 @@ def _logistic_slope(y: np.ndarray) -> np.ndarray:
 
 
 _TANH = _SmoothActivation(
-    "tanh", (lambda y: 1.0 - y * y, lambda y: y * -2.0), lambda y: -2.0
+    "tanh",
+    (lambda y, _: 1.0 - y * y, lambda y, _: y * -2.0),
+    lambda y: -2.0,
 )
 _SIGMOID = _SmoothActivation(
-    "sigmoid", (_logistic_slope, lambda y: 1.0 - y * 2.0), lambda y: -2.0
+    "sigmoid",
+    (lambda y, _: _logistic_slope(y), lambda y, _: 1.0 - y * 2.0),
+    lambda y: -2.0,
 )
 _SOFTPLUS = _SmoothActivation(
     "softplus",
-    (_sigmoid_data, lambda x: _logistic_slope(_sigmoid_data(x))),
+    (lambda x, _: _sigmoid_data(x), lambda x, s: _logistic_slope(s)),
     _sigmoid_third,
 )
 
@@ -264,7 +268,11 @@ class _Slopes:
             return mul(g, rule.tail(saved))
         slope = self.arrays.get(order)
         if slope is None:
-            slope = self.arrays[order] = rule.derivs[order](saved.data)
+            # order k > 0 is asked for only by the node of order k - 1,
+            # whose array is kept
+            slope = self.arrays[order] = rule.derivs[order](
+                saved.data, self.arrays.get(order - 1)
+            )
         vjps = (
             lambda gg: self.times(gg, order),
             lambda gg: self.times(mul(gg, g), order + 1),

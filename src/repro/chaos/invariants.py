@@ -13,7 +13,7 @@ whole reliability stack exists to provide:
 * failed evaluations never enter the cache unless ``cache_failures``;
 * no genome is trained twice where dedup/cache promise it won't be;
 * every submitted task reaches exactly one terminal trace state
-  (done / err / abandoned / stranded), and tasks requeued off a dead
+  (done / err / abandoned), and tasks requeued off a dead
   worker process complete in a *different* process (a respawned
   successor keeps its worker name, so the trace's pids decide);
 * a resumed campaign's journal is generation-for-generation
@@ -365,7 +365,6 @@ class InvariantChecker:
         submitted: list[str] = []
         terminal: dict[str, list[str]] = {}
         requeues: dict[str, list[Any]] = {}
-        n_stranded = 0
         for event in events:
             name = event.get("name")
             tags = event.get("tags") or {}
@@ -376,32 +375,17 @@ class InvariantChecker:
                 terminal.setdefault(task, []).append(name)
             elif name == "task.requeued":
                 requeues.setdefault(task, []).append(tags.get("from_pid"))
-            elif name == "task.stranded":
-                n_stranded += int(tags.get("count", 0))
         if not submitted:
             return
-        unaccounted = 0
         for task in submitted:
             report.count("one_terminal_state")
             outcomes = terminal.get(task, [])
-            if len(outcomes) > 1:
+            if len(outcomes) != 1:
                 report.fail(
                     "one_terminal_state",
                     f"{task} reached {len(outcomes)} terminal states: "
                     f"{outcomes}",
                 )
-            elif not outcomes:
-                unaccounted += 1
-        # stranded tasks are drained in bulk (the event carries only a
-        # count), so they are exactly the submissions left without a
-        # per-task terminal event
-        report.count("one_terminal_state")
-        if unaccounted != n_stranded:
-            report.fail(
-                "one_terminal_state",
-                f"{unaccounted} task(s) without a terminal event but "
-                f"{n_stranded} stranded",
-            )
         self._check_requeues(report, records, terminal, requeues)
 
     def _check_requeues(

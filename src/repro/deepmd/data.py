@@ -1,7 +1,9 @@
 """Descriptor-ready batches built from frame datasets.
 
 Neighbor lists depend on the descriptor's ``rcut`` — itself a searched
-hyperparameter — so batch preparation happens per training run.  All
+hyperparameter — so batch preparation happens per training run; the
+tables come from a per-process plane built at the largest ``rcut`` asked
+for so far and truncated to each training's (:func:`_neighbor_plane`).  All
 frames in a batch are padded to a common neighbor width and stacked so
 the whole forward/backward pass is vectorized across the batch.
 
@@ -15,6 +17,8 @@ never enters the autodiff tape.
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -162,11 +166,50 @@ class DescriptorBatch:
         return self.displacements.shape[2]
 
 
-def _pad_neighbors(table: np.ndarray, width: int) -> np.ndarray:
-    """``table`` with its neighbor axis (axis 1) zero-padded to ``width``."""
-    pad = [(0, 0)] * table.ndim
-    pad[1] = (0, width - table.shape[1])
-    return np.pad(table, pad)
+#: frame sets whose neighbour plane a process keeps (a training uses
+#: two: its train and its validation frames)
+_PLANE_SLOTS = 4
+_planes: dict[bytes, tuple[float, list[NeighborList]]] = {}
+_planes_lock = threading.Lock()
+
+
+def _frames_digest(frames: Sequence[Frame]) -> bytes:
+    """A digest of everything a neighbour table depends on: every
+    frame's positions and box."""
+    h = hashlib.blake2b(digest_size=16)
+    for f in frames:
+        positions = np.ascontiguousarray(f.positions, dtype=np.float64)
+        h.update(np.asarray(positions.shape, dtype=np.int64).tobytes())
+        h.update(positions.tobytes())
+        h.update(f.cell.lengths.tobytes())
+    return h.digest()
+
+
+def _neighbor_plane(frames: Sequence[Frame], rcut: float) -> list[NeighborList]:
+    """Every frame's neighbour table at ``rcut`` or a larger cutoff.
+
+    A process keeps one plane per frame set, for the last few frame sets
+    asked for, at the largest cutoff asked for so far: a training's
+    tables are then :meth:`NeighborList.within` the plane, and only a
+    larger cutoff builds again.  A plane is replaced, never changed in
+    place, so two threads racing cost a duplicate build, never a wrong
+    table.
+    """
+    key = _frames_digest(frames)
+    with _planes_lock:
+        found = _planes.pop(key, None)
+        if found is not None:
+            _planes[key] = found  # most recently used last
+    if found is not None and found[0] >= rcut:
+        return found[1]
+    tables = [NeighborList.build(f.positions, f.cell, rcut) for f in frames]
+    with _planes_lock:
+        current = _planes.get(key)
+        if current is None or current[0] < rcut:
+            _planes[key] = (rcut, tables)
+        while len(_planes) > _PLANE_SLOTS:
+            del _planes[next(iter(_planes))]
+    return tables
 
 
 def prepare_batches(
@@ -179,17 +222,19 @@ def prepare_batches(
     The pad width is the maximum neighbor count over the whole frame
     set so every batch has identical shapes (important for the simple
     optimizer state handling and for fair step-time measurements).
+    The tables are those :meth:`NeighborList.build` makes at ``rcut``,
+    taken from the process's :func:`_neighbor_plane`.
     """
     if not frames:
         raise ValueError("need at least one frame")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    tables = [nl.within(rcut) for nl in _neighbor_plane(frames, rcut)]
+    width = max(t.max_neighbors for t in tables)
     lists = [
-        NeighborList.build(f.positions, f.cell, rcut) for f in frames
+        t if t.max_neighbors == width else t.within(rcut, width)
+        for t in tables
     ]
-    # a table built to its own width is the common-width table minus
-    # trailing all-zero slots
-    width = max(nl.max_neighbors for nl in lists)
     batches: list[DescriptorBatch] = []
     for start in range(0, len(frames), batch_size):
         chunk = slice(start, start + batch_size)
@@ -197,13 +242,9 @@ def prepare_batches(
         nls = lists[chunk]
         batches.append(
             DescriptorBatch(
-                displacements=np.stack(
-                    [_pad_neighbors(nl.displacements, width) for nl in nls]
-                ),
-                neighbor_indices=np.stack(
-                    [_pad_neighbors(nl.indices, width) for nl in nls]
-                ),
-                mask=np.stack([_pad_neighbors(nl.mask, width) for nl in nls]),
+                displacements=np.stack([nl.displacements for nl in nls]),
+                neighbor_indices=np.stack([nl.indices for nl in nls]),
+                mask=np.stack([nl.mask for nl in nls]),
                 species=fs[0].species.copy(),
                 energies=np.array([f.energy for f in fs]),
                 forces=np.stack([f.forces for f in fs]),

@@ -56,6 +56,7 @@ import math
 import os
 import pickle
 import time
+import weakref
 import zlib
 from typing import Any, Iterable, Optional
 
@@ -88,6 +89,14 @@ def _shippable(exc: BaseException) -> BaseException:
         return exc
     except Exception:  # noqa: BLE001 - any failure means "ship the repr"
         return EvaluationError(f"{type(exc).__name__}: {exc}")
+
+
+def _segment_collected(pool_ref: Any, ident: tuple[int, int, type]) -> None:
+    """A segment's problem or decoder was collected: its pool, if it
+    is still alive, forgets the segment."""
+    pool = pool_ref()
+    if pool is not None:
+        pool._forget_segment(ident)
 
 
 def _pool_worker_main(
@@ -124,6 +133,9 @@ def _pool_worker_main(
             break
         if msg[0] == "segment":
             segments[msg[1]] = pickle.loads(msg[2])
+            continue
+        if msg[0] == "drop":
+            segments.pop(msg[1], None)
             continue
         _, task_id, payload, delay, die, trace, attempt = msg
         if delay:
@@ -265,8 +277,9 @@ class _WorkerHandle:
         self.tasks_dispatched = 0
         #: how many successors were spawned under this name
         self.respawns = 0
-        #: segment keys this worker process has already received (a
-        #: respawned successor starts empty and gets them re-shipped)
+        #: segment keys this worker process holds (a respawned
+        #: successor starts empty and gets them re-shipped; a collected
+        #: problem's key is dropped at the worker's next idle dispatch)
         self.segments: set[str] = set()
         #: the next death is a spot-style preemption: requeue the task
         #: and retire the worker instead of respawning it
@@ -335,18 +348,24 @@ class ProcessPoolBackend:
         #: revoked task can be requeued verbatim (same payload, same
         #: uuids) with only its attempt counter bumped
         self._queue: list[int] = []
-        #: task_id → [payload, segment keys, attempt]; kept until the
-        #: task's future resolves (or is cancelled), so in-flight work
-        #: survives the worker that held it
+        #: task_id → [payload, {segment key: (problem, decoder)},
+        #: attempt]; kept until the task's future resolves (or is
+        #: cancelled), so in-flight work survives the worker that held
+        #: it — and so do its segments, which a requeue re-ships
         self._tasks: dict[int, list[Any]] = {}
         #: segment registry: identity of (problem, decoder, class) →
-        #: (key, problem, decoder).  The entry holds the objects on
-        #: purpose: while it does, their ``id`` cannot be recycled for a
-        #: different problem, which would then be evaluated on the dead
-        #: one's segment.
-        self._segments: dict[tuple[int, int, type], tuple[str, Any, Any]] = {}
+        #: (key, strongly held objects, finalizers).  It holds a problem
+        #: only while its caller does: when the problem or the decoder
+        #: is collected — after which its ``id`` could be recycled for a
+        #: different one — the entry and the payload go, and every
+        #: worker drops the segment.  An object that cannot be weakly
+        #: referenced is held for the pool's life instead.
+        self._segments: dict[
+            tuple[int, int, type], tuple[str, tuple[Any, ...], list[Any]]
+        ] = {}
         #: key → pickled payload, for dispatch-time (re-)shipping
         self._segment_payloads: dict[str, bytes] = {}
+        self._next_segment = 0
         self._futures: dict[int, ProcessFuture] = {}
         self._next_task_id = 0
         self._closed = False
@@ -447,10 +466,35 @@ class ProcessPoolBackend:
                     )
                 except Exception:
                     tag = "anon"
-            entry = (f"seg{len(self._segments)}-{tag}", problem, decoder)
+            key = f"seg{self._next_segment}-{tag}"
+            self._next_segment += 1
+            held: list[Any] = []
+            finalizers: list[Any] = []
+            for obj in (problem, decoder):
+                try:
+                    finalizer = weakref.finalize(
+                        obj, _segment_collected, weakref.ref(self), ident
+                    )
+                except TypeError:  # not weakly referenceable
+                    held.append(obj)
+                    continue
+                finalizer.atexit = False
+                finalizers.append(finalizer)
+            entry = (key, tuple(held), finalizers)
             self._segments[ident] = entry
-            self._segment_payloads[entry[0]] = payload
+            self._segment_payloads[key] = payload
         return entry[0]
+
+    def _forget_segment(self, ident: tuple[int, int, type]) -> None:
+        """Drop one segment from the registry; workers drop it at their
+        next idle dispatch (:meth:`_dispatch_idle`).  Called from a
+        finalizer, so possibly on any thread: it only pops (the
+        segments of a queued or running task cannot be collected)."""
+        entry = self._segments.pop(ident, None)
+        if entry is not None:
+            for finalizer in entry[2]:
+                finalizer.detach()
+            self._segment_payloads.pop(entry[0], None)
 
     def submit_batch(self, individuals: Iterable[Any]) -> ProcessFuture:
         """Submit one chunk of individuals as a single pool task.
@@ -467,10 +511,12 @@ class ProcessPoolBackend:
         """
         if self._closed:
             raise RuntimeError("ProcessPoolBackend is closed")
-        items = [
-            (self._segment_key(ind), ind.genome, ind.uuid)
-            for ind in individuals
-        ]
+        items = []
+        segments: dict[str, tuple[Any, Any]] = {}
+        for ind in individuals:
+            key = self._segment_key(ind)
+            segments.setdefault(key, (ind.problem, ind.decoder))
+            items.append((key, ind.genome, ind.uuid))
         payload = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
         task_id = self._next_task_id
         self._next_task_id += 1
@@ -494,11 +540,7 @@ class ProcessPoolBackend:
             )
         future = ProcessFuture(self, task_id)
         self._futures[task_id] = future
-        self._tasks[task_id] = [
-            payload,
-            list(dict.fromkeys(key for key, _, _ in items)),
-            0,
-        ]
+        self._tasks[task_id] = [payload, segments, 0]
         if not self._workers:
             # every worker was revoked away: fail fast so a fleet can
             # reroute (standalone → MAXINT via the engine's policy)
@@ -748,14 +790,21 @@ class ProcessPoolBackend:
 
     def _dispatch_idle(self) -> None:
         """Hand queued tasks to idle workers, lowest index first (the
-        deterministic order scripted chaos plans rely on)."""
+        deterministic order scripted chaos plans rely on), after telling
+        each idle worker to drop the segments of collected problems."""
         for handle in self._workers:
-            if not self._queue:
-                return
             if handle.busy_task is not None:
                 continue
+            for key in handle.segments.difference(self._segment_payloads):
+                handle.segments.discard(key)
+                try:
+                    handle.conn.send(("drop", key))
+                except (BrokenPipeError, OSError):
+                    pass  # a dead worker holds nothing; it is replaced
+            if not self._queue:
+                continue
             task_id = self._queue.pop(0)
-            payload, segment_keys, attempt = self._tasks[task_id]
+            payload, segments, attempt = self._tasks[task_id]
             delay = 0.0
             die = False
             revoke = False
@@ -796,7 +845,7 @@ class ProcessPoolBackend:
                 handle.pending_revoke = True
                 die = True
             try:
-                for key in segment_keys:
+                for key in segments:
                     if key in handle.segments:
                         continue
                     # ship the shared (problem, decoder, class) triple
@@ -963,6 +1012,8 @@ class ProcessPoolBackend:
                 handle.conn.close()
             except Exception:  # noqa: BLE001 - already broken
                 pass
+        for ident in list(self._segments):
+            self._forget_segment(ident)
 
     def __enter__(self) -> "ProcessPoolBackend":
         return self

@@ -632,7 +632,6 @@ def _render_dashboard(snapshot: dict) -> str:
         lines.append("")
         lines.append(format_table(slowest, title="slowest tasks"))
         lines.append(
-            f"retries: {stragglers.get('retries', 0)}  "
             f"requeued: {stragglers.get('requeued', 0)}  "
             f"pool deaths: {stragglers.get('pool_worker_deaths', 0)}  "
             f"pool respawns: {stragglers.get('pool_respawns', 0)}"

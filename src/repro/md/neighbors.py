@@ -9,7 +9,9 @@ Two entry points:
 :class:`NeighborList`
     Padded per-atom neighbor tables — the layout the DeepPot-SE
     descriptor consumes: for each atom a fixed-width list of neighbor
-    indices, displacement vectors and a validity mask.
+    indices, displacement vectors and a validity mask.  A table at a
+    smaller cutoff is derived from one at a larger cutoff by
+    :meth:`NeighborList.within`, without a search.
 
 Both support cutoffs larger than half the box (needed because the HPO
 search explores descriptor cutoffs up to 12 Å on boxes that may be
@@ -96,6 +98,20 @@ def neighbor_pairs(
     return i[within], j[within], d[within]
 
 
+def _table_width(counts: np.ndarray, max_neighbors: int | None) -> int:
+    """A table's width for these per-atom neighbor counts: the observed
+    maximum (at least 1), or ``max_neighbors`` if no atom exceeds it."""
+    observed_max = int(counts.max()) if len(counts) else 0
+    if max_neighbors is None:
+        return max(observed_max, 1)
+    if observed_max > max_neighbors:
+        raise ValueError(
+            f"an atom has {observed_max} neighbors, exceeding the "
+            f"requested max_neighbors={max_neighbors}"
+        )
+    return max_neighbors
+
+
 @dataclass
 class NeighborList:
     """Padded per-atom neighbor table for descriptor construction.
@@ -153,16 +169,7 @@ class NeighborList:
         flat_j = np.concatenate((pj, pi))
         flat_d = np.concatenate((pd, -pd))
         counts = np.bincount(flat_i, minlength=n)
-        observed_max = int(counts.max()) if len(counts) else 0
-        if max_neighbors is None:
-            width = max(observed_max, 1)
-        else:
-            if observed_max > max_neighbors:
-                raise ValueError(
-                    f"an atom has {observed_max} neighbors, exceeding the "
-                    f"requested max_neighbors={max_neighbors}"
-                )
-            width = max_neighbors
+        width = _table_width(counts, max_neighbors)
         indices = np.zeros((n, width), dtype=np.int64)
         disp = np.zeros((n, width, 3))
         mask = np.zeros((n, width))
@@ -177,3 +184,35 @@ class NeighborList:
             disp[si, slots] = sd
             mask[si, slots] = 1.0
         return cls(indices=indices, displacements=disp, mask=mask)
+
+    def within(
+        self, cutoff: float, max_neighbors: int | None = None
+    ) -> "NeighborList":
+        """The table :meth:`build` returns for the same configuration at
+        a ``cutoff`` no larger than this table's, byte for byte.
+
+        :meth:`build` sorts every row closest-first with a stable sort,
+        and the order of two pairs at one distance does not depend on
+        the cutoff, so the table at a smaller cutoff is each row's
+        prefix of slots within it — by the squared-distance test
+        :func:`neighbor_pairs` applies.  ``max_neighbors`` is as for
+        :meth:`build`, and may exceed this table's width.
+        """
+        d = self.displacements
+        near = np.sum(d * d, axis=-1) <= cutoff * cutoff
+        counts = np.count_nonzero(near & (self.mask > 0.0), axis=1)
+        width = _table_width(counts, max_neighbors)
+        n, kept = self.n_atoms, min(width, self.max_neighbors)
+        indices = np.zeros((n, width), dtype=self.indices.dtype)
+        disp = np.zeros((n, width, 3))
+        mask = np.zeros((n, width))
+        indices[:, :kept] = self.indices[:, :kept]
+        disp[:, :kept] = self.displacements[:, :kept]
+        mask[:, :kept] = self.mask[:, :kept]
+        # zero the slots past each prefix by assignment: multiplying by
+        # a mask would leave -0.0 in negative components
+        tail = np.arange(kept) >= counts[:, None]
+        indices[:, :kept][tail] = 0
+        disp[:, :kept][tail] = 0.0
+        mask[:, :kept][tail] = 0.0
+        return type(self)(indices=indices, displacements=disp, mask=mask)

@@ -12,7 +12,7 @@ instead:
   gauges, and fixed-bucket histograms, snapshot-able and exportable in
   Prometheus text format;
 * :mod:`repro.obs.report` — trace-file analysis: wall-clock breakdown,
-  worker utilization, and straggler/retry summaries (the
+  worker utilization, and straggler/fault summaries (the
   ``repro-hpo trace`` subcommand);
 * :mod:`repro.obs.live` — the live plane: a thread-safe
   :class:`CampaignStatus` snapshot the drivers publish into,

@@ -9,8 +9,8 @@ three operational views §2.2.5 needed on Summit:
 * a **worker-utilization table** — busy seconds per worker against the
   trace's wall span, exposing the evaluation-time imbalance that
   related EA work identifies as the main scaling loss;
-* a **straggler / retry summary** — the slowest tasks, the queue-wait
-  picture, and every fault-driven retry or stranding.
+* a **straggler / fault summary** — the slowest tasks, the queue-wait
+  picture, and every requeue, abandonment and worker fault.
 
 Rendering reuses :func:`repro.analysis.report.format_table` and
 :func:`repro.analysis.asciiplot.ascii_histogram` so the CLI output
@@ -121,7 +121,7 @@ def worker_utilization(
 def straggler_summary(
     records: Sequence[dict[str, Any]], top: int = 5
 ) -> dict[str, Any]:
-    """Slowest tasks, queue-wait stats, and the retry/fault ledger."""
+    """Slowest tasks, queue-wait stats, and the requeue/fault ledger."""
     task_spans = [s for s in _spans(records) if s["name"] == TASK_SPAN]
     durations = np.asarray(
         [float(s.get("dur", 0.0)) for s in task_spans]
@@ -142,17 +142,11 @@ def straggler_summary(
             waits.append(max(0.0, float(span["mono"]) - submit_at[key]))
     events = _events(records)
     counts = {
-        "retries": sum(1 for e in events if e["name"] == "task.retry"),
         "requeued": sum(
             1 for e in events if e["name"] == "task.requeued"
         ),
         "abandoned": sum(
             1 for e in events if e["name"] == "task.abandoned"
-        ),
-        "stranded": sum(
-            int(e.get("tags", {}).get("count", 1))
-            for e in events
-            if e["name"] == "task.stranded"
         ),
         "worker_faults": sum(
             1 for e in events if e["name"] == "worker.fault"
@@ -241,10 +235,8 @@ def render_trace_report(
             f"mean queue wait {stragglers['mean_wait_s']:.4f}s"
         )
         lines.append(
-            f"retries: {stragglers['retries']}  "
             f"requeued: {stragglers['requeued']}  "
             f"abandoned: {stragglers['abandoned']}  "
-            f"stranded: {stragglers['stranded']}  "
             f"worker faults: {stragglers['worker_faults']}"
         )
         if (

@@ -7,7 +7,10 @@ the chaos harness.
 """
 
 import multiprocessing
+import shutil
+import tempfile
 import time
+import weakref
 
 import numpy as np
 
@@ -25,6 +28,17 @@ class Echo:
 
     def evaluate(self, phenome):
         return np.array([phenome[0] + self.offset, 2.0])
+
+
+class Scratch(Echo):
+    """An :class:`Echo` that owns a temporary directory, removed when
+    the instance is collected and never by a pickled copy — the way a
+    real problem owns its run directories."""
+
+    def __init__(self, offset: float = 0.0) -> None:
+        super().__init__(offset)
+        self.directory = tempfile.mkdtemp(prefix="repro-pool-test-")
+        weakref.finalize(self, shutil.rmtree, self.directory, True)
 
 
 class Sleepy:

@@ -72,6 +72,16 @@ class TestArithmetic:
         check_gradients(lambda a: F.abs(a).sum(), [a])
 
 
+def masked_sigmoid(x):
+    """The logistic kernel as it was: one half through boolean gathers."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestTranscendental:
     def test_exp(self):
         check_gradients(lambda a: F.exp(a).sum(), [_vec()])
@@ -103,6 +113,29 @@ class TestTranscendental:
     def test_sigmoid_extremes_stable(self):
         out = F.sigmoid(ad.Tensor([-800.0, 800.0]))
         assert np.allclose(out.data, [0.0, 1.0])
+
+    def test_logistic_kernel_is_the_masked_one_byte_for_byte(self):
+        special = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf,
+             -np.inf, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8, 36.7,
+             -36.7, 1e-17, -1e-17]
+        )  # fmt: skip
+        rng = np.random.default_rng(0)
+        arrays = [special, rng.normal(size=(3, 4, 5))]
+        arrays += [rng.normal(size=10_000) * scale for scale in (1, 30, 1e3)]
+        for x in arrays:
+            got = F._sigmoid_data(x)
+            assert got.dtype == x.dtype and got.shape == x.shape
+            assert got.tobytes() == masked_sigmoid(x).tobytes()
+        assert np.isnan(F._sigmoid_data(np.array([np.nan, 1.0])))[0]
+
+    def test_softplus_second_derivative_reuses_its_first(self):
+        x = ad.Tensor(_vec(6) * 3.0, requires_grad=True)
+        (g,) = ad.grad(F.softplus(x).sum(), [x], create_graph=True)
+        g.sum().backward()
+        s = masked_sigmoid(x.data)
+        assert g.data.tobytes() == s.tobytes()
+        assert x.grad.tobytes() == (s * (1.0 - s)).tobytes()
 
     def test_relu6_caps_at_six(self):
         out = F.relu6(ad.Tensor([-1.0, 3.0, 10.0]))

@@ -620,7 +620,9 @@ class TestInvariantCheckerNegative:
             v.invariant == "one_terminal_state" for v in report.violations
         )
 
-    def test_unaccounted_task_must_be_stranded(self):
+    def test_every_submitted_task_needs_its_own_terminal_event(self):
+        """Nothing drains tasks in bulk any more: a submission without a
+        terminal event is a violation, whatever else the trace says."""
         trace = [
             {"type": "event", "name": "task.submit", "tags": {"task": "t0"}},
         ]
@@ -628,14 +630,21 @@ class TestInvariantCheckerNegative:
         assert any(
             v.invariant == "one_terminal_state" for v in report.violations
         )
-        stranded = trace + [
+        bulk = trace + [
             {
                 "type": "event",
                 "name": "task.stranded",
                 "tags": {"count": 1},
             }
         ]
-        assert InvariantChecker(trace=stranded).check().ok
+        report = InvariantChecker(trace=bulk).check()
+        assert any(
+            v.invariant == "one_terminal_state" for v in report.violations
+        )
+        done = trace + [
+            {"type": "event", "name": "task.done", "tags": {"task": "t0"}}
+        ]
+        assert InvariantChecker(trace=done).check().ok
 
     def test_requeued_task_must_complete_elsewhere(self):
         """Elsewhere means another process: a respawned successor keeps
@@ -701,11 +710,6 @@ class TestInvariantCheckerNegative:
                 "type": "event",
                 "name": "task.requeued",
                 "tags": {"task": "t0", "from_worker": "w0"},
-            },
-            {
-                "type": "event",
-                "name": "task.stranded",
-                "tags": {"count": 1},
             },
         ]
         report = InvariantChecker(trace=trace).check()

@@ -6,19 +6,30 @@ byte wherever that loop is right — every cell, cutoff and configuration
 whose coordinates span at most one box length, distance ties and pairs
 exactly on the cutoff included — and, unlike it, must not depend on the
 positions having been wrapped into the box.
+
+``NeighborList.within`` derives the table at a smaller cutoff from a
+larger one, and ``prepare_batches`` takes every training's tables that
+way from a per-process plane: both must return what a fresh build at
+the cutoff returns, byte for byte.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.deepmd import data
 from repro.deepmd.calculator import DeepPotCalculator
+from repro.deepmd.data import prepare_batches
 from repro.deepmd.descriptor import DescriptorConfig
 from repro.deepmd.model import DeepPotModel, ModelConfig
 from repro.md.cell import PeriodicCell
+from repro.md.dataset import Frame
 from repro.md.neighbors import NeighborList, neighbor_pairs
 from repro.md.system import molten_salt_potential, molten_salt_system
 from tests import neighbor_reference as reference
@@ -223,3 +234,247 @@ class TestUnwrappedPositions:
             )
             assert abs(e2 - e) <= 1e-12 * max(1.0, abs(e))
             assert np.max(np.abs(f2 - f)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
+
+
+# ----------------------------------------------------------------------
+# 3. a table at a smaller cutoff is every row's prefix of a larger one
+# ----------------------------------------------------------------------
+def table_arrays(table):
+    return table.indices, table.displacements, table.mask
+
+
+def on_pair_distances(table, low, count, rng):
+    """``count`` cutoffs placed exactly on pair distances of ``table``
+    at or above ``low``."""
+    d = table.displacements
+    r = np.sqrt(np.sum(d * d, axis=-1))[table.mask > 0]
+    return [float(x) for x in rng.choice(r[r >= low], count)]
+
+
+class TestPrefixTables:
+    @settings(max_examples=200, deadline=None)
+    @given(configurations(), st.floats(1.0, 2.0))
+    def test_within_a_larger_table_is_the_build_and_the_loop(
+        self, config, grow
+    ):
+        positions, cell, cutoff = config
+        plane = NeighborList.build(positions, cell, cutoff * grow)
+        table = plane.within(cutoff)
+        assert_same_bytes(
+            table_arrays(table),
+            table_arrays(NeighborList.build(positions, cell, cutoff)),
+        )
+        assert_same_bytes(
+            table_arrays(table),
+            table_arrays(reference.build_neighbor_list(positions, cell, cutoff)),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("atoms", [(4, 2), (32, 16)], ids=["20", "160"])
+    def test_the_gene_range_from_a_12_angstrom_plane(self, atoms, seed):
+        system = molten_salt_system(*atoms, rng=seed)
+        plane = NeighborList.build(system.positions, system.cell, 12.0)
+        rng = np.random.default_rng(seed)
+        cutoffs = list(np.linspace(6.0, 12.0, 7)) + list(rng.uniform(6, 12, 3))
+        cutoffs += on_pair_distances(plane, 6.0, 4, rng)
+        for cutoff in cutoffs:
+            assert_same_bytes(
+                table_arrays(plane.within(cutoff)),
+                table_arrays(
+                    NeighborList.build(system.positions, system.cell, cutoff)
+                ),
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unwrapped_positions(self, seed):
+        rng = np.random.default_rng(seed)
+        system = molten_salt_system(4, 2, rng=seed)
+        moved = translated(system.positions, system.cell, rng)
+        assert np.any(np.ptp(moved, axis=0) > system.cell.lengths)
+        plane = NeighborList.build(moved, system.cell, 12.0)
+        for cutoff in [6.0, 8.5, 11.0] + on_pair_distances(plane, 6.0, 3, rng):
+            assert_same_bytes(
+                table_arrays(plane.within(cutoff)),
+                table_arrays(NeighborList.build(moved, system.cell, cutoff)),
+            )
+
+    def test_a_fixed_width_pads_or_refuses_like_build(self):
+        system = molten_salt_system(4, 2, rng=0)
+        plane = NeighborList.build(system.positions, system.cell, 8.0)
+        table = plane.within(6.0, plane.max_neighbors + 5)
+        assert_same_bytes(
+            table_arrays(table),
+            table_arrays(
+                NeighborList.build(
+                    system.positions,
+                    system.cell,
+                    6.0,
+                    max_neighbors=plane.max_neighbors + 5,
+                )
+            ),
+        )
+        with pytest.raises(ValueError, match="max_neighbors=1"):
+            plane.within(6.0, 1)
+
+
+# ----------------------------------------------------------------------
+# 4. prepare_batches takes its tables from the plane, byte for byte
+# ----------------------------------------------------------------------
+def built_batches(frames, rcut, batch_size):
+    """The batches' tables as ``prepare_batches`` made them before the
+    plane: one build per frame at ``rcut``, zero-padded to the widest."""
+    tables = [NeighborList.build(f.positions, f.cell, rcut) for f in frames]
+    width = max(t.max_neighbors for t in tables)
+
+    def padded(array):
+        widths = [(0, 0)] * array.ndim
+        widths[1] = (0, width - array.shape[1])
+        return np.pad(array, widths)
+
+    return [
+        tuple(
+            np.stack([padded(a) for a in arrays])
+            for arrays in zip(*map(table_arrays, tables[start : start + batch_size]))
+        )
+        for start in range(0, len(frames), batch_size)
+    ]
+
+
+def assert_batches_built(frames, rcut, batch_size=4):
+    got = prepare_batches(frames, rcut, batch_size)
+    expected = built_batches(frames, rcut, batch_size)
+    assert len(got) == len(expected)
+    for batch, arrays in zip(got, expected):
+        assert_same_bytes(
+            (batch.neighbor_indices, batch.displacements, batch.mask), arrays
+        )
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty plane memo, and the ``NeighborList.build`` calls made."""
+    monkeypatch.setattr(data, "_planes", {})
+    calls = []
+    build = NeighborList.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs["cutoff"])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborList, "build", classmethod(counted))
+    return calls
+
+
+def frames_of(system, count, rng, box_scale=1.0):
+    rng = np.random.default_rng(rng)
+    return [
+        Frame(
+            positions=(system.positions + rng.normal(0, 0.1, system.positions.shape))
+            * box_scale,
+            species=system.species,
+            energy=0.0,
+            forces=np.zeros_like(system.positions),
+            box=system.cell.lengths * box_scale,
+        )
+        for _ in range(count)
+    ]
+
+
+class TestPlaneBatches:
+    def test_a_plane_grown_from_7_to_12_angstrom(self, small_dataset, builds):
+        frames = small_dataset.train
+        for rcut in (7.0, 12.0, 9.0, 7.0, 6.0):
+            assert_batches_built(frames, rcut)
+        n = len(frames)
+        # one build per frame for the plane at 7 and at 12, and the
+        # oracle's own builds
+        assert builds.count(7.0) == n + 2 * n and builds.count(12.0) == 2 * n
+        assert builds.count(9.0) == builds.count(6.0) == n
+        ((cutoff, plane),) = data._planes.values()
+        assert cutoff == 12.0 and len(plane) == n
+
+    def test_frames_of_different_widths(self, builds):
+        system = molten_salt_system(4, 2, rng=0)
+        frames = frames_of(system, 3, 1) + frames_of(system, 3, 2, box_scale=0.8)
+        frames = [frames[i] for i in (3, 0, 4, 1, 5, 2)]
+        widths = {
+            NeighborList.build(f.positions, f.cell, 7.0).max_neighbors
+            for f in frames
+        }
+        assert max(widths) > 1.5 * min(widths)
+        for rcut in (12.0, 7.0, 9.5):
+            assert_batches_built(frames, rcut, batch_size=2)
+
+    def test_the_validation_batches_of_four_with_a_short_last(
+        self, small_dataset, builds
+    ):
+        frames = small_dataset.validation[:6]
+        for rcut in (8.0, 6.5, 11.0, 9.0):
+            batches = prepare_batches(frames, rcut, batch_size=4)
+            assert [b.n_frames for b in batches] == [4, 2]
+            assert_batches_built(frames, rcut)
+
+    def test_the_memo_keys_on_positions_and_box(self, small_dataset, builds):
+        frames = small_dataset.train[:4]
+        prepare_batches(frames, 8.0)
+        prepare_batches(list(frames), 7.0)  # same content, new list
+        assert len(builds) == 4
+        moved = frames_of(molten_salt_system(4, 2, rng=0), 4, 3)
+        prepare_batches(moved, 7.0)
+        assert len(builds) == 8 and len(data._planes) == 2
+
+    def test_threads_racing_on_one_memo_get_the_built_tables(self, builds):
+        """Planes grow while other threads read and evict them: every
+        training still gets the tables a fresh build gives."""
+        system = molten_salt_system(4, 2, rng=0)
+        sets = [frames_of(system, 3, seed) for seed in range(data._PLANE_SLOTS + 1)]
+        cutoffs = [6.0, 11.5, 7.25, 9.0, 12.0, 6.5]
+        expected = {
+            (k, rcut): built_batches(frames, rcut, 2)
+            for k, frames in enumerate(sets)
+            for rcut in cutoffs
+        }
+        wrong = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(12):
+                k = int(rng.integers(len(sets)))
+                rcut = cutoffs[int(rng.integers(len(cutoffs)))]
+                got = prepare_batches(sets[k], rcut, 2)
+                arrays = [
+                    (b.neighbor_indices, b.displacements, b.mask) for b in got
+                ]
+                if any(
+                    x.tobytes() != y.tobytes()
+                    for batch, want in zip(arrays, expected[k, rcut])
+                    for x, y in zip(batch, want)
+                ):
+                    wrong.append((k, rcut))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,)) for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(data._planes) <= data._PLANE_SLOTS
+
+    def test_the_memo_keeps_a_few_frame_sets(self, builds):
+        system = molten_salt_system(4, 2, rng=0)
+        sets = [frames_of(system, 2, seed) for seed in range(data._PLANE_SLOTS + 2)]
+        for frames in sets:
+            prepare_batches(frames, 6.0)
+        assert len(data._planes) == data._PLANE_SLOTS
+        # the oldest went first; the newest is still there
+        prepare_batches(sets[-1], 6.0)
+        prepare_batches(sets[0], 6.0)
+        assert len(builds) == 2 * (len(sets) + 1)

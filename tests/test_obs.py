@@ -438,7 +438,7 @@ class TestTraceReport:
         assert summary["n_tasks"] == 20
         assert len(summary["queue_waits"]) == 20
         assert len(summary["slowest"]) == 3
-        assert summary["retries"] == 0
+        assert summary["requeued"] == summary["abandoned"] == 0
 
     def test_render_contains_all_sections(self, pool_trace):
         text = render_trace_report(read_trace(pool_trace))

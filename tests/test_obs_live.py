@@ -574,7 +574,6 @@ def _dashboard_snapshot() -> dict:
             "slowest": [
                 {"task": "t9", "worker": "pool-0", "dur_s": 1.5, "status": "ok"}
             ],
-            "retries": 1,
             "requeued": 2,
             "pool_worker_deaths": 1,
             "pool_respawns": 1,
@@ -597,7 +596,7 @@ class TestMonitorDashboard:
         assert "nondominated front: 2 solution(s)" in text
         assert "engine: submitted 100" in text
         assert "pool-0" in text and "pool-1" in text
-        assert "retries: 1  requeued: 2  pool deaths: 1  pool respawns: 1" in text
+        assert "requeued: 2  pool deaths: 1  pool respawns: 1" in text
 
     def test_render_dashboard_minimal_snapshot(self):
         text = _render_dashboard({"state": "running"})

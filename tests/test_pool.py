@@ -280,18 +280,20 @@ class TestEngineIntegration:
 
 
 class TestSegmentIdentity:
-    """The shared-segment registry is keyed by ``id``: it must keep the
-    objects, or a collected problem's address is reused by the next one,
-    which then runs on the dead problem's segment."""
+    """The shared-segment registry is keyed by ``id``: its entry must go
+    when the problem does, or a collected problem's address is reused by
+    the next one, which then runs on the dead problem's segment."""
 
-    def test_registry_keeps_submitted_problem_alive(self):
+    def test_registry_holds_a_problem_only_while_its_caller_does(self):
         with ProcessPoolBackend(workers=1) as pool:
             individuals = _surrogate_individuals(2, seed=3)
             problem = weakref.ref(individuals[0].problem)
             pool.submit_batch(individuals).result(timeout=60.0)
+            assert len(pool._segments) == 1
             del individuals
             gc.collect()
-            assert problem() is not None
+            assert problem() is None
+            assert pool._segments == {} and pool._segment_payloads == {}
 
     def test_fresh_problems_over_one_pool_match_inline(self):
         def fitnesses(seed, client):

@@ -12,8 +12,10 @@ The problems live in :mod:`tests.pool_problems`, which a spawn-started
 worker imports cheaply.  Pools are 1–2 workers.
 """
 
+import gc
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from repro.injection import FaultInjector, use_injector
 from repro.obs import Tracer, use_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import straggler_summary, worker_utilization
-from tests.pool_problems import Echo, Picky, Sleepy, WorkerHostile
+from tests.pool_problems import Echo, Picky, Scratch, Sleepy, WorkerHostile
 
 
 ECHO = Echo()
@@ -275,6 +277,72 @@ class TestCapacity:
         assert [e["tags"]["worker"] for e in tracer.events("pool.scale_up")] == [
             "pool-1"
         ]
+
+
+class TestSegmentLifetime:
+    """A pool holds a problem's shared segment only while its caller
+    holds the problem, or while a queued or running task needs it: a
+    service that runs campaign after campaign on one pool would keep
+    every finished problem, and its run directories, otherwise."""
+
+    def test_a_collected_problem_leaves_the_pool_and_its_workers(self, pool2):
+        pool, _ = pool2
+        problems = [Scratch(offset=100.0 * k) for k in range(3)]
+        watched = [weakref.ref(p) for p in problems]
+        directories = [p.directory for p in problems]
+        for k, problem in enumerate(problems):
+            futures = [
+                pool.submit_batch(_echo(2, start=2 * i, problem=problem))
+                for i in range(2)
+            ]
+            for i, future in enumerate(futures):
+                assert _firsts(future.result(timeout=30.0)) == [
+                    100.0 * k + 2 * i,
+                    100.0 * k + 2 * i + 1,
+                ]
+        assert len(pool._segments) == len(pool._segment_payloads) == 3
+        assert len(set().union(*(h.segments for h in pool._workers))) == 3
+        del problem, problems
+        gc.collect()
+        assert [ref() for ref in watched] == [None, None, None]
+        assert not any(map(os.path.exists, directories))
+        assert pool._segments == {} and pool._segment_payloads == {}
+        pool._drain()  # idle workers are told to drop them
+        assert [h.segments for h in pool._workers] == [set(), set()]
+        # a new problem gets a new key and a fresh shipment
+        problem = Echo(offset=7.0)
+        future = pool.submit_batch(_echo(2, problem=problem))
+        assert _firsts(future.result(timeout=30.0)) == [7.0, 8.0]
+        (key,) = pool._segment_payloads
+        assert key.startswith("seg3-")
+
+    def test_a_queued_or_running_task_keeps_its_segments(self):
+        with ProcessPoolBackend(workers=1, metrics=MetricsRegistry()) as pool:
+            running = pool.submit_batch(_sleepy(0.3))
+            queued = pool.submit_batch(_echo(2, problem=Echo(offset=5.0)))
+            gc.collect()
+            assert len(pool._segments) == 2
+            assert _firsts(running.result(timeout=30.0)) == [1.0]
+            assert _firsts(queued.result(timeout=30.0)) == [5.0, 6.0]
+            gc.collect()
+            assert pool._segments == {}
+
+    def test_a_rerun_reships_a_segment_its_caller_dropped(self):
+        plan = FaultPlan([Fault("worker_death", at=0)])
+        with use_injector(plan.injector()):
+            with ProcessPoolBackend(
+                workers=1, metrics=MetricsRegistry()
+            ) as pool:
+                future = pool.submit_batch(_echo(2, problem=Echo(offset=9.0)))
+                gc.collect()
+                assert _firsts(future.result(timeout=60.0)) == [9.0, 10.0]
+
+    def test_close_clears_the_registry(self):
+        problem = Echo()
+        pool = ProcessPoolBackend(workers=1, metrics=MetricsRegistry())
+        pool.submit_batch(_echo(1, problem=problem)).result(timeout=30.0)
+        pool.close()
+        assert pool._segments == {} and pool._segment_payloads == {}
 
 
 class TestDeathPolicy:

@@ -1,6 +1,6 @@
 """The trainer's fast data plane against the references it replaced.
 
-Three things changed under ``DeepPotModel`` and have to be shown to
+Four things changed under ``DeepPotModel`` and have to be shown to
 change nothing else (DESIGN.md §10):
 
 * reverse mode is demand-driven — checked bit for bit against a
@@ -10,12 +10,15 @@ change nothing else (DESIGN.md §10):
   ``SmoothDescriptor.environment_matrix``, which no runtime code calls
   any more, and against finite differences of the energy;
 * tanh / sigmoid / softplus have a fused derivative node — checked by
-  finite differences up to the third order.
+  finite differences up to the third order;
+* a training's neighbour tables are truncated from a per-process plane
+  — checked by whole evaluations against ones that built their own.
 """
 
 from __future__ import annotations
 
 import gc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,10 +29,12 @@ from hypothesis import strategies as st
 from repro.autodiff import functional as F
 from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.tensor import Tensor, _toposort, grad, no_grad
+from repro.deepmd import data
 from repro.deepmd.data import DescriptorBatch, prepare_batches
 from repro.deepmd.descriptor import DescriptorConfig, SmoothDescriptor
 from repro.deepmd.model import DeepPotModel, ModelConfig, displacement_gradient
 from repro.deepmd.training import Trainer, TrainingConfig
+from repro.hpo.evaluator import DeepMDProblem, EvaluatorSettings
 from repro.md.dataset import Frame
 from repro.nn.activations import ACTIVATION_NAMES
 from repro.nn.loss import EnergyForceLoss
@@ -591,3 +596,52 @@ class TestTrainingReproducesParent:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# ----------------------------------------------------------------------
+# 6. a training's tables from the neighbour plane change no bit
+# ----------------------------------------------------------------------
+PLANE_PHENOMES = [
+    {"rcut": rcut, "rcut_smth": 1.0, "start_lr": 3e-3, "stop_lr": 1e-4,
+     "scale_by_worker": "none", "desc_activ_func": desc,
+     "fitting_activ_func": fit}
+    for rcut, desc, fit in [
+        (6.5, "softplus", "sigmoid"),
+        (11.0, "sigmoid", "tanh"),
+        (8.25, "tanh", "softplus"),
+    ]
+]  # fmt: skip
+
+
+def evaluated_bytes(dataset, base_dir, before_each):
+    """Fitness, ``lcurve.out`` and trained-parameter bytes of the
+    :data:`PLANE_PHENOMES` evaluated in turn, ``before_each`` run before
+    every evaluation."""
+    problem = DeepMDProblem(
+        dataset,
+        base_dir=base_dir,
+        settings=EvaluatorSettings(numb_steps=6, disp_freq=3),
+    )
+    out = []
+    for i, phenome in enumerate(PLANE_PHENOMES):
+        before_each()
+        fitness, meta = problem.evaluate_with_metadata(phenome, uuid=f"e{i}")
+        workdir = Path(meta["workdir"])
+        with np.load(workdir / "model.npz") as params:
+            weights = {name: params[name].tobytes() for name in params.files}
+        lcurve = (workdir / "lcurve.out").read_bytes()
+        out.append((fitness.tobytes(), lcurve, weights))
+    return out
+
+
+def test_a_plane_grown_to_12_angstrom_changes_no_evaluation(
+    small_dataset, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(data, "_planes", {})
+    built = evaluated_bytes(small_dataset, tmp_path / "built", data._planes.clear)
+    for frames in (small_dataset.train, small_dataset.validation):
+        prepare_batches(frames, 12.0)
+    assert [cutoff for cutoff, _ in data._planes.values()] == [12.0, 12.0]
+    derived = evaluated_bytes(small_dataset, tmp_path / "derived", lambda: None)
+    assert [cutoff for cutoff, _ in data._planes.values()] == [12.0, 12.0]
+    assert derived == built
