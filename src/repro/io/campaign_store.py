@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.evo.algorithm import GenerationRecord
 from repro.evo.individual import RobustIndividual
-from repro.hpo.campaign import CampaignConfig, CampaignResult
+from repro.hpo.campaign import CampaignResult
+from repro.store.resume import campaign_config_from_doc
 
 #: bumped when the on-disk layout changes; loaders warn (rather than
 #: crash) on documents written by a newer version
@@ -49,14 +50,7 @@ def save_campaign(result: CampaignResult, directory: str | Path) -> None:
     arrays: dict[str, np.ndarray] = {}
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "n_runs": result.config.n_runs,
-            "pop_size": result.config.pop_size,
-            "generations": result.config.generations,
-            "anneal_factor": result.config.anneal_factor,
-            "sort_algorithm": result.config.sort_algorithm,
-            "base_seed": result.config.base_seed,
-        },
+        "config": _json_safe(dataclasses.asdict(result.config)),
         "runs": [],
     }
     for r, run in enumerate(result.runs):
@@ -143,19 +137,7 @@ def load_campaign(directory: str | Path) -> CampaignResult:
             stacklevel=2,
         )
     arrays = np.load(directory / "arrays.npz")
-    known_config = {f.name for f in dataclasses.fields(CampaignConfig)}
-    config_doc = doc["config"]
-    unknown_config = set(config_doc) - known_config
-    if unknown_config:
-        warnings.warn(
-            "ignoring unknown campaign config fields: "
-            + ", ".join(sorted(unknown_config)),
-            stacklevel=2,
-        )
-    config = CampaignConfig(
-        **{k: v for k, v in config_doc.items() if k in known_config}
-    )
-    result = CampaignResult(config=config)
+    result = CampaignResult(config=campaign_config_from_doc(doc["config"]))
     for r, run_doc in enumerate(doc["runs"]):
         run: list[GenerationRecord] = []
         for g, rec_doc in enumerate(run_doc):

@@ -609,6 +609,31 @@ class TestInvariantCheckerNegative:
         ).check()
         assert confessed.ok, confessed.summary()
 
+    def test_an_empty_journal_is_explained_only_by_a_tear_at_append_0(
+        self, tmp_path
+    ):
+        """A ``journal_truncate`` that fired at append 0 tears
+        ``campaign_begin``, and every later record lands on the torn
+        line: no record is readable, and that is expected.  Nothing
+        else excuses an empty journal — not a tear at another append,
+        not a scripted fault that never fired."""
+        from repro.chaos import InjectedFault
+
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"type": "campaign_be{"type": "run_begin"}\n')
+
+        def violations(injected):
+            report = InvariantChecker(journal=path, injected=injected).check()
+            return {v.invariant for v in report.violations}
+
+        tear = Fault("journal_truncate", offset=30)
+        assert violations([InjectedFault(tear, "journal.append", 0)]) == set()
+        assert "journal_readable" in violations([])
+        assert "journal_readable" in violations(
+            [InjectedFault(tear, "journal.append", 3)]
+        )
+        assert "journal_readable" in violations([tear])
+
     def test_double_terminal_state_in_trace(self):
         trace = [
             {"type": "event", "name": "task.submit", "tags": {"task": "t0"}},
@@ -995,12 +1020,7 @@ class TestResumeUnderFaults:
         with use_injector(inj2):
             resumed = resume_campaign(chaos_dir, cache=cache2)
 
-        assert (
-            verify_resume_equivalence(
-                journal_path(base), journal_path(chaos_dir)
-            )
-            == []
-        )
+        assert verify_resume_equivalence(reference, resumed) == []
         assert _evals(resumed) == _evals(reference)
         assert _front_points(_all_evaluated(resumed)) == _front_points(
             _all_evaluated(reference)

@@ -23,7 +23,7 @@ from repro.evo.individual import MAXINT, RobustIndividual
 from repro.evo.ops import eval_pool
 from repro.evo.problem import Problem
 from repro.exceptions import EvaluationError, StoreError
-from repro.hpo.campaign import Campaign, CampaignConfig
+from repro.hpo.campaign import CAMPAIGN_MODES, Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.hpo.representation import DeepMDRepresentation
 from repro.store import (
@@ -716,17 +716,45 @@ class TestCliKillResume:
 # campaign snapshot schema (satellite 1)
 # ----------------------------------------------------------------------
 class TestSnapshotSchema:
-    def _save(self, tmp_path):
+    def _save(self, tmp_path, **config):
+        from repro.hpo.objectives import with_objectives
         from repro.io import save_campaign
 
         cfg = CampaignConfig(
-            n_runs=1, pop_size=4, generations=1, base_seed=3
+            n_runs=1, pop_size=4, generations=1, base_seed=3, **config
         )
         result = Campaign(
-            lambda seed: SurrogateDeepMDProblem(seed=seed), cfg
+            lambda seed: with_objectives(
+                SurrogateDeepMDProblem(seed=seed), cfg.objectives
+            ),
+            cfg,
         ).run()
         save_campaign(result, tmp_path / "camp")
         return result
+
+    @pytest.mark.parametrize("mode", CAMPAIGN_MODES)
+    def test_the_config_round_trips_in_every_mode(self, tmp_path, mode):
+        from repro.io import load_campaign
+
+        saved = self._save(tmp_path, mode=mode)
+        assert load_campaign(tmp_path / "camp").config == saved.config
+
+    def test_a_three_objective_config_round_trips(self, tmp_path):
+        from repro.io import load_campaign
+
+        saved = self._save(
+            tmp_path, objectives="loss,time", hv_stop_eps=1e-4, batch_chunk=3
+        )
+        loaded = load_campaign(tmp_path / "camp")
+        assert loaded.config == saved.config
+        assert loaded.config.objectives == ("energy", "force", "runtime")
+        widths = {
+            len(ind.fitness)
+            for run in loaded.runs
+            for rec in run
+            for ind in (*rec.population, *rec.evaluated)
+        }
+        assert widths == {3}
 
     def test_snapshot_carries_schema_version(self, tmp_path):
         from repro.io.campaign_store import SCHEMA_VERSION
