@@ -12,6 +12,7 @@ fitness.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -30,6 +31,69 @@ from repro.nn.lr_schedule import ExponentialDecay
 from repro.nn.optimizer import Adam
 from repro.obs.trace import NullTracer, Tracer, get_tracer
 from repro.rng import RngLike, ensure_rng
+
+try:
+    import resource
+except ImportError:  # Windows has no ``resource``: no fault count
+    resource = None
+
+# ----------------------------------------------------------------------
+# the trainer's allocator policy (DESIGN.md §10, "Trainer memory")
+# ----------------------------------------------------------------------
+#: glibc's ``mallopt`` parameter numbers (``<malloc.h>``)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: above the largest array a training allocates (2–4 MB at 160 atoms,
+#: rcut 8.5), so no such array is ``mmap``-ed and returned to the kernel
+#: on free; glibc's default starts at 128 kB
+_MMAP_THRESHOLD = 16 << 20
+#: above what a step frees (a 160-atom step frees 64–128 MB at the top
+#: of the heap), so ``free`` stops trimming the heap after every step
+_TRIM_THRESHOLD = 256 << 20
+#: whether this process runs under the policy; ``None`` until the first
+#: :class:`Trainer` is built
+_heap_kept: Optional[bool] = None
+
+
+def _keep_heap() -> None:
+    """Pin glibc's two allocator thresholds, once per process.
+
+    With glibc's defaults, every training step ``mmap``s its largest
+    arrays and trims the temporaries it frees back to the kernel, then
+    faults both in again on the next step: tens of thousands of minor
+    faults per 160-atom training, in every training a process runs.
+    Under the two thresholds a training after the process's first one
+    reuses the heap the process already faulted in.  The cost is that a
+    long-lived process (a pool worker) keeps its heap at the high-water
+    mark of its largest training instead of shrinking between
+    trainings.  No arithmetic changes, so no result moves a bit.
+
+    ``_heap_kept`` records whether both thresholds took; where the C
+    library has no ``mallopt`` (musl, macOS, Windows) the process keeps
+    its allocator's defaults, silently.
+    """
+    global _heap_kept
+    if _heap_kept is None:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError, TypeError):
+            _heap_kept = False
+        else:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            applied = [
+                mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD),
+            ]
+            _heap_kept = applied == [1, 1]
+
+
+def _minor_faults() -> Optional[int]:
+    """Minor page faults this process has taken so far (``None`` where
+    ``resource`` does not exist)."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 @dataclass(frozen=True)
@@ -85,6 +149,7 @@ class Trainer:
         rng: RngLike = None,
         tracer: Optional[NullTracer | Tracer] = None,
     ) -> None:
+        _keep_heap()
         self.model = model
         self.dataset = dataset
         self.config = config
@@ -201,7 +266,10 @@ class Trainer:
 
         The whole loop runs inside a ``train.loop`` span (timeout /
         divergence exits mark the span ``err``), with the per-call
-        ``train.validation`` spans nested under it.
+        ``train.validation`` spans nested under it.  The span's
+        ``minor_faults`` tag counts the page faults the process took
+        while it ran (left out where ``resource`` does not exist), so a
+        trace shows whether a training paid the kernel for memory.
 
         Parameters
         ----------
@@ -227,9 +295,14 @@ class Trainer:
         with self.tracer.span(
             "train.loop", steps=self.config.numb_steps
         ) as span:
-            result = self._train_steps(
-                resume_from, checkpoint_path, checkpoint_freq, stop_after
-            )
+            faults = _minor_faults()
+            try:
+                result = self._train_steps(
+                    resume_from, checkpoint_path, checkpoint_freq, stop_after
+                )
+            finally:
+                if faults is not None:
+                    span.tag(minor_faults=_minor_faults() - faults)
             span.tag(
                 steps_completed=result.steps_completed,
                 rmse_f_val=result.rmse_f_val,

@@ -498,13 +498,22 @@ class TestRunner:
     def test_run_training_subprocess(self, tmp_path, small_dataset):
         data_dir = tmp_path / "data"
         small_dataset.save(data_dir)
+        variables = self._variables(data_dir=data_dir)
         run = run_training(
             base_dir=tmp_path,
-            variables=self._variables(data_dir=data_dir),
+            variables=variables,
             mode="subprocess",
             time_limit=300.0,
         )
         assert np.isfinite(run.rmse_f_val)
+        # the ``dp train`` child trains exactly as this process does
+        inprocess = prepare_run_directory(
+            tmp_path, variables, run_uuid="inprocess"
+        )
+        execute_training(inprocess)
+        assert (run.workdir / "lcurve.out").read_bytes() == (
+            inprocess / "lcurve.out"
+        ).read_bytes()
 
     @pytest.mark.slow
     def test_cli_train_and_gen_data(self, tmp_path):

@@ -12,12 +12,21 @@ change nothing else (DESIGN.md §10):
 * tanh / sigmoid / softplus have a fused derivative node — checked by
   finite differences up to the third order;
 * a training's neighbour tables are truncated from a per-process plane
-  — checked by whole evaluations against ones that built their own.
+  — checked by whole evaluations against ones that built their own;
+* the trainer pins glibc's allocator thresholds at its entry — checked
+  by whole evaluations against a process without the policy, and by
+  the page faults a process's third training takes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
+import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +38,7 @@ from hypothesis import strategies as st
 from repro.autodiff import functional as F
 from repro.autodiff.gradcheck import check_gradients
 from repro.autodiff.tensor import Tensor, _toposort, grad, no_grad
-from repro.deepmd import data
+from repro.deepmd import data, training
 from repro.deepmd.data import DescriptorBatch, prepare_batches
 from repro.deepmd.descriptor import DescriptorConfig, SmoothDescriptor
 from repro.deepmd.model import DeepPotModel, ModelConfig, displacement_gradient
@@ -39,6 +48,7 @@ from repro.md.dataset import Frame
 from repro.nn.activations import ACTIVATION_NAMES
 from repro.nn.loss import EnergyForceLoss
 from repro.nn.lr_schedule import ExponentialDecay
+from repro.obs.trace import Tracer
 
 
 # ----------------------------------------------------------------------
@@ -613,6 +623,13 @@ PLANE_PHENOMES = [
 ]  # fmt: skip
 
 
+def artifact_bytes(workdir: Path):
+    """``lcurve.out`` and trained-parameter bytes of one evaluation."""
+    with np.load(workdir / "model.npz") as params:
+        weights = {name: params[name].tobytes() for name in params.files}
+    return (workdir / "lcurve.out").read_bytes(), weights
+
+
 def evaluated_bytes(dataset, base_dir, before_each):
     """Fitness, ``lcurve.out`` and trained-parameter bytes of the
     :data:`PLANE_PHENOMES` evaluated in turn, ``before_each`` run before
@@ -626,11 +643,7 @@ def evaluated_bytes(dataset, base_dir, before_each):
     for i, phenome in enumerate(PLANE_PHENOMES):
         before_each()
         fitness, meta = problem.evaluate_with_metadata(phenome, uuid=f"e{i}")
-        workdir = Path(meta["workdir"])
-        with np.load(workdir / "model.npz") as params:
-            weights = {name: params[name].tobytes() for name in params.files}
-        lcurve = (workdir / "lcurve.out").read_bytes()
-        out.append((fitness.tobytes(), lcurve, weights))
+        out.append((fitness.tobytes(), *artifact_bytes(Path(meta["workdir"]))))
     return out
 
 
@@ -645,3 +658,171 @@ def test_a_plane_grown_to_12_angstrom_changes_no_evaluation(
     derived = evaluated_bytes(small_dataset, tmp_path / "derived", lambda: None)
     assert [cutoff for cutoff, _ in data._planes.values()] == [12.0, 12.0]
     assert derived == built
+
+
+# ----------------------------------------------------------------------
+# 7. the trainer's allocator policy: same bits, no faults, no noise
+# ----------------------------------------------------------------------
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: evaluates the phenomes of ``argv[4]`` in turn in a fresh interpreter,
+#: the policy replaced by a no-op when ``argv[3]`` is ``off``, and prints
+#: the policy's state and each evaluation's fitness and page faults
+EVALUATE_IN_A_FRESH_PROCESS = """
+import json, resource, sys
+from repro.deepmd import training
+from repro.hpo.evaluator import DeepMDProblem, EvaluatorSettings
+from repro.md.dataset import FrameDataset
+
+data_dir, base_dir, policy, phenomes = sys.argv[1:]
+if policy == "off":
+    training._keep_heap = lambda: None
+problem = DeepMDProblem(
+    FrameDataset.load(data_dir),
+    base_dir=base_dir,
+    settings=EvaluatorSettings(numb_steps=8, disp_freq=4),
+)
+faults, fitness = [], []
+for i, phenome in enumerate(json.loads(phenomes)):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    f, _ = problem.evaluate_with_metadata(phenome, uuid=f"e{i}")
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    fitness.append(f.tobytes().hex())
+print(json.dumps(
+    {"heap_kept": training._heap_kept, "faults": faults, "fitness": fitness}
+))
+"""
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(small_dataset, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("heap") / "data"
+    small_dataset.save(directory)
+    return directory
+
+
+def evaluate_in_a_fresh_process(data_dir, base_dir, policy, phenomes):
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            EVALUATE_IN_A_FRESH_PROCESS,
+            str(data_dir),
+            str(base_dir),
+            policy,
+            json.dumps(phenomes),
+        ],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_the_allocator_policy_changes_no_bit(saved_dataset, tmp_path):
+    runs = {
+        policy: evaluate_in_a_fresh_process(
+            saved_dataset, tmp_path / policy, policy, PLANE_PHENOMES
+        )
+        for policy in ("on", "off")
+    }
+    assert runs["off"]["heap_kept"] is None
+    assert runs["on"]["fitness"] == runs["off"]["fitness"]
+    for i in range(len(PLANE_PHENOMES)):
+        on, off = (artifact_bytes(tmp_path / side / f"e{i}") for side in runs)
+        assert on == off
+
+
+def test_a_later_training_takes_no_page_faults(saved_dataset, tmp_path):
+    """glibc's defaults return each step's temporaries to the kernel and
+    fault them in again: ~23 000 minor faults per such training."""
+    phenome = dict(PLANE_PHENOMES[1])  # rcut 11: the widest tables
+    run = evaluate_in_a_fresh_process(
+        saved_dataset, tmp_path, "on", [phenome] * 3
+    )
+    if run["heap_kept"] is False:
+        pytest.skip("the C library has no mallopt")
+    assert len(set(run["fitness"])) == 1
+    assert run["faults"][2] <= 500, run["faults"]
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self, returns: int = 1) -> None:
+        self.calls: list[tuple[int, int]] = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return returns
+
+        self.mallopt = mallopt
+
+
+def short_trainer(dataset, tracer=None) -> Trainer:
+    config = ModelConfig(
+        descriptor=DescriptorConfig(rcut=5.0, rcut_smth=1.0),
+        embedding_widths=(4, 8),
+        axis_neurons=3,
+        fitting_widths=(8, 8),
+    )
+    return Trainer(
+        DeepPotModel(config, rng=0),
+        dataset,
+        TrainingConfig(numb_steps=4, disp_freq=2),
+        rng=0,
+        tracer=tracer,
+    )
+
+
+def test_the_policy_is_applied_once_per_process(small_dataset, monkeypatch):
+    libc = FakeLibc()
+    monkeypatch.setattr(training, "_heap_kept", None)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    short_trainer(small_dataset)
+    short_trainer(small_dataset)
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    assert libc.calls == [(-3, 16 << 20), (-1, 256 << 20)]
+    assert training._heap_kept is True
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [
+        _no_library,
+        lambda name: object(),  # macOS: a libc without mallopt
+        lambda name: FakeLibc(returns=0),  # mallopt refuses
+    ],
+    ids=["lookup-fails", "no-mallopt", "refused"],
+)
+def test_without_mallopt_the_policy_does_nothing_silently(
+    small_dataset, monkeypatch, capfd, cdll
+):
+    monkeypatch.setattr(training, "_heap_kept", None)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        short_trainer(small_dataset).train()
+    assert training._heap_kept is False
+    assert caught == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_the_training_span_counts_its_page_faults(small_dataset, monkeypatch):
+    tracer = Tracer()
+    short_trainer(small_dataset, tracer).train()
+    (loop,) = tracer.spans("train.loop")
+    assert isinstance(loop["tags"]["minor_faults"], int)
+    assert loop["tags"]["minor_faults"] >= 0
+    monkeypatch.setattr(training, "resource", None)  # as on Windows
+    tracer = Tracer()
+    short_trainer(small_dataset, tracer).train()
+    (loop,) = tracer.spans("train.loop")
+    assert "minor_faults" not in loop["tags"]
+    assert loop["tags"]["steps_completed"] == 4
