@@ -10,8 +10,12 @@ overlap sleeps even on a single-core CI runner, so the speedup
 reflects the backend's dispatch machinery, not the machine's core
 count.
 
-Pool startup (spawning interpreters) is excluded from the timed
-region via a warm-up batch; startup cost is reported separately.
+Pool startup is excluded from the timed region via a warm-up batch;
+startup cost is reported separately, ungated, as two numbers: a fresh
+2-worker pool to its first result (``pool_start_s``: the first pool of
+the process, so it includes starting the forkserver and its preload),
+and a SIGKILLed idle worker to the next chunk's result
+(``pool_respawn_s``: one worker's start from the warm server).
 
 Run standalone (``python benchmarks/bench_engine_throughput.py``) or
 via ``benchmarks/runner.py``, which writes ``BENCH_engine.json`` and
@@ -25,7 +29,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-# module-level so the class is importable by spawn-started pool workers
+# module-level so the class is importable by pool workers
 POOL_WORKER_COUNTS = (1, 4)
 
 
@@ -76,6 +80,27 @@ def _measure(client: Any, problem: SleepProblem, n_tasks: int) -> dict:
         "evals_per_sec": n_tasks / wall,
         "fresh": engine.stats.fresh - before.fresh,
     }
+
+
+def _measure_startup(problem: SleepProblem) -> dict:
+    """Seconds from a fresh 2-worker pool to its first result, and from
+    SIGKILLing a 1-worker pool's idle worker to the next chunk's result
+    (which only its successor can serve)."""
+    from repro.engine import ProcessPoolBackend
+
+    t0 = time.perf_counter()
+    with ProcessPoolBackend(workers=2) as pool:
+        pool.submit_batch(_individuals(problem, 1)).result(120)
+        start = time.perf_counter() - t0
+    with ProcessPoolBackend(workers=1) as pool:
+        pool.submit_batch(_individuals(problem, 1)).result(120)
+        worker = pool._workers[0].process
+        worker.kill()
+        worker.join()
+        t0 = time.perf_counter()
+        pool.submit_batch(_individuals(problem, 1)).result(120)
+        respawn = time.perf_counter() - t0
+    return {"pool_start_s": start, "pool_respawn_s": respawn}
 
 
 def _measure_fleet(
@@ -175,6 +200,8 @@ def run(quick: bool = False) -> dict:
     duration = 0.02 if quick else 0.05
     n_tasks = 48 if quick else 96
     problem = SleepProblem(duration=duration)
+    # first: the process's first pool is the one that starts the server
+    start_cost = _measure_startup(SleepProblem(duration=0.0))
 
     results: dict[str, dict] = {}
     results["inline"] = _measure(None, problem, n_tasks)
@@ -223,6 +250,7 @@ def run(quick: bool = False) -> dict:
         "quick": quick,
         "task_duration_s": duration,
         "n_tasks": n_tasks,
+        "startup": start_cost,
         "results": results,
         # the gateable metrics: same-machine ratios, robust to CI
         # hardware differences (absolute evals/sec is informational)
@@ -261,6 +289,8 @@ def main(argv: Optional[list] = None) -> int:
             f"{name:10s} {entry['wall_s']:7.2f} s  "
             f"{entry['evals_per_sec']:7.1f} evals/s{extra}"
         )
+    for name, seconds in report["startup"].items():
+        print(f"{name:14s} {seconds:7.3f} s")
     print(f"report written to {args.out}")
     return 0
 

@@ -12,14 +12,16 @@ paper-sized regime of the ledger's ``train_160atom`` workload (160
 atoms, rcut 8.5, 16 frames), the median training step, the
 ``prepare_batches`` call that builds one training's neighbour tables
 (the process's neighbour plane emptied first, so every round builds
-them), and one validation round.  CI gates the same-machine ratio of the
-neighbour tables to one step (``neighbor_tables_vs_step``).
+them), the same call when the plane is already warm at a 12 A cutoff
+(the tables are read out of it), and one validation round.  CI gates
+the same-machine ratio of the two ``prepare_batches`` calls
+(``plane_read_vs_fresh_tables``): both sides are neighbour code, so the
+ratio moves only when the plane read or the fresh build does.
 
 BLAS runs on one thread, as in the ledger (``harness.pin_threads``), so
-the step — the ratio's denominator, GEMM-bound — does not depend on
-the host's core count.  OpenBLAS reads the setting once, when NumPy
-loads: it is set here, before any import, and by ``runner.py`` before
-the first bench loads NumPy.
+the step does not depend on the host's core count.  OpenBLAS reads the
+setting once, when NumPy loads: it is set here, before any import, and
+by ``runner.py`` before the first bench loads NumPy.
 """
 
 from __future__ import annotations
@@ -246,6 +248,9 @@ PAPER_PHENOME = {
     "desc_activ_func": "tanh",
     "fitting_activ_func": "tanh",
 }
+#: the cutoff a warm neighbour plane was built at: the largest ``rcut``
+#: a campaign draws (``DeepMDRepresentation.bounds``)
+PLANE_RCUT = 12.0
 
 
 def paper_trainer(dataset: Any, steps: int) -> Trainer:
@@ -325,10 +330,16 @@ def run(quick: bool = False) -> dict:
         _planes.clear()
         prepare_batches(frames, PAPER_PHENOME["rcut"])
 
+    fresh_ms = _best_ms(fresh_tables, rounds)
+    _planes.clear()
+    prepare_batches(frames, PLANE_RCUT)
     results = {
         "dataset_generate_ms": generate_s * 1e3,
         "step_ms_median": statistics.median(walls) * 1e3,
-        "prepare_batches_ms": _best_ms(fresh_tables, rounds),
+        "prepare_batches_ms": fresh_ms,
+        "plane_read_ms": _best_ms(
+            lambda: prepare_batches(frames, PAPER_PHENOME["rcut"]), rounds
+        ),
         "validation_ms": _best_ms(trainer.evaluate_validation, rounds),
         "neighbor_width": float(trainer.train_batches[0].max_neighbors),
     }
@@ -340,11 +351,12 @@ def run(quick: bool = False) -> dict:
         "steps": steps,
         "rounds": rounds,
         "results": results,
-        # same-machine ratio: one training's neighbour tables, in
-        # training steps (lower is better)
+        # same-machine ratio: one training's neighbour tables read out
+        # of a warm plane, over the same tables built fresh (lower is
+        # better)
         "metrics": {
-            "neighbor_tables_vs_step": (
-                results["prepare_batches_ms"] / results["step_ms_median"]
+            "plane_read_vs_fresh_tables": (
+                results["plane_read_ms"] / results["prepare_batches_ms"]
             ),
         },
     }

@@ -10,14 +10,18 @@ pool.
 
 Design constraints, in order:
 
-* **Spawn-safe.**  Workers are started with the ``spawn`` method by
-  default (the only method available everywhere and the only one safe
-  under threads), so everything a task needs crosses the process
-  boundary by pickling — in one wire format: the shared ``(problem,
-  decoder, class)`` segment once per worker, then ``(segment, genome,
-  uuid)`` items per chunk (a scalar submit is a chunk of one).
-  Problems carry locks and caches; the ones shipped with this package
-  implement ``__getstate__`` so they pickle cleanly.
+* **Forked from a warm server, isolated like spawn.**  Workers are
+  started with the ``forkserver`` method where the platform has it
+  (``spawn`` elsewhere): a server process, started once per process and
+  preloaded with :data:`WORKER_PRELOAD`, forks each worker, so a start
+  or a respawn costs a fork instead of a fresh interpreter importing
+  NumPy and ``repro``.  Neither method copies the parent's memory or
+  threads, so everything a task needs crosses the process boundary by
+  pickling — in one wire format: the shared ``(problem, decoder,
+  class)`` segment once per worker, then ``(segment, genome, uuid)``
+  items per chunk (a scalar submit is a chunk of one).  Problems carry
+  locks and caches; the ones shipped with this package implement
+  ``__getstate__`` so they pickle cleanly.
 * **A dead worker's task is re-run elsewhere, a few times.**  The
   paper let Dask reassign the task of a worker that died (§2.2.5).  A
   worker that dies mid-task (OOM, segfault, injected chaos) is replaced
@@ -77,6 +81,40 @@ _JOIN_TIMEOUT = 5.0
 #: runs a task may lose to dead or revoked workers and still be re-run
 #: (Dask's ``allowed-failures``); a death past it is the task's failure
 DEATH_RETRIES = 2
+
+#: what the forkserver imports before it forks a worker: NumPy and every
+#: ``repro`` module a worker loads to serve this package's problems,
+#: measured in a spawn-started worker after one real 20-atom evaluation
+#: and one surrogate batch, each through the store's ``CachedProblem``
+#: (DESIGN.md §8)
+WORKER_PRELOAD = (
+    "numpy",
+    "repro.engine.pool",
+    "repro.hpo.evaluator",
+    "repro.hpo.landscape",
+    "repro.store",
+)
+
+
+#: this process's exit hook that stops the forkserver (set once)
+_server_stop: Any = None
+
+
+def _preload_server(ctx: Any) -> None:
+    """Name :data:`WORKER_PRELOAD` for the forkserver — process-wide,
+    and read only when the server first starts — and stop the server
+    when this process exits, so that it does not outlive the process.
+    A negative priority runs the stop after multiprocessing has joined
+    every child (a live worker would keep the server up) and before it
+    removes the directory that holds the server's socket."""
+    global _server_stop
+    ctx.set_forkserver_preload(list(WORKER_PRELOAD))
+    if _server_stop is None:
+        from multiprocessing import forkserver, util
+
+        _server_stop = util.Finalize(
+            None, forkserver._forkserver._stop, exitpriority=-1
+        )
 
 
 def _shippable(exc: BaseException) -> BaseException:
@@ -300,8 +338,9 @@ class ProcessPoolBackend:
         :class:`TrainingTimeoutError` (→ ``MAXINT`` under the engine's
         failure policy).  ``None`` disables backend-side enforcement.
     start_method:
-        ``"spawn"`` (default, safe everywhere), ``"fork"``, or
-        ``"forkserver"``.
+        ``"forkserver"`` (the default where the platform has it, with
+        the server preloaded with :data:`WORKER_PRELOAD`), ``"spawn"``
+        (the default elsewhere), or ``"fork"``.
     fault_injector:
         Chaos seam; defaults to the process-wide injector of
         :mod:`repro.injection`, so ``use_injector(plan.injector())``
@@ -314,7 +353,7 @@ class ProcessPoolBackend:
         self,
         workers: Optional[int] = None,
         deadline: Optional[float] = None,
-        start_method: str = "spawn",
+        start_method: Optional[str] = None,
         fault_injector: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Any = None,
@@ -326,7 +365,15 @@ class ProcessPoolBackend:
         if workers < 1:
             raise ValueError("need at least one pool worker")
         self.deadline = deadline
+        if start_method is None:
+            start_method = (
+                "forkserver"
+                if "forkserver" in mp.get_all_start_methods()
+                else "spawn"
+            )
         self._ctx = mp.get_context(start_method)
+        if start_method == "forkserver":
+            _preload_server(self._ctx)
         self._injector = (
             fault_injector if fault_injector is not None else get_injector()
         )
@@ -875,13 +922,16 @@ class ProcessPoolBackend:
         ``future.done()`` — always on the driver thread."""
         now = time.monotonic()
         for handle in list(self._workers):
-            # 1. everything the worker managed to send
+            # 1. everything the worker managed to send, up to the end
+            #    of its pipe, which a worker's exit closes
+            hung_up = False
             while True:
                 try:
                     if not handle.conn.poll():
                         break
                     msg = handle.conn.recv()
                 except (EOFError, OSError):
+                    hung_up = True
                     break
                 kind, task_id = msg[0], msg[1]
                 # last element is the worker-side trace record list;
@@ -915,8 +965,11 @@ class ProcessPoolBackend:
             # 2. death: a busy worker that is gone is replaced and its
             #    task re-run, until the task has lost DEATH_RETRIES runs
             #    (→ WorkerFailure → MAXINT in the engine); a revoked
-            #    worker is retired instead
-            if not handle.process.is_alive():
+            #    worker is retired instead.  Only a worker whose pipe
+            #    hung up is asked: under forkserver ``is_alive`` builds a
+            #    selector per call, and this loop runs ~2 000 times a
+            #    second
+            if hung_up and not handle.process.is_alive():
                 if handle.pending_revoke and not self._closed:
                     self._bury_revoked(handle)
                     continue

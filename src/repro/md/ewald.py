@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.md.cell import PeriodicCell
 from repro.md.neighbors import neighbor_pairs
@@ -81,6 +80,8 @@ class EwaldCoulomb:
         i, j, d = neighbor_pairs(positions, cell, r_cut)
         e_real = 0.0
         if len(i):
+            from scipy.special import erfc
+
             r = np.sqrt(np.sum(d * d, axis=1))
             qq = q[i] * q[j] * k
             e_real = float(np.sum(qq * erfc(alpha * r) / r))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.md.cell import PeriodicCell
 from repro.md.neighbors import neighbor_pairs
@@ -150,6 +149,8 @@ class DSFCoulomb(PairPotential):
         self.charges = np.asarray(charges_by_species, dtype=np.float64)
         self.alpha = float(alpha)
         self.cutoff = float(cutoff)
+        from scipy.special import erfc
+
         rc = self.cutoff
         a = self.alpha
         self._e_rc = erfc(a * rc) / rc
@@ -158,6 +159,8 @@ class DSFCoulomb(PairPotential):
         ) * np.exp(-(a * rc) ** 2) / rc
 
     def pair_energy_and_scalar_force(self, r, si, sj):
+        from scipy.special import erfc
+
         qq = self.charges[si] * self.charges[sj] * COULOMB_EV_ANGSTROM
         a = self.alpha
         erfc_ar = erfc(a * r)

@@ -41,7 +41,6 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -432,8 +431,10 @@ class ConvergenceTelemetry:
         return summary
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to an :class:`ObservabilityServer`."""
+class _Handler:
+    """Request handler bound to an :class:`ObservabilityServer` (mixed
+    into ``BaseHTTPRequestHandler`` when a server is built, so importing
+    this module does not import ``http.server``)."""
 
     server_version = "repro-obs/1"
     plane: "ObservabilityServer"  # injected by the server factory
@@ -495,7 +496,13 @@ class ObservabilityServer:
         self.status = status if status is not None else get_status()
         self.tracer = tracer
         self.stragglers_top = int(stragglers_top)
-        handler = type("_BoundHandler", (_Handler,), {"plane": self})
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        handler = type(
+            "_BoundHandler",
+            (_Handler, BaseHTTPRequestHandler),
+            {"plane": self},
+        )
         self._httpd = ThreadingHTTPServer((host, int(port)), handler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None

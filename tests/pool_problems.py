@@ -1,13 +1,15 @@
 """Picklable problems for the process-pool tests.
 
-A spawn-started worker imports the module that defines each class it
+A pool worker imports the module that defines each class it
 unpickles, so these live apart from the test modules: a worker that
 rebuilds them imports NumPy and one ``repro`` module, not pytest and
 the chaos harness.
 """
 
 import multiprocessing
+import os
 import shutil
+import sys
 import tempfile
 import time
 import weakref
@@ -71,3 +73,43 @@ class WorkerHostile(Individual):
         if multiprocessing.parent_process() is not None:
             raise RuntimeError("cannot be rebuilt in a worker")
         super().__init__(genome, decoder=decoder, problem=problem)
+
+
+class ModuleProbe:
+    """Reports what the worker that runs it has imported: whether
+    ``scipy`` is loaded, and the ``repro`` modules outside ``known``."""
+
+    n_objectives = 2
+
+    def __init__(self, known=()) -> None:
+        self.known = frozenset(known)
+
+    def evaluate_batch_with_metadata(self, phenomes, uuids=None):
+        report = {
+            "scipy": "scipy" in sys.modules,
+            "beyond": sorted(
+                name
+                for name in sys.modules
+                if name.partition(".")[0] == "repro" and name not in self.known
+            ),
+        }
+        return [(np.zeros(2), report) for _ in phenomes]
+
+
+class EnvironmentProbe:
+    """Reports the worker's view of its process: one environment
+    variable, its working directory, its ``sys.path`` and its pid."""
+
+    n_objectives = 2
+
+    def __init__(self, variable: str) -> None:
+        self.variable = variable
+
+    def evaluate_batch_with_metadata(self, phenomes, uuids=None):
+        report = {
+            "variable": os.environ.get(self.variable),
+            "cwd": os.getcwd(),
+            "sys_path": list(sys.path),
+            "pid": os.getpid(),
+        }
+        return [(np.zeros(2), report) for _ in phenomes]

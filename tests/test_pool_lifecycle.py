@@ -8,7 +8,7 @@ a chunk that has lost ``DEATH_RETRIES`` runs fails with
 budget.  An exception raised *inside* a worker is the chunk's outcome
 and is never re-run.
 
-The problems live in :mod:`tests.pool_problems`, which a spawn-started
+The problems live in :mod:`tests.pool_problems`, which a pool
 worker imports cheaply.  Pools are 1–2 workers.
 """
 
