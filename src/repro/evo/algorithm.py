@@ -28,7 +28,7 @@ the write-ahead commit, resume from a journaled prefix — is
 :func:`run_driver`, which the particle swarm, the surrogate search and
 the barrier-free steady-state scheme of :mod:`repro.evo.pso` /
 :mod:`repro.evo.surrogate` / :mod:`repro.evo.asynchronous` run under
-too.
+too, as do the fixed designs (:class:`DesignDriver`) of the baselines.
 """
 
 from __future__ import annotations
@@ -398,6 +398,9 @@ class NSGA2Driver(Driver):
     sort_algorithm: str = "rank_ordinal"
     context: Optional[Context] = None
 
+    #: how ``ask`` draws each parent to clone (Listing 1: uniformly)
+    select: ClassVar[Callable[..., Any]] = staticmethod(ops.random_selection)
+
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.context is None:
@@ -422,7 +425,7 @@ class NSGA2Driver(Driver):
             )
         return ops.pipe(
             self.parents,
-            lambda pop: ops.random_selection(pop, rng=self.rng),
+            lambda pop: self.select(pop, rng=self.rng),
             ops.clone,
             ops.mutate_gaussian(
                 std=self.context["std"],
@@ -437,17 +440,21 @@ class NSGA2Driver(Driver):
         if self.generation == 0:
             self.parents = list(evaluated)
         else:
-            combined = rank_ordinal_sort_op(
-                parents=self.parents, algorithm=self.sort_algorithm
-            )(evaluated)
-            crowded = crowding_distance_calc(combined)
-            self.parents = ops.truncation_selection(
-                size=self.pop_size, key=lambda x: (-x.rank, x.distance)
-            )(crowded)
+            self.parents = self.survivors(evaluated)
             self.schedule.step()
         return self.record(
             self.parents, evaluated, self.schedule.current.copy()
         )
+
+    def survivors(self, offspring: list[Individual]) -> list[Individual]:
+        """The next parents out of the parents and ``offspring``: rank,
+        crowding distance, truncation (Listing 1)."""
+        combined = rank_ordinal_sort_op(
+            parents=self.parents, algorithm=self.sort_algorithm
+        )(offspring)
+        return ops.truncation_selection(
+            size=self.pop_size, key=lambda x: (-x.rank, x.distance)
+        )(crowding_distance_calc(combined))
 
     def restore(self, run: RestoredRun) -> None:
         """The last population are the parents, its ``std`` the
@@ -455,6 +462,21 @@ class NSGA2Driver(Driver):
         super().restore(run)
         self.parents = list(run.records[-1].population)
         self._anneal(run.records[-1].std)
+
+
+@dataclass(eq=False, kw_only=True)
+class DesignDriver(Driver):
+    """A fixed, pre-drawn list of ``genomes`` as one record: ``ask``
+    hands them all out (run it for ``generations=0``), ``tell`` closes
+    the record with them as its population."""
+
+    genomes: list[np.ndarray]
+
+    def ask(self) -> list[Individual]:
+        return self.individuals(self.genomes)
+
+    def tell(self, evaluated: list[Individual]) -> GenerationRecord:
+        return self.record(evaluated, evaluated, np.zeros(len(self.ranges)))
 
 
 def generational_nsga2(

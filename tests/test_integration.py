@@ -257,3 +257,64 @@ class TestSortingRobustnessEndToEnd:
         F = np.array([[0.1, 0.2], [np.nan, 0.3]])
         with pytest.raises(ValueError):
             rank_ordinal_sort(F)
+
+
+class TestRealCampaignPoolSmoke:
+    """The ledger's ``real_campaign_pool`` campaign at its smoke size,
+    twice over one pool: each run starts from an empty cache, so each
+    must train all eight phenomes again.  A worker answering from a
+    cache it kept from the first run would read fast and correct."""
+
+    #: the ledger pins this EA seed (``POOL_CAMPAIGN_SEED``)
+    SEED = 2023
+
+    def _run(self, directory, dataset, pool):
+        from repro.hpo import Campaign, CampaignConfig
+        from repro.obs.trace import Tracer
+        from repro.store import CachedProblem, EvaluationCache
+
+        cache = EvaluationCache(directory / "cache")
+        problem = CachedProblem(
+            DeepMDProblem(
+                dataset,
+                base_dir=directory / "runs",
+                settings=EvaluatorSettings(numb_steps=4, disp_freq=4),
+            ),
+            cache,
+        )
+        config = CampaignConfig(
+            n_runs=1,
+            pop_size=4,
+            generations=1,
+            base_seed=self.SEED,
+            batch_evals=True,
+            batch_chunk=3,
+        )
+        tracer = Tracer()
+        result = Campaign(
+            lambda seed: problem, config, client=pool, tracer=tracer
+        ).run()
+        fresh = sum(
+            span["tags"]["fresh"] for span in tracer.spans("ea.generation")
+        )
+        entries = len(list((directory / "cache").rglob("*.json")))
+        front = sorted(
+            (
+                np.asarray(ind.genome, dtype=np.float64).tobytes(),
+                np.asarray(ind.fitness, dtype=np.float64).tobytes(),
+            )
+            for ind in result.aggregate_pareto_front()
+        )
+        return fresh, entries, result.n_trainings, front
+
+    def test_each_run_trains_every_phenome(self, tmp_path):
+        from repro.md.dataset import generate_dataset
+
+        dataset = generate_dataset(
+            n_frames=8, equilibration_steps=80, sample_interval=4, rng=11
+        )
+        with ProcessPoolBackend(workers=2) as pool:
+            first = self._run(tmp_path / "first", dataset, pool)
+            second = self._run(tmp_path / "second", dataset, pool)
+        assert first[:3] == (8, 8, 8)
+        assert second == first
