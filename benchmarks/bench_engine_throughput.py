@@ -106,28 +106,18 @@ def _measure_startup(problem: SleepProblem) -> dict:
 def _measure_fleet(
     problem: SleepProblem, n_tasks: int, revoke: bool
 ) -> dict:
-    """Time a sleep-bound batch through the elastic fleet (2-worker
-    pool + inline reserve, autoscale off).  With ``revoke`` one pool
-    worker is preempted right after dispatch, so the run pays the full
-    requeue path: bury the in-flight chunk, replay it on the survivor,
-    finish on half the capacity."""
-    from repro.engine import (
-        ElasticBackend,
-        EvaluationEngine,
-        InlineBackend,
-        ProcessPoolBackend,
-    )
+    """Time a sleep-bound batch through a 2-worker pool with the fleet
+    policy on, as ``--backend fleet`` runs it (ceiling: the initial 2
+    workers).  With ``revoke`` one worker is preempted right after
+    dispatch, so the run pays the full requeue path: bury the in-flight
+    chunk, replay it on the survivor, go on at half the capacity until
+    a sustained backlog regrows the pool."""
+    from repro.engine import EvaluationEngine, ProcessPoolBackend
     from repro.obs.metrics import MetricsRegistry
 
-    pool = ProcessPoolBackend(workers=2)
-    fleet = ElasticBackend(
-        [pool, InlineBackend()],
-        autoscale_interval=None,
-        owns_members=True,
-    )
-    with fleet:
+    with ProcessPoolBackend(workers=2, last_resort=True) as pool:
         engine = EvaluationEngine(
-            client=fleet, metrics=MetricsRegistry(), fault_injector=None
+            client=pool, metrics=MetricsRegistry(), fault_injector=None
         )
         engine.evaluate(_individuals(problem, 2))  # warm-up
         batch = _individuals(problem, n_tasks)
@@ -216,10 +206,10 @@ def run(quick: bool = False) -> dict:
         entry["speedup_vs_inline"] = entry["evals_per_sec"] / inline_eps
         results[f"pool_{workers}"] = entry
 
-    # fleet requeue path: same sleep-bound batch through the elastic
-    # fleet, clean vs one spot-style preemption mid-flight.  The ratio
-    # bounds the cost of losing a worker: it folds in both the replay
-    # of the buried chunk and finishing on half the capacity, so a
+    # fleet requeue path: same sleep-bound batch through the pool's
+    # fleet policy, clean vs one spot-style preemption mid-flight.  The
+    # ratio bounds the cost of losing a worker: it folds in both the
+    # replay of the buried chunk and running on reduced capacity, so a
     # clean fleet keeps it near 1 and anything pathological in the
     # requeue machinery (storms, stalls, duplicate dispatch) blows it
     # past the ceiling.

@@ -28,7 +28,8 @@ scratch on top of NumPy:
 ``repro.engine``
     The evaluation engine and its execution backends: in-process, a
     worker-process pool that respawns dead workers and re-runs their
-    tasks, and an elastic fleet of pools.
+    tasks, and that pool's fleet policy (autoscale, speculation, an
+    in-process last resort).
 ``repro.hpc``
     Discrete-event model of a Summit-like cluster (nodes, batch jobs,
     walltime, faults) and a training-runtime model.

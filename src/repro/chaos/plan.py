@@ -53,8 +53,10 @@ ALL_KINDS: tuple[str, ...] = tuple(SITES)
 #: produce bit-identical results under any plan drawn from these (a
 #: process pool re-runs a dead worker's task; no task may lose more than
 #: the pool's ``DEATH_RETRIES`` runs).
-#: ``revoke_worker`` is recoverable too (the fleet requeues revoked
-#: tasks with unchanged results), but it is deliberately NOT listed
+#: ``revoke_worker`` is recoverable too (the pool requeues a revoked
+#: task onto a survivor, and the fleet policy's last resort runs it
+#: in-process once none is left, with unchanged results), but it is
+#: deliberately NOT listed
 #: here: existing seeded plans draw ``rng.integers(len(kinds))`` over
 #: this tuple, so growing it would silently reshuffle every recorded
 #: equivalence test.  Pass ``kinds=(*RECOVERABLE_KINDS,

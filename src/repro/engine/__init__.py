@@ -20,8 +20,9 @@ evaluation:
   :class:`InlineBackend` for in-process evaluation (one problem call
   per wave of queued chunks),
   :class:`ProcessPoolBackend` for real process-level parallelism on
-  one machine, or :class:`ElasticBackend` for an elastic fleet of
-  pools;
+  one machine — with its fleet policy on, an elastic fleet that
+  autoscales, speculates on stragglers and survives losing every
+  worker;
 * per-evaluation soft timeouts;
 * the §2.2.4 exception→``MAXINT`` failure policy, in exactly one place;
 * tracer spans, metrics counters, and per-evaluation journal hooks;
@@ -44,7 +45,7 @@ from repro.engine.backends import (
     evaluate_stream,
 )
 from repro.engine.core import EngineStats, EvaluationEngine
-from repro.engine.fleet import ElasticBackend, FleetFuture
+from repro.engine.fleet import ElasticBackend
 from repro.engine.invoke import (
     apply_failure,
     call_problem,
@@ -60,7 +61,6 @@ __all__ = [
     "EngineStats",
     "EvaluationEngine",
     "ExecutionBackend",
-    "FleetFuture",
     "InlineBackend",
     "ProcessFuture",
     "ProcessPoolBackend",

@@ -4,9 +4,8 @@ The engine speaks one tiny protocol — ``submit_batch(individuals) ->
 future`` with ``done()``/``result()`` semantics, the future resolving
 to one outcome slot per individual — so the same driver code runs
 candidates in-process (:class:`InlineBackend`), on worker processes
-(:class:`~repro.engine.pool.ProcessPoolBackend`) or on an elastic
-fleet of them (:class:`~repro.engine.fleet.ElasticBackend`) without
-change.
+(:class:`~repro.engine.pool.ProcessPoolBackend`, whose fleet policy
+makes it elastic) without change.
 
 Scalar ``submit(individual)`` is the same call for a chunk of one,
 seen through :class:`SlotFuture`.  :class:`InlineBackend` queues chunks
@@ -201,7 +200,7 @@ class InlineBackend:
     An exception escaping the batch call propagates to whoever polled,
     and every future of the wave resolves to that exception in each of
     its slots.  Like every backend, one instance has one polling thread
-    (the engine's, the fleet's pump or the service's dispatcher), so the
+    (the engine's or the service's dispatcher), so the
     queue takes no lock.
     """
 

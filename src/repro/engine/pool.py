@@ -48,6 +48,11 @@ Design constraints, in order:
 * **No shared locks with workers.**  Each worker owns a private duplex
   pipe; a SIGKILL'd worker can never strand a lock another worker (or
   the parent) needs.
+* **The fleet is a policy, not a layer.**  ``--backend fleet`` is this
+  pool with its fleet policy on (``max_workers`` / ``speculate`` /
+  ``last_resort``, DESIGN.md §9): autoscale against queue depth, a
+  speculative copy of a straggling chunk on an idle worker, and the
+  backlog run in-process once revocation has taken the last worker.
 
 The parent side is single-threaded: all bookkeeping happens inside
 :meth:`ProcessPoolBackend._drain`, which the engine's poll loop drives
@@ -64,7 +69,7 @@ import weakref
 import zlib
 from typing import Any, Iterable, Optional
 
-from repro.engine.backends import SlotFuture
+from repro.engine.backends import SlotFuture, evaluate_individuals_batch
 from repro.exceptions import (
     EvaluationError,
     TrainingTimeoutError,
@@ -81,6 +86,17 @@ _JOIN_TIMEOUT = 5.0
 #: runs a task may lose to dead or revoked workers and still be re-run
 #: (Dask's ``allowed-failures``); a death past it is the task's failure
 DEATH_RETRIES = 2
+
+#: the fleet policy's tuning (DESIGN.md §9).  A chunk is a straggler
+#: once it has run STRAGGLER_FACTOR × the pool's mean dispatch→reply
+#: time, never sooner than MIN_SPECULATE_S, and only after MIN_HISTORY
+#: replies; autoscale observes the queue every AUTOSCALE_INTERVAL
+#: seconds and rescales after SUSTAIN_TICKS like observations in a row
+STRAGGLER_FACTOR = 3.0
+MIN_SPECULATE_S = 0.05
+MIN_HISTORY = 3
+AUTOSCALE_INTERVAL = 0.25
+SUSTAIN_TICKS = 2
 
 #: what the forkserver imports before it forks a worker: NumPy and every
 #: ``repro`` module a worker loads to serve this package's problems,
@@ -137,6 +153,21 @@ def _segment_collected(pool_ref: Any, ident: tuple[int, int, type]) -> None:
         pool._forget_segment(ident)
 
 
+def _individuals(
+    items: Iterable[tuple[str, Any, Any]], segments: dict[str, Any]
+) -> list[Any]:
+    """The individuals of one chunk's ``(segment key, genome, uuid)``
+    items, rebuilt over their segments' ``(problem, decoder, class)``
+    triples, uuids included."""
+    individuals = []
+    for key, genome, uuid in items:
+        problem, decoder, cls = segments[key]
+        ind = cls(genome, decoder=decoder, problem=problem)
+        ind.uuid = uuid
+        individuals.append(ind)
+    return individuals
+
+
 def _pool_worker_main(
     conn: Any, worker_name: str = "pool-?"
 ) -> None:  # pragma: no cover - subprocess
@@ -154,7 +185,6 @@ def _pool_worker_main(
     ``time.monotonic()`` is CLOCK_MONOTONIC, shared across processes
     on one host, so worker span timestamps line up with the parent's.
     """
-    from repro.engine.backends import evaluate_individuals_batch
     from repro.injection import set_injector
 
     set_injector(None)
@@ -187,12 +217,7 @@ def _pool_worker_main(
         error: str | None = None
         n_items = 0
         try:
-            individuals = []
-            for segment_key, genome, uuid in pickle.loads(payload):
-                problem, decoder, cls = segments[segment_key]
-                ind = cls(genome, decoder=decoder, problem=problem)
-                ind.uuid = uuid
-                individuals.append(ind)
+            individuals = _individuals(pickle.loads(payload), segments)
             n_items = len(individuals)
             slots = [
                 _shippable(slot) if isinstance(slot, BaseException) else slot
@@ -324,6 +349,40 @@ class _WorkerHandle:
         self.pending_revoke = False
 
 
+class _Fleet:
+    """The fleet policy's bounds, switches and running state on one
+    pool (applied inside :meth:`ProcessPoolBackend._drain`)."""
+
+    def __init__(
+        self,
+        registry: MetricsRegistry,
+        floor: int,
+        ceiling: int,
+        speculate: bool,
+        last_resort: bool,
+    ) -> None:
+        self.floor = floor
+        self.ceiling = ceiling
+        self.speculate = speculate
+        self.last_resort = last_resort
+        #: dispatch→reply seconds summed over resolving replies, and
+        #: their count: the straggler threshold's mean
+        self.reply_s = 0.0
+        self.replies = 0
+        #: task id → the worker running its speculative copy, until the
+        #: slower copy replies or dies
+        self.copies: dict[int, str] = {}
+        #: consecutive autoscale observations with a backlog / idle
+        self.pressure = 0
+        self.idle = 0
+        self.last_tick = time.monotonic()
+        self.c_spec = registry.counter("fleet_speculations_total")
+        self.c_wins = registry.counter("fleet_speculative_wins_total")
+        self.c_dups = registry.counter("fleet_duplicate_results_total")
+        self.c_up = registry.counter("fleet_scale_up_total")
+        self.c_down = registry.counter("fleet_scale_down_total")
+
+
 class ProcessPoolBackend:
     """Fan evaluations out over a pool of worker *processes*.
 
@@ -345,6 +404,13 @@ class ProcessPoolBackend:
         Chaos seam; defaults to the process-wide injector of
         :mod:`repro.injection`, so ``use_injector(plan.injector())``
         scopes drive pool faults.
+    max_workers / speculate / last_resort:
+        The fleet policy (DESIGN.md §9), on when any is given:
+        autoscale between ``workers`` and ``max_workers``; with
+        ``speculate``, a copy of a straggling chunk on an idle worker,
+        first reply wins; with ``last_resort``, the backlog runs in
+        this process once revocation has taken the last worker
+        (without it, that backlog fails with :class:`WorkerRevoked`).
     """
 
     is_execution_backend = True
@@ -357,6 +423,9 @@ class ProcessPoolBackend:
         fault_injector: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Any = None,
+        max_workers: Optional[int] = None,
+        speculate: bool = False,
+        last_resort: bool = False,
     ) -> None:
         import multiprocessing as mp
 
@@ -379,6 +448,7 @@ class ProcessPoolBackend:
         )
         self.tracer = tracer if tracer is not None else get_tracer()
         registry = metrics if metrics is not None else get_registry()
+        self._registry = registry
         self._c_dispatched = registry.counter("pool_tasks_dispatched_total")
         self._c_deaths = registry.counter("pool_worker_deaths_total")
         self._c_respawns = registry.counter("pool_worker_respawns_total")
@@ -395,10 +465,11 @@ class ProcessPoolBackend:
         #: revoked task can be requeued verbatim (same payload, same
         #: uuids) with only its attempt counter bumped
         self._queue: list[int] = []
-        #: task_id → [payload, {segment key: (problem, decoder)},
-        #: attempt]; kept until the task's future resolves (or is
-        #: cancelled), so in-flight work survives the worker that held
-        #: it — and so do its segments, which a requeue re-ships
+        #: task_id → [payload, {segment key: (problem, decoder,
+        #: class)}, attempt]; kept until the task's future resolves (or
+        #: is cancelled), so in-flight work survives the worker that
+        #: held it — and so do its segments, which a requeue re-ships
+        #: and the last resort rebuilds individuals over
         self._tasks: dict[int, list[Any]] = {}
         #: segment registry: identity of (problem, decoder, class) →
         #: (key, strongly held objects, finalizers).  It holds a problem
@@ -421,10 +492,21 @@ class ProcessPoolBackend:
         #: must stay dead so requeued-elsewhere is checkable from the
         #: trace alone
         self._next_worker_index = int(workers)
+        #: the fleet policy, or None: a plain pool pays one attribute
+        #: test per drain for it
+        self._fleet: Optional[_Fleet] = None
         for handle in self._workers:
             self._spawn(handle)
             self._publish_worker(handle, "idle")
         self._sample_gauges()
+        if max_workers is not None or speculate or last_resort:
+            self._fleet = _Fleet(
+                registry,
+                int(workers),
+                int(max_workers or workers),
+                speculate,
+                last_resort,
+            )
 
     @property
     def n_workers(self) -> int:
@@ -463,6 +545,27 @@ class ProcessPoolBackend:
                 respawns=handle.respawns,
                 pid=getattr(handle.process, "pid", None),
             )
+
+    def fleet_snapshot(self) -> dict[str, Any]:
+        """Strict-JSON fleet-policy state for ``/status`` and the
+        monitor; empty when the policy is off."""
+        fleet = self._fleet
+        if fleet is None:
+            return {}
+        return {
+            "workers": self.n_workers,
+            "min_workers": fleet.floor,
+            "max_workers": fleet.ceiling,
+            "speculate": fleet.speculate,
+            "in_flight": len(self._futures),
+            "queue_depth": len(self._queue),
+            "requeued": int(self._c_requeued.value),
+            "speculations": int(fleet.c_spec.value),
+            "speculative_wins": int(fleet.c_wins.value),
+            "duplicates_discarded": int(fleet.c_dups.value),
+            "scale_ups": int(fleet.c_up.value),
+            "scale_downs": int(fleet.c_down.value),
+        }
 
     # ------------------------------------------------------------------
     # ExecutionBackend protocol
@@ -559,10 +662,10 @@ class ProcessPoolBackend:
         if self._closed:
             raise RuntimeError("ProcessPoolBackend is closed")
         items = []
-        segments: dict[str, tuple[Any, Any]] = {}
+        segments: dict[str, tuple[Any, Any, type]] = {}
         for ind in individuals:
             key = self._segment_key(ind)
-            segments.setdefault(key, (ind.problem, ind.decoder))
+            segments.setdefault(key, (ind.problem, ind.decoder, type(ind)))
             items.append((key, ind.genome, ind.uuid))
         payload = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
         task_id = self._next_task_id
@@ -588,9 +691,9 @@ class ProcessPoolBackend:
         future = ProcessFuture(self, task_id)
         self._futures[task_id] = future
         self._tasks[task_id] = [payload, segments, 0]
-        if not self._workers:
-            # every worker was revoked away: fail fast so a fleet can
-            # reroute (standalone → MAXINT via the engine's policy)
+        if not (self._workers or self._fleet and self._fleet.last_resort):
+            # every worker was revoked away and no last resort will run
+            # the queue: fail fast (→ MAXINT via the engine's policy)
             self._fail_task(
                 task_id, WorkerRevoked("pool", "no surviving worker")
             )
@@ -698,13 +801,19 @@ class ProcessPoolBackend:
         )
         self._queue.insert(0, task_id)
 
+    def _running(self, task_id: int) -> bool:
+        """Whether a worker still runs ``task_id``: a speculated chunk's
+        other copy, when one is lost."""
+        return any(h.busy_task == task_id for h in self._workers)
+
     def _bury_revoked(self, handle: _WorkerHandle) -> None:
         """Spot preemption landed: requeue the in-flight task (same
-        payload, same uuids, attempt+1) and retire the worker — no
-        respawn, capacity shrinks.  When the last worker goes, queued
-        and in-flight work fails with :class:`WorkerRevoked` so a
-        fleet backend can reroute it (standalone pools degrade to the
-        engine's crash→MAXINT policy)."""
+        payload, same uuids, attempt+1) unless its other copy still
+        runs, and retire the worker — no respawn, capacity shrinks.
+        When the last worker goes, the fleet policy's last resort runs
+        queued and in-flight work in this process; without it that
+        work fails with :class:`WorkerRevoked` (→ MAXINT under the
+        engine's policy)."""
         task_id = handle.busy_task
         handle.busy_task = None
         self._c_revoked.inc()
@@ -721,8 +830,15 @@ class ProcessPoolBackend:
         handle.process.join(_JOIN_TIMEOUT)
         self._workers.remove(handle)
         self._g_workers.set(self.n_workers)
-        if task_id is not None and task_id in self._futures:
-            if self._workers:
+        last_resort = self._fleet and self._fleet.last_resort
+        if self._fleet:
+            self._fleet.copies.pop(task_id, None)
+        if (
+            task_id is not None
+            and task_id in self._futures
+            and not self._running(task_id)
+        ):
+            if self._workers or last_resort:
                 self._requeue(task_id, handle, ran=True)
             else:
                 self._fail_task(
@@ -732,7 +848,13 @@ class ProcessPoolBackend:
                         "revoked with no surviving pool worker",
                     ),
                 )
-        if not self._workers:
+        if not self._workers and last_resort:
+            self.tracer.event(
+                "fleet.last_resort",
+                worker=handle.name,
+                queued=len(self._queue),
+            )
+        elif not self._workers:
             # nothing left to run the backlog either
             for queued_id in list(self._queue):
                 self._fail_task(
@@ -851,70 +973,77 @@ class ProcessPoolBackend:
             if not self._queue:
                 continue
             task_id = self._queue.pop(0)
-            payload, segments, attempt = self._tasks[task_id]
-            delay = 0.0
-            die = False
-            revoke = False
-            if self._injector is not None:
-                delay = self._injector.worker_delay(
-                    handle.name, handle.tasks_dispatched
-                )
-                die = self._injector.should_fail(
-                    handle.name, handle.tasks_dispatched
-                )
-                revoke = self._injector.should_revoke(
-                    handle.name, handle.tasks_dispatched
-                )
-            trace = bool(getattr(self.tracer, "enabled", False))
-            if trace:
-                task_key = f"pool-task-{task_id}"
-                if delay > 0.0:
-                    # chaos firing: injected straggler, decided here
-                    self.tracer.event(
-                        "worker.slow",
-                        worker=handle.name,
-                        task=task_key,
-                        seconds=delay,
-                    )
-                if die and not revoke:
-                    # chaos firing: this dispatch will kill the worker
-                    self.tracer.event(
-                        "worker.fault",
-                        worker=handle.name,
-                        task=task_key,
-                    )
-            handle.tasks_dispatched += 1
-            self._c_dispatched.inc()
-            if revoke:
-                # spot preemption: the worker dies mid-task like a
-                # plain death, but _drain requeues the task and retires
-                # the worker instead of failing and respawning
-                handle.pending_revoke = True
-                die = True
-            try:
-                for key in segments:
-                    if key in handle.segments:
-                        continue
-                    # ship the shared (problem, decoder, class) triple
-                    # once per worker process; the pipe is FIFO, so the
-                    # segment always lands before the task that needs it
-                    handle.conn.send(
-                        ("segment", key, self._segment_payloads[key])
-                    )
-                    handle.segments.add(key)
-                handle.conn.send(
-                    ("batch", task_id, payload, delay, die, trace, attempt)
-                )
-            except (BrokenPipeError, OSError):
+            if not self._send(handle, task_id):
                 # the worker died idle: the task never ran, so it goes
                 # back unspent and the successor takes it on the next
                 # drain
                 self._requeue(task_id, handle, ran=False)
                 self._replace(handle)
-                continue
-            handle.busy_task = task_id
-            handle.dispatched_at = time.monotonic()
-            self._publish_worker(handle, "busy", task=task_id)
+
+    def _send(self, handle: _WorkerHandle, task_id: int) -> bool:
+        """Dispatch one task to one idle worker, shipping the segments
+        it lacks first; False when the worker turns out dead.  The
+        chaos injector is consulted here, per dispatch."""
+        payload, segments, attempt = self._tasks[task_id]
+        delay = 0.0
+        die = False
+        revoke = False
+        if self._injector is not None:
+            delay = self._injector.worker_delay(
+                handle.name, handle.tasks_dispatched
+            )
+            die = self._injector.should_fail(
+                handle.name, handle.tasks_dispatched
+            )
+            revoke = self._injector.should_revoke(
+                handle.name, handle.tasks_dispatched
+            )
+        trace = bool(getattr(self.tracer, "enabled", False))
+        if trace:
+            task_key = f"pool-task-{task_id}"
+            if delay > 0.0:
+                # chaos firing: injected straggler, decided here
+                self.tracer.event(
+                    "worker.slow",
+                    worker=handle.name,
+                    task=task_key,
+                    seconds=delay,
+                )
+            if die and not revoke:
+                # chaos firing: this dispatch will kill the worker
+                self.tracer.event(
+                    "worker.fault",
+                    worker=handle.name,
+                    task=task_key,
+                )
+        handle.tasks_dispatched += 1
+        self._c_dispatched.inc()
+        if revoke:
+            # spot preemption: the worker dies mid-task like a
+            # plain death, but _drain requeues the task and retires
+            # the worker instead of failing and respawning
+            handle.pending_revoke = True
+            die = True
+        try:
+            for key in segments:
+                if key in handle.segments:
+                    continue
+                # ship the shared (problem, decoder, class) triple
+                # once per worker process; the pipe is FIFO, so the
+                # segment always lands before the task that needs it
+                handle.conn.send(
+                    ("segment", key, self._segment_payloads[key])
+                )
+                handle.segments.add(key)
+            handle.conn.send(
+                ("batch", task_id, payload, delay, die, trace, attempt)
+            )
+        except (BrokenPipeError, OSError):
+            return False
+        handle.busy_task = task_id
+        handle.dispatched_at = time.monotonic()
+        self._publish_worker(handle, "busy", task=task_id)
+        return True
 
     def _drain(self) -> None:
         """Collect finished work, bury dead workers, enforce deadlines,
@@ -944,24 +1073,24 @@ class ProcessPoolBackend:
                 if handle.busy_task == task_id:
                     handle.busy_task = None
                     self._publish_worker(handle, "idle")
+                fleet = self._fleet
+                if fleet is not None:
+                    if future is None:
+                        if fleet.copies.pop(task_id, None) is not None:
+                            fleet.c_dups.inc()  # a speculated chunk's loser
+                    else:  # the first reply feeds the straggler mean
+                        fleet.reply_s += now - handle.dispatched_at
+                        fleet.replies += 1
+                        if fleet.copies.get(task_id) == handle.name:
+                            fleet.c_wins.inc()
                 if future is None:
-                    # task already failed (deadline) or was cancelled
-                    # (speculation loser): discard the late result —
-                    # its fate was sealed, and its terminal trace event
-                    # already emitted, when the future resolved
+                    # task already failed (deadline), was cancelled, or
+                    # is the slower copy of a speculated chunk: discard
+                    # the late result — its fate was sealed, and its
+                    # terminal trace event already emitted, when the
+                    # future resolved
                     continue
-                self._tasks.pop(task_id, None)
-                if getattr(self.tracer, "enabled", False):
-                    self.tracer.event(
-                        "task.done" if kind != "raised" else "task.err",
-                        task=f"pool-task-{task_id}",
-                    )
-                if kind == "batchdone":
-                    # per-slot outcomes: (fitness, metadata) tuples or
-                    # exception instances, in submission order
-                    future._resolve(result=msg[2])
-                else:  # "raised": re-raise the worker-side exception
-                    future._resolve(exception=msg[2])
+                self._settle(task_id, future, kind, msg[2])
             # 2. death: a busy worker that is gone is replaced and its
             #    task re-run, until the task has lost DEATH_RETRIES runs
             #    (→ WorkerFailure → MAXINT in the engine); a revoked
@@ -984,8 +1113,13 @@ class ProcessPoolBackend:
                     )
                     self._publish_worker(handle, "dead", task=task_id)
                     handle.busy_task = None
-                    # a cancelled task has nobody waiting for a re-run
-                    if task_id in self._futures:
+                    if self._fleet:
+                        self._fleet.copies.pop(task_id, None)
+                    # a cancelled task has nobody waiting for a re-run,
+                    # and a speculated one may still have its other copy
+                    if task_id in self._futures and not self._running(
+                        task_id
+                    ):
                         lost = self._tasks[task_id][2]
                         if lost < DEATH_RETRIES:
                             self._requeue(task_id, handle, ran=True)
@@ -1022,7 +1156,126 @@ class ProcessPoolBackend:
                 handle.busy_task = None
                 self._replace(handle)
         self._dispatch_idle()
+        if self._fleet is not None:
+            self._steer(now)
         self._sample_gauges()
+
+    def _settle(
+        self, task_id: int, future: ProcessFuture, kind: str, value: Any
+    ) -> None:
+        """Resolve a task with its outcome: ``"batchdone"`` per-slot
+        outcomes — ``(fitness, metadata)`` tuples or exception
+        instances, in submission order — or the exception a
+        ``"raised"`` chunk raised, re-raised by ``result()``."""
+        self._tasks.pop(task_id, None)
+        if getattr(self.tracer, "enabled", False):
+            self.tracer.event(
+                "task.done" if kind != "raised" else "task.err",
+                task=f"pool-task-{task_id}",
+            )
+        if kind == "batchdone":
+            future._resolve(result=value)
+        else:
+            future._resolve(exception=value)
+
+    # ------------------------------------------------------------------
+    # the fleet policy (DESIGN.md §9), applied from _drain
+    # ------------------------------------------------------------------
+    def _steer(self, now: float) -> None:
+        """One step of the fleet policy: the last resort when no
+        worker is left, speculation, and the autoscale tick."""
+        fleet = self._fleet
+        if self._queue and not self._workers and fleet.last_resort:
+            self._last_resort()
+        if fleet.speculate and fleet.replies >= MIN_HISTORY:
+            self._speculate(now)
+        if now - fleet.last_tick >= AUTOSCALE_INTERVAL:
+            self._autoscale(now)
+
+    def _last_resort(self) -> None:
+        """Revocation took the last worker: run the backlog in this
+        process — the same chunks with the same uuids, on individuals
+        rebuilt from the specs the pool holds."""
+        task_ids, self._queue = self._queue, []
+        for task_id in task_ids:
+            payload, segments, _ = self._tasks[task_id]
+            future = self._futures.pop(task_id)
+            try:
+                slots = evaluate_individuals_batch(
+                    _individuals(pickle.loads(payload), segments)
+                )
+            except Exception as exc:  # noqa: BLE001 - chunk-fatal
+                self._settle(task_id, future, "raised", exc)
+            else:
+                self._settle(task_id, future, "batchdone", slots)
+
+    def _speculate(self, now: float) -> None:
+        """Copy each straggling chunk to an idle worker — never into
+        the queue behind other work; the first reply resolves it."""
+        idle = [h for h in self._workers if h.busy_task is None]
+        if not idle:
+            return
+        fleet = self._fleet
+        threshold = max(
+            MIN_SPECULATE_S, STRAGGLER_FACTOR * fleet.reply_s / fleet.replies
+        )
+        for handle in list(self._workers):
+            task_id = handle.busy_task
+            if (
+                not idle
+                or task_id is None
+                or task_id in fleet.copies
+                or task_id not in self._futures
+                or now - handle.dispatched_at <= threshold
+            ):
+                continue
+            spare = idle.pop(0)
+            if not self._send(spare, task_id):
+                self._replace(spare)  # died idle; the straggler runs on
+                continue
+            fleet.copies[task_id] = spare.name
+            fleet.c_spec.inc()
+            self.tracer.event(
+                "fleet.speculate",
+                task=f"pool-task-{task_id}",
+                worker=spare.name,
+                threshold=round(threshold, 6),
+            )
+
+    def _autoscale(self, now: float) -> None:
+        """One autoscale observation.  A backlog seen
+        :data:`SUSTAIN_TICKS` times in a row grows the pool toward the
+        ceiling; as long an idle pool shrinks by one worker toward the
+        floor.  One transient spike never rescales."""
+        fleet = self._fleet
+        fleet.last_tick = now
+        depth = self.queue_depth()
+        if depth:
+            fleet.pressure, fleet.idle = fleet.pressure + 1, 0
+        elif not self._futures:
+            fleet.pressure, fleet.idle = 0, fleet.idle + 1
+        else:
+            fleet.pressure = fleet.idle = 0
+        n = self.n_workers
+        if fleet.pressure >= SUSTAIN_TICKS:
+            fleet.pressure = 0
+            if min(fleet.ceiling, n + depth) > n:
+                self.scale_to(min(fleet.ceiling, n + depth))
+                fleet.c_up.inc()
+                self.tracer.event("fleet.scale_up", workers=self.n_workers)
+        elif fleet.idle >= SUSTAIN_TICKS:
+            fleet.idle = 0
+            if n > fleet.floor:
+                self.scale_to(n - 1)
+                fleet.c_down.inc()
+                self.tracer.event(
+                    "fleet.scale_down", workers=self.n_workers
+                )
+        from repro.obs.live import get_status
+
+        status = get_status()
+        if status.enabled:
+            status.fleet_update(**self.fleet_snapshot())
 
     # ------------------------------------------------------------------
     # shutdown
@@ -1052,6 +1305,9 @@ class ProcessPoolBackend:
                     WorkerFailure(handle.name, "pool closed mid-task"),
                 )
                 handle.busy_task = None
+                # it would finish the task before it read a "stop"
+                handle.process.kill()
+                continue
             try:
                 handle.conn.send(("stop",))
             except (BrokenPipeError, OSError):

@@ -80,10 +80,10 @@ class WorkerFailure(ReproError):
 class WorkerRevoked(WorkerFailure):
     """A worker was preempted (spot-style revocation) mid-task.
 
-    Subclasses :class:`WorkerFailure` so a standalone pool backend
-    degrades to the same crash→``MAXINT`` policy; the elastic fleet
-    backend catches it first and requeues the task to a surviving
-    member instead.
+    Subclasses :class:`WorkerFailure` so a pool that has lost its
+    last worker degrades to the same crash→``MAXINT`` policy; a pool
+    with the fleet policy's last resort runs the task in-process
+    instead and never raises it.
     """
 
 

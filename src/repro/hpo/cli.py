@@ -233,10 +233,11 @@ def _execution_backend(stack, args: argparse.Namespace):
 
     ``inline`` evaluates in-process; ``pool`` spawns a real
     ``multiprocessing`` worker pool (``--pool-workers``, with an
-    optional per-evaluation ``--pool-deadline``); ``fleet`` puts that
-    pool and an inline reserve behind an elastic fleet.  Their
-    lifetimes are tied to ``stack`` so workers are torn down even when
-    the campaign raises.
+    optional per-evaluation ``--pool-deadline``); ``fleet`` is that
+    pool with its fleet policy on: autoscale from ``--min-workers`` to
+    ``--max-workers`` (within a service's ``--slots``), ``--speculate``,
+    and the in-process last resort.  Its lifetime is tied to ``stack``
+    so workers are torn down even when the campaign raises.
     Constructed inside the chaos scope so dispatch-time fault hooks
     bind to the active plan.
     """
@@ -244,7 +245,7 @@ def _execution_backend(stack, args: argparse.Namespace):
     workers = getattr(args, "pool_workers", None) or 4
     if backend == "inline":
         return None
-    from repro.engine import ElasticBackend, InlineBackend, ProcessPoolBackend
+    from repro.engine import ProcessPoolBackend
 
     deadline = getattr(args, "pool_deadline", None)
     if backend == "pool":
@@ -255,17 +256,16 @@ def _execution_backend(stack, args: argparse.Namespace):
     max_workers = getattr(args, "max_workers", None) or max(
         min_workers, workers
     )
-    pool = ProcessPoolBackend(workers=min_workers, deadline=deadline)
-    # fleet: the inline reserve rescues work when every pool worker
-    # has been revoked and hosts speculative re-executions
+    slots = getattr(args, "slots", None)
+    if slots is not None:
+        max_workers = min(max_workers, slots)
     return stack.enter_context(
-        ElasticBackend(
-            [pool, InlineBackend()],
-            min_workers=min_workers,
+        ProcessPoolBackend(
+            workers=min_workers,
+            deadline=deadline,
             max_workers=max_workers,
-            slots_cap=getattr(args, "slots", None),
             speculate=bool(getattr(args, "speculate", False)),
-            owns_members=True,
+            last_resort=True,
         )
     )
 
@@ -751,7 +751,7 @@ def _render_service_dashboard(snapshot: dict) -> str:
 
 
 def _format_fleet_line(fleet: dict) -> str:
-    """One-line elastic fleet summary shared by both monitor views."""
+    """One-line fleet-policy summary shared by both monitor views."""
     bounds = (
         f"{fleet.get('min_workers') or '?'}"
         f"-{fleet.get('max_workers') or '?'}"
@@ -1016,9 +1016,10 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default="inline",
         help=(
             "execution backend: inline (in-process, default), pool "
-            "(multiprocessing worker pool), or fleet (elastic pool + "
-            "inline reserve with preemption survival; see "
-            "--min-workers/--max-workers/--speculate)"
+            "(multiprocessing worker pool), or fleet (the pool with "
+            "autoscale, and with an in-process last resort once every "
+            "worker is revoked; see --min-workers/--max-workers/"
+            "--speculate)"
         ),
     )
     parser.add_argument(
@@ -1062,8 +1063,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         "--speculate",
         action="store_true",
         help=(
-            "fleet backend: re-execute straggling evaluations on a "
-            "second member; first result wins, the duplicate is "
+            "fleet backend: copy a straggling evaluation to an idle "
+            "pool worker; the first result wins, the other is "
             "discarded"
         ),
     )
@@ -1127,8 +1128,8 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
             "testing: revoke (spot-preempt) a worker at these "
             "task-pickup ordinals; --backend pool requeues its "
             "in-flight work onto a surviving worker and scores it "
-            "MAXINT only once the pool's last worker is revoked, "
-            "--backend fleet then reroutes it to another member"
+            "MAXINT only once the pool's last worker is revoked; "
+            "--backend fleet then runs it in-process instead"
         ),
     )
 

@@ -200,8 +200,8 @@ class CampaignStatus:
             entry["updated_ts"] = time.time()
 
     def fleet_update(self, **fields: Any) -> None:
-        """Latest :meth:`~repro.engine.fleet.ElasticBackend.
-        fleet_snapshot` view — member sizes, requeues, speculation."""
+        """Latest :meth:`~repro.engine.pool.ProcessPoolBackend.
+        fleet_snapshot` view — size, bounds, requeues, speculation."""
         with self._lock:
             self._fleet.update(fields)
             self._fleet["updated_ts"] = time.time()

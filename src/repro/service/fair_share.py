@@ -364,14 +364,14 @@ class FairShareScheduler:
     def _pick(self) -> Optional[tuple[CampaignQueue, _TenantAccount]]:
         """The fair-share choice, under the lock; None when nothing is
         eligible (empty queues, quotas saturated, or fleet full)."""
-        # an elastic backend's capacity moves while campaigns run
-        # (autoscale, revocation); re-probe it so the slot ceiling
-        # tracks the live fleet instead of the size at construction
-        cap = getattr(self.backend, "capacity", None)
+        # a pool's size moves while campaigns run (autoscale,
+        # revocation); re-read it so the slot ceiling tracks the live
+        # fleet instead of the size at construction
+        n_workers = getattr(self.backend, "n_workers", None)
         limit = (
             self.total_slots
-            if not callable(cap)
-            else min(self.total_slots, max(1, int(cap())))
+            if n_workers is None
+            else min(self.total_slots, max(1, int(n_workers)))
         )
         if len(self._inflight) >= limit:
             return None

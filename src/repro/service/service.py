@@ -257,7 +257,7 @@ class CampaignService:
             "max_active": self.max_active,
         }
         fleet = getattr(self.scheduler.backend, "fleet_snapshot", None)
-        if callable(fleet):
+        if callable(fleet) and fleet():
             service["fleet"] = fleet()
         return {
             "state": (

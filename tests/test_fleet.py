@@ -1,24 +1,32 @@
-"""Elastic fleet tests: preemption survival, speculation, autoscale.
+"""The fleet policy: preemption survival, speculation, autoscale.
 
-Three layers, cheapest first:
+The fleet is a policy of :class:`ProcessPoolBackend`, applied inside
+its ``_drain`` (DESIGN.md §9).  Four layers, cheapest first:
 
 * pool-level revocation (the ``revoke_worker`` chaos kind): the worker
   is removed without respawn, its in-flight task requeued to a
   survivor and re-executed under the same task id — the
   ``requeued_elsewhere`` trace invariant holds;
-* fleet-level behaviour on fast in-process fake members: routing,
-  member-to-member requeue, speculation from ``straggler_summary``
-  telemetry, duplicate discard, autoscale hysteresis;
+* the policy on a real pool: a straggler's copy on an idle worker,
+  first reply wins and the second is discarded, autoscale hysteresis
+  between the pool's initial size and ``max_workers``, and the
+  in-process last resort once revocation takes the last worker;
+* ``ElasticBackend``, the thin name that applies the policy to a pool
+  its caller holds;
 * full campaigns: a ``--backend fleet`` run under a seeded preemption
-  storm is bit-identical to inline (the suite's equivalence currency:
-  sorted (genome, fitness) pairs plus the Pareto front), including
-  across a kill → resume mid-storm.
+  storm, or with a speculated straggler, is bit-identical to inline
+  (sorted (genome, fitness) pairs, the Pareto front, the journal),
+  including across a kill → resume mid-storm.
 
-Spawn-started pool workers re-import referenced classes, so problems
-used with real pools come from ``repro`` itself.
+The problems used with real pools come from ``repro`` itself or from
+:mod:`tests.pool_problems`, which a pool worker imports cheaply.
 """
 
+import argparse
+import contextlib
+import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -27,25 +35,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.chaos import Fault, FaultPlan, InvariantChecker
+from repro.chaos import (
+    Fault,
+    FaultPlan,
+    InvariantChecker,
+    verify_resume_equivalence,
+)
 from repro.engine import (
     ElasticBackend,
     EvaluationEngine,
     InlineBackend,
     ProcessPoolBackend,
 )
-from repro.engine.fleet import FleetFuture
-from repro.evo.individual import MAXINT
-from repro.exceptions import WorkerRevoked
+from repro.engine import pool as pool_module
+from repro.engine.pool import MIN_HISTORY, SUSTAIN_TICKS
+from repro.evo.individual import MAXINT, Individual
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.injection import use_injector
 from repro.obs import Tracer, use_tracer
 from repro.obs.metrics import MetricsRegistry
+from tests.pool_problems import Echo, Sleepy
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CFG = CampaignConfig(n_runs=1, pop_size=6, generations=2, base_seed=11)
+
+_SLEEPY = Sleepy(0.05)
 
 
 def _surrogate_individuals(n, seed=0):
@@ -59,6 +75,13 @@ def _surrogate_individuals(n, seed=0):
         decoder=DeepMDRepresentation.decoder(),
         rng=seed,
     )
+
+
+def _echo(n, start=0):
+    return [
+        Individual(np.array([float(start + i), 0.0]), problem=Echo())
+        for i in range(n)
+    ]
 
 
 def _evals(result):
@@ -91,60 +114,12 @@ def _drain(engine):
     return done
 
 
-# ----------------------------------------------------------------------
-# fast in-process fakes (no interpreter startup)
-# ----------------------------------------------------------------------
-class FakeFuture:
-    def __init__(self):
-        self._resolved = False
-        self._result = None
-        self._exc = None
-        self.cancelled = False
-
-    def resolve(self, result=None, exc=None):
-        self._resolved = True
-        self._result = result
-        self._exc = exc
-
-    def done(self):
-        return self._resolved
-
-    def result(self, timeout=None):
-        if self._exc is not None:
-            raise self._exc
-        return self._result
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class FakeMember:
-    """A member backend the test resolves by hand."""
-
-    is_execution_backend = True
-
-    def __init__(self, n_workers=2):
-        self.n_workers = n_workers
-        self.submitted = []
-
-    def submit_batch(self, individuals):
-        future = FakeFuture()
-        self.submitted.append((list(individuals), future))
-        return future
-
-    def on_cache_hit(self, individual):
-        pass
-
-
-def _fake_fleet(n_members=2, **kwargs):
-    members = [FakeMember() for _ in range(n_members)]
-    kwargs.setdefault("metrics", MetricsRegistry())
-    kwargs.setdefault("autoscale_interval", None)
-    return ElasticBackend(members, **kwargs), members
+def _count(registry, name):
+    return registry.counter(name).value
 
 
 # ----------------------------------------------------------------------
-# pool-level revocation (the new chaos kind)
+# pool-level revocation (the chaos kind)
 # ----------------------------------------------------------------------
 class TestPoolRevocation:
     def test_revoked_task_requeued_on_survivor(self):
@@ -179,8 +154,8 @@ class TestPoolRevocation:
         assert report.checked.get("requeued_elsewhere", 0) >= 1
 
     def test_last_worker_revoked_fails_with_worker_revoked(self):
-        """With no survivor the pool cannot requeue: the task fails
-        with WorkerRevoked, which the engine maps to MAXINT."""
+        """Without the fleet policy there is no last resort: the task
+        fails with WorkerRevoked, which the engine maps to MAXINT."""
         plan = FaultPlan([Fault(kind="revoke_worker", at=1)])
         with use_injector(plan.injector()):
             with ProcessPoolBackend(
@@ -223,8 +198,8 @@ class TestPoolRevocation:
         assert tracer.events("pool.scale_down")
 
     def test_revoke_worker_api_without_chaos(self):
-        """Operational revocation (no injector): the explicit API used
-        by the fleet walkthrough drains exactly like the chaos kind."""
+        """Operational revocation (no injector): the explicit API
+        drains exactly like the chaos kind."""
         with ProcessPoolBackend(
             workers=2, metrics=MetricsRegistry()
         ) as pool:
@@ -241,269 +216,322 @@ class TestPoolRevocation:
 
 
 # ----------------------------------------------------------------------
-# fleet routing & requeue (fake members)
+# the policy's switches
 # ----------------------------------------------------------------------
-class TestFleetRouting:
-    def test_least_loaded_routing(self):
-        fleet, (a, b) = _fake_fleet()
-        fleet.submit("x1")
-        fleet.submit("x2")
-        assert len(a.submitted) == 1 and len(b.submitted) == 1
+class TestPolicy:
+    def test_a_plain_pool_has_no_policy(self):
+        with ProcessPoolBackend(workers=1, metrics=MetricsRegistry()) as pool:
+            assert pool._fleet is None
+            assert pool.fleet_snapshot() == {}
 
-    def test_inline_member_is_reserve(self):
-        fleet = ElasticBackend(
-            [FakeMember(), InlineBackend()],
+    def test_the_snapshot_carries_what_the_monitor_reads(self):
+        with ProcessPoolBackend(
+            workers=1,
+            max_workers=3,
+            speculate=True,
             metrics=MetricsRegistry(),
-            autoscale_interval=None,
+        ) as pool:
+            snap = pool.fleet_snapshot()
+        assert snap["workers"] == 1
+        assert (snap["min_workers"], snap["max_workers"]) == (1, 3)
+        assert snap["speculate"] is True
+        for key in (
+            "in_flight",
+            "queue_depth",
+            "requeued",
+            "speculations",
+            "speculative_wins",
+            "duplicates_discarded",
+            "scale_ups",
+            "scale_downs",
+        ):
+            assert snap[key] == 0, key
+        json.dumps(snap, allow_nan=False)
+
+    def test_the_cli_folds_the_service_slots_into_the_ceiling(self):
+        args = argparse.Namespace(
+            backend="fleet",
+            pool_workers=1,
+            pool_deadline=None,
+            min_workers=None,
+            max_workers=8,
+            speculate=False,
+            slots=2,
         )
-        assert [m.reserve for m in fleet.members] == [False, True]
-        # reserve capacity is rescue-only: not counted
-        assert fleet.capacity() == 2
+        from repro.hpo.cli import _execution_backend
 
-    def test_revoked_task_requeued_to_other_member(self):
-        fleet, (a, b) = _fake_fleet()
-        future = fleet.submit("x")
-        a.submitted[0][1].resolve(exc=WorkerRevoked("w", "revoked"))
-        assert not future.done()  # pump requeued instead of failing
-        assert len(b.submitted) == 1
-        b.submitted[0][1].resolve(result=[((1.0,), {})])
-        assert future.result(timeout=1) == ((1.0,), {})
-        snap = fleet.fleet_snapshot()
-        assert snap["requeued"] == 1
-
-    def test_requeue_exhaustion_surfaces_worker_revoked(self):
-        fleet, (a,) = _fake_fleet(n_members=1)
-        future = fleet.submit("x")
-        a.submitted[0][1].resolve(exc=WorkerRevoked("w", "revoked"))
-        with pytest.raises(WorkerRevoked):
-            future.result(timeout=1)
-
-    def test_non_revocation_failure_is_not_requeued(self):
-        """Ordinary worker crashes keep pool-alone semantics: the
-        engine's MAXINT policy, not a silent retry."""
-        fleet, (a, b) = _fake_fleet()
-        future = fleet.submit("x")
-        a.submitted[0][1].resolve(exc=RuntimeError("boom"))
-        with pytest.raises(RuntimeError):
-            future.result(timeout=1)
-        assert len(b.submitted) == 0
-
-    def test_batch_requeue_carries_whole_chunk(self):
-        fleet, (a, b) = _fake_fleet()
-        future = fleet.submit_batch(["x1", "x2"])
-        assert isinstance(future, FleetFuture)
-        a.submitted[0][1].resolve(exc=WorkerRevoked("w", "revoked"))
-        future.done()
-        assert b.submitted and b.submitted[0][0] == ["x1", "x2"]
-
-    def test_closed_fleet_rejects_submissions(self):
-        fleet, _ = _fake_fleet()
-        fleet.close()
-        with pytest.raises(RuntimeError):
-            fleet.submit("x")
+        with contextlib.ExitStack() as stack:
+            pool = _execution_backend(stack, args)
+            snap = pool.fleet_snapshot()
+        assert pool.closed
+        assert (snap["min_workers"], snap["max_workers"]) == (1, 2)
+        assert pool._fleet.last_resort
 
 
 # ----------------------------------------------------------------------
 # speculation
 # ----------------------------------------------------------------------
+def _warm(pool):
+    """Boot pool-0 with one chunk, then give the pool the replies it
+    learns its straggler mean from.  pool-0 runs them all (the lowest
+    idle index takes the queue), so its next dispatch is ordinal
+    ``WARMED``."""
+    pool.submit(_echo(1, start=99)[0]).result(timeout=30)
+    pool._fleet.reply_s, pool._fleet.replies = 0.0, 0
+    for ind in _echo(MIN_HISTORY, start=100):
+        pool.submit(ind).result(timeout=30)
+
+
+WARMED = 1 + MIN_HISTORY
+
+
 class TestSpeculation:
-    def test_threshold_comes_from_straggler_summary(self):
-        """With worker.task spans in the trace, the straggler threshold
-        is straggler_factor × the telemetry's mean task duration."""
+    def test_a_straggler_is_copied_to_an_idle_worker(self):
+        """pool-0's next chunk sleeps: its copy runs on idle pool-1,
+        wins, and the straggler's late reply is a discarded
+        duplicate."""
+        registry = MetricsRegistry()
         tracer = Tracer()
-        for i in range(4):
-            tracer.ingest(
-                {
-                    "type": "span",
-                    "name": "worker.task",
-                    "mono": float(i),
-                    "dur": 0.1,
-                    "tags": {"task": f"t{i}", "worker": "pool-0"},
-                }
-            )
-        fleet, _ = _fake_fleet(
-            speculate=True,
-            tracer=tracer,
-            straggler_factor=3.0,
-            min_speculate_s=0.0,
+        plan = FaultPlan(
+            [
+                Fault(
+                    "slow_worker", at=WARMED, worker="pool-0", seconds=0.4
+                )
+            ]
         )
-        threshold = fleet.speculation_threshold()
-        assert threshold == pytest.approx(0.3, rel=1e-6)
-
-    def test_no_history_no_speculation(self):
-        fleet, (a, b) = _fake_fleet(
-            speculate=True, min_speculate_s=0.0, straggler_factor=0.0
-        )
-        fleet.submit("x")
-        fleet._pump()
-        assert fleet.speculation_threshold() is None
-        assert len(a.submitted) + len(b.submitted) == 1
-
-    def _speculating_fleet(self):
-        """A fleet whose next unresolved task speculates immediately."""
-        fleet, members = _fake_fleet(
-            speculate=True,
-            min_history=1,
-            straggler_factor=0.0,
-            min_speculate_s=0.0,
-        )
-        warm = fleet.submit("warm")
-        members[0].submitted[0][1].resolve(result=[((0.0,), {})])
-        assert warm.result(timeout=1) == ((0.0,), {})
-        return fleet, members
-
-    def test_straggler_speculated_and_spec_win_counted(self):
-        fleet, (a, b) = self._speculating_fleet()
-        future = fleet.submit("slow")  # ties route to a (member-0)
-        fleet._pump()  # past threshold -> speculate on b
-        assert len(a.submitted) == 2 and len(b.submitted) == 1
-        assert (
-            fleet._c_spec.value == 1
-        ), "speculation must be counted when dispatched"
-        b.submitted[0][1].resolve(result=[((2.0,), {})])
-        assert future.result(timeout=1) == ((2.0,), {})
-        assert fleet._c_spec_wins.value == 1
-        # the loser (the straggling primary) was cancelled
-        assert a.submitted[1][1].cancelled
-        snap = fleet.fleet_snapshot()
-        assert snap["speculative_wins"] == 1
-
-    def test_duplicate_result_discarded(self):
-        fleet, (a, b) = self._speculating_fleet()
-        future = fleet.submit("slow")
-        fleet._pump()
-        # primary wins; the speculative copy later completes anyway
-        a.submitted[1][1].resolve(result=[((1.0,), {})])
-        assert future.result(timeout=1) == ((1.0,), {})
-        assert fleet._c_spec_wins.value == 0
-        b.submitted[0][1].resolve(result=[((1.0,), {})])
-        fleet._pump()
-        assert fleet._c_duplicates.value == 1
-        assert sum(m.inflight for m in fleet.members) == 0
-
-    def test_failed_speculation_never_outranks_primary(self):
-        fleet, (a, b) = self._speculating_fleet()
-        future = fleet.submit("slow")
-        fleet._pump()
-        b.submitted[0][1].resolve(exc=RuntimeError("spec died"))
-        fleet._pump()
-        assert not future.done()
-        a.submitted[1][1].resolve(result=[((1.0,), {})])
-        assert future.result(timeout=1) == ((1.0,), {})
-
-    def test_engine_fresh_count_unchanged_by_speculation(self):
-        """A speculative duplicate must not inflate EngineStats: the
-        engine sees one future per uuid, so fresh == population size
-        whether or not speculation fired."""
-        tracer = Tracer()
-        with use_tracer(tracer):
+        with use_injector(plan.injector()), use_tracer(tracer):
             with ProcessPoolBackend(
-                workers=1, metrics=MetricsRegistry()
+                workers=2, speculate=True, metrics=registry
             ) as pool:
-                fleet = ElasticBackend(
-                    [pool, InlineBackend()],
-                    speculate=True,
-                    min_history=1,
-                    straggler_factor=0.0,
-                    min_speculate_s=0.0,
-                    autoscale_interval=None,
-                    metrics=MetricsRegistry(),
+                _warm(pool)
+                (ind,) = _echo(1, start=7)
+                t0 = time.monotonic()
+                slot = pool.submit(ind).result(timeout=30)
+                won_in = time.monotonic() - t0
+                while not _count(registry, "fleet_duplicate_results_total"):
+                    assert time.monotonic() - t0 < 30
+                    pool._drain()
+                    time.sleep(0.01)
+                snap = pool.fleet_snapshot()
+        assert slot[0].tolist() == [7.0, 2.0]
+        assert won_in < 0.4
+        assert (snap["speculations"], snap["speculative_wins"]) == (1, 1)
+        assert snap["duplicates_discarded"] == 1
+        assert snap["requeued"] == 0
+        (spec,) = tracer.events("fleet.speculate")
+        assert spec["tags"]["worker"] == "pool-1"
+        # the copy's span comes from pool-1's process
+        (span,) = [
+            s
+            for s in tracer.spans("worker.task")
+            if s["tags"]["task"] == spec["tags"]["task"]
+            and s["tags"]["worker"] == "pool-1"
+        ]
+        assert span["tags"]["pid"] != os.getpid()
+
+    def test_no_copy_before_the_pool_has_history(self):
+        plan = FaultPlan([Fault("slow_worker", at=0, seconds=0.15)])
+        with use_injector(plan.injector()):
+            with ProcessPoolBackend(
+                workers=2, speculate=True, metrics=MetricsRegistry()
+            ) as pool:
+                pool.submit(_echo(1)[0]).result(timeout=30)
+                snap = pool.fleet_snapshot()
+        assert snap["speculations"] == 0
+
+    def test_a_lost_copy_is_neither_a_requeue_nor_a_lost_attempt(self):
+        """The copy's worker dies; the straggling original still runs,
+        so nothing is requeued and the chunk resolves from it (or from
+        a later copy)."""
+        registry = MetricsRegistry()
+        plan = FaultPlan(
+            [
+                Fault(
+                    "slow_worker", at=WARMED, worker="pool-0", seconds=0.4
+                ),
+                Fault("worker_death", at=0, worker="pool-1"),
+            ]
+        )
+        with use_injector(plan.injector()):
+            with ProcessPoolBackend(
+                workers=2, speculate=True, metrics=registry
+            ) as pool:
+                _warm(pool)
+                (ind,) = _echo(1, start=5)
+                slot = pool.submit(ind).result(timeout=30)
+        assert slot[0].tolist() == [5.0, 2.0]
+        assert _count(registry, "fleet_speculations_total") >= 1
+        assert _count(registry, "pool_worker_deaths_total") >= 1
+        assert _count(registry, "pool_tasks_requeued_total") == 0
+
+    def test_close_kills_a_running_loser_at_once(self):
+        """A speculation loser still running at close is killed, not
+        waited for."""
+        plan = FaultPlan(
+            [
+                Fault(
+                    "slow_worker", at=WARMED, worker="pool-0", seconds=30
                 )
-                engine = EvaluationEngine(
-                    client=fleet, metrics=MetricsRegistry()
-                )
-                done = engine.evaluate(_surrogate_individuals(5))
-        assert all(ind.is_viable for ind in done)
-        assert engine.stats.fresh == 5
-        assert engine.stats.completed == 5
-        # pool tasks beat the warm inline threshold rarely; whatever
-        # speculation happened, wins + primaries == 5 resolutions
-        snap = fleet.fleet_snapshot()
-        assert snap["in_flight"] == 0
+            ]
+        )
+        with use_injector(plan.injector()):
+            pool = ProcessPoolBackend(
+                workers=2, speculate=True, metrics=MetricsRegistry()
+            )
+            _warm(pool)
+            pool.submit(_echo(1)[0]).result(timeout=30)
+            t0 = time.monotonic()
+            pool.close()
+        assert time.monotonic() - t0 < 1.0
 
 
 # ----------------------------------------------------------------------
 # autoscale
 # ----------------------------------------------------------------------
+def _tick(pool, times):
+    for _ in range(times):
+        pool._autoscale(time.monotonic())
+
+
 class TestAutoscale:
-    def test_sustained_pressure_scales_up_to_max(self):
+    def test_sustained_pressure_scales_up_to_the_ceiling(self):
+        registry = MetricsRegistry()
         with ProcessPoolBackend(
-            workers=1, metrics=MetricsRegistry()
+            workers=1, max_workers=3, metrics=registry
         ) as pool:
-            fleet = ElasticBackend(
-                [pool],
-                min_workers=1,
-                max_workers=3,
-                autoscale_interval=None,
-                sustain_ticks=2,
-                metrics=MetricsRegistry(),
-            )
-            engine = EvaluationEngine(
-                client=fleet, metrics=MetricsRegistry()
-            )
+            engine = EvaluationEngine(client=pool, metrics=MetricsRegistry())
             for ind in _surrogate_individuals(8):
                 engine.submit(ind)
             # a single pressure observation must not rescale
-            fleet.autoscale_tick()
+            _tick(pool, SUSTAIN_TICKS - 1)
             assert pool.n_workers == 1
-            fleet.autoscale_tick()
+            _tick(pool, 1)
             grown = pool.n_workers
             done = _drain(engine)
-        assert grown > 1 and grown <= 3
+        assert grown == 3
         assert all(ind.is_viable for ind in done)
-        assert fleet._c_scale_up.value >= 1
+        assert _count(registry, "fleet_scale_up_total") == 1
 
-    def test_sustained_idle_scales_down_to_min(self):
+    def test_sustained_idle_scales_down_to_the_floor(self):
+        registry = MetricsRegistry()
         with ProcessPoolBackend(
-            workers=3, metrics=MetricsRegistry()
+            workers=1, max_workers=3, metrics=registry
         ) as pool:
-            fleet = ElasticBackend(
-                [pool],
-                min_workers=1,
-                max_workers=3,
-                autoscale_interval=None,
-                sustain_ticks=1,
-                metrics=MetricsRegistry(),
-            )
-            for _ in range(4):
-                fleet.autoscale_tick()
+            pool.scale_to(3)
+            _tick(pool, 4 * SUSTAIN_TICKS)
             shrunk = pool.n_workers
-        assert shrunk == 1
-        assert fleet._c_scale_down.value >= 1
+        assert shrunk == 1  # the pool's initial size is the floor
+        assert _count(registry, "fleet_scale_down_total") == 2
 
-    def test_slots_cap_bounds_growth(self):
+    def test_the_ceiling_bounds_growth(self):
         with ProcessPoolBackend(
-            workers=1, metrics=MetricsRegistry()
+            workers=1, max_workers=2, metrics=MetricsRegistry()
         ) as pool:
-            fleet = ElasticBackend(
-                [pool],
-                min_workers=1,
-                max_workers=8,
-                slots_cap=2,
-                autoscale_interval=None,
-                sustain_ticks=1,
-                metrics=MetricsRegistry(),
-            )
-            engine = EvaluationEngine(
-                client=fleet, metrics=MetricsRegistry()
-            )
+            engine = EvaluationEngine(client=pool, metrics=MetricsRegistry())
             for ind in _surrogate_individuals(8):
                 engine.submit(ind)
-            fleet.autoscale_tick()
+            _tick(pool, 2 * SUSTAIN_TICKS)
             capped = pool.n_workers
             done = _drain(engine)
-        assert capped <= 2
+        assert capped == 2
         assert all(ind.is_viable for ind in done)
 
-    def test_n_workers_tracks_live_capacity(self):
-        fleet, (a, b) = _fake_fleet()
-        assert fleet.n_workers == 4
-        a.n_workers = 0
-        assert fleet.n_workers == 2
+    def test_the_drain_ticks_on_its_own(self, monkeypatch):
+        """Polling alone autoscales: a backlog the pool cannot clear
+        within a few ticks grows it."""
+        monkeypatch.setattr(pool_module, "AUTOSCALE_INTERVAL", 0.02)
+        with ProcessPoolBackend(
+            workers=1, max_workers=2, metrics=MetricsRegistry()
+        ) as pool:
+            futures = [
+                pool.submit_batch([Individual(np.zeros(2), problem=_SLEEPY)])
+                for _ in range(4)
+            ]
+            for future in futures:
+                future.result(timeout=60)
+            grown = pool.n_workers
+        assert grown == 2
 
 
 # ----------------------------------------------------------------------
-# campaign equivalence under preemption storms
+# the last resort
+# ----------------------------------------------------------------------
+class TestLastResort:
+    def test_total_pool_loss_runs_the_backlog_in_process(self):
+        """Revoking every worker hands queued and in-flight chunks to
+        the driver process: every candidate is scored, none MAXINT,
+        and the takeover is one trace event."""
+        plan = FaultPlan(
+            [
+                Fault(kind="revoke_worker", at=0, worker="pool-0"),
+                Fault(kind="revoke_worker", at=0, worker="pool-1"),
+            ]
+        )
+        tracer = Tracer()
+        with use_injector(plan.injector()) as injector, use_tracer(tracer):
+            with ProcessPoolBackend(
+                workers=2, last_resort=True, metrics=MetricsRegistry()
+            ) as pool:
+                engine = EvaluationEngine(
+                    client=pool, metrics=MetricsRegistry()
+                )
+                done = engine.evaluate(_surrogate_individuals(6))
+                survivors = pool.n_workers
+                snap = pool.fleet_snapshot()
+        inline = EvaluationEngine(metrics=MetricsRegistry()).evaluate(
+            _surrogate_individuals(6)
+        )
+        assert survivors == 0
+        assert [ind.fitness.tolist() for ind in done] == [
+            ind.fitness.tolist() for ind in inline
+        ]
+        assert snap["requeued"] >= 1
+        (event,) = tracer.events("fleet.last_resort")
+        assert event["tags"]["worker"] in ("pool-0", "pool-1")
+        report = InvariantChecker(
+            trace=tracer.records, injected=injector.log
+        ).check()
+        assert report.ok, report.summary()
+
+    def test_a_submission_after_the_loss_runs_in_process(self):
+        with ProcessPoolBackend(
+            workers=1, last_resort=True, metrics=MetricsRegistry()
+        ) as pool:
+            pool.revoke_worker()
+            slot = pool.submit(_echo(1, start=3)[0]).result(timeout=30)
+        assert slot[0].tolist() == [3.0, 2.0]
+
+
+# ----------------------------------------------------------------------
+# ElasticBackend: the thin name
+# ----------------------------------------------------------------------
+class TestElasticBackend:
+    def test_it_takes_a_pool_and_at_most_an_inline_member(self):
+        with ProcessPoolBackend(workers=1, metrics=MetricsRegistry()) as pool:
+            for members in ([], [InlineBackend()], [pool, pool],
+                            [pool, InlineBackend(), InlineBackend()]):
+                with pytest.raises(ValueError):
+                    ElasticBackend(members)
+
+    def test_it_applies_the_policy_for_its_block_only(self):
+        with ProcessPoolBackend(workers=1, metrics=MetricsRegistry()) as pool:
+            with ElasticBackend(
+                [pool, InlineBackend()], min_workers=1, max_workers=2
+            ) as fleet:
+                snap = fleet.fleet_snapshot()
+                assert pool._fleet.last_resort
+                engine = EvaluationEngine(
+                    client=fleet, metrics=MetricsRegistry()
+                )
+                done = engine.evaluate(_surrogate_individuals(3))
+            assert pool._fleet is None  # the old (absent) policy is back
+            assert not pool.closed  # the caller's pool stays open
+        assert (snap["min_workers"], snap["max_workers"]) == (1, 2)
+        assert all(ind.is_viable for ind in done)
+
+
+# ----------------------------------------------------------------------
+# campaign equivalence under preemption storms and speculation
 # ----------------------------------------------------------------------
 class TestFleetCampaignEquivalence:
     def test_fleet_front_matches_inline_under_revocation_storm(self):
@@ -514,9 +542,6 @@ class TestFleetCampaignEquivalence:
         inline = Campaign(
             lambda seed: SurrogateDeepMDProblem(seed=seed), CFG
         ).run()
-        # revoke-only plan: every revocation is recoverable by the
-        # fleet, so results must be bit-identical (a worker_death is
-        # recoverable too, but within the pool: it is re-run there)
         plan = FaultPlan.random(
             42,
             kinds=("revoke_worker",),
@@ -527,17 +552,12 @@ class TestFleetCampaignEquivalence:
         tracer = Tracer()
         with use_injector(plan.injector()) as injector, use_tracer(tracer):
             with ProcessPoolBackend(
-                workers=2, metrics=MetricsRegistry()
+                workers=2, last_resort=True, metrics=MetricsRegistry()
             ) as pool:
-                fleet = ElasticBackend(
-                    [pool, InlineBackend()],
-                    autoscale_interval=None,
-                    metrics=MetricsRegistry(),
-                )
                 stormed = Campaign(
                     lambda seed: SurrogateDeepMDProblem(seed=seed),
                     CFG,
-                    client=fleet,
+                    client=pool,
                 ).run()
         assert injector.fired("revoke_worker"), "storm must have fired"
         assert tracer.events("pool.worker_revoked")
@@ -548,33 +568,63 @@ class TestFleetCampaignEquivalence:
         ).check()
         assert report.ok, report.summary()
 
-    def test_fleet_survives_total_pool_loss(self):
-        """Revoking every pool worker reroutes to the inline reserve:
-        the campaign still completes with zero MAXINT scores."""
-        plan = FaultPlan(
-            [
-                Fault(kind="revoke_worker", at=0, worker="pool-0"),
-                Fault(kind="revoke_worker", at=0, worker="pool-1"),
-            ]
-        )
-        tracer = Tracer()
-        with use_injector(plan.injector()), use_tracer(tracer):
-            with ProcessPoolBackend(
-                workers=2, metrics=MetricsRegistry()
-            ) as pool:
-                fleet = ElasticBackend(
-                    [pool, InlineBackend()],
-                    autoscale_interval=None,
-                    metrics=MetricsRegistry(),
-                )
-                engine = EvaluationEngine(
-                    client=fleet, metrics=MetricsRegistry()
-                )
-                done = engine.evaluate(_surrogate_individuals(6))
-                survivors = pool.n_workers
-        assert survivors == 0
-        assert all(ind.is_viable for ind in done)
-        assert fleet.fleet_snapshot()["requeued"] >= 1
+
+#: journal keys whose values differ between any two runs
+VOLATILE = re.compile(
+    r'"(ts|uuid|uuids|dedup_of)": (\[[^\]]*\]|"[^"]*"|[^,}]+)'
+)
+
+
+def test_a_speculated_straggler_runs_on_a_pool_worker(
+    tmp_path, monkeypatch, capsys
+):
+    """``--backend fleet --speculate`` with one injected straggler: its
+    copy runs in a pool worker's process, never the driver's, and the
+    journal and front are the inline run's."""
+    from repro.hpo import cli
+    from repro.io import load_campaign
+    from repro.obs.trace import read_trace
+
+    common = [
+        "campaign", "--runs", "1", "--pop-size", "8",
+        "--generations", "2", "--seed", "7",
+    ]
+    assert cli.main([*common, "--save", str(tmp_path / "inline")]) == 0
+    plan = FaultPlan(
+        [Fault("slow_worker", at=4, worker="pool-0", seconds=1.0)]
+    )
+    monkeypatch.setattr(
+        cli, "_chaos_injector", lambda args, directory=None: plan.injector()
+    )
+    trace = tmp_path / "fleet.jsonl"
+    assert cli.main([
+        *common, "--save", str(tmp_path / "fleet"), "--trace", str(trace),
+        "--backend", "fleet", "--pool-workers", "2", "--speculate",
+    ]) == 0
+    capsys.readouterr()
+    records = read_trace(trace)
+    events = [r for r in records if r.get("type") == "event"]
+    (slow,) = [e for e in events if e["name"] == "worker.slow"]
+    task = slow["tags"]["task"]
+    (spec,) = [
+        e for e in events
+        if e["name"] == "fleet.speculate" and e["tags"]["task"] == task
+    ]
+    worker = spec["tags"]["worker"]
+    (span,) = [
+        r for r in records
+        if r.get("type") == "span" and r["name"] == "worker.task"
+        and r["tags"]["task"] == task and r["tags"]["worker"] == worker
+    ]
+    assert worker.startswith("pool-")
+    assert span["tags"]["pid"] != os.getpid()
+    journals = [
+        VOLATILE.sub("", (tmp_path / d / "journal.jsonl").read_text())
+        for d in ("inline", "fleet")
+    ]
+    assert journals[0] == journals[1]
+    inline, fleet = (load_campaign(tmp_path / d) for d in ("inline", "fleet"))
+    assert verify_resume_equivalence(inline, fleet) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,81 +1,140 @@
-"""Fleet chaos/property suite (Hypothesis).
+"""Fleet-policy property suite (Hypothesis).
 
-Three properties the elastic fleet must hold under *any* schedule of
-revocations, delays, and speculation:
+Three properties the pool's fleet policy must hold under *any* schedule
+of revocations, stragglers and speculation (DESIGN.md §9):
 
-(a) **journal uniqueness** — however often a task is requeued or
-    speculatively duplicated, the engine hands each uuid back — and so
-    the driver loop journals it — exactly once (the engine resolves one
-    future per candidate; duplicates die inside the fleet);
+(a) **journal uniqueness** — however often a chunk is requeued or
+    speculatively copied, the engine hands each uuid back — and so the
+    driver loop journals it — exactly once (the pool resolves one
+    future per chunk; the slower copy's reply finds none);
 (b) **quota safety under rescale** — per-tenant ``max_in_flight`` is
-    never exceeded, and a tick never dispatches past the *live* fleet
-    capacity, no matter how members grow or shrink between ticks;
-(c) **result equivalence** — when no evaluation permanently fails, the
-    fleet's (genome → fitness) map and Pareto front are bit-identical
-    to inline evaluation: revocations and speculation move work, never
-    change it.
+    never exceeded, and a tick never dispatches past the backend's
+    *live* ``n_workers``, however it grows or shrinks between ticks;
+(c) **result equivalence** — the policy's (genome → fitness) map and
+    Pareto front are bit-identical to inline evaluation: revocations,
+    copies and the in-process last resort move work, never change it.
 
-Everything runs on in-process scripted members (no interpreter
-startup), so hundreds of drawn schedules stay fast.
+(a) and (c) run real 2-worker pools with the policy on, the schedule
+drawn as a chaos plan; (b) is the fair-share scheduler's, over a
+scripted backend.
 """
-
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ElasticBackend, EvaluationEngine
+from repro.chaos import Fault, FaultPlan
+from repro.engine import EvaluationEngine, ProcessPoolBackend
 from repro.evo.individual import Individual
-from repro.exceptions import WorkerRevoked
+from repro.injection import use_injector
 from repro.mo.pareto import pareto_front
 from repro.obs.metrics import MetricsRegistry
 from repro.service.fair_share import FairShareScheduler
 from repro.service.tenancy import Tenant
+from tests.pool_problems import Echo
 
-FAST = settings(
+POOLS = settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+SCRIPTED = settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
 
-class IdentityDecoder:
-    def decode(self, genome):
-        return genome
+def _individuals(genomes):
+    return [
+        Individual(np.asarray(genome, dtype=np.float64), problem=Echo())
+        for genome in genomes
+    ]
 
 
-class SumProblem:
-    """Deterministic two-objective toy: cheap and pure."""
+#: chunks that warm a pool up before the drawn schedule starts
+WARM = 8
 
-    n_objectives = 2
+#: a drawn fault: a revocation, or a straggler the policy can copy, at
+#: a dispatch ordinal of the whole pool past the warm-up
+fault_st = st.one_of(
+    st.builds(
+        lambda at: Fault("revoke_worker", at=WARM + at), st.integers(0, 8)
+    ),
+    st.builds(
+        lambda at, s: Fault("slow_worker", at=WARM + at, seconds=s),
+        st.integers(0, 8),
+        st.sampled_from([0.1, 0.2]),
+    ),
+)
+genomes_st = st.lists(
+    st.tuples(
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=8,
+    unique=True,
+)
 
-    def evaluate_with_metadata(self, phenome, uuid=None):
-        x = float(np.sum(np.asarray(phenome, dtype=np.float64)))
-        return np.array([x, -x]), {}
+
+def _run(genomes, faults, speculate):
+    """Evaluate ``genomes`` in chunks of one on a policy pool under the
+    drawn plan; what the driver loop would journal, in order."""
+    with use_injector(FaultPlan(list(faults)).injector()):
+        with ProcessPoolBackend(
+            workers=2,
+            speculate=speculate,
+            last_resort=True,
+            metrics=MetricsRegistry(),
+        ) as pool:
+            for half in range(2):
+                # the first half boots both workers; the straggler mean
+                # starts from the second
+                pool._fleet.reply_s, pool._fleet.replies = 0.0, 0
+                for future in [
+                    pool.submit_batch(_individuals([(100.0 + i, half)]))
+                    for i in range(WARM // 2)
+                ]:
+                    future.result(timeout=30)
+            engine = EvaluationEngine(
+                client=pool, dedup=False, metrics=MetricsRegistry()
+            )
+            individuals = _individuals(genomes)
+            engine.submit_batch(individuals, chunk_size=1)
+            handed_back = []
+            while engine.has_pending():
+                handed_back += engine.wait_any()
+    return individuals, handed_back, engine
 
 
-def _individuals(genomes, problem):
-    out = []
-    for genome in genomes:
-        ind = Individual(
-            np.asarray(genome, dtype=np.float64),
-            decoder=IdentityDecoder(),
-            problem=problem,
-        )
-        ind.n_objectives = problem.n_objectives
-        out.append(ind)
-    return out
+# ----------------------------------------------------------------------
+# (a) no uuid journaled twice
+# ----------------------------------------------------------------------
+@POOLS
+@given(
+    genomes=genomes_st,
+    faults=st.lists(fault_st, max_size=4),
+    speculate=st.booleans(),
+)
+def test_no_uuid_journaled_twice(genomes, faults, speculate):
+    individuals, handed_back, engine = _run(genomes, faults, speculate)
+    uuids = [ind.uuid for ind in handed_back]
+    assert len(uuids) == len(set(uuids))
+    assert set(uuids) == {ind.uuid for ind in individuals}
+    assert engine.stats.completed == len(individuals)
 
 
+# ----------------------------------------------------------------------
+# (b) tenant quotas hold while the backend rescales
+# ----------------------------------------------------------------------
 class ScriptedFuture:
-    """Resolves after ``delay`` polls; outcome decided by the script."""
+    """Resolves after ``delay`` polls."""
 
-    def __init__(self, individuals, outcome, delay):
+    def __init__(self, individuals, delay):
         self.individuals = individuals
-        self.outcome = outcome  # "ok" | "revoke"
         self.delay = int(delay)
         self._polls = 0
-        self.cancelled = False
 
     def done(self):
         if self._polls < self.delay:
@@ -83,107 +142,32 @@ class ScriptedFuture:
         return self._polls >= self.delay
 
     def result(self, timeout=None):
-        if self.outcome == "revoke":
-            raise WorkerRevoked("scripted", "spot preemption")
         from repro.engine.backends import evaluate_individuals_batch
 
         return evaluate_individuals_batch(self.individuals)
 
-    def cancel(self):
-        self.cancelled = True
 
-
-class ScriptedMember:
-    """A member whose per-submission outcome/delay comes from a drawn
-    schedule (cycled when submissions outnumber script entries)."""
+class ScriptedBackend:
+    """A backend whose size the test moves between ticks, the way
+    autoscale and revocation move a pool's ``n_workers``."""
 
     is_execution_backend = True
 
-    def __init__(self, script, n_workers=2):
-        self.script = list(script) or [("ok", 0)]
+    def __init__(self, n_workers=2):
         self.n_workers = n_workers
         self.futures = []
 
-    def _next(self):
-        outcome, delay = self.script[len(self.futures) % len(self.script)]
-        return outcome, delay
+    def submit(self, individual):
+        from repro.engine.backends import SlotFuture
 
-    def submit_batch(self, individuals):
-        outcome, delay = self._next()
-        future = ScriptedFuture(list(individuals), outcome, delay)
+        future = ScriptedFuture([individual], 1000000)
         self.futures.append(future)
-        return future
+        return SlotFuture(future)
 
     def on_cache_hit(self, individual):
         pass
 
 
-def _fleet(flaky_script, speculate):
-    """A flaky member plus an always-reliable one: any revocation is
-    recoverable, so no evaluation permanently fails."""
-    flaky = ScriptedMember(flaky_script)
-    reliable = ScriptedMember([("ok", 1)])
-    fleet = ElasticBackend(
-        [flaky, reliable],
-        speculate=speculate,
-        min_history=1,
-        straggler_factor=0.0,
-        min_speculate_s=0.0,
-        autoscale_interval=None,
-        metrics=MetricsRegistry(),
-    )
-    return fleet, flaky, reliable
-
-
-outcome_st = st.tuples(
-    st.sampled_from(["ok", "ok", "ok", "revoke"]),
-    st.integers(min_value=0, max_value=4),
-)
-genomes_st = st.lists(
-    st.lists(
-        st.floats(
-            min_value=-10,
-            max_value=10,
-            allow_nan=False,
-            allow_infinity=False,
-        ),
-        min_size=2,
-        max_size=2,
-    ),
-    min_size=1,
-    max_size=8,
-    unique_by=tuple,
-)
-
-
-# ----------------------------------------------------------------------
-# (a) no uuid journaled twice
-# ----------------------------------------------------------------------
-@FAST
-@given(
-    genomes=genomes_st,
-    script=st.lists(outcome_st, min_size=1, max_size=10),
-    speculate=st.booleans(),
-)
-def test_no_uuid_journaled_twice(genomes, script, speculate):
-    fleet, _, _ = _fleet(script, speculate)
-    engine = EvaluationEngine(
-        client=fleet, dedup=False, metrics=MetricsRegistry()
-    )
-    individuals = _individuals(genomes, SumProblem())
-    engine.submit_batch(individuals, chunk_size=1)
-    # what the driver loop journals: each candidate the engine hands back
-    uuids = []
-    while engine.has_pending():
-        uuids += [ind.uuid for ind in engine.wait_any()]
-    assert len(uuids) == len(set(uuids))
-    assert set(uuids) == {ind.uuid for ind in individuals}
-    assert engine.stats.completed == len(individuals)
-
-
-# ----------------------------------------------------------------------
-# (b) tenant quotas hold while the fleet rescales
-# ----------------------------------------------------------------------
 op_st = st.one_of(
     st.tuples(st.just("submit"), st.integers(0, 1)),
     st.tuples(st.just("tick"), st.just(0)),
@@ -192,17 +176,12 @@ op_st = st.one_of(
 )
 
 
-@FAST
+@SCRIPTED
 @given(ops=st.lists(op_st, min_size=4, max_size=40))
 def test_tenant_quota_holds_during_rescale(ops):
-    member = ScriptedMember([("ok", 1000000)], n_workers=2)
-    fleet = ElasticBackend(
-        [member],
-        autoscale_interval=None,
-        metrics=MetricsRegistry(),
-    )
+    backend = ScriptedBackend(n_workers=2)
     scheduler = FairShareScheduler(
-        fleet, total_slots=6, metrics=MetricsRegistry()
+        backend, total_slots=6, metrics=MetricsRegistry()
     )
     quotas = {"t0": 2, "t1": 3}
     queues = {
@@ -211,36 +190,31 @@ def test_tenant_quota_holds_during_rescale(ops):
         )
         for i in range(2)
     }
-    problem = SumProblem()
     counter = 0
     for op, arg in ops:
         if op == "submit":
-            (ind,) = _individuals([[float(counter), 0.0]], problem)
+            (ind,) = _individuals([[float(counter), 0.0]])
             counter += 1
             queues[f"c{arg}"].submit(ind)
         elif op == "tick":
-            before = len(member.futures)
-            limit = min(6, max(1, fleet.capacity()))
+            before = len(backend.futures)
+            limit = min(6, max(1, backend.n_workers))
             scheduler.tick()
-            dispatched = len(member.futures) - before
+            dispatched = len(backend.futures) - before
             # a tick drains, then dispatches only while below the
-            # *live* fleet capacity — so whenever it dispatched at
-            # all, the resulting in-flight level respects the limit
-            # (a shrink below already-dispatched work only stops new
-            # dispatches; it cannot recall them)
+            # *live* size — so whenever it dispatched at all, the
+            # resulting in-flight level respects the limit (a shrink
+            # below already-dispatched work only stops new dispatches;
+            # it cannot recall them)
             if dispatched > 0:
                 assert scheduler.snapshot()["in_flight"] <= limit
         elif op == "finish":
-            pending = [
-                f
-                for f in member.futures
-                if f._polls < f.delay and not f.cancelled
-            ]
+            pending = [f for f in backend.futures if f._polls < f.delay]
             if pending:
                 pending[0].delay = 0
             scheduler.tick()
         elif op == "scale":
-            member.n_workers = arg  # spot churn: even down to zero
+            backend.n_workers = arg  # spot churn: even down to zero
         snap = scheduler.snapshot()
         for name, tenant in snap["tenants"].items():
             assert tenant["peak_in_flight"] <= quotas[name], (
@@ -250,23 +224,19 @@ def test_tenant_quota_holds_during_rescale(ops):
 
 
 # ----------------------------------------------------------------------
-# (c) fleet results bit-identical to inline
+# (c) results bit-identical to inline
 # ----------------------------------------------------------------------
-@FAST
+@POOLS
 @given(
     genomes=genomes_st,
-    script=st.lists(outcome_st, min_size=1, max_size=10),
+    faults=st.lists(fault_st, max_size=4),
     speculate=st.booleans(),
 )
-def test_fleet_front_bit_identical_to_inline(genomes, script, speculate):
-    problem = SumProblem()
+def test_fleet_front_bit_identical_to_inline(genomes, faults, speculate):
     inline_done = EvaluationEngine(metrics=MetricsRegistry()).evaluate(
-        _individuals(genomes, problem)
+        _individuals(genomes)
     )
-    fleet, _, _ = _fleet(script, speculate)
-    fleet_done = EvaluationEngine(
-        client=fleet, metrics=MetricsRegistry()
-    ).evaluate(_individuals(genomes, problem))
+    _, fleet_done, _ = _run(genomes, faults, speculate)
 
     def table(individuals):
         return {
@@ -285,5 +255,3 @@ def test_fleet_front_bit_identical_to_inline(genomes, script, speculate):
         )
 
     assert front(fleet_done) == front(inline_done)
-    # nothing may be left on the fleet's books
-    assert sum(m.inflight for m in fleet.members) == 0
