@@ -329,6 +329,67 @@ class TestSpeculation:
         ]
         assert span["tags"]["pid"] != os.getpid()
 
+    def test_duplicate_result_discarded(self):
+        """The primary wins: the copy on pool-1 straggles longer, and
+        its late reply is a discarded duplicate, not a win."""
+        registry = MetricsRegistry()
+        plan = FaultPlan(
+            [
+                Fault(
+                    "slow_worker", at=WARMED, worker="pool-0", seconds=0.3
+                ),
+                Fault("slow_worker", at=0, worker="pool-1", seconds=0.7),
+            ]
+        )
+        with use_injector(plan.injector()):
+            with ProcessPoolBackend(
+                workers=2, speculate=True, metrics=registry
+            ) as pool:
+                _warm(pool)
+                (ind,) = _echo(1, start=4)
+                t0 = time.monotonic()
+                slot = pool.submit(ind).result(timeout=30)
+                while not _count(registry, "fleet_duplicate_results_total"):
+                    assert time.monotonic() - t0 < 30
+                    pool._drain()
+                    time.sleep(0.01)
+                snap = pool.fleet_snapshot()
+        assert slot[0].tolist() == [4.0, 2.0]
+        assert (snap["speculations"], snap["speculative_wins"]) == (1, 0)
+        assert snap["duplicates_discarded"] == 1
+        assert snap["in_flight"] == 0
+
+    def test_engine_fresh_count_unchanged_by_speculation(self):
+        """A speculative duplicate must not inflate EngineStats: the
+        engine sees one future per chunk, so fresh == population size
+        whether or not a copy won."""
+        registry = MetricsRegistry()
+        plan = FaultPlan(
+            [
+                Fault(
+                    "slow_worker", at=WARMED, worker="pool-0", seconds=0.6
+                )
+            ]
+        )
+        with use_injector(plan.injector()):
+            with ProcessPoolBackend(
+                workers=2, speculate=True, metrics=registry
+            ) as pool:
+                _warm(pool)
+                engine = EvaluationEngine(
+                    client=pool, metrics=MetricsRegistry()
+                )
+                done = engine.evaluate(_surrogate_individuals(5))
+        inline = EvaluationEngine(metrics=MetricsRegistry()).evaluate(
+            _surrogate_individuals(5)
+        )
+        assert _count(registry, "fleet_speculations_total") >= 1
+        assert engine.stats.fresh == 5
+        assert engine.stats.completed == 5
+        assert [ind.fitness.tolist() for ind in done] == [
+            ind.fitness.tolist() for ind in inline
+        ]
+
     def test_no_copy_before_the_pool_has_history(self):
         plan = FaultPlan([Fault("slow_worker", at=0, seconds=0.15)])
         with use_injector(plan.injector()):
@@ -453,6 +514,25 @@ class TestAutoscale:
         assert grown == 2
 
 
+    def test_n_workers_tracks_live_capacity(self):
+        """Revocation and rescale move the live size that the snapshot
+        and the fair-share scheduler read."""
+        from repro.service.fair_share import worker_capacity
+
+        with ProcessPoolBackend(
+            workers=2, max_workers=3, metrics=MetricsRegistry()
+        ) as pool:
+            sizes = [(pool.n_workers, pool.fleet_snapshot()["workers"],
+                      worker_capacity(pool))]
+            pool.revoke_worker("pool-0")
+            sizes.append((pool.n_workers, pool.fleet_snapshot()["workers"],
+                          worker_capacity(pool)))
+            pool.scale_to(3)
+            sizes.append((pool.n_workers, pool.fleet_snapshot()["workers"],
+                          worker_capacity(pool)))
+        assert sizes == [(2, 2, 2), (1, 1, 1), (3, 3, 3)]
+
+
 # ----------------------------------------------------------------------
 # the last resort
 # ----------------------------------------------------------------------
@@ -563,6 +643,39 @@ class TestFleetCampaignEquivalence:
         assert tracer.events("pool.worker_revoked")
         assert _evals(stormed) == _evals(inline)
         assert _front(stormed) == _front(inline)
+        report = InvariantChecker(
+            trace=tracer.records, injected=injector.log
+        ).check()
+        assert report.ok, report.summary()
+
+    def test_fleet_survives_total_pool_loss(self):
+        """Revoking every pool worker hands the campaign to the last
+        resort: it completes with exactly the inline evaluations and
+        front, and zero invariant violations."""
+        inline = Campaign(
+            lambda seed: SurrogateDeepMDProblem(seed=seed), CFG
+        ).run()
+        plan = FaultPlan(
+            [
+                Fault(kind="revoke_worker", at=0, worker="pool-0"),
+                Fault(kind="revoke_worker", at=0, worker="pool-1"),
+            ]
+        )
+        tracer = Tracer()
+        with use_injector(plan.injector()) as injector, use_tracer(tracer):
+            with ProcessPoolBackend(
+                workers=2, last_resort=True, metrics=MetricsRegistry()
+            ) as pool:
+                survived = Campaign(
+                    lambda seed: SurrogateDeepMDProblem(seed=seed),
+                    CFG,
+                    client=pool,
+                ).run()
+                survivors = pool.n_workers
+        assert survivors == 0
+        assert tracer.events("fleet.last_resort")
+        assert _evals(survived) == _evals(inline)
+        assert _front(survived) == _front(inline)
         report = InvariantChecker(
             trace=tracer.records, injected=injector.log
         ).check()
