@@ -115,7 +115,7 @@ def _measure_fleet(
     from repro.engine import EvaluationEngine, ProcessPoolBackend
     from repro.obs.metrics import MetricsRegistry
 
-    with ProcessPoolBackend(workers=2, last_resort=True) as pool:
+    with ProcessPoolBackend(workers=2, max_workers=2) as pool:
         engine = EvaluationEngine(
             client=pool, metrics=MetricsRegistry(), fault_injector=None
         )

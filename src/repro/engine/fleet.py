@@ -15,9 +15,10 @@ from repro.engine.pool import ProcessPoolBackend, _Fleet
 
 
 class ElasticBackend:
-    """``[pool]`` or ``[pool, InlineBackend()]`` as one fleet: an
-    inline member asks for the last resort; ``min_workers`` /
-    ``max_workers`` bound autoscale (default: the pool's size)."""
+    """``[pool]`` or ``[pool, InlineBackend()]`` as one fleet — alike,
+    since the policy's last resort is the in-process reserve;
+    ``min_workers`` / ``max_workers`` bound autoscale (default: the
+    pool's size)."""
 
     is_execution_backend = True
 
@@ -42,7 +43,6 @@ class ElasticBackend:
             min_workers or size,
             max_workers or size,
             speculate=False,
-            last_resort=len(members) == 2,
         )
 
     def __getattr__(self, name: str) -> Any:

@@ -49,8 +49,8 @@ Design constraints, in order:
   pipe; a SIGKILL'd worker can never strand a lock another worker (or
   the parent) needs.
 * **The fleet is a policy, not a layer.**  ``--backend fleet`` is this
-  pool with its fleet policy on (``max_workers`` / ``speculate`` /
-  ``last_resort``, DESIGN.md §9): autoscale against queue depth, a
+  pool with its fleet policy on (``max_workers`` / ``speculate``,
+  DESIGN.md §9): autoscale against queue depth, a
   speculative copy of a straggling chunk on an idle worker, and the
   backlog run in-process once revocation has taken the last worker.
 
@@ -67,6 +67,7 @@ import pickle
 import time
 import weakref
 import zlib
+from collections import deque
 from typing import Any, Iterable, Optional
 
 from repro.engine.backends import SlotFuture, evaluate_individuals_batch
@@ -89,10 +90,13 @@ DEATH_RETRIES = 2
 
 #: the fleet policy's tuning (DESIGN.md §9).  A chunk is a straggler
 #: once it has run STRAGGLER_FACTOR × the pool's mean dispatch→reply
-#: time, never sooner than MIN_SPECULATE_S, and only after MIN_HISTORY
-#: replies; autoscale observes the queue every AUTOSCALE_INTERVAL
-#: seconds and rescales after SUSTAIN_TICKS like observations in a row
+#: time over its last STRAGGLER_WINDOW replies (a worker's first reply
+#: after its spawn, which pays the boot, is left out), never sooner
+#: than MIN_SPECULATE_S, and only after MIN_HISTORY replies; autoscale
+#: observes the queue every AUTOSCALE_INTERVAL seconds and rescales
+#: after SUSTAIN_TICKS like observations in a row
 STRAGGLER_FACTOR = 3.0
+STRAGGLER_WINDOW = 256
 MIN_SPECULATE_S = 0.05
 MIN_HISTORY = 3
 AUTOSCALE_INTERVAL = 0.25
@@ -326,6 +330,7 @@ class _WorkerHandle:
         "respawns",
         "segments",
         "pending_revoke",
+        "fresh",
     )
 
     def __init__(self, index: int) -> None:
@@ -347,6 +352,10 @@ class _WorkerHandle:
         #: the next death is a spot-style preemption: requeue the task
         #: and retire the worker instead of respawning it
         self.pending_revoke = False
+        #: no reply since this process was spawned: the first one pays
+        #: the boot and segment unpickling, and stays out of the
+        #: straggler mean
+        self.fresh = True
 
 
 class _Fleet:
@@ -359,19 +368,17 @@ class _Fleet:
         floor: int,
         ceiling: int,
         speculate: bool,
-        last_resort: bool,
     ) -> None:
         self.floor = floor
         self.ceiling = ceiling
         self.speculate = speculate
-        self.last_resort = last_resort
-        #: dispatch→reply seconds summed over resolving replies, and
-        #: their count: the straggler threshold's mean
-        self.reply_s = 0.0
-        self.replies = 0
+        #: the last STRAGGLER_WINDOW dispatch→reply seconds of resolving
+        #: replies: the straggler threshold's mean
+        self.window: deque[float] = deque(maxlen=STRAGGLER_WINDOW)
         #: task id → the worker running its speculative copy, until the
-        #: slower copy replies or dies
-        self.copies: dict[int, str] = {}
+        #: slower copy replies or dies (None once a failed copy's reply
+        #: was dropped: the chunk is not copied again)
+        self.copies: dict[int, Optional[str]] = {}
         #: consecutive autoscale observations with a backlog / idle
         self.pressure = 0
         self.idle = 0
@@ -404,13 +411,14 @@ class ProcessPoolBackend:
         Chaos seam; defaults to the process-wide injector of
         :mod:`repro.injection`, so ``use_injector(plan.injector())``
         scopes drive pool faults.
-    max_workers / speculate / last_resort:
-        The fleet policy (DESIGN.md §9), on when any is given:
+    max_workers / speculate:
+        The fleet policy (DESIGN.md §9), on when either is given:
         autoscale between ``workers`` and ``max_workers``; with
         ``speculate``, a copy of a straggling chunk on an idle worker,
-        first reply wins; with ``last_resort``, the backlog runs in
+        first reply wins; and the last resort: the backlog runs in
         this process once revocation has taken the last worker
-        (without it, that backlog fails with :class:`WorkerRevoked`).
+        (without the policy, that backlog fails with
+        :class:`WorkerRevoked`).
     """
 
     is_execution_backend = True
@@ -425,7 +433,6 @@ class ProcessPoolBackend:
         tracer: Any = None,
         max_workers: Optional[int] = None,
         speculate: bool = False,
-        last_resort: bool = False,
     ) -> None:
         import multiprocessing as mp
 
@@ -499,13 +506,9 @@ class ProcessPoolBackend:
             self._spawn(handle)
             self._publish_worker(handle, "idle")
         self._sample_gauges()
-        if max_workers is not None or speculate or last_resort:
+        if max_workers is not None or speculate:
             self._fleet = _Fleet(
-                registry,
-                int(workers),
-                int(max_workers or workers),
-                speculate,
-                last_resort,
+                registry, int(workers), int(max_workers or workers), speculate
             )
 
     @property
@@ -691,7 +694,7 @@ class ProcessPoolBackend:
         future = ProcessFuture(self, task_id)
         self._futures[task_id] = future
         self._tasks[task_id] = [payload, segments, 0]
-        if not (self._workers or self._fleet and self._fleet.last_resort):
+        if not (self._workers or self._fleet):
             # every worker was revoked away and no last resort will run
             # the queue: fail fast (→ MAXINT via the engine's policy)
             self._fail_task(
@@ -723,6 +726,7 @@ class ProcessPoolBackend:
         handle.conn = parent_conn
         handle.busy_task = None
         handle.pending_revoke = False
+        handle.fresh = True
         handle.segments.clear()  # a fresh process holds no segments
 
     def _fail_task(self, task_id: int, exc: BaseException) -> None:
@@ -830,8 +834,8 @@ class ProcessPoolBackend:
         handle.process.join(_JOIN_TIMEOUT)
         self._workers.remove(handle)
         self._g_workers.set(self.n_workers)
-        last_resort = self._fleet and self._fleet.last_resort
-        if self._fleet:
+        last_resort = self._fleet is not None
+        if last_resort:
             self._fleet.copies.pop(task_id, None)
         if (
             task_id is not None
@@ -1069,20 +1073,30 @@ class ProcessPoolBackend:
                 if records and getattr(self.tracer, "enabled", False):
                     for rec in records:
                         self.tracer.ingest(rec)
-                future = self._futures.pop(task_id, None)
                 if handle.busy_task == task_id:
                     handle.busy_task = None
                     self._publish_worker(handle, "idle")
                 fleet = self._fleet
                 if fleet is not None:
-                    if future is None:
+                    fresh, handle.fresh = handle.fresh, False
+                    if task_id not in self._futures:
                         if fleet.copies.pop(task_id, None) is not None:
                             fleet.c_dups.inc()  # a speculated chunk's loser
-                    else:  # the first reply feeds the straggler mean
-                        fleet.reply_s += now - handle.dispatched_at
-                        fleet.replies += 1
-                        if fleet.copies.get(task_id) == handle.name:
+                    elif task_id in fleet.copies:
+                        if not self._running(task_id):
+                            del fleet.copies[task_id]  # no other copy runs
+                        elif kind == "raised":
+                            # a failed copy never outranks the other one,
+                            # still running: its reply is dropped, and
+                            # the chunk is not copied again
+                            fleet.copies[task_id] = None
+                            continue
+                        elif fleet.copies[task_id] == handle.name:
                             fleet.c_wins.inc()
+                    if not fresh and task_id in self._futures:
+                        # the first reply feeds the straggler mean
+                        fleet.window.append(now - handle.dispatched_at)
+                future = self._futures.pop(task_id, None)
                 if future is None:
                     # task already failed (deadline), was cancelled, or
                     # is the slower copy of a speculated chunk: discard
@@ -1185,9 +1199,9 @@ class ProcessPoolBackend:
         """One step of the fleet policy: the last resort when no
         worker is left, speculation, and the autoscale tick."""
         fleet = self._fleet
-        if self._queue and not self._workers and fleet.last_resort:
+        if self._queue and not self._workers:
             self._last_resort()
-        if fleet.speculate and fleet.replies >= MIN_HISTORY:
+        if fleet.speculate and len(fleet.window) >= MIN_HISTORY:
             self._speculate(now)
         if now - fleet.last_tick >= AUTOSCALE_INTERVAL:
             self._autoscale(now)
@@ -1216,9 +1230,7 @@ class ProcessPoolBackend:
         if not idle:
             return
         fleet = self._fleet
-        threshold = max(
-            MIN_SPECULATE_S, STRAGGLER_FACTOR * fleet.reply_s / fleet.replies
-        )
+        threshold = None
         for handle in list(self._workers):
             task_id = handle.busy_task
             if (
@@ -1226,8 +1238,15 @@ class ProcessPoolBackend:
                 or task_id is None
                 or task_id in fleet.copies
                 or task_id not in self._futures
-                or now - handle.dispatched_at <= threshold
+                or now - handle.dispatched_at <= MIN_SPECULATE_S
             ):
+                continue
+            if threshold is None:  # the window is summed only here
+                threshold = max(
+                    MIN_SPECULATE_S,
+                    STRAGGLER_FACTOR * sum(fleet.window) / len(fleet.window),
+                )
+            if now - handle.dispatched_at <= threshold:
                 continue
             spare = idle.pop(0)
             if not self._send(spare, task_id):

@@ -265,7 +265,6 @@ def _execution_backend(stack, args: argparse.Namespace):
             deadline=deadline,
             max_workers=max_workers,
             speculate=bool(getattr(args, "speculate", False)),
-            last_resort=True,
         )
     )
 
@@ -1400,7 +1399,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help=(
             "fleet-wide concurrent-evaluation cap (default: the "
-            "backend's worker count)"
+            "backend's worker count; --backend fleet: its "
+            "--max-workers)"
         ),
     )
     p_serve.add_argument(

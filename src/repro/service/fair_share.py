@@ -45,9 +45,12 @@ from repro.service.tenancy import Tenant
 
 
 def worker_capacity(backend: Any, default: int = 4) -> int:
-    """Best-effort fleet size of ``backend`` (its ``n_workers``, or
-    ``default``)."""
-    return int(getattr(backend, "n_workers", None) or default)
+    """The concurrency ``backend`` can reach: a fleet-policy pool's
+    ceiling (it grows toward it while work waits in its queue), else
+    its ``n_workers``, else ``default``."""
+    snapshot = getattr(backend, "fleet_snapshot", None)
+    ceiling = snapshot().get("max_workers") if callable(snapshot) else None
+    return int(ceiling or getattr(backend, "n_workers", None) or default)
 
 
 class ServiceFuture:
@@ -199,8 +202,9 @@ class FairShareScheduler:
     same logic deterministically by leaving it unstarted and calling
     :meth:`tick` by hand.
 
-    ``total_slots`` bounds fleet-wide concurrency and defaults to the
-    backend's worker count (inline backends get ``default_slots``).
+    ``total_slots`` bounds fleet-wide concurrency and defaults to
+    :func:`worker_capacity` — the backend's worker count, a fleet-policy
+    pool's ceiling (inline backends get ``default_slots``).
     """
 
     def __init__(
@@ -364,16 +368,9 @@ class FairShareScheduler:
     def _pick(self) -> Optional[tuple[CampaignQueue, _TenantAccount]]:
         """The fair-share choice, under the lock; None when nothing is
         eligible (empty queues, quotas saturated, or fleet full)."""
-        # a pool's size moves while campaigns run (autoscale,
-        # revocation); re-read it so the slot ceiling tracks the live
-        # fleet instead of the size at construction
-        n_workers = getattr(self.backend, "n_workers", None)
-        limit = (
-            self.total_slots
-            if n_workers is None
-            else min(self.total_slots, max(1, int(n_workers)))
-        )
-        if len(self._inflight) >= limit:
+        # not capped at a pool's live size: work past it waits in the
+        # pool's queue, the backlog a fleet-policy pool grows on
+        if len(self._inflight) >= self.total_slots:
             return None
         eligible = [
             account

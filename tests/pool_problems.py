@@ -65,6 +65,22 @@ class Picky:
         return np.array([phenome[0], 2.0])
 
 
+class HostileTo:
+    """Fitness ``(x0, 2)``, except in the pool process of ``worker``,
+    where the whole chunk raises: a chunk that fails in one copy and
+    not in the other."""
+
+    n_objectives = 2
+
+    def __init__(self, worker: str) -> None:
+        self.worker = worker
+
+    def evaluate_batch_with_metadata(self, phenomes, uuids=None):
+        if multiprocessing.current_process().name == f"repro-{self.worker}":
+            raise RuntimeError(f"{self.worker} cannot run this chunk")
+        return [(np.array([phenome[0], 2.0]), {}) for phenome in phenomes]
+
+
 class WorkerHostile(Individual):
     """Builds in the driver, raises when a worker rebuilds it: the
     whole chunk fails inside a live worker."""

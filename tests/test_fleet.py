@@ -55,7 +55,9 @@ from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.injection import use_injector
 from repro.obs import Tracer, use_tracer
 from repro.obs.metrics import MetricsRegistry
-from tests.pool_problems import Echo, Sleepy
+from repro.service.fair_share import FairShareScheduler
+from repro.service.tenancy import Tenant
+from tests.pool_problems import Echo, HostileTo, Sleepy
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -265,19 +267,17 @@ class TestPolicy:
             snap = pool.fleet_snapshot()
         assert pool.closed
         assert (snap["min_workers"], snap["max_workers"]) == (1, 2)
-        assert pool._fleet.last_resort
 
 
 # ----------------------------------------------------------------------
 # speculation
 # ----------------------------------------------------------------------
 def _warm(pool):
-    """Boot pool-0 with one chunk, then give the pool the replies it
-    learns its straggler mean from.  pool-0 runs them all (the lowest
-    idle index takes the queue), so its next dispatch is ordinal
-    ``WARMED``."""
+    """Boot pool-0 with one chunk, whose reply stays out of the
+    straggler mean, then give the pool the replies it learns the mean
+    from.  pool-0 runs them all (the lowest idle index takes the
+    queue), so its next dispatch is ordinal ``WARMED``."""
     pool.submit(_echo(1, start=99)[0]).result(timeout=30)
-    pool._fleet.reply_s, pool._fleet.replies = 0.0, 0
     for ind in _echo(MIN_HISTORY, start=100):
         pool.submit(ind).result(timeout=30)
 
@@ -389,6 +389,56 @@ class TestSpeculation:
         assert [ind.fitness.tolist() for ind in done] == [
             ind.fitness.tolist() for ind in inline
         ]
+
+    def test_failed_speculation_never_outranks_primary(self):
+        """The copy on pool-1 fails the whole chunk while the straggling
+        original still runs: its reply is dropped, the chunk is not
+        copied again, and the original's result resolves it."""
+        registry = MetricsRegistry()
+        plan = FaultPlan(
+            [
+                Fault(
+                    "slow_worker", at=WARMED, worker="pool-0", seconds=0.4
+                )
+            ]
+        )
+        with use_injector(plan.injector()):
+            with ProcessPoolBackend(
+                workers=2, speculate=True, metrics=registry
+            ) as pool:
+                _warm(pool)
+                ind = Individual(
+                    np.array([6.0, 0.0]), problem=HostileTo("pool-1")
+                )
+                slot = pool.submit(ind).result(timeout=30)
+                snap = pool.fleet_snapshot()
+                copies = dict(pool._fleet.copies)
+        assert slot[0].tolist() == [6.0, 2.0]
+        assert (snap["speculations"], snap["speculative_wins"]) == (1, 0)
+        assert snap["requeued"] == 0
+        assert copies == {}
+
+    def test_a_workers_first_reply_stays_out_of_the_mean(self):
+        """A fresh process's first reply pays its boot and segment
+        unpickling: it feeds no straggler mean, and neither does a
+        respawned successor's."""
+        plan = FaultPlan([Fault("worker_death", at=WARMED, worker="pool-0")])
+        with use_injector(plan.injector()):
+            with ProcessPoolBackend(
+                workers=1, speculate=True, metrics=MetricsRegistry()
+            ) as pool:
+                _warm(pool)
+                warmed = len(pool._fleet.window)
+                # pool-0 dies on it; its successor's reply is a first
+                pool.submit(_echo(1)[0]).result(timeout=30)
+                respawned = len(pool._fleet.window)
+                pool.submit(_echo(1)[0]).result(timeout=30)
+                settled = len(pool._fleet.window)
+        assert (warmed, respawned, settled) == (
+            MIN_HISTORY,
+            MIN_HISTORY,
+            MIN_HISTORY + 1,
+        )
 
     def test_no_copy_before_the_pool_has_history(self):
         plan = FaultPlan([Fault("slow_worker", at=0, seconds=0.15)])
@@ -515,8 +565,9 @@ class TestAutoscale:
 
 
     def test_n_workers_tracks_live_capacity(self):
-        """Revocation and rescale move the live size that the snapshot
-        and the fair-share scheduler read."""
+        """Revocation and rescale move the live size the snapshot
+        reports; the fair-share scheduler sizes its slots by the
+        ceiling the pool can grow to."""
         from repro.service.fair_share import worker_capacity
 
         with ProcessPoolBackend(
@@ -530,7 +581,31 @@ class TestAutoscale:
             pool.scale_to(3)
             sizes.append((pool.n_workers, pool.fleet_snapshot()["workers"],
                           worker_capacity(pool)))
-        assert sizes == [(2, 2, 2), (1, 1, 1), (3, 3, 3)]
+        assert sizes == [(2, 2, 3), (1, 1, 3), (3, 3, 3)]
+
+    def test_a_service_backlog_grows_the_pool(self, monkeypatch):
+        """The fair-share scheduler dispatches up to the ceiling, not
+        the live size, so the backlog the policy grows on forms in the
+        pool's queue."""
+        monkeypatch.setattr(pool_module, "AUTOSCALE_INTERVAL", 0.02)
+        with ProcessPoolBackend(
+            workers=1, max_workers=3, metrics=MetricsRegistry()
+        ) as pool:
+            scheduler = FairShareScheduler(pool, metrics=MetricsRegistry())
+            queue = scheduler.register("c0", Tenant(max_in_flight=8))
+            futures = [
+                queue.submit(Individual(np.zeros(2), problem=_SLEEPY))
+                for _ in range(8)
+            ]
+            t0 = time.monotonic()
+            while not all(f.done() for f in futures):
+                assert time.monotonic() - t0 < 60
+                scheduler.tick()
+                time.sleep(0.002)
+            snap = pool.fleet_snapshot()
+        assert scheduler.total_slots == 3
+        assert snap["scale_ups"] >= 1
+        assert all(f.result()[0].tolist() == [1.0, 2.0] for f in futures)
 
 
 # ----------------------------------------------------------------------
@@ -550,7 +625,7 @@ class TestLastResort:
         tracer = Tracer()
         with use_injector(plan.injector()) as injector, use_tracer(tracer):
             with ProcessPoolBackend(
-                workers=2, last_resort=True, metrics=MetricsRegistry()
+                workers=2, max_workers=2, metrics=MetricsRegistry()
             ) as pool:
                 engine = EvaluationEngine(
                     client=pool, metrics=MetricsRegistry()
@@ -575,7 +650,7 @@ class TestLastResort:
 
     def test_a_submission_after_the_loss_runs_in_process(self):
         with ProcessPoolBackend(
-            workers=1, last_resort=True, metrics=MetricsRegistry()
+            workers=1, max_workers=1, metrics=MetricsRegistry()
         ) as pool:
             pool.revoke_worker()
             slot = pool.submit(_echo(1, start=3)[0]).result(timeout=30)
@@ -599,7 +674,7 @@ class TestElasticBackend:
                 [pool, InlineBackend()], min_workers=1, max_workers=2
             ) as fleet:
                 snap = fleet.fleet_snapshot()
-                assert pool._fleet.last_resort
+                assert pool._fleet is not None
                 engine = EvaluationEngine(
                     client=fleet, metrics=MetricsRegistry()
                 )
@@ -632,7 +707,7 @@ class TestFleetCampaignEquivalence:
         tracer = Tracer()
         with use_injector(plan.injector()) as injector, use_tracer(tracer):
             with ProcessPoolBackend(
-                workers=2, last_resort=True, metrics=MetricsRegistry()
+                workers=2, max_workers=2, metrics=MetricsRegistry()
             ) as pool:
                 stormed = Campaign(
                     lambda seed: SurrogateDeepMDProblem(seed=seed),
@@ -664,7 +739,7 @@ class TestFleetCampaignEquivalence:
         tracer = Tracer()
         with use_injector(plan.injector()) as injector, use_tracer(tracer):
             with ProcessPoolBackend(
-                workers=2, last_resort=True, metrics=MetricsRegistry()
+                workers=2, max_workers=2, metrics=MetricsRegistry()
             ) as pool:
                 survived = Campaign(
                     lambda seed: SurrogateDeepMDProblem(seed=seed),
