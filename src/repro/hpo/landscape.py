@@ -42,7 +42,9 @@ reported findings:
   over a per-phenome hash with one fixed counter slot per draw), so the
   value at a phenome never depends on batch composition or evaluation
   order — batch, scalar, and pipelined paths are bit-identical by
-  construction.
+  construction.  It is the only noise stream: a subclass (the NAS
+  surrogate) adds capacity terms to the noise-free means through one
+  hook and is drawn from the same hash, over all of its genes.
 
 A batch is one sweep per key set, and a sweep is ~106 NumPy ufunc
 passes whatever the number of phenomes, genes or counter slots:
@@ -77,7 +79,7 @@ import math
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Any, Optional, Sequence
 
@@ -87,7 +89,6 @@ from repro.evo.problem import WithMetadataProblem
 from repro.exceptions import TrainingDivergedError
 from repro.hpc.runtime_model import TrainingRuntimeModel
 from repro.nn.lr_schedule import scale_lr_by_workers
-from repro.rng import RngLike, ensure_rng
 
 # ----------------------------------------------------------------------
 # counter-based noise: splitmix64 over a per-phenome hash
@@ -130,6 +131,9 @@ _DRAW_INCREMENTS = np.array(
     ],
     dtype=np.uint64,
 )
+
+#: the genes the surface reads as floats
+_FLOATS = ("rcut", "rcut_smth", "start_lr", "stop_lr")
 
 _CRC_CACHE: dict[str, int] = {}
 _DOUBLE, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
@@ -288,12 +292,11 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
     Evaluations are deterministic given the problem seed and the
     phenome (noise is drawn from a counter-based stream derived from
     both), so campaign results are exactly reproducible regardless of
-    evaluation order, batch composition, or parallelism.  A whole
-    population evaluates in one NumPy sweep via
-    :meth:`evaluate_batch_with_metadata`; subclasses that override the
-    scalar surface hooks (``mean_objectives``, ``_sample_runtime``,
-    ``effective_start_lr``) automatically fall back to the per-phenome
-    path.
+    evaluation order, batch composition, or parallelism.  There is one
+    surface: a whole population evaluates in one NumPy sweep via
+    :meth:`evaluate_batch_with_metadata`, the scalar method is a batch
+    of one, and :meth:`mean_objectives` is the sweep's noise-free part.
+    A subclass changes the surface through one hook, :meth:`_capacity`.
     """
 
     n_objectives = 2
@@ -302,7 +305,6 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         self,
         calibration: Optional[LandscapeCalibration] = None,
         n_workers: int = 6,
-        rng: RngLike = None,
         seed: int = 0,
         simulate_runtime: bool = True,
     ) -> None:
@@ -310,7 +312,8 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         self.n_workers = int(n_workers)
         self.seed = int(seed)
         self.simulate_runtime = simulate_runtime
-        self._runtime_model = TrainingRuntimeModel(rng=ensure_rng(seed))
+        # the sweep reads only the model's constants
+        self._runtime_model = TrainingRuntimeModel()
         self._lock = threading.Lock()
         self.evaluations = 0
         self.failures = 0
@@ -330,8 +333,6 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         """Identity for the evaluation cache: the surface is fully
         determined by the calibration constants, the worker count, and
         the problem seed (which seeds the per-phenome noise)."""
-        from dataclasses import asdict
-
         return {
             "problem": "surrogate",
             "seed": self.seed,
@@ -340,122 +341,39 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
             "calibration": asdict(self.calibration),
         }
 
-    # ------------------------------------------------------------------
-    def _eval_rng(self, phenome: dict[str, Any]) -> np.random.Generator:
-        """Per-evaluation RNG: hash of the phenome plus the problem seed.
-
-        Uses a *process-stable* hash for strings (``zlib.crc32``) —
-        Python's built-in ``hash`` is salted per interpreter, which
-        would make campaign results irreproducible across runs.
-        """
-        import zlib
-
-        key_parts = [self.seed]
-        for name in sorted(phenome):
-            v = phenome[name]
-            if isinstance(v, float):
-                key_parts.append(np.float64(v).view(np.uint64))
-            else:
-                key_parts.append(zlib.crc32(str(v).encode("utf-8")))
-        ss = np.random.SeedSequence([int(p) % (2**32) for p in key_parts])
-        return np.random.default_rng(ss)
-
-    def effective_start_lr(self, phenome: dict[str, Any]) -> float:
-        return scale_lr_by_workers(
-            phenome["start_lr"], self.n_workers, phenome["scale_by_worker"]
-        )
-
     def mean_objectives(
         self, phenome: dict[str, Any]
     ) -> tuple[float, float]:
-        """Noise-free (energy RMSE, force RMSE) at a phenome.
+        """Noise-free (energy RMSE, force RMSE) at a phenome: the
+        sweep's surface on a batch of one, without its noise and its
+        two random failure checks (background, risky band).
 
         Raises :class:`TrainingDivergedError` for configurations in
-        the deterministic failure region.
+        the deterministic failure region, and :class:`ValueError` for
+        an unknown worker scaling.
         """
-        c = self.calibration
-        if phenome["rcut_smth"] >= phenome["rcut"]:
-            raise TrainingDivergedError(
-                "rcut_smth >= rcut: descriptor undefined"
+        cols = {name: [phenome[name]] for name in self._GENES}
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            eff, checks, energy, force, _ = self._surface(
+                cols, *(np.asarray(cols[name], np.float64) for name in _FLOATS)
             )
-        eff_lr = self.effective_start_lr(phenome)
-        if eff_lr <= 0 or phenome["stop_lr"] <= 0:
-            raise TrainingDivergedError("non-positive learning rate")
-        if eff_lr > c.lr_divergence_threshold:
-            raise TrainingDivergedError(
-                f"effective start_lr {eff_lr:.3g} diverges"
+        failed = [bool(check[0]) for check in checks]
+        if any(failed):
+            raise self._failure(
+                # the sweep's codes of its deterministic checks
+                (2, 4, 5, 6)[failed.index(True)],
+                float(eff[0]),
+                phenome["start_lr"],
+                phenome["scale_by_worker"],
             )
-        # learning-rate basins (log-quadratic, asymmetric)
-        log_eff = np.log10(eff_lr)
-        lr_width = (
-            c.lr_width_low_log10
-            if log_eff < c.lr_optimum_log10
-            else c.lr_width_log10
-        )
-        lr_term = ((log_eff - c.lr_optimum_log10) / lr_width) ** 2
-        stop_term = (
-            (np.log10(phenome["stop_lr"]) - c.stop_lr_optimum_log10)
-            / c.stop_lr_width_log10
-        ) ** 2
-        # radial cutoff: exponential decay toward the floor
-        rcut_decay = np.exp(
-            -(phenome["rcut"] - c.rcut_ref) / c.rcut_length
-        )
-        # smoothing radius: linear growth above 2 Å
-        smth_excess = max(phenome["rcut_smth"] - 2.0, 0.0)
-        # activation penalties
-        f_pen = e_pen = 0.0
-        fit_act = phenome["fitting_activ_func"]
-        if fit_act == "relu":
-            f_pen += c.fitting_relu_penalty[0]
-            e_pen += c.fitting_relu_penalty[1]
-        elif fit_act == "relu6":
-            f_pen += c.fitting_relu6_penalty[0]
-            e_pen += c.fitting_relu6_penalty[1]
-        desc_act = phenome["desc_activ_func"]
-        if desc_act == "sigmoid":
-            f_pen += c.desc_sigmoid_penalty[0]
-            e_pen += c.desc_sigmoid_penalty[1]
-        elif desc_act == "relu":
-            f_pen += c.desc_relu_penalty[0]
-            e_pen += c.desc_relu_penalty[1]
-        elif desc_act == "relu6":
-            f_pen += c.desc_relu6_penalty[0]
-            e_pen += c.desc_relu6_penalty[1]
-        # energy/force trade-off from the final prefactor fraction:
-        # f_end = stop_lr / eff_start_lr in (0, 1]; large -> force-led
-        f_end = min(phenome["stop_lr"] / eff_lr, 1.0)
-        theta = (np.log10(max(f_end, 1e-8)) + 4.0) / 4.0
-        theta = float(np.clip(theta, 0.0, 1.0))
-        force = (
-            c.force_floor
-            + c.lr_force_gain * lr_term
-            + c.stop_lr_force_gain * stop_term
-            + c.rcut_force_gain * rcut_decay
-            + c.smth_force_gain * smth_excess
-            + f_pen
-            + c.tradeoff_force_span * (1.0 - theta)
-        )
-        energy = (
-            c.energy_floor
-            + c.lr_energy_gain * lr_term
-            + c.stop_lr_energy_gain * stop_term
-            + c.rcut_energy_gain * rcut_decay
-            + c.smth_energy_gain * smth_excess
-            + e_pen
-            + c.tradeoff_energy_span * theta
-        )
-        return float(energy), float(force)
+        return float(energy[0]), float(force[0])
 
     # ------------------------------------------------------------------
     def evaluate_with_metadata(
         self, phenome: dict[str, Any], uuid: Optional[str] = None
     ) -> tuple[np.ndarray, dict[str, Any]]:
-        """Scalar view: a batch of one through the vectorized path, so
-        scalar and batch evaluation are bit-identical by construction
-        (subclasses overriding the surface hooks use the rng path)."""
-        if not self._vectorizable():
-            return self._evaluate_one_with_metadata(phenome)
+        """Scalar view: a batch of one through the sweep, so scalar and
+        batch evaluation are bit-identical by construction."""
         outcome = self._evaluate_batch_vectorized([phenome])[0]
         if isinstance(outcome, BaseException):
             raise outcome
@@ -468,97 +386,13 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
     ) -> list[Any]:
         """One outcome slot per phenome: ``(fitness, metadata)`` or the
         exception that phenome raises, whole batch in one NumPy sweep."""
-        if self._vectorizable():
-            return self._evaluate_batch_vectorized(list(phenomes))
-        outcomes: list[Any] = []
-        for phenome in phenomes:
-            try:
-                outcomes.append(self._evaluate_one_with_metadata(phenome))
-            except Exception as exc:  # noqa: BLE001 - isolated per slot
-                outcomes.append(exc)
-        return outcomes
-
-    def _vectorizable(self) -> bool:
-        """The vectorized sweep mirrors this class's scalar surface; a
-        subclass overriding any surface hook gets the rng path."""
-        cls = type(self)
-        return (
-            cls.mean_objectives is SurrogateDeepMDProblem.mean_objectives
-            and cls._sample_runtime is SurrogateDeepMDProblem._sample_runtime
-            and cls.effective_start_lr
-            is SurrogateDeepMDProblem.effective_start_lr
-        )
-
-    def _evaluate_one_with_metadata(
-        self, phenome: dict[str, Any]
-    ) -> tuple[np.ndarray, dict[str, Any]]:
-        """Per-phenome rng path (subclasses with overridden hooks)."""
-        rng = self._eval_rng(phenome)
-        with self._lock:
-            self.evaluations += 1
-        c = self.calibration
-        try:
-            if rng.random() < c.background_failure_rate:
-                raise TrainingDivergedError(
-                    "spurious configuration/system failure"
-                )
-            eff_lr = self.effective_start_lr(phenome)
-            if (
-                eff_lr > c.lr_risky_threshold
-                and rng.random() < c.lr_risky_failure_rate
-            ):
-                raise TrainingDivergedError(
-                    f"effective start_lr {eff_lr:.3g} in the unstable band"
-                )
-            energy, force = self.mean_objectives(phenome)
-        except TrainingDivergedError as exc:
-            with self._lock:
-                self.failures += 1
-            # failed trainings abort quickly (§3.2: "very short
-            # runtimes ... corresponding to failed training tasks");
-            # attach the runtime so RobustIndividual can record it
-            exc.metadata = {  # type: ignore[attr-defined]
-                "phenome": dict(phenome),
-                "failed": True,
-                "failure_cause": f"{type(exc).__name__}: {exc}",
-                "runtime_minutes": (
-                    self._sample_runtime(phenome, rng, failed=True)
-                    if self.simulate_runtime
-                    else 0.0
-                ),
-            }
-            raise
-        z = rng.normal()
-        energy *= float(
-            np.exp(rng.normal(0.0, c.energy_noise) + c.balance_noise_energy * z)
-        )
-        force *= float(
-            np.exp(rng.normal(0.0, c.force_noise) - c.balance_noise_force * z)
-        )
-        metadata: dict[str, Any] = {
-            "phenome": dict(phenome),
-            "failed": False,
-        }
-        if self.simulate_runtime:
-            metadata["runtime_minutes"] = self._sample_runtime(
-                phenome, rng, failed=False
-            )
-        return np.array([energy, force]), metadata
-
-    def _sample_runtime(
-        self,
-        phenome: dict[str, Any],
-        rng: np.random.Generator,
-        failed: bool,
-    ) -> float:
-        model = TrainingRuntimeModel(rng=rng)
-        return model.runtime_minutes(phenome["rcut"], failed=failed)
+        return self._evaluate_batch_vectorized(list(phenomes))
 
     # ------------------------------------------------------------------
     # vectorized sweep
     # ------------------------------------------------------------------
     #: the genes the response surface reads
-    _GENES = (
+    _GENES: tuple[str, ...] = (
         "rcut",
         "rcut_smth",
         "start_lr",
@@ -567,6 +401,18 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         "desc_activ_func",
         "scale_by_worker",
     )
+
+    def _capacity(
+        self, cols: dict[str, list[Any]]
+    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-slot ``(force penalty, energy penalty, runtime minutes
+        added)`` over a group's gene columns, or ``None``.
+
+        The penalties are added to the noise-free means, before the
+        noise; the runtime goes to successful trainings only.  The base
+        surface adds nothing.
+        """
+        return None
 
     def _evaluate_batch_vectorized(
         self, phenomes: list[dict[str, Any]]
@@ -600,6 +446,153 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
             self._evaluate_group(phenomes, idx, key, outcomes)
         return outcomes
 
+    def _surface(
+        self,
+        cols: dict[str, list[Any]],
+        rcut: np.ndarray,
+        rcut_smth: np.ndarray,
+        start_lr: np.ndarray,
+        stop_lr: np.ndarray,
+    ) -> tuple[
+        np.ndarray,
+        list[Any],
+        np.ndarray,
+        np.ndarray,
+        Optional[np.ndarray],
+    ]:
+        """The noise-free response surface over a group's gene columns.
+
+        Returns ``(eff, checks, energy, force, runtime_extra)``: each
+        slot's effective start rate (nan for a worker scaling that does
+        not resolve); the deterministic failure checks in precedence
+        order (the scaling does not resolve, rcut_smth ≥ rcut, a
+        non-positive rate, divergence); the mean energy and force with
+        :meth:`_capacity`'s penalties added; and its runtime minutes
+        (``None`` without them).  Nan-safe: failed slots are the
+        caller's to mask out.
+        """
+        c = self.calibration
+        workers_ok = self.n_workers >= 1
+        factor_map = {
+            "linear": float(self.n_workers),
+            "sqrt": math.sqrt(self.n_workers) if workers_ok else 0.0,
+            "none": 1.0,
+        }
+        factors = [
+            factor_map.get(scheme) if workers_ok else None
+            for scheme in cols["scale_by_worker"]
+        ]
+        eff = start_lr * np.array(
+            [math.nan if f is None else f for f in factors]
+        )
+        checks = [
+            [f is None for f in factors],
+            rcut_smth >= rcut,
+            (eff <= 0.0) | (stop_lr <= 0.0),
+            eff > c.lr_divergence_threshold,
+        ]
+        # learning-rate basins (log-quadratic, asymmetric)
+        log_eff = np.log10(eff)
+        lr_width = np.where(
+            log_eff < c.lr_optimum_log10,
+            c.lr_width_low_log10,
+            c.lr_width_log10,
+        )
+        lr_term = ((log_eff - c.lr_optimum_log10) / lr_width) ** 2
+        stop_term = (
+            (np.log10(stop_lr) - c.stop_lr_optimum_log10)
+            / c.stop_lr_width_log10
+        ) ** 2
+        # radial cutoff: exponential decay toward the floor
+        rcut_decay = np.exp(-(rcut - c.rcut_ref) / c.rcut_length)
+        # smoothing radius: linear growth above 2 Å
+        smth_excess = np.maximum(rcut_smth - 2.0, 0.0)
+        # activation penalties
+        fit_f = {
+            "relu": c.fitting_relu_penalty[0],
+            "relu6": c.fitting_relu6_penalty[0],
+        }
+        fit_e = {
+            "relu": c.fitting_relu_penalty[1],
+            "relu6": c.fitting_relu6_penalty[1],
+        }
+        desc_f = {
+            "sigmoid": c.desc_sigmoid_penalty[0],
+            "relu": c.desc_relu_penalty[0],
+            "relu6": c.desc_relu6_penalty[0],
+        }
+        desc_e = {
+            "sigmoid": c.desc_sigmoid_penalty[1],
+            "relu": c.desc_relu_penalty[1],
+            "relu6": c.desc_relu6_penalty[1],
+        }
+        acts = list(zip(cols["fitting_activ_func"], cols["desc_activ_func"]))
+        # (a Python float sum rounds as a float64 array sum does)
+        f_pen, e_pen = np.array(
+            [
+                [fit_f.get(a, 0.0) + desc_f.get(d, 0.0) for a, d in acts],
+                [fit_e.get(a, 0.0) + desc_e.get(d, 0.0) for a, d in acts],
+            ]
+        )
+        # energy/force trade-off from the final prefactor fraction:
+        # f_end = stop_lr / eff_start_lr in (0, 1]; large -> force-led
+        f_end = np.minimum(stop_lr / eff, 1.0)
+        theta = np.clip(
+            (np.log10(np.maximum(f_end, 1e-8)) + 4.0) / 4.0,
+            0.0,
+            1.0,
+        )
+        force = (
+            c.force_floor
+            + c.lr_force_gain * lr_term
+            + c.stop_lr_force_gain * stop_term
+            + c.rcut_force_gain * rcut_decay
+            + c.smth_force_gain * smth_excess
+            + f_pen
+            + c.tradeoff_force_span * (1.0 - theta)
+        )
+        energy = (
+            c.energy_floor
+            + c.lr_energy_gain * lr_term
+            + c.stop_lr_energy_gain * stop_term
+            + c.rcut_energy_gain * rcut_decay
+            + c.smth_energy_gain * smth_excess
+            + e_pen
+            + c.tradeoff_energy_span * theta
+        )
+        runtime_extra = None
+        capacity = self._capacity(cols)
+        if capacity is not None:
+            force_pen, energy_pen, runtime_extra = capacity
+            force = force + force_pen
+            energy = energy + energy_pen
+        return eff, checks, energy, force, runtime_extra
+
+    def _failure(
+        self, code: int, eff: float, start_lr: Any, scheme: Any
+    ) -> Exception:
+        """The exception of a slot that fails check ``code`` (see the
+        failure partition in :meth:`_evaluate_group`)."""
+        if code == 2:
+            try:
+                scale_lr_by_workers(start_lr, self.n_workers, scheme)
+            except ValueError as exc:
+                return exc
+            return ValueError(
+                f"unknown worker scaling {scheme!r}"
+            )  # pragma: no cover - scale_lr always raises here
+        if code == 1:
+            message = "spurious configuration/system failure"
+        elif code == 3:
+            message = f"effective start_lr {eff:.3g} in the unstable band"
+        elif code == 4:
+            message = "rcut_smth >= rcut: descriptor undefined"
+        elif code == 5:
+            message = "non-positive learning rate"
+        else:
+            message = f"effective start_lr {eff:.3g} diverges"
+        return TrainingDivergedError(message)
+
     def _evaluate_group(
         self,
         phenomes: list[dict[str, Any]],
@@ -619,9 +612,8 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         }
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # per-phenome hash: the problem seed folded with every
-            # gene's (name, value) — the counter-based analogue of the
-            # old per-evaluation SeedSequence — then every counter slot
-            # of every phenome in one draw
+            # gene's (name, value), then every counter slot of every
+            # phenome in one draw
             (u_background, u_risky, u_fail_runtime), (
                 z_balance,
                 z_energy,
@@ -629,117 +621,31 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
                 z_runtime,
             ) = _draws(_fold_lanes(self.seed, _gene_words(cols)))
             try:
-                rcut = np.asarray(cols["rcut"], dtype=np.float64)
-                rcut_smth = np.asarray(
-                    cols["rcut_smth"], dtype=np.float64
+                rcut, rcut_smth, start_lr, stop_lr = (
+                    np.asarray(cols[name], dtype=np.float64)
+                    for name in _FLOATS
                 )
-                start_lr = np.asarray(
-                    cols["start_lr"], dtype=np.float64
-                )
-                stop_lr = np.asarray(cols["stop_lr"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 with self._lock:
                     self.evaluations += m
                 for i in idx:
                     outcomes[i] = TypeError(str(exc))
                 return
-            # effective start rate (nan marks an unresolvable scheme,
-            # surfaced per slot as the scalar path's ValueError)
-            workers_ok = self.n_workers >= 1
-            factor_map = {
-                "linear": float(self.n_workers),
-                "sqrt": math.sqrt(self.n_workers) if workers_ok else 0.0,
-                "none": 1.0,
-            }
-            schemes = cols["scale_by_worker"]
-            factors = [
-                factor_map.get(scheme) if workers_ok else None
-                for scheme in schemes
-            ]
-            eff = start_lr * np.array(
-                [math.nan if f is None else f for f in factors]
+            eff, checks, energy, force, runtime_extra = (
+                self._surface(cols, rcut, rcut_smth, start_lr, stop_lr)
             )
             # failure partition: code k fails the k-th check, the first
-            # to fail in the scalar path's precedence order (0: trained)
+            # to fail in precedence order (0: trained)
             checks = np.array(
                 [
                     u_background < c.background_failure_rate,
-                    [f is None for f in factors],
+                    checks[0],
                     (eff > c.lr_risky_threshold)
                     & (u_risky < c.lr_risky_failure_rate),
-                    rcut_smth >= rcut,
-                    (eff <= 0.0) | (stop_lr <= 0.0),
-                    eff > c.lr_divergence_threshold,
+                    *checks[1:],
                 ]
             )
             code = np.where(checks.any(axis=0), checks.argmax(axis=0) + 1, 0)
-            # the response surface (nan-safe: failed slots are masked
-            # out of the outcomes below)
-            log_eff = np.log10(eff)
-            lr_width = np.where(
-                log_eff < c.lr_optimum_log10,
-                c.lr_width_low_log10,
-                c.lr_width_log10,
-            )
-            lr_term = ((log_eff - c.lr_optimum_log10) / lr_width) ** 2
-            stop_term = (
-                (np.log10(stop_lr) - c.stop_lr_optimum_log10)
-                / c.stop_lr_width_log10
-            ) ** 2
-            rcut_decay = np.exp(-(rcut - c.rcut_ref) / c.rcut_length)
-            smth_excess = np.maximum(rcut_smth - 2.0, 0.0)
-            fit_f = {
-                "relu": c.fitting_relu_penalty[0],
-                "relu6": c.fitting_relu6_penalty[0],
-            }
-            fit_e = {
-                "relu": c.fitting_relu_penalty[1],
-                "relu6": c.fitting_relu6_penalty[1],
-            }
-            desc_f = {
-                "sigmoid": c.desc_sigmoid_penalty[0],
-                "relu": c.desc_relu_penalty[0],
-                "relu6": c.desc_relu6_penalty[0],
-            }
-            desc_e = {
-                "sigmoid": c.desc_sigmoid_penalty[1],
-                "relu": c.desc_relu_penalty[1],
-                "relu6": c.desc_relu6_penalty[1],
-            }
-            acts = list(
-                zip(cols["fitting_activ_func"], cols["desc_activ_func"])
-            )
-            # (a Python float sum rounds as a float64 array sum does)
-            f_pen, e_pen = np.array(
-                [
-                    [fit_f.get(a, 0.0) + desc_f.get(d, 0.0) for a, d in acts],
-                    [fit_e.get(a, 0.0) + desc_e.get(d, 0.0) for a, d in acts],
-                ]
-            )
-            f_end = np.minimum(stop_lr / eff, 1.0)
-            theta = np.clip(
-                (np.log10(np.maximum(f_end, 1e-8)) + 4.0) / 4.0,
-                0.0,
-                1.0,
-            )
-            force = (
-                c.force_floor
-                + c.lr_force_gain * lr_term
-                + c.stop_lr_force_gain * stop_term
-                + c.rcut_force_gain * rcut_decay
-                + c.smth_force_gain * smth_excess
-                + f_pen
-                + c.tradeoff_force_span * (1.0 - theta)
-            )
-            energy = (
-                c.energy_floor
-                + c.lr_energy_gain * lr_term
-                + c.stop_lr_energy_gain * stop_term
-                + c.rcut_energy_gain * rcut_decay
-                + c.smth_energy_gain * smth_excess
-                + e_pen
-                + c.tradeoff_energy_span * theta
-            )
             energy = energy * np.exp(
                 c.energy_noise * z_energy + c.balance_noise_energy * z_balance
             )
@@ -753,9 +659,10 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
                 base = rt.fixed_minutes + rt.env_minutes * (
                     rcut / rt.rcut_ref
                 ) ** 3
-                ok_runtime = (
-                    base * np.exp(rt.jitter_sigma * z_runtime)
-                ).tolist()
+                ok_runtime = base * np.exp(rt.jitter_sigma * z_runtime)
+                if runtime_extra is not None:
+                    ok_runtime = ok_runtime + runtime_extra
+                ok_runtime = ok_runtime.tolist()
             else:
                 fail_runtime = ok_runtime = [0.0] * m
         codes = code.tolist()
@@ -781,37 +688,16 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
                     metadata,
                 )
                 continue
-            if k == 2:
-                try:
-                    scale_lr_by_workers(
-                        cols["start_lr"][j], self.n_workers, schemes[j]
-                    )
-                    outcomes[i] = ValueError(
-                        f"unknown worker scaling {schemes[j]!r}"
-                    )  # pragma: no cover - scale_lr always raises here
-                except ValueError as exc:
-                    outcomes[i] = exc
-                continue
-            if k == 1:
-                message = "spurious configuration/system failure"
-            elif k == 3:
-                message = (
-                    f"effective start_lr {effs[j]:.3g} in the "
-                    "unstable band"
-                )
-            elif k == 4:
-                message = "rcut_smth >= rcut: descriptor undefined"
-            elif k == 5:
-                message = "non-positive learning rate"
-            else:
-                message = f"effective start_lr {effs[j]:.3g} diverges"
-            exc = TrainingDivergedError(message)
-            exc.metadata = {  # type: ignore[attr-defined]
-                "phenome": dict(phenomes[i]),
-                "failed": True,
-                "failure_cause": f"{type(exc).__name__}: {exc}",
-                "runtime_minutes": (
-                    fail_runtime[j] if self.simulate_runtime else 0.0
-                ),
-            }
+            exc = self._failure(
+                k, effs[j], cols["start_lr"][j], cols["scale_by_worker"][j]
+            )
+            if k != 2:
+                exc.metadata = {  # type: ignore[attr-defined]
+                    "phenome": dict(phenomes[i]),
+                    "failed": True,
+                    "failure_cause": f"{type(exc).__name__}: {exc}",
+                    "runtime_minutes": (
+                        fail_runtime[j] if self.simulate_runtime else 0.0
+                    ),
+                }
             outcomes[i] = exc

@@ -17,13 +17,13 @@ into a discrete set, so Gaussian mutation applies uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.evo.decoder import Decoder, floor_mod_choice
-from repro.exceptions import DecodeError, TrainingDivergedError
+from repro.exceptions import DecodeError
 from repro.hpo.landscape import (
     LandscapeCalibration,
     SurrogateDeepMDProblem,
@@ -35,13 +35,15 @@ from repro.hpo.representation import (
     GENE_NAMES,
 )
 
-#: The four architecture genes appended to the seven training genes.
-NAS_GENE_NAMES: tuple[str, ...] = GENE_NAMES + (
+_ARCH_GENES = (
     "embedding_depth",
     "embedding_width",
     "fitting_depth",
     "fitting_width",
 )
+
+#: The four architecture genes appended to the seven training genes.
+NAS_GENE_NAMES: tuple[str, ...] = GENE_NAMES + _ARCH_GENES
 
 _NAS_INIT_RANGES: dict[str, tuple[float, float]] = {
     **_INIT_RANGES,
@@ -79,12 +81,7 @@ class NASDecoder(Decoder):
             choices = _CATEGORICAL_CHOICES.get(name)
             if choices is not None:
                 phenome[name] = floor_mod_choice(float(value), choices)
-            elif name in (
-                "embedding_depth",
-                "embedding_width",
-                "fitting_depth",
-                "fitting_width",
-            ):
+            elif name in _ARCH_GENES:
                 lo, hi = _NAS_INIT_RANGES[name]
                 v = int(math.floor(float(value)))
                 phenome[name] = int(np.clip(v, int(lo), int(hi) - 1))
@@ -149,7 +146,10 @@ class NASCalibration:
 
 
 class NASSurrogateProblem(SurrogateDeepMDProblem):
-    """Surrogate landscape over the 11-gene phenome."""
+    """Surrogate landscape over the 11-gene phenome: the base surface
+    plus :meth:`capacity_terms`, through the sweep's capacity hook."""
+
+    _GENES = SurrogateDeepMDProblem._GENES + _ARCH_GENES
 
     def __init__(
         self,
@@ -159,6 +159,15 @@ class NASSurrogateProblem(SurrogateDeepMDProblem):
     ) -> None:
         super().__init__(calibration=calibration, **kwargs)
         self.nas = nas_calibration or NASCalibration()
+
+    def cache_fingerprint(self) -> dict[str, Any]:
+        """The base identity under its own problem name, plus the
+        capacity constants."""
+        return {
+            **super().cache_fingerprint(),
+            "problem": "nas-surrogate",
+            "nas": asdict(self.nas),
+        }
 
     @staticmethod
     def _parameter_count(phenome: dict[str, Any]) -> float:
@@ -197,19 +206,15 @@ class NASSurrogateProblem(SurrogateDeepMDProblem):
         runtime_extra = nas.runtime_per_kparam_minutes * params / 1000.0
         return force_pen, energy_pen, runtime_extra
 
-    def mean_objectives(
-        self, phenome: dict[str, Any]
-    ) -> tuple[float, float]:
-        energy, force = super().mean_objectives(phenome)
-        force_pen, energy_pen, _ = self.capacity_terms(phenome)
-        return energy + energy_pen, force + force_pen
-
-    def _sample_runtime(self, phenome, rng, failed):
-        base = super()._sample_runtime(phenome, rng, failed)
-        if failed:
-            return base
-        _, _, extra = self.capacity_terms(phenome)
-        return base + extra
+    def _capacity(
+        self, cols: dict[str, list[Any]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`capacity_terms` of every slot, as three rows."""
+        terms = [
+            self.capacity_terms(dict(zip(_ARCH_GENES, arch)))
+            for arch in zip(*(cols[name] for name in _ARCH_GENES))
+        ]
+        return tuple(np.array(terms).T)
 
 
 def run_nas_nsga2(

@@ -70,10 +70,12 @@ class PeriodicCell:
         with periodic images beyond the first shell matter; this
         returns all integer-combination shift vectors whose cells could
         contain a neighbor within ``cutoff`` — of an atom wrapped into
-        the cell.  (:func:`repro.md.neighbors.neighbor_pairs` sizes its
-        own range from the positions, so it does not need them wrapped.)
+        the cell.  Wrapped coordinates (``L`` itself included) put a
+        pair at most ``L`` apart per axis, so ``|k| L <= cutoff + L``.
+        (:func:`repro.md.neighbors.neighbor_pairs` sizes its own range
+        from the positions, so it does not need them wrapped.)
         """
-        n = np.ceil(cutoff / self.lengths).astype(int)
+        n = np.floor(cutoff / self.lengths).astype(int) + 1
         ranges = [np.arange(-k, k + 1) for k in n]
         grid = np.stack(
             np.meshgrid(*ranges, indexing="ij"), axis=-1

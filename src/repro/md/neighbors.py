@@ -37,19 +37,17 @@ def _image_range(
     positions: np.ndarray, lengths: np.ndarray, cutoff: float
 ) -> np.ndarray:
     """Per axis, the largest lattice multiplier ``k`` for which some
-    pair satisfies ``|r_j - r_i + k L| <= cutoff``.
+    pair can satisfy ``|r_j - r_i + k L| <= cutoff``.
 
-    Wrapped coordinates (spread over at most one box length, a
-    coordinate of exactly ``L`` included) need ``ceil(cutoff / L)``,
-    the range :meth:`PeriodicCell.image_shifts` covers; positions spread
-    wider need ``|k| L <= cutoff + spread``.
+    A pair's component is at most the coordinates' spread, so
+    ``|k| L <= cutoff + spread``: sufficient and tight for any spread,
+    wrapped coordinates (a coordinate of exactly ``L`` included) or not.
+    The distance test rounds, so the reach gets the per-axis test's
+    slack (an image a few ulp beyond the cutoff may pass it).
     """
-    spread = np.ptp(positions, axis=0)
-    return np.where(
-        spread <= lengths,
-        np.ceil(cutoff / lengths),
-        np.floor((cutoff + spread) / lengths),
-    ).astype(np.int64)
+    reach = cutoff + np.ptp(positions, axis=0)
+    reach = reach + 1e-12 * (reach + 2.0 * np.abs(positions).max())
+    return np.floor(reach / lengths).astype(np.int64)
 
 
 def neighbor_pairs(

@@ -1,6 +1,8 @@
 """Tests for the extension modules: potential deployment, asynchronous
 steady-state NSGA-II, the NAS representation, and campaign storage."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from repro.chaos import Fault, FaultPlan
 from repro.engine import ProcessPoolBackend
 from repro.evo.asynchronous import steady_state_nsga2
 from repro.hpo.campaign import Campaign, CampaignConfig
-from repro.hpo.landscape import SurrogateDeepMDProblem
+from repro.hpo.landscape import LandscapeCalibration, SurrogateDeepMDProblem
 from repro.hpo.nas import (
     NAS_GENE_NAMES,
+    NASCalibration,
     NASRepresentation,
     NASSurrogateProblem,
     run_nas_nsga2,
@@ -355,6 +358,23 @@ class TestNASSurrogate:
         assert (
             meta_big["runtime_minutes"] > meta_small["runtime_minutes"]
         )
+
+    def test_cache_fingerprint_names_the_problem_and_its_capacity(self):
+        base = SurrogateDeepMDProblem(seed=0).cache_fingerprint()
+        assert base == {
+            "problem": "surrogate",
+            "seed": 0,
+            "n_workers": 6,
+            "simulate_runtime": True,
+            "calibration": asdict(LandscapeCalibration()),
+        }
+        nas = NASSurrogateProblem(seed=0).cache_fingerprint()
+        other = NASSurrogateProblem(
+            seed=0, nas_calibration=NASCalibration(reference_params=4000.0)
+        ).cache_fingerprint()
+        assert nas["problem"] == "nas-surrogate"
+        assert nas["nas"] == asdict(NASCalibration())
+        assert len({repr(base), repr(nas), repr(other)}) == 3
 
     def test_nas_driver_runs(self):
         records = run_nas_nsga2(pop_size=20, generations=2, rng=0)

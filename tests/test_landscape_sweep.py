@@ -7,6 +7,11 @@ runtime minutes, exception type and message, metadata — and its
 phenome evaluated alone: valid phenomes, every failure code, unknown
 worker scalings and ``n_workers=0``, missing genes, non-numeric and
 special float genes, int-valued genes, float subclasses and extra keys.
+
+``NASSurrogateProblem`` runs on the same sweep through its capacity
+hook: a mixed batch must equal each slot evaluated alone, its failures
+must be the base problem's on the same phenome, its means the base
+means plus ``capacity_terms``, and its noise the base noise.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hpo.landscape import LandscapeCalibration, SurrogateDeepMDProblem
+from repro.hpo.nas import NASCalibration, NASSurrogateProblem
 from tests import landscape_reference as reference
 
 ACTIVATIONS = ["tanh", "relu", "relu6", "sigmoid", "softplus", "gelu"]
@@ -234,3 +240,122 @@ class TestSameSlotsAsTheReferenceSweep:
         assert isinstance(missing, KeyError)
         (bad_float,) = check_against_reference({}, [{**ok, "rcut": "abc"}])
         assert isinstance(bad_float, TypeError)
+
+
+# ----------------------------------------------------------------------
+# NAS: the base sweep plus the capacity hook
+# ----------------------------------------------------------------------
+ARCH_GENES = ("embedding_depth", "embedding_width", "fitting_depth", "fitting_width")
+NO_CAPACITY = NASCalibration(
+    underfit_force_gain=0.0,
+    underfit_energy_gain=0.0,
+    overfit_force_gain=0.0,
+    runtime_per_kparam_minutes=0.0,
+)
+
+
+@st.composite
+def nas_phenomes(draw):
+    # a non-numeric float gene fails its whole key group, so it is left
+    # out where slots are compared with themselves evaluated alone
+    p = draw(
+        phenomes().filter(
+            lambda p: all(
+                isinstance(p.get(name, 0.0), (int, float)) for name in FLOAT_GENES
+            )
+        )
+    )
+    p["embedding_depth"] = draw(st.integers(1, 3))
+    p["embedding_width"] = draw(st.integers(4, 32))
+    p["fitting_depth"] = draw(st.integers(1, 3))
+    p["fitting_width"] = draw(st.integers(8, 64))
+    if draw(st.integers(0, 9)) == 0:
+        del p[draw(st.sampled_from(ARCH_GENES))]
+    return p
+
+
+def evaluate_slot(problem, phenome):
+    (slot,) = problem.evaluate_batch_with_metadata([phenome])
+    try:
+        outcome = problem.evaluate_with_metadata(phenome)
+    except Exception as exc:  # noqa: BLE001 - the slot's exception
+        outcome = exc
+    assert_same_slot(outcome, slot)
+    return slot
+
+
+class TestNASOnTheSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(problem_args, st.lists(nas_phenomes(), min_size=1, max_size=12))
+    def test_a_mixed_batch_is_each_slot_alone(self, args, batch):
+        problem = NASSurrogateProblem(**args)
+        got = problem.evaluate_batch_with_metadata(batch)
+        alone = NASSurrogateProblem(**args)
+        for slot, phenome in zip(got, batch):
+            assert_same_slot(slot, evaluate_slot(alone, phenome))
+        # alone evaluated every phenome twice
+        assert problem.evaluations == len(batch)
+        assert (2 * problem.evaluations, 2 * problem.failures) == (
+            alone.evaluations,
+            alone.failures,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem_args, st.lists(nas_phenomes(), min_size=1, max_size=12))
+    def test_the_base_sweep_plus_capacity(self, args, batch):
+        """Without capacity terms NAS is the base problem slot for slot;
+        with them a trained slot is the base mean plus the penalties,
+        times the base noise, and its runtime the base runtime plus the
+        extra, and a failed slot is the base problem's."""
+        nas = NASSurrogateProblem(**args)
+        got = nas.evaluate_batch_with_metadata(batch)
+        flat = NASSurrogateProblem(
+            nas_calibration=NO_CAPACITY, **args
+        ).evaluate_batch_with_metadata(batch)
+        base = SurrogateDeepMDProblem(**args)
+        expected = base.evaluate_batch_with_metadata(batch)
+        for phenome, slot, flat_slot, base_slot in zip(
+            batch, got, flat, expected
+        ):
+            if any(name not in phenome for name in ARCH_GENES):
+                assert isinstance(slot, KeyError)
+                continue
+            assert_same_slot(flat_slot, base_slot)
+            if isinstance(base_slot, BaseException):
+                assert_same_slot(slot, base_slot)
+                continue
+            force_pen, energy_pen, extra = nas.capacity_terms(phenome)
+            energy, force = base.mean_objectives(phenome)
+            close = dict(rel=1e-12, nan_ok=True)
+            assert slot[0][0] / base_slot[0][0] == pytest.approx(
+                (energy + energy_pen) / energy, **close
+            )
+            assert slot[0][1] / base_slot[0][1] == pytest.approx(
+                (force + force_pen) / force, **close
+            )
+            if args["simulate_runtime"]:
+                assert slot[1]["runtime_minutes"] == pytest.approx(
+                    base_slot[1]["runtime_minutes"] + extra, **close
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(nas_phenomes())
+    def test_mean_objectives_is_the_base_plus_capacity(self, phenome):
+        nas = NASSurrogateProblem()
+        base = SurrogateDeepMDProblem()
+        if any(name not in phenome for name in ARCH_GENES):
+            with pytest.raises(KeyError):
+                nas.mean_objectives(phenome)
+            return
+        try:
+            energy, force = base.mean_objectives(phenome)
+        except Exception as exc:  # noqa: BLE001 - NAS raises the same
+            with pytest.raises(type(exc)) as raised:
+                nas.mean_objectives(phenome)
+            assert raised.value.args == exc.args
+            return
+        force_pen, energy_pen, _ = nas.capacity_terms(phenome)
+        # repr: float-exact, and nan compares equal to nan
+        assert repr(nas.mean_objectives(phenome)) == repr(
+            (energy + energy_pen, force + force_pen)
+        )

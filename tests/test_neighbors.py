@@ -20,7 +20,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.deepmd import data
@@ -251,9 +251,20 @@ def on_pair_distances(table, low, count, rng):
     return [float(x) for x in rng.choice(r[r >= low], count)]
 
 
+#: two atoms one box length apart along y (a coordinate of exactly L)
+#: with a cutoff of one box length: the image two boxes over sits
+#: exactly on the cutoff
+ONE_BOX_APART = (
+    np.array([[1.0, 4.0, 1.0], [1.0, 0.0, 1.0]]),
+    PeriodicCell(4.0),
+    4.0,
+)
+
+
 class TestPrefixTables:
     @settings(max_examples=200, deadline=None)
     @given(configurations(), st.floats(1.0, 2.0))
+    @example(ONE_BOX_APART, 2.0)
     def test_within_a_larger_table_is_the_build_and_the_loop(
         self, config, grow
     ):
@@ -268,6 +279,18 @@ class TestPrefixTables:
             table_arrays(table),
             table_arrays(reference.build_neighbor_list(positions, cell, cutoff)),
         )
+
+    def test_a_pair_one_box_apart_on_a_cutoff_of_one_box(self):
+        positions, cell, cutoff = ONE_BOX_APART
+        table = NeighborList.build(positions, cell, cutoff)
+        # six self images, and the other atom at y shifts 0, 1 (five
+        # images, one coincident) and 2
+        assert table.neighbor_counts().tolist() == [13, 13]
+        assert_same_bytes(
+            table_arrays(NeighborList.build(positions, cell, 8.0).within(cutoff)),
+            table_arrays(table),
+        )
+        assert_same_as_reference(positions, cell, cutoff)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("atoms", [(4, 2), (32, 16)], ids=["20", "160"])
