@@ -94,7 +94,7 @@ def _measure_startup(problem: SleepProblem) -> dict:
         start = time.perf_counter() - t0
     with ProcessPoolBackend(workers=1) as pool:
         pool.submit_batch(_individuals(problem, 1)).result(120)
-        worker = pool._workers[0].process
+        worker = pool._workers["pool-0"].process
         worker.kill()
         worker.join()
         t0 = time.perf_counter()

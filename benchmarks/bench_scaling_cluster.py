@@ -114,10 +114,8 @@ def test_nanny_tradeoff_quantified(benchmark):
     no_nanny = run(False, 0.0)
     nanny_transient = run(True, 1.0)
     print()
-    print(
-        f"nodes lost - no nannies: {no_nanny.nodes_lost}, "
-        f"nannies (transient faults): {nanny_transient.nodes_lost}"
-    )
+    print(f"no nannies: {no_nanny.summary()}")
+    print(f"nannies (transient faults): {nanny_transient.summary()}")
     # with fully transient faults nannies recover nodes
     assert nanny_transient.nodes_lost <= no_nanny.nodes_lost
     # either way no evaluation is lost: the scheduler requeues

@@ -31,8 +31,9 @@ scratch on top of NumPy:
     tasks, and that pool's fleet policy (autoscale, speculation, an
     in-process last resort).
 ``repro.hpc``
-    Discrete-event model of a Summit-like cluster (nodes, batch jobs,
-    walltime, faults) and a training-runtime model.
+    Discrete-event model of a Summit-like cluster (batch jobs, walltime,
+    node faults) driving the pool's scheduling policy on simulated
+    minutes, and a training-runtime model.
 ``repro.hpo``
     The paper's contribution: the seven-gene representation, the
     evaluation workflow, the customized NSGA-II driver with mutation

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from repro.engine.backends import InlineBackend
-from repro.engine.pool import ProcessPoolBackend, _Fleet
+from repro.engine.policy import Fleet
+from repro.engine.pool import ProcessPoolBackend
 
 
 class ElasticBackend:
@@ -37,12 +38,9 @@ class ElasticBackend:
         ):
             raise ValueError("a fleet is [pool] or [pool, InlineBackend()]")
         self.pool = pool = members[0]
-        self._previous, size = pool._fleet, pool.n_workers
-        pool._fleet = _Fleet(
-            pool._registry,
-            min_workers or size,
-            max_workers or size,
-            speculate=False,
+        self._previous, size = pool._policy.fleet, pool.n_workers
+        pool._policy.fleet = Fleet(
+            min_workers or size, max_workers or size, speculate=False
         )
 
     def __getattr__(self, name: str) -> Any:
@@ -50,7 +48,7 @@ class ElasticBackend:
         return getattr(self.pool, name)
 
     def close(self) -> None:
-        self.pool._fleet = self._previous
+        self.pool._policy.fleet = self._previous
 
     def __enter__(self) -> "ElasticBackend":
         return self

@@ -22,22 +22,20 @@ Design constraints, in order:
   items per chunk (a scalar submit is a chunk of one).  Problems carry
   locks and caches; the ones shipped with this package implement
   ``__getstate__`` so they pickle cleanly.
-* **A dead worker's task is re-run elsewhere, a few times.**  The
-  paper let Dask reassign the task of a worker that died (§2.2.5).  A
-  worker that dies mid-task (OOM, segfault, injected chaos) is replaced
-  by a fresh process, and the task it held goes back to the front of
-  the queue, like a revoked worker's.  A task that has lost
-  :data:`DEATH_RETRIES` runs already fails instead, with a
+* **Scheduling is the policy's.**  Which worker takes which task, the
+  re-run of a dead worker's task at the front of the queue (until it has
+  lost :data:`DEATH_RETRIES` runs; then a
   :class:`~repro.exceptions.WorkerFailure` naming its attempts, which
-  the engine's §2.2.4 policy turns into a ``MAXINT`` fitness.  An
-  exception raised *inside* a worker is the evaluation's own outcome
-  and is not retried: bad hyperparameters fail on any node.
-* **Per-task deadline.**  The engine's soft timeout cannot stop a
-  worker that is stuck inside an evaluation; ``deadline`` is the hard
-  backend-side limit — an overrunning worker is killed, its task fails
-  with :class:`~repro.exceptions.TrainingTimeoutError`, and a
-  replacement worker is spawned (the paper's 2-hour cap, enforced with
-  SIGKILL).
+  the engine's §2.2.4 policy turns into ``MAXINT``), the per-task
+  ``deadline`` (the paper's 2-hour cap, enforced with SIGKILL) and the
+  fleet policy are :class:`repro.engine.policy.Policy`, which the
+  cluster simulator drives too (DESIGN.md §9).  ``_drain`` reads the
+  pipes, reports what it sees (replies, deaths, revocations, the time
+  on ``time.monotonic()``) and carries out the actions it gets back,
+  with the trace events and counters :mod:`repro.chaos.invariants` and
+  ``/metrics`` read.  An exception raised *inside* a worker is the
+  evaluation's own outcome and is not retried: bad hyperparameters fail
+  on any node.
 * **Chaos passthrough.**  The pool consults the process-wide
   :mod:`repro.injection` injector once per submission
   (``submit_delay``) and at dispatch time with ``(worker_name,
@@ -48,11 +46,6 @@ Design constraints, in order:
 * **No shared locks with workers.**  Each worker owns a private duplex
   pipe; a SIGKILL'd worker can never strand a lock another worker (or
   the parent) needs.
-* **The fleet is a policy, not a layer.**  ``--backend fleet`` is this
-  pool with its fleet policy on (``max_workers`` / ``speculate``,
-  DESIGN.md §9): autoscale against queue depth, a
-  speculative copy of a straggling chunk on an idle worker, and the
-  backlog run in-process once revocation has taken the last worker.
 
 The parent side is single-threaded: all bookkeeping happens inside
 :meth:`ProcessPoolBackend._drain`, which the engine's poll loop drives
@@ -67,40 +60,19 @@ import pickle
 import time
 import weakref
 import zlib
-from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.engine.backends import SlotFuture, evaluate_individuals_batch
-from repro.exceptions import (
-    EvaluationError,
-    TrainingTimeoutError,
-    WorkerFailure,
-    WorkerRevoked,
-)
+from repro.engine import policy
+from repro.engine.policy import DEATH_RETRIES  # noqa: F401 - documented here
+from repro.exceptions import EvaluationError, WorkerFailure
 from repro.injection import FaultInjector, get_injector
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import get_tracer
 
 #: how long close() waits for a worker to exit gracefully
 _JOIN_TIMEOUT = 5.0
-
-#: runs a task may lose to dead or revoked workers and still be re-run
-#: (Dask's ``allowed-failures``); a death past it is the task's failure
-DEATH_RETRIES = 2
-
-#: the fleet policy's tuning (DESIGN.md §9).  A chunk is a straggler
-#: once it has run STRAGGLER_FACTOR × the pool's mean dispatch→reply
-#: time over its last STRAGGLER_WINDOW replies (a worker's first reply
-#: after its spawn, which pays the boot, is left out), never sooner
-#: than MIN_SPECULATE_S, and only after MIN_HISTORY replies; autoscale
-#: observes the queue every AUTOSCALE_INTERVAL seconds and rescales
-#: after SUSTAIN_TICKS like observations in a row
-STRAGGLER_FACTOR = 3.0
-STRAGGLER_WINDOW = 256
-MIN_SPECULATE_S = 0.05
-MIN_HISTORY = 3
-AUTOSCALE_INTERVAL = 0.25
-SUSTAIN_TICKS = 2
 
 #: what the forkserver imports before it forks a worker: NumPy and every
 #: ``repro`` module a worker loads to serve this package's problems,
@@ -316,78 +288,26 @@ class ProcessFuture:
             self._backend._cancel_task(self.task_id)
 
 
+@dataclass(eq=False)
 class _WorkerHandle:
-    """Parent-side view of one worker process."""
+    """Parent-side view of one worker process (its books are the
+    policy's)."""
 
-    __slots__ = (
-        "index",
-        "name",
-        "process",
-        "conn",
-        "busy_task",
-        "dispatched_at",
-        "tasks_dispatched",
-        "respawns",
-        "segments",
-        "pending_revoke",
-        "fresh",
-    )
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.name = f"pool-{index}"
-        self.process: Any = None
-        self.conn: Any = None
-        self.busy_task: Optional[int] = None
-        self.dispatched_at = 0.0
-        #: this worker's own task ordinal — the ``task_index`` the
-        #: chaos injector's per-worker windows match against
-        self.tasks_dispatched = 0
-        #: how many successors were spawned under this name
-        self.respawns = 0
-        #: segment keys this worker process holds (a respawned
-        #: successor starts empty and gets them re-shipped; a collected
-        #: problem's key is dropped at the worker's next idle dispatch)
-        self.segments: set[str] = set()
-        #: the next death is a spot-style preemption: requeue the task
-        #: and retire the worker instead of respawning it
-        self.pending_revoke = False
-        #: no reply since this process was spawned: the first one pays
-        #: the boot and segment unpickling, and stays out of the
-        #: straggler mean
-        self.fresh = True
-
-
-class _Fleet:
-    """The fleet policy's bounds, switches and running state on one
-    pool (applied inside :meth:`ProcessPoolBackend._drain`)."""
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        floor: int,
-        ceiling: int,
-        speculate: bool,
-    ) -> None:
-        self.floor = floor
-        self.ceiling = ceiling
-        self.speculate = speculate
-        #: the last STRAGGLER_WINDOW dispatch→reply seconds of resolving
-        #: replies: the straggler threshold's mean
-        self.window: deque[float] = deque(maxlen=STRAGGLER_WINDOW)
-        #: task id → the worker running its speculative copy, until the
-        #: slower copy replies or dies (None once a failed copy's reply
-        #: was dropped: the chunk is not copied again)
-        self.copies: dict[int, Optional[str]] = {}
-        #: consecutive autoscale observations with a backlog / idle
-        self.pressure = 0
-        self.idle = 0
-        self.last_tick = time.monotonic()
-        self.c_spec = registry.counter("fleet_speculations_total")
-        self.c_wins = registry.counter("fleet_speculative_wins_total")
-        self.c_dups = registry.counter("fleet_duplicate_results_total")
-        self.c_up = registry.counter("fleet_scale_up_total")
-        self.c_down = registry.counter("fleet_scale_down_total")
+    name: str
+    process: Any = None
+    conn: Any = None
+    #: this worker's own task ordinal — the ``task_index`` the chaos
+    #: injector's per-worker windows match against
+    tasks_dispatched: int = 0
+    #: how many successors were spawned under this name
+    respawns: int = 0
+    #: segment keys this worker process holds (a respawned successor
+    #: starts empty and gets them re-shipped; a collected problem's key
+    #: is dropped while the worker is idle)
+    segments: set[str] = field(default_factory=set)
+    #: the next death is a spot-style preemption: the policy hears a
+    #: revocation instead of a death
+    pending_revoke: bool = False
 
 
 class ProcessPoolBackend:
@@ -440,7 +360,6 @@ class ProcessPoolBackend:
             workers = max(2, os.cpu_count() or 1)
         if workers < 1:
             raise ValueError("need at least one pool worker")
-        self.deadline = deadline
         if start_method is None:
             start_method = (
                 "forkserver"
@@ -468,16 +387,19 @@ class ProcessPoolBackend:
         #: sampled on every submit/dispatch/drain transition
         self._g_queue = registry.gauge("pool_queue_depth")
         self._g_busy = registry.gauge("pool_busy_workers")
-        #: FIFO of task ids; the spec lives in :attr:`_tasks` so a
-        #: revoked task can be requeued verbatim (same payload, same
-        #: uuids) with only its attempt counter bumped
-        self._queue: list[int] = []
-        #: task_id → [payload, {segment key: (problem, decoder,
-        #: class)}, attempt]; kept until the task's future resolves (or
-        #: is cancelled), so in-flight work survives the worker that
-        #: held it — and so do its segments, which a requeue re-ships
-        #: and the last resort rebuilds individuals over
-        self._tasks: dict[int, list[Any]] = {}
+        #: the queue, attempts, per-worker books and fleet policy
+        fleet = None
+        if max_workers is not None or speculate:
+            fleet = policy.Fleet(
+                int(workers), int(max_workers or workers), speculate
+            )
+        self._policy = policy.Policy(int(workers), deadline=deadline, fleet=fleet)
+        #: task_id → (future, payload, {segment key: (problem, decoder,
+        #: class)}); kept until the future resolves (or is cancelled), so
+        #: in-flight work survives the worker that held it — and so do
+        #: its segments, which a requeue re-ships and the last resort
+        #: rebuilds individuals over
+        self._tasks: dict[int, tuple[ProcessFuture, bytes, dict[str, Any]]] = {}
         #: segment registry: identity of (problem, decoder, class) →
         #: (key, strongly held objects, finalizers).  It holds a problem
         #: only while its caller does: when the problem or the decoder
@@ -491,25 +413,24 @@ class ProcessPoolBackend:
         #: key → pickled payload, for dispatch-time (re-)shipping
         self._segment_payloads: dict[str, bytes] = {}
         self._next_segment = 0
-        self._futures: dict[int, ProcessFuture] = {}
         self._next_task_id = 0
         self._closed = False
-        self._workers = [_WorkerHandle(i) for i in range(int(workers))]
-        #: worker indices are never reused — a revoked worker's name
-        #: must stay dead so requeued-elsewhere is checkable from the
-        #: trace alone
-        self._next_worker_index = int(workers)
-        #: the fleet policy, or None: a plain pool pays one attribute
-        #: test per drain for it
-        self._fleet: Optional[_Fleet] = None
-        for handle in self._workers:
+        #: name → handle, in the policy's worker order
+        self._workers: dict[str, _WorkerHandle] = {}
+        for name in self._policy.workers:
+            self._workers[name] = handle = _WorkerHandle(name)
             self._spawn(handle)
             self._publish_worker(handle, "idle")
         self._sample_gauges()
-        if max_workers is not None or speculate:
-            self._fleet = _Fleet(
-                registry, int(workers), int(max_workers or workers), speculate
-            )
+
+    @property
+    def deadline(self) -> Optional[float]:
+        """The hard per-task limit in seconds (settable)."""
+        return self._policy.deadline
+
+    @deadline.setter
+    def deadline(self, seconds: Optional[float]) -> None:
+        self._policy.deadline = seconds
 
     @property
     def n_workers(self) -> int:
@@ -522,10 +443,8 @@ class ProcessPoolBackend:
     def _sample_gauges(self) -> None:
         """Refresh the queue-depth / busy-workers gauges (called on
         every submit/dispatch/drain transition)."""
-        self._g_queue.set(len(self._queue))
-        self._g_busy.set(
-            sum(1 for h in self._workers if h.busy_task is not None)
-        )
+        self._g_queue.set(len(self._policy.queue))
+        self._g_busy.set(self.n_workers - self.idle_workers())
 
     def _publish_worker(
         self,
@@ -549,25 +468,31 @@ class ProcessPoolBackend:
                 pid=getattr(handle.process, "pid", None),
             )
 
+    def _fleet_counter(self, name: str) -> Any:
+        return self._registry.counter(f"fleet_{name}_total")
+
     def fleet_snapshot(self) -> dict[str, Any]:
         """Strict-JSON fleet-policy state for ``/status`` and the
         monitor; empty when the policy is off."""
-        fleet = self._fleet
+        fleet = self._policy.fleet
         if fleet is None:
             return {}
+        def count(name: str) -> int:
+            return int(self._fleet_counter(name).value)
+
         return {
             "workers": self.n_workers,
             "min_workers": fleet.floor,
             "max_workers": fleet.ceiling,
             "speculate": fleet.speculate,
-            "in_flight": len(self._futures),
-            "queue_depth": len(self._queue),
+            "in_flight": len(self._tasks),
+            "queue_depth": self.queue_depth(),
             "requeued": int(self._c_requeued.value),
-            "speculations": int(fleet.c_spec.value),
-            "speculative_wins": int(fleet.c_wins.value),
-            "duplicates_discarded": int(fleet.c_dups.value),
-            "scale_ups": int(fleet.c_up.value),
-            "scale_downs": int(fleet.c_down.value),
+            "speculations": count("speculations"),
+            "speculative_wins": count("speculative_wins"),
+            "duplicates_discarded": count("duplicate_results"),
+            "scale_ups": count("scale_up"),
+            "scale_downs": count("scale_down"),
         }
 
     # ------------------------------------------------------------------
@@ -639,10 +564,10 @@ class ProcessPoolBackend:
         return entry[0]
 
     def _forget_segment(self, ident: tuple[int, int, type]) -> None:
-        """Drop one segment from the registry; workers drop it at their
-        next idle dispatch (:meth:`_dispatch_idle`).  Called from a
-        finalizer, so possibly on any thread: it only pops (the
-        segments of a queued or running task cannot be collected)."""
+        """Drop one segment from the registry; workers drop it at the
+        next drain that finds them idle.  Called from a finalizer, so
+        possibly on any thread: it only pops (the segments of a queued
+        or running task cannot be collected)."""
         entry = self._segments.pop(ident, None)
         if entry is not None:
             for finalizer in entry[2]:
@@ -692,22 +617,96 @@ class ProcessPoolBackend:
                 n=len(items),
             )
         future = ProcessFuture(self, task_id)
-        self._futures[task_id] = future
-        self._tasks[task_id] = [payload, segments, 0]
-        if not (self._workers or self._fleet):
-            # every worker was revoked away and no last resort will run
-            # the queue: fail fast (→ MAXINT via the engine's policy)
-            self._fail_task(
-                task_id, WorkerRevoked("pool", "no surviving worker")
-            )
-            return future
-        self._queue.append(task_id)
-        self._dispatch_idle()
+        self._tasks[task_id] = (future, payload, segments)
+        self._apply(self._policy.submit(task_id, time.monotonic()))
         self._sample_gauges()
         return future
 
     def on_cache_hit(self, individual: Any) -> None:
         self._c_cache.inc()
+
+    # ------------------------------------------------------------------
+    # the policy's actions
+    # ------------------------------------------------------------------
+    def _apply(self, actions: list[Any]) -> None:
+        """Carry out the policy's actions in order; what that shows (a
+        spawned worker, a worker found dead) goes back to the policy."""
+        for action in actions:
+            match action:
+                case policy.Dispatch(name, task_id):
+                    self._send(self._workers[name], task_id)
+                case policy.Copy(name, task_id, threshold):
+                    if self._send(self._workers[name], task_id):
+                        self._fleet_counter("speculations").inc()
+                        self.tracer.event(
+                            "fleet.speculate",
+                            task=f"pool-task-{task_id}",
+                            worker=name,
+                            threshold=round(threshold, 6),
+                        )
+                case policy.Requeue(task_id, name, attempt):
+                    self._c_requeued.inc()
+                    self.tracer.event(
+                        "task.requeued",
+                        task=f"pool-task-{task_id}",
+                        from_worker=name,
+                        from_pid=self._workers[name].process.pid,
+                        attempt=attempt,
+                    )
+                case policy.Fail(task_id, error):
+                    self._fail_task(task_id, error)
+                case policy.Spawn(name) if name in self._workers:
+                    self._replace(self._workers[name])
+                    self._apply(self._policy.spawned(name, time.monotonic()))
+                case policy.Spawn(name):  # scale-up
+                    self._workers[name] = handle = _WorkerHandle(name)
+                    self._spawn(handle)
+                    self._g_workers.set(self.n_workers)
+                    self.tracer.event("pool.scale_up", worker=name)
+                    self._publish_worker(handle, "idle")
+                    self._apply(self._policy.spawned(name, time.monotonic()))
+                case policy.Kill(name, task_id, elapsed):
+                    self.tracer.event(
+                        "pool.deadline_kill",
+                        worker=name,
+                        task=task_id,
+                        elapsed=elapsed,
+                    )
+                    self._c_deadline.inc()
+                    self._replace(self._workers[name])
+                case policy.Retire(name):
+                    self._retire(self._workers.pop(name))
+                    self._g_workers.set(self.n_workers)
+                case policy.RunInProcess(task_id):
+                    self._run_in_process(task_id)
+                case policy.LastResort(name, queued):
+                    self.tracer.event(
+                        "fleet.last_resort", worker=name, queued=queued
+                    )
+                case policy.Autoscale(delta, workers):
+                    if delta:
+                        way = "up" if delta > 0 else "down"
+                        self._fleet_counter(f"scale_{way}").inc()
+                        self.tracer.event(f"fleet.scale_{way}", workers=workers)
+                    from repro.obs.live import get_status
+
+                    status = get_status()
+                    if status.enabled:
+                        status.fleet_update(**self.fleet_snapshot())
+
+    def _run_in_process(self, task_id: int) -> None:
+        """The last resort: run one queued chunk in this process — the
+        same chunk with the same uuids, on individuals rebuilt from the
+        spec the pool holds."""
+        _, payload, segments = self._tasks[task_id]
+        try:
+            slots = evaluate_individuals_batch(
+                _individuals(pickle.loads(payload), segments)
+            )
+        except Exception as exc:  # noqa: BLE001 - chunk-fatal
+            self._settle(task_id, "raised", exc)
+        else:
+            self._settle(task_id, "batchdone", slots)
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -724,39 +723,33 @@ class ProcessPoolBackend:
         child_conn.close()  # the worker owns the other end now
         handle.process = process
         handle.conn = parent_conn
-        handle.busy_task = None
         handle.pending_revoke = False
-        handle.fresh = True
         handle.segments.clear()  # a fresh process holds no segments
 
     def _fail_task(self, task_id: int, exc: BaseException) -> None:
-        self._tasks.pop(task_id, None)
-        future = self._futures.pop(task_id, None)
-        if future is not None:
+        entry = self._tasks.pop(task_id, None)
+        if entry is not None:
             if getattr(self.tracer, "enabled", False):
                 self.tracer.event(
                     "task.err",
                     task=f"pool-task-{task_id}",
                     error=type(exc).__name__,
                 )
-            future._resolve(exception=exc)
+            entry[0]._resolve(exception=exc)
 
     def _cancel_task(self, task_id: int) -> None:
         """Abandon one task (speculation loser / engine timeout): an
         undispatched task leaves the queue; a dispatched one runs to
-        completion but its result is discarded on receipt (the future
-        is already gone from :attr:`_futures`)."""
-        future = self._futures.pop(task_id, None)
-        if future is None:
+        completion but its result is discarded on receipt."""
+        entry = self._tasks.pop(task_id, None)
+        if entry is None:
             return
-        self._tasks.pop(task_id, None)
-        if task_id in self._queue:
-            self._queue.remove(task_id)
+        self._policy.cancel(task_id)
         if getattr(self.tracer, "enabled", False):
             self.tracer.event(
                 "task.abandoned", task=f"pool-task-{task_id}"
             )
-        future._resolve(
+        entry[0]._resolve(
             exception=WorkerFailure("pool", "task cancelled")
         )
         self._sample_gauges()
@@ -782,48 +775,28 @@ class ProcessPoolBackend:
         )
         self._publish_worker(handle, "idle")
 
-    def _requeue(
-        self, task_id: int, handle: _WorkerHandle, ran: bool
-    ) -> None:
-        """Put a task its worker lost back at the front of the queue —
-        it is the oldest work outstanding and must not starve — with the
-        same payload and uuids.  ``ran`` says the worker took the task
-        before it went (a death or revocation mid-task), which counts
-        one attempt; a worker found dead before dispatch never ran it.
-        The event names the lost process, so the invariant checker can
-        tell a re-run elsewhere from one in the process that died."""
-        spec = self._tasks[task_id]
-        if ran:
-            spec[2] += 1
-        self._c_requeued.inc()
-        self.tracer.event(
-            "task.requeued",
-            task=f"pool-task-{task_id}",
-            from_worker=handle.name,
-            from_pid=handle.process.pid,
-            attempt=spec[2],
-        )
-        self._queue.insert(0, task_id)
-
-    def _running(self, task_id: int) -> bool:
-        """Whether a worker still runs ``task_id``: a speculated chunk's
-        other copy, when one is lost."""
-        return any(h.busy_task == task_id for h in self._workers)
-
-    def _bury_revoked(self, handle: _WorkerHandle) -> None:
-        """Spot preemption landed: requeue the in-flight task (same
-        payload, same uuids, attempt+1) unless its other copy still
-        runs, and retire the worker — no respawn, capacity shrinks.
-        When the last worker goes, the fleet policy's last resort runs
-        queued and in-flight work in this process; without it that
-        work fails with :class:`WorkerRevoked` (→ MAXINT under the
-        engine's policy)."""
-        task_id = handle.busy_task
-        handle.busy_task = None
+    def _bury(self, handle: _WorkerHandle) -> None:
+        """A dead worker: a revoked one is retired — no respawn,
+        capacity shrinks — and any other replaced; the policy decides
+        what happens to its task."""
+        name = handle.name
+        task_id = self._policy.workers[name].task
+        if not handle.pending_revoke:
+            exitcode = handle.process.exitcode
+            if task_id is not None:
+                self.tracer.event(
+                    "pool.worker_death",
+                    worker=name,
+                    task=task_id,
+                    exitcode=exitcode,
+                )
+                self._publish_worker(handle, "dead", task=task_id)
+            self._apply(self._policy.death(name, f"exitcode {exitcode}"))
+            return
         self._c_revoked.inc()
         self.tracer.event(
             "pool.worker_revoked",
-            worker=handle.name,
+            worker=name,
             task=None if task_id is None else f"pool-task-{task_id}",
         )
         self._publish_worker(handle, "revoked", task=task_id)
@@ -832,43 +805,9 @@ class ProcessPoolBackend:
         except Exception:  # noqa: BLE001 - already broken
             pass
         handle.process.join(_JOIN_TIMEOUT)
-        self._workers.remove(handle)
+        self._apply(self._policy.revoke(name))
+        del self._workers[name]
         self._g_workers.set(self.n_workers)
-        last_resort = self._fleet is not None
-        if last_resort:
-            self._fleet.copies.pop(task_id, None)
-        if (
-            task_id is not None
-            and task_id in self._futures
-            and not self._running(task_id)
-        ):
-            if self._workers or last_resort:
-                self._requeue(task_id, handle, ran=True)
-            else:
-                self._fail_task(
-                    task_id,
-                    WorkerRevoked(
-                        handle.name,
-                        "revoked with no surviving pool worker",
-                    ),
-                )
-        if not self._workers and last_resort:
-            self.tracer.event(
-                "fleet.last_resort",
-                worker=handle.name,
-                queued=len(self._queue),
-            )
-        elif not self._workers:
-            # nothing left to run the backlog either
-            for queued_id in list(self._queue):
-                self._fail_task(
-                    queued_id,
-                    WorkerRevoked(
-                        handle.name,
-                        "revoked with no surviving pool worker",
-                    ),
-                )
-            self._queue.clear()
 
     def revoke_worker(self, name: Optional[str] = None) -> Optional[str]:
         """Programmatic spot-style preemption (chaos plans fire the
@@ -882,16 +821,13 @@ class ProcessPoolBackend:
         """
         if self._closed or not self._workers:
             return None
-        handle = None
-        if name is not None:
-            handle = next(
-                (h for h in self._workers if h.name == name), None
+        if name is None:
+            books = self._policy.workers
+            name = next(
+                (n for n, w in books.items() if w.task is not None),
+                next(iter(books)),
             )
-        else:
-            handle = next(
-                (h for h in self._workers if h.busy_task is not None),
-                self._workers[0],
-            )
+        handle = self._workers.get(name)
         if handle is None:
             return None
         handle.pending_revoke = True
@@ -916,23 +852,7 @@ class ProcessPoolBackend:
         """
         if self._closed:
             raise RuntimeError("ProcessPoolBackend is closed")
-        n = max(0, int(n))
-        while len(self._workers) < n:
-            handle = _WorkerHandle(self._next_worker_index)
-            self._next_worker_index += 1
-            self._spawn(handle)
-            self._workers.append(handle)
-            self.tracer.event("pool.scale_up", worker=handle.name)
-            self._publish_worker(handle, "idle")
-        if len(self._workers) > n:
-            for handle in reversed(list(self._workers)):
-                if len(self._workers) <= n:
-                    break
-                if handle.busy_task is not None:
-                    continue
-                self._retire(handle)
-        self._g_workers.set(self.n_workers)
-        self._dispatch_idle()
+        self._apply(self._policy.scale_to(max(0, int(n))))
         self._sample_gauges()
         return self.n_workers
 
@@ -950,45 +870,23 @@ class ProcessPoolBackend:
             handle.conn.close()
         except Exception:  # noqa: BLE001 - already broken
             pass
-        self._workers.remove(handle)
         self.tracer.event("pool.scale_down", worker=handle.name)
         self._publish_worker(handle, "retired")
 
     def queue_depth(self) -> int:
         """Undispatched tasks (the autoscaler's pressure signal)."""
-        return len(self._queue)
+        return len(self._policy.queue)
 
     def idle_workers(self) -> int:
-        return sum(1 for h in self._workers if h.busy_task is None)
-
-    def _dispatch_idle(self) -> None:
-        """Hand queued tasks to idle workers, lowest index first (the
-        deterministic order scripted chaos plans rely on), after telling
-        each idle worker to drop the segments of collected problems."""
-        for handle in self._workers:
-            if handle.busy_task is not None:
-                continue
-            for key in handle.segments.difference(self._segment_payloads):
-                handle.segments.discard(key)
-                try:
-                    handle.conn.send(("drop", key))
-                except (BrokenPipeError, OSError):
-                    pass  # a dead worker holds nothing; it is replaced
-            if not self._queue:
-                continue
-            task_id = self._queue.pop(0)
-            if not self._send(handle, task_id):
-                # the worker died idle: the task never ran, so it goes
-                # back unspent and the successor takes it on the next
-                # drain
-                self._requeue(task_id, handle, ran=False)
-                self._replace(handle)
+        return sum(1 for w in self._policy.workers.values() if w.task is None)
 
     def _send(self, handle: _WorkerHandle, task_id: int) -> bool:
-        """Dispatch one task to one idle worker, shipping the segments
-        it lacks first; False when the worker turns out dead.  The
-        chaos injector is consulted here, per dispatch."""
-        payload, segments, attempt = self._tasks[task_id]
+        """Send one task to the worker the policy gave it, shipping the
+        segments it lacks first.  The chaos injector is consulted here,
+        per dispatch.  A worker found dead is reported to the policy,
+        which takes the task back unspent; False then."""
+        _, payload, segments = self._tasks[task_id]
+        attempt = self._policy.attempts[task_id]
         delay = 0.0
         die = False
         revoke = False
@@ -1023,9 +921,8 @@ class ProcessPoolBackend:
         handle.tasks_dispatched += 1
         self._c_dispatched.inc()
         if revoke:
-            # spot preemption: the worker dies mid-task like a
-            # plain death, but _drain requeues the task and retires
-            # the worker instead of failing and respawning
+            # spot preemption: the worker dies mid-task like a plain
+            # death, but _drain reports a revocation instead
             handle.pending_revoke = True
             die = True
         try:
@@ -1043,18 +940,23 @@ class ProcessPoolBackend:
                 ("batch", task_id, payload, delay, die, trace, attempt)
             )
         except (BrokenPipeError, OSError):
+            # the worker died idle: the task never ran
+            self._apply(
+                self._policy.death(handle.name, "found dead", ran=False)
+            )
             return False
-        handle.busy_task = task_id
-        handle.dispatched_at = time.monotonic()
         self._publish_worker(handle, "busy", task=task_id)
         return True
 
     def _drain(self) -> None:
-        """Collect finished work, bury dead workers, enforce deadlines,
-        and refill idle workers.  Called from the engine's poll loop via
-        ``future.done()`` — always on the driver thread."""
+        """Collect finished work, report dead workers and the time to
+        the policy, and carry out what it decides.  Called from the
+        engine's poll loop via ``future.done()`` — always on the driver
+        thread."""
+        if self._closed:
+            return
         now = time.monotonic()
-        for handle in list(self._workers):
+        for handle in list(self._workers.values()):
             # 1. everything the worker managed to send, up to the end
             #    of its pipe, which a worker's exit closes
             hung_up = False
@@ -1073,115 +975,41 @@ class ProcessPoolBackend:
                 if records and getattr(self.tracer, "enabled", False):
                     for rec in records:
                         self.tracer.ingest(rec)
-                if handle.busy_task == task_id:
-                    handle.busy_task = None
+                if self._policy.workers[handle.name].task == task_id:
                     self._publish_worker(handle, "idle")
-                fleet = self._fleet
-                if fleet is not None:
-                    fresh, handle.fresh = handle.fresh, False
-                    if task_id not in self._futures:
-                        if fleet.copies.pop(task_id, None) is not None:
-                            fleet.c_dups.inc()  # a speculated chunk's loser
-                    elif task_id in fleet.copies:
-                        if not self._running(task_id):
-                            del fleet.copies[task_id]  # no other copy runs
-                        elif kind == "raised":
-                            # a failed copy never outranks the other one,
-                            # still running: its reply is dropped, and
-                            # the chunk is not copied again
-                            fleet.copies[task_id] = None
-                            continue
-                        elif fleet.copies[task_id] == handle.name:
-                            fleet.c_wins.inc()
-                    if not fresh and task_id in self._futures:
-                        # the first reply feeds the straggler mean
-                        fleet.window.append(now - handle.dispatched_at)
-                future = self._futures.pop(task_id, None)
-                if future is None:
-                    # task already failed (deadline), was cancelled, or
-                    # is the slower copy of a speculated chunk: discard
-                    # the late result — its fate was sealed, and its
-                    # terminal trace event already emitted, when the
-                    # future resolved
-                    continue
-                self._settle(task_id, future, kind, msg[2])
-            # 2. death: a busy worker that is gone is replaced and its
-            #    task re-run, until the task has lost DEATH_RETRIES runs
-            #    (→ WorkerFailure → MAXINT in the engine); a revoked
-            #    worker is retired instead.  Only a worker whose pipe
-            #    hung up is asked: under forkserver ``is_alive`` builds a
-            #    selector per call, and this loop runs ~2 000 times a
-            #    second
+                for action in self._policy.reply(
+                    handle.name, task_id, kind != "raised", now
+                ):
+                    if isinstance(action, policy.Duplicate):
+                        # a speculated chunk's slower copy
+                        self._fleet_counter("duplicate_results").inc()
+                        continue
+                    if action.won:
+                        self._fleet_counter("speculative_wins").inc()
+                    self._settle(task_id, kind, msg[2])
+            # 2. death: only a worker whose pipe hung up is asked, as
+            #    under forkserver ``is_alive`` builds a selector per call,
+            #    and this loop runs ~2 000 times a second
             if hung_up and not handle.process.is_alive():
-                if handle.pending_revoke and not self._closed:
-                    self._bury_revoked(handle)
-                    continue
-                task_id = handle.busy_task
-                if task_id is not None:
-                    exitcode = handle.process.exitcode
-                    self.tracer.event(
-                        "pool.worker_death",
-                        worker=handle.name,
-                        task=task_id,
-                        exitcode=exitcode,
-                    )
-                    self._publish_worker(handle, "dead", task=task_id)
-                    handle.busy_task = None
-                    if self._fleet:
-                        self._fleet.copies.pop(task_id, None)
-                    # a cancelled task has nobody waiting for a re-run,
-                    # and a speculated one may still have its other copy
-                    if task_id in self._futures and not self._running(
-                        task_id
-                    ):
-                        lost = self._tasks[task_id][2]
-                        if lost < DEATH_RETRIES:
-                            self._requeue(task_id, handle, ran=True)
-                        else:
-                            self._fail_task(
-                                task_id,
-                                WorkerFailure(
-                                    handle.name,
-                                    "died mid-evaluation (exitcode "
-                                    f"{exitcode}); the task lost all "
-                                    f"{lost + 1} attempts",
-                                ),
-                            )
-                if not self._closed:
-                    self._replace(handle)
-            # 3. deadline: kill an overrunning worker, fail its task
-            elif (
-                self.deadline is not None
-                and handle.busy_task is not None
-                and now - handle.dispatched_at > self.deadline
-            ):
-                elapsed = now - handle.dispatched_at
-                self.tracer.event(
-                    "pool.deadline_kill",
-                    worker=handle.name,
-                    task=handle.busy_task,
-                    elapsed=elapsed,
-                )
-                self._c_deadline.inc()
-                self._fail_task(
-                    handle.busy_task,
-                    TrainingTimeoutError(elapsed, self.deadline),
-                )
-                handle.busy_task = None
-                self._replace(handle)
-        self._dispatch_idle()
-        if self._fleet is not None:
-            self._steer(now)
+                self._bury(handle)
+            elif self._policy.workers[handle.name].task is None:
+                # an idle worker drops the segments of collected problems
+                for key in handle.segments.difference(self._segment_payloads):
+                    handle.segments.discard(key)
+                    try:
+                        handle.conn.send(("drop", key))
+                    except (BrokenPipeError, OSError):
+                        pass  # a dead worker holds nothing; it is replaced
+        # 3. deadlines, dispatch and the fleet policy's step
+        self._apply(self._policy.tick(now))
         self._sample_gauges()
 
-    def _settle(
-        self, task_id: int, future: ProcessFuture, kind: str, value: Any
-    ) -> None:
+    def _settle(self, task_id: int, kind: str, value: Any) -> None:
         """Resolve a task with its outcome: ``"batchdone"`` per-slot
         outcomes — ``(fitness, metadata)`` tuples or exception
         instances, in submission order — or the exception a
         ``"raised"`` chunk raised, re-raised by ``result()``."""
-        self._tasks.pop(task_id, None)
+        future = self._tasks.pop(task_id)[0]
         if getattr(self.tracer, "enabled", False):
             self.tracer.event(
                 "task.done" if kind != "raised" else "task.err",
@@ -1191,110 +1019,6 @@ class ProcessPoolBackend:
             future._resolve(result=value)
         else:
             future._resolve(exception=value)
-
-    # ------------------------------------------------------------------
-    # the fleet policy (DESIGN.md §9), applied from _drain
-    # ------------------------------------------------------------------
-    def _steer(self, now: float) -> None:
-        """One step of the fleet policy: the last resort when no
-        worker is left, speculation, and the autoscale tick."""
-        fleet = self._fleet
-        if self._queue and not self._workers:
-            self._last_resort()
-        if fleet.speculate and len(fleet.window) >= MIN_HISTORY:
-            self._speculate(now)
-        if now - fleet.last_tick >= AUTOSCALE_INTERVAL:
-            self._autoscale(now)
-
-    def _last_resort(self) -> None:
-        """Revocation took the last worker: run the backlog in this
-        process — the same chunks with the same uuids, on individuals
-        rebuilt from the specs the pool holds."""
-        task_ids, self._queue = self._queue, []
-        for task_id in task_ids:
-            payload, segments, _ = self._tasks[task_id]
-            future = self._futures.pop(task_id)
-            try:
-                slots = evaluate_individuals_batch(
-                    _individuals(pickle.loads(payload), segments)
-                )
-            except Exception as exc:  # noqa: BLE001 - chunk-fatal
-                self._settle(task_id, future, "raised", exc)
-            else:
-                self._settle(task_id, future, "batchdone", slots)
-
-    def _speculate(self, now: float) -> None:
-        """Copy each straggling chunk to an idle worker — never into
-        the queue behind other work; the first reply resolves it."""
-        idle = [h for h in self._workers if h.busy_task is None]
-        if not idle:
-            return
-        fleet = self._fleet
-        threshold = None
-        for handle in list(self._workers):
-            task_id = handle.busy_task
-            if (
-                not idle
-                or task_id is None
-                or task_id in fleet.copies
-                or task_id not in self._futures
-                or now - handle.dispatched_at <= MIN_SPECULATE_S
-            ):
-                continue
-            if threshold is None:  # the window is summed only here
-                threshold = max(
-                    MIN_SPECULATE_S,
-                    STRAGGLER_FACTOR * sum(fleet.window) / len(fleet.window),
-                )
-            if now - handle.dispatched_at <= threshold:
-                continue
-            spare = idle.pop(0)
-            if not self._send(spare, task_id):
-                self._replace(spare)  # died idle; the straggler runs on
-                continue
-            fleet.copies[task_id] = spare.name
-            fleet.c_spec.inc()
-            self.tracer.event(
-                "fleet.speculate",
-                task=f"pool-task-{task_id}",
-                worker=spare.name,
-                threshold=round(threshold, 6),
-            )
-
-    def _autoscale(self, now: float) -> None:
-        """One autoscale observation.  A backlog seen
-        :data:`SUSTAIN_TICKS` times in a row grows the pool toward the
-        ceiling; as long an idle pool shrinks by one worker toward the
-        floor.  One transient spike never rescales."""
-        fleet = self._fleet
-        fleet.last_tick = now
-        depth = self.queue_depth()
-        if depth:
-            fleet.pressure, fleet.idle = fleet.pressure + 1, 0
-        elif not self._futures:
-            fleet.pressure, fleet.idle = 0, fleet.idle + 1
-        else:
-            fleet.pressure = fleet.idle = 0
-        n = self.n_workers
-        if fleet.pressure >= SUSTAIN_TICKS:
-            fleet.pressure = 0
-            if min(fleet.ceiling, n + depth) > n:
-                self.scale_to(min(fleet.ceiling, n + depth))
-                fleet.c_up.inc()
-                self.tracer.event("fleet.scale_up", workers=self.n_workers)
-        elif fleet.idle >= SUSTAIN_TICKS:
-            fleet.idle = 0
-            if n > fleet.floor:
-                self.scale_to(n - 1)
-                fleet.c_down.inc()
-                self.tracer.event(
-                    "fleet.scale_down", workers=self.n_workers
-                )
-        from repro.obs.live import get_status
-
-        status = get_status()
-        if status.enabled:
-            status.fleet_update(**self.fleet_snapshot())
 
     # ------------------------------------------------------------------
     # shutdown
@@ -1312,18 +1036,16 @@ class ProcessPoolBackend:
         if self._closed:
             return
         self._closed = True
-        for task_id in list(self._queue):
+        for task_id in self._policy.queue:
             self._fail_task(
                 task_id, WorkerFailure("pool", "closed before dispatch")
             )
-        self._queue.clear()
-        for handle in self._workers:
-            if handle.busy_task is not None:
+        for name, handle in self._workers.items():
+            task_id = self._policy.workers[name].task
+            if task_id is not None:
                 self._fail_task(
-                    handle.busy_task,
-                    WorkerFailure(handle.name, "pool closed mid-task"),
+                    task_id, WorkerFailure(name, "pool closed mid-task")
                 )
-                handle.busy_task = None
                 # it would finish the task before it read a "stop"
                 handle.process.kill()
                 continue
@@ -1331,7 +1053,7 @@ class ProcessPoolBackend:
                 handle.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        for handle in self._workers:
+        for handle in self._workers.values():
             handle.process.join(_JOIN_TIMEOUT)
             if handle.process.is_alive():  # pragma: no cover - stuck worker
                 handle.process.kill()

@@ -87,10 +87,6 @@ class WorkerRevoked(WorkerFailure):
     """
 
 
-class SchedulerError(ReproError):
-    """The distributed scheduler cannot make progress."""
-
-
 class WalltimeExceeded(ReproError):
     """A batch job hit its allocation walltime (the paper's 12-hour jobs)."""
 

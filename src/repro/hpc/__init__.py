@@ -3,27 +3,24 @@
 The paper ran on 100 nodes of Summit (IBM AC922: six V100 GPUs and 42
 usable POWER9 cores per node, §2.1.1) inside 12-hour batch jobs, with
 each Dask worker owning one node and each fitness evaluation being one
-DeePMD training capped at two hours.  This subpackage models exactly
-that envelope so that campaign-level questions — does 7 generations ×
-100 trainings fit a 12-hour job? what do node failures cost with and
-without nannies? — can be answered quantitatively without the machine.
+DeePMD training capped at two hours.  This subpackage models that
+envelope so that campaign-level questions — does 7 generations × 100
+trainings fit a 12-hour job? what do node failures cost with and
+without nannies? — can be answered without the machine, under the
+scheduling rules the process pool runs (:mod:`repro.engine.policy`).
 """
 
-from repro.hpc.node import NodeState, SummitNode
 from repro.hpc.runtime_model import TrainingRuntimeModel
-from repro.hpc.batch import BatchJob, JsrunLauncher
 from repro.hpc.cluster import (
+    BatchJob,
     ClusterSimulation,
     GenerationTrace,
     SimulationReport,
 )
 
 __all__ = [
-    "SummitNode",
-    "NodeState",
     "TrainingRuntimeModel",
     "BatchJob",
-    "JsrunLauncher",
     "ClusterSimulation",
     "GenerationTrace",
     "SimulationReport",

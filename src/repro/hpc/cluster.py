@@ -7,22 +7,49 @@ nanny-off policies compare.  EA generations are synchronous barriers —
 generation ``g+1`` cannot start until every evaluation of generation
 ``g`` has completed or been abandoned — which is exactly the
 generational NSGA-II structure the paper deploys.
+
+A node runs one training at a time (§2.2.5: one ``jsrun`` per
+training), as one worker of :class:`repro.engine.policy.Policy`, the
+rules the process pool runs, here on simulated minutes with the fleet
+policy off.  A node failing mid-training is the worker's death; its
+replacement is a nanny restart ``restart_minutes`` later when the fault
+was transient, else the node is gone for good.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.engine.policy import DEATH_RETRIES, Dispatch, Fail, Policy, Settle, Spawn
 from repro.exceptions import WalltimeExceeded
-from repro.hpc.batch import BatchJob, JsrunLauncher
-from repro.hpc.node import NodeState
 from repro.hpc.runtime_model import TrainingRuntimeModel
 from repro.obs.trace import NullTracer, Tracer, get_tracer
 from repro.rng import RngLike, ensure_rng
+
+
+@dataclass
+class BatchJob:
+    """A node allocation with a walltime budget (the paper: 100 nodes,
+    12 hours)."""
+
+    n_nodes: int = 100
+    walltime_minutes: float = 12 * 60.0
+
+    def __post_init__(self) -> None:
+        if self.n_nodes < 1:
+            raise ValueError("a job needs at least one node")
+
+    def check_walltime(self, now_minutes: float) -> None:
+        if now_minutes > self.walltime_minutes:
+            raise WalltimeExceeded(
+                f"{now_minutes:.1f} min exceeds the "
+                f"{self.walltime_minutes:.0f}-minute allocation"
+            )
 
 
 @dataclass
@@ -92,14 +119,13 @@ class ClusterSimulation:
         nannies: bool = False,
         restart_minutes: float = 5.0,
         transient_fraction: float = 0.3,
-        max_retries: int = 2,
+        max_retries: int = DEATH_RETRIES,
         rng: RngLike = None,
         tracer: Optional[NullTracer | Tracer] = None,
     ) -> None:
         self.tracer = tracer if tracer is not None else get_tracer()
         self.rng = ensure_rng(rng)
         self.job = job or BatchJob()
-        self.launcher = JsrunLauncher(self.job)
         self.runtime_model = runtime_model or TrainingRuntimeModel(
             rng=self.rng
         )
@@ -124,16 +150,19 @@ class ClusterSimulation:
         """Execute per-generation lists of task runtimes (minutes).
 
         Each inner sequence is one generation's evaluation runtimes;
-        the simulation places them onto nodes, advances time through a
-        completion-event heap, injects node failures, honors the
-        generational barrier, and stops (marking the report) if the
+        the policy places them onto nodes, the simulation advances time
+        through a completion-event heap, injects node failures, honors
+        the generational barrier, and stops (marking the report) if the
         allocation walltime is exceeded.
         """
         report = SimulationReport()
+        policy = Policy(
+            self.job.n_nodes, name="node-{:03d}", death_retries=self.max_retries
+        )
         now = 0.0
         with self.tracer.span(
             "sim.campaign",
-            n_nodes=len(self.job.nodes),
+            n_nodes=self.job.n_nodes,
             walltime_minutes=self.job.walltime_minutes,
             nannies=self.nannies,
         ) as span:
@@ -142,7 +171,7 @@ class ClusterSimulation:
                     "sim.generation", generation=g
                 ) as gen_span:
                     trace, now = self._run_generation(
-                        g, list(runtimes), now, report
+                        policy, g, list(runtimes), now, report
                     )
                     gen_span.tag(
                         sim_start_minutes=trace.start_minutes,
@@ -158,8 +187,9 @@ class ClusterSimulation:
                     )
                     break
             report.total_minutes = now
-            report.nodes_lost = sum(
-                1 for n in self.job.nodes if n.state is NodeState.FAILED
+            # gone for good, or still waiting for a nanny restart
+            report.nodes_lost = self.job.n_nodes - sum(
+                w.up for w in policy.workers.values()
             )
             span.tag(
                 sim_total_minutes=report.total_minutes,
@@ -170,105 +200,70 @@ class ClusterSimulation:
 
     def _run_generation(
         self,
+        policy: Policy,
         generation: int,
         runtimes: list[float],
         start: float,
         report: SimulationReport,
     ) -> tuple[GenerationTrace, float]:
-        # (task runtime, attempts) queue
-        pending: list[tuple[float, int]] = [(rt, 0) for rt in runtimes]
-        # heap of (completion_time, seq, node, runtime, attempts, fails)
-        events: list[tuple[float, int, object, float, int, bool]] = []
-        seq = 0
+        trace = GenerationTrace(generation, start, start, len(runtimes), 0, 0)
+        # heap of (minutes, seq, what, node, task): a training ends
+        # ("done"), its node fails mid-way ("fail"), or a nanny restart
+        # completes ("up"); seq keeps simultaneous events in push order
+        events: list[tuple[float, int, str, str, int]] = []
+        seq = itertools.count()
         now = start
-        n_failures = 0
-        n_abandoned = 0
-        n_completed = 0
 
-        def try_launch() -> None:
-            nonlocal seq
-            while pending:
-                runtime, attempts = pending[0]
-                node = self.launcher.launch(runtime, now)
-                if node is None:
-                    return
-                pending.pop(0)
-                will_fail = self._task_fails_by_node(runtime)
-                finish = now + (
-                    self.rng.uniform(0.1, 1.0) * runtime
-                    if will_fail
-                    else runtime
-                )
-                heapq.heappush(
-                    events,
-                    (finish, seq, node, runtime, attempts, will_fail),
-                )
-                seq += 1
-
-        try:
-            try_launch()
-            while events:
-                now, _, node, runtime, attempts, failed = heapq.heappop(
-                    events
-                )
-                self.job.check_walltime(now)
-                if failed:
-                    n_failures += 1
-                    report.node_failures += 1
-                    self.launcher.fail(node)  # type: ignore[arg-type]
-                    self.tracer.event(
-                        "sim.node_failure",
-                        node=getattr(node, "name", str(node)),
-                        generation=generation,
-                        sim_minutes=now,
-                        attempts=attempts + 1,
-                    )
+        def carry_out(actions: list) -> None:
+            for action in actions:
+                if isinstance(action, Dispatch):
+                    runtime, what = runtimes[action.task], "done"
+                    if self._task_fails_by_node(runtime):
+                        runtime *= self.rng.uniform(0.1, 1.0)
+                        what = "fail"
+                    event = (now + runtime, next(seq), what, *action)
+                    heapq.heappush(events, event)
+                elif isinstance(action, Spawn):
                     if self.nannies and (
                         self.rng.random() < self.transient_fraction
                     ):
-                        # transient fault: nanny restart brings it back
-                        heapq.heappush(
-                            events,
-                            (
-                                now + self.restart_minutes,
-                                seq,
-                                node,
-                                0.0,
-                                -1,
-                                False,
-                            ),
-                        )
-                        seq += 1
-                    if attempts + 1 > self.max_retries:
-                        n_abandoned += 1
-                        report.evaluations_abandoned += 1
+                        # transient fault: a nanny restart brings it back
+                        up = now + self.restart_minutes
+                        heapq.heappush(events, (up, next(seq), "up", *action, -1))
                     else:
-                        pending.append((runtime, attempts + 1))
-                elif attempts == -1:
-                    # nanny restart completing: node recovers
-                    node.recover()  # type: ignore[union-attr]
-                    self.tracer.event(
-                        "sim.nanny_restart",
-                        node=getattr(node, "name", str(node)),
-                        sim_minutes=now,
-                    )
-                else:
-                    self.launcher.complete(node)  # type: ignore[arg-type]
-                    n_completed += 1
+                        carry_out(policy.revoke(action.worker))
+                elif isinstance(action, Settle):
                     report.evaluations_completed += 1
-                try_launch()
-            if pending:
-                # no healthy nodes remain to run what's left
-                n_abandoned += len(pending)
-                report.evaluations_abandoned += len(pending)
+                elif isinstance(action, Fail):
+                    trace.n_abandoned += 1
+                    report.evaluations_abandoned += 1
+
+        try:
+            for task in range(len(runtimes)):
+                carry_out(policy.submit(task, now))
+            while events:
+                now, _, what, node, task = heapq.heappop(events)
+                self.job.check_walltime(now)
+                if what == "fail":
+                    trace.n_node_failures += 1
+                    report.node_failures += 1
+                    self.tracer.event(
+                        "sim.node_failure",
+                        node=node,
+                        generation=generation,
+                        sim_minutes=now,
+                        attempts=policy.attempts[task] + 1,
+                    )
+                    carry_out(policy.death(node, "node failure"))
+                elif what == "up":
+                    self.tracer.event(
+                        "sim.nanny_restart", node=node, sim_minutes=now
+                    )
+                    carry_out(policy.spawned(node, now))
+                else:
+                    carry_out(policy.reply(node, task, True, now))
+                carry_out(policy.tick(now))
         except WalltimeExceeded:
             report.walltime_exceeded = True
-        trace = GenerationTrace(
-            generation=generation,
-            start_minutes=start,
-            end_minutes=now,
-            n_evaluations=len(runtimes),
-            n_node_failures=n_failures,
-            n_abandoned=n_abandoned,
-        )
+        trace.end_minutes = now
         return trace, now

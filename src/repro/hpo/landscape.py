@@ -625,15 +625,20 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
                     np.asarray(cols[name], dtype=np.float64)
                     for name in _FLOATS
                 )
+                eff, checks, energy, force, runtime_extra = (
+                    self._surface(cols, rcut, rcut_smth, start_lr, stop_lr)
+                )
             except (TypeError, ValueError) as exc:
+                if m > 1:
+                    # a gene that does not convert (or hash) fails its
+                    # own slot, not the group's: each slot alone
+                    for i in idx:
+                        self._evaluate_group(phenomes, [i], key_names, outcomes)
+                    return
                 with self._lock:
-                    self.evaluations += m
-                for i in idx:
-                    outcomes[i] = TypeError(str(exc))
+                    self.evaluations += 1
+                outcomes[idx[0]] = TypeError(str(exc))
                 return
-            eff, checks, energy, force, runtime_extra = (
-                self._surface(cols, rcut, rcut_smth, start_lr, stop_lr)
-            )
             # failure partition: code k fails the k-th check, the first
             # to fail in precedence order (0: trained)
             checks = np.array(

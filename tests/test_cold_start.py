@@ -132,7 +132,7 @@ with ProcessPoolBackend(workers=2) as pool:
     (_, report), = pool.submit_batch(
         [Individual(np.zeros(2), problem=EnvironmentProbe("POOL_PROBE_VARIABLE"))]
     ).result(60)
-    workers = [handle.process.pid for handle in pool._workers]
+    workers = [handle.process.pid for handle in pool._workers.values()]
 print(json.dumps({{
     "report": report,
     "cwd": os.getcwd(),

@@ -47,8 +47,8 @@ from repro.engine import (
     InlineBackend,
     ProcessPoolBackend,
 )
-from repro.engine import pool as pool_module
-from repro.engine.pool import MIN_HISTORY, SUSTAIN_TICKS
+from repro.engine import policy as policy_module
+from repro.engine.policy import MIN_HISTORY, SUSTAIN_TICKS
 from repro.evo.individual import MAXINT, Individual
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
@@ -184,7 +184,7 @@ class TestPoolRevocation:
                 workers=1, metrics=MetricsRegistry()
             ) as pool:
                 assert pool.scale_to(3) == 3
-                names = [h.name for h in pool._workers]
+                names = [h.name for h in pool._workers.values()]
                 assert names == ["pool-0", "pool-1", "pool-2"]
                 assert pool.scale_to(1) == 1
                 engine = EvaluationEngine(
@@ -193,7 +193,7 @@ class TestPoolRevocation:
                 done = engine.evaluate(_surrogate_individuals(3))
                 # grow again: new workers get fresh indices
                 pool.scale_to(2)
-                regrown = [h.name for h in pool._workers]
+                regrown = [h.name for h in pool._workers.values()]
         assert all(ind.is_viable for ind in done)
         assert len(regrown) == 2 and "pool-3" in regrown
         assert tracer.events("pool.scale_up")
@@ -223,7 +223,7 @@ class TestPoolRevocation:
 class TestPolicy:
     def test_a_plain_pool_has_no_policy(self):
         with ProcessPoolBackend(workers=1, metrics=MetricsRegistry()) as pool:
-            assert pool._fleet is None
+            assert pool._policy.fleet is None
             assert pool.fleet_snapshot() == {}
 
     def test_the_snapshot_carries_what_the_monitor_reads(self):
@@ -412,7 +412,7 @@ class TestSpeculation:
                 )
                 slot = pool.submit(ind).result(timeout=30)
                 snap = pool.fleet_snapshot()
-                copies = dict(pool._fleet.copies)
+                copies = dict(pool._policy.fleet.copies)
         assert slot[0].tolist() == [6.0, 2.0]
         assert (snap["speculations"], snap["speculative_wins"]) == (1, 0)
         assert snap["requeued"] == 0
@@ -428,12 +428,12 @@ class TestSpeculation:
                 workers=1, speculate=True, metrics=MetricsRegistry()
             ) as pool:
                 _warm(pool)
-                warmed = len(pool._fleet.window)
+                warmed = len(pool._policy.fleet.window)
                 # pool-0 dies on it; its successor's reply is a first
                 pool.submit(_echo(1)[0]).result(timeout=30)
-                respawned = len(pool._fleet.window)
+                respawned = len(pool._policy.fleet.window)
                 pool.submit(_echo(1)[0]).result(timeout=30)
-                settled = len(pool._fleet.window)
+                settled = len(pool._policy.fleet.window)
         assert (warmed, respawned, settled) == (
             MIN_HISTORY,
             MIN_HISTORY,
@@ -501,7 +501,7 @@ class TestSpeculation:
 # ----------------------------------------------------------------------
 def _tick(pool, times):
     for _ in range(times):
-        pool._autoscale(time.monotonic())
+        pool._apply(pool._policy.autoscale(time.monotonic()))
 
 
 class TestAutoscale:
@@ -550,7 +550,7 @@ class TestAutoscale:
     def test_the_drain_ticks_on_its_own(self, monkeypatch):
         """Polling alone autoscales: a backlog the pool cannot clear
         within a few ticks grows it."""
-        monkeypatch.setattr(pool_module, "AUTOSCALE_INTERVAL", 0.02)
+        monkeypatch.setattr(policy_module, "AUTOSCALE_INTERVAL", 0.02)
         with ProcessPoolBackend(
             workers=1, max_workers=2, metrics=MetricsRegistry()
         ) as pool:
@@ -587,7 +587,7 @@ class TestAutoscale:
         """The fair-share scheduler dispatches up to the ceiling, not
         the live size, so the backlog the policy grows on forms in the
         pool's queue."""
-        monkeypatch.setattr(pool_module, "AUTOSCALE_INTERVAL", 0.02)
+        monkeypatch.setattr(policy_module, "AUTOSCALE_INTERVAL", 0.02)
         with ProcessPoolBackend(
             workers=1, max_workers=3, metrics=MetricsRegistry()
         ) as pool:
@@ -674,12 +674,12 @@ class TestElasticBackend:
                 [pool, InlineBackend()], min_workers=1, max_workers=2
             ) as fleet:
                 snap = fleet.fleet_snapshot()
-                assert pool._fleet is not None
+                assert pool._policy.fleet is not None
                 engine = EvaluationEngine(
                     client=fleet, metrics=MetricsRegistry()
                 )
                 done = engine.evaluate(_surrogate_individuals(3))
-            assert pool._fleet is None  # the old (absent) policy is back
+            assert pool._policy.fleet is None  # the old (absent) policy is back
             assert not pool.closed  # the caller's pool stays open
         assert (snap["min_workers"], snap["max_workers"]) == (1, 2)
         assert all(ind.is_viable for ind in done)

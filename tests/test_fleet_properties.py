@@ -99,7 +99,7 @@ def _run(genomes, faults, speculate):
             handed_back = []
             while engine.has_pending():
                 handed_back += engine.wait_any()
-            assert not pool._futures and not pool._queue and not pool._tasks
+            assert not pool._tasks and not pool._policy.queue and not pool._policy.attempts
     return individuals, handed_back, engine
 
 

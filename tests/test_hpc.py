@@ -1,47 +1,12 @@
-"""Tests for the Summit-like cluster model: nodes, runtime model,
-batch jobs, jsrun launcher, and the discrete-event campaign simulation."""
+"""Tests for the Summit-like cluster model: runtime model, batch jobs,
+and the discrete-event campaign simulation (which drives the pool's
+scheduling policy, tested on its own in ``tests/test_policy.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import WalltimeExceeded
-from repro.hpc import (
-    BatchJob,
-    ClusterSimulation,
-    JsrunLauncher,
-    NodeState,
-    SummitNode,
-    TrainingRuntimeModel,
-)
-
-
-class TestSummitNode:
-    def test_paper_hardware_shape(self):
-        node = SummitNode("n0")
-        assert node.n_gpus == 6
-        assert node.n_cores == 42
-
-    def test_assign_release_cycle(self):
-        node = SummitNode("n0")
-        node.assign(until=10.0)
-        assert node.state is NodeState.BUSY
-        node.release()
-        assert node.state is NodeState.IDLE
-        assert node.tasks_completed == 1
-
-    def test_double_assign_rejected(self):
-        node = SummitNode("n0")
-        node.assign(until=10.0)
-        with pytest.raises(RuntimeError):
-            node.assign(until=20.0)
-
-    def test_fail_and_recover(self):
-        node = SummitNode("n0")
-        node.fail()
-        assert node.state is NodeState.FAILED
-        assert not node.available
-        node.recover()
-        assert node.available
+from repro.hpc import BatchJob, ClusterSimulation, TrainingRuntimeModel
 
 
 class TestRuntimeModel:
@@ -94,45 +59,9 @@ class TestBatchJob:
         with pytest.raises(WalltimeExceeded):
             job.check_walltime(61.0)
 
-    def test_available_nodes_tracking(self):
-        job = BatchJob(n_nodes=3)
-        job.nodes[0].assign(until=5.0)
-        job.nodes[1].fail()
-        assert len(job.available_nodes()) == 1
-        assert len(job.healthy_nodes()) == 2
-
     def test_needs_nodes(self):
         with pytest.raises(ValueError):
             BatchJob(n_nodes=0)
-
-
-class TestJsrunLauncher:
-    def test_launch_acquires_node(self):
-        job = BatchJob(n_nodes=2, walltime_minutes=100.0)
-        launcher = JsrunLauncher(job)
-        node = launcher.launch(runtime_minutes=10.0, now_minutes=0.0)
-        assert node is not None
-        assert node.state is NodeState.BUSY
-        assert launcher.launches == 1
-
-    def test_launch_returns_none_when_full(self):
-        job = BatchJob(n_nodes=1, walltime_minutes=100.0)
-        launcher = JsrunLauncher(job)
-        launcher.launch(10.0, 0.0)
-        assert launcher.launch(10.0, 0.0) is None
-
-    def test_launch_respects_walltime(self):
-        job = BatchJob(n_nodes=1, walltime_minutes=10.0)
-        launcher = JsrunLauncher(job)
-        with pytest.raises(WalltimeExceeded):
-            launcher.launch(5.0, now_minutes=20.0)
-
-    def test_complete_frees_node(self):
-        job = BatchJob(n_nodes=1, walltime_minutes=100.0)
-        launcher = JsrunLauncher(job)
-        node = launcher.launch(10.0, 0.0)
-        launcher.complete(node)
-        assert launcher.launch(10.0, 15.0) is not None
 
 
 class TestClusterSimulation:

@@ -163,7 +163,9 @@ def check_against_reference(args, batch):
     problem = SurrogateDeepMDProblem(**args)
     oracle = SurrogateDeepMDProblem(**args)
     got = problem.evaluate_batch_with_metadata(batch)
-    expected = reference.evaluate_batch(oracle, batch)
+    # each slot's own outcome: a gene that does not convert fails its
+    # slot, where the reference fails the slot's whole key group
+    expected = [reference.evaluate_batch(oracle, [p])[0] for p in batch]
     assert len(got) == len(expected)
     for slot, want in zip(got, expected):
         assert_same_slot(slot, want)
@@ -241,6 +243,30 @@ class TestSameSlotsAsTheReferenceSweep:
         (bad_float,) = check_against_reference({}, [{**ok, "rcut": "abc"}])
         assert isinstance(bad_float, TypeError)
 
+    @pytest.mark.parametrize(
+        "bad", [{"rcut": "abc"}, {"scale_by_worker": ["none"]}]
+    )
+    def test_a_bad_gene_fails_its_own_slot(self, bad):
+        """A gene that does not convert to a float, or does not hash,
+        fails its slot alone: the good slot beside it trains as it does
+        on its own."""
+        ok = {
+            "rcut": 8.5,
+            "rcut_smth": 2.0,
+            "start_lr": 1e-3,
+            "stop_lr": 1e-6,
+            "fitting_activ_func": "tanh",
+            "desc_activ_func": "tanh",
+            "scale_by_worker": "none",
+        }
+        problem = SurrogateDeepMDProblem()
+        good, failed = problem.evaluate_batch_with_metadata([ok, {**ok, **bad}])
+        assert_same_slot(
+            good, SurrogateDeepMDProblem().evaluate_batch_with_metadata([ok])[0]
+        )
+        assert isinstance(failed, TypeError)
+        assert problem.evaluations == 2
+
 
 # ----------------------------------------------------------------------
 # NAS: the base sweep plus the capacity hook
@@ -256,15 +282,7 @@ NO_CAPACITY = NASCalibration(
 
 @st.composite
 def nas_phenomes(draw):
-    # a non-numeric float gene fails its whole key group, so it is left
-    # out where slots are compared with themselves evaluated alone
-    p = draw(
-        phenomes().filter(
-            lambda p: all(
-                isinstance(p.get(name, 0.0), (int, float)) for name in FLOAT_GENES
-            )
-        )
-    )
+    p = draw(phenomes())
     p["embedding_depth"] = draw(st.integers(1, 3))
     p["embedding_width"] = draw(st.integers(4, 32))
     p["fitting_depth"] = draw(st.integers(1, 3))

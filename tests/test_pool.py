@@ -505,7 +505,7 @@ class TestPoolChaos:
         ) as pool:
             engine = EvaluationEngine(client=pool, metrics=MetricsRegistry())
             engine.evaluate([first])
-            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            os.kill(pool._workers["pool-0"].process.pid, signal.SIGKILL)
             time.sleep(0.5)
             engine.evaluate([second])
         assert second.fitness.tobytes() == reference[1].fitness.tobytes()

@@ -219,7 +219,7 @@ class TestShutdown:
 
     def test_leaving_the_with_block_stops_every_worker(self):
         with ProcessPoolBackend(workers=2, metrics=MetricsRegistry()) as pool:
-            processes = [h.process for h in pool._workers]
+            processes = [h.process for h in pool._workers.values()]
         assert pool.closed
         assert not any(p.is_alive() for p in processes)
 
@@ -301,14 +301,14 @@ class TestSegmentLifetime:
                     100.0 * k + 2 * i + 1,
                 ]
         assert len(pool._segments) == len(pool._segment_payloads) == 3
-        assert len(set().union(*(h.segments for h in pool._workers))) == 3
+        assert len(set().union(*(h.segments for h in pool._workers.values()))) == 3
         del problem, problems
         gc.collect()
         assert [ref() for ref in watched] == [None, None, None]
         assert not any(map(os.path.exists, directories))
         assert pool._segments == {} and pool._segment_payloads == {}
         pool._drain()  # idle workers are told to drop them
-        assert [h.segments for h in pool._workers] == [set(), set()]
+        assert [h.segments for h in pool._workers.values()] == [set(), set()]
         # a new problem gets a new key and a fresh shipment
         problem = Echo(offset=7.0)
         future = pool.submit_batch(_echo(2, problem=problem))

@@ -128,8 +128,9 @@ def _kill_and_chaos(mode: str, run: tuple[str, ...]):
             *run, "--no-cache", "--backend", "pool", "--pool-workers", "4",
             "--batch-evals", "--batch-chunk", "5",
         )]
-        # a preemption storm on an autoscaling, speculating fleet
-        yield "fleet-storm", [(
+        # every worker revoked (--chaos-revoke 1,3 takes both), then
+        # the last resort runs the backlog in the driver's process
+        yield "fleet-revoke-all", [(
             *run, "--no-cache", *FLEET, "--min-workers", "2",
             "--max-workers", "4", "--speculate", "--chaos-revoke", "1,3",
         )]
