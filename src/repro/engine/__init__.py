@@ -23,7 +23,6 @@ evaluation:
   one machine — with its fleet policy on, an elastic fleet that
   autoscales, speculates on stragglers and survives losing every
   worker;
-* per-evaluation soft timeouts;
 * the §2.2.4 exception→``MAXINT`` failure policy, in exactly one place;
 * tracer spans, metrics counters, and per-evaluation journal hooks;
 * :class:`EngineStats` so drivers report cache hits and duplicate

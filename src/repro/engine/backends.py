@@ -14,9 +14,16 @@ and runs each wave of them as one batch.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from collections import Counter
+from typing import (
+    TYPE_CHECKING, Any, Iterable, Iterator, Optional, Protocol, Sequence,
+    runtime_checkable,
+)
 
 from repro.engine.invoke import call_problem_batch
+
+if TYPE_CHECKING:
+    from repro.engine.policy import Tag
 
 
 def evaluate_individual(individual: Any) -> Any:
@@ -97,12 +104,6 @@ class AggregateFuture:
                 slots.append(exc)
         return slots
 
-    def cancel(self) -> None:
-        for future in self._futures:
-            cancel = getattr(future, "cancel", None)
-            if cancel is not None:
-                cancel()
-
 
 class SlotFuture:
     """Scalar view of a chunk of one: ``result()`` is the chunk's only
@@ -145,9 +146,12 @@ class ExecutionBackend(Protocol):
         """Submit one individual; the future resolves to its slot."""
         ...
 
-    def submit_batch(self, individuals: Sequence[Any]) -> FutureLike:
-        """Submit a chunk; the future resolves to one slot per
-        individual (result or exception)."""
+    def submit_batch(
+        self, individuals: Sequence[Any], tag: Optional[Tag] = None
+    ) -> FutureLike:
+        """Submit a chunk, as one task of the tenant ``tag`` names (None:
+        untagged); the future resolves to one slot per individual
+        (result or exception)."""
         ...
 
     def on_cache_hit(self, individual: Any) -> None:
@@ -156,34 +160,41 @@ class ExecutionBackend(Protocol):
 
 
 class QueuedFuture:
-    """One chunk an :class:`InlineBackend` holds until its wave runs.
+    """One chunk an :class:`InlineBackend` holds until a wave runs it.
 
-    ``done()``, ``result()`` and ``cancel()`` all run the wave first if
-    it has not run.  Inline work cannot be stopped, so ``cancel()``
-    evaluates too, with the side effects (cache inserts, problem
-    counters) the chunk would have had anyway.
+    ``done()`` runs a wave if the chunk has not run; ``result()`` and
+    ``cancel()`` run waves until it has.  Inline work cannot be stopped,
+    so ``cancel()`` evaluates too, with the side effects (cache inserts,
+    problem counters) the chunk would have had anyway.
     """
 
-    __slots__ = ("_backend", "individuals", "_slots")
+    __slots__ = ("_backend", "individuals", "tag", "_slots")
 
     def __init__(
-        self, backend: "InlineBackend", individuals: list[Any]
+        self, backend: "InlineBackend", individuals: list[Any], tag: Any
     ) -> None:
         self._backend = backend
         self.individuals = individuals
+        self.tag = tag
         self._slots: Optional[list[Any]] = None
 
     def done(self) -> bool:
         if self._slots is None:
             self._backend._run_wave()
-        return True
+        return self._slots is not None
+
+    @property
+    def resolved(self) -> bool:
+        """``done()`` without running a wave."""
+        return self._slots is not None
 
     def result(self, timeout: Optional[float] = None) -> list[Any]:
-        self.done()
-        return self._slots  # type: ignore[return-value]
+        while self._slots is None:
+            self._backend._run_wave()
+        return self._slots
 
     def cancel(self) -> None:
-        self.done()
+        self.result()
 
 
 class InlineBackend:
@@ -196,6 +207,8 @@ class InlineBackend:
     slots.  A generation submitted at chunk size 1 therefore enters its
     problem once, not once per individual: in-process there are no
     workers to spread chunks over, so the chunk size changes nothing.
+    A wave runs its chunks at once, so it takes at most a tenant's
+    ``cap`` of its tagged chunks; the rest wait for the next wave.
 
     An exception escaping the batch call propagates to whoever polled,
     and every future of the wave resolves to that exception in each of
@@ -207,21 +220,44 @@ class InlineBackend:
     is_execution_backend = True
 
     def __init__(self) -> None:
-        #: chunks submitted since the last wave ran, in submission order
+        #: chunks not yet run, in submission order
         self._queue: list[QueuedFuture] = []
+        #: tenant → (the most of its chunks in one wave, chunks run)
+        self._shares: dict[str, tuple[int, int]] = {}
 
     def submit(self, individual: Any) -> SlotFuture:
         return SlotFuture(self.submit_batch([individual]))
 
-    def submit_batch(self, individuals: Sequence[Any]) -> QueuedFuture:
-        future = QueuedFuture(self, list(individuals))
+    def submit_batch(
+        self, individuals: Sequence[Any], tag: Optional[Tag] = None
+    ) -> QueuedFuture:
+        future = QueuedFuture(self, list(individuals), tag)
         self._queue.append(future)
         return future
 
+    def share_snapshot(self) -> dict[str, Any]:
+        """The tenants' books for the service's ``/status``."""
+        return {
+            tenant: {"in_flight": 0, "peak_in_flight": peak, "dispatched": n}
+            for tenant, (peak, n) in list(self._shares.items())
+        }
+
     def _run_wave(self) -> None:
         # detach first: a chunk submitted from inside the problem call
-        # joins the next wave
-        wave, self._queue = self._queue, []
+        # joins the next wave, as does a tagged one past its tenant's cap
+        wave, held, counts = [], [], Counter()
+        for future in self._queue:
+            tag = future.tag
+            if tag is not None:
+                if tag.cap is not None and counts[tag.tenant] >= tag.cap:
+                    held.append(future)
+                    continue
+                counts[tag.tenant] += 1
+            wave.append(future)
+        self._queue = held
+        for tenant, n in counts.items():
+            peak, run = self._shares.get(tenant, (0, 0))
+            self._shares[tenant] = (max(peak, n), run + n)
         individuals = [ind for future in wave for ind in future.individuals]
         try:
             slots = evaluate_individuals_batch(individuals)

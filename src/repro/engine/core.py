@@ -157,10 +157,10 @@ class EvaluationEngine:
         call (the generational driver's within-generation semantics —
         required for bit-identical resume); ``"run"`` remembers them for
         the engine's lifetime (the steady-state and baseline setting).
-    timeout:
-        Soft per-evaluation wall-clock limit in seconds; an overrunning
-        candidate is failed with :class:`TrainingTimeoutError` (the
-        engine-side analogue of the paper's 2-hour training cap).
+
+    The paper's 2-hour training cap is the backend's to enforce (the
+    process pool's ``deadline``); a chaos plan's injected timeout fails
+    its candidate here with :class:`TrainingTimeoutError`.
     """
 
     def __init__(
@@ -168,7 +168,6 @@ class EvaluationEngine:
         client: Any = None,
         dedup: bool = True,
         dedup_scope: str = "batch",
-        timeout: Optional[float] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -183,7 +182,6 @@ class EvaluationEngine:
         )
         self.dedup = bool(dedup)
         self.dedup_scope = dedup_scope
-        self.timeout = timeout
         self.tracer = tracer if tracer is not None else get_tracer()
         registry = metrics if metrics is not None else get_registry()
         self._c_submitted = registry.counter("engine_submitted_total")
@@ -507,8 +505,7 @@ class EvaluationEngine:
             self._resolve_duplicate(seq, follower, member.individual)
 
     def _time_out(self, member: _Member, elapsed: float) -> None:
-        limit = self.timeout if self.timeout is not None else 0.0
-        apply_failure(member.individual, TrainingTimeoutError(elapsed, limit))
+        apply_failure(member.individual, TrainingTimeoutError(elapsed, 0.0))
         self.stats.timeouts += 1
         self._settle(member)
 
@@ -529,7 +526,8 @@ class EvaluationEngine:
         self._settle(member)
 
     def _pump(self) -> None:
-        """Move finished (or timed-out) in-flight work to the ready list."""
+        """Move finished (or force-timed-out) in-flight work to the
+        ready list."""
         now = time.monotonic()
         self._inflight = [
             chunk for chunk in self._inflight if not self._advance(chunk, now)
@@ -542,7 +540,6 @@ class EvaluationEngine:
         Members resolve in chunk order — the submission order — so
         what is accounted first does not depend on the chunk size.
         """
-        elapsed = now - chunk.since
         slots = None
         if (
             any(not (m.resolved or m.forced_timeout) for m in chunk.members)
@@ -554,19 +551,14 @@ class EvaluationEngine:
                 # crash→MAXINT applies to the failed chunk's
                 # individuals only; other chunks are untouched
                 slots = [exc] * len(chunk.members)
-        overdue = (
-            slots is None
-            and self.timeout is not None
-            and elapsed > self.timeout
-        )
         for index, member in enumerate(chunk.members):
             if member.resolved:
                 continue
             # a forced (injected) timeout outranks completion: the
             # engine must enforce its budget even when the backend
             # races it to the finish line
-            if member.forced_timeout or overdue:
-                self._time_out(member, elapsed)
+            if member.forced_timeout:
+                self._time_out(member, now - chunk.since)
             elif slots is not None:
                 self._land(member, slots[index])
         if not all(m.resolved for m in chunk.members):

@@ -4,7 +4,8 @@ The paper's deployment rests on one rule set (§2.2.5): Dask hands a
 dead worker's task to another worker, gives up after a fixed number of
 failures, and caps each training at two hours.  :class:`Policy` is that
 rule set, plus the fleet policy (:class:`Fleet`: autoscale, speculative
-copies, the in-process last resort).  Each event it is fed returns the
+copies, the in-process last resort) and fair share among tenants
+(:class:`Tag`).  Each event it is fed returns the
 actions its executor carries out, in order; the policy updates its
 books as it decides, and the executor reports what an action shows (a
 worker up after :class:`Spawn`, a worker found dead when sent work) as
@@ -76,16 +77,56 @@ Action = Union[
 # ----------------------------------------------------------------------
 # state
 # ----------------------------------------------------------------------
+class Tag(NamedTuple):
+    """Whose a task is: ``tenant``'s share — dispatch opportunities in
+    proportion to ``weight``, strict ``priority`` (lower first), at most
+    ``cap`` tasks running at once — and the ``lane`` (a campaign) it
+    queues in among the tenant's lanes."""
+
+    tenant: str
+    lane: str
+    weight: float = 1.0
+    priority: int = 0
+    cap: Optional[int] = None
+
+
+@dataclass
+class Share:
+    """One tenant's fair-share books: its first ``tag``'s knobs; its
+    lanes — lane → queued tasks, in round-robin order (the lane served
+    moves last; an empty one is dropped); its stride virtual time, its
+    most tasks running at once, and its tasks dispatched."""
+
+    tag: Tag
+    lanes: dict[str, deque[int]] = field(default_factory=dict)
+    vtime: float = 0.0
+    peak: int = 0
+    dispatched: int = 0
+
+
+@dataclass(slots=True)
+class _Tagged:
+    """A live tagged task's share and lane; ``charged``: its first
+    dispatch has advanced the share's virtual time."""
+
+    share: Share
+    lane: str
+    charged: bool = False
+
+
 @dataclass(slots=True)
 class Worker:
     """One worker on the books: down from its death (or creation) until
-    it is spawned; ``task`` it runs (None: idle), sent at ``since``;
-    ``fresh``: no reply since its process started."""
+    it is spawned; ``task`` it runs (None: idle), timed from ``since``
+    (None: still loading what it was sent, untimed), and the task's
+    ``share`` (None: untagged); ``fresh``: no reply since its process
+    started."""
 
     up: bool
     task: Optional[int] = None
-    since: float = 0.0
+    since: Optional[float] = 0.0
     fresh: bool = True
+    share: Optional[Share] = None
 
 
 @dataclass
@@ -112,13 +153,18 @@ class Fleet:
 
 
 class Policy:
-    """Queue, retry, deadline and fleet rules over named workers.
+    """Queue, retry, deadline, fair-share and fleet rules over named
+    workers.
 
     ``workers`` are up from the start, named ``name.format(i)`` for
     ``i`` = 0, 1, …; a worker added later takes the next index, and no
     index is reused.  ``deadline`` (in the executor's time unit) fails a
     task that runs longer; ``death_retries`` is the number of runs a
     task may lose to deaths; ``fleet`` switches the fleet policy on.
+
+    Untagged tasks wait in :attr:`queue`, a FIFO served before any
+    tenant's lanes; a tagged task waits in its lane of its tenant's
+    :class:`Share`.  A lost task goes back to the front of its own queue.
     """
 
     def __init__(
@@ -134,8 +180,12 @@ class Policy:
         self.deadline = deadline
         self.death_retries = death_retries
         self.fleet = fleet
-        #: FIFO of task ids waiting for a worker
+        #: FIFO of untagged task ids waiting for a worker
         self.queue: deque[int] = deque()
+        #: tenant → its share, in order of first submission
+        self.shares: dict[str, Share] = {}
+        #: live tagged task → its share and lane
+        self.tags: dict[int, _Tagged] = {}
         #: live task → runs it has lost
         self.attempts: dict[int, int] = {}
         self.workers: dict[str, Worker] = {}
@@ -165,28 +215,64 @@ class Policy:
             return task
         return None
 
+    def running(self, share: Share) -> int:
+        """How many of ``share``'s tasks run now (a copy counts once)."""
+        held = list(self.workers.values())
+        return len({w.task for w in held if w.share is share} - {None})
+
     def _requeue(self, task: int, worker: str, ran: bool) -> Requeue:
         # the front: a lost task is the oldest work outstanding
         if ran:
             self.attempts[task] += 1
-        self.queue.appendleft(task)
+        entry = self.tags.get(task)
+        if entry is None:
+            self.queue.appendleft(task)
+        else:
+            entry.share.lanes.setdefault(entry.lane, deque()).appendleft(task)
         return Requeue(task, worker, self.attempts[task])
 
-    def _fail(self, task: int, error: BaseException) -> Fail:
+    def _end(self, task: int) -> None:
         del self.attempts[task]
+        self.tags.pop(task, None)
+
+    def _fail(self, task: int, error: BaseException) -> Fail:
+        self._end(task)
         return Fail(task, error)
+
+    def depth(self) -> int:
+        """How many tasks are queued (over copies: ``/status`` reads it
+        off the executor's thread)."""
+        lanes = [list(s.lanes.values()) for s in list(self.shares.values())]
+        return len(self.queue) + sum(len(q) for ls in lanes for q in ls)
+
+    def take_queued(self) -> list[int]:
+        """Empty every queue: its tasks, the untagged FIFO's first."""
+        tasks = list(self.queue)
+        self.queue.clear()
+        for share in self.shares.values():
+            tasks += [task for lane in share.lanes.values() for task in lane]
+            share.lanes.clear()
+        return tasks
 
     # ------------------------------------------------------------------
     # events
     # ------------------------------------------------------------------
-    def submit(self, task: int, now: float) -> list[Action]:
-        """A new task: queued, or failed at once when no worker is left
-        to run it and no last resort will."""
+    def submit(
+        self, task: int, now: float, tag: Optional[Tag] = None
+    ) -> list[Action]:
+        """A new task, with its tenant's ``tag`` or none: queued, or
+        failed at once when no worker is left to run it and no last
+        resort will."""
         self.attempts[task] = 0
         if not self.workers and self.fleet is None:
             error = WorkerRevoked("pool", "no surviving worker")
             return [self._fail(task, error)]
-        self.queue.append(task)
+        if tag is None:
+            self.queue.append(task)
+        else:
+            share = self.shares.setdefault(tag.tenant, Share(tag))
+            self.tags[task] = _Tagged(share, tag.lane)
+            share.lanes.setdefault(tag.lane, deque()).append(task)
         return self._dispatch(now)
 
     def reply(
@@ -216,12 +302,12 @@ class Policy:
                     return []
                 else:
                     won = fleet.copies[task] == worker
-            if live and not fresh:
+            if live and not fresh and w.since is not None:
                 fleet.window.append(now - w.since)
         if not live:
             # failed by the deadline or cancelled: the late reply goes
             return []
-        del self.attempts[task]
+        self._end(task)
         return [Settle(task, won)]
 
     def death(self, worker: str, cause: str, ran: bool = True) -> list[Action]:
@@ -261,10 +347,9 @@ class Policy:
                 out.append(self._revoked(task, worker))
         if not self.workers:
             if fleet is not None:
-                out.append(LastResort(worker, len(self.queue)))
+                out.append(LastResort(worker, self.depth()))
             else:
-                out += [self._revoked(task, worker) for task in self.queue]
-                self.queue.clear()
+                out += [self._revoked(t, worker) for t in self.take_queued()]
         return out
 
     def _revoked(self, task: int, worker: str) -> Fail:
@@ -273,10 +358,22 @@ class Policy:
         )
 
     def cancel(self, task: int) -> None:
-        """Forget ``task``: it leaves the queue, and a running copy's
+        """Forget ``task``: it leaves its queue, and a running copy's
         reply will be discarded."""
-        if self.attempts.pop(task, None) is not None and task in self.queue:
-            self.queue.remove(task)
+        if self.attempts.pop(task, None) is None:
+            return
+        entry = self.tags.pop(task, None)
+        lane = self.queue if entry is None else entry.share.lanes.get(entry.lane, ())
+        if task in lane:
+            lane.remove(task)
+            if not lane and entry is not None:
+                del entry.share.lanes[entry.lane]
+
+    def clock(self, worker: str, now: Optional[float]) -> None:
+        """Time ``worker``'s task from ``now``; None stops its clock
+        while the worker loads a problem the task needs (as a fresh
+        process must), which no deadline or threshold counts."""
+        self.workers[worker].since = now
 
     def spawned(self, worker: str, now: float) -> list[Action]:
         """``worker``'s process is up: it takes queued work."""
@@ -291,12 +388,13 @@ class Policy:
         out: list[Action] = []
         if self.deadline is not None:
             for name, w in self.workers.items():
-                if w.task is not None and now - w.since > self.deadline:
+                timed = w.task is not None and w.since is not None
+                if timed and now - w.since > self.deadline:
                     out += self._kill(name, w, now - w.since)
         out += self._dispatch(now)
         fleet = self.fleet
         if fleet is not None:
-            if self.queue and not self.workers:
+            if not self.workers and self.depth():
                 out += self._last_resort()
             if fleet.speculate and len(fleet.window) >= MIN_HISTORY:
                 out += self._speculate(now)
@@ -325,10 +423,16 @@ class Policy:
         """One autoscale observation.  A backlog seen ``SUSTAIN_TICKS``
         times in a row grows the pool toward the ceiling; as long an
         idle pool shrinks by one worker toward the floor.  One transient
-        spike never rescales."""
+        spike never rescales.  The backlog is the queued work a new
+        worker could take: a tenant's queued tasks count up to its cap."""
         fleet = self.fleet
         fleet.last_tick = now
         depth = len(self.queue)
+        for share in self.shares.values():
+            queued = sum(map(len, share.lanes.values()))
+            if share.tag.cap is not None:
+                queued = min(queued, share.tag.cap - self.running(share))
+            depth += queued
         if depth:
             fleet.pressure, fleet.idle = fleet.pressure + 1, 0
         elif not self.attempts:
@@ -352,15 +456,51 @@ class Policy:
     def _dispatch(self, now: float) -> list[Action]:
         # lowest-named idle worker first, the order chaos plans rely on
         out: list[Action] = []
-        if not self.queue:
+        if not self.queue and not self.tags:
             return out
         for name, w in self.workers.items():
             if w.up and w.task is None:
-                w.task, w.since = self.queue.popleft(), now
-                out.append(Dispatch(name, w.task))
-                if not self.queue:
+                task = self._next()
+                if task is None:
                     break
+                entry = self.tags.get(task)
+                share = None if entry is None else entry.share
+                w.task, w.since, w.share = task, now, share
+                if share is not None:
+                    share.peak = max(share.peak, self.running(share))
+                out.append(Dispatch(name, task))
         return out
+
+    def _next(self) -> Optional[int]:
+        """Take the next task off the queues: the untagged FIFO's head;
+        else, among the tenants with queued work below their cap, the
+        lowest priority class's tenant with the least virtual time (ties
+        by name), from its lanes round-robin.  None: nothing may run."""
+        if self.queue:
+            return self.queue.popleft()
+        ready = [
+            s
+            for s in self.shares.values()
+            if s.lanes and (s.tag.cap is None or self.running(s) < s.tag.cap)
+        ]
+        if not ready:
+            return None
+        top = min(s.tag.priority for s in ready)
+        share = min(
+            (s for s in ready if s.tag.priority == top),
+            key=lambda s: (s.vtime, s.tag.tenant),
+        )
+        lane = next(iter(share.lanes))
+        tasks = share.lanes.pop(lane)
+        task = tasks.popleft()
+        if tasks:
+            share.lanes[lane] = tasks
+        entry = self.tags[task]
+        if not entry.charged:
+            entry.charged = True
+            share.vtime += 1.0 / share.tag.weight
+            share.dispatched += 1
+        return task
 
     def _kill(self, name: str, w: Worker, elapsed: float) -> list[Action]:
         task, w.task, w.fresh = w.task, None, True
@@ -372,11 +512,10 @@ class Policy:
         return out
 
     def _last_resort(self) -> list[Action]:
-        out: list[Action] = [RunInProcess(task) for task in self.queue]
-        for task in self.queue:
-            del self.attempts[task]
-        self.queue.clear()
-        return out
+        queued = self.take_queued()
+        for task in queued:
+            self._end(task)
+        return [RunInProcess(task) for task in queued]
 
     def _speculate(self, now: float) -> list[Action]:
         """Copy each straggling task to an idle worker — never into the
@@ -394,6 +533,7 @@ class Policy:
                 or task is None
                 or task in fleet.copies
                 or task not in self.attempts
+                or w.since is None
                 or now - w.since <= MIN_SPECULATE_S
             ):
                 continue
@@ -406,7 +546,7 @@ class Policy:
                 continue
             spare = idle.pop(0)
             copy = self.workers[spare]
-            copy.task, copy.since = task, now
+            copy.task, copy.since, copy.share = task, now, w.share
             fleet.copies[task] = spare
             out.append(Copy(spare, task, threshold))
         return out

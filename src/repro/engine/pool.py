@@ -66,6 +66,7 @@ from typing import Any, Iterable, Optional
 from repro.engine.backends import SlotFuture, evaluate_individuals_batch
 from repro.engine import policy
 from repro.engine.policy import DEATH_RETRIES  # noqa: F401 - documented here
+from repro.engine.policy import Tag
 from repro.exceptions import EvaluationError, WorkerFailure
 from repro.injection import FaultInjector, get_injector
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -168,6 +169,8 @@ def _pool_worker_main(
     #: keyed by the parent's segment key — chunk payloads then carry
     #: only (segment key, genome, uuid) items
     segments: dict[str, tuple[Any, Any, Any]] = {}
+    #: a segment came since the last task, whose clock awaits "started"
+    loaded = False
     while True:
         try:
             msg = conn.recv()
@@ -177,11 +180,18 @@ def _pool_worker_main(
             break
         if msg[0] == "segment":
             segments[msg[1]] = pickle.loads(msg[2])
+            loaded = True
             continue
         if msg[0] == "drop":
             segments.pop(msg[1], None)
             continue
         _, task_id, payload, delay, die, trace, attempt = msg
+        if loaded:
+            loaded = False
+            try:
+                conn.send(("started", task_id, []))
+            except (BrokenPipeError, OSError):
+                break
         if delay:
             time.sleep(delay)
         if die:
@@ -265,6 +275,11 @@ class ProcessFuture:
             self._backend._drain()
         return self._resolved
 
+    @property
+    def resolved(self) -> bool:
+        """``done()`` without the drain."""
+        return self._resolved
+
     def result(self, timeout: Optional[float] = None) -> Any:
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._resolved:
@@ -319,10 +334,12 @@ class ProcessPoolBackend:
         Pool size (default: ``os.cpu_count()``, at least 2).  The
         paper's analogue is one Dask worker per Summit node.
     deadline:
-        Hard per-task wall-clock limit in seconds; an overrunning
-        worker is SIGKILLed and the task fails with
-        :class:`TrainingTimeoutError` (→ ``MAXINT`` under the engine's
-        failure policy).  ``None`` disables backend-side enforcement.
+        Hard per-task wall-clock limit in seconds, timed from when the
+        worker starts the task (loading a problem it lacks first is not
+        counted); an overrunning worker is SIGKILLed and the task fails
+        with :class:`TrainingTimeoutError` (→ ``MAXINT`` under the
+        engine's failure policy).  ``None`` disables backend-side
+        enforcement.
     start_method:
         ``"forkserver"`` (the default where the platform has it, with
         the server preloaded with :data:`WORKER_PRELOAD`), ``"spawn"``
@@ -355,7 +372,10 @@ class ProcessPoolBackend:
         speculate: bool = False,
     ) -> None:
         import multiprocessing as mp
+        from multiprocessing.connection import wait
 
+        #: imported here, like ``mp``: a process with no pool loads neither
+        self._wait = wait
         if workers is None:
             workers = max(2, os.cpu_count() or 1)
         if workers < 1:
@@ -384,9 +404,11 @@ class ProcessPoolBackend:
         self._c_requeued = registry.counter("pool_tasks_requeued_total")
         self._g_workers = registry.gauge("pool_workers")
         self._g_workers.set(int(workers))
-        #: sampled on every submit/dispatch/drain transition
+        #: sampled on every submit/dispatch/drain transition, set when
+        #: the (queue depth, busy workers) sample moves
         self._g_queue = registry.gauge("pool_queue_depth")
         self._g_busy = registry.gauge("pool_busy_workers")
+        self._sampled: Optional[tuple[int, int]] = None
         #: the queue, attempts, per-worker books and fleet policy
         fleet = None
         if max_workers is not None or speculate:
@@ -442,9 +464,12 @@ class ProcessPoolBackend:
     # ------------------------------------------------------------------
     def _sample_gauges(self) -> None:
         """Refresh the queue-depth / busy-workers gauges (called on
-        every submit/dispatch/drain transition)."""
-        self._g_queue.set(len(self._policy.queue))
-        self._g_busy.set(self.n_workers - self.idle_workers())
+        every submit/dispatch/drain transition) when they moved."""
+        sample = (self._policy.depth(), self.n_workers - self.idle_workers())
+        if sample != self._sampled:
+            self._sampled = sample
+            self._g_queue.set(sample[0])
+            self._g_busy.set(sample[1])
 
     def _publish_worker(
         self,
@@ -493,6 +518,19 @@ class ProcessPoolBackend:
             "duplicates_discarded": count("duplicate_results"),
             "scale_ups": count("scale_up"),
             "scale_downs": count("scale_down"),
+        }
+
+    def share_snapshot(self) -> dict[str, Any]:
+        """Strict-JSON fair-share books per tenant, for ``/status``
+        (read off the pool's thread, so over a copy)."""
+        return {
+            name: {
+                "vtime": round(share.vtime, 6),
+                "in_flight": self._policy.running(share),
+                "peak_in_flight": share.peak,
+                "dispatched": share.dispatched,
+            }
+            for name, share in list(self._policy.shares.items())
         }
 
     # ------------------------------------------------------------------
@@ -574,8 +612,11 @@ class ProcessPoolBackend:
                 finalizer.detach()
             self._segment_payloads.pop(entry[0], None)
 
-    def submit_batch(self, individuals: Iterable[Any]) -> ProcessFuture:
-        """Submit one chunk of individuals as a single pool task.
+    def submit_batch(
+        self, individuals: Iterable[Any], tag: Optional[Tag] = None
+    ) -> ProcessFuture:
+        """Submit one chunk of individuals as one pool task of ``tag``'s
+        tenant (None: untagged, first come).
 
         Each individual's ``(problem, decoder, class)`` triple is
         shipped **once per worker** as a shared segment (re-shipped
@@ -618,7 +659,7 @@ class ProcessPoolBackend:
             )
         future = ProcessFuture(self, task_id)
         self._tasks[task_id] = (future, payload, segments)
-        self._apply(self._policy.submit(task_id, time.monotonic()))
+        self._apply(self._policy.submit(task_id, time.monotonic(), tag))
         self._sample_gauges()
         return future
 
@@ -738,7 +779,7 @@ class ProcessPoolBackend:
             entry[0]._resolve(exception=exc)
 
     def _cancel_task(self, task_id: int) -> None:
-        """Abandon one task (speculation loser / engine timeout): an
+        """Abandon one task (a chunk the engine has already failed): an
         undispatched task leaves the queue; a dispatched one runs to
         completion but its result is discarded on receipt."""
         entry = self._tasks.pop(task_id, None)
@@ -874,8 +915,8 @@ class ProcessPoolBackend:
         self._publish_worker(handle, "retired")
 
     def queue_depth(self) -> int:
-        """Undispatched tasks (the autoscaler's pressure signal)."""
-        return len(self._policy.queue)
+        """Undispatched tasks."""
+        return self._policy.depth()
 
     def idle_workers(self) -> int:
         return sum(1 for w in self._policy.workers.values() if w.task is None)
@@ -931,11 +972,13 @@ class ProcessPoolBackend:
                     continue
                 # ship the shared (problem, decoder, class) triple
                 # once per worker process; the pipe is FIFO, so the
-                # segment always lands before the task that needs it
+                # segment always lands before the task that needs it,
+                # whose clock waits for the worker's "started"
                 handle.conn.send(
                     ("segment", key, self._segment_payloads[key])
                 )
                 handle.segments.add(key)
+                self._policy.clock(handle.name, None)
             handle.conn.send(
                 ("batch", task_id, payload, delay, die, trace, attempt)
             )
@@ -956,19 +999,26 @@ class ProcessPoolBackend:
         if self._closed:
             return
         now = time.monotonic()
+        # one selector for every pipe: under forkserver a poll() or an
+        # is_alive() builds one per call, and this runs ~2 000 times a
+        # second
+        ready = set(self._wait([h.conn for h in self._workers.values()], 0))
         for handle in list(self._workers.values()):
             # 1. everything the worker managed to send, up to the end
             #    of its pipe, which a worker's exit closes
             hung_up = False
-            while True:
+            readable = handle.conn in ready
+            while readable:
                 try:
-                    if not handle.conn.poll():
-                        break
                     msg = handle.conn.recv()
                 except (EOFError, OSError):
                     hung_up = True
                     break
                 kind, task_id = msg[0], msg[1]
+                if kind == "started":
+                    self._policy.clock(handle.name, now)
+                    readable = handle.conn.poll()
+                    continue
                 # last element is the worker-side trace record list;
                 # merge it into the parent stream with fresh span ids
                 records = msg[-1]
@@ -987,9 +1037,8 @@ class ProcessPoolBackend:
                     if action.won:
                         self._fleet_counter("speculative_wins").inc()
                     self._settle(task_id, kind, msg[2])
-            # 2. death: only a worker whose pipe hung up is asked, as
-            #    under forkserver ``is_alive`` builds a selector per call,
-            #    and this loop runs ~2 000 times a second
+                readable = handle.conn.poll()
+            # 2. death: only a worker whose pipe hung up is asked
             if hung_up and not handle.process.is_alive():
                 self._bury(handle)
             elif self._policy.workers[handle.name].task is None:
@@ -1036,7 +1085,7 @@ class ProcessPoolBackend:
         if self._closed:
             return
         self._closed = True
-        for task_id in self._policy.queue:
+        for task_id in self._policy.take_queued():
             self._fail_task(
                 task_id, WorkerFailure("pool", "closed before dispatch")
             )

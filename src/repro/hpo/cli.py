@@ -235,9 +235,11 @@ def _execution_backend(stack, args: argparse.Namespace):
     ``multiprocessing`` worker pool (``--pool-workers``, with an
     optional per-evaluation ``--pool-deadline``); ``fleet`` is that
     pool with its fleet policy on: autoscale from ``--min-workers`` to
-    ``--max-workers`` (within a service's ``--slots``), ``--speculate``,
-    and the in-process last resort.  Its lifetime is tied to ``stack``
-    so workers are torn down even when the campaign raises.
+    ``--max-workers``, ``--speculate``, and the in-process last resort.
+    Under ``serve`` the pool's queue is the service's only one: it
+    orders the tenants' evaluations by fair share.  Its lifetime is
+    tied to ``stack`` so workers are torn down even when the campaign
+    raises.
     Constructed inside the chaos scope so dispatch-time fault hooks
     bind to the active plan.
     """
@@ -256,9 +258,6 @@ def _execution_backend(stack, args: argparse.Namespace):
     max_workers = getattr(args, "max_workers", None) or max(
         min_workers, workers
     )
-    slots = getattr(args, "slots", None)
-    if slots is not None:
-        max_workers = min(max_workers, slots)
     return stack.enter_context(
         ProcessPoolBackend(
             workers=min_workers,
@@ -690,7 +689,6 @@ def _render_service_dashboard(snapshot: dict) -> str:
     lines.append(
         f"campaign service  state {snapshot.get('state', '?')}  "
         f"campaigns {len(service.get('campaigns') or [])}  "
-        f"slots {scheduler.get('total_slots', '?')}  "
         f"in-flight {scheduler.get('in_flight', 0)}"
     )
     campaigns = service.get("campaigns") or []
@@ -784,7 +782,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.root,
             backend=backend,
             max_active=args.max_active,
-            total_slots=args.slots,
             cache_failures=getattr(args, "cache_failures", False),
         )
         recovered = service.recover()
@@ -1392,17 +1389,6 @@ def main(argv: list[str] | None = None) -> int:
         "--host", default="127.0.0.1", help="bind address"
     )
     _add_backend_flags(p_serve)
-    p_serve.add_argument(
-        "--slots",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "fleet-wide concurrent-evaluation cap (default: the "
-            "backend's worker count; --backend fleet: its "
-            "--max-workers)"
-        ),
-    )
     p_serve.add_argument(
         "--max-active",
         type=int,

@@ -361,7 +361,7 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         if any(failed):
             raise self._failure(
                 # the sweep's codes of its deterministic checks
-                (2, 4, 5, 6)[failed.index(True)],
+                (2, 4, 5, 6, 7)[failed.index(True)],
                 float(eff[0]),
                 phenome["start_lr"],
                 phenome["scale_by_worker"],
@@ -466,9 +466,9 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
         slot's effective start rate (nan for a worker scaling that does
         not resolve); the deterministic failure checks in precedence
         order (the scaling does not resolve, rcut_smth ≥ rcut, a
-        non-positive rate, divergence); the mean energy and force with
-        :meth:`_capacity`'s penalties added; and its runtime minutes
-        (``None`` without them).  Nan-safe: failed slots are the
+        non-positive rate, divergence, a non-finite gene); the mean
+        energy and force with :meth:`_capacity`'s penalties added; and
+        its runtime minutes (``None`` without them).  Nan-safe: failed slots are the
         caller's to mask out.
         """
         c = self.calibration
@@ -490,6 +490,7 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
             rcut_smth >= rcut,
             (eff <= 0.0) | (stop_lr <= 0.0),
             eff > c.lr_divergence_threshold,
+            ~np.isfinite([rcut, rcut_smth, start_lr, stop_lr]).all(axis=0),
         ]
         # learning-rate basins (log-quadratic, asymmetric)
         log_eff = np.log10(eff)
@@ -589,8 +590,10 @@ class SurrogateDeepMDProblem(WithMetadataProblem):
             message = "rcut_smth >= rcut: descriptor undefined"
         elif code == 5:
             message = "non-positive learning rate"
-        else:
+        elif code == 6:
             message = f"effective start_lr {eff:.3g} diverges"
+        else:
+            message = "non-finite gene"
         return TrainingDivergedError(message)
 
     def _evaluate_group(

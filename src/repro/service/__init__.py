@@ -3,9 +3,9 @@
 The paper ran NSGA-II as one-shot HPC campaigns; the service turns the
 reproduction into the long-running system the ROADMAP points at — an
 HTTP submission API (:class:`CampaignServer` /
-:class:`~repro.service.client.ServiceClient`), fair-share scheduling
-of many tenants' campaigns over one shared execution backend
-(:class:`FairShareScheduler`), a cross-campaign content-addressed
+:class:`~repro.service.client.ServiceClient`), many tenants' campaigns
+over one shared execution backend whose queue orders them by fair
+share, a cross-campaign content-addressed
 evaluation cache, per-campaign journals with restart-surviving resume,
 and per-campaign labeled metrics on the existing ``/metrics`` +
 ``/status`` plane.
@@ -14,8 +14,9 @@ Layers, bottom up:
 
 * :mod:`repro.service.tenancy` — :class:`Tenant`: weight, priority,
   and max-in-flight quota;
-* :mod:`repro.service.fair_share` — the shared-fleet dispatcher:
-  stride scheduling with strict priorities and hard quotas;
+* :mod:`repro.service.fair_share` — the backend's one owner thread:
+  tenant admission, per-campaign lanes, each evaluation handed over
+  tagged for the pool's queue;
 * :mod:`repro.service.registry` — durable campaign records
   (spec/state/journal per campaign directory);
 * :mod:`repro.service.service` — :class:`CampaignService`: runner
@@ -30,7 +31,6 @@ from repro.service.fair_share import (
     CampaignQueue,
     FairShareScheduler,
     ServiceFuture,
-    worker_capacity,
 )
 from repro.service.registry import (
     CANCELLED,
@@ -54,7 +54,6 @@ __all__ = [
     "FairShareScheduler",
     "CampaignQueue",
     "ServiceFuture",
-    "worker_capacity",
     "CampaignRegistry",
     "ManagedCampaign",
     "QUEUED",

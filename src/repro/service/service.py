@@ -4,8 +4,9 @@
 fronts: it accepts campaign submissions, runs up to ``max_active`` of
 them concurrently — each on its own thread, all sharing **one**
 execution backend through the :class:`~repro.service.fair_share.
-FairShareScheduler` — and persists enough state that a killed server
-resumes every interrupted campaign bit-identically on restart.
+FairShareScheduler`'s owner thread — and persists enough state that a
+killed server resumes every interrupted campaign bit-identically on
+restart.
 
 Per campaign:
 
@@ -17,7 +18,8 @@ Per campaign:
 * a :class:`~repro.store.journal.CampaignJournal` in the campaign's
   own directory (write-ahead, fsync per append);
 * a lane (:class:`~repro.service.fair_share.CampaignQueue`) into the
-  shared fleet, governed by the submitting tenant's weight/quota;
+  shared fleet, whose tasks carry the submitting tenant's
+  weight/priority/quota to the backend's queue;
 * the **shared** content-addressed evaluation cache: identical
   (phenome, fingerprint) evaluations requested by different campaigns
   — or different tenants — execute once, ever.
@@ -88,7 +90,6 @@ class CampaignService:
         root: str | Path,
         backend: Any = None,
         max_active: int = 4,
-        total_slots: Optional[int] = None,
         cache: Optional[EvaluationCache] = None,
         cache_failures: bool = False,
         problem_factory_builder: Optional[Callable[..., Any]] = None,
@@ -109,10 +110,7 @@ class CampaignService:
         )
         self._owns_backend = getattr(backend, "is_execution_backend", False)
         self.backend = as_backend(backend)
-        self.scheduler = FairShareScheduler(
-            self.backend, total_slots=total_slots
-        )
-        self.scheduler.start()
+        self.scheduler = FairShareScheduler(self.backend).start()
         self.registry = CampaignRegistry(self.root)
         self._build_problem_factory = (
             problem_factory_builder

@@ -2,14 +2,14 @@
 
 The paper's campaigns had the whole allocation to themselves; a
 long-running service shares one worker fleet among many users.  A
-:class:`Tenant` carries the three knobs the fair-share scheduler
-enforces:
+:class:`Tenant` carries the three knobs the process pool's queue
+enforces (each evaluation is tagged with them; DESIGN.md §9):
 
 * ``weight`` — the share of dispatch opportunities relative to other
-  tenants (stride scheduling: a weight-2 tenant is offered slots twice
+  tenants (stride scheduling: a weight-2 tenant is offered workers twice
   as often as a weight-1 tenant when both have work queued);
-* ``max_in_flight`` — a hard cap on the tenant's concurrently
-  executing evaluations across *all* of its campaigns, so one tenant's
+* ``max_in_flight`` — a hard cap on the tenant's evaluations executing
+  on the pool's workers across *all* of its campaigns, so one tenant's
   burst can never occupy the whole fleet;
 * ``priority`` — strict precedence class (lower is more urgent): a
   queued priority-0 task always dispatches before a priority-1 task,

@@ -208,6 +208,9 @@ def evaluate_group(
         code[ok & ((eff <= 0.0) | (stop_lr <= 0.0))] = 5
         ok = code == 0
         code[ok & (eff > c.lr_divergence_threshold)] = 6
+        ok = code == 0
+        finite = np.isfinite([rcut, rcut_smth, start_lr, stop_lr])
+        code[ok & ~finite.all(axis=0)] = 7
         # the response surface (nan-safe: failed slots are masked
         # out of the outcomes below)
         log_eff = np.log10(eff)
@@ -354,8 +357,10 @@ def evaluate_group(
             message = "rcut_smth >= rcut: descriptor undefined"
         elif k == 5:
             message = "non-positive learning rate"
-        else:
+        elif k == 6:
             message = f"effective start_lr {effs[j]:.3g} diverges"
+        else:
+            message = "non-finite gene"
         exc = TrainingDivergedError(message)
         exc.metadata = {  # type: ignore[attr-defined]
             "phenome": dict(phenomes[i]),

@@ -410,42 +410,39 @@ class TestEngineInjection:
     def test_forced_timeout_beats_eager_inline_backend(self):
         problem = CountingProblem()
         plan = FaultPlan([Fault("eval_timeout", at=0)])
-        engine = EvaluationEngine(
-            timeout=100.0, fault_injector=plan.injector()
-        )
+        engine = EvaluationEngine(fault_injector=plan.injector())
         ind = _ind([1.0, 2.0], problem)
         engine.evaluate([ind])
         assert np.all(np.asarray(ind.fitness) == MAXINT)
         assert "TrainingTimeoutError" in ind.metadata["failure_cause"]
         assert engine.stats.timeouts == 1
 
-    def test_slow_worker_trips_engine_timeout(self):
+    def test_slow_worker_trips_the_pool_deadline(self):
         plan = FaultPlan([Fault("slow_worker", at=2, seconds=0.6)])
         injector = plan.injector()
         with use_injector(injector):
-            with ProcessPoolBackend(
-                workers=2, metrics=MetricsRegistry()
-            ) as pool:
+            pool_metrics = MetricsRegistry()
+            with ProcessPoolBackend(workers=2, metrics=pool_metrics) as pool:
                 # dispatches 0 and 1 wait for both workers to start and
-                # ship them the problem, so the budget below times only
-                # the evaluations
+                # ship them the problem; the deadline times evaluations
+                # only, from there on
                 problem = Sum2()
                 EvaluationEngine(client=pool, metrics=MetricsRegistry()).evaluate(
                     [_ind([0.0, 0.0], problem), _ind([0.0, 1.0], problem)]
                 )
+                pool.deadline = 0.3
                 engine = EvaluationEngine(
-                    client=pool,
-                    timeout=0.08,
-                    fault_injector=injector,
-                    metrics=MetricsRegistry(),
+                    client=pool, metrics=MetricsRegistry()
                 )
                 (slow,) = engine.evaluate([_ind([1.0, 2.0], problem)])
-                # the other worker is idle: this one is not queued
-                # behind the sleeping one past the budget
+                # the killed worker's successor takes this one: its boot
+                # and its load of the problem (an import of this module)
+                # are not the evaluation's time
                 (fine,) = engine.evaluate([_ind([3.0, 4.0], problem)])
         assert np.all(np.asarray(slow.fitness) == MAXINT)
         assert "TrainingTimeoutError" in slow.metadata["failure_cause"]
-        assert engine.stats.timeouts == 1
+        assert engine.stats.failures == 1
+        assert pool_metrics.counter("pool_deadline_kills_total").value == 1
         assert not fine.metadata.get("failed")
         assert len(injector.fired("slow_worker")) == 1
 

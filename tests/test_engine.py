@@ -158,32 +158,6 @@ class TestEngineCore:
         assert engine.stats.fresh == 1
         assert engine.stats.dedup_hits == 1
 
-    def test_timeout_applies_failure_policy(self):
-        class NeverDone:
-            def done(self):
-                return False
-
-            def cancel(self):
-                self.cancelled = True
-
-        class StuckBackend:
-            is_execution_backend = True
-
-            def submit_batch(self, individuals):
-                return NeverDone()
-
-            def on_cache_hit(self, individual):
-                pass
-
-        ind = _ind([1.0], CountingProblem())
-        engine = EvaluationEngine(client=StuckBackend(), timeout=0.01)
-        engine.submit(ind)
-        done = engine.wait_any(timeout=5.0)
-        assert done == [ind]
-        assert np.all(ind.fitness == MAXINT)
-        assert "TrainingTimeoutError" in ind.metadata["failure_cause"]
-        assert engine.stats.timeouts == 1
-
     def test_stats_delta(self):
         problem = CountingProblem()
         engine = EvaluationEngine()

@@ -250,7 +250,9 @@ class TestPolicy:
             assert snap[key] == 0, key
         json.dumps(snap, allow_nan=False)
 
-    def test_the_cli_folds_the_service_slots_into_the_ceiling(self):
+    def test_the_cli_builds_the_fleet_from_its_bounds(self, tmp_path):
+        """``--backend fleet`` autoscales within its own bounds; ``serve``
+        has no slot budget to cut them to."""
         args = argparse.Namespace(
             backend="fleet",
             pool_workers=1,
@@ -258,15 +260,16 @@ class TestPolicy:
             min_workers=None,
             max_workers=8,
             speculate=False,
-            slots=2,
         )
-        from repro.hpo.cli import _execution_backend
+        from repro.hpo.cli import _execution_backend, main
 
         with contextlib.ExitStack() as stack:
             pool = _execution_backend(stack, args)
             snap = pool.fleet_snapshot()
         assert pool.closed
-        assert (snap["min_workers"], snap["max_workers"]) == (1, 2)
+        assert (snap["min_workers"], snap["max_workers"]) == (1, 8)
+        with pytest.raises(SystemExit):
+            main(["serve", str(tmp_path), "--slots", "2"])
 
 
 # ----------------------------------------------------------------------
@@ -566,27 +569,21 @@ class TestAutoscale:
 
     def test_n_workers_tracks_live_capacity(self):
         """Revocation and rescale move the live size the snapshot
-        reports; the fair-share scheduler sizes its slots by the
-        ceiling the pool can grow to."""
-        from repro.service.fair_share import worker_capacity
-
+        reports."""
         with ProcessPoolBackend(
             workers=2, max_workers=3, metrics=MetricsRegistry()
         ) as pool:
-            sizes = [(pool.n_workers, pool.fleet_snapshot()["workers"],
-                      worker_capacity(pool))]
+            sizes = [(pool.n_workers, pool.fleet_snapshot()["workers"])]
             pool.revoke_worker("pool-0")
-            sizes.append((pool.n_workers, pool.fleet_snapshot()["workers"],
-                          worker_capacity(pool)))
+            sizes.append((pool.n_workers, pool.fleet_snapshot()["workers"]))
             pool.scale_to(3)
-            sizes.append((pool.n_workers, pool.fleet_snapshot()["workers"],
-                          worker_capacity(pool)))
-        assert sizes == [(2, 2, 3), (1, 1, 3), (3, 3, 3)]
+            sizes.append((pool.n_workers, pool.fleet_snapshot()["workers"]))
+        assert sizes == [(2, 2), (1, 1), (3, 3)]
 
     def test_a_service_backlog_grows_the_pool(self, monkeypatch):
-        """The fair-share scheduler dispatches up to the ceiling, not
-        the live size, so the backlog the policy grows on forms in the
-        pool's queue."""
+        """The service hands every evaluation to the pool at once, so
+        the backlog the policy grows on — up to the tenant's quota —
+        forms in the pool's queue."""
         monkeypatch.setattr(policy_module, "AUTOSCALE_INTERVAL", 0.02)
         with ProcessPoolBackend(
             workers=1, max_workers=3, metrics=MetricsRegistry()
@@ -603,8 +600,9 @@ class TestAutoscale:
                 scheduler.tick()
                 time.sleep(0.002)
             snap = pool.fleet_snapshot()
-        assert scheduler.total_slots == 3
+            books = pool.share_snapshot()["default"]
         assert snap["scale_ups"] >= 1
+        assert books["dispatched"] == 8 and books["peak_in_flight"] <= 3
         assert all(f.result()[0].tolist() == [1.0, 2.0] for f in futures)
 
 

@@ -7,18 +7,16 @@ of revocations, stragglers and speculation (DESIGN.md §9):
     speculatively copied, the engine hands each uuid back — and so the
     driver loop journals it — exactly once (the pool resolves one
     future per chunk; the slower copy's reply finds none);
-(b) **quota safety under rescale** — per-tenant ``max_in_flight`` and
-    the fleet-wide ``total_slots`` are never exceeded, however the
-    backend's ``n_workers`` grows or shrinks between ticks (work past
-    the live size waits in the backend's queue, where a policy pool's
-    autoscale sees it);
+(b) **quota safety under rescale** — a tenant's tasks running on the
+    pool's workers never exceed its ``max_in_flight``, however the
+    pool grows, shrinks, loses or revokes workers between its events;
 (c) **result equivalence** — the policy's (genome → fitness) map and
     Pareto front are bit-identical to inline evaluation: revocations,
     copies and the in-process last resort move work, never change it.
 
 (a) and (c) run real 2-worker pools with the policy on, the schedule
-drawn as a chaos plan; (b) is the fair-share scheduler's, over a
-scripted backend.
+drawn as a chaos plan; (b) drives the pure :class:`Policy` the pool
+runs, which holds the tenants' queue.
 """
 
 import numpy as np
@@ -27,12 +25,11 @@ from hypothesis import strategies as st
 
 from repro.chaos import Fault, FaultPlan
 from repro.engine import EvaluationEngine, ProcessPoolBackend
+from repro.engine.policy import Fleet, Policy, Spawn, Tag
 from repro.evo.individual import Individual
 from repro.injection import use_injector
 from repro.mo.pareto import pareto_front
 from repro.obs.metrics import MetricsRegistry
-from repro.service.fair_share import FairShareScheduler
-from repro.service.tenancy import Tenant
 from tests.pool_problems import Echo
 
 FAST = settings(
@@ -121,92 +118,59 @@ def test_no_uuid_journaled_twice(genomes, faults, speculate):
 
 
 # ----------------------------------------------------------------------
-# (b) tenant quotas hold while the backend rescales
+# (b) tenant quotas hold while the pool rescales
 # ----------------------------------------------------------------------
-class ScriptedFuture:
-    """Resolves after ``delay`` polls."""
-
-    def __init__(self, individuals, delay):
-        self.individuals = individuals
-        self.delay = int(delay)
-        self._polls = 0
-
-    def done(self):
-        if self._polls < self.delay:
-            self._polls += 1
-        return self._polls >= self.delay
-
-    def result(self, timeout=None):
-        from repro.engine.backends import evaluate_individuals_batch
-
-        return evaluate_individuals_batch(self.individuals)
-
-
-class ScriptedBackend:
-    """A backend whose size the test moves between ticks, the way
-    autoscale and revocation move a pool's ``n_workers``."""
-
-    is_execution_backend = True
-
-    def __init__(self, n_workers=2):
-        self.n_workers = n_workers
-        self.futures = []
-
-    def submit(self, individual):
-        from repro.engine.backends import SlotFuture
-
-        future = ScriptedFuture([individual], 1000000)
-        self.futures.append(future)
-        return SlotFuture(future)
-
-    def on_cache_hit(self, individual):
-        pass
-
+#: two tenants' caps; tenant 1 queues in two lanes
+CAPS = {"t0": 2, "t1": 3}
 
 op_st = st.one_of(
-    st.tuples(st.just("submit"), st.integers(0, 1)),
-    st.tuples(st.just("tick"), st.just(0)),
-    st.tuples(st.just("finish"), st.just(0)),
-    st.tuples(st.just("scale"), st.integers(0, 4)),
+    st.tuples(st.just("submit"), st.integers(0, 2)),
+    st.tuples(st.just("reply"), st.integers(0, 7)),
+    st.tuples(st.just("death"), st.integers(0, 7)),
+    st.tuples(st.just("revoke"), st.integers(0, 7)),
+    st.tuples(st.just("scale_to"), st.integers(0, 6)),
 )
 
 
 @FAST
-@given(ops=st.lists(op_st, min_size=4, max_size=40))
-def test_tenant_quota_holds_during_rescale(ops):
-    backend = ScriptedBackend(n_workers=2)
-    scheduler = FairShareScheduler(
-        backend, total_slots=6, metrics=MetricsRegistry()
-    )
-    quotas = {"t0": 2, "t1": 3}
-    queues = {
-        f"c{i}": scheduler.register(
-            f"c{i}", Tenant(name=f"t{i}", max_in_flight=quotas[f"t{i}"])
-        )
-        for i in range(2)
-    }
-    counter = 0
-    for op, arg in ops:
+@given(ops=st.lists(op_st, min_size=4, max_size=60), speculate=st.booleans())
+def test_tenant_quota_holds_during_rescale(ops, speculate):
+    """The pure policy under drawn submissions, replies, deaths,
+    revocations and rescales (down to no worker: the last resort):
+    after every op each tenant runs at most its cap, and only live
+    tasks keep their tags."""
+    policy = Policy(4, fleet=Fleet(1, 6, speculate=speculate))
+    tags = [
+        Tag("t0", "c0", cap=CAPS["t0"]),
+        Tag("t1", "c1", weight=2.0, cap=CAPS["t1"]),
+        Tag("t1", "c2", weight=2.0, cap=CAPS["t1"]),
+    ]
+    now = 0.0
+
+    def apply(actions):
+        for action in actions:
+            if isinstance(action, Spawn):
+                apply(policy.spawned(action.worker, now))
+
+    for task, (op, arg) in enumerate(ops):
+        now += 0.1
+        names = list(policy.workers)
+        busy = [n for n in names if policy.workers[n].task is not None]
         if op == "submit":
-            (ind,) = _individuals([[float(counter), 0.0]])
-            counter += 1
-            queues[f"c{arg}"].submit(ind)
-        elif op == "tick":
-            scheduler.tick()
-        elif op == "finish":
-            pending = [f for f in backend.futures if f._polls < f.delay]
-            if pending:
-                pending[0].delay = 0
-            scheduler.tick()
-        elif op == "scale":
-            backend.n_workers = arg  # spot churn: even down to zero
-        snap = scheduler.snapshot()
-        assert snap["in_flight"] <= 6
-        for name, tenant in snap["tenants"].items():
-            assert tenant["peak_in_flight"] <= quotas[name], (
-                name,
-                tenant,
-            )
+            apply(policy.submit(task, now, tags[arg]))
+        elif op == "reply" and busy:
+            name = busy[arg % len(busy)]
+            apply(policy.reply(name, policy.workers[name].task, True, now))
+        elif op == "death" and names:
+            apply(policy.death(names[arg % len(names)], "drawn"))
+        elif op == "revoke" and names:
+            apply(policy.revoke(names[arg % len(names)]))
+        elif op == "scale_to":
+            apply(policy.scale_to(arg))
+        apply(policy.tick(now))
+        for name, share in policy.shares.items():
+            assert policy.running(share) <= share.peak <= CAPS[name], share
+        assert policy.tags.keys() <= policy.attempts.keys()
 
 
 # ----------------------------------------------------------------------

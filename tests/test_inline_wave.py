@@ -4,8 +4,9 @@
 queued future evaluates every queued chunk in submission order through
 one batch call.  Under test: the call count that buys (a paper-scale
 campaign at chunk size 1 enters its problem once per generation), slot
-order across chunks, cancelled chunks still running, and an escaping
-exception leaving no future unresolved.
+order across chunks, cancelled chunks still running, an escaping
+exception leaving no future unresolved, and a service tenant's cap
+bounding each wave.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ class TestQueue:
             engine.evaluate(_individuals(BrokenBatchProblem(), [1, 2]))
 
     def test_the_service_resolves_a_failed_wave_to_its_futures(self):
-        """The service's dispatcher polls the wave, so the exception
-        reaches each campaign's future, not the dispatcher thread."""
+        """The service's owner thread polls the wave, so the exception
+        reaches each campaign's future, not the owner thread."""
         scheduler = FairShareScheduler(
-            InlineBackend(), total_slots=4, metrics=MetricsRegistry()
+            InlineBackend(), metrics=MetricsRegistry()
         )
         queue = scheduler.register("c1", Tenant(max_in_flight=4))
         futures = [
@@ -139,6 +140,35 @@ class TestQueue:
             with pytest.raises(RuntimeError, match="batch call itself"):
                 future.result(timeout=0)
 
+    def test_a_wave_holds_each_tenants_cap(self):
+        """A wave runs its evaluations at once, so it takes at most a
+        tenant's cap of them; the rest wait for the next wave, which
+        the same round of polls runs."""
+        problem = EchoProblem()
+        scheduler = FairShareScheduler(
+            InlineBackend(), metrics=MetricsRegistry()
+        )
+        alice = scheduler.register("a", Tenant("alice", max_in_flight=2))
+        bob = scheduler.register("b", Tenant("bob", max_in_flight=1))
+        a = alice.submit_batch(_individuals(problem, range(6)))
+        b = bob.submit_batch(_individuals(problem, [10, 11]))
+        assert scheduler.tick() == 8
+        assert problem.batches == [[0, 1, 10], [2, 3, 11], [4, 5]]
+        assert [slot[0][0] for slot in a.result()] == [0, 1, 2, 3, 4, 5]
+        assert [slot[0][0] for slot in b.result()] == [10, 11]
+        tenants = scheduler.snapshot()["tenants"]
+        assert tenants["alice"]["peak_in_flight"] == 2
+        assert tenants["bob"]["peak_in_flight"] == 1
+        assert tenants["alice"]["dispatched"] == 6
+
+    def test_untagged_chunks_ignore_caps(self):
+        problem = EchoProblem()
+        backend = InlineBackend()
+        futures = [
+            backend.submit_batch(_individuals(problem, [x])) for x in range(4)
+        ]
+        assert futures[-1].done()
+        assert problem.batches == [[0, 1, 2, 3]]
 
 @pytest.mark.parametrize("mode", ["generational", "steady-state"])
 def test_paper_campaign_enters_the_surrogate_once_per_generation(mode):

@@ -267,6 +267,40 @@ class TestSameSlotsAsTheReferenceSweep:
         assert isinstance(failed, TypeError)
         assert problem.evaluations == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"stop_lr": math.inf},
+            {"stop_lr": math.nan},
+            {"rcut": math.inf},
+            {"rcut_smth": math.nan},
+        ],
+    )
+    def test_a_non_finite_gene_fails_its_own_slot(self, bad):
+        """A non-finite float gene fails its slot, as a non-positive
+        rate does, instead of training to an infinite or nan fitness;
+        the good slot beside it trains as it does on its own."""
+        ok = {
+            "rcut": 3.0,
+            "rcut_smth": 1.0,
+            "start_lr": 0.01,
+            "stop_lr": 1e-5,
+            "fitting_activ_func": "tanh",
+            "desc_activ_func": "tanh",
+            "scale_by_worker": "none",
+        }
+        args = {"calibration": NEVER_RANDOM}
+        good, failed = SurrogateDeepMDProblem(
+            **args
+        ).evaluate_batch_with_metadata([ok, {**ok, **bad}])
+        assert_same_slot(
+            good,
+            SurrogateDeepMDProblem(**args).evaluate_batch_with_metadata([ok])[0],
+        )
+        assert "non-finite gene" in str(failed)
+        assert failed.metadata["failed"] is True
+        check_against_reference(args, [ok, {**ok, **bad}])
+
 
 # ----------------------------------------------------------------------
 # NAS: the base sweep plus the capacity hook

@@ -1,4 +1,5 @@
-"""The scheduling policy on a simulated clock: no process, no timing.
+"""The scheduling policy on a simulated clock: no process, no timing —
+retries, deadlines, the fleet policy and fair share among tagged tasks.
 
 :class:`repro.engine.policy.Policy` is fed events and returns actions;
 these tests feed it by hand, or through :class:`Clock`, a minimal
@@ -7,8 +8,10 @@ pool (on ``time.monotonic()``) and the cluster simulator (on minutes)
 drive it.
 """
 
+import hashlib
 import heapq
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -33,6 +36,7 @@ from repro.engine.policy import (
     RunInProcess,
     Settle,
     Spawn,
+    Tag,
 )
 from repro.exceptions import TrainingTimeoutError, WorkerFailure, WorkerRevoked
 
@@ -174,6 +178,21 @@ class TestRetries:
         # the worker serves on with a fresh process
         assert dispatch == Dispatch("pool-0", 1)
         assert policy.workers["pool-0"].fresh
+
+    def test_the_deadline_does_not_count_a_load(self):
+        """A killed worker's successor loads the problem before it runs
+        the next task: the clock starts when the task does."""
+        policy = Policy(1, deadline=10.0)
+        policy.submit(0, 0.0)
+        policy.submit(1, 0.0)
+        policy.tick(10.5)  # kills task 0, sends task 1
+        policy.clock("pool-0", None)  # loading: untimed
+        assert policy.tick(30.0) == []
+        policy.clock("pool-0", 30.0)
+        assert policy.tick(40.0) == []
+        (kill, fail) = policy.tick(40.5)
+        assert kill == Kill("pool-0", 1, 10.5)
+        assert fail.task == 1
 
     def test_a_cancelled_task_leaves_the_queue_and_its_reply_is_dropped(self):
         policy = Policy(1)
@@ -345,12 +364,8 @@ def test_a_revocation_storm_with_a_straggler_scales_up_and_copies():
     assert clock.now < 60.0  # the copy, not the straggler, settled it
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_random_schedules_settle_every_task_once(seed):
-    """Drawn revocations and stragglers on a fleet: no task is lost or
-    settled twice, and the books close."""
-    import random
-
+def _drawn_schedule(seed):
+    """Drawn revocations and stragglers on a fleet, run to the end."""
     rng = random.Random(seed)
     workers = rng.randint(1, 3)
     policy = Policy(
@@ -363,6 +378,157 @@ def test_random_schedules_settle_every_task_once(seed):
         slow={rng.randrange(2 * n): rng.uniform(2.0, 20.0) for _ in range(3)},
         revoke_at=rng.sample(range(2 * n), rng.randint(0, 3)),
     ).run(range(n))
+    return policy, clock, n
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_schedules_settle_every_task_once(seed):
+    """Drawn revocations and stragglers on a fleet: no task is lost or
+    settled twice, and the books close."""
+    policy, clock, n = _drawn_schedule(seed)
     assert clock.settled == {task: 1 for task in range(n)}
     assert not policy.attempts and not policy.queue
     assert not any(isinstance(a, Fail) for a in clock.log)
+
+
+# ----------------------------------------------------------------------
+# fair share: tagged tasks
+# ----------------------------------------------------------------------
+def _held(workers=1):
+    """A policy whose workers are all down, so submitted work queues
+    until :func:`_order` brings them up."""
+    policy = Policy(workers)
+    for name in list(policy.workers):
+        assert policy.death(name, "held", ran=False) == [Spawn(name)]
+    return policy
+
+
+def _order(policy, n):
+    """The first ``n`` tasks one worker, brought up, runs one at a time."""
+    order = [a.task for a in policy.spawned("pool-0", 0.0)]
+    while len(order) < n:
+        assert policy.reply("pool-0", order[-1], True, 0.0)
+        order += [a.task for a in policy.tick(0.0)]
+    return order
+
+
+class TestFairShare:
+    def test_stride_dispatch_is_proportional_to_weight(self):
+        policy = _held()
+        for i in range(10):
+            policy.submit(i, 0.0, Tag("alice", "a", weight=2.0))
+        for i in range(10):
+            policy.submit(100 + i, 0.0, Tag("bob", "b", weight=1.0))
+        # exactly 2:1 over any window, not just in expectation — and
+        # deterministically interleaved, not bursty
+        order = _order(policy, 9)
+        assert "".join("a" if t < 100 else "b" for t in order) == "abaabaaba"
+
+    def test_strict_priority_preempts_weights(self):
+        policy = _held()
+        for i in range(3):
+            policy.submit(10 + i, 0.0, Tag("batch", "b", weight=100.0, priority=1))
+        for i in range(3):
+            policy.submit(i, 0.0, Tag("urgent", "u", weight=1.0, priority=0))
+        # all priority-0 work dispatched before any priority-1, whatever
+        # the weights or the arrival order
+        assert _order(policy, 6) == [0, 1, 2, 10, 11, 12]
+
+    def test_round_robin_among_a_tenants_lanes(self):
+        policy = _held(4)
+        for lane, ids in (("c1", (0, 1)), ("c2", (10, 11))):
+            for task in ids:
+                policy.submit(task, 0.0, Tag("t", lane, cap=8))
+        dispatched = [
+            a.task for name in list(policy.workers) for a in policy.spawned(name, 0.0)
+        ]
+        assert dispatched == [0, 10, 1, 11]
+
+    def test_peak_running_never_exceeds_the_cap(self):
+        policy = Policy(8)
+        tag = Tag("t", "c1", cap=2)
+        for task in range(6):
+            policy.submit(task, 0.0, tag)
+        assert [w.task for w in policy.workers.values()][:3] == [0, 1, None]
+        share = policy.shares["t"]
+        for task in (0, 1):
+            policy.reply(f"pool-{task}", task, True, 1.0)
+        assert _kinds(policy.tick(1.0)) == [Dispatch, Dispatch]
+        assert (policy.running(share), share.peak, share.dispatched) == (2, 2, 4)
+        assert policy.depth() == 2
+
+    def test_untagged_work_goes_first(self):
+        policy = _held()
+        policy.submit(0, 0.0, Tag("t", "c1"))
+        policy.submit(1, 0.0)
+        assert _order(policy, 2) == [1, 0]
+
+    def test_a_tagged_requeue_returns_to_the_front_of_its_own_lane(self):
+        policy = Policy(1)
+        assert policy.submit(0, 0.0, Tag("t", "c1")) == [Dispatch("pool-0", 0)]
+        policy.submit(1, 0.0, Tag("t", "c1"))
+        policy.submit(2, 0.0, Tag("t", "c2"))
+        policy.submit(3, 0.0)
+        assert policy.death("pool-0", "exitcode 1") == [
+            Requeue(0, "pool-0", 1),
+            Spawn("pool-0"),
+        ]
+        share = policy.shares["t"]
+        assert {k: list(v) for k, v in share.lanes.items()} == {
+            "c1": [0, 1],
+            "c2": [2],
+        }
+        assert list(policy.queue) == [3] and not policy.running(share)
+        order = [a.task for a in policy.spawned("pool-0", 1.0)]
+        while len(order) < 4:
+            policy.reply("pool-0", order[-1], True, 1.0)
+            order += [a.task for a in policy.tick(1.0)]
+        assert order == [3, 0, 2, 1]
+        # the re-run is not charged again
+        assert (share.vtime, share.dispatched) == (3.0, 3)
+
+    def test_a_cancelled_tagged_task_leaves_its_lane(self):
+        policy = _held()
+        policy.submit(0, 0.0, Tag("t", "c1"))
+        policy.submit(1, 0.0, Tag("t", "c1"))
+        policy.cancel(0)
+        policy.cancel(1)
+        assert not policy.shares["t"].lanes and not policy.tags
+        assert policy.spawned("pool-0", 0.0) == []
+
+    def test_a_capped_tenants_backlog_does_not_scale_up(self):
+        for cap, grown in ((1, 1), (2, 2), (None, 3)):
+            policy = Policy(1, fleet=Fleet(1, 3, speculate=False))
+            for task in range(5):
+                policy.submit(task, 0.0, Tag("t", "c1", cap=cap))
+            for _ in range(2 * SUSTAIN_TICKS):
+                for action in policy.autoscale(0.0):
+                    if isinstance(action, Spawn):
+                        policy.spawned(action.worker, 0.0)
+            assert len(policy.workers) == grown, cap
+
+
+#: action-log digests of the drawn schedules below under the FIFO
+#: policy that had no tenant lanes: untagged work dispatches as it did
+PARENT_FIFO = [
+    "9b69741803a30cfd", "95278b5c598b259c", "90805a0b67b33214",
+    "383e377fdbe3f335", "680c324c7586c592", "970ec67aad11abe8",
+    "0203c5b6f913b478", "c7918633744e8c77", "ae7da997eba81e93",
+    "32f9939e41862b1b", "9fa238d1da06c714", "44ed060b231e07de",
+    "abefbcd1de56ef9a", "4fc9fc8a6228942a", "3d1ab58928b465b8",
+    "0baa590a1b59a465", "549c6cae245c9908", "56d249e4a8c02a58",
+    "5943e1a89a6293e1", "75484c19dfe06cd0",
+]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_untagged_dispatch_is_the_fifo_one(seed):
+    _, clock, _ = _drawn_schedule(seed)
+    rows = [
+        (type(a).__name__, a.task, type(a.error).__name__, str(a.error))
+        if isinstance(a, Fail)
+        else (type(a).__name__, *a)
+        for a in clock.log
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert digest == PARENT_FIFO[seed]

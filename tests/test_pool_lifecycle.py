@@ -15,6 +15,7 @@ worker imports cheaply.  Pools are 1–2 workers.
 import gc
 import os
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -82,6 +83,17 @@ class TestProcessFuture:
             (slot,) = future.result(timeout=30.0)
             assert future.done()
         assert list(slot[0]) == [1.0, 2.0]
+
+    def test_resolved_reads_without_draining(self):
+        with ProcessPoolBackend(workers=1, metrics=MetricsRegistry()) as pool:
+            future = pool.submit_batch(_echo(1))
+            drains = []
+            drain = pool._drain
+            pool._drain = lambda: (drains.append(1), drain())
+            time.sleep(0.2)
+            assert not future.resolved and not drains
+            future.result(timeout=30.0)
+            assert future.resolved and drains
 
     def test_result_timeout_leaves_the_task_running(self):
         with ProcessPoolBackend(workers=1, metrics=MetricsRegistry()) as pool:
@@ -529,8 +541,7 @@ class TestDeathPolicy:
     def test_a_deadline_kill_spares_the_other_workers_chunk(self):
         registry = MetricsRegistry()
         with ProcessPoolBackend(workers=2, metrics=registry) as pool:
-            # warm both workers first: the deadline clock starts at
-            # dispatch, and a cold worker spends it importing
+            # both workers up and holding the problem first
             for future in [pool.submit_batch(_echo(1)) for _ in range(2)]:
                 future.result(timeout=60.0)
             pool.deadline = 1.0

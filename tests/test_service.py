@@ -3,8 +3,9 @@
 Three layers under test, mirroring the package:
 
 * the :class:`FairShareScheduler` driven deterministically by hand
-  (no dispatcher thread) against a manually-resolved fake backend —
-  quotas, stride weights, strict priority, round-robin, failure paths;
+  (no owner thread) against a manually-resolved fake backend — tagged
+  hand-off, lane accounting, failure paths (the order the tags buy is
+  the pool policy's, tested in ``tests/test_policy.py``);
 * the in-process :class:`CampaignService` over real surrogate
   campaigns — fronts bit-identical to solo runs, cross-campaign cache
   sharing with exactly-once execution, cancel / graceful-shutdown /
@@ -24,6 +25,7 @@ from collections import Counter
 import pytest
 
 from repro.chaos import InvariantChecker
+from repro.engine.policy import Tag
 from repro.exceptions import CampaignCancelled, ServiceError, ServiceShutdown
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
@@ -44,7 +46,6 @@ from repro.service import (
     ServiceClient,
     Tenant,
     tenant_from_spec,
-    worker_capacity,
 )
 from repro.service.service import _front_doc
 from repro.store.journal import journal_path, read_journal
@@ -54,21 +55,27 @@ from repro.store.journal import journal_path, read_journal
 # helpers
 # ----------------------------------------------------------------------
 class ManualFuture:
-    """A backend future the test resolves by hand."""
+    """A backend future over a chunk of one, resolved by hand."""
 
     def __init__(self, tag):
         self.tag = tag
+        self.polls = 0
         self._done = False
         self._result = None
         self._exception = None
 
     def done(self):
+        self.polls += 1
+        return self._done
+
+    @property
+    def resolved(self):
         return self._done
 
     def result(self, timeout=None):
         if self._exception is not None:
             raise self._exception
-        return self._result
+        return [self._result]
 
     def finish(self, result="ok"):
         self._result = result
@@ -80,19 +87,23 @@ class ManualFuture:
 
 
 class ManualBackend:
-    """Records submissions; nothing completes until the test says so."""
+    """Records tagged submissions; nothing completes until the test
+    says so."""
 
     is_execution_backend = True
 
     def __init__(self):
         self.futures = []
         self.submitted = []
+        self.tags = []
         self.cache_hits = 0
 
-    def submit(self, individual):
+    def submit_batch(self, individuals, tag=None):
+        (individual,) = individuals
         future = ManualFuture(individual)
         self.futures.append(future)
         self.submitted.append(individual)
+        self.tags.append(tag)
         return future
 
     def on_cache_hit(self, individual):
@@ -199,88 +210,48 @@ class TestTenancy:
         with pytest.raises(ServiceError):
             tenant_from_spec(bad)
 
-    def test_worker_capacity_probes(self):
-        class Pool:
-            n_workers = 3
-
-        assert worker_capacity(Pool()) == 3
-        assert worker_capacity(object(), default=6) == 6
-
 
 # ----------------------------------------------------------------------
 # fair-share scheduler, driven by hand
 # ----------------------------------------------------------------------
 class TestFairShareScheduler:
-    def test_fleet_cap_then_backfill(self):
-        scheduler, backend = _scheduler(total_slots=4)
-        queue = scheduler.register("c1", Tenant(max_in_flight=16))
+    def test_each_evaluation_goes_to_the_backend_tagged(self):
+        """No queue of its own: a tick hands every queued evaluation
+        over as a task of one, tagged with its campaign and its
+        tenant's share, and drains what finished."""
+        scheduler, backend = _scheduler()
+        tenant = Tenant(name="alice", weight=2.0, max_in_flight=3, priority=1)
+        queue = scheduler.register("c1", tenant)
         futures = [queue.submit(f"t{i}") for i in range(10)]
-        assert scheduler.tick() == 4
-        assert len(backend.submitted) == 4
-        assert scheduler.tick() == 0  # fleet full, nothing moves
+        assert scheduler.tick() == 10
+        assert backend.submitted == [f"t{i}" for i in range(10)]
+        assert set(backend.tags) == {Tag("alice", "c1", 2.0, 1, 3)}
+        assert scheduler.tick() == 0  # nothing new, nothing finished
         backend.futures[0].finish("r0")
         backend.futures[1].finish("r1")
-        assert scheduler.tick() == 2  # two drained -> two dispatched
-        assert len(backend.submitted) == 6
+        scheduler.tick()
         assert futures[0].done() and futures[0].result(0) == "r0"
         assert not futures[5].done()
+        assert queue.stats() == {
+            "pending": 0,
+            "in_flight": 8,
+            "submitted": 10,
+            "completed": 2,
+            "cache_hits": 0,
+        }
 
-    def test_tenant_quota_never_exceeded(self):
-        scheduler, backend = _scheduler(total_slots=8)
-        queue = scheduler.register("c1", Tenant(name="t", max_in_flight=2))
-        [queue.submit(i) for i in range(6)]
+    def test_a_chunk_is_handed_over_whole(self):
+        scheduler, backend = _scheduler()
+        queue = scheduler.register("c1", Tenant())
+        future = queue.submit_batch(["a", "b", "c"])
+        assert scheduler.tick() == 3
+        for f, result in zip(backend.futures, "xyz"):
+            f.finish(result)
         scheduler.tick()
-        assert len(backend.submitted) == 2
-        for future in backend.futures[:2]:
-            future.finish()
-        scheduler.tick()
-        assert len(backend.submitted) == 4
-        snap = scheduler.snapshot()
-        assert snap["tenants"]["t"]["peak_in_flight"] == 2
-
-    def test_stride_weights_are_proportional(self):
-        scheduler, backend = _scheduler(total_slots=1)
-        alice = scheduler.register("a", Tenant(name="alice", weight=2.0))
-        bob = scheduler.register("b", Tenant(name="bob", weight=1.0))
-        [alice.submit(f"a{i}") for i in range(10)]
-        [bob.submit(f"b{i}") for i in range(10)]
-        for _ in range(9):
-            scheduler.tick()
-            backend.futures[-1].finish()
-        # stride scheduling: exactly 2:1 over any window, not just in
-        # expectation — and deterministically interleaved, not bursty
-        first_nine = [tag[0] for tag in backend.submitted[:9]]
-        assert first_nine == list("abaabaaba")
-
-    def test_strict_priority_preempts_weights(self):
-        scheduler, backend = _scheduler(total_slots=1)
-        urgent = scheduler.register(
-            "u", Tenant(name="urgent", weight=1.0, priority=0)
-        )
-        batch = scheduler.register(
-            "b", Tenant(name="batch", weight=100.0, priority=1)
-        )
-        [batch.submit(f"b{i}") for i in range(3)]
-        [urgent.submit(f"u{i}") for i in range(3)]
-        for _ in range(6):
-            scheduler.tick()
-            backend.futures[-1].finish()
-        # all priority-0 work dispatched before any priority-1, no
-        # matter the weights or arrival order
-        assert backend.submitted == ["u0", "u1", "u2", "b0", "b1", "b2"]
-
-    def test_round_robin_among_tenants_campaigns(self):
-        scheduler, backend = _scheduler(total_slots=4)
-        tenant = Tenant(name="t", max_in_flight=8)
-        q1 = scheduler.register("c1", tenant)
-        q2 = scheduler.register("c2", tenant)
-        [q1.submit(f"c1-{i}") for i in range(2)]
-        [q2.submit(f"c2-{i}") for i in range(2)]
-        scheduler.tick()
-        assert backend.submitted == ["c1-0", "c2-0", "c1-1", "c2-1"]
+        assert future.done() and future.result() == ["x", "y", "z"]
 
     def test_unregister_fails_pending_and_closes_queue(self):
-        scheduler, _ = _scheduler(total_slots=1)
+        scheduler, _ = _scheduler()
         queue = scheduler.register("c1", Tenant())
         kept = queue.submit("runs")
         scheduler.tick()
@@ -294,18 +265,19 @@ class TestFairShareScheduler:
 
     def test_backend_submit_exception_resolves_future(self):
         class ExplodingBackend(ManualBackend):
-            def submit(self, individual):
+            def submit_batch(self, individuals, tag=None):
                 raise RuntimeError("fleet on fire")
 
         scheduler, _ = _scheduler(ExplodingBackend())
         queue = scheduler.register("c1", Tenant())
         future = queue.submit("x")
-        scheduler.tick()
+        assert scheduler.tick() == 0
         with pytest.raises(RuntimeError, match="fleet on fire"):
             future.result(timeout=1)
         snap = scheduler.snapshot()
         assert snap["in_flight"] == 0
-        assert snap["tenants"]["default"]["in_flight"] == 0
+        assert snap["queues"]["c1"]["in_flight"] == 0
+        assert snap["queues"]["c1"]["completed"] == 1
 
     def test_backend_future_exception_propagates(self):
         scheduler, backend = _scheduler()
@@ -317,25 +289,16 @@ class TestFairShareScheduler:
         with pytest.raises(ValueError, match="bad phenome"):
             future.result(timeout=1)
 
-    def test_validate_tenant_rejects_conflicting_knobs(self):
+    def test_admit_tenant_rejects_conflicting_knobs(self):
         scheduler, _ = _scheduler()
         scheduler.register("c1", Tenant(name="alice", weight=2.0))
         # identical spec is idempotent
-        scheduler.validate_tenant(Tenant(name="alice", weight=2.0))
+        scheduler.admit_tenant(Tenant(name="alice", weight=2.0))
         scheduler.register("c2", Tenant(name="alice", weight=2.0))
         with pytest.raises(ServiceError, match="conflicting"):
-            scheduler.validate_tenant(Tenant(name="alice"))
+            scheduler.admit_tenant(Tenant(name="alice"))
         with pytest.raises(ServiceError, match="conflicting"):
             scheduler.register("c3", Tenant(name="alice", weight=3.0))
-
-    def test_total_slots_defaults_to_backend_workers(self):
-        class Pool(ManualBackend):
-            n_workers = 3
-
-        scheduler, _ = _scheduler(Pool())
-        assert scheduler.total_slots == 3
-        with pytest.raises(ServiceError, match="total_slots"):
-            _scheduler(total_slots=0)
 
     def test_stopped_scheduler_rejects_work(self):
         scheduler, _ = _scheduler()
@@ -348,10 +311,9 @@ class TestFairShareScheduler:
 
     def test_started_scheduler_drains_on_stop(self):
         class InstantBackend(ManualBackend):
-            def submit(self, individual):
-                future = ManualFuture(individual)
-                future.finish(f"done-{individual}")
-                self.submitted.append(individual)
+            def submit_batch(self, individuals, tag=None):
+                future = super().submit_batch(individuals, tag)
+                future.finish(f"done-{individuals[0]}")
                 return future
 
         scheduler, backend = _scheduler(InstantBackend())
@@ -365,27 +327,133 @@ class TestFairShareScheduler:
         ]
         assert len(backend.submitted) == 8
 
+    def test_a_tick_drives_the_backend_once(self):
+        """done() on a pool future drains the pool: a tick calls it until
+        an evaluation stays unresolved and reads the rest, so the owner's
+        cost per tick does not grow with the work handed out."""
+        scheduler, backend = _scheduler()
+        queue = scheduler.register("c1", Tenant())
+        futures = [queue.submit(i) for i in range(50)]
+        scheduler.tick()
+        backend.futures[0].finish("r0")
+        backend.futures[30].finish("r30")
+        scheduler.tick()
+        assert futures[0].result(0) == "r0"
+        assert futures[30].result(0) == "r30"
+        assert not futures[1].done()
+        assert sum(f.polls for f in backend.futures) == 3  # one per tick
+        assert backend.futures[1].polls == 1
+
+    def test_work_being_handed_over_is_not_idle(self):
+        """The owner calls the backend unlocked: work taken off the
+        lanes and not yet in flight must not look idle."""
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowBackend(ManualBackend):
+            def submit_batch(self, individuals, tag=None):
+                entered.set()
+                release.wait(10)
+                return super().submit_batch(individuals, tag)
+
+        scheduler, backend = _scheduler(SlowBackend())
+        scheduler.register("c1", Tenant()).submit("x")
+        owner = threading.Thread(target=scheduler.tick)
+        owner.start()
+        try:
+            assert entered.wait(10)
+            assert not scheduler.wait_idle(timeout=0.05)
+        finally:
+            release.set()
+            owner.join(10)
+        assert not scheduler.wait_idle(timeout=0.05)  # in flight now
+        backend.futures[0].finish("done")
+        scheduler.tick()
+        assert scheduler.wait_idle(timeout=1)
+
+    def test_many_campaign_threads_against_the_owner_thread(self):
+        """Campaign threads enqueue while the owner hands over and
+        drains: every future gets its own result, and every lane's
+        counts close."""
+        import sys
+
+        class EchoBackend(ManualBackend):
+            def submit_batch(self, individuals, tag=None):
+                future = ManualFuture(individuals[0])
+                future.finish(("done", tag.lane, individuals[0]))
+                return future
+
+        scheduler, _ = _scheduler(EchoBackend())
+        scheduler.start()
+        queues = [
+            scheduler.register(f"c{i}", Tenant(name=f"t{i % 3}"))
+            for i in range(8)
+        ]
+        results = {}
+
+        def campaign(queue):
+            futures = [queue.submit(k) for k in range(25)]
+            futures += [queue.submit_batch(range(25, 50))]
+            results[queue.campaign_id] = [f.result(timeout=30) for f in futures]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=campaign, args=(q,)) for q in queues
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.stop(drain=True, timeout=10)
+        for queue in queues:
+            cid = queue.campaign_id
+            *singles, batch = results[cid]
+            assert singles == [("done", cid, k) for k in range(25)]
+            assert batch == [("done", cid, k) for k in range(25, 50)]
+            assert queue.stats() == {
+                "pending": 0,
+                "in_flight": 0,
+                "submitted": 50,
+                "completed": 50,
+                "cache_hits": 0,
+            }
+
     def test_snapshot_and_labeled_metrics(self):
+        """Tenant rows carry the share books the backend keeps."""
+
+        class BookedBackend(ManualBackend):
+            def share_snapshot(self):
+                return {"alice": {"in_flight": 2, "peak_in_flight": 2}}
+
         registry = MetricsRegistry()
-        scheduler, _ = _scheduler(metrics=registry, total_slots=2)
+        scheduler, _ = _scheduler(BookedBackend(), metrics=registry)
         queue = scheduler.register("c1", Tenant(name="alice"))
         [queue.submit(i) for i in range(3)]
         scheduler.tick()
         snap = scheduler.snapshot()
-        assert snap["total_slots"] == 2
-        assert snap["in_flight"] == 2
+        assert snap["in_flight"] == 3
         assert snap["queues"]["c1"] == {
             "tenant": "alice",
-            "pending": 1,
-            "in_flight": 2,
+            "pending": 0,
+            "in_flight": 3,
             "submitted": 3,
             "completed": 0,
             "cache_hits": 0,
         }
+        assert snap["tenants"]["alice"] == {
+            **Tenant(name="alice").as_doc(),
+            "in_flight": 2,
+            "peak_in_flight": 2,
+            "campaigns": ["c1"],
+        }
         series = registry.snapshot()
-        assert series['service_queue_depth{campaign_id="c1"}'] == 1
-        assert series['service_campaign_in_flight{campaign_id="c1"}'] == 2
-        assert series['service_tenant_in_flight{tenant="alice"}'] == 2
+        assert series['service_queue_depth{campaign_id="c1"}'] == 0
+        assert series['service_campaign_in_flight{campaign_id="c1"}'] == 3
+        assert series["service_dispatched_total"] == 3
 
     def test_cache_hit_accounting_forwards_to_backend(self):
         scheduler, backend = _scheduler()
@@ -477,6 +545,36 @@ class TestCampaignService:
             tenants = svc.scheduler.snapshot()["tenants"]
             assert 1 <= tenants["alice"]["peak_in_flight"] <= 3
             assert 1 <= tenants["bob"]["peak_in_flight"] <= 2
+        finally:
+            svc.shutdown(timeout=30)
+
+    def test_a_pool_holds_each_tenants_quota(self, tmp_path):
+        """Over a pool, the tenants' evaluations queue in its policy: a
+        tenant never has more than its quota running on the workers,
+        and each campaign still equals its solo run."""
+        from repro.engine import ProcessPoolBackend
+
+        pool = ProcessPoolBackend(workers=3, metrics=MetricsRegistry())
+        svc = CampaignService(tmp_path, backend=pool)
+        try:
+            a = svc.submit(
+                _spec(
+                    "a",
+                    tenant={"name": "alice", "weight": 2.0, "max_in_flight": 2},
+                )
+            )
+            b = svc.submit(
+                _spec("b", seed=6, tenant={"name": "bob", "max_in_flight": 1})
+            )
+            assert svc.wait(timeout=120)
+            assert (a.state, b.state) == (DONE, DONE)
+            assert svc.front(a.id)["front"] == _solo_front()
+            assert svc.front(b.id)["front"] == _solo_front(seed=6)
+            tenants = svc.scheduler.snapshot()["tenants"]
+            assert 1 <= tenants["alice"]["peak_in_flight"] <= 2
+            assert tenants["bob"]["peak_in_flight"] == 1
+            assert tenants["alice"]["in_flight"] == 0
+            assert tenants["alice"]["dispatched"] >= 1
         finally:
             svc.shutdown(timeout=30)
 
@@ -711,7 +809,8 @@ class TestCampaignService:
             assert rows[campaign.id]["state"] == DONE
             assert rows[campaign.id]["tenant"] == "alice"
             assert rows[campaign.id]["front_size"] > 0
-            assert service["scheduler"]["total_slots"] >= 1
+            assert service["scheduler"]["in_flight"] == 0
+            assert "alice" in service["scheduler"]["tenants"]
             assert service["cache"]["entries"] > 0
             assert service["max_active"] == 2
             prom = get_registry().to_prometheus()
