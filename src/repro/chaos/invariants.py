@@ -450,9 +450,9 @@ class InvariantChecker:
 
 
 # ----------------------------------------------------------------------
-#: CampaignConfig fields that choose how evaluations are dispatched and
-#: committed, never what they return
-DISPATCH_FIELDS = frozenset({"batch_evals", "pipeline", "batch_chunk"})
+#: CampaignConfig fields that choose how evaluations are dispatched,
+#: never what they return
+DISPATCH_FIELDS = frozenset({"batch_evals"})
 
 
 def verify_resume_equivalence(baseline: Any, resumed: Any) -> list[Violation]:

@@ -1,7 +1,7 @@
 """The sanctioned entry points into a problem's evaluation.
 
-Everything outside :mod:`repro.engine` (and the robust individual's own
-exception fallback) must reach ``Problem.evaluate`` /
+Everything outside :mod:`repro.engine` — the individuals' own
+``evaluate`` included — must reach ``Problem.evaluate`` /
 ``evaluate_with_metadata`` through these helpers, and must build the
 §2.2.4 failure fitness through :func:`failure_fitness` — the AST guard
 in ``tests/test_engine.py`` keeps it that way, so the failure policy
@@ -33,9 +33,9 @@ def failure_fitness(n_objectives: int) -> np.ndarray:
 def apply_failure(individual: Any, exc: BaseException) -> None:
     """The §2.2.4 exception→MAXINT policy, landed on ``individual``:
     the engine's copy for every dispatched candidate, served failure,
-    worker death and timeout (robust individuals apply the same policy
-    when evaluated directly).  The width is the individual's objective
-    count, else its problem's."""
+    worker death and timeout, and for a robust individual evaluated
+    directly.  The width is the individual's objective count, else its
+    problem's."""
     n_objectives = getattr(individual, "n_objectives", None) or (
         getattr(getattr(individual, "problem", None), "n_objectives", None)
         or 1

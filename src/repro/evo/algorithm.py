@@ -246,7 +246,6 @@ def run_driver(
     callback: Optional[Callable[[GenerationRecord], None]] = None,
     stopper: Any = None,
     chunk_size: Optional[int] = None,
-    pipeline: bool = False,
     resume_from: Optional[RestoredRun] = None,
 ) -> list[GenerationRecord]:
     """The one completion loop: records ``0..generations`` of ``driver``.
@@ -273,11 +272,6 @@ def run_driver(
     a barrier the journal also gets each evaluation as it is told.
     ``resume_from`` continues a journaled run; the returned list then
     holds only the *new* records.
-
-    ``pipeline`` submits the next record before the previous one
-    commits, overlapping the commit with evaluation.  Records, journaled
-    states and where a stop lands are unchanged (all settled before the
-    next ask); only the instant the callback fires moves.
     """
     from repro.store.journal import rng_state_of  # imports this module
 
@@ -296,29 +290,20 @@ def run_driver(
     )
     records: list[GenerationRecord] = []
 
-    def finish(record: GenerationRecord) -> tuple[Any, ...]:
-        """The stopper's verdict and the states to journal, taken right
-        after the tell that closed ``record`` — before the next ask
-        draws or moves, even if the commit waits (pipeline)."""
+    def commit(record: GenerationRecord) -> None:
+        """Stopper → journal → list → telemetry → callback, right after
+        the tell that closed ``record`` (write-ahead: the journal sees
+        each record, with the post-record RNG state and the driver's
+        ``driver_state``, before the in-memory list)."""
         if stopper is not None and not driver.halted:
             driver.halted = bool(stopper.observe(record))
-        return (
-            record,
-            rng_state_of(driver.rng),
-            driver.driver_state() if journal is not None else None,
-        )
-
-    def commit(
-        record: GenerationRecord, rng_state: Any, driver_state: Any
-    ) -> None:
-        """Journal → list → telemetry → callback (write-ahead: the
-        journal sees each record before the in-memory list)."""
         if journal is not None:
+            state = driver.driver_state()
             # duck-typed journals need not know the keyword
-            extra = (
-                {} if driver_state is None else {"driver_state": driver_state}
+            extra = {} if state is None else {"driver_state": state}
+            journal.append_generation(
+                record, rng_state=rng_state_of(driver.rng), **extra
             )
-            journal.append_generation(record, rng_state=rng_state, **extra)
         records.append(record)
         telemetry.observe_generation(
             record.generation,
@@ -331,7 +316,7 @@ def run_driver(
 
     if resume_from is not None:
         for record in driver.restore(resume_from) or ():
-            commit(*finish(record))
+            commit(record)
         eng.remember(resume_from.evaluations)
 
     def may_ask() -> bool:
@@ -339,7 +324,6 @@ def run_driver(
 
     asked: list[Individual] = []  # submitted, not yet told
     back: list[Individual] = []  # handed back, not yet told
-    pending = None  # pipeline: the finished record still to commit
     while asked or may_ask():
         with trc.span(
             driver.span_name, generation=driver.generation
@@ -355,9 +339,6 @@ def run_driver(
                         new_batch=driver.barrier,
                     )
                     asked += candidates
-                if pending is not None:
-                    commit(*pending)
-                    pending = None
                 need = len(asked) if driver.barrier else 1
                 while len(back) < need:
                     back += eng.wait_any()
@@ -378,12 +359,7 @@ def run_driver(
                 dedup_hits=used.dedup_hits,
                 **driver.span_tags,
             )
-        if pipeline:
-            pending = finish(record)
-        else:
-            commit(*finish(record))
-    if pending is not None:
-        commit(*pending)
+        commit(record)
     return records
 
 
@@ -395,7 +371,6 @@ class NSGA2Driver(Driver):
 
     initial_std: np.ndarray
     anneal_factor: float = 0.85
-    sort_algorithm: str = "rank_ordinal"
     context: Optional[Context] = None
 
     #: how ``ask`` draws each parent to clone (Listing 1: uniformly)
@@ -449,9 +424,7 @@ class NSGA2Driver(Driver):
     def survivors(self, offspring: list[Individual]) -> list[Individual]:
         """The next parents out of the parents and ``offspring``: rank,
         crowding distance, truncation (Listing 1)."""
-        combined = rank_ordinal_sort_op(
-            parents=self.parents, algorithm=self.sort_algorithm
-        )(offspring)
+        combined = rank_ordinal_sort_op(parents=self.parents)(offspring)
         return ops.truncation_selection(
             size=self.pop_size, key=lambda x: (-x.rank, x.distance)
         )(crowding_distance_calc(combined))
@@ -490,7 +463,6 @@ def generational_nsga2(
     individual_cls: Type[Individual] = RobustIndividual,
     client: Any = None,
     anneal_factor: float = 0.85,
-    sort_algorithm: str = "rank_ordinal",
     rng: RngLike = None,
     context: Optional[Context] = None,
     callback: Optional[Callable[[GenerationRecord], None]] = None,
@@ -500,8 +472,6 @@ def generational_nsga2(
     resume_from: Optional[RestoredRun] = None,
     engine: Optional[EvaluationEngine] = None,
     batch: bool = False,
-    pipeline: bool = False,
-    batch_chunk: Optional[int] = None,
     stopper: Any = None,
 ) -> list[GenerationRecord]:
     """Run one NSGA-II deployment; returns one record per generation.
@@ -518,15 +488,13 @@ def generational_nsga2(
     ``resume_from``, ``callback`` and ``stopper``.
 
     ``batch`` picks the chunk size each generation crosses the backend
-    at (:meth:`~repro.engine.EvaluationEngine.evaluate_batch`):
-    ``batch_chunk`` or the backend's hint, instead of the default 1 —
-    one backend task per individual.  Fronts, journal records, and
-    engine statistics are bit-identical either way; batch is purely a
-    throughput choice for pool and fleet backends.  In-process it
-    changes nothing: the inline backend runs a generation's chunks, of
-    any size, as one problem call.  ``pipeline`` (implies ``batch``)
-    additionally overlaps each generation's commit with the next one's
-    evaluations.
+    at (:meth:`~repro.engine.EvaluationEngine.evaluate_batch`): the
+    backend's hint, instead of the default 1 — one backend task per
+    individual.  Fronts, journal records, and engine statistics are
+    bit-identical either way; batch is purely a throughput choice for
+    pool and fleet backends.  In-process it changes nothing: the inline
+    backend runs a generation's chunks, of any size, as one problem
+    call.
     """
     driver = NSGA2Driver(
         problem,
@@ -538,7 +506,6 @@ def generational_nsga2(
         rng,
         initial_std=initial_std,
         anneal_factor=anneal_factor,
-        sort_algorithm=sort_algorithm,
         context=context,
     )
     return run_driver(
@@ -551,7 +518,6 @@ def generational_nsga2(
         journal=journal,
         callback=callback,
         stopper=stopper,
-        chunk_size=batch_chunk if batch or pipeline else 1,
-        pipeline=pipeline,
+        chunk_size=None if batch else 1,
         resume_from=resume_from,
     )

@@ -17,8 +17,20 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.engine.invoke import apply_failure, call_problem, land
+
 # re-exported for compatibility; repro.exceptions is the source of truth
 from repro.exceptions import MAXINT
+
+
+def _scored(individual: "Individual") -> tuple[np.ndarray, dict[str, Any]]:
+    """``individual``'s decoded genome through
+    :func:`~repro.engine.invoke.call_problem`; exceptions propagate."""
+    if individual.problem is None:
+        raise ValueError("individual has no problem to evaluate against")
+    return call_problem(
+        individual.problem, individual.decode(), uuid=individual.uuid
+    )
 
 
 class Individual:
@@ -61,21 +73,13 @@ class Individual:
     def evaluate(self) -> "Individual":
         """Score this individual in place; exceptions propagate.
 
-        Problems exposing ``evaluate_with_metadata`` (returning a
-        ``(fitness, metadata_dict)`` pair) get their metadata — e.g.
-        the training runtime the paper tracks — merged into
+        The problem is called through the engine's
+        :func:`~repro.engine.invoke.call_problem`: one exposing
+        ``evaluate_with_metadata`` gets its metadata — e.g. the
+        training runtime the paper tracks — merged into
         :attr:`metadata`.
         """
-        if self.problem is None:
-            raise ValueError("individual has no problem to evaluate against")
-        if hasattr(self.problem, "evaluate_with_metadata"):
-            fitness, meta = self.problem.evaluate_with_metadata(
-                self.decode(), uuid=self.uuid
-            )
-            self.metadata.update(meta)
-        else:
-            fitness = self.problem.evaluate(self.decode())
-        self.fitness = np.atleast_1d(np.asarray(fitness, dtype=np.float64))
+        land(self, _scored(self))
         return self
 
     @property
@@ -130,18 +134,7 @@ class RobustIndividual(Individual):
 
     def evaluate(self) -> "RobustIndividual":
         try:
-            return super().evaluate()  # type: ignore[return-value]
+            land(self, _scored(self))
         except Exception as exc:  # noqa: BLE001 - the paper catches all
-            self.fitness = np.full(self.n_objectives, MAXINT)
-            self.metadata["error"] = f"{type(exc).__name__}: {exc}"
-            # evaluators may attach partial metadata (e.g. the short
-            # runtime of an aborted training) to the exception
-            self.metadata.update(getattr(exc, "metadata", {}))
-            # a MAXINT fitness alone is ambiguous downstream (a
-            # genuinely terrible-but-finished training looks the same);
-            # the explicit flag disambiguates
-            self.metadata.setdefault("failed", True)
-            self.metadata.setdefault(
-                "failure_cause", f"{type(exc).__name__}: {exc}"
-            )
-            return self
+            apply_failure(self, exc)
+        return self

@@ -75,14 +75,6 @@ def _fitness_matrix(population: Sequence[Individual]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """Strict Pareto dominance (minimization): a is no worse everywhere
-    and strictly better somewhere."""
-    a = np.atleast_1d(a)
-    b = np.atleast_1d(b)
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def fast_nondominated_sort(fitnesses: np.ndarray) -> np.ndarray:
     """Deb et al. (2002) fast non-dominated sort → 1-based front ranks."""
     F = np.asarray(fitnesses, dtype=np.float64)
@@ -303,7 +295,6 @@ def crowding_distance(
 # ----------------------------------------------------------------------
 def rank_ordinal_sort_op(
     parents: Optional[Sequence[Individual]] = None,
-    algorithm: str = "rank_ordinal",
 ) -> Callable[[Iterable[Individual]], list[Individual]]:
     """Listing-1 ``rank_ordinal_sort(parents=...)`` pipeline operator.
 
@@ -311,19 +302,12 @@ def rank_ordinal_sort_op(
     (NSGA-II's mu+lambda elitism), assigns 1-based ``rank`` attributes
     to every individual in the combined pool, and passes the pool on.
     """
-    sorter = {
-        "rank_ordinal": rank_ordinal_sort,
-        "fast": fast_nondominated_sort,
-    }
-    if algorithm not in sorter:
-        raise ValueError(f"unknown sorting algorithm {algorithm!r}")
-    sort_fn = sorter[algorithm]
 
     def op(offspring: Iterable[Individual]) -> list[Individual]:
         combined = list(offspring)
         if parents is not None:
             combined = combined + list(parents)
-        ranks = sort_fn(_fitness_matrix(combined))
+        ranks = rank_ordinal_sort(_fitness_matrix(combined))
         for ind, rank in zip(combined, ranks):
             ind.rank = int(rank)
         return combined
@@ -391,14 +375,12 @@ def crowded_tournament_selection(
 
 
 def nsga2_select(
-    population: Sequence[Individual], size: int, algorithm: str = "rank_ordinal"
+    population: Sequence[Individual], size: int
 ) -> list[Individual]:
     """Rank + crowd + truncate in one call (environmental selection)."""
     from repro.evo.ops import truncation_selection
 
-    ranked = rank_ordinal_sort_op(parents=None, algorithm=algorithm)(
-        list(population)
-    )
+    ranked = rank_ordinal_sort_op()(list(population))
     crowded = crowding_distance_calc(ranked)
     return truncation_selection(
         size=size, key=lambda x: (-x.rank, x.distance)

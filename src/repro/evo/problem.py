@@ -8,12 +8,15 @@ multiobjective code paths are uniform.
 
 The contract is **batch-first**: a population is the natural unit of
 work for NSGA-II (one generation = one embarrassingly parallel batch of
-trainings, §2.2.5), so every problem answers
-:meth:`Problem.evaluate_batch` — vectorized problems in one array
-sweep, everything else through the default per-phenome fallback defined
-here (the *only* sanctioned per-individual evaluation loop outside
-:mod:`repro.engine`; the AST guard in ``tests/test_engine.py`` bans any
-other).
+trainings, §2.2.5), so the engine hands a problem whole chunks through
+:func:`repro.engine.invoke.call_problem_batch`, which a problem answers
+with :meth:`WithMetadataProblem.evaluate_batch_with_metadata` —
+vectorized problems in one array sweep, everything else through the
+default per-phenome fallback defined here (the *only* sanctioned
+per-individual evaluation loop outside :mod:`repro.engine`; the AST
+guard in ``tests/test_engine.py`` bans any other).  A plain
+:meth:`Problem.evaluate` problem gets the engine's own per-phenome
+fallback.
 """
 
 from __future__ import annotations
@@ -37,32 +40,6 @@ class Problem:
 
     def evaluate(self, phenome: Any) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
-
-    def evaluate_batch(self, phenomes: Sequence[Any]) -> np.ndarray:
-        """Evaluate a whole population; returns an ``(n, n_objectives)``
-        array.
-
-        Default: the loop fallback over :meth:`evaluate`.  Problems
-        whose surface vectorizes (e.g. the surrogate landscape) override
-        this with one NumPy call per population.  Exceptions propagate —
-        callers needing per-phenome failure isolation go through
-        :func:`repro.engine.invoke.call_problem_batch` instead.
-        """
-        return np.asarray(
-            [
-                np.atleast_1d(
-                    np.asarray(self.evaluate(p), dtype=np.float64)
-                )
-                for p in phenomes
-            ],
-            dtype=np.float64,
-        )
-
-    def worse_than(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Strict Pareto-dominance check: is ``a`` dominated by ``b``?"""
-        a = np.atleast_1d(a)
-        b = np.atleast_1d(b)
-        return bool(np.all(b <= a) and np.any(b < a))
 
 
 class WithMetadataProblem(Problem):

@@ -225,9 +225,7 @@ def multi_objective_pso(
     journal: Any = None,
     resume_from: Optional[RestoredRun] = None,
     engine: Optional[EvaluationEngine] = None,
-    batch_chunk: Optional[int] = None,
     stopper: Any = None,
-    pipeline: bool = False,
 ) -> list[GenerationRecord]:
     """Run one MOPSO deployment; returns one record per iteration.
 
@@ -273,7 +271,5 @@ def multi_objective_pso(
         journal=journal,
         callback=callback,
         stopper=stopper,
-        chunk_size=batch_chunk,
-        pipeline=pipeline,
         resume_from=resume_from,
     )

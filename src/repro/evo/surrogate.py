@@ -255,9 +255,7 @@ def surrogate_assisted_search(
     journal: Any = None,
     resume_from: Optional[RestoredRun] = None,
     engine: Optional[EvaluationEngine] = None,
-    batch_chunk: Optional[int] = None,
     stopper: Any = None,
-    pipeline: bool = False,
 ) -> list[GenerationRecord]:
     """Run one surrogate-assisted deployment; one record per iteration.
 
@@ -295,7 +293,5 @@ def surrogate_assisted_search(
         journal=journal,
         callback=callback,
         stopper=stopper,
-        chunk_size=batch_chunk,
-        pipeline=pipeline,
         resume_from=resume_from,
     )

@@ -52,20 +52,15 @@ class CampaignConfig:
     pop_size: int = 100
     generations: int = 6
     anneal_factor: float = 0.85
-    sort_algorithm: str = "rank_ordinal"
     base_seed: int = 2023
     mode: str = "generational"
     objectives: Any = None
     hv_stop_eps: Optional[float] = None
     hv_stop_patience: int = 2
-    #: chunked dispatch, and commits overlapped with the next record's
-    #: evaluations: ``pipeline`` applies to the modes with a barrier to
-    #: pipeline (generational, pso, surrogate), ``batch_evals`` to
-    #: generational (pso and surrogate always cross the backend in
-    #: chunks); results bit-identical to the default chunk size 1
+    #: generational: dispatch each generation in chunks of the
+    #: backend's hint (pso and surrogate always do); results
+    #: bit-identical to the default chunk size 1
     batch_evals: bool = False
-    pipeline: bool = False
-    batch_chunk: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.mode = str(self.mode).replace("_", "-")
@@ -83,10 +78,7 @@ class CampaignConfig:
             pop_size=self.pop_size,
             generations=self.generations,
             anneal_factor=self.anneal_factor,
-            sort_algorithm=self.sort_algorithm,
             batch_evals=self.batch_evals,
-            pipeline=self.pipeline,
-            batch_chunk=self.batch_chunk,
             hv_stop_eps=self.hv_stop_eps,
             hv_stop_patience=self.hv_stop_patience,
         )

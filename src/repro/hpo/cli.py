@@ -234,7 +234,7 @@ def _execution_backend(stack, args: argparse.Namespace):
     ``inline`` evaluates in-process; ``pool`` spawns a real
     ``multiprocessing`` worker pool (``--pool-workers``, with an
     optional per-evaluation ``--pool-deadline``); ``fleet`` is that
-    pool with its fleet policy on: autoscale from ``--min-workers`` to
+    pool with its fleet policy on: autoscale from ``--pool-workers`` to
     ``--max-workers``, ``--speculate``, and the in-process last resort.
     Under ``serve`` the pool's queue is the service's only one: it
     orders the tenants' evaluations by fair share.  Its lifetime is
@@ -254,15 +254,11 @@ def _execution_backend(stack, args: argparse.Namespace):
         return stack.enter_context(
             ProcessPoolBackend(workers=workers, deadline=deadline)
         )
-    min_workers = getattr(args, "min_workers", None) or workers
-    max_workers = getattr(args, "max_workers", None) or max(
-        min_workers, workers
-    )
     return stack.enter_context(
         ProcessPoolBackend(
-            workers=min_workers,
+            workers=workers,
             deadline=deadline,
-            max_workers=max_workers,
+            max_workers=getattr(args, "max_workers", None) or workers,
             speculate=bool(getattr(args, "speculate", False)),
         )
     )
@@ -458,8 +454,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         hv_stop_eps=args.hv_stop_eps,
         hv_stop_patience=args.hv_stop_patience,
         batch_evals=args.batch_evals,
-        pipeline=args.pipeline,
-        batch_chunk=args.batch_chunk,
     )
     problem_spec: dict[str, Any] = {"backend": args.problem}
     if args.problem == "real":
@@ -478,7 +472,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     # A fresh campaign stays Campaign.run rather than a resume over a
     # begin record: without --save there is no journal to resume from,
-    # and under pool/client/fleet --kill-after-evals wraps the journal
+    # and under pool/fleet --kill-after-evals wraps the journal
     # the campaign writes.
     def run(client, cache, tracer):
         factory = cached_problem_factory(base_factory, cache)
@@ -1014,8 +1008,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
             "execution backend: inline (in-process, default), pool "
             "(multiprocessing worker pool), or fleet (the pool with "
             "autoscale, and with an in-process last resort once every "
-            "worker is revoked; see --min-workers/--max-workers/"
-            "--speculate)"
+            "worker is revoked; see --max-workers/--speculate)"
         ),
     )
     parser.add_argument(
@@ -1024,7 +1017,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "worker count for --backend pool/fleet (default: 4)"
+            "worker count for --backend pool, and the fleet's "
+            "autoscale floor (default: 4)"
         ),
     )
     parser.add_argument(
@@ -1035,15 +1029,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "pool backend: hard per-evaluation deadline; overruns are "
             "killed (SIGKILL) and scored MAXINT"
-        ),
-    )
-    parser.add_argument(
-        "--min-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "fleet backend: autoscale floor (default: --pool-workers)"
         ),
     )
     parser.add_argument(
@@ -1244,32 +1229,10 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "dispatch each generation in chunks of the backend's hint "
-            "(or --batch-chunk) instead of one task per individual; "
-            "results bit-identical.  Changes nothing in-process: "
-            "--backend inline already evaluates each generation in one "
-            "problem call"
-        ),
-    )
-    p.add_argument(
-        "--pipeline",
-        action="store_true",
-        help=(
-            "overlap generation-commit bookkeeping (journal, "
-            "telemetry) with the next generation's evaluations, in "
-            "the modes with a barrier to pipeline: generational "
-            "(implies --batch-evals), pso and surrogate; fronts "
-            "bit-identical"
-        ),
-    )
-    p.add_argument(
-        "--batch-chunk",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "fresh evaluations per backend chunk in batch mode "
-            "(default: the backend's hint, e.g. ceil(n/workers) for "
-            "--backend pool; no effect with --backend inline)"
+            "(ceil(n/workers) on --backend pool) instead of one task "
+            "per individual; results bit-identical.  Changes nothing "
+            "in-process: --backend inline already evaluates each "
+            "generation in one problem call"
         ),
     )
     _add_session_flags(p)
@@ -1283,7 +1246,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "testing: hard-exit (137) after N finished evaluations, "
             "simulating a mid-generation crash; under --backend "
-            "pool/client/fleet the kill fires on the Nth *journaled* "
+            "pool/fleet the kill fires on the Nth *journaled* "
             "evaluation instead (requires --save), since evaluate() "
             "runs in workers there"
         ),

@@ -35,25 +35,19 @@ class NSGA2Settings:
     """Run-scale knobs (paper values: pop 100 = one per Summit node,
     6 EA steps after the random generation, anneal 0.85).
 
-    ``dedup_within_generation`` collapses genome-identical offspring to
-    a single training per generation; duplicates receive a copy of the
-    shared result.  For deterministic evaluators this changes nothing
-    but the training count.
+    Every deployment collapses genome-identical candidates to a single
+    training (per record with a barrier, per run without); duplicates
+    receive a copy of the shared result.  For deterministic evaluators
+    this changes nothing but the training count.
     """
 
     pop_size: int = 100
     generations: int = 6
     anneal_factor: float = 0.85
-    sort_algorithm: str = "rank_ordinal"
-    dedup_within_generation: bool = True
-    #: route each generation through the engine's batch data plane
-    #: (bit-identical results; a throughput choice)
+    #: route each generation through the engine's batch data plane at
+    #: the backend's chunk hint (bit-identical results; a throughput
+    #: choice)
     batch_evals: bool = False
-    #: overlap generation-commit bookkeeping with the next
-    #: generation's evaluations (implies ``batch_evals``)
-    pipeline: bool = False
-    #: fresh evaluations per backend chunk (None: backend's hint)
-    batch_chunk: Optional[int] = None
     #: hypervolume early stop: halt once the relative HV gain stays
     #: below ``hv_stop_eps`` for ``hv_stop_patience`` consecutive
     #: generations (None disables; stopped runs are bit-identical to
@@ -82,7 +76,8 @@ def _run_kwargs(
 ) -> dict[str, Any]:
     """What every driver is handed: the Table 1 space, robust
     individuals, and the run's engine/journal/stopper hooks.  The
-    barrier drivers' callers add ``dedup``/``pipeline``/``batch_chunk``."""
+    barrier drivers' callers add ``dedup`` (steady-state always
+    deduplicates)."""
     rep = DeepMDRepresentation
     return dict(
         problem=problem,
@@ -124,12 +119,9 @@ def run_deepmd_nsga2(
     return generational_nsga2(
         generations=settings.generations,
         anneal_factor=settings.anneal_factor,
-        sort_algorithm=settings.sort_algorithm,
         context=Context(),
         batch=settings.batch_evals,
-        dedup=settings.dedup_within_generation,
-        pipeline=settings.pipeline,
-        batch_chunk=settings.batch_chunk,
+        dedup=True,
         **_run_kwargs(
             problem, settings, client, rng, callback, tracer, journal,
             resume_from,
@@ -153,9 +145,7 @@ def run_deepmd_steady_state(
     The budget is ``pop_size * (generations + 1)`` — the generational
     campaign's training count — and each ``pop_size`` completions close
     a record, so the §3 analysis stack consumes either mode unchanged.
-    Candidates cross the backend one per task, deduplicated per run, so
-    ``batch_chunk``, ``pipeline`` and the per-generation dedup switch
-    do not apply.
+    Candidates cross the backend one per task, deduplicated per run.
     """
     settings = settings or NSGA2Settings()
     return steady_state_nsga2(
@@ -187,9 +177,7 @@ def run_deepmd_pso(
     settings = settings or NSGA2Settings()
     return multi_objective_pso(
         iterations=settings.generations,
-        dedup=settings.dedup_within_generation,
-        pipeline=settings.pipeline,
-        batch_chunk=settings.batch_chunk,
+        dedup=True,
         **_run_kwargs(
             problem, settings, client, rng, callback, tracer, journal,
             resume_from,
@@ -214,9 +202,7 @@ def run_deepmd_surrogate(
     settings = settings or NSGA2Settings()
     return surrogate_assisted_search(
         iterations=settings.generations,
-        dedup=settings.dedup_within_generation,
-        pipeline=settings.pipeline,
-        batch_chunk=settings.batch_chunk,
+        dedup=True,
         **_run_kwargs(
             problem, settings, client, rng, callback, tracer, journal,
             resume_from,

@@ -154,13 +154,7 @@ class DeepMDProblem(WithMetadataProblem):
                 run_uuid=uuid,
             )
         except Exception as exc:
-            meta = dict(getattr(exc, "metadata", None) or {})
-            meta.setdefault("phenome", dict(phenome))
-            meta.setdefault("failed", True)
-            meta.setdefault(
-                "failure_cause", f"{type(exc).__name__}: {exc}"
-            )
-            exc.metadata = meta  # type: ignore[attr-defined]
+            self.attach_failure_metadata(exc, phenome)
             raise
         fitness = np.array([run.rmse_e_val, run.rmse_f_val])
         metadata = {

@@ -41,7 +41,7 @@ reported findings:
   per evaluation.  Draws come from a counter-based generator (splitmix64
   over a per-phenome hash with one fixed counter slot per draw), so the
   value at a phenome never depends on batch composition or evaluation
-  order — batch, scalar, and pipelined paths are bit-identical by
+  order — batch, scalar, and streamed paths are bit-identical by
   construction.  It is the only noise stream: a subclass (the NAS
   surrogate) adds capacity terms to the noise-free means through one
   hook and is drawn from the same hash, over all of its genes.

@@ -33,6 +33,7 @@ from repro.exceptions import ServiceError
 from repro.hpo.campaign import CampaignConfig
 from repro.hpo.objectives import problem_spec_for
 from repro.service.tenancy import Tenant, tenant_from_spec
+from repro.store.resume import RETIRED_CONFIG_FIELDS
 
 # lifecycle states
 QUEUED = "queued"
@@ -57,7 +58,8 @@ def _atomic_write_json(path: Path, doc: dict[str, Any]) -> None:
 def campaign_config_from_spec(doc: Any) -> CampaignConfig:
     """A :class:`CampaignConfig` from the submission's ``config``
     object; unknown fields are rejected (a typo'd ``generations`` must
-    not silently run the 5×100×6 default)."""
+    not silently run the 5×100×6 default), retired ones dropped (a
+    ``spec.json`` an earlier version persisted still recovers)."""
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -67,9 +69,10 @@ def campaign_config_from_spec(doc: Any) -> CampaignConfig:
     import dataclasses
 
     known = {f.name for f in dataclasses.fields(CampaignConfig)}
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - known - RETIRED_CONFIG_FIELDS)
     if unknown:
         raise ServiceError(f"unknown config fields: {unknown}")
+    doc = {k: v for k, v in doc.items() if k in known}
     try:
         return CampaignConfig(**doc)
     except (TypeError, ValueError) as exc:

@@ -35,11 +35,20 @@ from repro.store.journal import (
 )
 
 
+#: config fields earlier versions wrote and this one no longer has:
+#: how evaluations were chunked and committed, and which of two sorters
+#: that return the same ranks ran — never what a campaign computes
+RETIRED_CONFIG_FIELDS = frozenset(
+    {"pipeline", "batch_chunk", "sort_algorithm"}
+)
+
+
 def campaign_config_from_doc(doc: dict[str, Any]) -> CampaignConfig:
-    """Build a config from a journaled/stored doc, tolerating (and
-    warning about) unknown fields written by future versions."""
+    """Build a config from a journaled/stored doc, dropping
+    :data:`RETIRED_CONFIG_FIELDS` and tolerating (and warning about)
+    unknown fields written by future versions."""
     known = {f.name for f in dataclasses.fields(CampaignConfig)}
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - known - RETIRED_CONFIG_FIELDS)
     if unknown:
         warnings.warn(
             "ignoring unknown campaign config fields "

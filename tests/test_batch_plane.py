@@ -2,11 +2,10 @@
 
 The contract under test (DESIGN.md "Evaluation data plane"): the chunk
 size a population crosses the backend at — 1 (``evaluate``, streaming
-``submit``), any k, or the whole population, barrier or ``pipeline`` —
-changes nothing observable: same fronts, same journal records, same
-engine statistics.  Failure isolation is per-slot in-process and
-per-chunk across the pool (a worker crash re-runs only the chunk it
-held).
+``submit``), any k, or the whole population — changes nothing
+observable: same fronts, same journal records, same engine statistics.
+Failure isolation is per-slot in-process and per-chunk across the pool
+(a worker crash re-runs only the chunk it held).
 """
 
 from __future__ import annotations
@@ -232,32 +231,22 @@ def _run_engine(
 
 
 class TestBatchBitIdentity:
-    """Chunk size 1, k, n, pipelined or streamed: everything
-    observable matches."""
+    """Chunk size 1, k, n or streamed: everything observable
+    matches."""
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=8, deadline=None)
     def test_modes_bit_identical(self, seed):
-        chunked = (
-            ("chunk 1", dict(batch=True, batch_chunk=1)),
-            ("chunk 3", dict(batch=True, batch_chunk=3)),
-            ("chunk n", dict(batch=True, batch_chunk=8)),
-            ("backend hint", dict(batch=True)),
-        )
-        # the overlap is the loop's, not NSGA-II's: every barrier
-        # driver pipelines to the same records and journal
-        swarm_modes = (
-            ("chunk 3", dict(batch_chunk=3)),
-            ("pipeline", dict(pipeline=True)),
-        )
+        # the swarm drivers always cross at the backend's hint: only
+        # their commit instants are checked
         for driver, journal_cls, modes in (
             (
                 generational_nsga2,
                 RecordingJournal,
-                (*chunked, ("pipeline", dict(pipeline=True))),
+                (("backend hint", dict(batch=True)),),
             ),
-            (multi_objective_pso, SwarmJournal, swarm_modes),
-            (surrogate_assisted_search, RecordingJournal, swarm_modes),
+            (multi_objective_pso, SwarmJournal, ()),
+            (surrogate_assisted_search, RecordingJournal, ()),
         ):
             recs_a, journal_a, eng_a = _run_driver(
                 seed, driver, journal_cls()
@@ -291,11 +280,8 @@ class TestBatchBitIdentity:
                 assert _stats_tuple(eng_a.stats) == _stats_tuple(
                     eng_b.stats
                 )
-                # only the instant the callback fires moves: a
-                # pipelined commit runs once the next batch is submitted
-                assert journal_b.submitted_at_callback == (
-                    [16, 24, 24] if "pipeline" in mode else [8, 16, 24]
-                ), name
+                # each commit runs before the next batch is submitted
+                assert journal_b.submitted_at_callback == [8, 16, 24], name
 
     @given(
         xs=st.lists(

@@ -151,7 +151,7 @@ class StopAt:
         return record.generation == self.generation
 
 
-def test_a_new_driver_gets_journal_pipeline_stopper_and_restore(tmp_path):
+def test_a_new_driver_gets_journal_stopper_and_restore(tmp_path):
     """``RandomSearch`` writes none of them."""
     problem = SurrogateDeepMDProblem(seed=3)
     tracer = Tracer()
@@ -169,31 +169,18 @@ def test_a_new_driver_gets_journal_pipeline_stopper_and_restore(tmp_path):
         == POP
         for s in spans
     )
-    # pipelined: same journal, each commit one record late
-    seen = []
-    piped, piped_docs = _journaled_run(
-        tmp_path / "piped",
+    # stopped: a committed prefix
+    _, stopped = _journaled_run(
+        tmp_path / "stopped",
         DRIVERS["random"](problem, SEED),
-        pipeline=True,
-        callback=lambda rec: seen.append(rec.generation),
+        stopper=StopAt(1),
     )
-    assert _strip(piped_docs) == _strip(docs)
-    assert seen == [0, 1, 2, 3] and len(piped) == len(records)
-    # stopped: a committed prefix, also when the last commit was pending
-    for pipeline in (False, True):
-        _, stopped = _journaled_run(
-            tmp_path / f"stopped{pipeline}",
-            DRIVERS["random"](problem, SEED),
-            stopper=StopAt(1),
-            pipeline=pipeline,
-        )
-        assert _strip(stopped) == _strip(docs[:2])
+    assert _strip(stopped) == _strip(docs[:2])
     # restored through the loop's own ``resume_from``
     new, continued = _journaled_run(
         tmp_path / "resumed",
         DRIVERS["random"](problem),
         resume_from=_restored(docs[:2], problem),
-        pipeline=True,
     )
     assert [rec.generation for rec in new] == [2, 3]
     assert _strip(continued) == _strip(docs[2:])

@@ -406,11 +406,10 @@ class TestSteadyStateAccounting:
 # the AST guard: one failure policy, one evaluation entry point
 # ----------------------------------------------------------------------
 #: modules allowed to call Problem.evaluate* / build MAXINT fitness —
-#: the engine itself, the robust individual's exception fallback, and
-#: the Problem base class's default batch fallback loop
+#: the engine itself and the Problem base class's default batch
+#: fallback loop
 _GUARD_WHITELIST = (
     "repro/engine/",
-    "repro/evo/individual.py",
     "repro/evo/problem.py",
 )
 

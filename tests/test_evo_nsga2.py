@@ -15,13 +15,13 @@ from repro.evo.individual import MAXINT, Individual, RobustIndividual
 from repro.evo.nsga2 import (
     crowding_distance,
     crowding_distance_calc,
-    dominates,
     fast_nondominated_sort,
     nsga2_select,
     rank_ordinal_sort,
     rank_ordinal_sort_op,
 )
 from repro.evo.problem import ConstantProblem, FunctionProblem
+from repro.mo import dominates
 
 
 class TestDominance:
@@ -183,10 +183,6 @@ class TestOperators:
     def test_rank_op_unevaluated_raises(self):
         with pytest.raises(ValueError, match="evaluated"):
             rank_ordinal_sort_op()([Individual([0.0])])
-
-    def test_rank_op_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            rank_ordinal_sort_op(algorithm="bogo")
 
     def test_crowding_op_requires_ranks(self):
         pop = self._evaluated([[0.0, 0.0]])

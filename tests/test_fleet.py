@@ -257,7 +257,6 @@ class TestPolicy:
             backend="fleet",
             pool_workers=1,
             pool_deadline=None,
-            min_workers=None,
             max_workers=8,
             speculate=False,
         )

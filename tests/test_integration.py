@@ -288,7 +288,6 @@ class TestRealCampaignPoolSmoke:
             generations=1,
             base_seed=self.SEED,
             batch_evals=True,
-            batch_chunk=3,
         )
         tracer = Tracer()
         result = Campaign(

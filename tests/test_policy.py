@@ -348,7 +348,7 @@ class TestLastResort:
 # a storm on the simulated clock
 # ----------------------------------------------------------------------
 def test_a_revocation_storm_with_a_straggler_scales_up_and_copies():
-    """``--chaos-revoke 1,3`` on a ``--min-workers 2 --max-workers 4
+    """``--chaos-revoke 1,3`` on a ``--pool-workers 2 --max-workers 4
     --speculate`` fleet, with 1 s tasks: the backlog grows the pool
     before the second revocation, so a worker is left, and dispatch 8
     straggles until its copy wins.  Every task settles exactly once."""

@@ -18,12 +18,11 @@ from repro.evo.decoder import floor_mod_choice
 from repro.evo.individual import MAXINT
 from repro.evo.nsga2 import (
     crowding_distance,
-    dominates,
     fast_nondominated_sort,
     rank_ordinal_sort,
 )
 from repro.md.cell import PeriodicCell
-from repro.mo.dominance import non_dominated_mask
+from repro.mo.dominance import dominates, non_dominated_mask
 from repro.mo.metrics import hypervolume_2d
 
 # ----------------------------------------------------------------------

@@ -108,9 +108,7 @@ def test_compare_fails_on_any_changed_bit(
 
 def test_compare_ignores_how_evaluations_were_dispatched(saved, tmp_path):
     def chunked(result):
-        result.config = dataclasses.replace(
-            result.config, batch_evals=True, pipeline=True, batch_chunk=5
-        )
+        result.config = dataclasses.replace(result.config, batch_evals=True)
 
     assert _edited(saved, tmp_path, chunked) == 0
 

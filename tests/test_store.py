@@ -743,7 +743,7 @@ class TestSnapshotSchema:
         from repro.io import load_campaign
 
         saved = self._save(
-            tmp_path, objectives="loss,time", hv_stop_eps=1e-4, batch_chunk=3
+            tmp_path, objectives="loss,time", hv_stop_eps=1e-4
         )
         loaded = load_campaign(tmp_path / "camp")
         assert loaded.config == saved.config

@@ -124,15 +124,15 @@ def _kill_and_chaos(mode: str, run: tuple[str, ...]):
         # a tear at append 0 leaves no journal record readable
         yield "chaos-4", [(*run, "--chaos-seed", "4")]
         yield "chaos-4-pool", [(*run, *POOL, "--chaos-seed", "4")]
-        yield "pool-4-chunk-5", [(
+        yield "pool-4-chunked", [(
             *run, "--no-cache", "--backend", "pool", "--pool-workers", "4",
-            "--batch-evals", "--batch-chunk", "5",
+            "--batch-evals",
         )]
         # every worker revoked (--chaos-revoke 1,3 takes both), then
         # the last resort runs the backlog in the driver's process
         yield "fleet-revoke-all", [(
-            *run, "--no-cache", *FLEET, "--min-workers", "2",
-            "--max-workers", "4", "--speculate", "--chaos-revoke", "1,3",
+            *run, "--no-cache", *FLEET, "--max-workers", "4",
+            "--speculate", "--chaos-revoke", "1,3",
         )]
 
 
