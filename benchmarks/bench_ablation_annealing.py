@@ -10,11 +10,19 @@ landscape.
 import numpy as np
 
 from repro.analysis import format_table
+from repro.evo import NSGA2Driver, run_driver
+from repro.evo.annealing import OneFifthSuccessRule
 from repro.hpo import NSGA2Settings, SurrogateDeepMDProblem, run_deepmd_nsga2
+from repro.hpo.representation import DeepMDRepresentation
 from repro.mo.dominance import non_dominated_mask
 from repro.mo.metrics import hypervolume_2d
 
 REFERENCE = (0.02, 0.2)
+
+
+def _hv(population) -> float:
+    F = np.array([i.fitness for i in population if i.is_viable])
+    return hypervolume_2d(F[non_dominated_mask(F)], REFERENCE)
 
 
 def _final_hv(anneal_factor: float, seed: int) -> float:
@@ -25,10 +33,48 @@ def _final_hv(anneal_factor: float, seed: int) -> float:
         ),
         rng=seed,
     )
-    F = np.array(
-        [i.fitness for i in records[-1].population if i.is_viable]
+    return _hv(records[-1].population)
+
+
+class OneFifthDriver(NSGA2Driver):
+    """Listing 1 with the deviations stepped by the 1/5-success rule:
+    success is an offspring dominating the median parent."""
+
+    def _anneal(self, std):
+        self.schedule = OneFifthSuccessRule(
+            std, factor=self.anneal_factor, context=self.context
+        )
+
+    def tell(self, evaluated):
+        if self.generation == 0:
+            return super().tell(evaluated)
+        parent_med = np.median(
+            [p.fitness for p in self.parents if p.is_viable], axis=0
+        )
+        successes = sum(
+            1
+            for o in evaluated
+            if o.is_viable and np.all(o.fitness <= parent_med)
+        )
+        self.parents = self.survivors(evaluated)
+        self.schedule.step(success_rate=successes / max(len(evaluated), 1))
+        return self.record(
+            self.parents, evaluated, self.schedule.current.copy()
+        )
+
+
+def _final_hv_one_fifth(seed: int) -> float:
+    rep = DeepMDRepresentation
+    driver = OneFifthDriver(
+        SurrogateDeepMDProblem(seed=seed),
+        rep.init_ranges,
+        60,
+        rep.bounds,
+        rep.decoder(),
+        rng=seed,
+        initial_std=rep.mutation_std,
     )
-    return hypervolume_2d(F[non_dominated_mask(F)], REFERENCE)
+    return _hv(run_driver(driver, 6)[-1].population)
 
 
 def test_annealed_deployment(benchmark):
@@ -80,69 +126,9 @@ def test_one_fifth_rule_not_necessary(benchmark):
     """§2.2.3's claim: the 1/5-success rule adds nothing here.  Run a
     deployment where the schedule adapts by offspring success rate and
     compare with the fixed schedule."""
-    import numpy as np
-
-    from repro.evo import ops
-    from repro.evo.annealing import OneFifthSuccessRule
-    from repro.evo.individual import RobustIndividual
-    from repro.evo.nsga2 import (
-        crowding_distance_calc,
-        rank_ordinal_sort_op,
-    )
-    from repro.hpo.representation import DeepMDRepresentation
-    from repro.rng import ensure_rng
-
-    def run_with_rule(seed: int) -> float:
-        problem = SurrogateDeepMDProblem(seed=seed)
-        rep = DeepMDRepresentation
-        gen_rng = ensure_rng(seed)
-        rule = OneFifthSuccessRule(rep.mutation_std, factor=0.85)
-        parents = []
-        for _ in range(60):
-            genome = gen_rng.uniform(
-                rep.init_ranges[:, 0], rep.init_ranges[:, 1]
-            )
-            ind = RobustIndividual(
-                genome, decoder=rep.decoder(), problem=problem
-            )
-            ind.n_objectives = 2
-            parents.append(ind.evaluate())
-        for _ in range(6):
-            offspring = ops.pipe(
-                parents,
-                lambda pop: ops.random_selection(pop, rng=gen_rng),
-                ops.clone,
-                ops.mutate_gaussian(
-                    std=rule.current,
-                    hard_bounds=rep.bounds,
-                    rng=gen_rng,
-                ),
-                ops.eval_pool(client=None, size=len(parents)),
-            )
-            # success = offspring dominating the median parent
-            viable = [o for o in offspring if o.is_viable]
-            parent_med = np.median(
-                [p.fitness for p in parents if p.is_viable], axis=0
-            )
-            successes = sum(
-                1
-                for o in viable
-                if np.all(o.fitness <= parent_med)
-            )
-            combined = rank_ordinal_sort_op(parents=parents)(offspring)
-            crowded = crowding_distance_calc(combined)
-            parents = ops.truncation_selection(
-                size=60, key=lambda x: (-x.rank, x.distance)
-            )(crowded)
-            rule.step(success_rate=successes / max(len(offspring), 1))
-        F = np.array(
-            [i.fitness for i in parents if i.is_viable]
-        )
-        return hypervolume_2d(F[non_dominated_mask(F)], REFERENCE)
-
     seeds = [0, 1, 2]
     fixed = [_final_hv(0.85, s) for s in seeds]
-    ruled = [run_with_rule(s) for s in seeds]
+    ruled = [_final_hv_one_fifth(s) for s in seeds]
     print()
     print(
         f"fixed x0.85 HV: {np.mean(fixed):.4f}; 1/5-rule HV: "

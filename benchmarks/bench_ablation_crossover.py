@@ -11,16 +11,12 @@ import numpy as np
 
 from benchmarks.conftest import once
 from repro.analysis import format_table
-from repro.evo import ops
+from repro.evo import NSGA2Driver, ops, run_driver
 from repro.evo.crossover import sbx_crossover
-from repro.evo.individual import RobustIndividual
-from repro.evo.nsga2 import crowding_distance_calc, rank_ordinal_sort_op
-from repro.evo.annealing import AnnealingSchedule
 from repro.hpo import NSGA2Settings, SurrogateDeepMDProblem, run_deepmd_nsga2
 from repro.hpo.representation import DeepMDRepresentation
 from repro.mo.dominance import non_dominated_mask
 from repro.mo.metrics import hypervolume_2d
-from repro.rng import ensure_rng
 
 REFERENCE = (0.02, 0.2)
 POP = 60
@@ -34,41 +30,38 @@ def _hv(population) -> float:
     return hypervolume_2d(F[non_dominated_mask(F)], REFERENCE)
 
 
-def _run_with_crossover(seed: int) -> float:
-    problem = SurrogateDeepMDProblem(seed=seed)
-    rep = DeepMDRepresentation
-    gen_rng = ensure_rng(seed)
-    schedule = AnnealingSchedule(rep.mutation_std, factor=0.85)
-    parents = []
-    for _ in range(POP):
-        genome = gen_rng.uniform(
-            rep.init_ranges[:, 0], rep.init_ranges[:, 1]
-        )
-        ind = RobustIndividual(
-            genome, decoder=rep.decoder(), problem=problem
-        )
-        ind.n_objectives = 2
-        parents.append(ind.evaluate())
-    for _ in range(GENERATIONS):
-        offspring = ops.pipe(
-            parents,
-            lambda pop: ops.random_selection(pop, rng=gen_rng),
+class SBXDriver(NSGA2Driver):
+    """Listing 1 with SBX crossover between the clone and the mutation."""
+
+    def ask(self):
+        if self.generation == 0:
+            return super().ask()
+        return ops.pipe(
+            self.parents,
+            lambda pop: ops.random_selection(pop, rng=self.rng),
             ops.clone,
-            sbx_crossover(eta=15.0, rng=gen_rng),
+            sbx_crossover(eta=15.0, rng=self.rng),
             ops.mutate_gaussian(
-                std=schedule.current,
-                hard_bounds=rep.bounds,
-                rng=gen_rng,
+                std=self.context["std"],
+                hard_bounds=self.hard_bounds,
+                rng=self.rng,
             ),
-            ops.eval_pool(client=None, size=POP),
+            ops.pool(len(self.parents)),
         )
-        combined = rank_ordinal_sort_op(parents=parents)(offspring)
-        crowded = crowding_distance_calc(combined)
-        parents = ops.truncation_selection(
-            size=POP, key=lambda x: (-x.rank, x.distance)
-        )(crowded)
-        schedule.step()
-    return _hv(parents)
+
+
+def _run_with_crossover(seed: int) -> float:
+    rep = DeepMDRepresentation
+    driver = SBXDriver(
+        SurrogateDeepMDProblem(seed=seed),
+        rep.init_ranges,
+        POP,
+        rep.bounds,
+        rep.decoder(),
+        rng=seed,
+        initial_std=rep.mutation_std,
+    )
+    return _hv(run_driver(driver, GENERATIONS)[-1].population)
 
 
 def _run_mutation_only(seed: int) -> float:

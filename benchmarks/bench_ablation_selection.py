@@ -11,9 +11,7 @@ import numpy as np
 
 from benchmarks.conftest import once
 from repro.analysis import format_table
-from repro.evo import ops
-from repro.evo.annealing import AnnealingSchedule
-from repro.evo.individual import RobustIndividual
+from repro.evo import NSGA2Driver, run_driver
 from repro.evo.nsga2 import (
     crowded_tournament_selection,
     crowding_distance_calc,
@@ -23,7 +21,6 @@ from repro.hpo import NSGA2Settings, SurrogateDeepMDProblem, run_deepmd_nsga2
 from repro.hpo.representation import DeepMDRepresentation
 from repro.mo.dominance import non_dominated_mask
 from repro.mo.metrics import hypervolume_2d
-from repro.rng import ensure_rng
 
 REFERENCE = (0.02, 0.2)
 POP = 60
@@ -37,42 +34,33 @@ def _hv(population) -> float:
     return hypervolume_2d(F[non_dominated_mask(F)], REFERENCE)
 
 
+class TournamentDriver(NSGA2Driver):
+    """Listing 1 with crowded binary tournaments for mating selection."""
+
+    select = staticmethod(crowded_tournament_selection)
+
+    def tell(self, evaluated):
+        record = super().tell(evaluated)
+        if record.generation == 0:
+            # the first tournament needs ranks and distances
+            self.parents = crowding_distance_calc(
+                rank_ordinal_sort_op()(self.parents)
+            )
+        return record
+
+
 def _run_tournament(seed: int) -> float:
-    problem = SurrogateDeepMDProblem(seed=seed)
     rep = DeepMDRepresentation
-    gen_rng = ensure_rng(seed)
-    schedule = AnnealingSchedule(rep.mutation_std, factor=0.85)
-    parents = []
-    for _ in range(POP):
-        genome = gen_rng.uniform(
-            rep.init_ranges[:, 0], rep.init_ranges[:, 1]
-        )
-        ind = RobustIndividual(
-            genome, decoder=rep.decoder(), problem=problem
-        )
-        ind.n_objectives = 2
-        parents.append(ind.evaluate())
-    # initial pool needs ranks/distances before the first tournament
-    parents = crowding_distance_calc(rank_ordinal_sort_op()(parents))
-    for _ in range(GENERATIONS):
-        offspring = ops.pipe(
-            parents,
-            lambda pop: crowded_tournament_selection(pop, rng=gen_rng),
-            ops.clone,
-            ops.mutate_gaussian(
-                std=schedule.current,
-                hard_bounds=rep.bounds,
-                rng=gen_rng,
-            ),
-            ops.eval_pool(client=None, size=POP),
-        )
-        combined = rank_ordinal_sort_op(parents=parents)(offspring)
-        crowded = crowding_distance_calc(combined)
-        parents = ops.truncation_selection(
-            size=POP, key=lambda x: (-x.rank, x.distance)
-        )(crowded)
-        schedule.step()
-    return _hv(parents)
+    driver = TournamentDriver(
+        SurrogateDeepMDProblem(seed=seed),
+        rep.init_ranges,
+        POP,
+        rep.bounds,
+        rep.decoder(),
+        rng=seed,
+        initial_std=rep.mutation_std,
+    )
+    return _hv(run_driver(driver, GENERATIONS)[-1].population)
 
 
 def _run_random(seed: int) -> float:

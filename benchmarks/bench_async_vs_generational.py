@@ -17,8 +17,8 @@ import pytest
 from benchmarks.conftest import once
 from repro.analysis import format_table
 from repro.engine import EvaluationEngine, ProcessPoolBackend
-from repro.evo.algorithm import random_initial_population
-from repro.evo.asynchronous import steady_state_nsga2
+from repro.evo.algorithm import random_initial_population, run_driver
+from repro.evo.asynchronous import SteadyStateDriver
 from repro.hpo import (
     NSGA2Settings,
     SurrogateDeepMDProblem,
@@ -69,6 +69,23 @@ def pool():
         yield backend
 
 
+def _steady_state(problem, client):
+    rep = DeepMDRepresentation
+    driver = SteadyStateDriver(
+        problem,
+        rep.init_ranges,
+        POP,
+        rep.bounds,
+        rep.decoder(),
+        rng=0,
+        initial_std=rep.mutation_std,
+        max_evaluations=BUDGET,
+    )
+    return run_driver(
+        driver, driver.last_generation, client=client, dedup=True
+    )
+
+
 def _hv(individuals) -> float:
     F = np.array(
         [i.fitness for i in individuals if i.is_viable]
@@ -93,17 +110,7 @@ def test_generational_wall_clock(benchmark, pool):
 
 def test_steady_state_wall_clock(benchmark, pool):
     def run():
-        return steady_state_nsga2(
-            problem=SlowSurrogate(seed=0),
-            init_ranges=DeepMDRepresentation.init_ranges,
-            initial_std=DeepMDRepresentation.mutation_std,
-            pop_size=POP,
-            max_evaluations=BUDGET,
-            client=pool,
-            hard_bounds=DeepMDRepresentation.bounds,
-            decoder=DeepMDRepresentation.decoder(),
-            rng=0,
-        )
+        return _steady_state(SlowSurrogate(seed=0), pool)
 
     records = once(benchmark, run)
     assert sum(len(r.evaluated) for r in records) == BUDGET
@@ -117,17 +124,7 @@ def test_async_matches_quality_at_equal_budget(benchmark, pool):
         client=pool,
         rng=0,
     )
-    ss_records = steady_state_nsga2(
-        problem=SurrogateDeepMDProblem(seed=0),
-        init_ranges=DeepMDRepresentation.init_ranges,
-        initial_std=DeepMDRepresentation.mutation_std,
-        pop_size=POP,
-        max_evaluations=BUDGET,
-        client=pool,
-        hard_bounds=DeepMDRepresentation.bounds,
-        decoder=DeepMDRepresentation.decoder(),
-        rng=0,
-    )
+    ss_records = _steady_state(SurrogateDeepMDProblem(seed=0), pool)
     gen_hv = _hv(gen_records[-1].population)
     ss_hv = _hv(ss_records[-1].population)
     rows = [

@@ -6,8 +6,6 @@ non-dominated points clustered close to the origin with a monotone
 energy/force trade-off.
 """
 
-import numpy as np
-
 from repro.analysis import format_table, frontier_table
 
 

@@ -67,7 +67,8 @@ def _evals_to_target(records, target_hv, reference) -> int:
 
 def run(quick: bool = False) -> dict:
     """Execute the bench; returns the machine-readable report dict."""
-    from repro.evo.surrogate import surrogate_assisted_search
+    from repro.evo.algorithm import run_driver
+    from repro.evo.surrogate import SurrogateDriver
     from repro.hpo.driver import NSGA2Settings, run_deepmd_surrogate
     from repro.hpo.landscape import SurrogateDeepMDProblem
     from repro.hpo.representation import DeepMDRepresentation
@@ -111,18 +112,18 @@ def run(quick: bool = False) -> dict:
     # random search = the same driver with a pure-exploration pool and
     # the surrogate fit disabled by construction (picks the first
     # pop_size uniform candidates each iteration)
-    random_records = surrogate_assisted_search(
+    random_driver = SurrogateDriver(
         SurrogateDeepMDProblem(seed=seed),
-        init_ranges=rep.init_ranges,
+        rep.init_ranges,
+        pop,
+        rep.bounds,
+        rep.decoder(),
+        rng=seed,
         initial_std=rep.mutation_std,
-        pop_size=pop,
-        iterations=iters,
-        hard_bounds=rep.bounds,
-        decoder=rep.decoder(),
         explore_fraction=1.0,
         pool_multiplier=1,
-        rng=seed,
     )
+    random_records = run_driver(random_driver, iters)
     ref = ref2
     # target: 90% of the hypervolume the weaker run ends at, so both
     # runs can reach it and the ratio measures how fast they get there

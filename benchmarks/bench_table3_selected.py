@@ -7,8 +7,6 @@ activations, runtimes under ~75 minutes — which the assertions encode
 as bands.
 """
 
-import numpy as np
-
 from repro.analysis import format_table, table3_rows
 from repro.hpo.chemical import (
     ENERGY_ACCURACY_EV_PER_ATOM,

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from repro.analysis import format_table
-from repro.evo.algorithm import generational_nsga2
+from repro.evo.algorithm import NSGA2Driver, run_driver
 from repro.evo.nsga2 import fast_nondominated_sort, rank_ordinal_sort
 from repro.mo.dominance import non_dominated_mask
 from repro.mo.metrics import (
@@ -26,16 +26,16 @@ from repro.mo.testsuite import ZDT1, ZDT2, ZDT3
 
 
 def solve(problem, pop=60, generations=150, rng=1):
-    records = generational_nsga2(
+    driver = NSGA2Driver(
         problem=problem,
         init_ranges=problem.bounds,
-        initial_std=np.full(problem.n_variables, 0.15),
         pop_size=pop,
-        generations=generations,
         hard_bounds=problem.bounds,
-        anneal_factor=0.98,
         rng=rng,
+        initial_std=np.full(problem.n_variables, 0.15),
+        anneal_factor=0.98,
     )
+    records = run_driver(driver, generations)
     F = np.array([ind.fitness for ind in records[-1].population])
     return F[non_dominated_mask(F)]
 

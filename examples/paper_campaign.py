@@ -28,7 +28,6 @@ from repro.analysis import (
     parallel_coordinates,
     table3_rows,
 )
-from repro.hpo import filter_chemically_accurate
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
 

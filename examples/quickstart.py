@@ -20,7 +20,6 @@ from repro.hpo import (
     filter_chemically_accurate,
     run_deepmd_nsga2,
 )
-from repro.mo.pareto import pareto_front
 
 
 def main() -> None:

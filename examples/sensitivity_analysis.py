@@ -11,8 +11,6 @@ frugality of Morris screening is the point).
 Run:  python examples/sensitivity_analysis.py
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.hpo.sensitivity import morris_screening, one_at_a_time

@@ -54,7 +54,6 @@ def _cmd_test(args: argparse.Namespace) -> int:
     from repro.deepmd.input_config import InputConfig
     from repro.deepmd.model import DeepPotModel
     from repro.md.dataset import FrameDataset
-    from repro.nn.loss import EnergyForceLoss
 
     config = InputConfig.from_file(args.input)
     data_dir = args.data or config.data_dir

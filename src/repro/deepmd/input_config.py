@@ -12,7 +12,7 @@ the schema layout of DeePMD-kit's training input.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from string import Template
 from typing import Any, Mapping

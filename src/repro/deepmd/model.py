@@ -33,7 +33,6 @@ takes both as configuration so tests can shrink the widths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

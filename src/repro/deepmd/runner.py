@@ -19,7 +19,6 @@ Two execution modes are provided:
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
 from repro.deepmd.data import DescriptorBatch, prepare_batches
 from repro.deepmd.lcurve import LCurve

@@ -10,14 +10,18 @@ Algorithms in Python (LEAP) that the paper builds on (§2.1.4, §2.2.3):
 * decoders, including the floor-modulus categorical decoder (§2.2.2);
 * generator-based pipeline operators composed with :func:`pipe`
   (Listing 1): ``random_selection``, ``clone``, ``mutate_gaussian``
-  with per-gene standard deviations and hard bounds, ``eval_pool`` for
-  batched (optionally parallel) evaluation, and ``truncation_selection``;
+  with per-gene standard deviations and hard bounds, ``pool`` to collect
+  a batch of offspring, and ``truncation_selection``;
 * NSGA-II support: the classic fast non-dominated sort (Deb 2002) and
   the faster rank-ordinal sort (Burlacu 2022) the paper adopted, plus
   crowding-distance calculation, as both plain functions and pipeline
   operators;
 * mutation annealing (×0.85 per generation) and the optional
-  1/5-success rule the paper mentions but disables.
+  1/5-success rule the paper mentions but disables;
+* the one way to run an optimizer: build its ask/tell :class:`Driver`
+  (:class:`NSGA2Driver` for Listing 1, :class:`SteadyStateDriver` for
+  the barrier-free variant) and hand it to :func:`run_driver`, which
+  owns evaluation, journaling, resume and early stopping.
 """
 
 from repro.evo.individual import Individual, RobustIndividual, MAXINT
@@ -34,7 +38,6 @@ from repro.evo.problem import (
 )
 from repro.evo.ops import (
     clone,
-    eval_pool,
     evaluate,
     mutate_gaussian,
     pipe,
@@ -52,8 +55,13 @@ from repro.evo.nsga2 import (
     nsga2_select,
 )
 from repro.evo.annealing import AnnealingSchedule, OneFifthSuccessRule
-from repro.evo.algorithm import GenerationRecord, generational_nsga2
-from repro.evo.asynchronous import SteadyStateDriver, steady_state_nsga2
+from repro.evo.algorithm import (
+    Driver,
+    GenerationRecord,
+    NSGA2Driver,
+    run_driver,
+)
+from repro.evo.asynchronous import SteadyStateDriver
 from repro.evo.crossover import (
     blend_crossover,
     sbx_crossover,
@@ -76,7 +84,6 @@ __all__ = [
     "clone",
     "mutate_gaussian",
     "evaluate",
-    "eval_pool",
     "pool",
     "tournament_selection",
     "truncation_selection",
@@ -89,9 +96,10 @@ __all__ = [
     "AnnealingSchedule",
     "OneFifthSuccessRule",
     "GenerationRecord",
-    "generational_nsga2",
+    "Driver",
+    "NSGA2Driver",
+    "run_driver",
     "SteadyStateDriver",
-    "steady_state_nsga2",
     "uniform_crossover",
     "blend_crossover",
     "sbx_crossover",

@@ -22,13 +22,14 @@ Listing 1 pipeline::
 after which the standard-deviation vector is multiplied by the
 annealing factor (0.85).
 
-That pipeline is one :class:`Driver` (``ask`` breeds, ``tell`` selects
-and anneals); the loop around it — ask, submit, tell what comes back,
-the write-ahead commit, resume from a journaled prefix — is
-:func:`run_driver`, which the particle swarm, the surrogate search and
-the barrier-free steady-state scheme of :mod:`repro.evo.pso` /
-:mod:`repro.evo.surrogate` / :mod:`repro.evo.asynchronous` run under
-too, as do the fixed designs (:class:`DesignDriver`) of the baselines.
+That pipeline is one :class:`NSGA2Driver` (``ask`` breeds, ``tell``
+selects and anneals); the loop around it — ask, submit, tell what comes
+back, the write-ahead commit, resume from a journaled prefix — is
+:func:`run_driver`.  Every run is ``run_driver(SomeDriver(...),
+generations, ...)``: the particle swarm, the surrogate search and the
+barrier-free steady-state scheme of :mod:`repro.evo.pso` /
+:mod:`repro.evo.surrogate` / :mod:`repro.evo.asynchronous` too, as are
+the fixed designs (:class:`DesignDriver`) of the baselines.
 """
 
 from __future__ import annotations
@@ -256,7 +257,10 @@ def run_driver(
     one completion at a time — until it closes a record, all inside a
     ``driver.span_name`` span on ``tracer`` (default: the process-wide
     tracer), tagged with the engine's fresh / cache-hit / dedup-hit
-    counts over it.  The engine is ``engine``, else built from
+    counts over it.  With a barrier the chunk size changes no result,
+    only the throughput on a pool; a driver without one always crosses
+    one candidate per task, since the order its candidates complete in
+    is part of its bits.  The engine is ``engine``, else built from
     ``client``/``dedup``, which collapses genome-identical candidates —
     per record with a barrier (so bit-identical resume holds), per run
     without.
@@ -288,6 +292,8 @@ def run_driver(
             tracer=trc,
         )
     )
+    if not driver.barrier:
+        chunk_size = 1
     records: list[GenerationRecord] = []
 
     def commit(record: GenerationRecord) -> None:
@@ -367,7 +373,13 @@ def run_driver(
 class NSGA2Driver(Driver):
     """The Listing 1 pipeline plus the ×``anneal_factor`` decay as an
     ask/tell driver: record 0 is the random initial population, every
-    later one an offspring pool merged into the parents."""
+    later one an offspring pool merged into the parents.
+
+    Under :func:`run_driver`, ``generations`` counts EA steps after the
+    random initialization, as the paper does ("Generation 0 was the
+    initial random population": 7 generations of trainings for 6 EA
+    steps).
+    """
 
     initial_std: np.ndarray
     anneal_factor: float = 0.85
@@ -450,74 +462,3 @@ class DesignDriver(Driver):
 
     def tell(self, evaluated: list[Individual]) -> GenerationRecord:
         return self.record(evaluated, evaluated, np.zeros(len(self.ranges)))
-
-
-def generational_nsga2(
-    problem: Problem,
-    init_ranges: np.ndarray,
-    initial_std: np.ndarray,
-    pop_size: int,
-    generations: int,
-    hard_bounds: Optional[np.ndarray] = None,
-    decoder: Optional[Decoder] = None,
-    individual_cls: Type[Individual] = RobustIndividual,
-    client: Any = None,
-    anneal_factor: float = 0.85,
-    rng: RngLike = None,
-    context: Optional[Context] = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    tracer: Optional[NullTracer | Tracer] = None,
-    dedup: bool = False,
-    journal: Any = None,
-    resume_from: Optional[RestoredRun] = None,
-    engine: Optional[EvaluationEngine] = None,
-    batch: bool = False,
-    stopper: Any = None,
-) -> list[GenerationRecord]:
-    """Run one NSGA-II deployment; returns one record per generation.
-
-    ``generations`` counts EA steps after the random initialization, so
-    the returned list has ``generations + 1`` records with generation 0
-    being the initial population — matching the paper's accounting
-    ("Generation 0 was the initial random population", 7 generations of
-    trainings total for 6 EA steps).
-
-    The run is an :class:`NSGA2Driver` under :func:`run_driver`, which
-    documents ``client``/``dedup``/``engine``, ``tracer`` (each
-    generation is an ``ea.generation`` span), ``journal``,
-    ``resume_from``, ``callback`` and ``stopper``.
-
-    ``batch`` picks the chunk size each generation crosses the backend
-    at (:meth:`~repro.engine.EvaluationEngine.evaluate_batch`): the
-    backend's hint, instead of the default 1 — one backend task per
-    individual.  Fronts, journal records, and engine statistics are
-    bit-identical either way; batch is purely a throughput choice for
-    pool and fleet backends.  In-process it changes nothing: the inline
-    backend runs a generation's chunks, of any size, as one problem
-    call.
-    """
-    driver = NSGA2Driver(
-        problem,
-        init_ranges,
-        pop_size,
-        hard_bounds,
-        decoder,
-        individual_cls,
-        rng,
-        initial_std=initial_std,
-        anneal_factor=anneal_factor,
-        context=context,
-    )
-    return run_driver(
-        driver,
-        generations,
-        client=client,
-        dedup=dedup,
-        engine=engine,
-        tracer=tracer,
-        journal=journal,
-        callback=callback,
-        stopper=stopper,
-        chunk_size=None if batch else 1,
-        resume_from=resume_from,
-    )

@@ -21,26 +21,21 @@ the paper's synchronous deployment pays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Type
+from typing import Optional
 
 import numpy as np
 
 from repro.context import Context
-from repro.engine import EvaluationEngine
 from repro.evo.algorithm import (
     Driver,
     GenerationRecord,
     RestoredRun,
     random_initial_population,
-    run_driver,
 )
 from repro.evo.annealing import AnnealingSchedule
-from repro.evo.decoder import Decoder
-from repro.evo.individual import Individual, RobustIndividual
+from repro.evo.individual import Individual
 from repro.evo.nsga2 import nsga2_select
-from repro.evo.problem import Problem
 from repro.exceptions import StoreError
-from repro.rng import RngLike
 
 
 @dataclass(eq=False, kw_only=True)
@@ -52,14 +47,18 @@ class SteadyStateDriver(Driver):
     uniform random, later ones Gaussian mutants of a random member of
     the live population.  ``tell`` folds a completion into it (NSGA-II
     truncation once it overflows) and closes a record every
-    ``anneal_every`` completions, annealing ×``anneal_factor``, and at
-    the final completion, with the final selection.
+    ``pop_size`` completions, annealing ×``anneal_factor``, and at the
+    final completion, with the final selection.
+
+    Inline (``client=None``) the engine hands candidates back in
+    submission order, cache hits or not, so a warm re-run breeds the
+    cold run's genomes; on a process pool the completion order — and
+    so the bred genomes — is the pool's.
     """
 
     initial_std: np.ndarray
     max_evaluations: int
     anneal_factor: float = 0.85
-    anneal_every: Optional[int] = None
 
     span_name = "ea.steady_state"
     barrier = False
@@ -68,7 +67,6 @@ class SteadyStateDriver(Driver):
         super().__post_init__()
         if self.max_evaluations < self.pop_size:
             raise ValueError("budget must cover the initial population")
-        self.anneal_every = self.anneal_every or self.pop_size
         self.span_tags = dict(
             budget=self.max_evaluations, pop_size=self.pop_size
         )
@@ -80,6 +78,12 @@ class SteadyStateDriver(Driver):
         self.n_asked = self.n_told = 0
         #: asked before a resume but never journaled: handed out first
         self.unsent: list[Individual] = []
+
+    @property
+    def last_generation(self) -> int:
+        """The ``generations`` to run it for: the budget closes records
+        ``0..⌈max_evaluations / pop_size⌉ - 1``."""
+        return -(-self.max_evaluations // self.pop_size) - 1
 
     def ask(self) -> list[Individual]:
         free = min(
@@ -121,7 +125,7 @@ class SteadyStateDriver(Driver):
             self.halted or self.n_asked == self.max_evaluations
         ):
             population = nsga2_select(population, len(population))
-        elif len(self.window) < self.anneal_every:
+        elif len(self.window) < self.pop_size:
             return None
         std = self.schedule.current.copy()
         self.schedule.step()
@@ -150,50 +154,3 @@ class SteadyStateDriver(Driver):
                 late.append(record)
         self.unsent = pending
         return late
-
-
-def steady_state_nsga2(
-    problem: Problem,
-    init_ranges: np.ndarray,
-    initial_std: np.ndarray,
-    pop_size: int,
-    max_evaluations: int,
-    client: Any = None,
-    hard_bounds: Optional[np.ndarray] = None,
-    decoder: Optional[Decoder] = None,
-    individual_cls: Type[Individual] = RobustIndividual,
-    anneal_factor: float = 0.85,
-    anneal_every: Optional[int] = None,
-    rng: RngLike = None,
-    engine: Optional[EvaluationEngine] = None,
-    journal: Any = None,
-    tracer: Any = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    stopper: Any = None,
-    resume_from: Optional[RestoredRun] = None,
-) -> list[GenerationRecord]:
-    """Barrier-free NSGA-II; one record per ``anneal_every`` (default
-    ``pop_size``) completions.
-
-    Parameters mirror :func:`repro.evo.algorithm.generational_nsga2`,
-    with ``max_evaluations`` the budget (the generational
-    ``pop_size * (generations + 1)``).  The run is a
-    :class:`SteadyStateDriver` under
-    :func:`repro.evo.algorithm.run_driver`, one backend task per
-    candidate.  Inline (``client=None``) the engine hands candidates
-    back in submission order, cache hits or not, so a warm re-run
-    breeds the cold run's genomes; on a process pool the completion
-    order — and so the bred genomes — is the pool's.
-    """
-    driver = SteadyStateDriver(
-        problem, init_ranges, pop_size, hard_bounds, decoder,
-        individual_cls, rng, initial_std=initial_std,
-        max_evaluations=max_evaluations, anneal_factor=anneal_factor,
-        anneal_every=anneal_every,
-    )
-    windows = -(-max_evaluations // driver.anneal_every)
-    return run_driver(
-        driver, windows - 1, client=client, dedup=True, engine=engine,
-        tracer=tracer, journal=journal, callback=callback,
-        stopper=stopper, chunk_size=1, resume_from=resume_from,
-    )

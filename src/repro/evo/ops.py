@@ -2,9 +2,12 @@
 
 LEAP composes EAs from operators connected by :func:`pipe`: a source
 population feeds a chain of generator functions, and a *sink* operator
-(here :func:`eval_pool` / :func:`pool`) pulls as many individuals
-through the chain as it needs.  The operators below reproduce the ones
-the paper's reproduction pipeline uses, with the same semantics:
+(here :func:`pool`) pulls as many individuals through the chain as it
+needs.  Listing 1's evaluating sink is :func:`pool` followed by one
+:meth:`repro.engine.EvaluationEngine.evaluate`, which
+:func:`repro.evo.algorithm.run_driver` runs for every driver.  The
+operators below reproduce the ones the paper's reproduction pipeline
+uses, with the same semantics:
 
 * :func:`random_selection` — an infinite stream of uniformly chosen
   parents ("For each offspring, a parent is randomly selected");
@@ -12,20 +15,18 @@ the paper's reproduction pipeline uses, with the same semantics:
 * :func:`mutate_gaussian` — Gaussian mutation of **all** genes
   (``expected_num_mutations='isotropic'``) with per-gene standard
   deviations and hard bounds;
-* :func:`eval_pool` — accumulate ``size`` offspring, then evaluate
-  them (optionally fanning out through an execution backend);
+* :func:`pool` — accumulate ``size`` offspring for evaluation;
 * :func:`truncation_selection` — keep the best ``size`` by a sort key
   (the NSGA-II ``(-rank, distance)`` key in the paper).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.engine import EvaluationEngine, evaluate_stream
+from repro.engine import evaluate_stream
 from repro.evo.individual import Individual
 from repro.rng import RngLike, ensure_rng
 
@@ -132,37 +133,6 @@ def pool(size: int) -> Callable[[Iterable[Individual]], list[Individual]]:
                     f"stream exhausted after {len(out)} of {size} individuals"
                 ) from None
         return out
-
-    return op
-
-
-def eval_pool(
-    client: Any = None,
-    size: int = 1,
-    dedup: bool = False,
-    engine: Optional[EvaluationEngine] = None,
-) -> Callable[[Iterable[Individual]], list[Individual]]:
-    """Accumulate ``size`` offspring, then evaluate them all.
-
-    The actual lifecycle — dedup of genome-identical offspring, cache
-    probing, fan-out through a backend, worker-death → MAXINT policy —
-    lives in :class:`repro.engine.EvaluationEngine`; this sink just
-    feeds it one batch.  Pass ``engine`` to share one engine (and its
-    statistics) across generations; otherwise a transient engine is
-    built from ``client``/``dedup``, which evaluates in-process when
-    ``client`` is None and fans out through that backend (e.g. a
-    :class:`~repro.engine.ProcessPoolBackend`) otherwise.
-    """
-    take = pool(size)
-
-    def op(stream: Iterable[Individual]) -> list[Individual]:
-        offspring = take(stream)
-        eng = (
-            engine
-            if engine is not None
-            else EvaluationEngine(client=client, dedup=dedup)
-        )
-        return eng.evaluate(offspring)
 
     return op
 

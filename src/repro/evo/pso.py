@@ -31,24 +31,19 @@ the property kill/resume bit-identity rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Type
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.engine import EvaluationEngine
 from repro.evo.algorithm import (
     Driver,
     GenerationRecord,
     RestoredRun,
-    run_driver,
 )
-from repro.evo.decoder import Decoder
-from repro.evo.individual import Individual, RobustIndividual
+from repro.evo.individual import Individual
 from repro.evo.nsga2 import nsga2_select
-from repro.evo.problem import Problem
 from repro.exceptions import StoreError
 from repro.mo.dominance import dominates, non_dominated_mask
-from repro.rng import RngLike
 
 
 def _viable(individuals: list[Individual]) -> list[Individual]:
@@ -76,7 +71,15 @@ def _update_archive(
 class PSODriver(Driver):
     """The swarm as an ask/tell driver: ``ask`` moves the particles
     (record 0: scatters them), ``tell`` updates personal bests, the
-    leader archive and the elitist pool the record reports."""
+    leader archive and the elitist pool the record reports.
+
+    Each record's ``population`` is the crowd-truncated elitist pool of
+    everything seen so far (so the §3 analysis stack reads PSO runs
+    unchanged), ``evaluated`` the swarm at that iteration, and ``std``
+    the per-gene mean absolute velocity — the swarm's mobility, the
+    closest analogue of the EA's annealed deviations.  The journal
+    keeps the swarm's :meth:`driver_state` beside each record.
+    """
 
     inertia: float = 0.6
     cognitive: float = 1.6
@@ -201,75 +204,3 @@ class PSODriver(Driver):
             self.archive = _update_archive(
                 self.archive, record.evaluated, self.capacity
             )
-
-
-def multi_objective_pso(
-    problem: Problem,
-    init_ranges: np.ndarray,
-    initial_std: np.ndarray,
-    pop_size: int,
-    iterations: int,
-    hard_bounds: Optional[np.ndarray] = None,
-    decoder: Optional[Decoder] = None,
-    individual_cls: Type[Individual] = RobustIndividual,
-    client: Any = None,
-    inertia: float = 0.6,
-    cognitive: float = 1.6,
-    social: float = 1.6,
-    velocity_clamp: float = 0.2,
-    archive_capacity: Optional[int] = None,
-    rng: RngLike = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    tracer: Any = None,
-    dedup: bool = False,
-    journal: Any = None,
-    resume_from: Optional[RestoredRun] = None,
-    engine: Optional[EvaluationEngine] = None,
-    stopper: Any = None,
-) -> list[GenerationRecord]:
-    """Run one MOPSO deployment; returns one record per iteration.
-
-    ``iterations`` counts swarm moves after the random initialization
-    (mirroring the generational driver's accounting), so the returned
-    list has ``iterations + 1`` records and the evaluation budget is
-    ``pop_size * (iterations + 1)`` — identical to the NSGA-II
-    campaign's.  Each record's ``population`` is the crowd-truncated
-    elitist pool of everything seen so far (so the §3 analysis stack
-    reads PSO campaigns unchanged); ``evaluated`` is the swarm at that
-    iteration; ``std`` reports the per-gene mean absolute velocity —
-    the swarm's mobility, the closest analogue of the EA's annealed
-    deviations.
-
-    The run is a :class:`PSODriver` under
-    :func:`repro.evo.algorithm.run_driver` (``pso.iteration`` spans),
-    which documents the remaining parameters: ``journal`` receives each
-    record with the post-iteration RNG state *and* the swarm's
-    ``driver_state`` doc (velocities, personal bests), which
-    ``resume_from`` hands back to :meth:`PSODriver.restore`.
-    """
-    driver = PSODriver(
-        problem,
-        init_ranges,
-        pop_size,
-        hard_bounds,
-        decoder,
-        individual_cls,
-        rng,
-        inertia=inertia,
-        cognitive=cognitive,
-        social=social,
-        velocity_clamp=velocity_clamp,
-        archive_capacity=archive_capacity,
-    )
-    return run_driver(
-        driver,
-        iterations,
-        client=client,
-        dedup=dedup,
-        engine=engine,
-        tracer=tracer,
-        journal=journal,
-        callback=callback,
-        stopper=stopper,
-        resume_from=resume_from,
-    )

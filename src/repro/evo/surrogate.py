@@ -29,24 +29,19 @@ journaled history and RNG state — no extra driver state is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Type
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.engine import EvaluationEngine
 from repro.evo.algorithm import (
     Driver,
     GenerationRecord,
     RestoredRun,
-    run_driver,
 )
-from repro.evo.decoder import Decoder
-from repro.evo.individual import Individual, RobustIndividual
+from repro.evo.individual import Individual
 from repro.evo.nsga2 import nsga2_select
-from repro.evo.problem import Problem
 from repro.mo.dominance import non_dominated_mask
 from repro.mo.metrics import default_reference, hypervolume
-from repro.rng import RngLike
 
 
 class RBFSurrogate:
@@ -132,7 +127,11 @@ class SurrogateDriver(Driver):
     """The acquisition as an ask/tell driver: ``ask`` refits the
     surrogate on the evaluation history and proposes a batch (record
     0: a random one), ``tell`` appends the batch to the history and
-    folds it into the elitist pool the record reports."""
+    folds it into the elitist pool the record reports.
+
+    ``reference`` fixes the acquisition's hypervolume corner (default:
+    the campaign-fixed :func:`repro.mo.metrics.default_reference` for
+    the problem's dimensionality)."""
 
     initial_std: np.ndarray
     pool_multiplier: int = 4
@@ -231,67 +230,3 @@ class SurrogateDriver(Driver):
             ind for record in run.records for ind in record.evaluated
         ]
         self.population = list(run.records[-1].population)
-
-
-def surrogate_assisted_search(
-    problem: Problem,
-    init_ranges: np.ndarray,
-    initial_std: np.ndarray,
-    pop_size: int,
-    iterations: int,
-    hard_bounds: Optional[np.ndarray] = None,
-    decoder: Optional[Decoder] = None,
-    individual_cls: Type[Individual] = RobustIndividual,
-    client: Any = None,
-    pool_multiplier: int = 4,
-    explore_fraction: float = 0.5,
-    perturb_scale: float = 2.0,
-    ridge: float = 1e-6,
-    reference: Optional[Any] = None,
-    rng: RngLike = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    tracer: Any = None,
-    dedup: bool = False,
-    journal: Any = None,
-    resume_from: Optional[RestoredRun] = None,
-    engine: Optional[EvaluationEngine] = None,
-    stopper: Any = None,
-) -> list[GenerationRecord]:
-    """Run one surrogate-assisted deployment; one record per iteration.
-
-    Budget and accounting mirror the other drivers: ``iterations``
-    proposal batches of ``pop_size`` after the random initialization,
-    ``iterations + 1`` records total.  ``reference`` fixes the
-    acquisition's hypervolume corner (default: the campaign-fixed
-    :func:`repro.mo.metrics.default_reference` for the problem's
-    dimensionality).  The run is a :class:`SurrogateDriver` under
-    :func:`repro.evo.algorithm.run_driver` (``surrogate.iteration``
-    spans), which documents the remaining parameters.
-    """
-    driver = SurrogateDriver(
-        problem,
-        init_ranges,
-        pop_size,
-        hard_bounds,
-        decoder,
-        individual_cls,
-        rng,
-        initial_std=initial_std,
-        pool_multiplier=pool_multiplier,
-        explore_fraction=explore_fraction,
-        perturb_scale=perturb_scale,
-        ridge=ridge,
-        reference=reference,
-    )
-    return run_driver(
-        driver,
-        iterations,
-        client=client,
-        dedup=dedup,
-        engine=engine,
-        tracer=tracer,
-        journal=journal,
-        callback=callback,
-        stopper=stopper,
-        resume_from=resume_from,
-    )

@@ -1,11 +1,12 @@
 """The customized NSGA-II deployment for DeePMD tuning (§2.2.3).
 
-Thin configuration layer over :func:`repro.evo.algorithm.generational_nsga2`
-that wires in the paper's choices: the seven-gene representation with
-Table 1 ranges and deviations, robust (MAXINT-on-failure) individuals,
-the Listing 1 pipeline, the ×0.85 per-generation mutation annealing,
-and the rank-ordinal non-dominated sort — and the same layer over the
-rest of the optimizer zoo, one ``run_deepmd_*`` per campaign mode,
+Each ``run_deepmd_*`` builds one optimizer's ask/tell driver over the
+paper's choices — the seven-gene representation with Table 1 ranges
+and deviations, robust (MAXINT-on-failure) individuals, the ×0.85
+per-generation mutation annealing — and hands it to
+:func:`repro.evo.algorithm.run_driver`: :class:`NSGA2Driver` is the
+Listing 1 pipeline with the rank-ordinal non-dominated sort, and the
+rest of the optimizer zoo is one ``run_deepmd_*`` per campaign mode,
 which :func:`deployment` picks among.
 """
 
@@ -14,17 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.context import Context
 from repro.evo.algorithm import (
     GenerationRecord,
+    NSGA2Driver,
     RestoredRun,
-    generational_nsga2,
+    run_driver,
 )
-from repro.evo.asynchronous import steady_state_nsga2
+from repro.evo.asynchronous import SteadyStateDriver
 from repro.evo.individual import RobustIndividual
 from repro.evo.problem import Problem
-from repro.evo.pso import multi_objective_pso
-from repro.evo.surrogate import surrogate_assisted_search
+from repro.evo.pso import PSODriver
+from repro.evo.surrogate import SurrogateDriver
 from repro.hpo.representation import DeepMDRepresentation
 from repro.mo.stopping import HypervolumeStopper
 from repro.rng import RngLike
@@ -64,36 +65,42 @@ class NSGA2Settings:
         )
 
 
+def _driver_fields(
+    problem: Problem, settings: NSGA2Settings, rng: RngLike
+) -> dict[str, Any]:
+    """What every driver is built over: the Table 1 space and robust
+    (MAXINT-on-failure) individuals."""
+    rep = DeepMDRepresentation
+    return dict(
+        problem=problem,
+        init_ranges=rep.init_ranges,
+        pop_size=settings.pop_size,
+        hard_bounds=rep.bounds,
+        decoder=rep.decoder(),
+        individual_cls=RobustIndividual,
+        rng=rng,
+    )
+
+
 def _run_kwargs(
-    problem: Problem,
     settings: NSGA2Settings,
     client: Any,
-    rng: RngLike,
     callback: Optional[Callable[[GenerationRecord], None]],
     tracer: Any,
     journal: Any,
     resume_from: Optional[RestoredRun],
 ) -> dict[str, Any]:
-    """What every driver is handed: the Table 1 space, robust
-    individuals, and the run's engine/journal/stopper hooks.  The
-    barrier drivers' callers add ``dedup`` (steady-state always
-    deduplicates)."""
-    rep = DeepMDRepresentation
+    """What :func:`run_driver` is handed for every driver: the run's
+    engine/journal/stopper hooks, deduplicating genome-identical
+    candidates."""
     return dict(
-        problem=problem,
-        init_ranges=rep.init_ranges,
-        initial_std=rep.mutation_std,
-        pop_size=settings.pop_size,
-        hard_bounds=rep.bounds,
-        decoder=rep.decoder(),
-        individual_cls=RobustIndividual,
         client=client,
-        rng=rng,
-        callback=callback,
+        dedup=True,
         tracer=tracer,
         journal=journal,
-        resume_from=resume_from,
+        callback=callback,
         stopper=settings.stopper(),
+        resume_from=resume_from,
     )
 
 
@@ -113,18 +120,22 @@ def run_deepmd_nsga2(
     surrogate :class:`SurrogateDeepMDProblem`; both consume the decoded
     seven-gene phenome dict.  ``journal``/``resume_from`` are the
     durable-state hooks of :mod:`repro.store` (see
-    :func:`repro.evo.algorithm.run_driver`).
+    :func:`repro.evo.algorithm.run_driver`).  Each generation crosses
+    the backend one candidate per task, or at the backend's chunk hint
+    under ``batch_evals``.
     """
     settings = settings or NSGA2Settings()
-    return generational_nsga2(
-        generations=settings.generations,
+    driver = NSGA2Driver(
+        **_driver_fields(problem, settings, rng),
+        initial_std=DeepMDRepresentation.mutation_std,
         anneal_factor=settings.anneal_factor,
-        context=Context(),
-        batch=settings.batch_evals,
-        dedup=True,
+    )
+    return run_driver(
+        driver,
+        settings.generations,
+        chunk_size=None if settings.batch_evals else 1,
         **_run_kwargs(
-            problem, settings, client, rng, callback, tracer, journal,
-            resume_from,
+            settings, client, callback, tracer, journal, resume_from
         ),
     )
 
@@ -148,12 +159,17 @@ def run_deepmd_steady_state(
     Candidates cross the backend one per task, deduplicated per run.
     """
     settings = settings or NSGA2Settings()
-    return steady_state_nsga2(
+    driver = SteadyStateDriver(
+        **_driver_fields(problem, settings, rng),
+        initial_std=DeepMDRepresentation.mutation_std,
         max_evaluations=settings.pop_size * (settings.generations + 1),
         anneal_factor=settings.anneal_factor,
+    )
+    return run_driver(
+        driver,
+        driver.last_generation,
         **_run_kwargs(
-            problem, settings, client, rng, callback, tracer, journal,
-            resume_from,
+            settings, client, callback, tracer, journal, resume_from
         ),
     )
 
@@ -175,12 +191,11 @@ def run_deepmd_pso(
     the same journal/cache/resume/chaos semantics.
     """
     settings = settings or NSGA2Settings()
-    return multi_objective_pso(
-        iterations=settings.generations,
-        dedup=True,
+    return run_driver(
+        PSODriver(**_driver_fields(problem, settings, rng)),
+        settings.generations,
         **_run_kwargs(
-            problem, settings, client, rng, callback, tracer, journal,
-            resume_from,
+            settings, client, callback, tracer, journal, resume_from
         ),
     )
 
@@ -200,12 +215,15 @@ def run_deepmd_surrogate(
     space, budget, and engine contract as :func:`run_deepmd_nsga2`.
     """
     settings = settings or NSGA2Settings()
-    return surrogate_assisted_search(
-        iterations=settings.generations,
-        dedup=True,
+    driver = SurrogateDriver(
+        **_driver_fields(problem, settings, rng),
+        initial_std=DeepMDRepresentation.mutation_std,
+    )
+    return run_driver(
+        driver,
+        settings.generations,
         **_run_kwargs(
-            problem, settings, client, rng, callback, tracer, journal,
-            resume_from,
+            settings, client, callback, tracer, journal, resume_from
         ),
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 

@@ -224,21 +224,20 @@ def run_nas_nsga2(
     rng=None,
     client: Any = None,
 ):
-    """Convenience driver: NSGA-II over the extended representation."""
-    from repro.evo.algorithm import generational_nsga2
+    """NSGA-II over the extended representation, one candidate per
+    backend task."""
+    from repro.evo.algorithm import NSGA2Driver, run_driver
     from repro.evo.individual import RobustIndividual
 
-    problem = problem or NASSurrogateProblem(seed=0)
     rep = NASRepresentation
-    return generational_nsga2(
-        problem=problem,
+    driver = NSGA2Driver(
+        problem=problem or NASSurrogateProblem(seed=0),
         init_ranges=rep.init_ranges,
-        initial_std=rep.mutation_std,
         pop_size=pop_size,
-        generations=generations,
         hard_bounds=rep.bounds,
         decoder=rep.decoder(),
         individual_cls=RobustIndividual,
-        client=client,
         rng=rng,
+        initial_std=rep.mutation_std,
     )
+    return run_driver(driver, generations, client=client, chunk_size=1)

@@ -8,7 +8,6 @@ scripts drove CP2K and post-processed the trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

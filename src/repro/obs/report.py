@@ -20,7 +20,7 @@ matches the rest of the reproduction's reporting.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 

@@ -10,7 +10,7 @@ never share a stream — a requirement for reproducing the paper's five
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 

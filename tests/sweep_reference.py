@@ -164,7 +164,8 @@ def weighted_sum_ea(
                 hard_bounds=DeepMDRepresentation.bounds,
                 rng=gen,
             ),
-            ops.eval_pool(size=pop_size, engine=eng),
+            ops.pool(pop_size),
+            eng.evaluate,
         )
         evaluated.extend(offspring)
         population = ops.truncation_selection(size=pop_size)(

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 from repro.chaos import Fault, FaultPlan
 from repro.engine import EvaluationEngine, call_problem, call_problem_batch
 from repro.engine.pool import ProcessPoolBackend
-from repro.evo.algorithm import generational_nsga2
+from repro.evo.algorithm import NSGA2Driver, run_driver
 from repro.evo.individual import RobustIndividual
 from repro.evo.problem import WithMetadataProblem
-from repro.evo.pso import multi_objective_pso
-from repro.evo.surrogate import surrogate_assisted_search
+from repro.evo.pso import PSODriver
+from repro.evo.surrogate import SurrogateDriver
 from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.hpo.representation import DeepMDRepresentation
 from repro.injection import use_injector
@@ -149,21 +149,23 @@ def _stats_tuple(stats):
     )
 
 
-def _run_driver(seed, driver, journal, **mode):
+def _run_driver(seed, driver_cls, hyper, journal, **mode):
     rep = DeepMDRepresentation
-    problem = SurrogateDeepMDProblem(seed=7)
     engine = EvaluationEngine(dedup=True, dedup_scope="batch")
     #: candidates the engine had seen when each record's callback fired
     journal.submitted_at_callback = []
-    records = driver(
-        problem,
+    driver = driver_cls(
+        SurrogateDeepMDProblem(seed=7),
         rep.init_ranges,
-        rep.mutation_std,
         8,
-        2,
-        hard_bounds=rep.bounds,
-        decoder=rep.decoder(),
+        rep.bounds,
+        rep.decoder(),
         rng=np.random.default_rng(seed),
+        **hyper,
+    )
+    records = run_driver(
+        driver,
+        2,
         engine=engine,
         journal=journal,
         callback=lambda rec: journal.submitted_at_callback.append(
@@ -237,25 +239,27 @@ class TestBatchBitIdentity:
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=8, deadline=None)
     def test_modes_bit_identical(self, seed):
-        # the swarm drivers always cross at the backend's hint: only
+        # the swarm drivers are run at the backend's hint only: just
         # their commit instants are checked
-        for driver, journal_cls, modes in (
+        std = dict(initial_std=DeepMDRepresentation.mutation_std)
+        for driver_cls, hyper, journal_cls, modes in (
             (
-                generational_nsga2,
+                NSGA2Driver,
+                std,
                 RecordingJournal,
-                (("backend hint", dict(batch=True)),),
+                (("one per task", dict(chunk_size=1)),),
             ),
-            (multi_objective_pso, SwarmJournal, ()),
-            (surrogate_assisted_search, RecordingJournal, ()),
+            (PSODriver, {}, SwarmJournal, ()),
+            (SurrogateDriver, std, RecordingJournal, ()),
         ):
             recs_a, journal_a, eng_a = _run_driver(
-                seed, driver, journal_cls()
+                seed, driver_cls, hyper, journal_cls()
             )
             assert journal_a.submitted_at_callback == [8, 16, 24]
             for name, mode in modes:
-                name = f"{driver.__name__} {name}"
+                name = f"{driver_cls.__name__} {name}"
                 recs_b, journal_b, eng_b = _run_driver(
-                    seed, driver, journal_cls(), **mode
+                    seed, driver_cls, hyper, journal_cls(), **mode
                 )
                 assert len(recs_a) == len(recs_b), name
                 for ra, rb in zip(recs_a, recs_b):

@@ -124,9 +124,9 @@ class TestAsciiPlots:
             rng.random(500), rng.random(500), width=40, height=10
         )
         lines = out.splitlines()
-        body = [l for l in lines if l.startswith("|")]
+        body = [line for line in lines if line.startswith("|")]
         assert len(body) == 10
-        assert all(len(l) == 42 for l in body)
+        assert all(len(line) == 42 for line in body)
 
     def test_density_shows_mass_where_data_is(self):
         x = np.full(100, 0.1)
@@ -134,7 +134,7 @@ class TestAsciiPlots:
         out = ascii_density(
             x, y, width=20, height=10, x_range=(0, 1), y_range=(0, 1)
         )
-        body = [l for l in out.splitlines() if l.startswith("|")]
+        body = [line for line in out.splitlines() if line.startswith("|")]
         # densest glyph in the upper rows, left half
         top = "".join(body[:2])
         assert "@" in top

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff.tensor import Tensor
-from repro.deepmd.data import DescriptorBatch, prepare_batches
+from repro.deepmd.data import prepare_batches
 from repro.deepmd.descriptor import (
     DescriptorConfig,
     SmoothDescriptor,

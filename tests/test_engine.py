@@ -28,7 +28,8 @@ from repro.engine import (
     call_problem,
     failure_fitness,
 )
-from repro.evo.asynchronous import steady_state_nsga2
+from repro.evo.algorithm import run_driver
+from repro.evo.asynchronous import SteadyStateDriver
 from repro.evo.individual import MAXINT, Individual, RobustIndividual
 from repro.evo.problem import Problem
 from repro.exceptions import EvaluationError
@@ -242,24 +243,26 @@ class TestCacheHitInEveryDriver:
     def test_steady_state(self, tmp_path):
         cache, make = self._factory(tmp_path)
         rep = DeepMDRepresentation
-        kwargs = dict(
-            init_ranges=rep.init_ranges,
-            initial_std=rep.mutation_std,
-            pop_size=5,
-            max_evaluations=15,
-            hard_bounds=rep.bounds,
-            decoder=rep.decoder(),
-        )
+
+        def run(engine):
+            driver = SteadyStateDriver(
+                problem=make(),
+                init_ranges=rep.init_ranges,
+                pop_size=5,
+                hard_bounds=rep.bounds,
+                decoder=rep.decoder(),
+                rng=11,
+                initial_std=rep.mutation_std,
+                max_evaluations=15,
+            )
+            return run_driver(driver, driver.last_generation, engine=engine)
+
         cold = EvaluationEngine(dedup=True, dedup_scope="run")
-        first = steady_state_nsga2(
-            problem=make(), rng=11, engine=cold, **kwargs
-        )
+        first = run(cold)
         assert cold.stats.fresh == 15
         assert cold.stats.cache_hits == 0
         warm = EvaluationEngine(dedup=True, dedup_scope="run")
-        replay = steady_state_nsga2(
-            problem=make(), rng=11, engine=warm, **kwargs
-        )
+        replay = run(warm)
         # deterministic inline replay: every candidate is served from
         # the cache, zero retraining
         assert warm.stats.fresh == 0
@@ -368,15 +371,20 @@ class TestSteadyStateAccounting:
         rep = DeepMDRepresentation
         engine = EvaluationEngine(dedup=True, dedup_scope="run")
         seen = []
-        records = steady_state_nsga2(
+        driver = SteadyStateDriver(
             problem=SurrogateDeepMDProblem(seed=0),
             init_ranges=rep.init_ranges,
-            initial_std=rep.mutation_std,
             pop_size=4,
-            max_evaluations=12,
             hard_bounds=rep.bounds,
             decoder=rep.decoder(),
             rng=0,
+            initial_std=rep.mutation_std,
+            max_evaluations=12,
+        )
+        assert driver.last_generation == 2
+        records = run_driver(
+            driver,
+            driver.last_generation,
             engine=engine,
             callback=lambda rec: seen.append(engine.stats.completed),
         )
@@ -390,14 +398,28 @@ class TestSteadyStateAccounting:
         # std anneals by the factor per window
         assert np.allclose(records[1].std, records[0].std * 0.85)
 
+    def test_a_partial_last_window_closes_a_record(self):
+        rep = DeepMDRepresentation
+        driver = SteadyStateDriver(
+            problem=SurrogateDeepMDProblem(seed=0),
+            init_ranges=rep.init_ranges,
+            pop_size=4,
+            rng=0,
+            initial_std=rep.mutation_std,
+            max_evaluations=10,
+        )
+        assert driver.last_generation == 2
+        records = run_driver(driver, driver.last_generation)
+        assert [len(r.evaluated) for r in records] == [4, 4, 2]
+
     def test_budget_must_cover_initial_population(self):
         rep = DeepMDRepresentation
         with pytest.raises(ValueError):
-            steady_state_nsga2(
+            SteadyStateDriver(
                 problem=SurrogateDeepMDProblem(seed=0),
                 init_ranges=rep.init_ranges,
-                initial_std=rep.mutation_std,
                 pop_size=10,
+                initial_std=rep.mutation_std,
                 max_evaluations=5,
             )
 

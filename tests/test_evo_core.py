@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import EvaluationEngine
 from repro.evo.decoder import (
     FloorModDecoder,
     IdentityDecoder,
@@ -12,7 +13,6 @@ from repro.evo.decoder import (
 from repro.evo.individual import MAXINT, Individual, RobustIndividual
 from repro.evo.ops import (
     clone,
-    eval_pool,
     evaluate,
     mutate_gaussian,
     pipe,
@@ -287,19 +287,20 @@ class TestPipelineOps:
         out = list(evaluate(iter(inds)))
         assert out[0].fitness[0] == 7.0
 
-    def test_eval_pool_sequential(self):
+    def test_pooled_offspring_evaluate_inline(self):
         pop = self._population(6)
-        offspring = clone(iter(pop))
-        out = eval_pool(client=None, size=6)(offspring)
+        offspring = pool(6)(clone(iter(pop)))
+        out = EvaluationEngine().evaluate(offspring)
         assert len(out) == 6
         assert all(o.is_evaluated for o in out)
 
-    def test_eval_pool_with_client(self):
+    def test_pooled_offspring_evaluate_on_a_pool(self):
         from repro.engine import ProcessPoolBackend
 
         pop = self._population(8)
-        with ProcessPoolBackend(workers=2) as pool:
-            out = eval_pool(client=pool, size=8)(clone(iter(pop)))
+        offspring = pool(8)(clone(iter(pop)))
+        with ProcessPoolBackend(workers=2) as backend:
+            out = EvaluationEngine(client=backend).evaluate(offspring)
         assert len(out) == 8
         assert all(o.is_evaluated for o in out)
 

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from repro.context import Context
 from repro.evo.algorithm import (
-    generational_nsga2,
+    NSGA2Driver,
     random_initial_population,
+    run_driver,
 )
 from repro.evo.annealing import AnnealingSchedule, OneFifthSuccessRule
-from repro.evo.individual import MAXINT, Individual, RobustIndividual
+from repro.evo.individual import MAXINT, Individual
 from repro.evo.nsga2 import (
     crowding_distance,
     crowding_distance_calc,
@@ -283,18 +284,17 @@ class _SphereTwoObjectives(FunctionProblem):
 
 
 class TestGenerationalNSGA2:
-    def _run(self, generations=5, pop=16, **kwargs):
+    def _run(self, generations=5, pop=16, **loop):
         n = 3
-        return generational_nsga2(
+        driver = NSGA2Driver(
             problem=_SphereTwoObjectives(),
             init_ranges=np.tile([-2.0, 2.0], (n, 1)),
-            initial_std=np.full(n, 0.3),
             pop_size=pop,
-            generations=generations,
             hard_bounds=np.tile([-2.0, 2.0], (n, 1)),
             rng=0,
-            **kwargs,
+            initial_std=np.full(n, 0.3),
         )
+        return run_driver(driver, generations, chunk_size=1, **loop)
 
     def test_record_count_includes_generation_zero(self):
         records = self._run(generations=5)
@@ -340,14 +340,14 @@ class TestGenerationalNSGA2:
                     raise RuntimeError("boom")
                 return np.array([1.0, 1.0])
 
-        records = generational_nsga2(
+        driver = NSGA2Driver(
             problem=SometimesFails(),
             init_ranges=np.array([[0.0, 1.0]]),
-            initial_std=np.array([0.1]),
             pop_size=9,
-            generations=1,
             rng=0,
+            initial_std=np.array([0.1]),
         )
+        records = run_driver(driver, 1)
         assert records[0].n_failures == 3
 
     def test_invalid_init_ranges(self):

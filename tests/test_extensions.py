@@ -15,7 +15,8 @@ from repro.deepmd.model import DeepPotModel, ModelConfig
 from repro.deepmd.training import Trainer, TrainingConfig
 from repro.chaos import Fault, FaultPlan
 from repro.engine import ProcessPoolBackend
-from repro.evo.asynchronous import steady_state_nsga2
+from repro.evo.algorithm import run_driver
+from repro.evo.asynchronous import SteadyStateDriver
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import LandscapeCalibration, SurrogateDeepMDProblem
 from repro.hpo.nas import (
@@ -184,8 +185,8 @@ class TestSteadyStateNSGA2:
     def _pool(self, pool):
         self.pool = pool
 
-    def _run(self, **over):
-        kwargs = dict(
+    def _run(self, client=None, **over):
+        fields = dict(
             problem=SurrogateDeepMDProblem(seed=0),
             init_ranges=DeepMDRepresentation.init_ranges,
             initial_std=DeepMDRepresentation.mutation_std,
@@ -195,8 +196,14 @@ class TestSteadyStateNSGA2:
             decoder=DeepMDRepresentation.decoder(),
             rng=0,
         )
-        kwargs.update(over)
-        return steady_state_nsga2(client=self.pool, **kwargs)
+        fields.update(over)
+        driver = SteadyStateDriver(**fields)
+        return run_driver(
+            driver,
+            driver.last_generation,
+            client=self.pool if client is None else client,
+            dedup=True,
+        )
 
     @staticmethod
     def _evaluated(records):
@@ -237,17 +244,7 @@ class TestSteadyStateNSGA2:
         )
         injector = plan.injector()
         with use_injector(injector), ProcessPoolBackend(workers=2) as pool:
-            records = steady_state_nsga2(
-                problem=SurrogateDeepMDProblem(seed=0),
-                init_ranges=DeepMDRepresentation.init_ranges,
-                initial_std=DeepMDRepresentation.mutation_std,
-                pop_size=12,
-                max_evaluations=48,
-                client=pool,
-                hard_bounds=DeepMDRepresentation.bounds,
-                decoder=DeepMDRepresentation.decoder(),
-                rng=0,
-            )
+            records = self._run(client=pool, pop_size=12, max_evaluations=48)
         assert len(injector.fired("worker_death")) == 2
         assert len(self._evaluated(records)) == 48
         assert not any(

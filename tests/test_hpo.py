@@ -13,7 +13,6 @@ from repro.hpo import (
     ENERGY_ACCURACY_EV_PER_ATOM,
     FORCE_ACCURACY_EV_PER_A,
     GENE_NAMES,
-    LandscapeCalibration,
     NSGA2Settings,
     SurrogateDeepMDProblem,
     chemically_accurate,
@@ -217,7 +216,7 @@ class TestSurrogateLandscape:
 
     def test_failure_counter(self):
         prob = self._problem()
-        ind = RobustIndividual(
+        RobustIndividual(
             DeepMDRepresentation.encode(
                 _good_phenome(rcut=6.0, rcut_smth=5.9)
             ),

@@ -15,7 +15,6 @@ from repro.evo.nsga2 import rank_ordinal_sort
 from repro.injection import use_injector
 from repro.hpo import (
     DeepMDProblem,
-    DeepMDRepresentation,
     EvaluatorSettings,
     NSGA2Settings,
     SurrogateDeepMDProblem,
@@ -30,18 +29,18 @@ class TestNSGA2OnZDT:
     before trusting it on the DeePMD landscape."""
 
     def _solve(self, problem, generations=120, pop=60, rng=1):
-        from repro.evo.algorithm import generational_nsga2
+        from repro.evo.algorithm import NSGA2Driver, run_driver
 
-        records = generational_nsga2(
+        driver = NSGA2Driver(
             problem=problem,
             init_ranges=problem.bounds,
-            initial_std=np.full(problem.n_variables, 0.15),
             pop_size=pop,
-            generations=generations,
             hard_bounds=problem.bounds,
-            anneal_factor=0.98,
             rng=rng,
+            initial_std=np.full(problem.n_variables, 0.15),
+            anneal_factor=0.98,
         )
+        records = run_driver(driver, generations)
         F = np.array([ind.fitness for ind in records[-1].population])
         from repro.mo.dominance import non_dominated_mask
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from repro.md.cell import PeriodicCell
-from repro.md.dataset import Frame, FrameDataset, Trajectory, generate_dataset
+from repro.md.dataset import Frame, FrameDataset, Trajectory
 from repro.md.integrator import (
     EV_A_AMU,
-    KB_EV,
     LangevinIntegrator,
     VelocityVerlet,
     instantaneous_temperature,
@@ -23,7 +22,6 @@ from repro.md.potentials import (
     LennardJones,
 )
 from repro.md.system import (
-    AtomicSystem,
     molten_salt_composition,
     molten_salt_potential,
     molten_salt_system,

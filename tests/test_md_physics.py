@@ -12,7 +12,7 @@ from repro.md.observables import (
     radial_distribution,
     velocity_autocorrelation,
 )
-from repro.md.potentials import COULOMB_EV_ANGSTROM, DSFCoulomb
+from repro.md.potentials import DSFCoulomb
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,6 @@ class TestRDF:
     def test_ideal_gas_is_flat(self):
         """Uniform random points have g(r) ~ 1 away from r=0."""
         rng = np.random.default_rng(0)
-        cell = PeriodicCell(12.0)
         frames = [
             Frame(
                 positions=rng.uniform(0, 12, size=(200, 3)),

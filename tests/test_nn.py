@@ -4,7 +4,6 @@ and the energy/force loss with its prefactor schedule."""
 import numpy as np
 import pytest
 
-from repro import autodiff as ad
 from repro.autodiff.tensor import Tensor
 from repro.nn import (
     ACTIVATION_NAMES,

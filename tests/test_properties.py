@@ -7,7 +7,6 @@ geometry, and hypervolume monotonicity.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp

@@ -3,7 +3,6 @@ against a brute-force reference, autodiff algebraic identities, and
 archive/selection invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp

@@ -14,10 +14,13 @@ import json
 
 import pytest
 
-from repro.engine import ProcessPoolBackend
+from repro.engine import InlineBackend, ProcessPoolBackend
+from repro.evo.algorithm import NSGA2Driver, run_driver
+from repro.evo.asynchronous import SteadyStateDriver
 from repro.exceptions import StoreError
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
+from repro.hpo.representation import DeepMDRepresentation as REP
 from repro.store import EvaluationCache
 from repro.store.journal import CampaignJournal, journal_path, read_journal
 from repro.store.resume import resume_campaign
@@ -111,6 +114,44 @@ def test_windows_commit_as_the_run_goes(tmp_path):
         ).run(lambda run, record: seen.append(journal.evaluations))
     assert seen == [40, 80, 120]
     assert [len(rec.evaluated) for rec in result.runs[0]] == [40, 40, 40]
+
+
+class WholeChunks(InlineBackend):
+    """An inline backend that hints one chunk per submit and records
+    the size of every chunk it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def batch_chunk_hint(self, n):
+        return n
+
+    def submit_batch(self, individuals, tag=None):
+        self.chunks.append(len(individuals))
+        return super().submit_batch(individuals, tag)
+
+
+@pytest.mark.parametrize("cls", [NSGA2Driver, SteadyStateDriver])
+def test_a_driver_without_a_barrier_crosses_one_candidate_per_task(cls):
+    """No chunk size given: a barrier driver takes the backend's hint
+    (here its whole ask), the steady-state driver, whose completion
+    order is part of its bits, one candidate per task."""
+    backend = WholeChunks()
+    hyper = {} if cls.barrier else dict(max_evaluations=24)
+    driver = cls(
+        SurrogateDeepMDProblem(seed=3),
+        REP.init_ranges,
+        8,
+        REP.bounds,
+        REP.decoder(),
+        rng=5,
+        initial_std=REP.mutation_std,
+        **hyper,
+    )
+    records = run_driver(driver, 2, client=backend)
+    assert sum(len(rec.evaluated) for rec in records) == 24
+    assert backend.chunks == ([8, 8, 8] if cls.barrier else [1] * 24)
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])

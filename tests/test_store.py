@@ -19,8 +19,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.engine import EvaluationEngine
 from repro.evo.individual import MAXINT, RobustIndividual
-from repro.evo.ops import eval_pool
 from repro.evo.problem import Problem
 from repro.exceptions import EvaluationError, StoreError
 from repro.hpo.campaign import CAMPAIGN_MODES, Campaign, CampaignConfig
@@ -271,7 +271,7 @@ class TestDedup:
         inds = self._offspring(
             problem, [np.zeros(3), np.zeros(3), np.ones(3), np.zeros(3)]
         )
-        out = eval_pool(size=4, dedup=True)(iter(inds))
+        out = EvaluationEngine(dedup=True).evaluate(inds)
         assert problem.calls == 2  # two distinct genomes
         assert out is not None and len(out) == 4
         dups = [i for i in out if "dedup_of" in i.metadata]
@@ -286,7 +286,7 @@ class TestDedup:
     def test_dedup_off_evaluates_all(self):
         problem = CountingProblem()
         inds = self._offspring(problem, [np.zeros(3)] * 3)
-        eval_pool(size=3, dedup=False)(iter(inds))
+        EvaluationEngine(dedup=False).evaluate(inds)
         assert problem.calls == 3
 
 
@@ -593,14 +593,15 @@ class TestResume:
 # ----------------------------------------------------------------------
 class TestPoolCachedFastPath:
     def _pooled(self, problem, genomes):
-        """``eval_pool`` over a one-worker pool; the pool's counters."""
+        """One engine batch over a one-worker pool; the pool's
+        counters."""
         from repro.engine import ProcessPoolBackend
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         with ProcessPoolBackend(workers=1, metrics=registry) as pool:
             inds = [RobustIndividual(g, problem=problem) for g in genomes]
-            out = eval_pool(client=pool, size=len(inds))(iter(inds))
+            out = EvaluationEngine(client=pool).evaluate(inds)
         return out, {
             "cached": registry.counter("pool_cache_hits_total").value,
             "dispatched": registry.counter(
