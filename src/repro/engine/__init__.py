@@ -34,7 +34,6 @@ static-analysis guard test enforces this).
 """
 
 from repro.engine.backends import (
-    AggregateFuture,
     ExecutionBackend,
     InlineBackend,
     SlotFuture,
@@ -55,7 +54,6 @@ from repro.engine.invoke import (
 from repro.engine.pool import ProcessFuture, ProcessPoolBackend
 
 __all__ = [
-    "AggregateFuture",
     "ElasticBackend",
     "EngineStats",
     "EvaluationEngine",

@@ -80,31 +80,6 @@ def evaluate_individuals_batch(individuals: Sequence[Any]) -> list[Any]:
     return slots
 
 
-class AggregateFuture:
-    """A future over many per-individual futures.
-
-    ``done()`` when all members are; ``result()`` yields one slot per
-    member — the member's result, or the exception it raised — so chunk
-    consumers see the same per-slot isolation a batch backend provides
-    natively.
-    """
-
-    def __init__(self, futures: Sequence[Any]) -> None:
-        self._futures = list(futures)
-
-    def done(self) -> bool:
-        return all(f.done() for f in self._futures)
-
-    def result(self, timeout: Optional[float] = None) -> list[Any]:
-        slots: list[Any] = []
-        for future in self._futures:
-            try:
-                slots.append(future.result(timeout))
-            except Exception as exc:  # noqa: BLE001 - isolated per slot
-                slots.append(exc)
-        return slots
-
-
 class SlotFuture:
     """Scalar view of a chunk of one: ``result()`` is the chunk's only
     slot, raised when that slot is an exception."""

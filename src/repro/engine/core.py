@@ -46,7 +46,7 @@ from repro.engine.backends import as_backend
 from repro.engine.invoke import apply_failure, land, serve_from_cache
 from repro.exceptions import TrainingTimeoutError
 from repro.injection import FaultInjector, get_injector
-from repro.obs.live import current_campaign_id, get_status
+from repro.obs.live import get_status
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import get_tracer
 
@@ -158,6 +158,12 @@ class EvaluationEngine:
         required for bit-identical resume); ``"run"`` remembers them for
         the engine's lifetime (the steady-state and baseline setting).
 
+    status:
+        The :class:`~repro.obs.live.CampaignStatus` the engine publishes
+        its stats into and labels its gauges by (default: the
+        process-wide one), bound at construction so campaigns sharing a
+        process each publish into their own.
+
     The paper's 2-hour training cap is the backend's to enforce (the
     process pool's ``deadline``); a chaos plan's injected timeout fails
     its candidate here with :class:`TrainingTimeoutError`.
@@ -171,6 +177,7 @@ class EvaluationEngine:
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
+        status: Any = None,
     ) -> None:
         if dedup_scope not in ("batch", "run"):
             raise ValueError("dedup_scope must be 'batch' or 'run'")
@@ -190,10 +197,11 @@ class EvaluationEngine:
         self._c_cache = registry.counter("engine_cache_hits_total")
         self._c_dedup = registry.counter("engine_dedup_hits_total")
         self._c_failures = registry.counter("engine_failures_total")
+        self.status = status if status is not None else get_status()
         #: sampled on every submit/pump transition for the live plane;
         #: labeled per campaign so concurrent campaigns sharing one
         #: process (the service) don't clobber each other's levels
-        cid = current_campaign_id()
+        cid = self.status.campaign_id
         gauge_labels = {"campaign_id": str(cid)} if cid is not None else None
         self._g_inflight = registry.gauge(
             "engine_inflight", labels=gauge_labels
@@ -484,7 +492,7 @@ class EvaluationEngine:
         if not duplicate and genome_key is not None and self.dedup:
             self._results[genome_key] = individual
         self._ready.append((seq, individual))
-        status = get_status()
+        status = self.status
         if status.enabled:
             status.publish_engine(
                 self.stats,

@@ -20,8 +20,9 @@ Algorithms in Python (LEAP) that the paper builds on (§2.1.4, §2.2.3):
   1/5-success rule the paper mentions but disables;
 * the one way to run an optimizer: build its ask/tell :class:`Driver`
   (:class:`NSGA2Driver` for Listing 1, :class:`SteadyStateDriver` for
-  the barrier-free variant) and hand it to :func:`run_driver`, which
-  owns evaluation, journaling, resume and early stopping.
+  the barrier-free variant) and hand it to :func:`run_driver`, whose
+  loop (:class:`~repro.evo.algorithm.DriverLoop`, which steps) owns
+  evaluation, journaling, resume and early stopping.
 """
 
 from repro.evo.individual import Individual, RobustIndividual, MAXINT

@@ -24,9 +24,11 @@ annealing factor (0.85).
 
 That pipeline is one :class:`NSGA2Driver` (``ask`` breeds, ``tell``
 selects and anneals); the loop around it — ask, submit, tell what comes
-back, the write-ahead commit, resume from a journaled prefix — is
-:func:`run_driver`.  Every run is ``run_driver(SomeDriver(...),
-generations, ...)``: the particle swarm, the surrogate search and the
+back, the write-ahead commit, resume from a journaled prefix — is a
+:class:`DriverLoop`, which steps, so one thread can drive many runs;
+:func:`run_driver` steps one until it is done.  Every run is
+``run_driver(SomeDriver(...), generations, ...)``: the particle swarm,
+the surrogate search and the
 barrier-free steady-state scheme of :mod:`repro.evo.pso` /
 :mod:`repro.evo.surrogate` / :mod:`repro.evo.asynchronous` too, as are
 the fixed designs (:class:`DesignDriver`) of the baselines.
@@ -236,34 +238,28 @@ class Driver:
         return record
 
 
-def run_driver(
-    driver: Driver,
-    generations: int,
-    client: Any = None,
-    dedup: bool = False,
-    engine: Optional[EvaluationEngine] = None,
-    tracer: Optional[NullTracer | Tracer] = None,
-    journal: Any = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    stopper: Any = None,
-    chunk_size: Optional[int] = None,
-    resume_from: Optional[RestoredRun] = None,
-) -> list[GenerationRecord]:
-    """The one completion loop: records ``0..generations`` of ``driver``.
+class DriverLoop:
+    """The one completion loop, one step at a time: records
+    ``0..generations`` of ``driver``.
 
     Ask, submit to one :class:`repro.engine.EvaluationEngine` at
     ``chunk_size`` (None: the backend's hint), and tell the driver what
     comes back — per :attr:`Driver.barrier`, its whole ask at once or
-    one completion at a time — until it closes a record, all inside a
+    one completion at a time — until it closes a record, inside a
     ``driver.span_name`` span on ``tracer`` (default: the process-wide
-    tracer), tagged with the engine's fresh / cache-hit / dedup-hit
-    counts over it.  With a barrier the chunk size changes no result,
-    only the throughput on a pool; a driver without one always crosses
-    one candidate per task, since the order its candidates complete in
-    is part of its bits.  The engine is ``engine``, else built from
-    ``client``/``dedup``, which collapses genome-identical candidates —
-    per record with a barrier (so bit-identical resume holds), per run
-    without.
+    tracer) tagged with the engine's fresh / cache-hit / dedup-hit
+    counts over it.  :meth:`step` goes as far as the next tell:
+    ``step(None)`` blocks until there is something to tell,
+    ``step(0)`` only polls, so one thread can step many loops; the
+    span is current only within a step.  With a barrier the chunk size
+    changes no result, only the throughput on a pool; a driver without
+    one always crosses one candidate per task, since the order its
+    candidates complete in is part of its bits.  The engine is
+    ``engine``, else built from ``client``/``dedup``, which collapses
+    genome-identical candidates — per record with a barrier (so
+    bit-identical resume holds), per run without; it and the
+    convergence telemetry publish into ``status`` (default: the
+    process-wide one).
 
     ``stopper`` (duck-typed ``observe(record) -> bool``) sees each
     record right after the tell that closed it, before the next ask;
@@ -271,93 +267,120 @@ def run_driver(
     told, so a stopped run's records are a prefix of the unstopped
     run's.  Every record then goes through one commit: ``journal`` (a
     :class:`repro.store.journal.CampaignJournal`, duck-typed) with the
-    post-record RNG state and the driver's ``driver_state``, then the
-    returned list, the convergence telemetry and ``callback``.  Without
-    a barrier the journal also gets each evaluation as it is told.
-    ``resume_from`` continues a journaled run; the returned list then
+    post-record RNG state and the driver's ``driver_state``, then
+    :attr:`records`, the telemetry and ``callback``.  Without a barrier
+    the journal also gets each evaluation as it is told.
+    ``resume_from`` continues a journaled run; :attr:`records` then
     holds only the *new* records.
     """
-    from repro.store.journal import rng_state_of  # imports this module
 
-    trc = tracer if tracer is not None else get_tracer()
-    #: campaign-fixed reference point → comparable hypervolume gauges
-    telemetry = ConvergenceTelemetry()
-    eng = (
-        engine
-        if engine is not None
-        else EvaluationEngine(
-            client=client,
-            dedup=dedup,
-            dedup_scope="batch" if driver.barrier else "run",
-            tracer=trc,
-        )
-    )
-    if not driver.barrier:
-        chunk_size = 1
-    records: list[GenerationRecord] = []
-
-    def commit(record: GenerationRecord) -> None:
-        """Stopper → journal → list → telemetry → callback, right after
-        the tell that closed ``record`` (write-ahead: the journal sees
-        each record, with the post-record RNG state and the driver's
-        ``driver_state``, before the in-memory list)."""
-        if stopper is not None and not driver.halted:
-            driver.halted = bool(stopper.observe(record))
-        if journal is not None:
-            state = driver.driver_state()
-            # duck-typed journals need not know the keyword
-            extra = {} if state is None else {"driver_state": state}
-            journal.append_generation(
-                record, rng_state=rng_state_of(driver.rng), **extra
+    def __init__(
+        self,
+        driver: Driver,
+        generations: int,
+        client: Any = None,
+        dedup: bool = False,
+        engine: Optional[EvaluationEngine] = None,
+        tracer: Optional[NullTracer | Tracer] = None,
+        journal: Any = None,
+        callback: Optional[Callable[[GenerationRecord], None]] = None,
+        stopper: Any = None,
+        chunk_size: Optional[int] = None,
+        resume_from: Optional[RestoredRun] = None,
+        status: Any = None,
+    ) -> None:
+        self.driver = driver
+        self.generations = generations
+        self.tracer = tracer if tracer is not None else get_tracer()
+        self.journal = journal
+        self.callback = callback
+        self.stopper = stopper
+        #: campaign-fixed reference point → comparable hypervolume gauges
+        self.telemetry = ConvergenceTelemetry(status=status)
+        self.engine = (
+            engine
+            if engine is not None
+            else EvaluationEngine(
+                client=client,
+                dedup=dedup,
+                dedup_scope="batch" if driver.barrier else "run",
+                tracer=self.tracer,
+                status=status,
             )
-        records.append(record)
-        telemetry.observe_generation(
-            record.generation,
-            record.population,
-            evaluated=len(record.evaluated),
-            failures=record.n_failures,
         )
-        if callback is not None:
-            callback(record)
+        self.chunk_size = 1 if not driver.barrier else chunk_size
+        self.records: list[GenerationRecord] = []
+        self._asked: list[Individual] = []  # submitted, not yet told
+        self._back: list[Individual] = []  # handed back, not yet told
+        #: the open record's span and the engine stats at its start
+        self._span: Any = None
+        self._before: Any = None
+        #: this tell's candidates are asked for; waiting for completions
+        self._waiting = False
+        if resume_from is not None:
+            for record in driver.restore(resume_from) or ():
+                self._commit(record)
+            self.engine.remember(resume_from.evaluations)
 
-    if resume_from is not None:
-        for record in driver.restore(resume_from) or ():
-            commit(record)
-        eng.remember(resume_from.evaluations)
+    @property
+    def done(self) -> bool:
+        """Every record is committed (or the stopper fired and what was
+        in flight has been told)."""
+        return self._span is None and not (self._asked or self._may_ask())
 
-    def may_ask() -> bool:
-        return not driver.halted and driver.generation <= generations
+    def _may_ask(self) -> bool:
+        driver = self.driver
+        return not driver.halted and driver.generation <= self.generations
 
-    asked: list[Individual] = []  # submitted, not yet told
-    back: list[Individual] = []  # handed back, not yet told
-    while asked or may_ask():
-        with trc.span(
-            driver.span_name, generation=driver.generation
-        ) as span:
-            before = eng.stats.copy()
-            record = None
-            while record is None:
-                if may_ask():
+    def run(self) -> list[GenerationRecord]:
+        """Step until done; the new records."""
+        while not self.done:
+            self.step(None)
+        return self.records
+
+    def step(self, timeout: Optional[float] = None) -> bool:
+        """Advance to the next tell, waiting at most ``timeout`` seconds
+        for completions (None: as long as it takes); whether anything
+        was asked or told."""
+        if self.done:
+            return False
+        driver, eng = self.driver, self.engine
+        if self._span is None:
+            self._span = self.tracer.span(
+                driver.span_name, generation=driver.generation
+            ).start()
+            self._before = eng.stats.copy()
+        moved = False
+        with self._span.current():
+            if not self._waiting:
+                if self._may_ask():
                     candidates = driver.ask()
                     eng.submit_batch(
                         candidates,
-                        chunk_size=chunk_size,
+                        chunk_size=self.chunk_size,
                         new_batch=driver.barrier,
                     )
-                    asked += candidates
-                need = len(asked) if driver.barrier else 1
-                while len(back) < need:
-                    back += eng.wait_any()
-                if driver.barrier:
-                    told, asked, back = asked, [], []
-                else:
-                    told = [back.pop(0)]
-                    asked.remove(told[0])
-                    if journal is not None:
-                        journal.append_evaluation(told[0])
-                record = driver.tell(told)
-            used = eng.stats.delta(before)
-            span.tag(
+                    self._asked += candidates
+                self._waiting = moved = True
+            need = len(self._asked) if driver.barrier else 1
+            while len(self._back) < need:
+                back = eng.wait_any(timeout=timeout)
+                if not back and timeout is not None:
+                    return moved
+                self._back += back
+            self._waiting = False
+            if driver.barrier:
+                told, self._asked, self._back = self._asked, [], []
+            else:
+                told = [self._back.pop(0)]
+                self._asked.remove(told[0])
+                if self.journal is not None:
+                    self.journal.append_evaluation(told[0])
+            record = driver.tell(told)
+            if record is None:
+                return True
+            used = eng.stats.delta(self._before)
+            self._span.tag(
                 evaluated=len(record.evaluated),
                 failures=record.n_failures,
                 fresh=used.fresh,
@@ -365,8 +388,46 @@ def run_driver(
                 dedup_hits=used.dedup_hits,
                 **driver.span_tags,
             )
-        commit(record)
-    return records
+        span, self._span = self._span, None
+        span.end()
+        self._commit(record)
+        return True
+
+    def _commit(self, record: GenerationRecord) -> None:
+        """Stopper → journal → records → telemetry → callback, right
+        after the tell that closed ``record`` (write-ahead: the journal
+        sees each record, with the post-record RNG state and the
+        driver's ``driver_state``, before the in-memory list)."""
+        from repro.store.journal import rng_state_of  # imports this module
+
+        driver = self.driver
+        if self.stopper is not None and not driver.halted:
+            driver.halted = bool(self.stopper.observe(record))
+        if self.journal is not None:
+            state = driver.driver_state()
+            # duck-typed journals need not know the keyword
+            extra = {} if state is None else {"driver_state": state}
+            self.journal.append_generation(
+                record, rng_state=rng_state_of(driver.rng), **extra
+            )
+        self.records.append(record)
+        self.telemetry.observe_generation(
+            record.generation,
+            record.population,
+            evaluated=len(record.evaluated),
+            failures=record.n_failures,
+        )
+        if self.callback is not None:
+            self.callback(record)
+
+
+def run_driver(
+    driver: Driver, generations: int, **loop: Any
+) -> list[GenerationRecord]:
+    """Run ``driver`` to its last record: a :class:`DriverLoop` (which
+    takes the keyword arguments ``loop``) stepped until done; the new
+    records."""
+    return DriverLoop(driver, generations, **loop).run()
 
 
 @dataclass(eq=False, kw_only=True)

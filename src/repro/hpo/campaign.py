@@ -17,7 +17,7 @@ import numpy as np
 from repro.evo.algorithm import GenerationRecord, RestoredRun
 from repro.evo.individual import Individual
 from repro.evo.problem import Problem
-from repro.hpo.driver import NSGA2Settings, deployment
+from repro.hpo.driver import NSGA2Settings, deployment_loop
 from repro.hpo.representation import DeepMDRepresentation
 from repro.mo.pareto import pareto_front
 from repro.obs.live import get_status
@@ -154,12 +154,14 @@ class Campaign:
     a ``campaign.run`` span, which in turn parents the per-generation
     ``ea.generation`` spans — the top of the trace hierarchy a
     ``repro-hpo trace`` report breaks the wall-clock down by.
+    ``status`` (default: the process-wide one) is the live snapshot
+    the campaign, its engines and its telemetry publish into.
 
     ``journal`` (a :class:`repro.store.journal.CampaignJournal`,
     duck-typed to avoid a hard dependency) receives the write-ahead
     stream of campaign/run/generation records as the campaign runs, so
     a killed campaign can be continued by handing what an earlier
-    session journaled back to :meth:`run` — which is all
+    session journaled back to :meth:`start` — which is all
     :func:`repro.store.resume.resume_campaign` does.
     """
 
@@ -170,21 +172,30 @@ class Campaign:
         client: Any = None,
         tracer: Optional[NullTracer | Tracer] = None,
         journal: Any = None,
+        status: Any = None,
     ) -> None:
         self.problem_factory = problem_factory
         self.config = config or CampaignConfig()
         self.client = client
         self.tracer = tracer if tracer is not None else get_tracer()
         self.journal = journal
-        #: how the last :meth:`run` obtained each of its runs
-        self.run_counts: dict[str, int] = {}
+        self.status = status if status is not None else get_status()
 
     def run(
         self,
         callback: Optional[Callable[[int, GenerationRecord], None]] = None,
         journaled: Any = None,
     ) -> CampaignResult:
-        """Run the campaign; with ``journaled`` (the
+        """Run the campaign to its end: :meth:`start` stepped until
+        done."""
+        return self.start(callback, journaled).run()
+
+    def start(
+        self,
+        callback: Optional[Callable[[int, GenerationRecord], None]] = None,
+        journaled: Any = None,
+    ) -> "CampaignLoop":
+        """The campaign as a loop that steps; with ``journaled`` (the
         :class:`repro.store.journal.JournalState` of an earlier
         session, whose journal ``self.journal`` appends to), continue
         that campaign instead of starting one:
@@ -201,19 +212,43 @@ class Campaign:
         A steady-state run restarts from its seed instead and replays
         its journaled evaluations: nothing journaled is evaluated again.
         """
-        config = self.config
-        result = CampaignResult(config=config)
-        counts = self.run_counts = dict.fromkeys(
+        return CampaignLoop(self, callback, journaled)
+
+
+class CampaignLoop:
+    """A campaign's runs, one after another, one step at a time.
+
+    Each :meth:`step` steps the current run's
+    :class:`~repro.evo.algorithm.DriverLoop` inside its ``campaign.run``
+    span (current only within the step, so campaigns stepped on one
+    thread keep their traces apart); a finished run is closed and the
+    next one opened in the same step.  :attr:`result` fills as runs
+    end; :attr:`done` once the campaign is closed.
+    """
+
+    def __init__(
+        self,
+        campaign: Campaign,
+        callback: Optional[Callable[[int, GenerationRecord], None]],
+        journaled: Any,
+    ) -> None:
+        self.campaign = campaign
+        self.callback = callback
+        self.journaled = journaled
+        config = campaign.config
+        self.result = CampaignResult(config=config)
+        #: how each run was obtained
+        self.run_counts = dict.fromkeys(
             ("runs_restored", "runs_resumed", "runs_fresh"), 0
         )
-        self.tracer.event(
+        campaign.tracer.event(
             "campaign.start",
             n_runs=config.n_runs,
             pop_size=config.pop_size,
             generations=config.generations,
             seed=config.base_seed,
         )
-        status = get_status()
+        status = campaign.status
         if status.enabled:
             status.update(
                 mode=config.mode,
@@ -222,11 +257,46 @@ class Campaign:
                 generations=config.generations,
                 base_seed=config.base_seed,
             )
-        if self.journal is not None and journaled is None:
-            self.journal.begin_campaign(config)
-        earlier = journaled.runs if journaled is not None else {}
-        seeds = seeds_for_runs(config.base_seed, config.n_runs)
-        for run_index, seed in enumerate(seeds):
+        if campaign.journal is not None and journaled is None:
+            campaign.journal.begin_campaign(config)
+        self._seeds = enumerate(
+            seeds_for_runs(config.base_seed, config.n_runs)
+        )
+        #: the open run: (index, its span, its loop, restored records)
+        self._run: Optional[tuple[int, Any, Any, list]] = None
+        self.done = False
+        self._next_run()
+
+    def run(self) -> CampaignResult:
+        """Step until done; the result."""
+        while not self.done:
+            self.step(None)
+        return self.result
+
+    def step(self, timeout: Optional[float] = None) -> bool:
+        """Step the open run (see
+        :meth:`repro.evo.algorithm.DriverLoop.step`); whether it
+        moved."""
+        if self.done:
+            return False
+        index, span, loop, restored = self._run
+        with span.current():
+            moved = loop.step(timeout)
+        if loop.done:
+            span.end()
+            self.result.runs.append(restored + loop.records)
+            if self.campaign.journal is not None:
+                self.campaign.journal.end_run(index)
+            self._next_run()
+        return moved
+
+    def _next_run(self) -> None:
+        """Restore the fully journaled runs ahead, then open the next
+        run to step — or close the campaign."""
+        campaign, config = self.campaign, self.campaign.config
+        journal, counts = campaign.journal, self.run_counts
+        earlier = self.journaled.runs if self.journaled is not None else {}
+        for run_index, seed in self._seeds:
             prior = earlier.get(run_index)
             docs = prior.contiguous_generations() if prior else []
             if prior is not None and prior.seed is not None:
@@ -238,20 +308,18 @@ class Campaign:
                 # stopper ended before the generation budget: restore
                 # without a problem attached (these individuals are
                 # analysis data, not parents)
-                result.runs.append(_restored_run(docs).records)
+                self.result.runs.append(_restored_run(docs).records)
                 counts["runs_restored"] += 1
                 continue
-            problem = self.problem_factory(seed)
-            resume: dict[str, Any] = {}
+            problem = campaign.problem_factory(seed)
+            resume_from: Optional[RestoredRun] = None
             tags: dict[str, Any] = {}
             #: where ``run_resume`` says this session picks the run up
             resumed_at: Optional[int] = None
             evaluations = prior.evaluations if prior else []
             if docs or evaluations:
                 # interrupted mid-run: restore, continue after it
-                resume["resume_from"] = _restored_run(
-                    docs, problem, evaluations
-                )
+                resume_from = _restored_run(docs, problem, evaluations)
                 resumed_at = len(docs) - 1
                 tags = dict(
                     resumed_from=resumed_at,
@@ -260,41 +328,44 @@ class Campaign:
             counts[
                 "runs_fresh" if resumed_at is None else "runs_resumed"
             ] += 1
-            if self.journal is not None and resumed_at is None:
-                self.journal.begin_run(run_index, int(seed))
-            elif self.journal is not None:
-                self.journal.resume_run(run_index, resumed_at)
-            if status.enabled:
-                status.begin_run(run_index, seed=int(seed))
-            with self.tracer.span(
+            if journal is not None and resumed_at is None:
+                journal.begin_run(run_index, int(seed))
+            elif journal is not None:
+                journal.resume_run(run_index, resumed_at)
+            if campaign.status.enabled:
+                campaign.status.begin_run(run_index, seed=int(seed))
+            span = campaign.tracer.span(
                 "campaign.run",
                 run=run_index,
                 seed=int(seed),
                 mode=config.mode,
                 **tags,
-            ):
-                records = deployment(config.mode)(
+            ).start()
+            callback = self.callback
+            with span.current():
+                loop = deployment_loop(
+                    config.mode,
                     problem=problem,
                     settings=config.nsga2_settings(),
-                    client=self.client,
+                    client=campaign.client,
                     rng=seed,
                     callback=(
                         (lambda rec, ri=run_index: callback(ri, rec))
                         if callback is not None
                         else None
                     ),
-                    tracer=self.tracer,
-                    journal=self.journal,
-                    **resume,
+                    tracer=campaign.tracer,
+                    journal=journal,
+                    resume_from=resume_from,
+                    status=campaign.status,
                 )
-            if resume:
-                records = resume["resume_from"].records + records
-            result.runs.append(records)
-            if self.journal is not None:
-                self.journal.end_run(run_index)
-        if self.journal is not None:
-            self.journal.end_campaign()
-        return result
+            restored = resume_from.records if resume_from else []
+            self._run = (run_index, span, loop, restored)
+            return
+        self._run = None
+        if journal is not None:
+            journal.end_campaign()
+        self.done = True
 
 
 def _restored_run(

@@ -1,25 +1,25 @@
 """The customized NSGA-II deployment for DeePMD tuning (§2.2.3).
 
-Each ``run_deepmd_*`` builds one optimizer's ask/tell driver over the
-paper's choices — the seven-gene representation with Table 1 ranges
-and deviations, robust (MAXINT-on-failure) individuals, the ×0.85
-per-generation mutation annealing — and hands it to
-:func:`repro.evo.algorithm.run_driver`: :class:`NSGA2Driver` is the
+:func:`deployment_loop` builds one campaign mode's ask/tell driver over
+the paper's choices — the seven-gene representation with Table 1
+ranges and deviations, robust (MAXINT-on-failure) individuals, the
+×0.85 per-generation mutation annealing — under a
+:class:`repro.evo.algorithm.DriverLoop`: :class:`NSGA2Driver` is the
 Listing 1 pipeline with the rank-ordinal non-dominated sort, and the
-rest of the optimizer zoo is one ``run_deepmd_*`` per campaign mode,
-which :func:`deployment` picks among.
+rest of the optimizer zoo is one driver per campaign mode.  A campaign
+steps the loop; each ``run_deepmd_*`` runs one mode's loop to its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.evo.algorithm import (
+    Driver,
+    DriverLoop,
     GenerationRecord,
     NSGA2Driver,
-    RestoredRun,
-    run_driver,
 )
 from repro.evo.asynchronous import SteadyStateDriver
 from repro.evo.individual import RobustIndividual
@@ -65,13 +65,23 @@ class NSGA2Settings:
         )
 
 
-def _driver_fields(
-    problem: Problem, settings: NSGA2Settings, rng: RngLike
-) -> dict[str, Any]:
-    """What every driver is built over: the Table 1 space and robust
-    (MAXINT-on-failure) individuals."""
+def deployment_loop(
+    mode: str,
+    problem: Problem,
+    settings: Optional[NSGA2Settings] = None,
+    rng: RngLike = None,
+    **loop: Any,
+) -> DriverLoop:
+    """One run of a campaign in ``mode`` as a loop that steps: the
+    mode's driver over the Table 1 space and robust (MAXINT-on-failure)
+    individuals, under a :class:`~repro.evo.algorithm.DriverLoop` with
+    the run's stopper, deduplicating genome-identical candidates.
+    ``loop`` are the loop's hooks: ``client``, ``callback``,
+    ``tracer``, ``journal`` and ``resume_from`` (the durable-state
+    hooks of :mod:`repro.store`), ``status``."""
+    settings = settings or NSGA2Settings()
     rep = DeepMDRepresentation
-    return dict(
+    space = dict(
         problem=problem,
         init_ranges=rep.init_ranges,
         pop_size=settings.pop_size,
@@ -80,75 +90,55 @@ def _driver_fields(
         individual_cls=RobustIndividual,
         rng=rng,
     )
-
-
-def _run_kwargs(
-    settings: NSGA2Settings,
-    client: Any,
-    callback: Optional[Callable[[GenerationRecord], None]],
-    tracer: Any,
-    journal: Any,
-    resume_from: Optional[RestoredRun],
-) -> dict[str, Any]:
-    """What :func:`run_driver` is handed for every driver: the run's
-    engine/journal/stopper hooks, deduplicating genome-identical
-    candidates."""
-    return dict(
-        client=client,
+    annealed = dict(
+        initial_std=rep.mutation_std, anneal_factor=settings.anneal_factor
+    )
+    generations, chunk_size = settings.generations, None
+    if mode == "generational":
+        driver: Driver = NSGA2Driver(**space, **annealed)
+        # one candidate per task, or the backend's chunk hint
+        chunk_size = None if settings.batch_evals else 1
+    elif mode == "steady-state":
+        # the generational campaign's training count as the budget
+        driver = SteadyStateDriver(
+            **space,
+            **annealed,
+            max_evaluations=settings.pop_size * (settings.generations + 1),
+        )
+        generations = driver.last_generation
+    elif mode == "pso":
+        driver = PSODriver(**space)
+    elif mode == "surrogate":
+        driver = SurrogateDriver(**space, initial_std=rep.mutation_std)
+    else:
+        raise ValueError(f"unknown campaign mode {mode!r}")
+    return DriverLoop(
+        driver,
+        generations,
         dedup=True,
-        tracer=tracer,
-        journal=journal,
-        callback=callback,
         stopper=settings.stopper(),
-        resume_from=resume_from,
+        chunk_size=chunk_size,
+        **loop,
     )
 
 
 def run_deepmd_nsga2(
-    problem: Problem,
-    settings: Optional[NSGA2Settings] = None,
-    client: Any = None,
-    rng: RngLike = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    tracer: Any = None,
-    journal: Any = None,
-    resume_from: Optional[RestoredRun] = None,
+    problem: Problem, settings: Optional[NSGA2Settings] = None, **run: Any
 ) -> list[GenerationRecord]:
     """One EA deployment over the DeePMD hyperparameter space.
 
     ``problem`` is either the real :class:`DeepMDProblem` or the
     surrogate :class:`SurrogateDeepMDProblem`; both consume the decoded
-    seven-gene phenome dict.  ``journal``/``resume_from`` are the
-    durable-state hooks of :mod:`repro.store` (see
-    :func:`repro.evo.algorithm.run_driver`).  Each generation crosses
-    the backend one candidate per task, or at the backend's chunk hint
-    under ``batch_evals``.
+    seven-gene phenome dict.  ``run`` are :func:`deployment_loop`'s
+    ``rng`` and hooks.  Each generation crosses the backend one
+    candidate per task, or at the backend's chunk hint under
+    ``batch_evals``.
     """
-    settings = settings or NSGA2Settings()
-    driver = NSGA2Driver(
-        **_driver_fields(problem, settings, rng),
-        initial_std=DeepMDRepresentation.mutation_std,
-        anneal_factor=settings.anneal_factor,
-    )
-    return run_driver(
-        driver,
-        settings.generations,
-        chunk_size=None if settings.batch_evals else 1,
-        **_run_kwargs(
-            settings, client, callback, tracer, journal, resume_from
-        ),
-    )
+    return deployment_loop("generational", problem, settings, **run).run()
 
 
 def run_deepmd_steady_state(
-    problem: Problem,
-    settings: Optional[NSGA2Settings] = None,
-    client: Any = None,
-    rng: RngLike = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    tracer: Any = None,
-    journal: Any = None,
-    resume_from: Optional[RestoredRun] = None,
+    problem: Problem, settings: Optional[NSGA2Settings] = None, **run: Any
 ) -> list[GenerationRecord]:
     """One asynchronous steady-state deployment (§2.2.5) over the same
     space, budget, and engine contract as :func:`run_deepmd_nsga2`.
@@ -158,31 +148,11 @@ def run_deepmd_steady_state(
     a record, so the §3 analysis stack consumes either mode unchanged.
     Candidates cross the backend one per task, deduplicated per run.
     """
-    settings = settings or NSGA2Settings()
-    driver = SteadyStateDriver(
-        **_driver_fields(problem, settings, rng),
-        initial_std=DeepMDRepresentation.mutation_std,
-        max_evaluations=settings.pop_size * (settings.generations + 1),
-        anneal_factor=settings.anneal_factor,
-    )
-    return run_driver(
-        driver,
-        driver.last_generation,
-        **_run_kwargs(
-            settings, client, callback, tracer, journal, resume_from
-        ),
-    )
+    return deployment_loop("steady-state", problem, settings, **run).run()
 
 
 def run_deepmd_pso(
-    problem: Problem,
-    settings: Optional[NSGA2Settings] = None,
-    client: Any = None,
-    rng: RngLike = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    tracer: Any = None,
-    journal: Any = None,
-    resume_from: Optional[RestoredRun] = None,
+    problem: Problem, settings: Optional[NSGA2Settings] = None, **run: Any
 ) -> list[GenerationRecord]:
     """One multi-objective PSO deployment (Natarajan & Caro) over the
     same space, budget, and engine contract as
@@ -190,55 +160,14 @@ def run_deepmd_pso(
     ``generations`` swarm moves after the random initialization, with
     the same journal/cache/resume/chaos semantics.
     """
-    settings = settings or NSGA2Settings()
-    return run_driver(
-        PSODriver(**_driver_fields(problem, settings, rng)),
-        settings.generations,
-        **_run_kwargs(
-            settings, client, callback, tracer, journal, resume_from
-        ),
-    )
+    return deployment_loop("pso", problem, settings, **run).run()
 
 
 def run_deepmd_surrogate(
-    problem: Problem,
-    settings: Optional[NSGA2Settings] = None,
-    client: Any = None,
-    rng: RngLike = None,
-    callback: Optional[Callable[[GenerationRecord], None]] = None,
-    tracer: Any = None,
-    journal: Any = None,
-    resume_from: Optional[RestoredRun] = None,
+    problem: Problem, settings: Optional[NSGA2Settings] = None, **run: Any
 ) -> list[GenerationRecord]:
     """One surrogate-assisted acquisition deployment (RBF surrogate +
     greedy predicted-hypervolume-improvement batches) over the same
     space, budget, and engine contract as :func:`run_deepmd_nsga2`.
     """
-    settings = settings or NSGA2Settings()
-    driver = SurrogateDriver(
-        **_driver_fields(problem, settings, rng),
-        initial_std=DeepMDRepresentation.mutation_std,
-    )
-    return run_driver(
-        driver,
-        settings.generations,
-        **_run_kwargs(
-            settings, client, callback, tracer, journal, resume_from
-        ),
-    )
-
-
-def deployment(mode: str) -> Callable[..., list[GenerationRecord]]:
-    """The ``run_deepmd_*`` a campaign in ``mode`` runs once per run.
-
-    The table is built per call: each entry is then whatever the module
-    attribute holds at that moment, so a caller that wraps
-    ``run_deepmd_*`` from outside (the performance ledger's tracer) is
-    the one that runs.
-    """
-    return {
-        "generational": run_deepmd_nsga2,
-        "steady-state": run_deepmd_steady_state,
-        "pso": run_deepmd_pso,
-        "surrogate": run_deepmd_surrogate,
-    }[mode]
+    return deployment_loop("surrogate", problem, settings, **run).run()

@@ -36,12 +36,9 @@ from repro.obs.live import (
     ConvergenceTelemetry,
     NullCampaignStatus,
     ObservabilityServer,
-    current_campaign_id,
     get_status,
     set_status,
-    set_thread_status,
     use_status,
-    use_thread_status,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -87,9 +84,6 @@ __all__ = [
     "get_status",
     "set_status",
     "use_status",
-    "set_thread_status",
-    "use_thread_status",
-    "current_campaign_id",
     "Span",
     "Tracer",
     "NullTracer",

@@ -252,22 +252,12 @@ NULL_STATUS = NullCampaignStatus()
 _global_status: NullCampaignStatus | CampaignStatus = NULL_STATUS
 _global_lock = threading.Lock()
 
-#: per-thread override — the campaign service runs many campaigns in
-#: one process, each on its own thread, and each thread's drivers must
-#: publish into *its* campaign's status, not a process-wide one
-_thread_status = threading.local()
-
 
 def get_status() -> NullCampaignStatus | CampaignStatus:
-    """The campaign status for the calling thread.
-
-    A thread-scoped status (installed with :func:`use_thread_status` —
-    the multi-campaign service's per-campaign-thread scope) wins over
-    the process-wide one; :data:`NULL_STATUS` when neither is set.
-    """
-    status = getattr(_thread_status, "value", None)
-    if status is not None:
-        return status
+    """The process-wide campaign status (:data:`NULL_STATUS` unless
+    installed).  Campaigns sharing a process (the service) are handed
+    their own instead: each campaign's engine and telemetry bind one
+    when its loop is built."""
     return _global_status
 
 
@@ -293,39 +283,6 @@ def use_status(
         yield status
     finally:
         set_status(previous)
-
-
-def set_thread_status(
-    status: Optional[NullCampaignStatus | CampaignStatus],
-) -> Optional[NullCampaignStatus | CampaignStatus]:
-    """Install ``status`` for the calling thread only (``None`` clears
-    the override); returns the previous thread-scoped status."""
-    previous = getattr(_thread_status, "value", None)
-    _thread_status.value = status
-    return previous
-
-
-@contextmanager
-def use_thread_status(
-    status: NullCampaignStatus | CampaignStatus,
-) -> Iterator[NullCampaignStatus | CampaignStatus]:
-    """Scoped :func:`set_thread_status` — the campaign service wraps
-    each campaign's runner thread in one of these so every publication
-    site (drivers, engine, telemetry) lands in that campaign's status
-    while other threads stay untouched."""
-    previous = set_thread_status(status)
-    try:
-        yield status
-    finally:
-        set_thread_status(previous)
-
-
-def current_campaign_id() -> Optional[str]:
-    """The campaign id of the calling thread's installed status (None
-    when nobody is watching or the status is anonymous).  Publication
-    sites use this to label their metric series, so concurrent
-    campaigns in one process stop clobbering each other's gauges."""
-    return getattr(get_status(), "campaign_id", None)
 
 
 class ConvergenceTelemetry:

@@ -19,9 +19,13 @@ gated ``pool_obs_overhead_ratio`` of a traced pool campaign).
 
 Parenting is thread-local: a span opened inside another span *on the
 same thread* records it as its parent, which makes the EA's
-per-generation spans the parents of in-process evaluation spans.
-Worker threads start their own roots (their spans carry ``worker`` and
-``task`` tags instead, and the report joins them by task key).
+per-generation spans the parents of in-process evaluation spans.  A
+loop that steps (one thread steps many campaigns) keeps its span open
+across steps but current only within each (:meth:`Span.start`,
+:meth:`Span.current`, :meth:`Span.end`), so no span stays current
+between steps.  Worker threads start their own roots (their spans
+carry ``worker`` and ``task`` tags instead, and the report joins them
+by task key).
 """
 
 from __future__ import annotations
@@ -96,18 +100,44 @@ class Span:
         self.tags.update(kv)
         return self
 
-    def __enter__(self) -> "Span":
+    def start(self) -> "Span":
+        """Open the interval without making it the thread's current
+        span: a loop that steps keeps a span open across its steps and
+        makes it current only within each (:meth:`current`)."""
         self.ts = time.time()
         self.mono_start = time.monotonic()
+        return self
+
+    @contextmanager
+    def current(self) -> Iterator["Span"]:
+        """Make this started span the parent of what opens in the
+        block; an exception escaping the block ends it as failed."""
+        self.tracer._push(self)
+        try:
+            yield self
+        except BaseException as exc:
+            self.tracer._pop(self)
+            self.end(type(exc))
+            raise
+        finally:
+            self.tracer._pop(self)
+
+    def __enter__(self) -> "Span":
+        self.start()
         self.tracer._push(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self.tracer._pop(self)
+        self.end(exc_type)
+        return False
+
+    def end(self, exc_type: Optional[type] = None) -> None:
+        """Close the interval and record it (``exc_type``: it failed)."""
         self.duration = time.monotonic() - self.mono_start
         if exc_type is not None:
             self.status = "err"
             self.tags.setdefault("error", exc_type.__name__)
-        self.tracer._pop(self)
         self.tracer._record(
             {
                 "type": "span",
@@ -122,7 +152,6 @@ class Span:
                 "tags": self.tags,
             }
         )
-        return False
 
 
 class _NullSpan:
@@ -132,6 +161,15 @@ class _NullSpan:
 
     def tag(self, **kv: Any) -> "_NullSpan":
         return self
+
+    def start(self) -> "_NullSpan":
+        return self
+
+    def current(self) -> "_NullSpan":
+        return self
+
+    def end(self, exc_type: Optional[type] = None) -> None:
+        return None
 
     def __enter__(self) -> "_NullSpan":
         return self

@@ -14,24 +14,21 @@ Layers, bottom up:
 
 * :mod:`repro.service.tenancy` — :class:`Tenant`: weight, priority,
   and max-in-flight quota;
-* :mod:`repro.service.fair_share` — the backend's one owner thread:
-  tenant admission, per-campaign lanes, each evaluation handed over
-  tagged for the pool's queue;
+* :mod:`repro.service.fair_share` — tenant admission and per-campaign
+  lanes, each evaluation handed to the backend tagged for the pool's
+  queue;
 * :mod:`repro.service.registry` — durable campaign records
   (spec/state/journal per campaign directory);
-* :mod:`repro.service.service` — :class:`CampaignService`: runner
-  threads, shared cache, graceful drain, restart recovery;
+* :mod:`repro.service.service` — :class:`CampaignService`: one owner
+  thread stepping every campaign, shared cache, graceful drain,
+  restart recovery;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   HTTP plane (``repro-hpo serve`` / ``submit`` / ``campaigns`` /
   ``cancel`` / ``monitor``).
 """
 
 from repro.service.client import ServiceClient
-from repro.service.fair_share import (
-    CampaignQueue,
-    FairShareScheduler,
-    ServiceFuture,
-)
+from repro.service.fair_share import CampaignQueue, FairShareScheduler
 from repro.service.registry import (
     CANCELLED,
     DONE,
@@ -53,7 +50,6 @@ __all__ = [
     "tenant_from_spec",
     "FairShareScheduler",
     "CampaignQueue",
-    "ServiceFuture",
     "CampaignRegistry",
     "ManagedCampaign",
     "QUEUED",

@@ -18,7 +18,7 @@ GET    ``/healthz``                 liveness probe
 
 Request handling only reads service state or enqueues (submission and
 cancellation are cheap, non-blocking registry operations) — campaign
-execution stays on the service's runner threads.
+execution stays on the service's one owner thread.
 
 SIGTERM/SIGINT are wired to a *graceful* drain:
 :meth:`CampaignServer.install_signal_handlers` flips an event that

@@ -2,19 +2,17 @@
 
 :class:`CampaignService` is the long-running core the HTTP server
 fronts: it accepts campaign submissions, runs up to ``max_active`` of
-them concurrently — each on its own thread, all sharing **one**
-execution backend through the :class:`~repro.service.fair_share.
-FairShareScheduler`'s owner thread — and persists enough state that a
-killed server resumes every interrupted campaign bit-identically on
-restart.
+them at once — all stepped on its **one** owner thread, which is
+therefore the only caller of the **one** shared execution backend —
+and persists enough state that a killed server resumes every
+interrupted campaign bit-identically on restart.
 
 Per campaign:
 
-* a :class:`~repro.obs.live.CampaignStatus` installed *thread-locally*
-  (:func:`~repro.obs.live.use_thread_status`), so the existing
-  drivers/engine/telemetry publish into that campaign's snapshot and
-  label their gauges with its id — concurrent campaigns no longer
-  clobber each other's metrics;
+* a :class:`~repro.obs.live.CampaignStatus` its loop is built with, so
+  its engine and telemetry publish into that campaign's snapshot and
+  label their gauges with its id — concurrent campaigns never clobber
+  each other's metrics;
 * a :class:`~repro.store.journal.CampaignJournal` in the campaign's
   own directory (write-ahead, fsync per append);
 * a lane (:class:`~repro.service.fair_share.CampaignQueue`) into the
@@ -24,16 +22,21 @@ Per campaign:
   (phenome, fingerprint) evaluations requested by different campaigns
   — or different tenants — execute once, ever.
 
-Cancellation and shutdown both ride the per-generation callback, which
-the drivers invoke *after* the generation is journaled: in-flight
-evaluations of the current generation drain naturally, the journal
-gains no torn tail, and the campaign stops at a clean resume point.
+The owner thread admits queued campaigns up to ``max_active``, calls
+``step(0)`` on each admitted campaign's loop (it polls, never blocks),
+and when no campaign moved waits :data:`POLL_INTERVAL` or until a
+submit, cancel or shutdown wakes it.  Cancellation and shutdown both
+ride the per-generation callback, which the drivers invoke *after* the
+generation is journaled: the journal gains no torn tail, and the
+campaign stops at a clean resume point.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
+from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -43,10 +46,10 @@ from repro.exceptions import (
     ServiceError,
     ServiceShutdown,
 )
-from repro.obs.live import CampaignStatus, use_thread_status
+from repro.obs.live import CampaignStatus
 from repro.store.cache import EvaluationCache
 from repro.store.journal import CampaignJournal, journal_path
-from repro.store.resume import problem_factory_from_spec, resume_campaign
+from repro.store.resume import problem_factory_from_spec, resume_loop
 
 from repro.service.fair_share import FairShareScheduler
 from repro.service.registry import (
@@ -82,6 +85,10 @@ def _front_doc(result: Any) -> dict[str, Any]:
     return {"front": members, "n_trainings": result.n_trainings}
 
 
+#: how long the owner thread waits when no campaign moved
+POLL_INTERVAL = 0.002
+
+
 class CampaignService:
     """Run many tenants' campaigns over one shared worker fleet."""
 
@@ -110,24 +117,33 @@ class CampaignService:
         )
         self._owns_backend = getattr(backend, "is_execution_backend", False)
         self.backend = as_backend(backend)
-        self.scheduler = FairShareScheduler(self.backend).start()
+        self.scheduler = FairShareScheduler(self.backend)
         self.registry = CampaignRegistry(self.root)
         self._build_problem_factory = (
             problem_factory_builder
             if problem_factory_builder is not None
             else problem_factory_from_spec
         )
-        self._slots = threading.Semaphore(self.max_active)
+        #: submitted or recovered, not yet admitted (appended by any
+        #: thread, taken by the owner: a deque's ends are thread-safe)
+        self._queued: deque[ManagedCampaign] = deque()
+        #: admitted: campaign id → (campaign, its loop once started);
+        #: the owner thread's alone
+        self._active: dict[str, tuple[ManagedCampaign, Any]] = {}
+        self._wake = threading.Event()
         self._shutdown = threading.Event()
-        self._threads: dict[str, threading.Thread] = {}
-        self._lock = threading.Lock()
+        self._owner = threading.Thread(
+            target=self._serve, name="repro-service", daemon=True
+        )
+        self._owner.start()
 
     # ------------------------------------------------------------------
     # submission API
     # ------------------------------------------------------------------
     def submit(self, spec: Any) -> ManagedCampaign:
-        """Accept one campaign submission and start it (subject to the
-        ``max_active`` gate); returns the managed record immediately."""
+        """Accept one campaign submission and queue it to run (subject
+        to the ``max_active`` gate); returns the managed record
+        immediately."""
         if self._shutdown.is_set():
             raise ServiceError("service is shutting down")
         if isinstance(spec, dict):
@@ -135,11 +151,10 @@ class CampaignService:
 
             # reject conflicting tenant quotas at submit time (HTTP
             # 400), not as a failed campaign minutes later — and admit
-            # the tenant now: its campaign registers only once its
-            # runner thread gets going
+            # the tenant now: its lane opens only once it is admitted
             self.scheduler.admit_tenant(tenant_from_spec(spec.get("tenant")))
         campaign = self.registry.create(spec)
-        self._start_runner(campaign)
+        self._enqueue(campaign)
         return campaign
 
     def cancel(self, campaign_id: str) -> ManagedCampaign:
@@ -149,6 +164,7 @@ class CampaignService:
         campaign.cancel_event.set()
         if campaign.state == QUEUED:
             self.registry.set_state(campaign, CANCELLED)
+        self._wake.set()
         return campaign
 
     def get(self, campaign_id: str) -> ManagedCampaign:
@@ -185,13 +201,13 @@ class CampaignService:
         ``interrupted``/``running`` campaigns continue from their
         journals (bit-identical to never having stopped); ``queued``
         ones that never journaled anything start fresh — the same path
-        either way (see :meth:`_run_campaign`).
+        either way (see :meth:`_start`).
         """
         recovered = []
         for campaign in self.registry.load_persisted():
             if campaign.state not in RESUMABLE_STATES:
                 continue
-            self._start_runner(campaign)
+            self._enqueue(campaign)
             recovered.append(campaign)
         return recovered
 
@@ -201,28 +217,29 @@ class CampaignService:
     def shutdown(self, timeout: float = 60.0) -> None:
         """Graceful drain: running campaigns stop at their next
         generation boundary (journals flushed+fsynced by construction)
-        and are marked ``interrupted``; then the fleet is stopped."""
+        and are marked ``interrupted``, queued ones stay queued on
+        disk; then the fleet is stopped."""
         self._shutdown.set()
-        with self._lock:
-            threads = list(self._threads.values())
-        for thread in threads:
-            thread.join(timeout=timeout)
-        self.scheduler.stop(drain=True, timeout=timeout)
+        self._wake.set()
+        self._owner.join(timeout=timeout)
         if self._owns_backend:
             close = getattr(self.backend, "close", None)
             if close is not None:
                 close()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until every runner thread has finished; True if all
-        did within ``timeout`` (per-thread)."""
-        with self._lock:
-            threads = list(self._threads.values())
-        ok = True
-        for thread in threads:
-            thread.join(timeout=timeout)
-            ok = ok and not thread.is_alive()
-        return ok
+        """Block until no campaign is queued or running; True if that
+        happened within ``timeout`` seconds in all."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        # the owner admits a campaign before it leaves the queue, so a
+        # campaign is always in one or the other until it is over
+        while self._queued or self._active:
+            if not self._owner.is_alive() or (
+                deadline is not None and time.monotonic() >= deadline
+            ):
+                return False
+            time.sleep(0.005)
+        return True
 
     # ------------------------------------------------------------------
     # status plane
@@ -254,7 +271,7 @@ class CampaignService:
             "cache": {**self.cache.stats(), "entries": len(self.cache)},
             "max_active": self.max_active,
         }
-        fleet = getattr(self.scheduler.backend, "fleet_snapshot", None)
+        fleet = getattr(self.backend, "fleet_snapshot", None)
         if callable(fleet) and fleet():
             service["fleet"] = fleet()
         return {
@@ -265,106 +282,113 @@ class CampaignService:
         }
 
     # ------------------------------------------------------------------
-    # the campaign runner
+    # the owner thread
     # ------------------------------------------------------------------
-    def _start_runner(self, campaign: ManagedCampaign) -> None:
-        thread = threading.Thread(
-            target=self._run_campaign,
-            args=(campaign,),
-            name=f"repro-campaign-{campaign.id}",
-            daemon=True,
-        )
-        with self._lock:
-            self._threads[campaign.id] = thread
-        thread.start()
+    def _enqueue(self, campaign: ManagedCampaign) -> None:
+        self._queued.append(campaign)
+        self._wake.set()
 
-    def _acquire_slot(self, campaign: ManagedCampaign) -> bool:
-        """Wait for an active-campaign slot; False when the wait ends
-        in cancellation or shutdown instead."""
-        while not self._slots.acquire(timeout=0.05):
+    def _serve(self) -> None:
+        """Admit, step every admitted campaign once, and wait when none
+        moved — until shutdown has stopped every running campaign."""
+        while True:
+            self._admit()
+            moved = False
+            for campaign_id in list(self._active):
+                moved |= self._step(campaign_id)
+            if self._shutdown.is_set() and not self._active:
+                break
+            if not moved:
+                self._wake.wait(POLL_INTERVAL if self._active else None)
+                self._wake.clear()
+        # what never got a slot stays queued on disk: it runs on restart
+        self._queued.clear()
+
+    def _admit(self) -> None:
+        while (
+            self._queued
+            and len(self._active) < self.max_active
+            and not self._shutdown.is_set()
+        ):
+            campaign = self._queued[0]
             if campaign.cancel_event.is_set():
                 self.registry.set_state(campaign, CANCELLED)
-                return False
-            if self._shutdown.is_set():
-                # still queued: stays QUEUED on disk, runs on restart
-                return False
+            else:
+                self._active[campaign.id] = (campaign, None)
+                self._step(campaign.id)  # starts it
+            self._queued.popleft()
+
+    def _step(self, campaign_id: str) -> bool:
+        """Start or step one campaign's loop; retire the campaign once
+        it is over — done, cancelled, interrupted or failed, each
+        isolated from the rest.  Whether it moved."""
+        campaign, loop = self._active[campaign_id]
+        try:
+            if loop is None:
+                loop = self._start(campaign)
+                self._active[campaign_id] = (campaign, loop)
+                moved = True
+            else:
+                moved = loop.step(0)
+            if not loop.done:
+                return moved
+            self._finish(campaign, loop.result)
+            campaign.status.mark_done()
+        except CampaignCancelled:
+            self.registry.set_state(campaign, CANCELLED)
+        except ServiceShutdown:
+            self.registry.set_state(campaign, INTERRUPTED)
+        except Exception as exc:  # noqa: BLE001 - isolate campaigns
+            self.registry.set_state(
+                campaign, FAILED, error=f"{type(exc).__name__}: {exc}"
+            )
+        self.scheduler.unregister(campaign_id)
+        del self._active[campaign_id]
         return True
 
-    def _run_campaign(self, campaign: ManagedCampaign) -> None:
-        """Run ``campaign`` to completion, cancellation or shutdown.
+    def _start(self, campaign: ManagedCampaign) -> Any:
+        """``campaign``'s loop, over its own lane and status.
 
         One path for every campaign: a fresh one is a journal holding
         only its ``campaign_begin`` record, so a submitted campaign runs
         exactly as a recovered one does — through
-        :func:`~repro.store.resume.resume_campaign`.
+        :func:`~repro.store.resume.resume_loop`.
         """
-        if not self._acquire_slot(campaign):
-            return
-        try:
+        self.registry.set_state(campaign, RUNNING)
+        status = campaign.status = CampaignStatus(
+            campaign_id=campaign.id,
+            mode=campaign.config.mode,
+            tenant=campaign.tenant.name,
+            name=campaign.name,
+        )
+
+        def callback(run_index: int, record: Any) -> None:
+            # fires after the generation is journaled (write-ahead
+            # order), so raising here is a clean resume point
             if campaign.cancel_event.is_set():
-                self.registry.set_state(campaign, CANCELLED)
-                return
+                raise CampaignCancelled(f"campaign {campaign.id} cancelled")
             if self._shutdown.is_set():
-                return
-            self.registry.set_state(campaign, RUNNING)
-            status = CampaignStatus(
-                campaign_id=campaign.id,
-                mode=campaign.config.mode,
-                tenant=campaign.tenant.name,
-                name=campaign.name,
-            )
-            campaign.status = status
-
-            def callback(run_index: int, record: Any) -> None:
-                # fires after the generation is journaled (write-ahead
-                # order), so raising here is a clean resume point
-                if campaign.cancel_event.is_set():
-                    raise CampaignCancelled(
-                        f"campaign {campaign.id} cancelled"
-                    )
-                if self._shutdown.is_set():
-                    raise ServiceShutdown(
-                        f"campaign {campaign.id} interrupted by shutdown"
-                    )
-
-            queue = None
-            try:
-                queue = self.scheduler.register(
-                    campaign.id, campaign.tenant
+                raise ServiceShutdown(
+                    f"campaign {campaign.id} interrupted by shutdown"
                 )
-                with use_thread_status(status):
-                    jpath = journal_path(campaign.directory)
-                    if not jpath.exists():
-                        with CampaignJournal(
-                            jpath, problem_spec=campaign.problem_spec
-                        ) as journal:
-                            journal.begin_campaign(campaign.config)
-                    result = resume_campaign(
-                        campaign.directory,
-                        problem_factory=self._build_problem_factory(
-                            campaign.problem_spec
-                        ),
-                        client=queue,
-                        cache=self.cache,
-                        callback=callback,
-                    )
-                    self._finish(campaign, result)
-                    status.mark_done()
-            except CampaignCancelled:
-                self.registry.set_state(campaign, CANCELLED)
-            except ServiceShutdown:
-                self.registry.set_state(campaign, INTERRUPTED)
-            except Exception as exc:  # noqa: BLE001 - isolate campaigns
-                self.registry.set_state(
-                    campaign, FAILED, error=f"{type(exc).__name__}: {exc}"
-                )
-            finally:
-                if queue is not None:
-                    self.scheduler.unregister(queue)
-        finally:
-            self._slots.release()
-            with self._lock:
-                self._threads.pop(campaign.id, None)
+
+        lane = self.scheduler.register(campaign.id, campaign.tenant)
+        jpath = journal_path(campaign.directory)
+        if not jpath.exists():
+            with CampaignJournal(
+                jpath, problem_spec=campaign.problem_spec
+            ) as journal:
+                journal.begin_campaign(campaign.config)
+        return resume_loop(
+            campaign.directory,
+            problem_factory=self._build_problem_factory(
+                campaign.problem_spec
+            ),
+            client=lane,
+            cache=self.cache,
+            callback=callback,
+            status=status,
+        )
 
     def _finish(self, campaign: ManagedCampaign, result: Any) -> None:
         from repro.io import save_campaign

@@ -125,7 +125,8 @@ def resume_campaign(
     cache: Optional[EvaluationCache] = None,
     callback: Any = None,
 ) -> CampaignResult:
-    """Continue a journaled campaign from ``directory``.
+    """Continue a journaled campaign from ``directory``: its
+    :func:`resume_loop` stepped until done.
 
     ``problem_factory`` defaults to rebuilding the evaluator from the
     journaled problem spec; ``cache`` wraps each run's problem in a
@@ -142,6 +143,23 @@ def resume_campaign(
     first.  The continuation is bit-identical to the uninterrupted run
     wherever that run's completion order is reproducible (inline).
     """
+    return resume_loop(
+        directory, problem_factory, client, tracer, cache, callback
+    ).run()
+
+
+def resume_loop(
+    directory: str | Path,
+    problem_factory: Optional[Callable[[int], Problem]] = None,
+    client: Any = None,
+    tracer: Any = None,
+    cache: Optional[EvaluationCache] = None,
+    callback: Any = None,
+    status: Any = None,
+) -> "ResumeLoop":
+    """:func:`resume_campaign` as a loop that steps (the campaign
+    service steps many on one thread); ``status`` is the live snapshot
+    the campaign publishes into (default: the process-wide one)."""
     directory = Path(directory)
     jpath = journal_path(directory)
     if not jpath.exists():
@@ -157,7 +175,7 @@ def resume_campaign(
             f"journal {jpath} has a torn tail "
             f"({state.n_torn} unreadable line(s) dropped); resuming "
             "from the last whole generation",
-            stacklevel=2,
+            stacklevel=3,
         )
     config = campaign_config_from_doc(state.config_doc)
     factory = cached_problem_factory(
@@ -167,14 +185,68 @@ def resume_campaign(
         cache,
     )
     trc = tracer if tracer is not None else get_tracer()
-    with trc.span(
-        "store.resume", directory=str(directory)
-    ) as span, CampaignJournal(
-        jpath, problem_spec=state.problem_spec, mode="a"
-    ) as journal:
-        campaign = Campaign(
-            factory, config, client=client, tracer=trc, journal=journal
+    span = trc.span("store.resume", directory=str(directory)).start()
+    with span.current():
+        journal = CampaignJournal(
+            jpath, problem_spec=state.problem_spec, mode="a"
         )
-        result = campaign.run(callback, state)
-        span.tag(**campaign.run_counts, torn_records=state.n_torn)
-    return result
+    campaign = Campaign(
+        factory, config, client=client, tracer=trc, journal=journal,
+        status=status,
+    )
+    return ResumeLoop(span, campaign, callback, state)
+
+
+class ResumeLoop:
+    """A journaled campaign's :class:`~repro.hpo.campaign.CampaignLoop`
+    inside its ``store.resume`` span (current only within a step), its
+    journal reopened for appending: when the campaign ends, however it
+    ends, the journal is closed and the span tagged with how each run
+    was obtained."""
+
+    def __init__(
+        self, span: Any, campaign: Campaign, callback: Any, state: Any
+    ) -> None:
+        self.span = span
+        self.campaign = campaign
+        self.n_torn = state.n_torn
+        self.loop: Any = None
+        self._advance(lambda: campaign.start(callback, state))
+
+    @property
+    def done(self) -> bool:
+        return self.loop.done
+
+    @property
+    def result(self) -> CampaignResult:
+        return self.loop.result
+
+    def run(self) -> CampaignResult:
+        """Step until done; the result."""
+        while not self.done:
+            self.step(None)
+        return self.result
+
+    def step(self, timeout: Optional[float] = None) -> bool:
+        """Step the campaign (see :meth:`CampaignLoop.step`)."""
+        return not self.done and self._advance(
+            lambda: self.loop.step(timeout)
+        )
+
+    def _advance(self, advance: Callable[[], Any]) -> Any:
+        journal = self.campaign.journal
+        try:
+            with self.span.current():
+                out = advance()
+                self.loop = self.loop or out  # the first call starts it
+                if self.loop.done:
+                    self.span.tag(
+                        **self.loop.run_counts, torn_records=self.n_torn
+                    )
+                    journal.close()
+        except BaseException:
+            journal.close()
+            raise
+        if self.loop.done:
+            self.span.end()
+        return out

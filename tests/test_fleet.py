@@ -48,15 +48,13 @@ from repro.engine import (
     ProcessPoolBackend,
 )
 from repro.engine import policy as policy_module
-from repro.engine.policy import MIN_HISTORY, SUSTAIN_TICKS
+from repro.engine.policy import MIN_HISTORY, SUSTAIN_TICKS, Tag
 from repro.evo.individual import MAXINT, Individual
 from repro.hpo.campaign import Campaign, CampaignConfig
 from repro.hpo.landscape import SurrogateDeepMDProblem
 from repro.injection import use_injector
 from repro.obs import Tracer, use_tracer
 from repro.obs.metrics import MetricsRegistry
-from repro.service.fair_share import FairShareScheduler
-from repro.service.tenancy import Tenant
 from tests.pool_problems import Echo, HostileTo, Sleepy
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -587,22 +585,22 @@ class TestAutoscale:
         with ProcessPoolBackend(
             workers=1, max_workers=3, metrics=MetricsRegistry()
         ) as pool:
-            scheduler = FairShareScheduler(pool, metrics=MetricsRegistry())
-            queue = scheduler.register("c0", Tenant(max_in_flight=8))
+            tag = Tag("default", "c0", 1.0, 0, 8)
             futures = [
-                queue.submit(Individual(np.zeros(2), problem=_SLEEPY))
+                pool.submit_batch(
+                    [Individual(np.zeros(2), problem=_SLEEPY)], tag=tag
+                )
                 for _ in range(8)
             ]
             t0 = time.monotonic()
             while not all(f.done() for f in futures):
                 assert time.monotonic() - t0 < 60
-                scheduler.tick()
                 time.sleep(0.002)
             snap = pool.fleet_snapshot()
             books = pool.share_snapshot()["default"]
         assert snap["scale_ups"] >= 1
         assert books["dispatched"] == 8 and books["peak_in_flight"] <= 3
-        assert all(f.result()[0].tolist() == [1.0, 2.0] for f in futures)
+        assert all(f.result()[0][0].tolist() == [1.0, 2.0] for f in futures)
 
 
 # ----------------------------------------------------------------------

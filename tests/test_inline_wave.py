@@ -16,6 +16,7 @@ import pytest
 
 from repro.chaos import Fault, FaultPlan
 from repro.engine import EvaluationEngine, InlineBackend
+from repro.engine.policy import Tag
 from repro.evo.individual import MAXINT, Individual
 from repro.evo.problem import WithMetadataProblem
 from repro.hpo.campaign import Campaign, CampaignConfig
@@ -123,40 +124,47 @@ class TestQueue:
         with pytest.raises(RuntimeError, match="batch call itself"):
             engine.evaluate(_individuals(BrokenBatchProblem(), [1, 2]))
 
-    def test_the_service_resolves_a_failed_wave_to_its_futures(self):
-        """The service's owner thread polls the wave, so the exception
-        reaches each campaign's future, not the owner thread."""
-        scheduler = FairShareScheduler(
-            InlineBackend(), metrics=MetricsRegistry()
+    def test_a_lane_lands_a_failed_wave_on_its_slots(self):
+        """A service campaign's lane hands each evaluation over as a
+        task of one under its tag; a failed wave lands on each one's
+        slot, not on the campaign whose poll ran it."""
+        backend = InlineBackend()
+        lane = FairShareScheduler(backend, metrics=MetricsRegistry()).register(
+            "c1", Tenant(max_in_flight=4)
         )
-        queue = scheduler.register("c1", Tenant(max_in_flight=4))
-        futures = [
-            queue.submit(ind)
-            for ind in _individuals(BrokenBatchProblem(), [1, 2, 3])
-        ]
-        assert scheduler.tick() == 3
-        scheduler.tick()
-        for future in futures:
-            with pytest.raises(RuntimeError, match="batch call itself"):
-                future.result(timeout=0)
+        future = lane.submit_batch(
+            _individuals(BrokenBatchProblem(), [1, 2, 3])
+        )
+        assert [queued.tag for queued in backend._queue] == [lane.tag] * 3
+        assert future.done()
+        slots = future.result()
+        assert len(slots) == 3
+        assert all(isinstance(slot, RuntimeError) for slot in slots)
+        hits = []
+        backend.on_cache_hit = hits.append
+        lane.on_cache_hit("served")
+        assert hits == ["served"]  # for the backend's own books
 
     def test_a_wave_holds_each_tenants_cap(self):
         """A wave runs its evaluations at once, so it takes at most a
         tenant's cap of them; the rest wait for the next wave, which
         the same round of polls runs."""
         problem = EchoProblem()
-        scheduler = FairShareScheduler(
-            InlineBackend(), metrics=MetricsRegistry()
-        )
-        alice = scheduler.register("a", Tenant("alice", max_in_flight=2))
-        bob = scheduler.register("b", Tenant("bob", max_in_flight=1))
-        a = alice.submit_batch(_individuals(problem, range(6)))
-        b = bob.submit_batch(_individuals(problem, [10, 11]))
-        assert scheduler.tick() == 8
+        backend = InlineBackend()
+        alice, bob = Tag("alice", "a", 1.0, 0, 2), Tag("bob", "b", 1.0, 0, 1)
+        a = [
+            backend.submit_batch([ind], tag=alice)
+            for ind in _individuals(problem, range(6))
+        ]
+        b = [
+            backend.submit_batch([ind], tag=bob)
+            for ind in _individuals(problem, [10, 11])
+        ]
+        assert all(future.done() for future in a + b)
         assert problem.batches == [[0, 1, 10], [2, 3, 11], [4, 5]]
-        assert [slot[0][0] for slot in a.result()] == [0, 1, 2, 3, 4, 5]
-        assert [slot[0][0] for slot in b.result()] == [10, 11]
-        tenants = scheduler.snapshot()["tenants"]
+        assert [f.result()[0][0][0] for f in a] == [0, 1, 2, 3, 4, 5]
+        assert [f.result()[0][0][0] for f in b] == [10, 11]
+        tenants = backend.share_snapshot()
         assert tenants["alice"]["peak_in_flight"] == 2
         assert tenants["bob"]["peak_in_flight"] == 1
         assert tenants["alice"]["dispatched"] == 6

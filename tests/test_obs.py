@@ -553,3 +553,45 @@ class TestCampaignTraceEndToEnd:
         assert len(gens) == 3  # init + 2 generations
         assert hpo_main(["trace", str(trace_path)]) == 0
         assert "wall-clock breakdown" in capsys.readouterr().out
+
+
+def test_campaigns_stepped_in_turn_keep_their_traces_apart(tmp_path):
+    """Two campaigns stepped in turn on one thread under one tracer —
+    one fresh, one resumed — parent each ``ea.generation`` span by
+    their own ``campaign.run`` span, and leave no span current between
+    steps."""
+    from repro.hpo.campaign import Campaign, CampaignConfig
+    from repro.hpo.landscape import SurrogateDeepMDProblem
+    from repro.store.journal import CampaignJournal, journal_path
+    from repro.store.resume import resume_loop
+
+    def factory(seed):
+        return SurrogateDeepMDProblem(seed=seed)
+
+    def config(pop):
+        return CampaignConfig(n_runs=2, pop_size=pop, generations=2)
+
+    with CampaignJournal(journal_path(tmp_path)) as journal:
+        Campaign(factory, config(8), journal=journal).run()
+    lines = journal_path(tmp_path).read_text().splitlines()
+    # campaign_begin, run_begin, generations 0 and 1 of run 0
+    journal_path(tmp_path).write_text("\n".join(lines[:4]) + "\n")
+    tracer = Tracer()
+    loops = [
+        Campaign(factory, config(6), tracer=tracer).start(),
+        resume_loop(tmp_path, problem_factory=factory, tracer=tracer),
+    ]
+    while not all(loop.done for loop in loops):
+        for loop in loops:
+            loop.step(0)
+            assert tracer.current_span_id() is None
+    (resume,) = tracer.spans("store.resume")
+    pop_of_run = {
+        span["id"]: {None: 6, resume["id"]: 8}[span["parent"]]
+        for span in tracer.spans("campaign.run")
+    }
+    assert sorted(pop_of_run.values()) == [6, 6, 8, 8]
+    generations = tracer.spans("ea.generation")
+    assert len(generations) == 2 * 3 + 1 + 3
+    for span in generations:
+        assert span["tags"]["evaluated"] == pop_of_run[span["parent"]]

@@ -25,12 +25,9 @@ from repro.obs import (
     MetricsRegistry,
     ObservabilityServer,
     Tracer,
-    current_campaign_id,
     get_status,
     set_status,
-    set_thread_status,
     use_status,
-    use_thread_status,
 )
 from repro.obs.trace import NULL_TRACER
 
@@ -176,55 +173,6 @@ class TestCampaignStatus:
         snap = status.snapshot()
         assert snap["state"] == "done"
         assert snap["finished_ts"] >= snap["started_ts"]
-
-
-# ----------------------------------------------------------------------
-# thread-local status (the multi-campaign service: each campaign thread
-# publishes into its own status, concurrently)
-# ----------------------------------------------------------------------
-class TestThreadLocalStatus:
-    def test_use_thread_status_scopes_this_thread_only(self):
-        import threading
-
-        mine = CampaignStatus(campaign_id="mine")
-        seen_elsewhere = []
-
-        def observer():
-            seen_elsewhere.append(get_status())
-
-        with use_thread_status(mine):
-            assert get_status() is mine
-            thread = threading.Thread(target=observer)
-            thread.start()
-            thread.join()
-        assert get_status() is not mine
-        # the override never leaked into the other thread
-        assert seen_elsewhere == [NULL_STATUS]
-
-    def test_thread_override_shadows_the_global(self):
-        shared = CampaignStatus(campaign_id="global")
-        local = CampaignStatus(campaign_id="local")
-        with use_status(shared):
-            assert get_status() is shared
-            with use_thread_status(local):
-                assert get_status() is local
-            assert get_status() is shared
-
-    def test_set_thread_status_returns_previous(self):
-        first = CampaignStatus(campaign_id="first")
-        assert set_thread_status(first) is None
-        try:
-            second = CampaignStatus(campaign_id="second")
-            assert set_thread_status(second) is first
-        finally:
-            set_thread_status(None)
-        assert get_status() is NULL_STATUS
-
-    def test_current_campaign_id_follows_the_active_status(self):
-        assert current_campaign_id() is None
-        with use_thread_status(CampaignStatus(campaign_id="cafe42")):
-            assert current_campaign_id() == "cafe42"
-        assert current_campaign_id() is None
 
     def test_status_carries_service_metadata(self):
         status = CampaignStatus(
