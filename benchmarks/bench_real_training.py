@@ -13,7 +13,11 @@ atoms, rcut 8.5, 16 frames), the median training step, the
 ``prepare_batches`` call that builds one training's neighbour tables
 (the process's neighbour plane emptied first, so every round builds
 them), the same call when the plane is already warm at a 12 A cutoff
-(the tables are read out of it), and one validation round.  CI gates
+(the tables are read out of it), and one validation round; then, in
+an untimed pass under ``tracemalloc``, the peak memory four steps
+allocate on top of the trainer's own (``step_peak_mb``: one step's
+graph at its widest, since each step's graph dies when it returns) and
+the peak of one validation round (``validation_peak_mb``).  CI gates
 the same-machine ratio of the two ``prepare_batches`` calls
 (``plane_read_vs_fresh_tables``): both sides are neighbour code, so the
 ratio moves only when the plane read or the fresh build does.
@@ -34,12 +38,12 @@ os.environ.update(
 
 import statistics
 import time
+import tracemalloc
 from typing import Any, Callable, Optional
 
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor
 from repro.deepmd.data import _planes, prepare_batches
 from repro.deepmd.descriptor import DescriptorConfig
 from repro.deepmd.model import DeepPotModel, ModelConfig
@@ -285,21 +289,22 @@ def paper_trainer(dataset: Any, steps: int) -> Trainer:
     )
 
 
-def step_seconds(trainer: Trainer, step: int) -> float:
-    """Wall time of one step of ``Trainer.train``'s loop body."""
+def _seconds(fn: Callable[..., Any], *args: Any) -> float:
     start = time.perf_counter()
-    batch = trainer.train_batches[
-        int(trainer.rng.integers(len(trainer.train_batches)))
-    ]
-    e_pred, f_pred = trainer.model.energy_and_forces(batch, create_graph=True)
-    loss = trainer.loss_fn(
-        step, e_pred, Tensor(batch.energies), f_pred, Tensor(batch.forces)
-    )
-    trainer.optimizer.zero_grad()
-    loss.backward()
-    trainer.optimizer.lr = trainer.schedule(step)
-    trainer.optimizer.step()
+    fn(*args)
     return time.perf_counter() - start
+
+
+def _peak_mb(fn: Callable[[], Any]) -> float:
+    """Peak memory ``fn`` allocates on top of what was live before it
+    (``tracemalloc``, which NumPy reports its array buffers to)."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def _best_ms(fn: Callable[[], Any], rounds: int) -> float:
@@ -323,8 +328,8 @@ def run(quick: bool = False) -> dict:
     frames = dataset.train + dataset.validation
     trainer = paper_trainer(dataset, steps)
     for step in range(2):  # warm-up: caches and the allocator
-        step_seconds(trainer, step)
-    walls = [step_seconds(trainer, step) for step in range(steps)]
+        trainer.train_step(step)
+    walls = [_seconds(trainer.train_step, step) for step in range(steps)]
 
     def fresh_tables():
         _planes.clear()
@@ -342,6 +347,11 @@ def run(quick: bool = False) -> dict:
         ),
         "validation_ms": _best_ms(trainer.evaluate_validation, rounds),
         "neighbor_width": float(trainer.train_batches[0].max_neighbors),
+        # untimed: tracing slows every allocation
+        "step_peak_mb": _peak_mb(
+            lambda: [trainer.train_step(step) for step in range(4)]
+        ),
+        "validation_peak_mb": _peak_mb(trainer.evaluate_validation),
     }
     return {
         "bench": "training",

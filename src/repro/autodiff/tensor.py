@@ -313,7 +313,9 @@ def _backprop(
     ``order`` is the output's :func:`_toposort`.  Only nodes on a path
     from the output to a target are visited, and of their vjps only
     those of parents on such a path are called.  Returns the
-    (Tensor-valued) gradient of every visited node, keyed by ``id``.
+    (Tensor-valued) gradient of every target the output reaches, keyed
+    by ``id``: a node's gradient is complete when the node is visited,
+    so any other node's is dropped right after its vjps consumed it.
     When ``create_graph`` is false the vjp evaluations run under
     :func:`no_grad`, producing constant gradient tensors.
     """
@@ -325,9 +327,10 @@ def _backprop(
             f"seed gradient shape {seed.data.shape} does not match output "
             f"shape {output.data.shape}"
         )
+    wanted = {id(t) for t in targets}
     # parents come after their children in ``order``: walking it
     # backwards marks a node once all of its parents are decided
-    demand = {id(t) for t in targets}
+    demand = set(wanted)
     for node in reversed(order):
         if any(id(p) in demand for p in node._parents):
             demand.add(id(node))
@@ -335,7 +338,10 @@ def _backprop(
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
         for node in order:
-            g = grads.get(id(node))
+            if id(node) in wanted:
+                g = grads.get(id(node))
+            else:
+                g = grads.pop(id(node), None)
             if g is None:
                 continue
             for parent, vjp in zip(node._parents, node._vjps):

@@ -219,7 +219,8 @@ class DeepPotModel:
 
         where ``g = dE/dd = (dR~/dd)^T dE/dR~``.  Every step is a taped
         operation so, under ``create_graph=True``, the force error can
-        be backpropagated into the network parameters.
+        be backpropagated into the network parameters.  Without it both
+        results are constant leaves and no graph outlives the call.
         """
         B, N, nn = batch.mask.shape
         geometry = self._geometry(batch)
@@ -229,6 +230,12 @@ class DeepPotModel:
         # a single scalar seed suffices: frames are independent
         e_sum = F.sum(e_total)
         (g_env,) = grad(e_sum, [env], create_graph=create_graph)
+        if not create_graph:
+            # an inference call returns constants: the forward graph
+            # dies here, before the force assembly allocates its
+            # (B, N, nn, 3) arrays
+            e_total = Tensor(e_total.data)
+            del e_atom, e_sum
         # only the parameters are leaves of what is built from here on
         env.requires_grad = False
         g = displacement_gradient(g_env, geometry)

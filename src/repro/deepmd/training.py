@@ -192,18 +192,61 @@ class Trainer:
         sf = 0.0
         n_frames = 0
         n_force = 0
-        n_atoms = self.dataset.n_atoms
         for batch in batches:
-            e_pred, f_pred = self.model.energy_and_forces(
-                batch, create_graph=False
-            )
-            de = (e_pred.data - batch.energies) / n_atoms
-            se += float(np.sum(de * de))
-            df = f_pred.data - batch.forces
-            sf += float(np.sum(df * df))
+            se_batch, sf_batch, n_force_batch = self._squared_errors(batch)
+            se += se_batch
+            sf += sf_batch
             n_frames += batch.n_frames
-            n_force += df.size
+            n_force += n_force_batch
         return float(np.sqrt(se / n_frames)), float(np.sqrt(sf / n_force))
+
+    def _squared_errors(
+        self, batch: DescriptorBatch
+    ) -> tuple[float, float, int]:
+        """Summed squared energy (per atom) and force errors over
+        ``batch``, and its number of force components.  The
+        predictions die when this returns, before the next batch runs."""
+        e_pred, f_pred = self.model.energy_and_forces(
+            batch, create_graph=False
+        )
+        de = (e_pred.data - batch.energies) / self.dataset.n_atoms
+        df = f_pred.data - batch.forces
+        return float(np.sum(de * de)), float(np.sum(df * df)), df.size
+
+    def train_step(self, step: int) -> float:
+        """One optimizer step on a randomly drawn training batch;
+        returns the step's loss.
+
+        The step's second-order graph lives only in this frame, so it
+        is freed when the step returns, before a validation or the next
+        step builds anything (DESIGN.md §10, "Trainer memory").
+
+        Raises
+        ------
+        TrainingDivergedError
+            When the loss is non-finite or beyond
+            ``config.divergence_threshold``; the parameters are then
+            left as they were.
+        """
+        batch = self.train_batches[
+            int(self.rng.integers(len(self.train_batches)))
+        ]
+        e_pred, f_pred = self.model.energy_and_forces(batch, create_graph=True)
+        loss = self.loss_fn(
+            step, e_pred, Tensor(batch.energies), f_pred, Tensor(batch.forces)
+        )
+        loss_value = float(loss.data)
+        threshold = self.config.divergence_threshold
+        if not np.isfinite(loss_value) or loss_value > threshold:
+            raise TrainingDivergedError(
+                f"loss {loss_value:.3g} at step {step} "
+                f"(threshold {threshold:g})"
+            )
+        self.optimizer.zero_grad()
+        loss.backward()
+        self.optimizer.lr = self.schedule(step)
+        self.optimizer.step()
+        return loss_value
 
     def evaluate_validation(self) -> tuple[float, float]:
         """``(rmse_e_val, rmse_f_val)`` on the validation split."""
@@ -339,31 +382,7 @@ class Trainer:
                 and (step - first_step) % checkpoint_freq == 0
             ):
                 self.save_checkpoint(checkpoint_path, step - 1)
-            batch = self.train_batches[
-                int(self.rng.integers(len(self.train_batches)))
-            ]
-            e_pred, f_pred = self.model.energy_and_forces(
-                batch, create_graph=True
-            )
-            loss = self.loss_fn(
-                step,
-                e_pred,
-                Tensor(batch.energies),
-                f_pred,
-                Tensor(batch.forces),
-            )
-            loss_value = float(loss.data)
-            if not np.isfinite(loss_value) or (
-                loss_value > cfg.divergence_threshold
-            ):
-                raise TrainingDivergedError(
-                    f"loss {loss_value:.3g} at step {step} "
-                    f"(threshold {cfg.divergence_threshold:g})"
-                )
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.lr = self.schedule(step)
-            self.optimizer.step()
+            self.train_step(step)
             if (step + 1) % cfg.disp_freq == 0 or step == 0:
                 rmse_e_val, rmse_f_val = self.evaluate_validation()
                 rmse_e_trn, rmse_f_trn = self._evaluate(

@@ -62,25 +62,5 @@ class PeriodicCell:
         """Largest cutoff valid under pure minimum-image (L/2)."""
         return float(self.lengths.min() / 2.0)
 
-    def image_shifts(self, cutoff: float) -> np.ndarray:
-        """Lattice translation vectors covering interactions up to ``cutoff``.
-
-        When ``cutoff`` exceeds L/2 (as the paper's descriptor radial
-        cutoffs of up to 12 Å do for a scaled-down box) interactions
-        with periodic images beyond the first shell matter; this
-        returns all integer-combination shift vectors whose cells could
-        contain a neighbor within ``cutoff`` — of an atom wrapped into
-        the cell.  Wrapped coordinates (``L`` itself included) put a
-        pair at most ``L`` apart per axis, so ``|k| L <= cutoff + L``.
-        (:func:`repro.md.neighbors.neighbor_pairs` sizes its own range
-        from the positions, so it does not need them wrapped.)
-        """
-        n = np.floor(cutoff / self.lengths).astype(int) + 1
-        ranges = [np.arange(-k, k + 1) for k in n]
-        grid = np.stack(
-            np.meshgrid(*ranges, indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        return grid * self.lengths
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PeriodicCell(lengths={self.lengths.tolist()})"

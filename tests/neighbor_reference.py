@@ -1,5 +1,7 @@
 """The loop-over-image-shifts neighbour search of commit ``955b4ea``,
-kept verbatim as the oracle for :mod:`repro.md.neighbors`.
+kept verbatim as the oracle for :mod:`repro.md.neighbors`, with the
+``PeriodicCell.image_shifts`` it sized its loop by (no runtime code
+calls it since the search became one vectorized pass).
 
 ``neighbor_pairs`` and ``NeighborList.build`` must return the same
 arrays as these, byte for byte, on every input whose coordinates are
@@ -15,12 +17,33 @@ from repro.md.cell import PeriodicCell
 from repro.md.neighbors import NeighborList
 
 
+def image_shifts(cell: PeriodicCell, cutoff: float) -> np.ndarray:
+    """Lattice translation vectors covering interactions up to ``cutoff``.
+
+    When ``cutoff`` exceeds L/2 (as the paper's descriptor radial
+    cutoffs of up to 12 Å do for a scaled-down box) interactions
+    with periodic images beyond the first shell matter; this
+    returns all integer-combination shift vectors whose cells could
+    contain a neighbor within ``cutoff`` — of an atom wrapped into
+    the cell.  Wrapped coordinates (``L`` itself included) put a
+    pair at most ``L`` apart per axis, so ``|k| L <= cutoff + L``.
+    (:func:`repro.md.neighbors.neighbor_pairs` sizes its own range
+    from the positions, so it does not need them wrapped.)
+    """
+    n = np.floor(cutoff / cell.lengths).astype(int) + 1
+    ranges = [np.arange(-k, k + 1) for k in n]
+    grid = np.stack(
+        np.meshgrid(*ranges, indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    return grid * cell.lengths
+
+
 def neighbor_pairs(
     positions: np.ndarray, cell: PeriodicCell, cutoff: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positions = np.asarray(positions, dtype=np.float64)
     n = len(positions)  # noqa: F841 - kept verbatim
-    shifts = cell.image_shifts(cutoff)
+    shifts = image_shifts(cell, cutoff)
     zero_mask = np.all(shifts == 0.0, axis=1)
     # keep the zero shift plus one representative of each +/- shift pair
     keep = []

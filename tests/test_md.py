@@ -26,6 +26,7 @@ from repro.md.system import (
     molten_salt_potential,
     molten_salt_system,
 )
+from tests.neighbor_reference import image_shifts
 
 
 class TestPeriodicCell:
@@ -65,12 +66,12 @@ class TestPeriodicCell:
 
     def test_image_shifts_small_cutoff(self):
         cell = PeriodicCell(10.0)
-        shifts = cell.image_shifts(4.0)
+        shifts = image_shifts(cell, 4.0)
         assert len(shifts) == 27  # one shell
 
     def test_image_shifts_large_cutoff(self):
         cell = PeriodicCell(10.0)
-        shifts = cell.image_shifts(12.0)
+        shifts = image_shifts(cell, 12.0)
         assert len(shifts) == 125  # two shells
 
 

@@ -23,6 +23,7 @@ from repro.evo.nsga2 import (
 from repro.md.cell import PeriodicCell
 from repro.mo.dominance import dominates, non_dominated_mask
 from repro.mo.metrics import hypervolume_2d
+from tests.neighbor_reference import image_shifts
 
 # ----------------------------------------------------------------------
 # strategies
@@ -322,7 +323,7 @@ class TestPeriodicCellProperties:
     @settings(max_examples=100, deadline=None)
     def test_image_shifts_cover_cutoff(self, L, cutoff):
         cell = PeriodicCell(L)
-        shifts = cell.image_shifts(cutoff)
+        shifts = image_shifts(cell, cutoff)
         # the largest shift magnitude must reach at least the cutoff
         max_reach = np.abs(shifts).max() + L / 2
         assert max_reach >= min(cutoff, np.abs(shifts).max() + L / 2)

@@ -15,12 +15,13 @@ from repro.evo.problem import ConstantProblem
 from repro.md.cell import PeriodicCell
 from repro.md.neighbors import NeighborList, neighbor_pairs
 from repro.mo.pareto import ParetoArchive
+from tests.neighbor_reference import image_shifts
 
 
 def _brute_force_neighbors(positions, cell, cutoff):
     """Reference implementation: O(N^2 * images) python loops."""
     n = len(positions)
-    shifts = cell.image_shifts(cutoff)
+    shifts = image_shifts(cell, cutoff)
     out = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -15,18 +15,23 @@ change nothing else (DESIGN.md §10):
   — checked by whole evaluations against ones that built their own;
 * the trainer pins glibc's allocator thresholds at its entry — checked
   by whole evaluations against a process without the policy, and by
-  the page faults a process's third training takes.
+  the page faults a process's third training takes;
+* a training holds one graph at a time — checked by what a backward
+  pass returns, by weak references to each step's loss, and by whole
+  evaluations against digests pinned before the change.
 """
 
 from __future__ import annotations
 
 import ctypes
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -37,7 +42,7 @@ from hypothesis import strategies as st
 
 from repro.autodiff import functional as F
 from repro.autodiff.gradcheck import check_gradients
-from repro.autodiff.tensor import Tensor, _toposort, grad, no_grad
+from repro.autodiff.tensor import Tensor, _backprop, _toposort, grad, no_grad
 from repro.deepmd import data, training
 from repro.deepmd.data import DescriptorBatch, prepare_batches
 from repro.deepmd.descriptor import DescriptorConfig, SmoothDescriptor
@@ -207,6 +212,22 @@ class TestDemandDrivenBackprop:
             for i, parent in enumerate(node._parents):
                 if parent.is_leaf and not parent.requires_grad:
                     assert (id(node), i) not in calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(op_dags(), st.data())
+    def test_backprop_returns_its_targets_only(self, dag, data):
+        """Every other gradient is dropped once its vjps consumed it."""
+        output, leaves, nodes = dag
+        order = _toposort(output)
+        targets = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=3)
+        )
+        oracle = propagate_everything(output)
+        seed = Tensor(np.ones_like(output.data))
+        table = _backprop(order, seed, iter(targets), create_graph=False)
+        assert set(table) == {id(t) for t in targets} & set(oracle)
+        for key, g in table.items():
+            assert g.data.tobytes() == oracle[key].data.tobytes()
 
     def test_constant_operand_gradient_is_never_reduced(self):
         x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
@@ -826,3 +847,143 @@ def test_the_training_span_counts_its_page_faults(small_dataset, monkeypatch):
     (loop,) = tracer.spans("train.loop")
     assert "minor_faults" not in loop["tags"]
     assert loop["tags"]["steps_completed"] == 4
+
+
+# ----------------------------------------------------------------------
+# 8. one graph at a time: a step's graph dies before anything else is
+#    built, an inference call returns no graph, and no bit moves
+# ----------------------------------------------------------------------
+def test_a_step_graph_is_dead_before_anything_else_is_built(
+    small_dataset, monkeypatch
+):
+    trainer = thirty_step_trainer(small_dataset, "tanh", "tanh")
+    losses: list[weakref.ref] = []
+    checks: list[tuple[str, int, bool]] = []
+
+    def check(where):
+        if losses:
+            checks.append((where, len(losses), losses[-1]() is not None))
+
+    loss_call = EnergyForceLoss.__call__
+    forward = DeepPotModel.energy_and_forces
+    validation = Trainer.evaluate_validation
+
+    def recording_loss(self, *args, **kwargs):
+        loss = loss_call(self, *args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss
+
+    def checked_forward(self, batch, create_graph=False):
+        if create_graph:
+            check("forward")
+        return forward(self, batch, create_graph)
+
+    def checked_validation(self):
+        check("validation")
+        return validation(self)
+
+    monkeypatch.setattr(EnergyForceLoss, "__call__", recording_loss)
+    monkeypatch.setattr(DeepPotModel, "energy_and_forces", checked_forward)
+    monkeypatch.setattr(Trainer, "evaluate_validation", checked_validation)
+    trainer.train()
+    assert len(losses) == 30
+    # every step's forward pass but the first, and the validations
+    # after steps 1, 10, 20 and 30
+    assert [where for where, _, _ in checks].count("forward") == 29
+    assert [n for where, n, _ in checks if where == "validation"] == [
+        1, 10, 20, 30
+    ]
+    assert [c for c in checks if c[2]] == []
+
+
+@pytest.mark.parametrize(
+    "desc,fit", [("tanh", "tanh"), ("softplus", "sigmoid")]
+)
+def test_an_inference_call_returns_constants_with_the_same_bits(desc, fit):
+    batch = random_padded_batch(3)
+    model = small_model(desc, fit)
+    e, f = model.energy_and_forces(batch)
+    assert e.is_leaf and f.is_leaf
+    assert not (e.requires_grad or f.requires_grad)
+    e_graph, f_graph = model.energy_and_forces(batch, create_graph=True)
+    assert not e_graph.is_leaf
+    assert e.data.tobytes() == e_graph.data.tobytes()
+    assert f.data.tobytes() == f_graph.data.tobytes()
+
+
+def host_bits() -> str:
+    """Digest of the kernels a training's bits depend on — NumPy's
+    transcendental ufuncs, SciPy's ``erfc`` (MD data generation) and
+    BLAS products — on fixed inputs.  They differ in the last ulp
+    across instruction sets."""
+    from scipy.special import erfc
+
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-6.0, 6.0, size=4099)
+    a, b = rng.normal(size=(37, 29)), rng.normal(size=(29, 41))
+    p, q = rng.normal(size=(3, 5, 7, 4)), rng.normal(size=(3, 5, 4, 6))
+    digest = hashlib.sha256()
+    for out in (
+        np.exp(x), np.log(np.abs(x)), np.log1p(np.abs(x)), np.tanh(x),
+        np.sqrt(np.abs(x)), np.sin(x), np.cos(x), erfc(x),
+        a @ b, np.matmul(p, q), np.einsum("...ij,...jk->...ik", p, q),
+    ):  # fmt: skip
+        digest.update(out.tobytes())
+    return digest.hexdigest()[:16]
+
+
+#: ``host_bits()`` where :data:`PINNED_EVALUATIONS` was recorded
+PINNED_HOST = "d375efba6dabd8b3"
+#: ``evaluation_digests`` of the two phenomes below at commit 0e24614,
+#: where each step's graph lived on through the next step's forward
+#: pass and the backward pass kept every gradient it formed
+PINNED_EVALUATIONS = {
+    ("tanh", "tanh"): {
+        "fitness": "cbc511bc18067c21",
+        "lcurve.out": "5d256a550aa0e80c",
+        "model.npz": "0d8b55c9afbc03bd",
+    },
+    ("softplus", "sigmoid"): {
+        "fitness": "6cedc6cc8be0f506",
+        "lcurve.out": "ec8a4ab8d496f397",
+        "model.npz": "2b8c7d1e1d3b713c",
+    },
+}
+
+
+def evaluation_digests(dataset, base_dir, desc, fit) -> dict[str, str]:
+    """Digests of the fitness, ``lcurve.out`` and trained parameters of
+    one 8-step evaluation that validates three times."""
+    problem = DeepMDProblem(
+        dataset,
+        base_dir=base_dir,
+        settings=EvaluatorSettings(numb_steps=8, disp_freq=4),
+    )
+    phenome = {
+        "rcut": 5.0, "rcut_smth": 1.0, "start_lr": 3e-3, "stop_lr": 1e-4,
+        "scale_by_worker": "none", "desc_activ_func": desc,
+        "fitting_activ_func": fit,
+    }  # fmt: skip
+    fitness, meta = problem.evaluate_with_metadata(phenome, uuid="pinned")
+    lcurve, weights = artifact_bytes(Path(meta["workdir"]))
+    params = b"".join(
+        name.encode() + weights[name] for name in sorted(weights)
+    )
+    return {
+        name: hashlib.sha256(raw).hexdigest()[:16]
+        for name, raw in (
+            ("fitness", fitness.tobytes()),
+            ("lcurve.out", lcurve),
+            ("model.npz", params),
+        )
+    }
+
+
+@pytest.mark.parametrize("desc,fit", sorted(PINNED_EVALUATIONS))
+def test_an_evaluation_keeps_the_pinned_bits(
+    small_dataset, tmp_path, desc, fit
+):
+    if host_bits() != PINNED_HOST:
+        pytest.skip("the digests were pinned on another instruction set")
+    digests = evaluation_digests(small_dataset, tmp_path, desc, fit)
+    assert digests == PINNED_EVALUATIONS[desc, fit]
